@@ -265,7 +265,7 @@ var (
 
 // BenchmarkJobschedPriorityThroughput is the same 1000-job trace with a
 // quarter of the jobs at high priority and preemption enabled — the
-// worst case for the priority pipeline (priority scan order, feasibility
+// worst case for the priority pipeline (two priority levels, feasibility
 // filtering and preemption planning live on every event).
 func BenchmarkJobschedPriorityThroughput(b *testing.B) {
 	priThroughputOnce.Do(func() {

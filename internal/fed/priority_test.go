@@ -2,10 +2,13 @@ package fed
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"repro/internal/jobsched"
 	"repro/internal/rng"
+	"repro/internal/workload"
 )
 
 // buildPriorityFed wires a preempting federation over a mixed-priority
@@ -80,6 +83,78 @@ func TestPriorityParallelByteIdentity(t *testing.T) {
 			}
 			if faults == "" && seed == 11 && preempted == 0 {
 				t.Log("priority trace produced no preemptions; consider retuning the trace")
+			}
+		}
+	}
+}
+
+// shardDigests runs a federation to completion and hashes each shard's
+// Jobs() listing: ids, states, start and finish bits, and nodes.
+func shardDigests(t *testing.T, f *Federation) []uint64 {
+	t.Helper()
+	if err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var out []uint64
+	for _, sh := range f.Shards() {
+		h := fnv.New64a()
+		for _, js := range sh.Online.Jobs() {
+			fmt.Fprintf(h, "%s %d %x %x %v %d\n", js.ID, js.State,
+				math.Float64bits(js.Start), math.Float64bits(js.Finish), js.Nodes, js.Preemptions)
+		}
+		out = append(out, h.Sum64())
+	}
+	return out
+}
+
+// TestChaosPriorityRepeatDeterministic: lending moves shard bounds down
+// while jobs run, which makes the scheduler shed power across its
+// running set. The shed factor is a floating-point sum over the running
+// jobs, so it must be taken in a fixed order: repeated runs of the same
+// lending + shard-fault + mixed-priority federation in one process end
+// with identical per-shard results.
+func TestChaosPriorityRepeatDeterministic(t *testing.T) {
+	build := func() *Federation {
+		shards := shardCfg(64, 4, 400, jobsched.AggressiveBackfill)
+		for i := range shards {
+			shards[i].Preempt = true
+		}
+		sc, err := ParseShardScenario("crash-mtbf=400,mttr=120,part-mtbf=600,part-dur=60,seed=9")
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := New(Config{
+			Shards:      shards,
+			Routing:     LeastLoaded,
+			Lending:     Lending{Enabled: true, TTL: 240, QuantumW: 60},
+			ShardFaults: sc,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mix := workload.Suite()
+		r := rng.New(1)
+		now := 0.0
+		for i := 0; i < 1024; i++ {
+			now += r.Range(0, 2)
+			id := fmt.Sprintf("j%04d", i)
+			app := mix[r.Intn(len(mix))]
+			pri := 0
+			if r.Float64() < 0.2 {
+				pri = 10
+			}
+			if err := f.ScheduleArrivalPri(now, id, app, id, pri); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f
+	}
+	first := shardDigests(t, build())
+	for run := 2; run <= 3; run++ {
+		again := shardDigests(t, build())
+		for i := range first {
+			if again[i] != first[i] {
+				t.Errorf("run %d: shard %d digest %x, run 1 had %x", run, i, again[i], first[i])
 			}
 		}
 	}

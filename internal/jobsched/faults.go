@@ -386,9 +386,7 @@ func (st *schedState) requeue(j Job) {
 		return
 	}
 	st.logFault("requeue", -1, j.ID, 0, fmt.Sprintf("attempt %d", st.retries[j.ID]))
-	st.queue = append(st.queue, queueEntry{job: j})
-	st.qlive++
-	gQueuePeak.SetMax(float64(st.qlive))
+	st.enqueue(j)
 	st.dispatch()
 	st.assertBound("requeue")
 	st.publishState()
@@ -409,19 +407,13 @@ func (st *schedState) failJob(j Job, reason string) {
 	st.jobDone()
 }
 
-// failQueued fails every still-queued job (the cluster has fully
-// drained; nothing can ever start again).
+// failQueued fails every still-queued job, in enqueue order (the
+// cluster has fully drained, or the session is draining; nothing can
+// ever start again).
 func (st *schedState) failQueued(reason string) {
-	for qi := st.qhead; qi < len(st.queue); qi++ {
-		e := &st.queue[qi]
-		if e.started {
-			continue
-		}
-		e.started = true
-		st.qlive--
-		st.failJob(e.job, reason)
+	for _, j := range st.takeQueued() {
+		st.failJob(j, reason)
 	}
-	st.compactQueue()
 }
 
 // --- power excursions ---------------------------------------------------

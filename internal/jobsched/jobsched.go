@@ -79,8 +79,8 @@ type Job struct {
 	Arrival float64
 	// Priority orders dispatch: higher values are scanned first and,
 	// when Config.Preempt is set, may evict running lower-priority
-	// jobs. Zero inherits the application's default priority; all-zero
-	// runs take the exact legacy FIFO paths.
+	// jobs. Zero inherits the application's default priority; jobs of
+	// equal priority dispatch in arrival (FIFO) order.
 	Priority int
 }
 
@@ -287,12 +287,24 @@ type runningJob struct {
 	sub *hw.Cluster
 }
 
-// queueEntry is one indexed queue slot: started entries are tombstoned
-// in place so dispatch scans never revisit them, instead of shifting
-// the whole tail on every start.
+// queueEntry is one slot of a priority level's FIFO: started entries
+// are tombstoned in place so dispatch scans never revisit them, instead
+// of shifting the whole tail on every start.
 type queueEntry struct {
 	job     Job
+	dc      *dispatchEntry // the application's dispatch-cache entry
+	seq     uint64         // enqueue order across all levels
 	started bool
+}
+
+// priLevel is the FIFO of one priority level: live counts the
+// untombstoned entries of q[head:]. Between queue operations head
+// indexes the first live entry (len(q) when the level is empty).
+type priLevel struct {
+	pri  int
+	q    []queueEntry
+	head int
+	live int
 }
 
 // placementCopy is a dispatch-cache-owned snapshot of a coordinator
@@ -343,6 +355,7 @@ type dispatchEntry struct {
 	freeVer uint64
 	wBits   uint64 // math.Float64bits of the free watts
 	state   uint8
+	refused uint64 // last dispatch pass that failed to start the application
 	pl      placementCopy
 	eval    sim.Eval
 }
@@ -356,11 +369,15 @@ type dispatchEntry struct {
 // free-set version stamp — so a dispatch attempt costs no per-event
 // cluster rescan.
 type schedState struct {
-	s       *Scheduler
-	eng     *des.Engine
-	queue   []queueEntry
-	qhead   int // first possibly-live queue index
-	qlive   int // queued jobs not yet started
+	s   *Scheduler
+	eng *des.Engine
+	// levels is the queue: one FIFO per priority, highest first, so the
+	// level walk is the dispatch order (priority descending, then
+	// enqueue order) and an all-equal-priority run is a single FIFO.
+	levels  []priLevel
+	qseq    uint64 // last enqueue sequence number handed out
+	pass    uint64 // dispatch pass counter, never reset (dispatchEntry.refused)
+	qlive   int    // queued jobs not yet started, over all levels
 	running map[string]*runningJob
 	free    []int // free global node ids, ascending
 	freeW   float64
@@ -392,16 +409,11 @@ type schedState struct {
 	freeSubVer uint64
 	shadow     float64
 	shadowOK   bool
-	// priority pipeline state. anyPri is sticky per run: it flips the
-	// dispatch scan to priority order and arms preemption; all-zero
-	// priority runs never leave the legacy FIFO paths. scanIdx is the
-	// priority-ordered scan scratch; feasIDs/feasSub back the
+	// priority pipeline state. feasIDs/feasSub back the
 	// constraint-filtered cluster view; the pre* scratch set backs
 	// preemption planning so a plan never clobbers the freeVer-cached
 	// free view or the shared coordinator scratch; preempts counts
 	// evictions per job id (nil until the first preemption).
-	anyPri     bool
-	scanIdx    []int
 	feasIDs    []int
 	feasSub    *hw.Cluster
 	preIDs     []int
@@ -512,8 +524,11 @@ func (s *Scheduler) newState(online bool) (*schedState, error) {
 func (st *schedState) reset(online bool) {
 	s := st.s
 	st.eng.Reset()
-	st.queue = st.queue[:0]
-	st.qhead, st.qlive = 0, 0
+	for i := range st.levels {
+		l := &st.levels[i]
+		l.q, l.head, l.live = l.q[:0], 0, 0
+	}
+	st.qseq, st.qlive = 0, 0
 	clear(st.running)
 	st.freeSlots = st.freeSlots[:0]
 	for i := range st.slots {
@@ -529,7 +544,6 @@ func (st *schedState) reset(online bool) {
 	st.coord = coordinator.Coordinator{}
 	st.freeVer++
 	st.shadow, st.shadowOK = 0, false
-	st.anyPri = false
 	st.preVictims = st.preVictims[:0]
 	st.preempts = nil
 	st.lastAccount, st.usedIntegral = 0, 0
@@ -657,33 +671,110 @@ func (st *schedState) arrive(j Job) {
 	if j.Priority == 0 {
 		j.Priority = j.App.Priority
 	}
-	if j.Priority != 0 {
-		st.anyPri = true
-	}
 	if !j.App.Constraint.Zero() && !st.constraintSatisfiable(j.App) {
 		st.failJob(j, "node constraint matches no cluster node")
 		st.publishState()
 		return
 	}
-	st.queue = append(st.queue, queueEntry{job: j})
-	st.qlive++
-	gQueuePeak.SetMax(float64(st.qlive))
+	st.enqueue(j)
 	st.dispatch()
 	st.assertBound("arrive")
 	st.publishState()
 }
 
+// enqueue appends a job at the tail of its priority level: the one
+// enqueue path of arrivals, fault requeues and preemption re-enqueues.
+func (st *schedState) enqueue(j Job) {
+	dc := st.dcache[j.App]
+	if dc == nil {
+		dc = &dispatchEntry{}
+		st.dcache[j.App] = dc
+	}
+	l := st.level(j.Priority, true)
+	st.qseq++
+	l.q = append(l.q, queueEntry{job: j, dc: dc, seq: st.qseq})
+	l.live++
+	st.qlive++
+	gQueuePeak.SetMax(float64(st.qlive))
+}
+
+// level returns the FIFO of priority pri, or nil when there is none and
+// create is false. A new level reuses an empty level's slot and buffer
+// when there is one and is moved into priority order, so the level
+// count stays bounded by the distinct priorities queued at once and
+// steady-state enqueues allocate nothing.
+func (st *schedState) level(pri int, create bool) *priLevel {
+	k := -1
+	for i := range st.levels {
+		if st.levels[i].pri == pri {
+			return &st.levels[i]
+		}
+		if k < 0 && st.levels[i].live == 0 {
+			k = i
+		}
+	}
+	if !create {
+		return nil
+	}
+	if k < 0 {
+		k = len(st.levels)
+		st.levels = append(st.levels, priLevel{})
+	}
+	st.levels[k] = priLevel{pri: pri, q: st.levels[k].q[:0]}
+	for ; k > 0 && st.levels[k-1].pri < pri; k-- {
+		st.levels[k-1], st.levels[k] = st.levels[k], st.levels[k-1]
+	}
+	for ; k+1 < len(st.levels) && st.levels[k+1].pri > pri; k++ {
+		st.levels[k+1], st.levels[k] = st.levels[k], st.levels[k+1]
+	}
+	return &st.levels[k]
+}
+
+// topQueued returns the dispatch head, the first live entry of the
+// highest non-empty priority level; callers check qlive > 0 first.
+func (st *schedState) topQueued() Job {
+	for li := range st.levels {
+		if l := &st.levels[li]; l.live > 0 {
+			return l.q[l.head].job
+		}
+	}
+	return Job{}
+}
+
+// takeQueued empties the queue and returns its jobs in enqueue (seq)
+// order across all levels: the physical order in which evacuation and
+// drain failures report queued jobs.
+func (st *schedState) takeQueued() []Job {
+	var live []queueEntry
+	for li := range st.levels {
+		l := &st.levels[li]
+		for _, e := range l.q[l.head:] {
+			if !e.started {
+				live = append(live, e)
+			}
+		}
+		l.q, l.head, l.live = l.q[:0], 0, 0
+	}
+	st.qlive = 0
+	sort.Slice(live, func(a, b int) bool { return live[a].seq < live[b].seq })
+	out := make([]Job, len(live))
+	for i, e := range live {
+		out[i] = e.job
+	}
+	return out
+}
+
 // dispatch starts as many queued jobs as the policy and resources
 // allow, running the placement stage to a fixpoint. When a scan makes
-// no progress and priorities are in play, one preemption pass may
-// evict lower-priority running jobs to admit the blocked head; the
-// freed resources are consumed by the rescan that follows.
+// no progress and preemption is enabled, one preemption pass may evict
+// lower-priority running jobs to admit the blocked head; the freed
+// resources are consumed by the rescan that follows.
 func (st *schedState) dispatch() {
 	progress := true
 	for progress {
 		progress = st.dispatchPass()
 		st.compactQueue()
-		if !progress && st.anyPri && st.s.Config.Preempt {
+		if !progress && st.s.Config.Preempt {
 			progress = st.preemptPass()
 		}
 	}
@@ -693,114 +784,62 @@ func (st *schedState) dispatch() {
 	// torn.
 }
 
-// dispatchPass runs one scan over the live queue entries and starts at
+// dispatchPass walks the live queue entries in dispatch order —
+// priority levels highest first, FIFO within a level — and starts at
 // most one job (a start invalidates the shadow window and resource
 // state, so the caller rescans). Started entries are tombstoned in
-// place and skipped, so a scan only visits live entries. Without
-// priorities the scan is the legacy index-order walk; with priorities
-// it follows scanOrder (priority descending, arrival order within a
-// priority level).
+// place and skipped. A job is offered the resources only after every
+// higher-priority job was, so dispatch cannot invert priorities.
+//
+// Until a job starts nothing tryStart reads changes, and the deadline
+// only tightens after the head, so a pass skips the later entries of an
+// application it has already refused.
 func (st *schedState) dispatchPass() bool {
-	if st.anyPri {
-		return st.dispatchPassPri()
-	}
+	st.pass++
 	head := true // next live entry is the queue head
-	for qi := st.qhead; qi < len(st.queue); qi++ {
-		e := &st.queue[qi]
-		if e.started {
-			continue
+	for li := range st.levels {
+		l := &st.levels[li]
+		for qi := l.head; qi < len(l.q); qi++ {
+			e := &l.q[qi]
+			if e.started || e.dc.refused == st.pass {
+				continue
+			}
+			if !head && st.s.Config.Policy == FCFS {
+				return false // head of queue blocks
+			}
+			// The head may start whenever it fits. A backfilled job
+			// must finish before the next resource release (shadow
+			// time), so the head's earliest start is never delayed.
+			deadline := math.Inf(1)
+			if !head && st.s.Config.Policy == Backfill {
+				deadline = st.shadowTime()
+			}
+			if st.tryStart(e.job, e.dc, deadline) {
+				mJobsStarted.Inc()
+				e.started = true
+				l.live--
+				st.qlive--
+				return true
+			}
+			e.dc.refused = st.pass
+			head = false
 		}
-		if !head && st.s.Config.Policy == FCFS {
-			break // head of queue blocks
-		}
-		// The head may start whenever it fits. A backfilled job
-		// must finish before the next resource release (shadow
-		// time), so the head's earliest start is never delayed.
-		deadline := math.Inf(1)
-		if !head && st.s.Config.Policy == Backfill {
-			deadline = st.shadowTime()
-		}
-		if st.tryStart(e.job, deadline) {
-			mJobsStarted.Inc()
-			e.started = true
-			st.qlive--
-			return true
-		}
-		head = false
 	}
 	return false
 }
 
-// dispatchPassPri is the priority-aware scan: candidates are visited
-// in (priority descending, index ascending) order, so the dispatch
-// head is always a highest-priority job and a lower-priority job only
-// starts after every higher-priority candidate was offered the
-// resources first — no priority inversion at dispatch, asserted via
-// the scan order's monotonicity.
-func (st *schedState) dispatchPassPri() bool {
-	order := st.scanOrder()
-	head := true
-	for k, qi := range order {
-		e := &st.queue[qi]
-		if k > 0 && st.queue[order[k-1]].job.Priority < e.job.Priority {
-			st.failure = fmt.Errorf("jobsched: priority inversion in dispatch order (%q before %q)",
-				st.queue[order[k-1]].job.ID, e.job.ID)
-			return false
-		}
-		if !head && st.s.Config.Policy == FCFS {
-			break // head of queue blocks
-		}
-		deadline := math.Inf(1)
-		if !head && st.s.Config.Policy == Backfill {
-			deadline = st.shadowTime()
-		}
-		if st.tryStart(e.job, deadline) {
-			mJobsStarted.Inc()
-			e.started = true
-			st.qlive--
-			return true
-		}
-		head = false
-	}
-	return false
-}
-
-// scanOrder fills the scan scratch with the live queue indices sorted
-// by (priority descending, index ascending) via a stable insertion
-// sort — small queues, no allocation, FIFO preserved within a
-// priority level.
-func (st *schedState) scanOrder() []int {
-	order := st.scanIdx[:0]
-	for qi := st.qhead; qi < len(st.queue); qi++ {
-		if st.queue[qi].started {
-			continue
-		}
-		order = append(order, qi)
-	}
-	for i := 1; i < len(order); i++ {
-		v := order[i]
-		p := st.queue[v].job.Priority
-		j := i - 1
-		for j >= 0 && st.queue[order[j]].job.Priority < p {
-			order[j+1] = order[j]
-			j--
-		}
-		order[j+1] = v
-	}
-	st.scanIdx = order
-	return order
-}
-
-// compactQueue advances the head index past tombstones and reclaims the
-// dead prefix once it dominates the backing array.
+// compactQueue advances every level's head past tombstones and
+// reclaims a dead prefix once it dominates the level's backing array.
 func (st *schedState) compactQueue() {
-	for st.qhead < len(st.queue) && st.queue[st.qhead].started {
-		st.qhead++
-	}
-	if st.qhead > 64 && st.qhead*2 >= len(st.queue) {
-		n := copy(st.queue, st.queue[st.qhead:])
-		st.queue = st.queue[:n]
-		st.qhead = 0
+	for li := range st.levels {
+		l := &st.levels[li]
+		for l.head < len(l.q) && l.q[l.head].started {
+			l.head++
+		}
+		if l.head > 64 && l.head*2 >= len(l.q) {
+			l.q = l.q[:copy(l.q, l.q[l.head:])]
+			l.head = 0
+		}
 	}
 }
 
@@ -870,12 +909,12 @@ func (st *schedState) freeCluster() *hw.Cluster {
 // power; returns true when the job started. The job is only started
 // when it would complete by deadline (backfill safety window).
 //
-// The placement decision is served from the per-application dispatch
-// cache when the free set and free watts are unchanged since it was
-// computed; the simulator evaluation is memoized alongside it. The
+// The placement decision is served from e, the application's dispatch
+// cache entry, when the free set and free watts are unchanged since it
+// was computed; the simulator evaluation is memoized alongside it. The
 // CapOK and deadline gates depend on per-call state (running-set size,
 // shadow window) and are applied after the lookup.
-func (st *schedState) tryStart(j Job, deadline float64) bool {
+func (st *schedState) tryStart(j Job, e *dispatchEntry, deadline float64) bool {
 	if len(st.free) == 0 || st.freeW <= 0 {
 		return false
 	}
@@ -888,11 +927,6 @@ func (st *schedState) tryStart(j Job, deadline float64) bool {
 	view, pool, ranked := st.feasibleView(j.App)
 	if len(pool) == 0 {
 		return false
-	}
-	e := st.dcache[j.App]
-	if e == nil {
-		e = &dispatchEntry{}
-		st.dcache[j.App] = e
 	}
 	wBits := math.Float64bits(st.freeW)
 	if e.freeVer != st.freeVer || e.wBits != wBits {
@@ -1195,14 +1229,17 @@ func (st *schedState) shedPower() {
 		// stays queued until the bound recovers.
 		return
 	}
-	var totalAlloc float64
 	ids := st.reallocIDs[:0]
-	for id, rj := range st.running {
+	for id := range st.running {
 		ids = append(ids, id)
-		totalAlloc += rj.powerUsed
 	}
 	sort.Strings(ids)
 	st.reallocIDs = ids
+	// Sum in id order: a float sum in map order varies from run to run.
+	var totalAlloc float64
+	for _, id := range ids {
+		totalAlloc += st.running[id].powerUsed
+	}
 	target := totalAlloc + st.freeW // freeW < 0
 	if target < 1 {
 		target = 1

@@ -396,6 +396,16 @@ func (o *Online) Status(id string) (JobStatus, error) {
 	if !ok {
 		return JobStatus{}, fmt.Errorf("%w: %q", ErrUnknownJob, id)
 	}
+	js := o.status(id, rec)
+	if js.State == JobQueued {
+		js.QueuePos = o.st.queuePos(id, rec.job.Priority)
+	}
+	return js, nil
+}
+
+// status builds a job's status from its record, leaving QueuePos to
+// the caller.
+func (o *Online) status(id string, rec *jobRecord) JobStatus {
 	js := JobStatus{
 		ID: id, Arrival: rec.job.Arrival, Retries: o.st.retries[id],
 		Priority: rec.job.Priority, Preemptions: o.st.preempts[id],
@@ -409,116 +419,96 @@ func (o *Online) Status(id string) (JobStatus, error) {
 		js.Cores = rec.result.Cores
 		js.PerNodeW = rec.result.PerNodeW
 		js.Retries = rec.result.Retries
-		return js, nil
 	case JobFailed:
 		js.State = JobFailed
 		js.Finish = rec.failed.FailedAt
 		js.Retries = rec.failed.Retries
 		js.Reason = rec.failed.Reason
-		return js, nil
 	case JobCancelled:
 		js.State = JobCancelled
 		js.Finish = rec.finishedAt
 		js.ReclaimedW = rec.reclaimedW
-		return js, nil
+	default:
+		if rj := o.st.running[id]; rj != nil {
+			js.State = JobRunning
+			js.Start = rj.result.Start
+			js.Nodes = append([]int(nil), rj.globalIDs...)
+			js.Cores = rj.cores
+			js.PerNodeW = rj.perNode.Total()
+			js.EstFinish = rj.finishAt
+		} else if _, retrying := o.st.pendingRequeue[id]; retrying {
+			js.State = JobRetrying
+		} else {
+			js.State = JobQueued
+		}
 	}
-	if rj := o.st.running[id]; rj != nil {
-		js.State = JobRunning
-		js.Start = rj.result.Start
-		js.Nodes = append([]int(nil), rj.globalIDs...)
-		js.Cores = rj.cores
-		js.PerNodeW = rj.perNode.Total()
-		js.EstFinish = rj.finishAt
-		return js, nil
-	}
-	if _, retrying := o.st.pendingRequeue[id]; retrying {
-		js.State = JobRetrying
-		return js, nil
-	}
-	js.State = JobQueued
-	js.QueuePos = o.st.queuePos(id)
-	return js, nil
+	return js
 }
 
 // queuePos returns a queued job's 0-based position in dispatch order:
-// positions are dense and gap-free across cancel tombstones, queue
-// compaction, evacuations and preemption re-enqueues. Without
-// priorities dispatch order is queue index order; with priorities it
-// is the scan order's (priority descending, index ascending) rank, so
-// a freshly preempted high-priority job at the physical tail still
-// reports the front of the line.
-func (st *schedState) queuePos(id string) int {
-	if !st.anyPri {
-		// Tail fast path: a job queried right after submission (every
-		// Submit returns through here) sits at the live tail of the
-		// queue, so its position is qlive-1 without walking the queue.
-		// Without this, sustained submission into a saturated cluster
-		// is quadratic in queue depth. Priority runs skip it: the live
-		// tail need not be last in dispatch order.
-		for qi := len(st.queue) - 1; qi >= st.qhead; qi-- {
-			e := &st.queue[qi]
-			if e.started {
-				continue
-			}
-			if e.job.ID == id {
-				return st.qlive - 1
-			}
-			break
-		}
-		pos := 0
-		for qi := st.qhead; qi < len(st.queue); qi++ {
-			e := &st.queue[qi]
-			if e.started {
-				continue
-			}
-			if e.job.ID == id {
-				break
-			}
-			pos++
-		}
-		return pos
-	}
-	// Priority order: rank = live entries dispatched ahead of this one
-	// (strictly higher priority, or equal priority and earlier index).
-	self := -1
-	pri := 0
-	for qi := st.qhead; qi < len(st.queue); qi++ {
-		e := &st.queue[qi]
-		if !e.started && e.job.ID == id {
-			self, pri = qi, e.job.Priority
-			break
-		}
-	}
-	if self < 0 {
-		return 0
-	}
+// the live jobs of every higher priority level plus the job's place in
+// its own level's FIFO. Positions are dense and gap-free across cancel
+// tombstones, queue compaction, evacuations and preemption re-enqueues.
+func (st *schedState) queuePos(id string, pri int) int {
 	pos := 0
-	for qi := st.qhead; qi < len(st.queue); qi++ {
-		e := &st.queue[qi]
-		if e.started || qi == self {
+	for li := range st.levels {
+		l := &st.levels[li]
+		if l.pri > pri {
+			pos += l.live
 			continue
 		}
-		if e.job.Priority > pri || (e.job.Priority == pri && qi < self) {
-			pos++
+		if l.pri < pri {
+			break
 		}
+		// Tail fast path: a job queried right after submission (every
+		// Submit returns through here) is the live tail of its level.
+		// Without this, sustained submission into a saturated cluster
+		// is quadratic in queue depth.
+		for qi := len(l.q) - 1; qi >= l.head; qi-- {
+			if e := &l.q[qi]; !e.started {
+				if e.job.ID == id {
+					return pos + l.live - 1
+				}
+				break
+			}
+		}
+		for qi := l.head; qi < len(l.q); qi++ {
+			if e := &l.q[qi]; !e.started {
+				if e.job.ID == id {
+					break
+				}
+				pos++
+			}
+		}
+		break
 	}
 	return pos
 }
 
-// Jobs lists every submitted job's status, ordered by id.
+// Jobs lists every submitted job's status, ordered by id. Queue
+// positions come from one walk of the queue in dispatch order, not one
+// walk per queued job.
 func (o *Online) Jobs() []JobStatus {
+	pos := make(map[string]int, o.st.qlive)
+	for li := range o.st.levels {
+		l := &o.st.levels[li]
+		for qi := l.head; qi < len(l.q); qi++ {
+			if !l.q[qi].started {
+				pos[l.q[qi].job.ID] = len(pos)
+			}
+		}
+	}
 	ids := make([]string, 0, len(o.jobs))
 	for id := range o.jobs {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	out := make([]JobStatus, 0, len(ids))
-	for _, id := range ids {
-		js, err := o.Status(id)
-		if err != nil {
-			continue
+	out := make([]JobStatus, len(ids))
+	for i, id := range ids {
+		out[i] = o.status(id, o.jobs[id])
+		if out[i].State == JobQueued {
+			out[i].QueuePos = pos[id]
 		}
-		out = append(out, js)
 	}
 	return out
 }
@@ -564,15 +554,19 @@ func (o *Online) Cancel(id string) (float64, error) {
 		delete(st.killedAt, id)
 		st.jobDone()
 	default:
-		// Queued: tombstone the entry in place.
+		// Queued: tombstone the entry in place. Only the job's own
+		// priority level can hold it; the search runs from the tail,
+		// where recently submitted jobs sit.
+		l := st.level(rec.job.Priority, false)
 		found := false
-		for qi := st.qhead; qi < len(st.queue); qi++ {
-			e := &st.queue[qi]
-			if !e.started && e.job.ID == id {
-				e.started = true
-				st.qlive--
-				found = true
-				break
+		if l != nil {
+			for qi := len(l.q) - 1; qi >= l.head && !found; qi-- {
+				if e := &l.q[qi]; !e.started && e.job.ID == id {
+					e.started = true
+					l.live--
+					st.qlive--
+					found = true
+				}
 			}
 		}
 		if !found {
@@ -592,7 +586,7 @@ func (o *Online) Cancel(id string) (float64, error) {
 }
 
 // EvacuateQueued extracts every queued (not-yet-running) job from the
-// session in queue order and forgets them entirely — the jobs are
+// session in enqueue order and forgets them entirely — the jobs are
 // handed back to the caller for re-submission elsewhere, as if they had
 // never been submitted here. Running and retrying jobs are untouched
 // (they hold nodes and watts on this cluster and must finish or fail
@@ -604,21 +598,13 @@ func (o *Online) EvacuateQueued() []Job {
 	if st.qlive == 0 {
 		return nil
 	}
-	out := make([]Job, 0, st.qlive)
-	for qi := st.qhead; qi < len(st.queue); qi++ {
-		e := &st.queue[qi]
-		if e.started {
-			continue
-		}
-		out = append(out, e.job)
-		e.started = true // tombstone in place, like Cancel
-		st.qlive--
-		delete(o.jobs, e.job.ID)
-		delete(st.retries, e.job.ID)
-		delete(st.preempts, e.job.ID)
+	out := st.takeQueued()
+	for _, j := range out {
+		delete(o.jobs, j.ID)
+		delete(st.retries, j.ID)
+		delete(st.preempts, j.ID)
 		st.jobDone()
 	}
-	st.compactQueue()
 	st.publishState()
 	return out
 }

@@ -7,8 +7,9 @@ package jobsched
 // watts and nodes admit a blocked higher-priority job), and the
 // bounded reconciler that converges desired-versus-actual placement
 // after node-health or bound changes instead of patching event by
-// event. All of it is gated so that runs without priorities or
-// constraints take the exact legacy code paths.
+// event. Priority needs no stage of its own: the queue keeps one FIFO
+// per priority level, so every stage reads the same dispatch order, and
+// unconstrained jobs skip the feasibility filter.
 
 import (
 	"fmt"
@@ -139,22 +140,21 @@ func victimLess(a, b *runningJob) bool {
 	return a.job.ID < b.job.ID
 }
 
-// preemptPass runs once per dispatch fixpoint when priorities are in
-// play and nothing could start: it picks the highest-priority blocked
-// job, plans the smallest prefix of the cost-ordered victim set whose
-// reclaimed watts and nodes make the job placeable, and commits the
-// evictions. The freed resources are consumed by the dispatch rescan
-// that follows (identical pool and watts, so the planned placement is
-// reproduced deterministically). Returns whether anything was evicted.
+// preemptPass runs once per dispatch fixpoint when preemption is
+// enabled and nothing could start: it takes the dispatch head (the
+// highest-priority blocked job), plans the smallest prefix of the
+// cost-ordered victim set whose reclaimed watts and nodes make the job
+// placeable, and commits the evictions. The freed resources are
+// consumed by the dispatch rescan that follows (identical pool and
+// watts, so the planned placement is reproduced deterministically).
+// With no strictly-lower-priority job running — always the case when
+// every job shares one priority — it returns false without side
+// effects. Returns whether anything was evicted.
 func (st *schedState) preemptPass() bool {
 	if st.qlive == 0 || len(st.running) == 0 {
 		return false
 	}
-	order := st.scanOrder()
-	if len(order) == 0 {
-		return false
-	}
-	top := st.queue[order[0]].job
+	top := st.topQueued()
 	victims := st.preVictims[:0]
 	for _, rj := range st.running {
 		if rj.job.Priority < top.Priority {
@@ -267,9 +267,7 @@ func (st *schedState) preemptJob(rj *runningJob, forID string) {
 	st.releaseNodes(rj.globalIDs)
 	st.releaseRecord(rj) // rj must not be touched below this line
 	st.logFault("preempt", -1, j.ID, reclaimed, fmt.Sprintf("evicted for higher-priority %s", forID))
-	st.queue = append(st.queue, queueEntry{job: j})
-	st.qlive++
-	gQueuePeak.SetMax(float64(st.qlive))
+	st.enqueue(j)
 }
 
 // maxReconcilePasses bounds the reconciler's re-dispatch loop; a
@@ -309,31 +307,15 @@ func (st *schedState) reconcile(where string, realloc bool) {
 
 // uncovered returns the id of a queued job that the dispatch decision
 // cache proves startable right now, or "". After a dispatch fixpoint
-// the head of the scan order must not be provably startable — its
-// cache entry either went stale (the free set moved on), records
-// infeasibility, or is held by the CapOK duty-cycling gate; anything
-// else is a hole in dispatch.
+// the dispatch head must not be provably startable — its cache entry
+// either went stale (the free set moved on), records infeasibility, or
+// is held by the CapOK duty-cycling gate; anything else is a hole in
+// dispatch.
 func (st *schedState) uncovered() string {
 	if st.qlive == 0 || st.failure != nil {
 		return ""
 	}
-	var j Job
-	if st.anyPri {
-		order := st.scanOrder()
-		if len(order) == 0 {
-			return ""
-		}
-		j = st.queue[order[0]].job
-	} else {
-		qi := st.qhead
-		for qi < len(st.queue) && st.queue[qi].started {
-			qi++
-		}
-		if qi >= len(st.queue) {
-			return ""
-		}
-		j = st.queue[qi].job
-	}
+	j := st.topQueued()
 	e := st.dcache[j.App]
 	if e == nil || e.freeVer != st.freeVer || e.wBits != math.Float64bits(st.freeW) {
 		return "" // no decision recorded for the current state

@@ -1,10 +1,12 @@
 package jobsched
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/rng"
 	"repro/internal/workload"
 )
@@ -360,5 +362,277 @@ func TestPriorityPropertyRandomTrace(t *testing.T) {
 		if cs.AllocW > cs.BoundW+1e-6 {
 			t.Fatalf("seed %d: allocation %f exceeds bound %f after drain", seed, cs.AllocW, cs.BoundW)
 		}
+	}
+}
+
+// referenceOrder is the reference dispatch order the bucketed queue must
+// reproduce: the queued ids in enqueue order, stable-insertion-sorted by
+// priority descending, so jobs of one priority keep their FIFO order.
+func referenceOrder(queue []string, pri map[string]int) []string {
+	order := append([]string(nil), queue...)
+	for i := 1; i < len(order); i++ {
+		v := order[i]
+		p := pri[v]
+		j := i - 1
+		for j >= 0 && pri[order[j]] < p {
+			order[j+1] = order[j]
+			j--
+		}
+		order[j+1] = v
+	}
+	return order
+}
+
+// queueModel rebuilds the physical (enqueue-order) queue from what a
+// caller can observe — its own submissions and the preempt and requeue
+// entries of the fault log — without reading the scheduler's queue.
+type queueModel struct {
+	o       *Online
+	ids     []string // queued jobs, enqueue order
+	pri     map[string]int
+	logSeen int
+}
+
+// step folds one driver call into the model. Jobs enqueued during the
+// call (the submitted job first, then every preempt or requeue entry in
+// log order) move to the tail at their last enqueue; of the rest, the
+// jobs for which keep is false drop out in place.
+func (m *queueModel) step(submitted string, keep func(id string) bool) []string {
+	var enq []string
+	if submitted != "" {
+		enq = append(enq, submitted)
+	}
+	log := m.o.st.stats.FaultLog
+	for _, fe := range log[m.logSeen:] {
+		if fe.Kind == "preempt" || fe.Kind == "requeue" {
+			enq = append(enq, fe.Job)
+		}
+	}
+	m.logSeen = len(log)
+	last := make(map[string]int, len(enq))
+	for i, id := range enq {
+		last[id] = i
+	}
+	var next []string
+	for _, id := range m.ids {
+		if _, moved := last[id]; !moved && keep(id) {
+			next = append(next, id)
+		}
+	}
+	for i, id := range enq {
+		if last[id] == i && keep(id) {
+			next = append(next, id)
+		}
+	}
+	return next
+}
+
+// queued reports whether the driver currently has id queued.
+func (m *queueModel) queued(id string) bool {
+	js, err := m.o.Status(id)
+	return err == nil && js.State == JobQueued
+}
+
+// check asserts the scheduler against the oracle: its dispatch order
+// (the priority-level walk dispatchPass performs), every Status and
+// Jobs() queue position, and the queue length.
+func (m *queueModel) check(t *testing.T, tag string) {
+	t.Helper()
+	want := referenceOrder(m.ids, m.pri)
+	var got []string
+	for li := range m.o.st.levels {
+		l := &m.o.st.levels[li]
+		for qi := l.head; qi < len(l.q); qi++ {
+			if !l.q[qi].started {
+				got = append(got, l.q[qi].job.ID)
+			}
+		}
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("%s: dispatch order\n got %v\nwant %v", tag, got, want)
+	}
+	if n := m.o.QueueLen(); n != len(want) {
+		t.Fatalf("%s: QueueLen %d, oracle %d", tag, n, len(want))
+	}
+	pos := make(map[string]int, len(want))
+	for i, id := range want {
+		pos[id] = i
+		js, err := m.o.Status(id)
+		if err != nil || js.State != JobQueued || js.QueuePos != i {
+			t.Fatalf("%s: %s status %v pos %d err %v, oracle pos %d", tag, id, js.State, js.QueuePos, err, i)
+		}
+	}
+	listed := 0
+	for _, js := range m.o.Jobs() {
+		if js.State != JobQueued {
+			continue
+		}
+		listed++
+		if p, ok := pos[js.ID]; !ok || js.QueuePos != p {
+			t.Fatalf("%s: Jobs() lists %s at %d, oracle %d (known %v)", tag, js.ID, js.QueuePos, p, ok)
+		}
+	}
+	if listed != len(want) {
+		t.Fatalf("%s: Jobs() lists %d queued, oracle %d", tag, listed, len(want))
+	}
+}
+
+// TestQueueMatchesReferenceOrder drives seeded random traces —
+// mixed priorities, cancels, preemption re-enqueues, fault requeues,
+// bound swings, evacuations, and enough churn that dead queue prefixes
+// get compacted — and checks after every step that dispatch order,
+// queue positions, evacuation order and drain-failure order all match
+// the insertion-sort oracle over an independently tracked queue.
+func TestQueueMatchesReferenceOrder(t *testing.T) {
+	cfgs := []Config{
+		{Bound: 2400, Policy: AggressiveBackfill, Reallocate: true, Preempt: true,
+			Faults: &faults.Scenario{Seed: 5, CrashMTBF: 1500, MTTR: 30}},
+		{Bound: 2400, Policy: Backfill, Preempt: true,
+			Faults: &faults.Scenario{Seed: 6, CrashMTBF: 1500, MTTR: 30}},
+		{Bound: 1800, Policy: FCFS, Preempt: true},
+	}
+	apps := []*workload.Spec{workload.CoMD(), workload.LUMZ(), pinnedApp(0, 3), pinnedApp(4, 7)}
+	pris := []int{-1, 0, 0, 0, 3, 7}
+	var preempts, requeues, evacs, compactions int
+	for ci, cfg := range cfgs {
+		for _, seed := range []uint64{1, 2} {
+			tag := fmt.Sprintf("cfg %d seed %d", ci, seed)
+			o := online(t, cfg)
+			m := &queueModel{o: o, pri: map[string]int{}}
+			r := rng.New(seed)
+			var known []string
+			for ev := 0; ev < 1000; ev++ {
+				lens := map[int]int{}
+				for _, l := range o.st.levels {
+					lens[l.pri] = len(l.q)
+				}
+				submitted := ""
+				switch op := r.Intn(200); {
+				case op < 90:
+					submitted = fmt.Sprintf("j%04d", ev)
+					pri := pris[r.Intn(len(pris))]
+					m.pri[submitted] = pri
+					if _, err := o.SubmitPri(submitted, apps[r.Intn(len(apps))], pri); err != nil {
+						t.Fatalf("%s ev %d submit: %v", tag, ev, err)
+					}
+					known = append(known, submitted)
+				case op < 120:
+					if len(known) > 0 {
+						id := known[r.Intn(len(known))]
+						if js, err := o.Status(id); err == nil && !js.State.Terminal() {
+							if _, err := o.Cancel(id); err != nil {
+								t.Fatalf("%s ev %d cancel %s: %v", tag, ev, id, err)
+							}
+						}
+					}
+				case op < 130:
+					if err := o.SetBound(1200 + 2400*r.Float64()); err != nil {
+						t.Fatalf("%s ev %d setbound: %v", tag, ev, err)
+					}
+				case op < 131:
+					var got []string
+					for _, j := range o.EvacuateQueued() {
+						got = append(got, j.ID)
+					}
+					if strings.Join(got, " ") != strings.Join(m.ids, " ") {
+						t.Fatalf("%s ev %d: evacuation order\n got %v\nwant %v", tag, ev, got, m.ids)
+					}
+					evacs++
+				default:
+					if err := o.Advance(o.Now() + 25*r.Float64()); err != nil {
+						t.Fatalf("%s ev %d advance: %v", tag, ev, err)
+					}
+				}
+				if err := o.Err(); err != nil {
+					t.Fatalf("%s ev %d: %v", tag, ev, err)
+				}
+				for _, fe := range o.st.stats.FaultLog[m.logSeen:] {
+					switch fe.Kind {
+					case "preempt":
+						preempts++
+					case "requeue":
+						requeues++
+					}
+				}
+				m.ids = m.step(submitted, m.queued)
+				m.check(t, fmt.Sprintf("%s ev %d", tag, ev))
+				for _, l := range o.st.levels {
+					if n, ok := lens[l.pri]; ok && len(l.q) < n && l.live > 0 {
+						compactions++
+					}
+				}
+			}
+			// Nothing can start at 2 W, so Drain fails the remaining
+			// queue — in enqueue order, after the requeues and
+			// preemptions the drain itself performs.
+			if err := o.SetBound(2); err != nil {
+				t.Fatal(err)
+			}
+			m.ids = m.step("", m.queued)
+			m.check(t, tag+" bound 2")
+			logStart := len(o.st.stats.FaultLog)
+			if err := o.Drain(); err != nil {
+				t.Fatalf("%s drain: %v", tag, err)
+			}
+			drained := map[string]bool{}
+			var failed []string
+			for _, fe := range o.st.stats.FaultLog[logStart:] {
+				if fe.Kind == "fail" && strings.HasPrefix(fe.Detail, "daemon drained") {
+					drained[fe.Job] = true
+					failed = append(failed, fe.Job)
+				}
+			}
+			want := m.step("", func(id string) bool { return drained[id] })
+			if strings.Join(failed, " ") != strings.Join(want, " ") {
+				t.Fatalf("%s: drain failure order\n got %v\nwant %v", tag, failed, want)
+			}
+			if len(failed) == 0 {
+				t.Errorf("%s: drain failed no queued job; the check tested nothing", tag)
+			}
+		}
+	}
+	t.Logf("%d preemptions, %d requeues, %d evacuations, %d compactions", preempts, requeues, evacs, compactions)
+	if preempts == 0 || requeues == 0 || evacs == 0 || compactions == 0 {
+		t.Fatal("degenerate traces: every queue path must be exercised")
+	}
+}
+
+// TestJobsQueuePosMatchesStatus: the listing computes every queue
+// position in one walk; each must equal the per-job Status answer on a
+// churned mixed-priority queue.
+func TestJobsQueuePosMatchesStatus(t *testing.T) {
+	o := online(t, Config{Bound: 1200, Policy: AggressiveBackfill, Preempt: true})
+	r := rng.New(4)
+	for i := 0; i < 400; i++ {
+		id := fmt.Sprintf("q%03d", i)
+		if _, err := o.SubmitPri(id, workload.CoMD(), []int{0, 0, 2, 5}[r.Intn(4)]); err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 2 {
+			if _, err := o.Cancel(fmt.Sprintf("q%03d", r.Intn(i))); err != nil && !errors.Is(err, ErrJobTerminal) {
+				t.Fatal(err)
+			}
+		}
+		if i%50 == 49 {
+			if err := o.Advance(o.Now() + 100); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	queued := 0
+	for _, js := range o.Jobs() {
+		st, err := o.Status(js.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if js.QueuePos != st.QueuePos || js.State != st.State {
+			t.Fatalf("%s: Jobs() says %v at %d, Status says %v at %d", js.ID, js.State, js.QueuePos, st.State, st.QueuePos)
+		}
+		if js.State == JobQueued {
+			queued++
+		}
+	}
+	if queued < 100 {
+		t.Fatalf("only %d jobs queued; the queue was not churned deep", queued)
 	}
 }
