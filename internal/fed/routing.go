@@ -100,21 +100,46 @@ func (f *Federation) pickShard(a fedArrival) int {
 			}
 		}
 	default: // LeastLoaded
-		best, bq, br := -1, 0, 0
-		for _, sh := range f.shards {
-			if !f.routable(sh.ID) {
-				continue
-			}
-			q, r := sh.Online.QueueLen(), sh.Online.RunningLen()
-			if best < 0 || q < bq || (q == bq && r < br) {
-				best, bq, br = sh.ID, q, r
-			}
-		}
-		if best >= 0 {
+		if best := f.leastLoaded(true); best >= 0 {
 			return best
 		}
 	}
 	return f.pickShardAll(a)
+}
+
+// shardLoad is a shard's position in the least-loaded order.
+type shardLoad struct{ queued, running, id int }
+
+// loadOf reads a shard's current load.
+func loadOf(sh *Shard) shardLoad {
+	return shardLoad{sh.Online.QueueLen(), sh.Online.RunningLen(), sh.ID}
+}
+
+// less is the least-loaded order shared by routing and evacuation:
+// fewest queued jobs, then fewest running, then lowest id.
+func (a shardLoad) less(b shardLoad) bool {
+	if a.queued != b.queued {
+		return a.queued < b.queued
+	}
+	if a.running != b.running {
+		return a.running < b.running
+	}
+	return a.id < b.id
+}
+
+// leastLoaded returns the least-loaded shard, among routable shards
+// only when routableOnly is set; -1 when none qualifies.
+func (f *Federation) leastLoaded(routableOnly bool) int {
+	best := shardLoad{id: -1}
+	for _, sh := range f.shards {
+		if routableOnly && !f.routable(sh.ID) {
+			continue
+		}
+		if l := loadOf(sh); best.id < 0 || l.less(best) {
+			best = l
+		}
+	}
+	return best.id
 }
 
 // pickShardAll is the health-blind policy core: the hot path when no
@@ -136,14 +161,6 @@ func (f *Federation) pickShardAll(a fedArrival) int {
 		}
 		return ShardFor(key, len(f.shards))
 	default: // LeastLoaded
-		best := 0
-		bq, br := f.shards[0].Online.QueueLen(), f.shards[0].Online.RunningLen()
-		for _, sh := range f.shards[1:] {
-			q, r := sh.Online.QueueLen(), sh.Online.RunningLen()
-			if q < bq || (q == bq && r < br) {
-				best, bq, br = sh.ID, q, r
-			}
-		}
-		return best
+		return f.leastLoaded(false)
 	}
 }

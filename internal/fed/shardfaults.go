@@ -665,9 +665,23 @@ func (f *Federation) handleShardHeal(id int) {
 // extraction removes it from the source's accounting before the
 // re-submit enters it on the destination's, and jobShard repoints in
 // the same step.
+//
+// The survivors' loads sit in a min-heap built once per crash. Inside
+// this handler only the destination's load moves, so after each
+// re-submit re-reading the root's load and sifting it down keeps the
+// heap exact: every pick is the one a full least-loaded scan would make.
 func (f *Federation) evacuateShard(id int) {
-	if f.pickEvacShard(id) < 0 {
+	var h loadHeap
+	for _, sh := range f.shards {
+		if sh.ID != id && f.routable(sh.ID) {
+			h = append(h, loadOf(sh))
+		}
+	}
+	if len(h) == 0 {
 		return // no routable survivor: leave the queue in place
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
 	src := f.shards[id]
 	jobs := src.Online.EvacuateQueued()
@@ -676,7 +690,7 @@ func (f *Federation) evacuateShard(id int) {
 	}
 	f.touch(src)
 	for _, j := range jobs {
-		dst := f.shards[f.pickEvacShard(id)]
+		dst := f.shards[h[0].id]
 		f.touch(dst)
 		if err := dst.Online.Advance(f.now); err != nil {
 			f.fail(err)
@@ -686,6 +700,8 @@ func (f *Federation) evacuateShard(id int) {
 			f.fail(err)
 			return
 		}
+		h[0] = loadOf(dst)
+		h.down(0)
 		f.jobShard[j.ID] = dst.ID
 		dst.submitted++
 		f.evacuated++
@@ -693,20 +709,24 @@ func (f *Federation) evacuateShard(id int) {
 	}
 }
 
-// pickEvacShard returns the least-loaded routable shard other than
-// exclude (ties to the lower id), or -1 when none exists.
-func (f *Federation) pickEvacShard(exclude int) int {
-	best, bq, br := -1, 0, 0
-	for _, sh := range f.shards {
-		if sh.ID == exclude || !f.routable(sh.ID) {
-			continue
+// loadHeap is a binary min-heap of shard loads in least-loaded order.
+type loadHeap []shardLoad
+
+// down restores the heap property from slot i towards the leaves.
+func (h loadHeap) down(i int) {
+	for {
+		least := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && h[c].less(h[least]) {
+				least = c
+			}
 		}
-		q, r := sh.Online.QueueLen(), sh.Online.RunningLen()
-		if best < 0 || q < bq || (q == bq && r < br) {
-			best, bq, br = sh.ID, q, r
+		if least == i {
+			return
 		}
+		h[i], h[least] = h[least], h[i]
+		i = least
 	}
-	return best
 }
 
 // maybeStopShardFaults shuts the stream generators down once every

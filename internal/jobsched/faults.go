@@ -342,7 +342,7 @@ func (st *schedState) killJob(rj *runningJob, node int, cause string) {
 	}
 	j := rj.job
 	delete(st.running, j.ID)
-	st.shadowOK = false
+	st.invalidateShadow()
 	reclaimed := rj.powerUsed
 	st.freeW += reclaimed
 	st.stats.Faults.WattsReclaimed += reclaimed
@@ -570,20 +570,33 @@ func (st *schedState) applyStraggle(rj *runningJob) {
 
 // --- invariants and snapshots ------------------------------------------
 
+// allocatedW sums the power held by running jobs, in slot order.
+func (st *schedState) allocatedW() float64 {
+	var alloc float64
+	for _, rj := range st.slots {
+		if rj.live {
+			alloc += rj.powerUsed
+		}
+	}
+	return alloc
+}
+
+// reservedW sums the watts held back by active excursions.
+func (st *schedState) reservedW() float64 {
+	var resv float64
+	for _, r := range st.reserved {
+		resv += r
+	}
+	return resv
+}
+
 // assertBound verifies the core safety invariant after an event: the
 // power allocated to running jobs plus the reserve held by active
 // excursions never exceeds the cluster bound. A violation (a
 // double-granted watt) fails the run. The peak allocation is tracked so
 // callers can assert the invariant held at every event timestamp.
 func (st *schedState) assertBound(where string) {
-	var alloc float64
-	for _, rj := range st.running {
-		alloc += rj.powerUsed
-	}
-	var resv float64
-	for _, r := range st.reserved {
-		resv += r
-	}
+	alloc, resv := st.allocatedW(), st.reservedW()
 	total := alloc + resv
 	if total > st.stats.PeakAllocW {
 		st.stats.PeakAllocW = total
@@ -602,14 +615,7 @@ func (st *schedState) assertBound(where string) {
 // multi-gauge state: each snapshot is internally consistent by
 // construction.
 func (st *schedState) publishState() {
-	var alloc float64
-	for _, rj := range st.running {
-		alloc += rj.powerUsed
-	}
-	var resv float64
-	for _, r := range st.reserved {
-		resv += r
-	}
+	alloc, resv := st.allocatedW(), st.reservedW()
 	quar := 0
 	if st.inj != nil {
 		quar = st.inj.Unhealthy()

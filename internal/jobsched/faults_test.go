@@ -248,11 +248,11 @@ func newCLIPFor(t *testing.T, cl *hw.Cluster) *core.CLIP {
 // set and assert the failure is reported.
 func TestBoundInvariantTripsOnOverAllocation(t *testing.T) {
 	s := sched(t, Config{Bound: 100})
-	st := &schedState{s: s, eng: des.NewEngine(), bound: 100, stats: &Stats{},
-		running: map[string]*runningJob{
-			"x": {powerUsed: 80},
-			"y": {powerUsed: 30},
-		}}
+	st := &schedState{s: s, eng: des.NewEngine(), bound: 100, stats: &Stats{}}
+	for _, w := range []float64{80, 30} {
+		rj := st.acquireRecord()
+		rj.powerUsed, rj.live = w, true
+	}
 	st.assertBound("test")
 	if st.failure == nil {
 		t.Fatal("110 W allocated under a 100 W bound did not trip the invariant")

@@ -266,6 +266,10 @@ type runningJob struct {
 	job    Job
 	result JobResult // in-flight result; NodeIDs may alias globalIDs
 	slot   int32     // index in schedState.slots, stable across recycles
+	// live marks a record in the running set: walks over running jobs
+	// range the slot arena and skip dead slots instead of ranging the
+	// running map (which serves lookup by id).
+	live bool
 	// globalIDs is the record-owned node id buffer (ascending).
 	globalIDs []int
 	cores     int
@@ -409,6 +413,10 @@ type schedState struct {
 	freeSubVer uint64
 	shadow     float64
 	shadowOK   bool
+	// shadowEpoch counts invalidateShadow calls, never reset; settled is
+	// the dispatch memo of the last no-progress fixpoint.
+	shadowEpoch uint64
+	settled     settleMemo
 	// priority pipeline state. feasIDs/feasSub back the
 	// constraint-filtered cluster view; the pre* scratch set backs
 	// preemption planning so a plan never clobbers the freeVer-cached
@@ -531,7 +539,8 @@ func (st *schedState) reset(online bool) {
 	st.qseq, st.qlive = 0, 0
 	clear(st.running)
 	st.freeSlots = st.freeSlots[:0]
-	for i := range st.slots {
+	for i, rj := range st.slots {
+		rj.live = false // a Run that ended in error leaves records live
 		st.freeSlots = append(st.freeSlots, int32(i))
 	}
 	st.free = st.free[:0]
@@ -544,6 +553,7 @@ func (st *schedState) reset(online bool) {
 	st.coord = coordinator.Coordinator{}
 	st.freeVer++
 	st.shadow, st.shadowOK = 0, false
+	st.settled = settleMemo{}
 	st.preVictims = st.preVictims[:0]
 	st.preempts = nil
 	st.lastAccount, st.usedIntegral = 0, 0
@@ -585,6 +595,7 @@ func (st *schedState) acquireRecord() *runningJob {
 // start may reuse the slot (and its buffers) immediately.
 func (st *schedState) releaseRecord(rj *runningJob) {
 	rj.completion = nil
+	rj.live = false
 	st.freeSlots = append(st.freeSlots, rj.slot)
 }
 
@@ -731,20 +742,21 @@ func (st *schedState) level(pri int, create bool) *priLevel {
 }
 
 // topQueued returns the dispatch head, the first live entry of the
-// highest non-empty priority level; callers check qlive > 0 first.
-func (st *schedState) topQueued() Job {
+// highest non-empty priority level, or nil when the queue is empty.
+func (st *schedState) topQueued() *queueEntry {
 	for li := range st.levels {
 		if l := &st.levels[li]; l.live > 0 {
-			return l.q[l.head].job
+			return &l.q[l.head]
 		}
 	}
-	return Job{}
+	return nil
 }
 
 // takeQueued empties the queue and returns its jobs in enqueue (seq)
 // order across all levels: the physical order in which evacuation and
 // drain failures report queued jobs.
 func (st *schedState) takeQueued() []Job {
+	st.settled.ok = false // every queue removal clears the dispatch memo
 	var live []queueEntry
 	for li := range st.levels {
 		l := &st.levels[li]
@@ -764,20 +776,66 @@ func (st *schedState) takeQueued() []Job {
 	return out
 }
 
+// settleMemo records the last dispatch fixpoint: the resources its
+// refusals were decided against, the last enqueue sequence number, and
+// the dispatch head's seq (0 when the queue was empty).
+type settleMemo struct {
+	ok   bool
+	res  resStamp
+	qseq uint64
+	head uint64
+}
+
+// resStamp is a value stamp of everything tryStart and preemptPass
+// read besides the queue and the clock.
+type resStamp struct {
+	freeVer, wBits uint64
+	running        int
+	shadowEpoch    uint64
+}
+
+func (st *schedState) resStamp() resStamp {
+	return resStamp{st.freeVer, math.Float64bits(st.freeW), len(st.running), st.shadowEpoch}
+}
+
+// headSeq returns the dispatch head's seq, or 0 when the queue is empty.
+func (st *schedState) headSeq() uint64 {
+	if e := st.topQueued(); e != nil {
+		return e.seq
+	}
+	return 0
+}
+
 // dispatch starts as many queued jobs as the policy and resources
 // allow, running the placement stage to a fixpoint. When a scan makes
 // no progress and preemption is enabled, one preemption pass may evict
 // lower-priority running jobs to admit the blocked head; the freed
 // resources are consumed by the rescan that follows.
+//
+// When the resources still match the last fixpoint's stamp, every entry
+// enqueued before it would be refused again: refusal is monotone, since
+// an older entry can only lose head status (its deadline tightens) and a
+// later clock only makes now + T > shadow truer. The first pass then
+// offers only the entries enqueued since, and if it starts nothing with
+// the head unchanged, the preemption replan is skipped because its
+// inputs are unchanged too. Any start falls back to full rescans; queue
+// removals, which can promote an entry to head, clear the memo.
 func (st *schedState) dispatch() {
+	memo := st.settled.ok && st.settled.res == st.resStamp()
+	var from uint64
+	if memo {
+		from = st.settled.qseq
+	}
 	progress := true
 	for progress {
-		progress = st.dispatchPass()
+		progress = st.dispatchPass(from)
 		st.compactQueue()
-		if !progress && st.s.Config.Preempt {
+		if !progress && st.s.Config.Preempt && !(memo && st.headSeq() == st.settled.head) {
 			progress = st.preemptPass()
 		}
+		memo, from = false, 0
 	}
+	st.settled = settleMemo{ok: true, res: st.resStamp(), qseq: st.qseq, head: st.headSeq()}
 	// Queue/free-watts telemetry is published by the event handlers via
 	// publishState — one atomic ring snapshot per event instead of
 	// piecemeal gauge stores that a concurrent reader could observe
@@ -790,16 +848,29 @@ func (st *schedState) dispatch() {
 // state, so the caller rescans). Started entries are tombstoned in
 // place and skipped. A job is offered the resources only after every
 // higher-priority job was, so dispatch cannot invert priorities.
+// Entries with seq <= from are skipped as already refused (see
+// dispatch); from == 0 walks the whole queue.
 //
 // Until a job starts nothing tryStart reads changes, and the deadline
 // only tightens after the head, so a pass skips the later entries of an
 // application it has already refused.
-func (st *schedState) dispatchPass() bool {
+func (st *schedState) dispatchPass(from uint64) bool {
 	st.pass++
 	head := true // next live entry is the queue head
 	for li := range st.levels {
 		l := &st.levels[li]
-		for qi := l.head; qi < len(l.q); qi++ {
+		qi := l.head
+		if from > 0 {
+			// Seqs ascend within a level, so the unrefused entries are
+			// its tail. l.head is the level's first live entry: skipping
+			// any entry means a live one precedes the tail.
+			for qi = len(l.q); qi > l.head && l.q[qi-1].seq > from; qi-- {
+			}
+			if qi > l.head {
+				head = false
+			}
+		}
+		for ; qi < len(l.q); qi++ {
 			e := &l.q[qi]
 			if e.started || e.dc.refused == st.pass {
 				continue
@@ -851,14 +922,24 @@ func (st *schedState) compactQueue() {
 func (st *schedState) shadowTime() float64 {
 	if !st.shadowOK {
 		st.shadow = math.Inf(1)
-		for _, rj := range st.running {
-			if rj.finishAt < st.shadow {
+		for _, rj := range st.slots {
+			if rj.live && rj.finishAt < st.shadow {
 				st.shadow = rj.finishAt
 			}
 		}
 		st.shadowOK = true
 	}
 	return st.shadow
+}
+
+// invalidateShadow drops the cached shadow time after a completion was
+// (re)scheduled or a running job left. The epoch bump also unsettles
+// the dispatch memo: a rescheduled completion moves the shadow window,
+// and a re-cap changes a running job's power, which the preemption plan
+// reads, without necessarily moving the free set or the free watts.
+func (st *schedState) invalidateShadow() {
+	st.shadowOK = false
+	st.shadowEpoch++
 }
 
 // takeFree removes ids (ascending) from the free list.
@@ -1010,6 +1091,7 @@ func (st *schedState) tryStart(j Job, e *dispatchEntry, deadline float64) bool {
 	rj.powerUsed = used
 	rj.sub = fillSub(rj.sub, st.s.Cluster, rj.globalIDs)
 	st.running[j.ID] = rj
+	rj.live = true
 	if st.inj != nil {
 		for _, g := range rj.globalIDs {
 			st.runningOn[g] = rj
@@ -1044,7 +1126,7 @@ func (st *schedState) scheduleCompletion(rj *runningJob) {
 	}
 	rj.completion = ev
 	rj.finishAt = st.eng.Now() + rj.itersLeft*rj.iterTime
-	st.shadowOK = false
+	st.invalidateShadow()
 }
 
 // progressTo updates a running job's remaining iterations to time now.
@@ -1076,7 +1158,7 @@ func (st *schedState) finish(rj *runningJob) {
 		st.hooks.onFinish(jr)
 	}
 	delete(st.running, rj.job.ID)
-	st.shadowOK = false
+	st.invalidateShadow()
 	st.freeW += rj.powerUsed
 	st.releaseNodes(rj.globalIDs)
 	st.releaseRecord(rj)

@@ -537,7 +537,7 @@ func (o *Online) Cancel(id string) (float64, error) {
 			rj.completion = nil
 		}
 		delete(st.running, id)
-		st.shadowOK = false
+		st.invalidateShadow()
 		reclaimed = rj.powerUsed
 		st.freeW += reclaimed
 		st.releaseNodes(rj.globalIDs)
@@ -572,7 +572,9 @@ func (o *Online) Cancel(id string) (float64, error) {
 		if !found {
 			return 0, fmt.Errorf("jobsched: job %q not cancellable (inconsistent state)", id)
 		}
+		st.settled.ok = false // the removal can promote an entry to head
 		st.compactQueue()
+		delete(st.killedAt, id)
 		st.jobDone()
 	}
 	rec.state = JobCancelled
@@ -603,6 +605,7 @@ func (o *Online) EvacuateQueued() []Job {
 		delete(o.jobs, j.ID)
 		delete(st.retries, j.ID)
 		delete(st.preempts, j.ID)
+		delete(st.killedAt, j.ID)
 		st.jobDone()
 	}
 	st.publishState()
@@ -613,28 +616,22 @@ func (o *Online) EvacuateQueued() []Job {
 // and per-node health at the current virtual time.
 func (o *Online) Cluster() ClusterState {
 	st := o.st
-	var alloc float64
-	for _, rj := range st.running {
-		alloc += rj.powerUsed
-	}
-	var resv float64
-	for _, r := range st.reserved {
-		resv += r
-	}
 	cs := ClusterState{
 		Now:       st.eng.Now(),
 		BoundW:    st.bound,
 		FreeW:     st.freeW,
-		AllocW:    alloc,
-		ReservedW: resv,
+		AllocW:    st.allocatedW(),
+		ReservedW: st.reservedW(),
 		Queued:    st.qlive,
 		Running:   len(st.running),
 		Nodes:     make([]NodeState, len(st.s.Cluster.Nodes)),
 	}
-	resident := make(map[int]string)
-	for id, rj := range st.running {
-		for _, g := range rj.globalIDs {
-			resident[g] = id
+	resident := make([]string, len(cs.Nodes))
+	for _, rj := range st.slots {
+		if rj.live {
+			for _, g := range rj.globalIDs {
+				resident[g] = rj.job.ID
+			}
 		}
 	}
 	for i := range cs.Nodes {

@@ -1,6 +1,7 @@
 package jobsched
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -360,6 +361,63 @@ func TestOnlineCancelRetryingJob(t *testing.T) {
 	}
 	if o.Pending() != 0 {
 		t.Errorf("pending = %d", o.Pending())
+	}
+}
+
+// TestQueueRemovalForgetsKillTime: a job killed by a fault and
+// requeued carries its kill time until it restarts. Cancelling it while
+// it is queued, or evacuating it, must drop that record too — otherwise
+// clipd leaks one entry per such cancel, and an evacuated job that later
+// returns to the shard logs a restart against a stale kill time.
+func TestQueueRemovalForgetsKillTime(t *testing.T) {
+	for _, evacuate := range []bool{false, true} {
+		o := online(t, Config{Bound: 2000,
+			Faults: &faults.Scenario{Seed: 3, CrashMTBF: 8, MTTR: 5}})
+		var ids []string
+		for i := 0; i < 6; i++ {
+			id := fmt.Sprintf("k%d", i)
+			if _, err := o.Submit(id, workload.CoMD()); err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		removed := 0
+		for step := 0; step < 5000 && o.Pending() > 0; step++ {
+			var requeued []string
+			for _, id := range ids {
+				if js, err := o.Status(id); err == nil && js.State == JobQueued {
+					if _, killed := o.st.killedAt[id]; killed {
+						requeued = append(requeued, id)
+					}
+				}
+			}
+			if len(requeued) > 0 && evacuate {
+				requeued = requeued[:0]
+				for _, j := range o.EvacuateQueued() {
+					requeued = append(requeued, j.ID)
+				}
+			}
+			for _, id := range requeued {
+				if !evacuate {
+					if _, err := o.Cancel(id); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, leaked := o.st.killedAt[id]; leaked {
+					t.Errorf("evacuate=%v: %s removed from the queue but its kill time stayed", evacuate, id)
+				}
+				removed++
+			}
+			if err := o.ProcessNextEvent(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if removed == 0 {
+			t.Fatalf("evacuate=%v: no killed-then-requeued job was ever queued; the check tested nothing", evacuate)
+		}
+		if err := o.Drain(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -154,10 +154,10 @@ func (st *schedState) preemptPass() bool {
 	if st.qlive == 0 || len(st.running) == 0 {
 		return false
 	}
-	top := st.topQueued()
+	top := st.topQueued().job
 	victims := st.preVictims[:0]
-	for _, rj := range st.running {
-		if rj.job.Priority < top.Priority {
+	for _, rj := range st.slots {
+		if rj.live && rj.job.Priority < top.Priority {
 			victims = append(victims, rj)
 		}
 	}
@@ -165,8 +165,8 @@ func (st *schedState) preemptPass() bool {
 	if len(victims) == 0 {
 		return false
 	}
-	// Map iteration order is random; the full (priority, watts, id) key
-	// makes the sorted order deterministic regardless.
+	// The full (priority, watts, id) key is a total order, so the sorted
+	// order does not depend on slot order.
 	for i := 1; i < len(victims); i++ {
 		v := victims[i]
 		j := i - 1
@@ -254,7 +254,7 @@ func (st *schedState) preemptJob(rj *runningJob, forID string) {
 	}
 	j := rj.job
 	delete(st.running, j.ID)
-	st.shadowOK = false
+	st.invalidateShadow()
 	reclaimed := rj.powerUsed
 	st.freeW += reclaimed
 	mJobsPreempted.Inc()
@@ -315,7 +315,7 @@ func (st *schedState) uncovered() string {
 	if st.qlive == 0 || st.failure != nil {
 		return ""
 	}
-	j := st.topQueued()
+	j := st.topQueued().job
 	e := st.dcache[j.App]
 	if e == nil || e.freeVer != st.freeVer || e.wBits != math.Float64bits(st.freeW) {
 		return "" // no decision recorded for the current state

@@ -121,6 +121,26 @@ done
 cat "$TMP/clipfed_par.txt" >&2
 
 awk -v serial="$SERIAL_MS" -v par="$PARALLEL_MS" -v workers="$WORKERS" '
+# kv renders the k=v fields of a "tag k=v k=v ..." line as the members of
+# one JSON object, in field order, leaving out the key skip.
+function kv(skip,    i, eq, k, body) {
+    body = ""
+    for (i = 2; i <= NF; i++) {
+        eq = index($(i), "=")
+        k = substr($(i), 1, eq - 1)
+        if (skip != "" && k == skip) continue
+        body = body sprintf("%s\"%s\": %s", body == "" ? "" : ", ", k, substr($(i), eq + 1))
+    }
+    return body
+}
+# val returns the value of key on a "tag k=v k=v ..." line ("" if absent).
+function val(key,    i, eq) {
+    for (i = 2; i <= NF; i++) {
+        eq = index($(i), "=")
+        if (substr($(i), 1, eq - 1) == key) return substr($(i), eq + 1)
+    }
+    return ""
+}
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)        # strip the GOMAXPROCS suffix
@@ -131,78 +151,18 @@ awk -v serial="$SERIAL_MS" -v par="$PARALLEL_MS" -v workers="$WORKERS" '
     }
     if (!(name in order)) { order[name] = ++n; names[n] = name }
 }
-/^chaos scenario=/ {
-    # "chaos scenario=<name> k=v k=v ..." -> one JSON object per scenario
-    cn++
-    body = ""
-    for (i = 2; i <= NF; i++) {
-        eq = index($(i), "=")
-        k = substr($(i), 1, eq - 1)
-        v = substr($(i), eq + 1)
-        if (k == "scenario") { cname[cn] = v; continue }
-        body = body sprintf("%s\"%s\": %s", body == "" ? "" : ", ", k, v)
-    }
-    cbody[cn] = body
-}
-/^clipload / {
-    # "clipload k=v k=v ..." -> one JSON object of serving-path metrics
-    lbody = ""
-    for (i = 2; i <= NF; i++) {
-        eq = index($(i), "=")
-        k = substr($(i), 1, eq - 1)
-        v = substr($(i), eq + 1)
-        lbody = lbody sprintf("%s\"%s\": %s", lbody == "" ? "" : ", ", k, v)
-    }
-}
-/^clipload50k / {
-    # Same shape, batched 50k-rps run.
-    l50body = ""
-    for (i = 2; i <= NF; i++) {
-        eq = index($(i), "=")
-        k = substr($(i), 1, eq - 1)
-        v = substr($(i), eq + 1)
-        l50body = l50body sprintf("%s\"%s\": %s", l50body == "" ? "" : ", ", k, v)
-    }
-}
-/^clipfed / {
-    # "clipfed k=v k=v ..." -> the 64-shard federation throughput row
-    fbody = ""
-    for (i = 2; i <= NF; i++) {
-        eq = index($(i), "=")
-        k = substr($(i), 1, eq - 1)
-        v = substr($(i), eq + 1)
-        fbody = fbody sprintf("%s\"%s\": %s", fbody == "" ? "" : ", ", k, v)
-    }
-}
-/^clipfed_chaos / {
-    # Same shape, 64 shards with the shard-fault stream armed.
-    cfbody = ""
-    for (i = 2; i <= NF; i++) {
-        eq = index($(i), "=")
-        k = substr($(i), 1, eq - 1)
-        v = substr($(i), eq + 1)
-        cfbody = cfbody sprintf("%s\"%s\": %s", cfbody == "" ? "" : ", ", k, v)
-    }
-}
+# One JSON object per chaos scenario, keyed by its name.
+/^chaos scenario=/ { cn++; cname[cn] = val("scenario"); cbody[cn] = kv("scenario") }
+# Serving-path metrics at 500 rps and batched at 50k rps.
+/^clipload /       { lbody = kv() }
+/^clipload50k /    { l50body = kv() }
+# The 64-shard federation, without and with the shard-fault stream.
+/^clipfed /        { fbody = kv() }
+/^clipfed_chaos /  { cfbody = kv() }
 /^clipfed_parallel / {
     # Parallel-executor scaling rows, best-of-N per worker count.
-    w = ""; eps = 0
-    for (i = 2; i <= NF; i++) {
-        eq = index($(i), "=")
-        if (substr($(i), 1, eq - 1) == "workers") w = substr($(i), eq + 1)
-        if (substr($(i), 1, eq - 1) == "events_per_s") eps = substr($(i), eq + 1) + 0
-    }
-    if (!(w in pbest) || eps > pbest[w]) {
-        pbest[w] = eps
-        body = ""
-        for (i = 2; i <= NF; i++) {
-            eq = index($(i), "=")
-            k = substr($(i), 1, eq - 1)
-            v = substr($(i), eq + 1)
-            body = body sprintf("%s\"%s\": %s", body == "" ? "" : ", ", k, v)
-        }
-        pbody[w] = body
-    }
+    w = val("workers"); eps = val("events_per_s") + 0
+    if (!(w in pbest) || eps > pbest[w]) { pbest[w] = eps; pbody[w] = kv() }
     if (!(w in pseen)) { pseen[w] = ++pn; porder[pn] = w }
 }
 END {
