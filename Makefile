@@ -11,7 +11,7 @@ GO ?= go
 
 # Packages whose exported identifiers must all carry doc comments.
 DOC_PKGS = ./internal/telemetry ./internal/core ./internal/coordinator ./internal/faults \
-	./internal/fed ./cmd/clipfed
+	./internal/fed ./cmd/clipfed ./internal/server ./internal/jobsched ./cmd/clipd
 
 .PHONY: build test check docs bench suite
 

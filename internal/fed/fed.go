@@ -412,17 +412,11 @@ func (f *Federation) HandleEvent(kind uint16, arg uint64) {
 	}
 }
 
-// ScheduleArrival pre-schedules a job submission at virtual time t: the
-// job is routed to a shard by the federation's policy when the clock
-// reaches t. Job ids must be unique federation-wide; key is the
-// locality key used by the Locality policy (the job id when empty).
-func (f *Federation) ScheduleArrival(t float64, id string, app *workload.Spec, key string) error {
-	return f.ScheduleArrivalPri(t, id, app, key, 0)
-}
-
-// ScheduleArrivalPri pre-schedules a job submission with an explicit
-// scheduling priority (0 inherits the application default); otherwise
-// identical to ScheduleArrival.
+// ScheduleArrivalPri pre-schedules a job submission at virtual time t:
+// the job is routed to a shard by the federation's policy when the
+// clock reaches t. Job ids must be unique federation-wide; key is the
+// locality key used by the Locality policy (the job id when empty);
+// pri is the scheduling priority (0 inherits the application default).
 func (f *Federation) ScheduleArrivalPri(t float64, id string, app *workload.Spec, key string, pri int) error {
 	if id == "" {
 		return fmt.Errorf("fed: empty job id")
@@ -487,7 +481,7 @@ func (f *Federation) touch(sh *Shard) {
 
 // rekeyShard re-peeks one shard's earliest event into the heap.
 func (f *Federation) rekeyShard(id int) {
-	t, ok := f.shards[id].Online.PeekNextEventTime()
+	t, ok := f.shards[id].Online.Next()
 	f.heap.update(id, t, ok)
 }
 

@@ -49,7 +49,7 @@ func scheduleTrace(t *testing.T, f *Federation, seed uint64, jobs int, meanGap f
 	for i := 0; i < jobs; i++ {
 		now += r.Range(0, 2*meanGap)
 		tj := traceJob{id: fmt.Sprintf("j%04d", i), arrival: now, app: i % len(mix)}
-		if err := f.ScheduleArrival(tj.arrival, tj.id, mix[tj.app], ""); err != nil {
+		if err := f.ScheduleArrivalPri(tj.arrival, tj.id, mix[tj.app], "", 0); err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, tj)
@@ -156,7 +156,7 @@ func TestFederationMatchesSingleShardOracle(t *testing.T) {
 		now += r.Range(0, 25)
 		id := fmt.Sprintf("j%04d", i)
 		app := mix[i%len(mix)]
-		if err := f.ScheduleArrival(now, id, app, ""); err != nil {
+		if err := f.ScheduleArrivalPri(now, id, app, "", 0); err != nil {
 			t.Fatal(err)
 		}
 		home := ShardFor(id, nShards)
@@ -236,7 +236,7 @@ func TestLendingMovesWattsUnderCap(t *testing.T) {
 		if i >= 8 {
 			key = key1 // a little work for shard 1 near the end
 		}
-		if err := f.ScheduleArrival(float64(i)*15, fmt.Sprintf("j%02d", i), mix[i%len(mix)], key); err != nil {
+		if err := f.ScheduleArrivalPri(float64(i)*15, fmt.Sprintf("j%02d", i), mix[i%len(mix)], key, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -358,7 +358,7 @@ func TestRoutingPolicies(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Load shard 0 with one running job so least-loaded prefers 1.
-	if err := f.ScheduleArrival(0, "warm", workload.CoMD(), ""); err != nil {
+	if err := f.ScheduleArrivalPri(0, "warm", workload.CoMD(), "", 0); err != nil {
 		t.Fatal(err)
 	}
 	for {
@@ -415,18 +415,18 @@ func TestOnlineStepPrimitives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.HasPendingEvents() {
+	if _, ok := o.Next(); ok {
 		t.Fatal("fresh session has pending events")
 	}
-	js, err := o.Submit("a", workload.CoMD())
+	js, err := o.SubmitPri("a", workload.CoMD(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !o.HasPendingEvents() {
+	pt, ok := o.Next()
+	if !ok {
 		t.Fatal("running job left no completion event pending")
 	}
-	pt, ok := o.PeekNextEventTime()
-	if !ok || pt != js.EstFinish {
+	if pt != js.EstFinish {
 		t.Fatalf("peek = (%v,%v), want (%v,true)", pt, ok, js.EstFinish)
 	}
 	if err := o.ProcessNextEvent(); err != nil {
@@ -442,7 +442,7 @@ func TestOnlineStepPrimitives(t *testing.T) {
 	if st.State != jobsched.JobCompleted {
 		t.Errorf("state %v after stepping the completion, want completed", st.State)
 	}
-	if o.HasPendingEvents() {
+	if _, ok := o.Next(); ok {
 		t.Error("events still pending after the only completion")
 	}
 }
@@ -464,10 +464,10 @@ func TestOnlineSetBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := o.Submit("a", workload.CoMD()); err != nil {
+	if _, err := o.SubmitPri("a", workload.CoMD(), 0); err != nil {
 		t.Fatal(err)
 	}
-	jb, err := o.Submit("b", workload.CoMD())
+	jb, err := o.SubmitPri("b", workload.CoMD(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -289,7 +289,7 @@ func (f *Federation) windowShard(id int, bound float64) {
 // The arrivals drain off the federation engine serially in (time, seq)
 // order, exactly the order the serial run would route them, and are
 // partitioned by the same pure pickShard. Each worker then replays one
-// shard start to finish: Advance + Submit at each of its arrival times
+// shard start to finish: Advance + SubmitPri at each of its arrival times
 // replicates routeArrival on the shard's own timeline, with the shard
 // events between arrivals processed as ordinary steps. The serial run's
 // per-event broker passes and audits are no-ops throughout (nothing
@@ -386,7 +386,7 @@ func (f *Federation) runPartitioned(workers int) error {
 
 // replayShard runs one shard's full timeline: events strictly before
 // each of its arrivals count as ordinary steps (exactly the events the
-// serial run pops individually), then Advance + Submit at the arrival
+// serial run pops individually), then Advance + SubmitPri at the arrival
 // time replicate routeArrival — events at exactly the arrival time fire
 // inside Advance, uncounted, matching the serial fed-wins-ties rule.
 func (f *Federation) replayShard(sh *Shard, arrivals []fedArrival) {

@@ -71,7 +71,7 @@ func TestPartitionedByteIdentity(t *testing.T) {
 		for i := 0; i < 96; i++ {
 			now += r.Range(0, 4)
 			id := fmt.Sprintf("j%04d", i)
-			if err := f.ScheduleArrival(now, id, mix[i%len(mix)], id); err != nil {
+			if err := f.ScheduleArrivalPri(now, id, mix[i%len(mix)], id, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -265,7 +265,7 @@ func benchFed(b *testing.B) *Federation {
 	for i := 0; i < 2048; i++ {
 		now += r.Range(0, 0.5)
 		id := fmt.Sprintf("job-%05d", i)
-		if err := f.ScheduleArrival(now, id, mix[r.Intn(len(mix))], id); err != nil {
+		if err := f.ScheduleArrivalPri(now, id, mix[r.Intn(len(mix))], id, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -175,7 +175,7 @@ func TestFedPriorityRouting(t *testing.T) {
 	// Saturate shard 0 via locality key, then land a high-priority job
 	// on the same shard.
 	for i := 0; i < 6; i++ {
-		if err := f.ScheduleArrival(float64(i), fmt.Sprintf("lo%d", i), mix[0], "k0"); err != nil {
+		if err := f.ScheduleArrivalPri(float64(i), fmt.Sprintf("lo%d", i), mix[0], "k0", 0); err != nil {
 			t.Fatal(err)
 		}
 	}

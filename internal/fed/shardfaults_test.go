@@ -285,7 +285,7 @@ func TestChaosOrphanReclaim(t *testing.T) {
 		key0, _ := localityKeys(t, 3)
 		mix := apps()
 		for i := 0; i < 12; i++ {
-			if err := f.ScheduleArrival(float64(i)*15, fmt.Sprintf("j%02d", i), mix[i%len(mix)], key0); err != nil {
+			if err := f.ScheduleArrivalPri(float64(i)*15, fmt.Sprintf("j%02d", i), mix[i%len(mix)], key0, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

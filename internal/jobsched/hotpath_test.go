@@ -76,19 +76,19 @@ func TestOnlineSubmitAllocs(t *testing.T) {
 	o := online(t, Config{Bound: 320})
 	app := workload.CoMD()
 	for i := 0; i < 32; i++ {
-		if _, err := o.Submit(fmt.Sprintf("warm-%d", i), app); err != nil {
+		if _, err := o.SubmitPri(fmt.Sprintf("warm-%d", i), app, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	n := 0
 	avg := testing.AllocsPerRun(200, func() {
 		n++
-		if _, err := o.Submit(fmt.Sprintf("load-%d", n), app); err != nil {
+		if _, err := o.SubmitPri(fmt.Sprintf("load-%d", n), app, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if avg > 12 {
-		t.Errorf("Online.Submit allocates %.1f objects per call, want <= 12", avg)
+		t.Errorf("Online.SubmitPri allocates %.1f objects per call, want <= 12", avg)
 	}
 }
 
@@ -101,7 +101,7 @@ func statusKey(js JobStatus) string {
 }
 
 // TestSubmitBatchMatchesSerialSubmits: one SubmitBatch of N entries
-// must leave the driver in exactly the state N serial Submit calls
+// must leave the driver in exactly the state N serial SubmitPri calls
 // produce — same per-entry statuses and errors (including mid-batch
 // duplicate rejections), same Jobs() listing, same Cluster() snapshot,
 // same started-jobs telemetry delta.
@@ -120,7 +120,7 @@ func TestSubmitBatchMatchesSerialSubmits(t *testing.T) {
 	var serialRes []SubmitResult
 	for _, sub := range subs {
 		var r SubmitResult
-		r.Status, r.Err = serial.Submit(sub.ID, sub.App)
+		r.Status, r.Err = serial.SubmitPri(sub.ID, sub.App, 0)
 		serialRes = append(serialRes, r)
 	}
 	serialStarted := mJobsStarted.Value() - startBefore

@@ -402,7 +402,7 @@ type schedState struct {
 	arrivals []Job
 	arrSort  arrivalSorter
 	// pendingArrival carries one online submission into its arrival
-	// event (fired synchronously inside Submit).
+	// event (fired synchronously inside SubmitPri).
 	pendingArrival Job
 	// reallocIDs is the deterministic-iteration scratch of reallocate
 	// and shedPower.

@@ -195,29 +195,16 @@ func (s *Scheduler) Online() (*Online, error) {
 // Now returns the current virtual time in seconds.
 func (o *Online) Now() float64 { return o.st.eng.Now() }
 
-// Next returns the virtual time of the earliest pending event, if any —
-// the wall-clock bridge sleeps until that moment.
+// Next returns the virtual time of the earliest pending event, if any,
+// without firing it. The wall-clock bridge sleeps until that moment; a
+// shared-clock orchestrator peeks every member and, with
+// ProcessNextEvent, advances only the one owning the earliest event.
 func (o *Online) Next() (float64, bool) { return o.st.eng.Next() }
 
 // Err returns the first internal failure of the session (a
 // bound-invariant violation, a model error inside an event handler), if
 // any.
 func (o *Online) Err() error { return o.st.failure }
-
-// HasPendingEvents reports whether any event is scheduled on the
-// session's virtual timeline. With fault streams stopped (or absent)
-// and no resident work, it eventually returns false.
-func (o *Online) HasPendingEvents() bool {
-	_, ok := o.st.eng.Next()
-	return ok
-}
-
-// PeekNextEventTime returns the virtual timestamp of the earliest
-// pending event without firing it. Together with HasPendingEvents and
-// ProcessNextEvent it decomposes the run loop into the step primitives
-// a shared-clock orchestrator needs: peek every member, advance only
-// the one owning the earliest event.
-func (o *Online) PeekNextEventTime() (float64, bool) { return o.st.eng.Next() }
 
 // ProcessNextEvent fires exactly the earliest pending event and moves
 // the session clock to its timestamp. It is a no-op when no event is
@@ -310,19 +297,14 @@ func (o *Online) Advance(t float64) error {
 	return o.st.failure
 }
 
-// Submit admits one job at the current virtual time. The arrival is
-// injected as a DES event and executed before Submit returns, so the
-// returned status already reflects the placement decision: running
-// (with its node set and budget) or queued. Job ids are unique for the
-// lifetime of the session.
-func (o *Online) Submit(id string, app *workload.Spec) (JobStatus, error) {
-	return o.SubmitPri(id, app, 0)
-}
-
-// SubmitPri admits one job with an explicit scheduling priority;
-// priority 0 inherits the application's default. Higher priorities
-// dispatch first and, when Config.Preempt is enabled, may evict
-// running lower-priority jobs. Otherwise identical to Submit.
+// SubmitPri admits one job at the current virtual time with a
+// scheduling priority; priority 0 inherits the application's default.
+// Higher priorities dispatch first and, when Config.Preempt is enabled,
+// may evict running lower-priority jobs. The arrival is injected as a
+// DES event and executed before SubmitPri returns, so the returned
+// status already reflects the placement decision: running (with its
+// node set and budget) or queued. Job ids are unique for the lifetime
+// of the session.
 func (o *Online) SubmitPri(id string, app *workload.Spec, pri int) (JobStatus, error) {
 	if id == "" {
 		return JobStatus{}, fmt.Errorf("jobsched: empty job id")
@@ -375,10 +357,10 @@ type SubmitResult struct {
 }
 
 // SubmitBatch admits a batch of jobs at the current virtual time, in
-// order. Each entry carries exactly the semantics of one Submit call —
-// the i-th result (status or error, including mid-batch duplicate and
-// sticky-failure rejections) is identical to what the i-th of N serial
-// Submit calls would have returned — while letting callers amortise
+// order. Each entry carries exactly the semantics of one SubmitPri call
+// — the i-th result (status or error, including mid-batch duplicate
+// and sticky-failure rejections) is identical to what the i-th of N
+// serial SubmitPri calls would have returned — while letting callers amortise
 // their own admission, locking and wakeup over the batch (the HTTP
 // front takes one admission slot and one driver lock per batch instead
 // of per job).
@@ -461,7 +443,7 @@ func (st *schedState) queuePos(id string, pri int) int {
 			break
 		}
 		// Tail fast path: a job queried right after submission (every
-		// Submit returns through here) is the live tail of its level.
+		// SubmitPri returns through here) is the live tail of its level.
 		// Without this, sustained submission into a saturated cluster
 		// is quadratic in queue depth.
 		for qi := len(l.q) - 1; qi >= l.head; qi-- {

@@ -21,7 +21,7 @@ func online(t *testing.T, cfg Config) *Online {
 
 func TestOnlineSubmitRunsToCompletion(t *testing.T) {
 	o := online(t, Config{Bound: 2000})
-	js, err := o.Submit("j1", workload.CoMD())
+	js, err := o.SubmitPri("j1", workload.CoMD(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,16 +51,16 @@ func TestOnlineSubmitRunsToCompletion(t *testing.T) {
 
 func TestOnlineSubmitValidation(t *testing.T) {
 	o := online(t, Config{Bound: 2000})
-	if _, err := o.Submit("", workload.CoMD()); err == nil {
+	if _, err := o.SubmitPri("", workload.CoMD(), 0); err == nil {
 		t.Error("empty id accepted")
 	}
-	if _, err := o.Submit("x", nil); err == nil {
+	if _, err := o.SubmitPri("x", nil, 0); err == nil {
 		t.Error("nil app accepted")
 	}
-	if _, err := o.Submit("dup", workload.CoMD()); err != nil {
+	if _, err := o.SubmitPri("dup", workload.CoMD(), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := o.Submit("dup", workload.CoMD()); err == nil {
+	if _, err := o.SubmitPri("dup", workload.CoMD(), 0); err == nil {
 		t.Error("duplicate id accepted")
 	}
 	if _, err := o.Status("nope"); err == nil {
@@ -75,7 +75,7 @@ func TestOnlineQueueingAndPositions(t *testing.T) {
 	// A bound only big enough for one job at a time: later submissions
 	// must queue in order.
 	o := online(t, Config{Bound: 320})
-	first, err := o.Submit("a", workload.CoMD())
+	first, err := o.SubmitPri("a", workload.CoMD(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestOnlineQueueingAndPositions(t *testing.T) {
 		t.Fatalf("first job %v, want running", first.State)
 	}
 	for i, id := range []string{"b", "c"} {
-		js, err := o.Submit(id, workload.CoMD())
+		js, err := o.SubmitPri(id, workload.CoMD(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,10 +115,10 @@ func TestOnlineQueueingAndPositions(t *testing.T) {
 
 func TestOnlineCancelQueued(t *testing.T) {
 	o := online(t, Config{Bound: 320})
-	if _, err := o.Submit("a", workload.CoMD()); err != nil {
+	if _, err := o.SubmitPri("a", workload.CoMD(), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := o.Submit("b", workload.CoMD()); err != nil {
+	if _, err := o.SubmitPri("b", workload.CoMD(), 0); err != nil {
 		t.Fatal(err)
 	}
 	w, err := o.Cancel("b")
@@ -145,11 +145,11 @@ func TestOnlineCancelQueued(t *testing.T) {
 
 func TestOnlineCancelRunningReclaimsPowerAndStartsQueued(t *testing.T) {
 	o := online(t, Config{Bound: 320})
-	a, err := o.Submit("a", workload.CoMD())
+	a, err := o.SubmitPri("a", workload.CoMD(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := o.Submit("b", workload.CoMD()); err != nil {
+	if _, err := o.SubmitPri("b", workload.CoMD(), 0); err != nil {
 		t.Fatal(err)
 	}
 	before := o.Cluster()
@@ -190,7 +190,7 @@ func TestOnlineAdvanceAndNext(t *testing.T) {
 	if _, ok := o.Next(); ok {
 		t.Error("fresh session has a pending event")
 	}
-	js, err := o.Submit("a", workload.CoMD())
+	js, err := o.SubmitPri("a", workload.CoMD(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestOnlineClusterSnapshot(t *testing.T) {
 			t.Errorf("fresh node %+v", n)
 		}
 	}
-	js, err := o.Submit("a", workload.CoMD())
+	js, err := o.SubmitPri("a", workload.CoMD(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestOnlineDrainFailsUnstartableQueued(t *testing.T) {
 	// Bound so low nothing can ever start: drain must fail the queued
 	// job rather than hang or leave it pending.
 	o := online(t, Config{Bound: 2})
-	js, err := o.Submit("a", workload.CoMD())
+	js, err := o.SubmitPri("a", workload.CoMD(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestOnlineWithFaultsSurvivesIdleAndDrains(t *testing.T) {
 	// and the bound invariant intact.
 	o := online(t, Config{Bound: 2000, Reallocate: true,
 		Faults: &faults.Scenario{Seed: 7, CrashMTBF: 60, MTTR: 10, ExcursionMTBF: 80}})
-	first, err := o.Submit("warm", workload.CoMD())
+	first, err := o.SubmitPri("warm", workload.CoMD(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestOnlineWithFaultsSurvivesIdleAndDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"x", "y", "z"} {
-		if _, err := o.Submit(id, workload.CoMD()); err != nil {
+		if _, err := o.SubmitPri(id, workload.CoMD(), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -320,7 +320,7 @@ func TestOnlineCancelRetryingJob(t *testing.T) {
 	// then cancel it mid-backoff.
 	o := online(t, Config{Bound: 2000,
 		Faults: &faults.Scenario{Seed: 3, CrashMTBF: 8, MTTR: 500}})
-	js, err := o.Submit("victim", workload.CoMD())
+	js, err := o.SubmitPri("victim", workload.CoMD(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestQueueRemovalForgetsKillTime(t *testing.T) {
 		var ids []string
 		for i := 0; i < 6; i++ {
 			id := fmt.Sprintf("k%d", i)
-			if _, err := o.Submit(id, workload.CoMD()); err != nil {
+			if _, err := o.SubmitPri(id, workload.CoMD(), 0); err != nil {
 				t.Fatal(err)
 			}
 			ids = append(ids, id)
@@ -427,7 +427,7 @@ func TestQueueRemovalForgetsKillTime(t *testing.T) {
 // isolation without observing the barrier time itself.
 func TestOnlineProcessEventsUntil(t *testing.T) {
 	o := online(t, Config{Bound: 2000})
-	js, err := o.Submit("j1", workload.CoMD())
+	js, err := o.SubmitPri("j1", workload.CoMD(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,11 +469,11 @@ func TestOnlineProcessEventsUntil(t *testing.T) {
 // untouched.
 func TestOnlineEvacuateQueued(t *testing.T) {
 	o := online(t, Config{Bound: 320})
-	if _, err := o.Submit("a", workload.CoMD()); err != nil {
+	if _, err := o.SubmitPri("a", workload.CoMD(), 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"b", "c", "d"} {
-		js, err := o.Submit(id, workload.CoMD())
+		js, err := o.SubmitPri(id, workload.CoMD(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -504,7 +504,7 @@ func TestOnlineEvacuateQueued(t *testing.T) {
 		t.Errorf("second evacuation returned %v, want nil", jobs)
 	}
 	// The ids are free again — a survivor shard re-submits them.
-	if _, err := o.Submit("b", workload.CoMD()); err != nil {
+	if _, err := o.SubmitPri("b", workload.CoMD(), 0); err != nil {
 		t.Errorf("re-submitting an evacuated id: %v", err)
 	}
 	if err := o.Drain(); err != nil {

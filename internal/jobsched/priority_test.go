@@ -26,7 +26,7 @@ func pinnedApp(lo, hi int) *workload.Spec {
 
 func TestPriorityDispatchOrder(t *testing.T) {
 	o := online(t, Config{Bound: 1200})
-	if _, err := o.Submit("filler", workload.CoMD()); err != nil {
+	if _, err := o.SubmitPri("filler", workload.CoMD(), 0); err != nil {
 		t.Fatal(err)
 	}
 	// Three blocked arrivals with distinct priorities, submitted in
@@ -140,7 +140,7 @@ func TestNoPreemptionOfEqualOrHigherPriority(t *testing.T) {
 // higher-priority job waits like everyone else.
 func TestPreemptionDisabledByDefault(t *testing.T) {
 	o := online(t, Config{Bound: 1200})
-	if _, err := o.Submit("low", workload.CoMD()); err != nil {
+	if _, err := o.SubmitPri("low", workload.CoMD(), 0); err != nil {
 		t.Fatal(err)
 	}
 	js, err := o.SubmitPri("hi", workload.CoMD(), 9)
@@ -158,7 +158,7 @@ func TestPreemptionDisabledByDefault(t *testing.T) {
 
 func TestConstraintPlacementAndInfeasibility(t *testing.T) {
 	o := online(t, Config{Bound: 4000, Policy: AggressiveBackfill})
-	js, err := o.Submit("pinned", pinnedApp(2, 5))
+	js, err := o.SubmitPri("pinned", pinnedApp(2, 5), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestConstraintPlacementAndInfeasibility(t *testing.T) {
 	bad := *workload.CoMD()
 	bad.Name = "comd-bad"
 	bad.Constraint = workload.NodeConstraint{AllowedNodes: []int{99}}
-	js, err = o.Submit("nofit", &bad)
+	js, err = o.SubmitPri("nofit", &bad, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestPreferNodesRanking(t *testing.T) {
 		AllowedNodes: []int{0, 1, 6, 7},
 		PreferNodes:  []int{7, 6},
 	}
-	js, err := o.Submit("pref", &a)
+	js, err := o.SubmitPri("pref", &a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,12 +213,12 @@ func TestPreferNodesRanking(t *testing.T) {
 // re-enqueues — the accounting the status endpoint surfaces.
 func TestQueuePosDenseAcrossChurn(t *testing.T) {
 	o := online(t, Config{Bound: 1200, Policy: AggressiveBackfill, Preempt: true})
-	if _, err := o.Submit("filler", workload.CoMD()); err != nil {
+	if _, err := o.SubmitPri("filler", workload.CoMD(), 0); err != nil {
 		t.Fatal(err)
 	}
 	queued := []string{"q0", "q1", "q2", "q3", "q4"}
 	for _, id := range queued {
-		if _, err := o.Submit(id, workload.CoMD()); err != nil {
+		if _, err := o.SubmitPri(id, workload.CoMD(), 0); err != nil {
 			t.Fatal(err)
 		}
 	}

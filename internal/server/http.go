@@ -40,6 +40,10 @@ type SubmitRequest struct {
 // rejected with 400 (split them client-side).
 const maxBatch = 4096
 
+// maxBody caps a POST body at about 1 KiB per batch entry, so a hostile
+// request is refused with 413 before it can grow the heap.
+const maxBody = maxBatch << 10
+
 // BatchSubmitRequest is the body of POST /v1/jobs:batch.
 type BatchSubmitRequest struct {
 	Jobs []SubmitRequest `json:"jobs"`
@@ -253,37 +257,54 @@ func (s *Server) writeErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, errQueueFull):
 		w.Header().Set("Retry-After",
-			strconv.Itoa(retryAfterHint(s.adm.waiting(), s.opts.Timescale)))
+			strconv.Itoa(retryAfterHint(len(s.slots), s.opts.Timescale)))
 		s.mRejected.Inc()
 	case errors.Is(err, errDraining):
 		s.mRejected.Inc()
 	case errors.Is(err, errBusy):
 		w.Header().Set("Retry-After",
-			strconv.Itoa(retryAfterHint(s.adm.waiting(), s.opts.Timescale)))
+			strconv.Itoa(retryAfterHint(len(s.slots), s.opts.Timescale)))
 	}
 	writeJSON(w, errCode(err), ErrorJSON{Error: err.Error()})
 }
 
+// decodeBody reads a JSON request body of at most maxBody bytes into v,
+// answering 413 or 400 itself when it cannot.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		writeJSON(w, http.StatusRequestEntityTooLarge, ErrorJSON{Error: "request body exceeds limit"})
+	default:
+		writeJSON(w, http.StatusBadRequest, ErrorJSON{Error: "bad request body: " + err.Error()})
+	}
+	return false
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorJSON{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	ctx, cancel := s.reqCtx(r)
 	defer cancel()
-	js, err := s.submit(ctx, req.ID, req.App, req.Priority)
+	res, err := s.submitBatch(ctx, []SubmitRequest{req})
+	if err == nil {
+		err = res[0].Err
+	}
 	if err != nil {
 		s.writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, jobJSON(js))
+	writeJSON(w, http.StatusCreated, jobJSON(res[0].Status))
 }
 
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchSubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorJSON{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Jobs) == 0 {
@@ -322,7 +343,11 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	writeJobList(w, http.StatusOK, list)
+	out := make([]JobJSON, len(list))
+	for i, js := range list {
+		out[i] = jobJSON(js)
+	}
+	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -355,7 +380,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	writeCluster(w, http.StatusOK, cs, s.draining.Load())
+	writeJSON(w, http.StatusOK, clusterJSON(cs, s.draining.Load()))
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -62,7 +62,7 @@ func TestSubmitPriorityPassthrough(t *testing.T) {
 	s, _ := bridgeServer(t, jobsched.Config{Bound: 2000, Preempt: true},
 		Options{Registry: reg})
 	ctx := context.Background()
-	js, err := s.submit(ctx, "hi", "comd", 5)
+	js, err := submitOne(ctx, s, "hi", "comd", 5)
 	if err != nil {
 		t.Fatal(err)
 	}

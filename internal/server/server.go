@@ -89,9 +89,9 @@ type Server struct {
 	// lock is a one-slot channel used as the driver mutex so acquisition
 	// can race a context deadline.
 	lock chan struct{}
-	// adm bounds submissions waiting on the lock (sharded admission
-	// control; see admission.go).
-	adm *admission
+	// slots bounds submissions waiting on the lock (admission control):
+	// a submission takes a slot with a non-blocking send or is refused.
+	slots chan struct{}
 
 	// clock and epoch anchor the wall→virtual mapping; clock is
 	// swappable so bridge tests run on a fake wall clock.
@@ -133,7 +133,7 @@ func New(sched *jobsched.Scheduler, opts Options) (*Server, error) {
 		opts:     opts,
 		drv:      drv,
 		lock:     make(chan struct{}, 1),
-		adm:      newAdmission(opts.QueueDepth),
+		slots:    make(chan struct{}, opts.QueueDepth),
 		clock:    time.Now,
 		stop:     make(chan struct{}),
 		kick:     make(chan struct{}, 1),
@@ -181,6 +181,25 @@ func (s *Server) acquire(ctx context.Context) error {
 
 // release drops the driver lock.
 func (s *Server) release() { <-s.lock }
+
+// lockSynced takes the driver lock under ctx and catches the driver up
+// to the wall clock. On success the caller holds the lock and must
+// release it. admit marks a submission, which Drain may have overtaken
+// while it waited for the lock.
+func (s *Server) lockSynced(ctx context.Context, admit bool) error {
+	if err := s.acquire(ctx); err != nil {
+		return fmt.Errorf("%w: %v", errBusy, err)
+	}
+	if admit && s.draining.Load() {
+		s.release()
+		return errDraining
+	}
+	if err := s.syncLocked(); err != nil {
+		s.release()
+		return err
+	}
+	return nil
+}
 
 // virtualTarget maps the current wall clock to the virtual timeline.
 func (s *Server) virtualTarget() float64 {
@@ -332,77 +351,30 @@ func priBucket(pri int) string {
 	return "normal"
 }
 
-// submit admits one job through admission control: reserve a queue
-// slot (immediate 429 when QueueDepth submissions are already
-// waiting), then acquire the driver under the request deadline.
-func (s *Server) submit(ctx context.Context, id, app string, pri int) (jobsched.JobStatus, error) {
-	if s.draining.Load() {
-		return jobsched.JobStatus{}, errDraining
-	}
-	shard, ok := s.adm.tryAcquire()
-	if !ok {
-		return jobsched.JobStatus{}, errQueueFull
-	}
-	s.gWaiting.Set(float64(s.adm.waiting()))
-	defer func() {
-		s.adm.release(shard)
-		s.gWaiting.Set(float64(s.adm.waiting()))
-	}()
-	if err := s.acquire(ctx); err != nil {
-		return jobsched.JobStatus{}, fmt.Errorf("%w: %v", errBusy, err)
-	}
-	defer s.release()
-	if s.draining.Load() {
-		return jobsched.JobStatus{}, errDraining
-	}
-	if err := s.syncLocked(); err != nil {
-		return jobsched.JobStatus{}, err
-	}
-	spec, err := resolveApp(app)
-	if err != nil {
-		return jobsched.JobStatus{}, err
-	}
-	if id == "" {
-		id = fmt.Sprintf("job-%d", s.jobSeq.Add(1))
-	}
-	js, err := s.drv.SubmitPri(id, spec, pri)
-	if err != nil {
-		return jobsched.JobStatus{}, err
-	}
-	s.mSubmits.Inc()
-	s.mSubmitsPri[priBucket(js.Priority)].Inc()
-	s.wake()
-	return js, nil
-}
-
 // submitBatch admits a batch of jobs under one admission slot, one
-// driver-lock acquisition and one pump wakeup. Whole-batch failures
-// (admission, drain, lock deadline, sticky driver failure) return an
-// error; otherwise each entry resolves independently with exactly the
-// per-job semantics of submit, in order.
+// driver-lock acquisition and one pump wakeup; POST /v1/jobs is a batch
+// of one. Whole-batch failures (drain, a full admission queue, the lock
+// deadline, a sticky driver failure) return an error; otherwise each
+// entry resolves independently and in order, exactly as N serial
+// submissions would.
 func (s *Server) submitBatch(ctx context.Context, reqs []SubmitRequest) ([]jobsched.SubmitResult, error) {
 	if s.draining.Load() {
 		return nil, errDraining
 	}
-	shard, ok := s.adm.tryAcquire()
-	if !ok {
+	select {
+	case s.slots <- struct{}{}:
+	default:
 		return nil, errQueueFull
 	}
-	s.gWaiting.Set(float64(s.adm.waiting()))
+	s.gWaiting.Set(float64(len(s.slots)))
 	defer func() {
-		s.adm.release(shard)
-		s.gWaiting.Set(float64(s.adm.waiting()))
+		<-s.slots
+		s.gWaiting.Set(float64(len(s.slots)))
 	}()
-	if err := s.acquire(ctx); err != nil {
-		return nil, fmt.Errorf("%w: %v", errBusy, err)
-	}
-	defer s.release()
-	if s.draining.Load() {
-		return nil, errDraining
-	}
-	if err := s.syncLocked(); err != nil {
+	if err := s.lockSynced(ctx, true); err != nil {
 		return nil, err
 	}
+	defer s.release()
 	out := make([]jobsched.SubmitResult, len(reqs))
 	subs := make([]jobsched.Submission, 0, len(reqs))
 	idx := make([]int, 0, len(reqs)) // out positions of resolvable entries
@@ -436,13 +408,10 @@ func (s *Server) submitBatch(ctx context.Context, reqs []SubmitRequest) ([]jobsc
 
 // cancel withdraws a job under the request deadline.
 func (s *Server) cancel(ctx context.Context, id string) (jobsched.JobStatus, error) {
-	if err := s.acquire(ctx); err != nil {
-		return jobsched.JobStatus{}, fmt.Errorf("%w: %v", errBusy, err)
-	}
-	defer s.release()
-	if err := s.syncLocked(); err != nil {
+	if err := s.lockSynced(ctx, false); err != nil {
 		return jobsched.JobStatus{}, err
 	}
+	defer s.release()
 	if _, err := s.drv.Cancel(id); err != nil {
 		return jobsched.JobStatus{}, err
 	}
@@ -453,37 +422,28 @@ func (s *Server) cancel(ctx context.Context, id string) (jobsched.JobStatus, err
 
 // status reports one job.
 func (s *Server) status(ctx context.Context, id string) (jobsched.JobStatus, error) {
-	if err := s.acquire(ctx); err != nil {
-		return jobsched.JobStatus{}, fmt.Errorf("%w: %v", errBusy, err)
-	}
-	defer s.release()
-	if err := s.syncLocked(); err != nil {
+	if err := s.lockSynced(ctx, false); err != nil {
 		return jobsched.JobStatus{}, err
 	}
+	defer s.release()
 	return s.drv.Status(id)
 }
 
 // jobs lists every submitted job.
 func (s *Server) jobs(ctx context.Context) ([]jobsched.JobStatus, error) {
-	if err := s.acquire(ctx); err != nil {
-		return nil, fmt.Errorf("%w: %v", errBusy, err)
-	}
-	defer s.release()
-	if err := s.syncLocked(); err != nil {
+	if err := s.lockSynced(ctx, false); err != nil {
 		return nil, err
 	}
+	defer s.release()
 	return s.drv.Jobs(), nil
 }
 
 // cluster snapshots the cluster.
 func (s *Server) cluster(ctx context.Context) (jobsched.ClusterState, error) {
-	if err := s.acquire(ctx); err != nil {
-		return jobsched.ClusterState{}, fmt.Errorf("%w: %v", errBusy, err)
-	}
-	defer s.release()
-	if err := s.syncLocked(); err != nil {
+	if err := s.lockSynced(ctx, false); err != nil {
 		return jobsched.ClusterState{}, err
 	}
+	defer s.release()
 	return s.drv.Cluster(), nil
 }
 

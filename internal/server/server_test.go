@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -79,6 +80,16 @@ func bridgeServer(t *testing.T, cfg jobsched.Config, opts Options) (*Server, *fa
 	return s, fc
 }
 
+// submitOne admits one job the way POST /v1/jobs does: as a batch of
+// one, whose whole-batch or entry error is the submission's error.
+func submitOne(ctx context.Context, s *Server, id, app string, pri int) (jobsched.JobStatus, error) {
+	res, err := s.submitBatch(ctx, []SubmitRequest{{ID: id, App: app, Priority: pri}})
+	if err != nil {
+		return jobsched.JobStatus{}, err
+	}
+	return res[0].Status, res[0].Err
+}
+
 func TestBridgeMapsWallToVirtual(t *testing.T) {
 	s, fc := bridgeServer(t, jobsched.Config{Bound: 2000}, Options{})
 	ctx := context.Background()
@@ -118,7 +129,7 @@ func TestBridgeSubmitLifecycle(t *testing.T) {
 	s, fc := bridgeServer(t, jobsched.Config{Bound: 2000}, Options{})
 	ctx := context.Background()
 	fc.Advance(5 * time.Second)
-	js, err := s.submit(ctx, "j1", "comd", 0)
+	js, err := submitOne(ctx, s, "j1", "comd", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,14 +167,14 @@ func TestBridgeSubmitLifecycle(t *testing.T) {
 func TestBridgeAutoIDAndUnknownApp(t *testing.T) {
 	s, _ := bridgeServer(t, jobsched.Config{Bound: 2000}, Options{})
 	ctx := context.Background()
-	js, err := s.submit(ctx, "", "comd", 0)
+	js, err := submitOne(ctx, s, "", "comd", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if js.ID != "job-1" {
 		t.Errorf("auto id = %q, want job-1", js.ID)
 	}
-	if _, err := s.submit(ctx, "", "no-such-app", 0); err == nil {
+	if _, err := submitOne(ctx, s, "", "no-such-app", 0); err == nil {
 		t.Error("unknown app accepted")
 	}
 }
@@ -171,10 +182,10 @@ func TestBridgeAutoIDAndUnknownApp(t *testing.T) {
 func TestBridgeDrainWithoutStart(t *testing.T) {
 	s, _ := bridgeServer(t, jobsched.Config{Bound: 320}, Options{})
 	ctx := context.Background()
-	if _, err := s.submit(ctx, "a", "comd", 0); err != nil {
+	if _, err := submitOne(ctx, s, "a", "comd", 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.submit(ctx, "b", "comd", 0); err != nil {
+	if _, err := submitOne(ctx, s, "b", "comd", 0); err != nil {
 		t.Fatal(err)
 	}
 	final, err := s.Drain(ctx)
@@ -189,7 +200,7 @@ func TestBridgeDrainWithoutStart(t *testing.T) {
 			t.Errorf("job %s after drain: %v, want completed", js.ID, js.State)
 		}
 	}
-	if _, err := s.submit(ctx, "c", "comd", 0); err == nil {
+	if _, err := submitOne(ctx, s, "c", "comd", 0); err == nil {
 		t.Error("submit accepted while draining")
 	}
 	// Drain is idempotent.
@@ -207,17 +218,17 @@ func TestAdmissionControlQueueFullAndDeadline(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), s.opts.RequestTimeout)
 		defer cancel()
-		_, err := s.submit(ctx, "w1", "comd", 0)
+		_, err := submitOne(ctx, s, "w1", "comd", 0)
 		errs <- err
 	}()
 	// Give the first submission time to occupy the single slot.
 	deadline := time.Now().Add(time.Second)
-	for s.adm.waiting() == 0 && time.Now().Before(deadline) {
+	for len(s.slots) == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), s.opts.RequestTimeout)
 	defer cancel()
-	_, err := s.submit(ctx, "w2", "comd", 0)
+	_, err := submitOne(ctx, s, "w2", "comd", 0)
 	if !errors.Is(err, errQueueFull) {
 		t.Errorf("second submit err = %v, want queue-full", err)
 	}
@@ -227,7 +238,7 @@ func TestAdmissionControlQueueFullAndDeadline(t *testing.T) {
 	}
 	s.release()
 	// With the lock free again, submissions flow.
-	if _, err := s.submit(context.Background(), "w3", "comd", 0); err != nil {
+	if _, err := submitOne(context.Background(), s, "w3", "comd", 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -375,7 +386,7 @@ func TestHTTPBackpressure429(t *testing.T) {
 		done <- doJSON(t, "POST", base+"/v1/jobs", SubmitRequest{App: "comd"}, nil)
 	}()
 	deadline := time.Now().Add(time.Second)
-	for s.adm.waiting() == 0 && time.Now().Before(deadline) {
+	for len(s.slots) == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	req, _ := http.NewRequest("POST", base+"/v1/jobs",
@@ -566,6 +577,37 @@ func TestHTTPSubmitBatchValidation(t *testing.T) {
 	}
 	if code := doJSON(t, "POST", base+"/v1/jobs:batch", huge, nil); code != http.StatusBadRequest {
 		t.Errorf("oversized batch code = %d, want 400", code)
+	}
+}
+
+// TestHTTPBodyLimit: a body past maxBody is refused with 413 on both
+// submit routes and the daemon keeps serving, while a full batch of
+// maxBatch entries with 64-byte ids stays under the limit.
+func TestHTTPBodyLimit(t *testing.T) {
+	_, base := httpServer(t, jobsched.Config{Bound: 2000}, Options{Timescale: 1e-6})
+	big := strings.Repeat("x", maxBody)
+	for _, c := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/jobs", SubmitRequest{ID: big, App: "comd"}},
+		{"/v1/jobs:batch", BatchSubmitRequest{Jobs: []SubmitRequest{{ID: big, App: "comd"}}}},
+	} {
+		var e ErrorJSON
+		if code := doJSON(t, "POST", base+c.path, c.body, &e); code != http.StatusRequestEntityTooLarge || e.Error == "" {
+			t.Errorf("POST %s over the limit: code %d error %q, want 413 with an error", c.path, code, e.Error)
+		}
+	}
+	full := BatchSubmitRequest{Jobs: make([]SubmitRequest, maxBatch)}
+	for i := range full.Jobs {
+		full.Jobs[i] = SubmitRequest{ID: fmt.Sprintf("%064d", i), App: "comd"}
+	}
+	var out BatchResponseJSON
+	if code := doJSON(t, "POST", base+"/v1/jobs:batch", full, &out); code != http.StatusOK || out.Admitted != maxBatch {
+		t.Fatalf("full batch: code %d, admitted %d, want 200 and %d", code, out.Admitted, maxBatch)
+	}
+	if code := doJSON(t, "POST", base+"/v1/jobs", SubmitRequest{ID: "after", App: "comd"}, nil); code != http.StatusCreated {
+		t.Errorf("submit after 413s: code %d, want 201", code)
 	}
 }
 
