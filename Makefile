@@ -2,7 +2,8 @@
 #
 #   make build   — compile everything
 #   make test    — tier-1: the full test suite
-#   make check   — tier-2: build + vet + race tests + bench smoke + docs lint
+#   make check   — tier-2: build + vet + race tests + bench smoke + docs lint,
+#                  then the paired perf gate against the parent commit
 #   make docs    — gofmt + vet + godoc-coverage lint (cmd/doclint)
 #   make bench   — hot-path benchmarks + suite wall time -> BENCH_results.json
 #   make suite   — regenerate every paper artifact (parallel runner)
@@ -28,7 +29,6 @@ check:
 	$(GO) test -race -count=2 ./internal/jobsched/... ./internal/server/...
 	$(GO) test -race -count=2 ./internal/fed/...
 	$(GO) test -run=NONE -bench=. -benchtime=1x .
-	./scripts/bench_compare.sh
 	$(GO) run ./cmd/clipsim -app sp-mz.C -budget 1200 \
 		-faults "crash-mtbf=120,mttr=20,exc-mtbf=240,seed=7" \
 		| grep -q "bound-invariant: ok"
@@ -37,6 +37,7 @@ check:
 	./scripts/fed_smoke.sh
 	./scripts/fed_chaos_smoke.sh
 	$(MAKE) docs
+	./scripts/bench_compare.sh
 
 docs:
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then \

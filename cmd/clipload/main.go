@@ -8,16 +8,23 @@
 //	clipload -addr 127.0.0.1:8080 -rps 200 -cancel 0.3 -seed 7
 //	clipload -addr 127.0.0.1:8080 -rps 50000 -batch 256 -duration 10s
 //
-// The generator is open-loop: submissions are dispatched on a fixed
-// tick regardless of response latency, so daemon backpressure shows up
-// as 429s in the report instead of silently slowing the offered load.
-// App selection and cancel decisions come from the given seed, so two
-// runs against equivalent daemons offer byte-identical request streams.
+// The generator is open-loop: request i is due at start + i×interval
+// regardless of response latency, so daemon backpressure shows up as
+// 429s in the report instead of silently slowing the offered load. A
+// request that comes due while the generator is behind is sent late,
+// never dropped, so a run sends exactly duration × rps jobs (rounded down
+// to whole batches) and reports how late the sends ran.
+//
+// App, priority and cancel decisions come from the given seed, so two
+// runs against equivalent daemons offer the same app, priority and
+// cancel streams. Job ids do not repeat across runs: each carries a
+// token taken from the run's start time (load-<token>-<n>), so a second
+// run against the same daemon gets no 409 conflicts.
 //
 // The last output line is machine-readable (key=value pairs), consumed
 // by scripts/bench.sh:
 //
-//	clipload target_rps=500 sent=5000 ok=4807 rejected=193 errors=0 ...
+//	clipload target_rps=500 sent=5000 ok=4807 rejected=193 errors=0 ... late_p99_ms=0.081
 package main
 
 import (
@@ -29,6 +36,7 @@ import (
 	"net/http"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -69,12 +77,10 @@ func main() {
 		}
 		return 0
 	}
-	// With batching, each tick carries -batch jobs: the tick rate drops
-	// so the offered job rate stays at -rps.
+	// With batching, each request carries -batch jobs: the request rate
+	// drops so the offered job rate stays at -rps.
 	interval := time.Duration(float64(*batch) * float64(time.Second) / *rps)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	stop := time.After(*duration)
+	requests := int(*duration / interval)
 
 	var (
 		mu        sync.Mutex
@@ -89,21 +95,16 @@ func main() {
 	// than piling up goroutines against a wedged daemon.
 	inflight := make(chan struct{}, 1024)
 	start := time.Now()
+	idPrefix := "load-" + strconv.FormatInt(start.UnixNano(), 36) + "-"
 	sent := 0
 
-loop:
-	for {
-		select {
-		case <-stop:
-			break loop
-		case <-ticker.C:
-		}
+	late := pace(start, interval, requests, func(int) {
 		if *batch > 1 {
 			entries := make([]submitEntry, *batch)
 			for i := range entries {
 				sent++
 				entries[i] = submitEntry{
-					ID:       fmt.Sprintf("load-%d", sent),
+					ID:       idPrefix + strconv.Itoa(sent),
 					App:      names[rng.Intn(len(names))],
 					Priority: pickPri(),
 					cancel:   rng.Float64() < *cancelFrac,
@@ -118,7 +119,7 @@ loop:
 				mu.Lock()
 				errs += len(entries)
 				mu.Unlock()
-				continue
+				return
 			}
 			wg.Add(1)
 			go func() {
@@ -126,10 +127,10 @@ loop:
 				defer func() { <-inflight }()
 				submitBatch(client, base, entries, &mu, &latencies, &ok, &rej, &errs, &cancels)
 			}()
-			continue
+			return
 		}
 		sent++
-		id := fmt.Sprintf("load-%d", sent)
+		id := idPrefix + strconv.Itoa(sent)
 		app := names[rng.Intn(len(names))]
 		pri := pickPri()
 		if pri != 0 {
@@ -142,7 +143,7 @@ loop:
 			mu.Lock()
 			errs++
 			mu.Unlock()
-			continue
+			return
 		}
 		wg.Add(1)
 		go func() {
@@ -187,17 +188,13 @@ loop:
 				}
 			}
 		}()
-	}
+	})
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
 
 	sort.Float64s(latencies)
-	pct := func(q float64) float64 {
-		if len(latencies) == 0 {
-			return 0
-		}
-		return latencies[int(q*float64(len(latencies)-1))] * 1000 // ms
-	}
+	sort.Float64s(late)
+	pct := func(q float64) float64 { return percentileMs(latencies, q) }
 	achieved := float64(ok) / elapsed
 
 	fmt.Printf("clipload: %s for %.1fs at target %.0f rps, batch %d (seed %d)\n",
@@ -212,15 +209,41 @@ loop:
 	}
 	fmt.Printf("  submit latency ms: p50 %.2f  p90 %.2f  p99 %.2f  max %.2f\n",
 		pct(0.50), pct(0.90), pct(0.99), pct(1.0))
+	fmt.Printf("  send lateness ms:  p50 %.2f  p99 %.2f\n", percentileMs(late, 0.50), percentileMs(late, 0.99))
 	fmt.Printf("clipload target_rps=%.0f batch=%d sent=%d ok=%d rejected=%d errors=%d cancelled=%d "+
-		"achieved_rps=%.1f p50_ms=%.3f p90_ms=%.3f p99_ms=%.3f max_ms=%.3f\n",
+		"achieved_rps=%.1f p50_ms=%.3f p90_ms=%.3f p99_ms=%.3f max_ms=%.3f late_p99_ms=%.3f\n",
 		*rps, *batch, sent, ok, rej, errs, cancels, achieved,
-		pct(0.50), pct(0.90), pct(0.99), pct(1.0))
+		pct(0.50), pct(0.90), pct(0.99), pct(1.0), percentileMs(late, 0.99))
 
 	if ok == 0 {
 		fmt.Fprintln(os.Stderr, "clipload: no submission was accepted")
 		os.Exit(1)
 	}
+}
+
+// pace calls send(i) for i = 0 .. n-1, the i-th call due at start +
+// i×interval, and returns how late each call began, in seconds. A call
+// that comes due while an earlier one is still running starts late but
+// is never skipped, so a stalled generator shows up as lateness rather
+// than as a silently smaller offered load.
+func pace(start time.Time, interval time.Duration, n int, send func(i int)) []float64 {
+	late := make([]float64, n)
+	for i := range late {
+		due := start.Add(time.Duration(i) * interval)
+		time.Sleep(time.Until(due))
+		late[i] = time.Since(due).Seconds()
+		send(i)
+	}
+	return late
+}
+
+// percentileMs returns the q-quantile of sorted (seconds) in
+// milliseconds, or 0 when sorted is empty.
+func percentileMs(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return sorted[int(q*float64(len(sorted)-1))] * 1000
 }
 
 // submitEntry is one job of a batch request plus its cancel decision

@@ -323,12 +323,6 @@ const (
 	saltBackoff   = 0x4241434b4f46_0004
 )
 
-// deriveSeed mixes the scenario seed, a stream salt and a node id into
-// an independent stream seed (one SplitMix64 scramble of the XOR).
-func deriveSeed(seed, salt uint64, node int) uint64 {
-	return rng.New(seed ^ salt*0x9e3779b97f4a7c15 ^ (uint64(node)+1)*0xbf58476d1ce4e5b9).Uint64()
-}
-
 // NewInjector builds an injector for nodes nodes under the normalized
 // scenario sc.
 func NewInjector(sc Scenario, nodes int) *Injector {
@@ -341,9 +335,9 @@ func NewInjector(sc Scenario, nodes int) *Injector {
 		crashes: make([]int, nodes),
 	}
 	for i := 0; i < nodes; i++ {
-		in.crash[i] = rng.New(deriveSeed(sc.Seed, saltCrash, i))
-		in.exc[i] = rng.New(deriveSeed(sc.Seed, saltExcursion, i))
-		in.strag[i] = rng.New(deriveSeed(sc.Seed, saltStraggler, i))
+		in.crash[i] = rng.New(rng.Derive(sc.Seed, saltCrash, i))
+		in.exc[i] = rng.New(rng.Derive(sc.Seed, saltExcursion, i))
+		in.strag[i] = rng.New(rng.Derive(sc.Seed, saltStraggler, i))
 	}
 	return in
 }
@@ -351,25 +345,20 @@ func NewInjector(sc Scenario, nodes int) *Injector {
 // Scenario returns the (normalized) scenario driving the injector.
 func (in *Injector) Scenario() Scenario { return in.sc }
 
-// expDraw returns an exponential deviate with the given mean.
-func expDraw(src *rng.Source, mean float64) float64 {
-	return -mean * math.Log(src.Float64())
-}
-
 // NextCrash draws the delay to node's next crash; ok is false when
 // crashes are disabled or the node is drained.
 func (in *Injector) NextCrash(node int) (dt float64, ok bool) {
 	if in.sc.CrashMTBF <= 0 || in.health[node] == Drained {
 		return 0, false
 	}
-	return expDraw(in.crash[node], in.sc.CrashMTBF), true
+	return in.crash[node].Exp(in.sc.CrashMTBF), true
 }
 
 // RecoveryDelay draws node's repair time for its current crash (the
 // crash stream alternates crash-delay / repair-time draws, so a node's
 // schedule is independent of every other node's).
 func (in *Injector) RecoveryDelay(node int) float64 {
-	return expDraw(in.crash[node], in.sc.MTTR)
+	return in.crash[node].Exp(in.sc.MTTR)
 }
 
 // NextExcursion draws node's next power-cap excursion; ok is false when
@@ -380,7 +369,7 @@ func (in *Injector) NextExcursion(node int) (Excursion, bool) {
 	}
 	src := in.exc[node]
 	ex := Excursion{
-		After: expDraw(src, in.sc.ExcursionMTBF),
+		After: src.Exp(in.sc.ExcursionMTBF),
 		Frac:  math.Min(0.95, in.sc.ExcursionFrac*src.Range(0.75, 1.25)),
 		Dur:   in.sc.ExcursionDur * src.Range(0.5, 1.5),
 	}
@@ -395,7 +384,7 @@ func (in *Injector) NextStraggler(node int) (Straggler, bool) {
 	}
 	src := in.strag[node]
 	st := Straggler{
-		After:  expDraw(src, in.sc.StragglerMTBF),
+		After:  src.Exp(in.sc.StragglerMTBF),
 		Factor: 1 + (in.sc.StragglerFactor-1)*src.Range(0.5, 1.5),
 		Dur:    in.sc.StragglerDur * src.Range(0.5, 1.5),
 	}
@@ -475,13 +464,6 @@ func hashString(s string) uint64 {
 // deterministic jitter derived from (seed, job, attempt) — independent
 // of draw interleaving, so retries replay byte-identically.
 func (in *Injector) Backoff(jobID string, attempt int) float64 {
-	if attempt < 1 {
-		attempt = 1
-	}
-	d := in.sc.BackoffBase * math.Pow(2, float64(attempt-1))
-	if d > in.sc.BackoffCap {
-		d = in.sc.BackoffCap
-	}
-	u := rng.New(deriveSeed(in.sc.Seed^hashString(jobID), saltBackoff, attempt)).Float64()
-	return d * (1 + in.sc.JitterFrac*u)
+	return rng.Backoff(in.sc.Seed^hashString(jobID), saltBackoff, attempt,
+		in.sc.BackoffBase, in.sc.BackoffCap, in.sc.JitterFrac)
 }

@@ -589,27 +589,8 @@ func (f *Federation) ArrivalsPending() int { return f.arrivalsLeft }
 // virtual time. After Drain every submitted job is terminal and every
 // lease ever granted is in a terminal state.
 func (f *Federation) Drain() error {
-	if f.sfaults != nil && !f.sfStopped {
-		f.stopShardFaults()
-	}
-	for _, l := range append([]*Lease(nil), f.orphans...) {
-		f.settleOrphan(l, true)
-	}
-	for _, l := range append([]*Lease(nil), f.active...) {
-		f.settleLease(l, LeaseRecalled)
-	}
-	f.rekeyTouched()
-	f.audit()
-	for _, sh := range f.shards {
-		if err := sh.Online.Drain(); err != nil {
-			return f.latch(err)
-		}
-		shardQueueGauge(sh.ID).Set(float64(sh.Online.QueueLen()))
-		if f.heap != nil {
-			f.rekeyShard(sh.ID)
-		}
-	}
-	return f.failure
+	f.ensureHeap()
+	return f.drainParallel(1)
 }
 
 // JobShard reports which shard a job was routed to (-1 while its

@@ -211,31 +211,7 @@ func (f *Federation) runWindow(tFed float64, fedOk bool, workers int) {
 	if len(f.winShards) == 0 {
 		return
 	}
-	if workers > len(f.winShards) {
-		workers = len(f.winShards)
-	}
-	if workers <= 1 {
-		for _, id := range f.winShards {
-			f.windowShard(id, bound)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					k := int(next.Add(1)) - 1
-					if k >= len(f.winShards) {
-						return
-					}
-					f.windowShard(f.winShards[k], bound)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	fanOut(len(f.winShards), workers, func(k int) { f.windowShard(f.winShards[k], bound) })
 
 	// Serial barrier: merge per-shard scratch in shard order, credit
 	// the window's events to the shared counters, re-key the heap and
@@ -326,31 +302,7 @@ func (f *Federation) runPartitioned(workers int) error {
 
 	// Replay every shard to quiescence concurrently (shards without
 	// arrivals may still own pending events from earlier serial steps).
-	if workers > len(f.shards) {
-		workers = len(f.shards)
-	}
-	if workers <= 1 {
-		for _, sh := range f.shards {
-			f.replayShard(sh, perShard[sh.ID])
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					k := int(next.Add(1)) - 1
-					if k >= len(f.shards) {
-						return
-					}
-					f.replayShard(f.shards[k], perShard[k])
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	fanOut(len(f.shards), workers, func(k int) { f.replayShard(f.shards[k], perShard[k]) })
 
 	// Single barrier: merge in shard order, reconstruct the serial
 	// event/audit counts, one physical audit over the final state.
@@ -414,11 +366,12 @@ func (f *Federation) replayShard(sh *Shard, arrivals []fedArrival) {
 	f.winRes[sh.ID] = windowResult{n: n, maxT: sh.Online.Now(), err: err}
 }
 
-// drainParallel is Drain with the per-shard drains fanned out over the
-// worker pool: after the serial fault-stream stop, orphan settlement,
-// lease recalls and the final audit, shards share nothing, so each
-// drains its resident and queued jobs concurrently. Results merge in
-// shard order.
+// drainParallel ends the run for Drain and RunParallel: after the serial
+// fault-stream stop, orphan settlement, lease recalls and the final
+// audit, shards share nothing, so each drains its resident and queued
+// jobs on up to workers goroutines. Results merge in shard order, so
+// the first failure in shard order is the one reported. The heap must
+// exist (ensureHeap).
 func (f *Federation) drainParallel(workers int) error {
 	if f.sfaults != nil && !f.sfStopped {
 		f.stopShardFaults()
@@ -431,32 +384,8 @@ func (f *Federation) drainParallel(workers int) error {
 	}
 	f.rekeyTouched()
 	f.audit()
-	if workers > len(f.shards) {
-		workers = len(f.shards)
-	}
 	errs := make([]error, len(f.shards))
-	if workers <= 1 {
-		for i, sh := range f.shards {
-			errs[i] = sh.Online.Drain()
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					k := int(next.Add(1)) - 1
-					if k >= len(f.shards) {
-						return
-					}
-					errs[k] = f.shards[k].Online.Drain()
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	fanOut(len(f.shards), workers, func(k int) { errs[k] = f.shards[k].Online.Drain() })
 	for _, sh := range f.shards {
 		if errs[sh.ID] != nil {
 			f.fail(errs[sh.ID])
@@ -465,4 +394,32 @@ func (f *Federation) drainParallel(workers int) error {
 		f.rekeyShard(sh.ID)
 	}
 	return f.failure
+}
+
+// fanOut calls fn(k) for every k in [0, n) on up to workers goroutines
+// (inline, in order, when one would do) and returns once every call
+// has. Each k runs exactly once, so fn may write slot k of a shared
+// slice without locking.
+func fanOut(n, workers int, fn func(k int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for k := 0; k < n; k++ {
+			fn(k)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for k := int(next.Add(1)) - 1; k < n; k = int(next.Add(1)) - 1 {
+				fn(k)
+			}
+		}()
+	}
+	wg.Wait()
 }

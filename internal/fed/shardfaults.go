@@ -286,18 +286,6 @@ const (
 	saltShardRecall = 0x534844524343_0013
 )
 
-// shardDeriveSeed mixes the scenario seed, a stream salt and a shard id
-// into an independent stream seed (one SplitMix64 scramble of the XOR;
-// the same mix as internal/faults.deriveSeed).
-func shardDeriveSeed(seed, salt uint64, shard int) uint64 {
-	return rng.New(seed ^ salt*0x9e3779b97f4a7c15 ^ (uint64(shard)+1)*0xbf58476d1ce4e5b9).Uint64()
-}
-
-// shardExpDraw returns an exponential deviate with the given mean.
-func shardExpDraw(src *rng.Source, mean float64) float64 {
-	return -mean * math.Log(src.Float64())
-}
-
 // shardInjector draws shard-fault events and tracks shard health for
 // one run. Not safe for concurrent use; the federation drives it from
 // the serial event loop (shard-fault events are federation events, so
@@ -324,8 +312,8 @@ func newShardInjector(sc ShardScenario, shards int) *shardInjector {
 		partitions: make([]int, shards),
 	}
 	for i := 0; i < shards; i++ {
-		in.crash[i] = rng.New(shardDeriveSeed(sc.Seed, saltShardCrash, i))
-		in.part[i] = rng.New(shardDeriveSeed(sc.Seed, saltShardPart, i))
+		in.crash[i] = rng.New(rng.Derive(sc.Seed, saltShardCrash, i))
+		in.part[i] = rng.New(rng.Derive(sc.Seed, saltShardPart, i))
 	}
 	return in
 }
@@ -336,20 +324,20 @@ func (in *shardInjector) nextCrash(shard int) (dt float64, ok bool) {
 	if in.sc.CrashMTBF <= 0 {
 		return 0, false
 	}
-	return shardExpDraw(in.crash[shard], in.sc.CrashMTBF), true
+	return in.crash[shard].Exp(in.sc.CrashMTBF), true
 }
 
 // outageDuration draws shard's outage length for its current crash (the
 // crash stream alternates delay / outage / rejoin draws, so a shard's
 // schedule is independent of every other shard's).
 func (in *shardInjector) outageDuration(shard int) float64 {
-	return shardExpDraw(in.crash[shard], in.sc.MTTR)
+	return in.crash[shard].Exp(in.sc.MTTR)
 }
 
 // rejoinDelay draws how long shard spends rejoining after its current
 // outage ends.
 func (in *shardInjector) rejoinDelay(shard int) float64 {
-	return shardExpDraw(in.crash[shard], in.sc.RejoinDelay)
+	return in.crash[shard].Exp(in.sc.RejoinDelay)
 }
 
 // nextPartition draws the delay to shard's next broker-link partition;
@@ -358,12 +346,12 @@ func (in *shardInjector) nextPartition(shard int) (dt float64, ok bool) {
 	if in.sc.PartitionMTBF <= 0 {
 		return 0, false
 	}
-	return shardExpDraw(in.part[shard], in.sc.PartitionMTBF), true
+	return in.part[shard].Exp(in.sc.PartitionMTBF), true
 }
 
 // partitionDuration draws shard's current partition length.
 func (in *shardInjector) partitionDuration(shard int) float64 {
-	return shardExpDraw(in.part[shard], in.sc.PartitionDur)
+	return in.part[shard].Exp(in.sc.PartitionDur)
 }
 
 // healthOf returns shard's current health.
@@ -451,16 +439,8 @@ func (in *shardInjector) healShard(shard int) bool {
 // so the reclaim schedule replays byte-identically regardless of how
 // probes interleave with other events.
 func (in *shardInjector) recallBackoff(leaseID, attempt int) float64 {
-	if attempt < 1 {
-		attempt = 1
-	}
-	d := in.sc.RecallBackoff * math.Pow(2, float64(attempt-1))
-	if d > in.sc.RecallCap {
-		d = in.sc.RecallCap
-	}
-	u := rng.New(shardDeriveSeed(in.sc.Seed^(uint64(leaseID)+1)*0x94d049bb133111eb,
-		saltShardRecall, attempt)).Float64()
-	return d * (1 + in.sc.RecallJitter*u)
+	return rng.Backoff(in.sc.Seed^(uint64(leaseID)+1)*0x94d049bb133111eb, saltShardRecall, attempt,
+		in.sc.RecallBackoff, in.sc.RecallCap, in.sc.RecallJitter)
 }
 
 // --- federation-side wiring -----------------------------------------

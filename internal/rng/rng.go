@@ -44,3 +44,33 @@ func (s *Source) Norm() float64 {
 	u1, u2 := s.Float64(), s.Float64()
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
+
+// Exp returns an exponential deviate with the given mean.
+func (s *Source) Exp(mean float64) float64 {
+	return -mean * math.Log(s.Float64())
+}
+
+// Derive mixes a root seed, a stream salt and an index (a node, a shard,
+// a retry attempt) into an independent stream seed: one SplitMix64
+// scramble of their XOR. Streams keyed this way replay identically
+// however their draws interleave with other streams'.
+func Derive(seed, salt uint64, i int) uint64 {
+	return New(seed ^ salt*0x9e3779b97f4a7c15 ^ (uint64(i)+1)*0xbf58476d1ce4e5b9).Uint64()
+}
+
+// Backoff returns the delay before retry attempt (1-based; lower values
+// count as 1): base doubled per attempt and capped at limit, stretched by
+// a jitter of up to jitter×delay drawn from Derive(seed, salt, attempt).
+// The jitter is stateless, so a retry schedule replays byte-identically
+// whatever else ran in between.
+func Backoff(seed, salt uint64, attempt int, base, limit, jitter float64) float64 {
+	if attempt < 1 {
+		attempt = 1
+	}
+	d := base * math.Pow(2, float64(attempt-1))
+	if d > limit {
+		d = limit
+	}
+	u := New(Derive(seed, salt, attempt)).Float64()
+	return d * (1 + jitter*u)
+}

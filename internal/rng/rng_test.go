@@ -125,6 +125,18 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
+func TestExpMean(t *testing.T) {
+	r := New(5)
+	var sum float64
+	const n = 100000
+	for i := 0; i < n; i++ {
+		sum += r.Exp(30)
+	}
+	if mean := sum / n; math.Abs(mean-30) > 0.5 {
+		t.Fatalf("Exp(30) mean %v too far from 30", mean)
+	}
+}
+
 func TestZeroValueUsable(t *testing.T) {
 	var s Source
 	if v := s.Float64(); v <= 0 || v >= 1 {
