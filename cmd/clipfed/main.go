@@ -10,7 +10,7 @@
 //	clipfed -shards 32 -agg-cap 12000 -lease-ttl 120   # capped federation
 //	clipfed -shards 4 -lend=false -routing locality    # isolated shards
 //	clipfed -shards 64 -jobs 4096 -gap 0.25 -routing locality \
-//	        -lend=false -workers 4                     # parallel executor
+//	        -lend=false -workers 4                     # partitioned replay
 //	clipfed -shards 16 -shard-faults crash-mtbf=400,part-mtbf=600 \
 //	        -shard-fault-seed 7                        # chaos federation
 //
@@ -18,11 +18,13 @@
 // byte-identical stdout (the per-shard table, lease ledger summary and
 // invariant verdicts), which scripts/fed_smoke.sh and
 // scripts/fed_chaos_smoke.sh exploit to byte-compare repeat runs.
-// -workers N runs shard events on a bounded worker pool inside
-// conservative safe windows (see internal/fed/parallel.go); stdout is
-// byte-identical for any worker count — with or without a shard-fault
-// stream armed — so the flag is purely a throughput knob. Wall-clock
-// timing goes to stderr so it never perturbs the comparison.
+// -workers N (N != 1) calls RunParallel (see internal/fed/parallel.go):
+// with locality routing, lending off or inert and no fault stream each
+// shard replays its whole timeline on a bounded worker pool; otherwise
+// the run steps serially and only the final drain uses the pool. stdout
+// is byte-identical for any worker count — with or without a
+// shard-fault stream armed — so the flag is purely a throughput knob.
+// Wall-clock timing goes to stderr so it never perturbs the comparison.
 //
 // -shard-faults arms the deterministic shard-level failure model
 // (internal/fed/shardfaults.go): seeded shard crashes and broker-link
@@ -87,7 +89,7 @@ func main() {
 	flag.IntVar(&o.jobs, "jobs", 256, "jobs in the synthetic arrival trace")
 	flag.Float64Var(&o.meanGap, "gap", 4, "mean virtual seconds between arrivals")
 	flag.Uint64Var(&o.seed, "seed", 1, "arrival-trace seed")
-	flag.IntVar(&o.workers, "workers", 1, "parallel federation workers (1 = serial; 0 = GOMAXPROCS); output is byte-identical for any value")
+	flag.IntVar(&o.workers, "workers", 1, "federation workers (1 = serial Run; 0 = GOMAXPROCS); shard timelines replay in parallel only with -routing locality and no lending or faults; output is byte-identical for any value")
 	flag.BoolVar(&o.lend, "lend", true, "enable the cross-shard power-lending broker")
 	flag.Float64Var(&o.aggCap, "agg-cap", 0, "aggregate federation cap in watts (0 = sum of shard budgets)")
 	flag.Float64Var(&o.leaseTTL, "lease-ttl", 240, "lease lifetime in virtual seconds")

@@ -4,7 +4,9 @@
 package cmd_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -15,15 +17,20 @@ import (
 // binDir holds the built binaries for the test process.
 var binDir string
 
+// update re-records the stdout goldens under testdata instead of
+// comparing against them.
+var update = flag.Bool("update", false, "re-record cmd/testdata/*.golden")
+
 func TestMain(m *testing.M) {
 	dir, err := os.MkdirTemp("", "clip-bin")
 	if err != nil {
 		panic(err)
 	}
-	// Build all six tools in one invocation.
+	// Build all seven tools in one invocation.
 	cmd := exec.Command("go", "build", "-o", dir,
 		"repro/cmd/clipsim", "repro/cmd/clipprof", "repro/cmd/clipbench",
-		"repro/cmd/clipjobs", "repro/cmd/clipd", "repro/cmd/clipload")
+		"repro/cmd/clipjobs", "repro/cmd/clipd", "repro/cmd/clipload",
+		"repro/cmd/clipfed")
 	cmd.Dir = ".."
 	if out, err := cmd.CombinedOutput(); err != nil {
 		panic("build failed: " + string(out))
@@ -236,4 +243,50 @@ func TestClipjobsStreamFile(t *testing.T) {
 	}
 	out := run(t, "clipjobs", "-stream", path, "-bound", "1400", "-policy", "fcfs")
 	mustContain(t, out, "j1", "j2", "fcfs")
+}
+
+// TestClipfedGolden pins clipfed's stdout for four small federations
+// against committed goldens: lending on, lending off with a tight
+// arrival gap, locality routing with lending off (the partitioned
+// replay of RunParallel) and a shard-fault run with preemptive
+// priority. Every shape must match the same file at -workers 1, 2 and
+// 4. Run with -update to re-record.
+func TestClipfedGolden(t *testing.T) {
+	base := []string{"-shards", "8", "-nodes", "4", "-budget", "400", "-jobs", "96", "-seed", "3"}
+	shapes := []struct {
+		name string
+		args []string
+	}{
+		{"lending", []string{"-gap", "2"}},
+		{"nolend", []string{"-lend=false", "-gap", "0.25"}},
+		{"locality", []string{"-routing", "locality", "-lend=false", "-gap", "0.25"}},
+		{"chaos", []string{"-gap", "2", "-shard-faults", "crash-mtbf=400,mttr=120,part-mtbf=600,part-dur=60",
+			"-shard-fault-seed", "9", "-hipri-frac", "0.2"}},
+	}
+	for _, sh := range shapes {
+		golden := filepath.Join("testdata", "clipfed_"+sh.name+".golden")
+		for _, workers := range []string{"1", "2", "4"} {
+			args := append(append(append([]string(nil), base...), sh.args...), "-workers", workers)
+			cmd := exec.Command(filepath.Join(binDir, "clipfed"), args...)
+			cmd.Dir = binDir
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			if err := cmd.Run(); err != nil {
+				t.Fatalf("clipfed %v failed: %v\n%s%s", args, err, stdout.Bytes(), stderr.Bytes())
+			}
+			if *update && workers == "1" {
+				if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(stdout.Bytes(), want) {
+				t.Errorf("%s -workers %s: stdout differs from %s\n--- got ---\n%s--- want ---\n%s",
+					sh.name, workers, golden, stdout.Bytes(), want)
+			}
+		}
+	}
 }

@@ -396,11 +396,11 @@ func (e *Engine) RunUntil(t float64, maxSteps int) error {
 // RunBefore fires every pending event with timestamp strictly before t
 // (in order) and reports how many fired. Unlike RunUntil it neither
 // fires events at exactly t nor advances the clock past the last fired
-// event, so it is the window primitive of conservative parallel
-// orchestration: a layer that has proven no interaction can occur
-// before barrier time t advances each member engine through its
-// pre-barrier events in isolation, and the member's clock afterwards
-// reads exactly as if the events had been interleaved globally.
+// event, so a layer that knows no interaction can occur before t (the
+// federation's partitioned replay) can advance each member engine
+// through its earlier events in isolation, and the member's clock
+// afterwards reads exactly as if the events had been interleaved
+// globally.
 // t may be +Inf (drain every pending event); maxSteps bounds the events
 // fired by this call (0 = default 50 million).
 func (e *Engine) RunBefore(t float64, maxSteps int) (int, error) {

@@ -100,10 +100,10 @@ const (
 	fevArrival uint16 = 1 + iota
 	fevLeaseExpiry
 	// Shard-fault stream events (arg = shard id). They are
-	// federation-owned interaction points: the parallel executor's
-	// windows always end strictly before the next one, so health
-	// transitions, evacuations and orphan settlements only ever happen
-	// in the serial regime — in both Run and RunParallel.
+	// federation-owned interaction points, so an armed stream keeps
+	// RunParallel off the partitioned replay: health transitions,
+	// evacuations and orphan settlements only ever happen while
+	// stepping serially — in both Run and RunParallel.
 	fevShardCrash
 	fevShardRecover
 	fevShardRejoin
@@ -277,13 +277,9 @@ type Federation struct {
 	touched     []int
 	touchedMark []bool
 	// anyFaults records whether any shard injects faults: fault streams
-	// can grow a queue mid-window, so the parallel executor falls back
-	// to serial stepping for the whole run.
+	// requeue work, so RunParallel steps serially instead of replaying
+	// partitioned.
 	anyFaults bool
-	// winShards / winRes are the parallel executor's per-window scratch
-	// (participant ids, per-shard results merged at the barrier).
-	winShards []int
-	winRes    []windowResult
 	// collecting / collect implement the partitioned executor's arrival
 	// drain: while collecting is set, fevArrival events append their
 	// arrival here (in engine pop order) instead of routing it.
@@ -463,7 +459,6 @@ func (f *Federation) ensureHeap() {
 	}
 	f.heap = newShardHeap(len(f.shards))
 	f.touchedMark = make([]bool, len(f.shards))
-	f.winRes = make([]windowResult, len(f.shards))
 	for _, sh := range f.shards {
 		f.rekeyShard(sh.ID)
 	}
@@ -558,21 +553,31 @@ func (f *Federation) latch(err error) error {
 // event set stays finite. Interrupt stops stepping early and goes
 // straight to Drain.
 func (f *Federation) Run() error {
-	for !f.interrupted.Load() {
-		ok, err := f.Step()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
+	if err := f.stepAll(); err != nil {
+		return err
 	}
 	return f.Drain()
 }
 
+// stepAll steps until the federation is quiescent, fails or is
+// interrupted — the event loop of Run and of RunParallel's serial
+// regime.
+func (f *Federation) stepAll() error {
+	for !f.interrupted.Load() {
+		ok, err := f.Step()
+		if err != nil || !ok {
+			return err
+		}
+	}
+	return nil
+}
+
 // Interrupt asks a running Run or RunParallel to stop stepping at the
-// next event boundary and drain. Safe to call from another goroutine
-// (the signal handler); everything else on Federation is not.
+// next event boundary and drain. A partitioned replay (RunParallel with
+// no interaction points) does not step: once it has started it runs to
+// completion, and an Interrupt before it starts makes RunParallel drain
+// at once instead. Safe to call from another goroutine (the signal
+// handler); everything else on Federation is not.
 func (f *Federation) Interrupt() { f.interrupted.Store(true) }
 
 // Interrupted reports whether the run was cut short by Interrupt.
@@ -650,10 +655,10 @@ func (f *Federation) audit() {
 }
 
 // auditCheck performs the audit's invariant checks without counting an
-// audit. The parallel executor calls it once per window after crediting
-// f.audits with the window's event count: inside a safe window no bound
-// or lease can change, so the serial run's per-event audits and one
-// physical check at the barrier see exactly the same state.
+// audit. The partitioned replay calls it once at its barrier after
+// crediting f.audits with the replay's event count: with the broker
+// inert no bound or lease can change, so the serial run's per-event
+// audits and that one physical check see exactly the same state.
 func (f *Federation) auditCheck() {
 	const eps = 1e-6
 	var sum, lent, borrowed float64

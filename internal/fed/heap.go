@@ -5,9 +5,7 @@ package fed
 // of them per step (the O(shards) scan PR 7 shipped with). Entries are
 // re-keyed lazily: the federation marks shards whose timelines it
 // touched (stepped, routed to, bound-shifted) and re-peeks only those
-// at the next decision point. The same index serves the parallel
-// executor, whose window collection walks the heap's backing array to
-// find every shard with work before the barrier.
+// at the next decision point.
 //
 // Ordering matches the serial scan's tie-break exactly: earlier time
 // first, then lower shard id.
@@ -120,16 +118,3 @@ func (h *shardHeap) min() (id int, t float64, ok bool) {
 
 // size reports how many shards currently have pending events.
 func (h *shardHeap) size() int { return len(h.ids) }
-
-// collectBefore appends to dst every shard id with a pending event
-// strictly before t (the parallel executor's window membership), in
-// unspecified order; callers sort. Walking the backing array is O(n)
-// but runs once per window, not per event.
-func (h *shardHeap) collectBefore(dst []int, t float64) []int {
-	for i, id := range h.ids {
-		if h.times[i] < t {
-			dst = append(dst, id)
-		}
-	}
-	return dst
-}

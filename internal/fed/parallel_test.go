@@ -2,7 +2,6 @@ package fed
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"testing"
 
@@ -28,9 +27,11 @@ func buildDeterministicFed(t *testing.T, seed uint64, lending bool) *Federation 
 	return f
 }
 
-// TestParallelByteIdentity: the parallel executor must reproduce the
-// serial run byte for byte — same jobs, same leases, same audit
-// counters — for every worker count, with lending on and off.
+// TestParallelByteIdentity: RunParallel must reproduce the serial run
+// byte for byte — same jobs, same leases, same audit counters — for
+// every worker count, with lending on and off. Least-loaded routing
+// never replays partitioned, so these shapes check the serial stepping
+// regime plus the parallel drain.
 func TestParallelByteIdentity(t *testing.T) {
 	for _, lending := range []bool{true, false} {
 		for _, seed := range []uint64{11, 23, 47} {
@@ -54,7 +55,7 @@ func TestParallelByteIdentity(t *testing.T) {
 }
 
 // TestPartitionedByteIdentity: locality routing with lending off takes
-// the partitioned fast path (one window per shard); it must still match
+// the partitioned replay (one replay per shard); it must still match
 // the serial run byte for byte.
 func TestPartitionedByteIdentity(t *testing.T) {
 	build := func() *Federation {
@@ -139,8 +140,8 @@ func TestParallelLeaseProperty(t *testing.T) {
 	}
 }
 
-// TestShardHeap: ordering, tie-breaks, re-key, removal and window
-// collection of the indexed min-heap.
+// TestShardHeap: ordering, tie-breaks, re-key and removal of the
+// indexed min-heap.
 func TestShardHeap(t *testing.T) {
 	h := newShardHeap(6)
 	if _, _, ok := h.min(); ok {
@@ -164,16 +165,6 @@ func TestShardHeap(t *testing.T) {
 	h.update(4, 0, false) // double-remove is a no-op
 	if h.size() != 3 {
 		t.Fatalf("size = %d, want 3", h.size())
-	}
-	got := h.collectBefore(nil, 7.0)
-	sort.Ints(got)
-	if len(got) != 1 || got[0] != 3 {
-		t.Fatalf("collectBefore(7) = %v, want [3] (strictly before)", got)
-	}
-	got = h.collectBefore(got[:0], math.Inf(1))
-	sort.Ints(got)
-	if fmt.Sprint(got) != "[0 1 3]" {
-		t.Fatalf("collectBefore(inf) = %v, want [0 1 3]", got)
 	}
 
 	// Drain in order against a sorted reference.
@@ -204,9 +195,9 @@ func TestShardHeap(t *testing.T) {
 	}
 }
 
-// TestWindowSafe: the conservative predicate's clauses fire in the
-// documented order.
-func TestWindowSafe(t *testing.T) {
+// TestLendingInert: the broker-inertness predicate's clauses fire in
+// the documented order.
+func TestLendingInert(t *testing.T) {
 	f, err := New(Config{
 		Shards:  shardCfg(2, 4, 600, jobsched.FCFS),
 		Lending: Lending{Enabled: true, QuantumW: 40, TTL: 100},
@@ -214,33 +205,34 @@ func TestWindowSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.windowSafe() {
-		t.Error("idle lending federation (no queues, no leases) should be window-safe")
-	}
-	if !f.lendingInert() == f.noShardCoversQuantum() {
-		t.Error("lendingInert must reduce to the quantum-coverage check when no lease is active")
+	if f.lendingInert() {
+		t.Error("a 600 W shard covers a 40 W quantum: the broker must stay live")
 	}
 	f.active = append(f.active, &Lease{})
-	if f.windowSafe() {
-		t.Error("active lease must force serial stepping")
-	}
 	if f.lendingInert() {
 		t.Error("active lease must keep the broker live")
 	}
 	f.active = f.active[:0]
-	f.anyFaults = true
-	if f.windowSafe() {
-		t.Error("fault-injecting shards must force serial stepping")
-	}
-	f.anyFaults = false
 
-	// Lending disabled is always safe and inert.
+	// No shard can cover a quantum larger than its whole envelope.
+	h, err := New(Config{
+		Shards:  shardCfg(2, 4, 600, jobsched.FCFS),
+		Lending: Lending{Enabled: true, QuantumW: 1000, TTL: 100},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !h.lendingInert() {
+		t.Error("no shard covers the quantum: the broker must be inert")
+	}
+
+	// Lending disabled is always inert.
 	g, err := New(Config{Shards: shardCfg(2, 4, 600, jobsched.FCFS)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.windowSafe() || !g.lendingInert() {
-		t.Error("lending-off federation must be window-safe and broker-inert")
+	if !g.lendingInert() {
+		t.Error("lending-off federation must be broker-inert")
 	}
 }
 

@@ -446,8 +446,8 @@ func (in *shardInjector) recallBackoff(leaseID, attempt int) float64 {
 // --- federation-side wiring -----------------------------------------
 //
 // Everything below runs inside the federation's serial event regime:
-// shard-fault events are federation events, so they never execute
-// inside a parallel window.
+// an armed shard-fault stream keeps RunParallel off the partitioned
+// replay, so shard-fault events never execute on a worker.
 
 // ShardFaultsArmed reports whether a shard-fault stream is armed.
 func (f *Federation) ShardFaultsArmed() bool { return f.sfaults != nil }

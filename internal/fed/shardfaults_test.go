@@ -416,36 +416,63 @@ func TestRoutingAvoidsUnhealthyShards(t *testing.T) {
 	}
 }
 
-// TestInterruptDrains: Interrupt stops a serial run early; the drain
-// still settles every lease and makes every routed job terminal.
+// TestInterruptDrains: Interrupt stops a run early under both Run and
+// RunParallel — no arrival is routed after it — and the drain still
+// settles every lease and makes every routed job terminal. The
+// locality shape with lending off is the one RunParallel would
+// otherwise replay partitioned.
 func TestInterruptDrains(t *testing.T) {
-	f, err := New(Config{Shards: shardCfg(2, 4, 800, jobsched.Backfill)})
-	if err != nil {
-		t.Fatal(err)
+	shapes := []struct {
+		name string
+		cfg  Config
+		jobs int
+	}{
+		{"least-loaded", Config{Shards: shardCfg(2, 4, 800, jobsched.Backfill)}, 24},
+		{"locality", Config{Shards: shardCfg(4, 4, 800, jobsched.Backfill), Routing: Locality}, 48},
 	}
-	scheduleTrace(t, f, 7, 24, 30)
-	// Step a few events, then interrupt.
-	for i := 0; i < 5; i++ {
-		if ok, err := f.Step(); err != nil || !ok {
-			t.Fatalf("step %d: ok=%v err=%v", i, ok, err)
+	runners := []struct {
+		name string
+		run  func(*Federation) error
+	}{
+		{"Run", (*Federation).Run},
+		{"RunParallel(2)", func(f *Federation) error { return f.RunParallel(2) }},
+	}
+	for _, sh := range shapes {
+		for _, r := range runners {
+			f, err := New(sh.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scheduleTrace(t, f, 7, sh.jobs, 30)
+			// Step a few events, then interrupt.
+			for i := 0; i < 5; i++ {
+				if ok, err := f.Step(); err != nil || !ok {
+					t.Fatalf("%s/%s step %d: ok=%v err=%v", sh.name, r.name, i, ok, err)
+				}
+			}
+			pending := f.ArrivalsPending()
+			f.Interrupt()
+			if err := r.run(f); err != nil {
+				t.Fatalf("%s/%s: %v", sh.name, r.name, err)
+			}
+			if !f.Interrupted() {
+				t.Errorf("%s/%s: Interrupted() false after Interrupt", sh.name, r.name)
+			}
+			if pending == 0 {
+				t.Errorf("%s/%s: interrupting after 5 events left no pending arrivals; test is vacuous", sh.name, r.name)
+			}
+			if got := f.ArrivalsPending(); got != pending {
+				t.Errorf("%s/%s: %d arrivals pending after the interrupted run, want %d (none routed)",
+					sh.name, r.name, got, pending)
+			}
+			for _, js := range f.Jobs() {
+				if !js.State.Terminal() {
+					t.Errorf("%s/%s: job %s non-terminal after interrupted drain", sh.name, r.name, js.ID)
+				}
+			}
+			if len(f.ActiveLeases()) != 0 || len(f.OrphanedLeases()) != 0 {
+				t.Errorf("%s/%s: leases outstanding after interrupted drain", sh.name, r.name)
+			}
 		}
-	}
-	f.Interrupt()
-	if err := f.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !f.Interrupted() {
-		t.Error("Interrupted() false after Interrupt")
-	}
-	if f.ArrivalsPending() == 0 {
-		t.Error("interrupting after 5 events left no pending arrivals; test is vacuous")
-	}
-	for _, js := range f.Jobs() {
-		if !js.State.Terminal() {
-			t.Errorf("job %s non-terminal after interrupted drain", js.ID)
-		}
-	}
-	if len(f.ActiveLeases()) != 0 || len(f.OrphanedLeases()) != 0 {
-		t.Error("leases outstanding after interrupted drain")
 	}
 }

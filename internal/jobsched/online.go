@@ -220,11 +220,10 @@ func (o *Online) ProcessNextEvent() error {
 // before virtual time t (in order) and reports how many fired. The
 // clock stops on the last fired event rather than advancing to t, so
 // the session afterwards is indistinguishable from one whose events
-// were processed one at a time by an external orchestrator — the
-// window-bounded run primitive of the parallel federation executor:
-// once the federation has proven no cross-shard interaction can occur
-// before barrier time t, every shard advances through its pre-barrier
-// events concurrently via this call. t may be +Inf (run to quiescence).
+// were processed one at a time by an external orchestrator — the run
+// primitive of the federation's partitioned replay, where each shard
+// advances through its events before its next arrival on its own
+// worker. t may be +Inf (run to quiescence).
 func (o *Online) ProcessEventsUntil(t float64) (int, error) {
 	n, err := o.st.eng.RunBefore(t, 0)
 	if err != nil {

@@ -104,8 +104,8 @@ grep '^clipfed shards=' "$TMP/clipfed_chaos_full.txt" \
     | sed 's/^clipfed /clipfed_chaos /' > "$TMP/clipfed_chaos.txt"
 
 echo "== clipfed parallel executor, 64 shards x 4096 jobs ==" >&2
-# The conservative-window executor's scaling row: locality routing with
-# lending off takes the partitioned fast path (one window per shard).
+# RunParallel's scaling row: locality routing with lending off takes
+# the partitioned replay (one replay per shard).
 # Best-of-3 per worker count; the awk below keeps the top events/s row.
 PFLAGS="-shards 64 -nodes 4 -budget 400 -jobs 4096 -gap 0.25 -routing locality -seed 1 -lend=false"
 : > "$TMP/clipfed_par.txt"

@@ -54,9 +54,10 @@ cmp -s "$TMP/run1.out" "$TMP/run2.out" || {
     exit 1
 }
 
-# The parallel executor must reproduce the serial chaos run byte for
-# byte: every health transition, evacuation and orphan settlement is a
-# federation-owned interaction point, so windows never straddle one.
+# RunParallel must reproduce the serial chaos run byte for byte: every
+# health transition, evacuation and orphan settlement is a
+# federation-owned interaction point, so an armed stream keeps it
+# stepping serially, with only the drain on the workers.
 "$TMP/clipfed" $FLAGS -workers 4 > "$TMP/run4.out" 2>/dev/null
 cmp -s "$TMP/run1.out" "$TMP/run4.out" || {
     echo "fed chaos smoke: parallel run (-workers 4) diverged from serial" >&2

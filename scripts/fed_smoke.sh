@@ -41,13 +41,24 @@ cmp -s "$TMP/run1.out" "$TMP/run2.out" || {
     exit 1
 }
 
-# The parallel executor must reproduce the serial run byte for byte —
-# same jobs, leases and audit verdict — with lending active.
+# RunParallel must reproduce Run byte for byte — same jobs, leases and
+# audit verdict. With lending active it steps serially and drains on
+# the workers.
 "$TMP/clipfed" $FLAGS -workers 4 > "$TMP/run4.out" 2>/dev/null
 cmp -s "$TMP/run1.out" "$TMP/run4.out" || {
-    echo "fed smoke: parallel run (-workers 4) diverged from serial" >&2
+    echo "fed smoke: RunParallel serial fallback (-workers 4) diverged from Run" >&2
     diff "$TMP/run1.out" "$TMP/run4.out" >&2 || true
     exit 1
 }
 
-echo "fed smoke: ok (16 shards, lending active, deterministic, parallel-identical, zero jobs lost)"
+# With lending off, locality routing takes the partitioned replay: the
+# one path that runs shard events concurrently.
+"$TMP/clipfed" $FLAGS -lend=false > "$TMP/part1.out" 2>/dev/null
+"$TMP/clipfed" $FLAGS -lend=false -workers 4 > "$TMP/part4.out" 2>/dev/null
+cmp -s "$TMP/part1.out" "$TMP/part4.out" || {
+    echo "fed smoke: partitioned replay (-lend=false -workers 4) diverged from serial" >&2
+    diff "$TMP/part1.out" "$TMP/part4.out" >&2 || true
+    exit 1
+}
+
+echo "fed smoke: ok (16 shards, lending active, deterministic, parallel-identical, partitioned-identical, zero jobs lost)"
