@@ -2,8 +2,9 @@
 #
 #   make build   — compile everything
 #   make test    — tier-1: the full test suite
-#   make check   — tier-2: build + vet + race tests + bench smoke + docs lint,
-#                  then the paired perf gate against the parent commit
+#   make check   — tier-2: build + vet + race tests + dispatch fuzz + bench
+#                  smoke + docs lint, then the paired perf gate against the
+#                  parent commit
 #   make docs    — gofmt + vet + godoc-coverage lint (cmd/doclint)
 #   make bench   — hot-path benchmarks + suite wall time -> BENCH_results.json
 #   make suite   — regenerate every paper artifact (parallel runner)
@@ -28,6 +29,7 @@ check:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/jobsched/... ./internal/server/...
 	$(GO) test -race -count=2 ./internal/fed/...
+	$(GO) test -run=NONE -fuzz=FuzzDispatchMatchesCold -fuzztime=10s ./internal/jobsched
 	$(GO) test -run=NONE -bench=. -benchtime=1x .
 	$(GO) run ./cmd/clipsim -app sp-mz.C -budget 1200 \
 		-faults "crash-mtbf=120,mttr=20,exc-mtbf=240,seed=7" \

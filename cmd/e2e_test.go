@@ -17,9 +17,9 @@ import (
 // binDir holds the built binaries for the test process.
 var binDir string
 
-// update re-records the stdout goldens under testdata instead of
-// comparing against them.
-var update = flag.Bool("update", false, "re-record cmd/testdata/*.golden")
+// update re-records the stdout goldens under testdata and the root
+// experiments_output.txt before comparing against them.
+var update = flag.Bool("update", false, "re-record cmd/testdata/*.golden and experiments_output.txt")
 
 func TestMain(m *testing.M) {
 	dir, err := os.MkdirTemp("", "clip-bin")
@@ -143,18 +143,6 @@ func TestClipbenchSVG(t *testing.T) {
 	}
 }
 
-// TestClipbenchParallelDeterministic pins the -parallel contract at the
-// CLI surface: a serial run and a 4-worker run of the same experiments
-// emit identical bytes.
-func TestClipbenchParallelDeterministic(t *testing.T) {
-	const exps = "fig8,optimal,multijob,weak-scaling,ext-suite"
-	serial := run(t, "clipbench", "-exp", exps, "-parallel", "1")
-	par := run(t, "clipbench", "-exp", exps, "-parallel", "4")
-	if serial != par {
-		t.Errorf("-parallel 4 output differs from -parallel 1 (%d vs %d bytes)", len(serial), len(par))
-	}
-}
-
 // TestClipbenchTelemetryReport pins the observability contract: any
 // experiment run emits a non-empty machine-readable telemetry report
 // with schedule-decision counts, cache hit/miss counters, per-node
@@ -245,6 +233,67 @@ func TestClipjobsStreamFile(t *testing.T) {
 	mustContain(t, out, "j1", "j2", "fcfs")
 }
 
+// checkGolden compares got against the golden file. Under -update a
+// recording call (record) rewrites the file first; the other calls of
+// the same golden still compare against it.
+func checkGolden(t *testing.T, golden string, got []byte, record bool) {
+	t.Helper()
+	if *update && record {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("stdout differs from %s\n--- got ---\n%s--- want ---\n%s", golden, got, want)
+	}
+}
+
+// TestClipbenchGolden pins the full paper report: clipbench -exp all,
+// serial and on a 4-worker pool, must reproduce the committed
+// experiments_output.txt byte for byte. Run with -update to re-record
+// it from the serial run.
+func TestClipbenchGolden(t *testing.T) {
+	golden := filepath.Join("..", "experiments_output.txt")
+	for _, par := range []string{"1", "4"} {
+		t.Run("parallel="+par, func(t *testing.T) {
+			out := run(t, "clipbench", "-exp", "all", "-parallel", par)
+			checkGolden(t, golden, []byte(out), par == "1")
+		})
+	}
+}
+
+// TestClipsimGolden pins clipsim's stdout for the single-run planner
+// and for the -faults chaos mode, each without and with a
+// high-priority share (which turns on preemption in the chaos mode).
+// Run with -update to re-record.
+func TestClipsimGolden(t *testing.T) {
+	const scenario = "crash-mtbf=120,mttr=20,exc-mtbf=240,seed=7"
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"hipri0", []string{"-hipri-frac", "0"}},
+		{"hipri0_faults", []string{"-hipri-frac", "0", "-faults", scenario}},
+		{"hipri30", []string{"-hipri-frac", "0.3"}},
+		{"hipri30_faults", []string{"-hipri-frac", "0.3", "-faults", scenario}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cmd := exec.Command(filepath.Join(binDir, "clipsim"), tc.args...)
+			cmd.Dir = binDir
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			if err := cmd.Run(); err != nil {
+				t.Fatalf("clipsim %v failed: %v\n%s%s", tc.args, err, stdout.Bytes(), stderr.Bytes())
+			}
+			checkGolden(t, filepath.Join("testdata", "clipsim_"+tc.name+".golden"), stdout.Bytes(), true)
+		})
+	}
+}
+
 // TestClipfedGolden pins clipfed's stdout for four small federations
 // against committed goldens: lending on, lending off with a tight
 // arrival gap, locality routing with lending off (the partitioned
@@ -266,27 +315,17 @@ func TestClipfedGolden(t *testing.T) {
 	for _, sh := range shapes {
 		golden := filepath.Join("testdata", "clipfed_"+sh.name+".golden")
 		for _, workers := range []string{"1", "2", "4"} {
-			args := append(append(append([]string(nil), base...), sh.args...), "-workers", workers)
-			cmd := exec.Command(filepath.Join(binDir, "clipfed"), args...)
-			cmd.Dir = binDir
-			var stdout, stderr bytes.Buffer
-			cmd.Stdout, cmd.Stderr = &stdout, &stderr
-			if err := cmd.Run(); err != nil {
-				t.Fatalf("clipfed %v failed: %v\n%s%s", args, err, stdout.Bytes(), stderr.Bytes())
-			}
-			if *update && workers == "1" {
-				if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
+			t.Run(sh.name+"/workers="+workers, func(t *testing.T) {
+				args := append(append(append([]string(nil), base...), sh.args...), "-workers", workers)
+				cmd := exec.Command(filepath.Join(binDir, "clipfed"), args...)
+				cmd.Dir = binDir
+				var stdout, stderr bytes.Buffer
+				cmd.Stdout, cmd.Stderr = &stdout, &stderr
+				if err := cmd.Run(); err != nil {
+					t.Fatalf("clipfed %v failed: %v\n%s%s", args, err, stdout.Bytes(), stderr.Bytes())
 				}
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(stdout.Bytes(), want) {
-				t.Errorf("%s -workers %s: stdout differs from %s\n--- got ---\n%s--- want ---\n%s",
-					sh.name, workers, golden, stdout.Bytes(), want)
-			}
+				checkGolden(t, golden, stdout.Bytes(), workers == "1")
+			})
 		}
 	}
 }

@@ -194,12 +194,13 @@ func (st *schedState) jobDone() {
 }
 
 // logFault appends to the run's fault log and mirrors the entry into
-// the telemetry decision-event ring.
+// the telemetry decision-event ring, which renders its detail line only
+// when the ring is read.
 func (st *schedState) logFault(kind string, node int, job string, watts float64, detail string) {
 	fe := FaultEvent{T: st.eng.Now(), Kind: kind, Node: node, Job: job, Watts: watts, Detail: detail}
 	st.stats.FaultLog = append(st.stats.FaultLog, fe)
 	telemetry.Default.Events().Append(telemetry.Event{
-		Kind: telemetry.KindFault, TimeS: fe.T, App: job, Detail: fe.String(),
+		Kind: telemetry.KindFault, TimeS: fe.T, App: job, Render: fe,
 	})
 }
 

@@ -15,15 +15,16 @@
 // Hot-path discipline: the run state is pooled and recycled across
 // Runs, running-job records live in a slot arena with a freelist, DES
 // events dispatch through a handler interface (no closure per event),
-// and placement decisions are memoized per application against a
-// (free-set version, free-watts) stamp — a steady-state schedule event
-// performs zero heap allocations.
+// and placement decisions are memoized per application against the
+// free set and free watts they were computed for — a steady-state
+// schedule event performs zero heap allocations.
 package jobsched
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -339,9 +340,10 @@ func (pc *placementCopy) copyFrom(pl *coordinator.Placement) {
 	pc.totalBudget = tot
 }
 
-// Dispatch-cache entry lifecycle for the current (freeVer, freeW)
-// stamp: infeasible (placement failed), placed (placement known, time
-// not yet simulated) or evaluated (placement and runtime known).
+// Dispatch-cache entry lifecycle for the free set and free watts the
+// entry was computed for: infeasible (placement failed), placed
+// (placement known, time not yet simulated) or evaluated (placement and
+// runtime known).
 const (
 	entryInfeasible uint8 = iota
 	entryPlaced
@@ -349,19 +351,45 @@ const (
 )
 
 // dispatchEntry memoizes one application's placement decision against
-// the free-set version and free-watts stamp it was computed for. The
-// placement is a pure function of (application, free nodes, free
-// watts), so a dispatch scan over a deep queue of repeated
-// applications — or repeated scans between resource changes — computes
-// each decision once and serves the rest from the cache, byte-identical
-// by construction.
+// the free set and free watts it was computed for. The placement is a
+// pure function of (application, free nodes, free watts), so a dispatch
+// scan over a deep queue of repeated applications, repeated scans
+// between resource changes, and a free set that returns to a state it
+// held before all reuse one decision, byte-identical by construction.
+// freeVer is only the fast path of the freshness check (see fresh);
+// free is the content key behind it. live counts the application's
+// queued, unstarted entries, so a pass can tell when every queued
+// application has been refused.
 type dispatchEntry struct {
 	freeVer uint64
 	wBits   uint64 // math.Float64bits of the free watts
+	free    []int  // owned copy of the free ids; empty when no decision is held
 	state   uint8
 	refused uint64 // last dispatch pass that failed to start the application
+	live    int    // queued, unstarted entries of the application
 	pl      placementCopy
 	eval    sim.Eval
+}
+
+// fresh reports whether e holds the decision for the current free set
+// and free watts. An entry stamped with another freeVer is still fresh
+// when its watts and its free ids equal the current ones: feasibleView
+// and fillSub read only the free ids and the immutable base nodes, so
+// the decision is the one a recompute would make. Such an entry adopts
+// the current freeVer, and the next check takes the fast path.
+func (st *schedState) fresh(e *dispatchEntry) bool {
+	if e.wBits != math.Float64bits(st.freeW) {
+		return false
+	}
+	if e.freeVer == st.freeVer {
+		return true
+	}
+	if len(e.free) == 0 || !slices.Equal(e.free, st.free) {
+		return false
+	}
+	e.freeVer = st.freeVer
+	st.adopted++
+	return true
 }
 
 // schedState is the mutable state of one Run.
@@ -382,6 +410,8 @@ type schedState struct {
 	qseq    uint64 // last enqueue sequence number handed out
 	pass    uint64 // dispatch pass counter, never reset (dispatchEntry.refused)
 	qlive   int    // queued jobs not yet started, over all levels
+	qapps   int    // applications with queued jobs (dispatchEntry.live > 0)
+	adopted uint64 // dispatch-cache entries served by a content match, never reset
 	running map[string]*runningJob
 	free    []int // free global node ids, ascending
 	freeW   float64
@@ -526,9 +556,10 @@ func (s *Scheduler) newState(online bool) (*schedState, error) {
 }
 
 // reset rewinds a (possibly recycled) state to time zero. The free-set
-// version deliberately keeps counting instead of restarting: placement
-// cache entries and the subcluster stamp from an earlier occupancy must
-// never collide with a fresh run's free set.
+// version deliberately keeps counting instead of restarting, and every
+// dispatch-cache entry drops its free-set copy: a decision or subcluster
+// stamp from an earlier run must never be served to this one, even for
+// a free set that matches.
 func (st *schedState) reset(online bool) {
 	s := st.s
 	st.eng.Reset()
@@ -536,7 +567,10 @@ func (st *schedState) reset(online bool) {
 		l := &st.levels[i]
 		l.q, l.head, l.live = l.q[:0], 0, 0
 	}
-	st.qseq, st.qlive = 0, 0
+	st.qseq, st.qlive, st.qapps = 0, 0, 0
+	for _, dc := range st.dcache {
+		dc.free, dc.live = dc.free[:0], 0
+	}
 	clear(st.running)
 	st.freeSlots = st.freeSlots[:0]
 	for i, rj := range st.slots {
@@ -706,7 +740,20 @@ func (st *schedState) enqueue(j Job) {
 	l.q = append(l.q, queueEntry{job: j, dc: dc, seq: st.qseq})
 	l.live++
 	st.qlive++
+	if dc.live++; dc.live == 1 {
+		st.qapps++
+	}
 	gQueuePeak.SetMax(float64(st.qlive))
+}
+
+// unqueue accounts for one queued entry leaving the queue (started,
+// cancelled or taken): the caller tombstones or drops the entry itself.
+func (st *schedState) unqueue(l *priLevel, e *queueEntry) {
+	l.live--
+	st.qlive--
+	if e.dc.live--; e.dc.live == 0 {
+		st.qapps--
+	}
 }
 
 // level returns the FIFO of priority pri, or nil when there is none and
@@ -763,11 +810,12 @@ func (st *schedState) takeQueued() []Job {
 		for _, e := range l.q[l.head:] {
 			if !e.started {
 				live = append(live, e)
+				e.dc.live = 0
 			}
 		}
 		l.q, l.head, l.live = l.q[:0], 0, 0
 	}
-	st.qlive = 0
+	st.qlive, st.qapps = 0, 0
 	sort.Slice(live, func(a, b int) bool { return live[a].seq < live[b].seq })
 	out := make([]Job, len(live))
 	for i, e := range live {
@@ -853,10 +901,13 @@ func (st *schedState) dispatch() {
 //
 // Until a job starts nothing tryStart reads changes, and the deadline
 // only tightens after the head, so a pass skips the later entries of an
-// application it has already refused.
+// application it has already refused. Once it has refused every queued
+// application (st.qapps of them), every entry left would be skipped, so
+// the pass ends without walking the rest of a deep queue.
 func (st *schedState) dispatchPass(from uint64) bool {
 	st.pass++
 	head := true // next live entry is the queue head
+	refused := 0 // distinct applications refused this pass
 	for li := range st.levels {
 		l := &st.levels[li]
 		qi := l.head
@@ -888,11 +939,13 @@ func (st *schedState) dispatchPass(from uint64) bool {
 			if st.tryStart(e.job, e.dc, deadline) {
 				mJobsStarted.Inc()
 				e.started = true
-				l.live--
-				st.qlive--
+				st.unqueue(l, e)
 				return true
 			}
 			e.dc.refused = st.pass
+			if refused++; refused == st.qapps {
+				return false
+			}
 			head = false
 		}
 	}
@@ -991,10 +1044,11 @@ func (st *schedState) freeCluster() *hw.Cluster {
 // when it would complete by deadline (backfill safety window).
 //
 // The placement decision is served from e, the application's dispatch
-// cache entry, when the free set and free watts are unchanged since it
-// was computed; the simulator evaluation is memoized alongside it. The
-// CapOK and deadline gates depend on per-call state (running-set size,
-// shadow window) and are applied after the lookup.
+// cache entry, when the free set and free watts equal the ones it was
+// computed for (fresh), however often the free set changed in between;
+// the simulator evaluation is memoized alongside it. The CapOK and
+// deadline gates depend on per-call state (running-set size, shadow
+// window) and are applied after the lookup.
 func (st *schedState) tryStart(j Job, e *dispatchEntry, deadline float64) bool {
 	if len(st.free) == 0 || st.freeW <= 0 {
 		return false
@@ -1003,15 +1057,15 @@ func (st *schedState) tryStart(j Job, e *dispatchEntry, deadline float64) bool {
 	// the free set shrunk to the job's hard constraints (identical to
 	// the plain free view for unconstrained apps — the common case and
 	// the allocation-free hot path). The view is a pure function of the
-	// free set per application, so the (freeVer, wBits) cache stamp
-	// below stays sound.
+	// free set per application, so the content-keyed cache check below
+	// stays sound.
 	view, pool, ranked := st.feasibleView(j.App)
 	if len(pool) == 0 {
 		return false
 	}
-	wBits := math.Float64bits(st.freeW)
-	if e.freeVer != st.freeVer || e.wBits != wBits {
-		e.freeVer, e.wBits = st.freeVer, wBits
+	if !st.fresh(e) {
+		e.freeVer, e.wBits = st.freeVer, math.Float64bits(st.freeW)
+		e.free = append(e.free[:0], st.free...)
 		e.state = entryInfeasible
 		prof, pd, err := st.s.CLIP.Predictor(j.App)
 		if err != nil {

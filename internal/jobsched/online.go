@@ -544,8 +544,7 @@ func (o *Online) Cancel(id string) (float64, error) {
 			for qi := len(l.q) - 1; qi >= l.head && !found; qi-- {
 				if e := &l.q[qi]; !e.started && e.job.ID == id {
 					e.started = true
-					l.live--
-					st.qlive--
+					st.unqueue(l, e)
 					found = true
 				}
 			}

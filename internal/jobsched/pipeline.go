@@ -13,7 +13,6 @@ package jobsched
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/coordinator"
 	"repro/internal/hw"
@@ -112,8 +111,8 @@ func (st *schedState) feasibleIDs(app *workload.Spec, pool, dst []int) ([]int, b
 // plain free view for unconstrained apps (the allocation-free common
 // case) and the constraint-filtered, optionally affinity-ranked subset
 // otherwise. The view is a pure function of the free set per
-// application, so dispatch-cache entries stamped with (freeVer, wBits)
-// remain sound across repeated calls.
+// application, so dispatch-cache entries keyed by the free set and free
+// watts remain sound across repeated calls.
 func (st *schedState) feasibleView(app *workload.Spec) (*hw.Cluster, []int, bool) {
 	if app.Constraint.Zero() {
 		return st.freeCluster(), st.free, false
@@ -266,7 +265,7 @@ func (st *schedState) preemptJob(rj *runningJob, forID string) {
 	st.preempts[j.ID]++
 	st.releaseNodes(rj.globalIDs)
 	st.releaseRecord(rj) // rj must not be touched below this line
-	st.logFault("preempt", -1, j.ID, reclaimed, fmt.Sprintf("evicted for higher-priority %s", forID))
+	st.logFault("preempt", -1, j.ID, reclaimed, "evicted for higher-priority "+forID)
 	st.enqueue(j)
 }
 
@@ -308,16 +307,16 @@ func (st *schedState) reconcile(where string, realloc bool) {
 // uncovered returns the id of a queued job that the dispatch decision
 // cache proves startable right now, or "". After a dispatch fixpoint
 // the dispatch head must not be provably startable — its cache entry
-// either went stale (the free set moved on), records infeasibility, or
-// is held by the CapOK duty-cycling gate; anything else is a hole in
-// dispatch.
+// either went stale (fresh, the rule tryStart serves decisions by, says
+// the free set or watts moved on), records infeasibility, or is held by
+// the CapOK duty-cycling gate; anything else is a hole in dispatch.
 func (st *schedState) uncovered() string {
 	if st.qlive == 0 || st.failure != nil {
 		return ""
 	}
 	j := st.topQueued().job
 	e := st.dcache[j.App]
-	if e == nil || e.freeVer != st.freeVer || e.wBits != math.Float64bits(st.freeW) {
+	if e == nil || !st.fresh(e) {
 		return "" // no decision recorded for the current state
 	}
 	if e.state != entryEvaled {

@@ -1,6 +1,9 @@
 package telemetry
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // Event kinds recorded by the built-in instrumentation.
 const (
@@ -12,7 +15,8 @@ const (
 	KindRebalance = "rebalance"
 	// KindFault is a fault-injection or degraded-mode action of the
 	// multi-job runtime (crash, recovery, job kill/retry, re-cap);
-	// Detail carries the rendered description.
+	// Detail carries the rendered description, or Render renders it
+	// when the ring is read.
 	KindFault = "fault"
 	// KindSchedState is an atomic snapshot of the multi-job runtime's
 	// state taken at the end of one scheduler event handler: queue
@@ -65,6 +69,11 @@ type Event struct {
 	TimeS float64 `json:"time_s,omitempty"`
 	// Detail is the rendered description of a KindFault event.
 	Detail string `json:"detail,omitempty"`
+	// Render, when set, renders Detail when the ring is read rather
+	// than when the event is appended, so a producer logging on a hot
+	// path pays for formatting only when the ring is exposed. Snapshots
+	// carry the rendered Detail and a nil Render.
+	Render fmt.Stringer `json:"-"`
 	// QueueDepth and RunningJobs are the queue and running-set sizes of
 	// a KindSchedState snapshot.
 	QueueDepth  int `json:"queue_depth,omitempty"`
@@ -175,6 +184,7 @@ func (l *EventLog) Snapshot() []Event {
 // snapshotLocked copies the ring in order; callers must hold l.mu.
 // PerNode slices are deep-copied: the ring recycles their backing
 // arrays into future appends, so a snapshot must own its budgets.
+// Lazily rendered details are rendered here.
 func (l *EventLog) snapshotLocked() []Event {
 	out := make([]Event, 0, len(l.buf))
 	out = append(out, l.buf[l.start:]...)
@@ -182,6 +192,9 @@ func (l *EventLog) snapshotLocked() []Event {
 	for i := range out {
 		if out[i].PerNode != nil {
 			out[i].PerNode = append([]NodeBudget(nil), out[i].PerNode...)
+		}
+		if out[i].Render != nil {
+			out[i].Detail, out[i].Render = out[i].Render.String(), nil
 		}
 	}
 	return out

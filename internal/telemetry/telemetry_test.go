@@ -121,7 +121,24 @@ func TestEventLogRing(t *testing.T) {
 	if l.Total() != 5 || l.Dropped() != 2 {
 		t.Errorf("total/dropped = %d/%d, want 5/2", l.Total(), l.Dropped())
 	}
+
+	// A lazily rendered detail is formatted by the read, not the append.
+	r := &countingDetail{}
+	l.Append(Event{Kind: KindFault, Render: r})
+	if r.calls != 0 {
+		t.Fatalf("Append rendered the detail %d times", r.calls)
+	}
+	last := l.Snapshot()[2]
+	if last.Detail != "rendered" || last.Render != nil || r.calls != 1 {
+		t.Errorf("snapshot detail %q, render %v, %d renders; want \"rendered\", nil, 1",
+			last.Detail, last.Render, r.calls)
+	}
 }
+
+// countingDetail is a lazily rendered event detail that counts renders.
+type countingDetail struct{ calls int }
+
+func (c *countingDetail) String() string { c.calls++; return "rendered" }
 
 func TestLabel(t *testing.T) {
 	if got := Label("m", "a", "1", "b", `x"y`); got != `m{a="1",b="x\"y"}` {
