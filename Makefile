@@ -11,9 +11,9 @@
 
 GO ?= go
 
-# Packages whose exported identifiers must all carry doc comments.
-DOC_PKGS = ./internal/telemetry ./internal/core ./internal/coordinator ./internal/faults \
-	./internal/fed ./cmd/clipfed ./internal/server ./internal/jobsched ./cmd/clipd
+# Packages whose exported identifiers must all carry doc comments: every
+# package directory under internal/ and cmd/.
+DOC_PKGS = $(shell $(GO) list -f '{{.Dir}}' ./internal/... ./cmd/...)
 
 .PHONY: build test check docs bench suite
 

@@ -161,21 +161,6 @@ func (co *Coordinated) Plan(cl *hw.Cluster, app *workload.Spec, bound float64) (
 	}, nil
 }
 
-// socketsFor mirrors thread placement (see sim).
-func socketsFor(spec *hw.NodeSpec, n int, aff workload.Affinity) int {
-	if aff == workload.Scatter {
-		if n < spec.Sockets {
-			return n
-		}
-		return spec.Sockets
-	}
-	s := (n + spec.CoresPerSocket - 1) / spec.CoresPerSocket
-	if s > spec.Sockets {
-		s = spec.Sockets
-	}
-	return s
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

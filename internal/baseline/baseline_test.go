@@ -196,16 +196,6 @@ func TestBudgetsWithinBound(t *testing.T) {
 	}
 }
 
-func TestSocketsForBaseline(t *testing.T) {
-	spec := hw.HaswellSpec()
-	if socketsFor(spec, 12, workload.Compact) != 1 {
-		t.Error("compact 12 should use 1 socket")
-	}
-	if socketsFor(spec, 2, workload.Scatter) != 2 {
-		t.Error("scatter 2 should use 2 sockets")
-	}
-}
-
 func TestConductorSearchReport(t *testing.T) {
 	cl := cluster()
 	rep, err := (&Conductor{}).TimeToSolution(cl, workload.LUMZ(), 1200)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/hw"
 	"repro/internal/plan"
@@ -44,25 +43,9 @@ type Optimal struct {
 	// MemSteps is the number of DRAM split candidates (default 6;
 	// 1 means the midpoint of the feasible DRAM range).
 	MemSteps int
-	// Workers, when > 1, fans the per-node-count subtrees out over a
-	// bounded worker pool. Each subtree searches against its own local
-	// incumbent and the results are reduced in node-count order with
-	// the same strict-< tie-break as the serial loop, so the chosen
-	// plan is byte-identical to a serial search.
-	Workers int
-	// RefineIters, when > 0, polishes the winning CPU/DRAM split with
-	// that many golden-section iterations over the grid bracket around
-	// the winner (the split is unimodal: more DRAM power first relieves
-	// bandwidth throttling, then starves the CPU domain). The refined
-	// plan keeps the winner's node count, concurrency and affinity; 0
-	// keeps the raw grid winner, matching the historical output
-	// byte-for-byte.
-	RefineIters int
 	// Ctx, when non-nil, lets a caller abandon the search: Plan checks
-	// it between node-count subtrees (serial) or per worker dispatch
-	// (parallel) and returns the context's error. Cancellation of one
-	// subtree stops the sibling workers. A nil Ctx searches to
-	// completion, as before.
+	// it between node-count subtrees and returns the context's error.
+	// A nil Ctx searches to completion.
 	Ctx context.Context
 }
 
@@ -92,16 +75,11 @@ type optSearch struct {
 }
 
 // subtreeBest is the outcome of searching one node-count subtree
-// against an incumbent: the best candidate found there, if any, plus
-// the grid geometry needed to bracket a later refinement pass.
+// against an incumbent: the best candidate found there, if any.
 type subtreeBest struct {
-	ok    bool
-	time  float64
-	cand  plan.Candidate
-	memLo float64
-	memHi float64
-	step  int // winning grid index within [memLo, memHi]
-	err   error
+	ok   bool
+	time float64
+	cand plan.Candidate
 }
 
 // Plan implements plan.Method.
@@ -129,93 +107,21 @@ func (o *Optimal) Plan(cl *hw.Cluster, app *workload.Spec, bound float64) (*plan
 		ctx = context.Background()
 	}
 	best := subtreeBest{time: math.Inf(1)}
-	if o.Workers > 1 && len(counts) > 1 {
-		// Deterministic fan-out: subtrees search independent local
-		// incumbents (slightly less pruning than the serial shared
-		// incumbent, but order-independent), then an ordered reduction
-		// applies the exact serial tie-break. A subtree error (or caller
-		// cancellation) cancels the sibling workers via cctx; subtrees
-		// skipped that way carry the context error, and the reduction
-		// prefers a real error over context.Canceled so the root cause
-		// surfaces.
-		cctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		results := make([]subtreeBest, len(counts))
-		workers := o.Workers
-		if workers > len(counts) {
-			workers = len(counts)
-		}
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for g := 0; g < workers; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					if err := cctx.Err(); err != nil {
-						results[i] = subtreeBest{err: err}
-						continue
-					}
-					local := math.Inf(1)
-					results[i] = s.searchSubtree(counts[i], effMin[counts[i]-1], &local)
-					if results[i].err != nil {
-						cancel()
-					}
-				}
-			}()
-		}
-		dispatched := 0
-	dispatch:
-		for i := range counts {
-			select {
-			case next <- i:
-				dispatched++
-			case <-cctx.Done():
-				break dispatch
-			}
-		}
-		close(next)
-		wg.Wait()
-		var firstErr error
-		for _, r := range results[:dispatched] {
-			if r.err != nil {
-				if firstErr == nil || firstErr == context.Canceled {
-					firstErr = r.err
-				}
-				continue
-			}
-			if r.ok && r.time < best.time {
-				best = r
-			}
-		}
-		if firstErr != nil {
-			return nil, firstErr
-		}
+	incumbent := math.Inf(1)
+	for _, nNodes := range counts {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-	} else {
-		incumbent := math.Inf(1)
-		for _, nNodes := range counts {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			r := s.searchSubtree(nNodes, effMin[nNodes-1], &incumbent)
-			if r.err != nil {
-				return nil, r.err
-			}
-			if r.ok && r.time < best.time {
-				best = r
-			}
+		r, err := s.searchSubtree(nNodes, effMin[nNodes-1], &incumbent)
+		if err != nil {
+			return nil, err
+		}
+		if r.ok && r.time < best.time {
+			best = r
 		}
 	}
 	if !best.ok {
 		return nil, fmt.Errorf("optimal: no feasible configuration under %.1f W", bound)
-	}
-	if o.RefineIters > 0 {
-		if err := s.refine(&best, o.RefineIters); err != nil {
-			return nil, err
-		}
 	}
 	p := best.cand.Materialize()
 	p.Notes = fmt.Sprintf("exhaustive best t=%.2fs", best.time)
@@ -225,8 +131,8 @@ func (o *Optimal) Plan(cl *hw.Cluster, app *workload.Spec, bound float64) (*plan
 // searchSubtree scans every (cores, affinity, split) candidate at one
 // node count, pruning cells whose lower bound cannot beat the
 // incumbent. The incumbent absorbs every evaluation; the returned best
-// is local to the subtree so results reduce deterministically.
-func (s *optSearch) searchSubtree(nNodes int, effMin float64, incumbent *float64) subtreeBest {
+// is local to the subtree.
+func (s *optSearch) searchSubtree(nNodes int, effMin float64, incumbent *float64) (subtreeBest, error) {
 	spec := s.spec
 	r := subtreeBest{time: math.Inf(1)}
 	perNode := s.bound / float64(nNodes)
@@ -242,12 +148,12 @@ func (s *optSearch) searchSubtree(nNodes int, effMin float64, incumbent *float64
 		float64(spec.Sockets)*spec.SocketMemBW)
 	if lb := s.lowerBound(spec.Cores(), shard, comm, spec.FMax(), bwTop); lb > *incumbent*(1+pruneMargin) {
 		mOptPruned.Add(s.gridSize(perNode))
-		return r
+		return r, nil
 	}
 
 	for cores := 1; cores <= spec.Cores(); cores++ {
 		for _, aff := range affinities {
-			sockets := socketsFor(spec, cores, aff)
+			sockets := sim.SocketsUsedFor(spec, cores, aff)
 			memLo := float64(sockets) * spec.MemBasePower
 			memHi := math.Min(float64(sockets)*spec.MemMaxPower, perNode-1)
 			if memHi <= memLo {
@@ -274,20 +180,18 @@ func (s *optSearch) searchSubtree(nNodes int, effMin float64, incumbent *float64
 				mOptCandidates.Inc()
 				ev, err := plan.EvalTime(s.cl, s.app, cand)
 				if err != nil {
-					r.err = err
-					return r
+					return r, err
 				}
 				if ev.Time < *incumbent {
 					*incumbent = ev.Time
 				}
 				if ev.Time < r.time {
-					r = subtreeBest{ok: true, time: ev.Time, cand: cand,
-						memLo: memLo, memHi: memHi, step: st}
+					r = subtreeBest{ok: true, time: ev.Time, cand: cand}
 				}
 			}
 		}
 	}
-	return r
+	return r, nil
 }
 
 // lowerBound returns an optimistic runtime for any candidate in a
@@ -322,7 +226,7 @@ func (s *optSearch) gridSize(perNode float64) uint64 {
 	var n uint64
 	for cores := 1; cores <= s.spec.Cores(); cores++ {
 		for _, aff := range affinities {
-			sockets := socketsFor(s.spec, cores, aff)
+			sockets := sim.SocketsUsedFor(s.spec, cores, aff)
 			memLo := float64(sockets) * s.spec.MemBasePower
 			memHi := math.Min(float64(sockets)*s.spec.MemMaxPower, perNode-1)
 			if memHi <= memLo {
@@ -342,78 +246,4 @@ func gridMem(lo, hi float64, s, steps int) float64 {
 		return lo + (hi-lo)/2
 	}
 	return lo + (hi-lo)*float64(s)/float64(steps-1)
-}
-
-// invPhi is the golden-section ratio 1/φ.
-const invPhi = 0.6180339887498949
-
-// refine polishes the winner's CPU/DRAM split with golden-section
-// iterations over the grid bracket around the winning step, keeping its
-// node count, concurrency and affinity. The refined winner is adopted
-// only if it strictly beats the grid winner, so refinement can only
-// improve the plan.
-func (s *optSearch) refine(b *subtreeBest, iters int) error {
-	perNode := s.bound / float64(b.cand.Nodes)
-	lo, hi := b.memLo, b.memHi
-	if b.step > 0 {
-		lo = gridMem(b.memLo, b.memHi, b.step-1, s.steps)
-	}
-	if b.step < s.steps-1 {
-		hi = gridMem(b.memLo, b.memHi, b.step+1, s.steps)
-	}
-	eval := func(mem float64) (float64, error) {
-		cpu := perNode - mem
-		if cpu <= 0 {
-			return math.Inf(1), nil
-		}
-		mOptCandidates.Inc()
-		ev, err := plan.EvalTime(s.cl, s.app, plan.Candidate{
-			Nodes: b.cand.Nodes, Cores: b.cand.Cores, Affinity: b.cand.Affinity,
-			PerNode: power.Budget{CPU: cpu, Mem: mem}})
-		if err != nil {
-			return 0, err
-		}
-		return ev.Time, nil
-	}
-	a, c := lo, hi
-	x1 := c - invPhi*(c-a)
-	x2 := a + invPhi*(c-a)
-	f1, err := eval(x1)
-	if err != nil {
-		return err
-	}
-	f2, err := eval(x2)
-	if err != nil {
-		return err
-	}
-	bestMem, bestTime := x1, f1
-	if f2 < bestTime {
-		bestMem, bestTime = x2, f2
-	}
-	for i := 0; i < iters; i++ {
-		if f1 <= f2 {
-			c, x2, f2 = x2, x1, f1
-			x1 = c - invPhi*(c-a)
-			if f1, err = eval(x1); err != nil {
-				return err
-			}
-		} else {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + invPhi*(c-a)
-			if f2, err = eval(x2); err != nil {
-				return err
-			}
-		}
-		if f1 < bestTime {
-			bestMem, bestTime = x1, f1
-		}
-		if f2 < bestTime {
-			bestMem, bestTime = x2, f2
-		}
-	}
-	if bestTime < b.time {
-		b.time = bestTime
-		b.cand.PerNode = power.Budget{CPU: perNode - bestMem, Mem: bestMem}
-	}
-	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/plan"
 	"repro/internal/power"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -26,7 +27,7 @@ func bruteForce(cl *hw.Cluster, app *workload.Spec, bound float64, steps int) (*
 		perNode := bound / float64(nNodes)
 		for cores := 1; cores <= spec.Cores(); cores++ {
 			for _, aff := range []workload.Affinity{workload.Compact, workload.Scatter} {
-				sockets := socketsFor(spec, cores, aff)
+				sockets := sim.SocketsUsedFor(spec, cores, aff)
 				memLo := float64(sockets) * spec.MemBasePower
 				memHi := math.Min(float64(sockets)*spec.MemMaxPower, perNode-1)
 				if memHi <= memLo {
@@ -109,54 +110,18 @@ func equivCases() []struct {
 
 // TestOptimalMatchesBruteForce: the pruned, fast-path search must pick
 // the identical plan (shape, budgets, notes) as the exhaustive
-// plan-per-candidate grid search, serial and fanned out.
+// plan-per-candidate grid search.
 func TestOptimalMatchesBruteForce(t *testing.T) {
 	for _, tc := range equivCases() {
 		want, werr := bruteForce(tc.cl, tc.app, tc.bound, tc.steps)
-		for _, workers := range []int{1, 4} {
-			o := &Optimal{MemSteps: tc.steps, Workers: workers}
-			got, gerr := o.Plan(tc.cl, tc.app, tc.bound)
-			label := fmt.Sprintf("%s/workers=%d", tc.name, workers)
-			if (werr == nil) != (gerr == nil) {
-				t.Fatalf("%s: reference err %v, pruned err %v", label, werr, gerr)
-			}
-			if werr != nil {
-				continue
-			}
-			samePlan(t, label, got, want)
+		got, gerr := (&Optimal{MemSteps: tc.steps}).Plan(tc.cl, tc.app, tc.bound)
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("%s: reference err %v, pruned err %v", tc.name, werr, gerr)
 		}
-	}
-}
-
-// TestOptimalRefineImproves: golden-section refinement keeps the
-// winning shape and can only lower (or match) the simulated runtime.
-func TestOptimalRefineImproves(t *testing.T) {
-	cl := hw.NewCluster(8, hw.HaswellSpec(), 0.02, 42)
-	for _, app := range []*workload.Spec{workload.SPMZ(), workload.Stream()} {
-		grid := &Optimal{MemSteps: 4}
-		refined := &Optimal{MemSteps: 4, RefineIters: 10}
-		gp, err := grid.Plan(cl, app, 1400)
-		if err != nil {
-			t.Fatal(err)
+		if werr != nil {
+			continue
 		}
-		rp, err := refined.Plan(cl, app, 1400)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rp.Nodes() != gp.Nodes() || rp.Cores != gp.Cores || rp.Affinity != gp.Affinity {
-			t.Errorf("%s: refinement changed the winning shape", app.Name)
-		}
-		gr, err := plan.Execute(cl, app, gp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rr, err := plan.Execute(cl, app, rp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rr.Time > gr.Time*(1+1e-12) {
-			t.Errorf("%s: refined time %.6f worse than grid %.6f", app.Name, rr.Time, gr.Time)
-		}
+		samePlan(t, tc.name, got, want)
 	}
 }
 
@@ -199,29 +164,24 @@ func TestOptimalTelemetry(t *testing.T) {
 }
 
 // TestOptimalCancellation: a cancelled context aborts the search with
-// the context's error, serial and parallel; a live context changes
-// nothing about the chosen plan.
+// the context's error; a live context changes nothing about the chosen
+// plan.
 func TestOptimalCancellation(t *testing.T) {
 	cl := hw.NewCluster(8, hw.HaswellSpec(), 0, 1)
 	app := workload.CoMD()
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, workers := range []int{1, 4} {
-		o := &Optimal{MemSteps: 4, Workers: workers, Ctx: cancelled}
-		if _, err := o.Plan(cl, app, 1600); !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d: cancelled search returned %v, want context.Canceled", workers, err)
-		}
+	o := &Optimal{MemSteps: 4, Ctx: cancelled}
+	if _, err := o.Plan(cl, app, 1600); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled search returned %v, want context.Canceled", err)
 	}
 	want, err := (&Optimal{MemSteps: 4}).Plan(cl, app, 1600)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		o := &Optimal{MemSteps: 4, Workers: workers, Ctx: context.Background()}
-		got, err := o.Plan(cl, app, 1600)
-		if err != nil {
-			t.Fatal(err)
-		}
-		samePlan(t, fmt.Sprintf("live-ctx/workers=%d", workers), got, want)
+	got, err := (&Optimal{MemSteps: 4, Ctx: context.Background()}).Plan(cl, app, 1600)
+	if err != nil {
+		t.Fatal(err)
 	}
+	samePlan(t, "live-ctx", got, want)
 }

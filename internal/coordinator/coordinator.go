@@ -26,6 +26,7 @@ import (
 	"repro/internal/power"
 	"repro/internal/profile"
 	"repro/internal/recommend"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -273,7 +274,7 @@ func (c *Coordinator) Schedule(app *workload.Spec, prof *profile.Profile, pd *pe
 		Plan: p, NodeCfg: pl.NodeCfg, PredTime: pl.PredTime, Coordinated: pl.Coordinated,
 		Class:   prof.Class.String(),
 		NP:      prof.PredictedNP,
-		Sockets: profile.SocketsUsed(c.Cluster.Spec(), pl.Cores, pl.Affinity),
+		Sockets: sim.SocketsUsedFor(c.Cluster.Spec(), pl.Cores, pl.Affinity),
 	}
 	return d, nil
 }
@@ -468,7 +469,7 @@ func (c *Coordinator) nodeBudgets(sc *Scratch, ids []int, cfg recommend.NodeConf
 	}
 
 	spec := c.Cluster.Spec()
-	sockets := profile.SocketsUsed(spec, cfg.Cores, cfg.Affinity)
+	sockets := sim.SocketsUsedFor(spec, cfg.Cores, cfg.Affinity)
 	totalCPU := cfg.Budget.CPU * float64(n)
 	// Highest common ladder frequency whose total power fits the pool,
 	// read off the precomputed nominal ladder with each node's

@@ -155,7 +155,6 @@ func (f *Federation) releasePass() {
 // grantPass lends one quantum to each starved shard that can still
 // accept a lease, from the idle shard with the most envelope headroom.
 func (f *Federation) grantPass() {
-	cfg := f.cfg.Lending
 	for _, b := range f.shards {
 		if !f.routable(b.ID) {
 			continue // broker link down or entitlement not re-earned
@@ -163,7 +162,7 @@ func (f *Federation) grantPass() {
 		if b.Online.QueueLen() == 0 || b.Online.FreeNodes() == 0 {
 			continue // no demand, or watts would not help (no nodes)
 		}
-		if f.borrowCount(b.ID) >= cfg.MaxBorrowed {
+		if f.borrowCount(b.ID) >= maxBorrowed {
 			continue
 		}
 		lender := f.pickLender(b.ID)
@@ -197,8 +196,8 @@ func (f *Federation) pickLender(borrower int) *Shard {
 		}
 		// Envelope headroom: free watts beyond the reserve, capped so
 		// the effective bound never drops below the floor.
-		head := sh.Online.FreeWatts() - cfg.ReserveFrac*sh.entitlement
-		if floorRoom := sh.eff - cfg.MinBoundFrac*sh.entitlement; head > floorRoom {
+		head := sh.Online.FreeWatts() - reserveFrac*sh.entitlement
+		if floorRoom := sh.eff - minBoundFrac*sh.entitlement; head > floorRoom {
 			head = floorRoom
 		}
 		if head < cfg.QuantumW {

@@ -146,37 +146,31 @@ type Lending struct {
 	// every shard's entitlement proportionally (the federation is
 	// itself power-bounded).
 	AggregateCapW float64
-	// ReserveFrac is the envelope headroom a lender keeps for itself:
-	// only free watts beyond ReserveFrac × entitlement are lendable.
-	// Default 0.1.
-	ReserveFrac float64
-	// MinBoundFrac floors a lender's effective bound at MinBoundFrac ×
-	// entitlement. Default 0.5.
-	MinBoundFrac float64
 	// QuantumW is the watts moved per lease. Default 60.
 	QuantumW float64
 	// TTL is a lease's virtual lifetime in seconds. Default 240.
 	TTL float64
-	// MaxBorrowed caps one shard's concurrently held leases. Default 4.
-	MaxBorrowed int
 }
+
+// Fixed broker limits.
+const (
+	// reserveFrac is the envelope headroom a lender keeps for itself:
+	// only free watts beyond reserveFrac × entitlement are lendable.
+	reserveFrac = 0.1
+	// minBoundFrac floors a lender's effective bound at minBoundFrac ×
+	// entitlement.
+	minBoundFrac = 0.5
+	// maxBorrowed caps one shard's concurrently held leases.
+	maxBorrowed = 4
+)
 
 // withDefaults fills the zero-valued knobs.
 func (l Lending) withDefaults() Lending {
-	if l.ReserveFrac <= 0 {
-		l.ReserveFrac = 0.1
-	}
-	if l.MinBoundFrac <= 0 {
-		l.MinBoundFrac = 0.5
-	}
 	if l.QuantumW <= 0 {
 		l.QuantumW = 60
 	}
 	if l.TTL <= 0 {
 		l.TTL = 240
-	}
-	if l.MaxBorrowed <= 0 {
-		l.MaxBorrowed = 4
 	}
 	return l
 }
@@ -423,13 +417,15 @@ func (f *Federation) ScheduleArrivalPri(t float64, id string, app *workload.Spec
 	if _, dup := f.jobShard[id]; dup {
 		return fmt.Errorf("fed: duplicate job id %q", id)
 	}
+	// Schedule first: a time the engine rejects (NaN, ±Inf, the past)
+	// must leave the id free and the arrival arena untouched.
+	if _, err := f.eng.AtHandler(t, f, fevArrival, uint64(len(f.arrivals))); err != nil {
+		return err
+	}
 	f.jobShard[id] = -1 // reserved; set on routing
 	f.arrivals = append(f.arrivals, fedArrival{id: id, app: app, key: key, t: t, pri: pri})
-	_, err := f.eng.AtHandler(t, f, fevArrival, uint64(len(f.arrivals)-1))
-	if err == nil {
-		f.arrivalsLeft++
-	}
-	return err
+	f.arrivalsLeft++
+	return nil
 }
 
 // routeArrival places one due arrival onto a shard.

@@ -503,3 +503,56 @@ func TestOnlineSetBound(t *testing.T) {
 		t.Error("negative bound accepted")
 	}
 }
+
+// TestScheduleArrivalRejectedTimeFreesID: an arrival time the engine
+// rejects must leave no trace — the id stays unknown, and a retry of
+// the same id at a valid time is accepted and routed exactly once.
+func TestScheduleArrivalRejectedTimeFreesID(t *testing.T) {
+	cases := []struct {
+		name string
+		t    func(now float64) float64
+	}{
+		{"nan", func(float64) float64 { return math.NaN() }},
+		{"+inf", func(float64) float64 { return math.Inf(1) }},
+		{"past", func(now float64) float64 { return now - 1 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			f, err := New(Config{Shards: shardCfg(2, 4, 400, jobsched.FCFS)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.ScheduleArrivalPri(5, "warm", workload.CoMD(), "", 0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Step(); err != nil { // clock to 5: "past" is now in reach
+				t.Fatal(err)
+			}
+			if err := f.ScheduleArrivalPri(c.t(f.Now()), "x", workload.CoMD(), "", 0); err == nil {
+				t.Fatalf("time %v accepted", c.t(f.Now()))
+			}
+			if sh, ok := f.JobShard("x"); ok {
+				t.Fatalf("rejected arrival left JobShard = (%d, true)", sh)
+			}
+			if n := f.ArrivalsPending(); n != 0 {
+				t.Fatalf("%d arrivals pending after the rejection", n)
+			}
+			if err := f.ScheduleArrivalPri(f.Now()+1, "x", workload.CoMD(), "", 0); err != nil {
+				t.Fatalf("retry at a valid time: %v", err)
+			}
+			if err := f.Run(); err != nil {
+				t.Fatal(err)
+			}
+			routed := 0
+			for _, sh := range f.Shards() {
+				routed += sh.submitted
+			}
+			if routed != 2 {
+				t.Errorf("%d arrivals routed, want 2 (warm and x)", routed)
+			}
+			if sh, ok := f.JobShard("x"); !ok || sh < 0 {
+				t.Errorf("retried arrival not routed: JobShard = (%d, %v)", sh, ok)
+			}
+		})
+	}
+}

@@ -61,8 +61,8 @@ func (f *Federation) lendingInert() bool {
 		return false
 	}
 	for _, sh := range f.shards {
-		head := sh.eff - l.ReserveFrac*sh.entitlement
-		if floorRoom := sh.eff - l.MinBoundFrac*sh.entitlement; floorRoom < head {
+		head := sh.eff - reserveFrac*sh.entitlement
+		if floorRoom := sh.eff - minBoundFrac*sh.entitlement; floorRoom < head {
 			head = floorRoom
 		}
 		if head >= l.QuantumW {

@@ -305,7 +305,7 @@ func (pd *Predictor) Time(n int, f, memCap float64) float64 {
 	if math.IsInf(t0, 1) || t0 <= 0 {
 		return math.Inf(1)
 	}
-	sockets := profile.SocketsUsed(pd.Spec, n, pd.Prof.Affinity)
+	sockets := sim.SocketsUsedFor(pd.Spec, n, pd.Prof.Affinity)
 
 	demandBW := 0.0
 	if pd.bytesPerIter > 0 {
@@ -336,7 +336,7 @@ func (pd *Predictor) Time(n int, f, memCap float64) float64 {
 // coordinator to size the paper's application-specific memory budget.
 func (pd *Predictor) MemDemandWatts(n int) float64 {
 	t0 := pd.BaseTime(n)
-	sockets := profile.SocketsUsed(pd.Spec, n, pd.Prof.Affinity)
+	sockets := sim.SocketsUsedFor(pd.Spec, n, pd.Prof.Affinity)
 	demandBW := 0.0
 	if t0 > 0 && pd.bytesPerIter > 0 {
 		demandBW = pd.bytesPerIter / t0

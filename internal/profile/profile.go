@@ -77,20 +77,8 @@ func (p *Profile) Features() []float64 {
 // bandwidth demand. Variability coefficient eff adjusts for a specific
 // node.
 func (p *Profile) Envelope(spec *hw.NodeSpec, cores int, eff float64) power.NodeEnvelope {
-	sockets := SocketsUsed(spec, cores, p.Affinity)
+	sockets := sim.SocketsUsedFor(spec, cores, p.Affinity)
 	return power.Envelope(spec, cores, sockets, p.All.MemBW, eff)
-}
-
-// SocketsUsed mirrors the simulator's thread placement: scatter spreads
-// over all sockets, compact fills sockets in order.
-func SocketsUsed(spec *hw.NodeSpec, n int, aff workload.Affinity) int {
-	if aff == workload.Scatter {
-		if n < spec.Sockets {
-			return n
-		}
-		return spec.Sockets
-	}
-	return power.SocketsFor(spec, n)
 }
 
 // NPPredictor predicts the inflection point from a profile feature

@@ -146,23 +146,6 @@ func TestClampNP(t *testing.T) {
 	}
 }
 
-func TestSocketsUsed(t *testing.T) {
-	spec := hw.HaswellSpec()
-	cases := []struct {
-		n    int
-		aff  workload.Affinity
-		want int
-	}{
-		{1, workload.Scatter, 1}, {2, workload.Scatter, 2}, {24, workload.Scatter, 2},
-		{1, workload.Compact, 1}, {12, workload.Compact, 1}, {13, workload.Compact, 2},
-	}
-	for _, c := range cases {
-		if got := SocketsUsed(spec, c.n, c.aff); got != c.want {
-			t.Errorf("SocketsUsed(%d,%v) = %d, want %d", c.n, c.aff, got, c.want)
-		}
-	}
-}
-
 func TestEnvelope(t *testing.T) {
 	pr := &Profiler{Cluster: testCluster()}
 	p, err := pr.Basic(workload.AMG())

@@ -14,6 +14,7 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/power"
 	"repro/internal/profile"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -126,7 +127,7 @@ func Best(spec *hw.NodeSpec, p *profile.Profile, pd *perfmodel.Predictor, nodeBu
 	}
 	best := NodeConfig{PredIterTime: math.Inf(1)}
 	for n := 1; n <= limit; n = nextCore(n) {
-		sockets := profile.SocketsUsed(spec, n, p.Affinity)
+		sockets := sim.SocketsUsedFor(spec, n, p.Affinity)
 		memBase := float64(sockets) * spec.MemBasePower
 		memMax := float64(sockets) * spec.MemMaxPower
 
@@ -187,7 +188,7 @@ func Best(spec *hw.NodeSpec, p *profile.Profile, pd *perfmodel.Predictor, nodeBu
 	// can draw at the highest frequency plus headroom for inter-node
 	// variability re-balancing, so surplus power stays in the cluster
 	// pool for other nodes or jobs.
-	sockets := profile.SocketsUsed(spec, best.Cores, best.Affinity)
+	sockets := sim.SocketsUsedFor(spec, best.Cores, best.Affinity)
 	maxUseful := power.CPUPower(spec, best.Cores, sockets, spec.FMax(), eff) * 1.08
 	if best.Budget.CPU > maxUseful {
 		best.Budget.CPU = maxUseful
@@ -209,7 +210,7 @@ func Unconstrained(spec *hw.NodeSpec, p *profile.Profile, pd *perfmodel.Predicto
 // for a chosen core count: DRAM demand power plus CPU power at the
 // lowest and highest frequencies.
 func EnvelopeFor(spec *hw.NodeSpec, p *profile.Profile, pd *perfmodel.Predictor, cores int, eff float64) power.NodeEnvelope {
-	sockets := profile.SocketsUsed(spec, cores, p.Affinity)
+	sockets := sim.SocketsUsedFor(spec, cores, p.Affinity)
 	mem := math.Min(pd.MemDemandWatts(cores)+MemHeadroomWatts, float64(sockets)*spec.MemMaxPower)
 	return power.NodeEnvelope{
 		CPULo: power.CPUPower(spec, cores, sockets, spec.FMin(), eff),

@@ -8,6 +8,7 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/power"
 	"repro/internal/profile"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -315,7 +316,7 @@ func TestSurplusBudgetTrimmed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sockets := profile.SocketsUsed(spec, cfg.Cores, cfg.Affinity)
+	sockets := sim.SocketsUsedFor(spec, cfg.Cores, cfg.Affinity)
 	maxUseful := power.CPUPower(spec, cfg.Cores, sockets, spec.FMax(), 1.0) * 1.08
 	if cfg.Budget.CPU > maxUseful+1e-9 {
 		t.Errorf("CPU budget %v W exceeds the useful maximum %v W", cfg.Budget.CPU, maxUseful)

@@ -1,19 +1,15 @@
 package sim
 
 import (
-	"math"
-
 	"repro/internal/hw"
-	"repro/internal/power"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
 // This file is the allocation-free scoring fast path used by search
 // loops (baseline.Optimal, Conductor trials, jobsched previews). It
-// mirrors Run's time computation operation for operation — evalNode is
-// a deliberate lean duplicate of runNode's per-iteration time loop, in
-// the same floating-point order — so Eval.Time is bit-identical to
+// runs the same per-node model as Run — runNode, with the CPU-energy
+// and event bookkeeping switched off — so Eval.Time is bit-identical to
 // Result.Time, but nothing is allocated: no Result, no NodeResult
 // slice, no Events.
 
@@ -80,69 +76,19 @@ func EvalTime(cl *hw.Cluster, app *workload.Spec, cfg Config) (Eval, error) {
 		if cfg.PerNode != nil {
 			budget = cfg.PerNode[slot]
 		}
-		iterTime, memPower, capOK := evalNode(spec, node, app, &cfg, budget)
-		if iterTime > slowest {
-			slowest = iterTime
+		nr := runNode(spec, node, app, &cfg, budget, nil)
+		if nr.IterTime > slowest {
+			slowest = nr.IterTime
 		}
-		if !capOK {
+		if !nr.CapOK {
 			ev.CapOK = false
 		}
 		if slot == 0 {
-			ev.MemPower0 = memPower
+			ev.MemPower0 = nr.MemPower
 		}
 	}
-	ev.CommTime = commTime(cl, app, cfg.Nodes)
+	ev.CommTime = CommTimeFor(cl, app, cfg.Nodes)
 	ev.IterTime = slowest + ev.CommTime
 	ev.Time = ev.IterTime * float64(iters)
 	return ev, nil
-}
-
-// evalNode computes one node's steady-state per-iteration time and DRAM
-// power. It must stay a faithful copy of runNode's time computation
-// (same operations, same order) with the event and CPU-energy
-// bookkeeping removed; eval_test.go pins bit-equality against Run.
-func evalNode(spec *hw.NodeSpec, node *hw.Node, app *workload.Spec, cfg *Config, budget power.Budget) (iterTime, memPower float64, capOK bool) {
-	nDefault := cfg.CoresPerNode
-	shard := 1.0 / float64(cfg.Nodes)
-	if app.Scaling == workload.WeakScaling {
-		shard = 1
-	}
-
-	maxCores := nDefault
-	for _, n := range cfg.PhaseCores {
-		if n > maxCores {
-			maxCores = n
-		}
-	}
-	maxSockets := socketsUsed(spec, maxCores, cfg.Affinity)
-
-	f := spec.FMax()
-	capOK = true
-	if cfg.Capped {
-		f, _, capOK = power.EffectiveFreq(spec, maxCores, maxSockets, budget.CPU, node.PowerEff)
-	}
-	if cfg.FreqCap > 0 {
-		f = math.Min(f, spec.NearestFreq(cfg.FreqCap))
-	}
-
-	var memBytesTotal float64
-	for _, ph := range app.Phases {
-		n := nDefault
-		if o, ok := cfg.PhaseCores[ph.Name]; ok {
-			n = o
-		}
-		sockets := socketsUsed(spec, n, cfg.Affinity)
-		rf := remoteFraction(app, sockets, cfg.Affinity)
-		bwCeil := BandwidthCeiling(spec, app, n, sockets, f, cfg.Capped, budget.Mem)
-		tPhase, bytes := PhaseTime(ph, n, f, shard, bwCeil, rf, spec.RemotePenalty)
-		iterTime += tPhase
-		memBytesTotal += bytes
-	}
-
-	avgBW := 0.0
-	if iterTime > 0 {
-		avgBW = memBytesTotal / iterTime
-	}
-	memPower = power.MemPowerAt(spec, socketsUsed(spec, maxCores, cfg.Affinity), avgBW)
-	return iterTime, memPower, capOK
 }

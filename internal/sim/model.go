@@ -8,34 +8,52 @@ import (
 	"repro/internal/workload"
 )
 
-// This file exposes the phase-level physics shared by the analytic
-// simulator (Run) and the discrete-event simulator (internal/des), so
-// both execute identical workload models and can be cross-validated.
+// This file holds the model decisions every package shares: thread
+// placement, NUMA traffic, per-core bandwidth, the bandwidth ceiling,
+// phase timing and the communication term. Run, EvalTime and the
+// discrete-event simulator (internal/des) execute identical workload
+// models through them and can be cross-validated; profiling, the
+// predictors, recommend, the coordinator and the Optimal oracle use
+// SocketsUsedFor rather than a copy of the placement rule.
 
 // SocketsUsedFor returns how many sockets host n threads under the
 // mapping policy: scatter spreads over all sockets, compact fills them
-// in order.
+// in order. It is the one thread-placement rule every package uses.
 func SocketsUsedFor(spec *hw.NodeSpec, n int, aff workload.Affinity) int {
-	return socketsUsed(spec, n, aff)
+	if aff == workload.Scatter {
+		if n < spec.Sockets {
+			return n
+		}
+		return spec.Sockets
+	}
+	return power.SocketsFor(spec, n)
 }
 
 // RemoteFractionFor returns the fraction of memory traffic crossing the
 // NUMA interconnect for this application and mapping.
 func RemoteFractionFor(app *workload.Spec, sockets int, aff workload.Affinity) float64 {
-	return remoteFraction(app, sockets, aff)
+	if !app.SharedData || sockets <= 1 {
+		return 0
+	}
+	if aff == workload.Scatter {
+		return app.RemoteFrac
+	}
+	// Compact mappings that still span sockets share less data across
+	// the boundary than a full scatter.
+	return app.RemoteFrac * 0.6
 }
 
 // CoreBW returns the per-core achievable memory bandwidth (GB/s) at
 // frequency f for an application with bandwidth factor bwf.
 func CoreBW(spec *hw.NodeSpec, f, bwf float64) float64 {
-	return coreBW(spec, f, bwf)
+	return spec.CoreMemBW * bwf * (0.4 + 0.6*f/spec.FMax())
 }
 
 // BandwidthCeiling returns the memory bandwidth available to a phase:
 // the minimum of core concurrency, socket channels, and (when capped)
 // the DRAM power cap.
 func BandwidthCeiling(spec *hw.NodeSpec, app *workload.Spec, n, sockets int, f float64, capped bool, memCap float64) float64 {
-	bwCeil := math.Min(float64(n)*coreBW(spec, f, app.BWFactor()), float64(sockets)*spec.SocketMemBW)
+	bwCeil := math.Min(float64(n)*CoreBW(spec, f, app.BWFactor()), float64(sockets)*spec.SocketMemBW)
 	if capped {
 		bwCeil = math.Min(bwCeil, power.MemBandwidthCap(spec, sockets, memCap))
 	}
@@ -68,7 +86,19 @@ func PhaseTime(ph workload.Phase, n int, f, shard, bwCeil, rf, remotePenalty flo
 }
 
 // CommTimeFor returns the per-iteration communication cost of an
-// N-node run on this cluster.
+// N-node run on this cluster: a log2(N) collective-latency term plus a
+// halo-volume term that shrinks with the surface-to-volume exponent.
 func CommTimeFor(cl *hw.Cluster, app *workload.Spec, nodes int) float64 {
-	return commTime(cl, app, nodes)
+	if nodes <= 1 {
+		return 0
+	}
+	n := float64(nodes)
+	lat := app.CommLatFactor * cl.CommBaseLatency * math.Log2(n)
+	vol := app.CommBytes * math.Pow(1/n, app.SurfaceExp) / cl.LinkBW
+	if app.Scaling == workload.WeakScaling {
+		// Per-node halo volume stays constant when the problem grows
+		// with the node count.
+		vol = app.CommBytes / cl.LinkBW
+	}
+	return lat + vol
 }

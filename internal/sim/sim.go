@@ -229,7 +229,8 @@ func Run(cl *hw.Cluster, app *workload.Spec, cfg Config) (*Result, error) {
 		if cfg.PerNode != nil {
 			budget = cfg.PerNode[slot]
 		}
-		nr, ev := runNode(spec, node, app, cfg, budget)
+		var ev Events
+		nr := runNode(spec, node, app, &cfg, budget, &ev)
 		res.Nodes = append(res.Nodes, nr)
 		if nr.IterTime > slowest {
 			slowest = nr.IterTime
@@ -242,7 +243,7 @@ func Run(cl *hw.Cluster, app *workload.Spec, cfg Config) (*Result, error) {
 		events.Add(ev)
 	}
 
-	res.CommTime = commTime(cl, app, cfg.Nodes)
+	res.CommTime = CommTimeFor(cl, app, cfg.Nodes)
 	res.IterTime = slowest + res.CommTime
 	res.Time = res.IterTime * float64(iters)
 	res.AvgPower = totalPower
@@ -263,40 +264,13 @@ func Run(cl *hw.Cluster, app *workload.Spec, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// socketsUsed returns how many sockets host n threads under affinity.
-func socketsUsed(spec *hw.NodeSpec, n int, aff workload.Affinity) int {
-	if aff == workload.Scatter {
-		if n < spec.Sockets {
-			return n
-		}
-		return spec.Sockets
-	}
-	return power.SocketsFor(spec, n)
-}
-
-// coreBW returns the per-core memory bandwidth at frequency f for an
-// application with per-core bandwidth factor bwf.
-func coreBW(spec *hw.NodeSpec, f, bwf float64) float64 {
-	return spec.CoreMemBW * bwf * (0.4 + 0.6*f/spec.FMax())
-}
-
-// remoteFraction returns the fraction of memory traffic that crosses
-// the NUMA interconnect for this app/mapping.
-func remoteFraction(app *workload.Spec, sockets int, aff workload.Affinity) float64 {
-	if !app.SharedData || sockets <= 1 {
-		return 0
-	}
-	if aff == workload.Scatter {
-		return app.RemoteFrac
-	}
-	// Compact mappings that still span sockets share less data across
-	// the boundary than a full scatter.
-	return app.RemoteFrac * 0.6
-}
-
-// runNode computes one node's steady-state per-iteration time, power
-// and per-iteration events.
-func runNode(spec *hw.NodeSpec, node *hw.Node, app *workload.Spec, cfg Config, budget power.Budget) (NodeResult, Events) {
+// runNode computes one node's steady-state per-iteration time and
+// power. When ev is non-nil the node's per-iteration events are added
+// to it (Run passes a zero Events per node); when ev is nil the
+// CPU-energy and event bookkeeping is skipped, leaving CPUPower zero —
+// the allocation-free path EvalTime takes, which reads only IterTime,
+// MemPower and CapOK.
+func runNode(spec *hw.NodeSpec, node *hw.Node, app *workload.Spec, cfg *Config, budget power.Budget, ev *Events) NodeResult {
 	nDefault := cfg.CoresPerNode
 	shard := 1.0 / float64(cfg.Nodes)
 	if app.Scaling == workload.WeakScaling {
@@ -312,7 +286,7 @@ func runNode(spec *hw.NodeSpec, node *hw.Node, app *workload.Spec, cfg Config, b
 			maxCores = n
 		}
 	}
-	maxSockets := socketsUsed(spec, maxCores, cfg.Affinity)
+	maxSockets := SocketsUsedFor(spec, maxCores, cfg.Affinity)
 
 	f := spec.FMax()
 	capOK := true
@@ -331,18 +305,20 @@ func runNode(spec *hw.NodeSpec, node *hw.Node, app *workload.Spec, cfg Config, b
 	}
 
 	var iterTime, memBytesTotal, cpuEnergyW float64
-	var ev Events
 	for _, ph := range app.Phases {
 		n := nDefault
 		if o, ok := cfg.PhaseCores[ph.Name]; ok {
 			n = o
 		}
-		sockets := socketsUsed(spec, n, cfg.Affinity)
-		rf := remoteFraction(app, sockets, cfg.Affinity)
+		sockets := SocketsUsedFor(spec, n, cfg.Affinity)
+		rf := RemoteFractionFor(app, sockets, cfg.Affinity)
 		bwCeil := BandwidthCeiling(spec, app, n, sockets, f, cfg.Capped, budget.Mem)
 		tPhase, bytes := PhaseTime(ph, n, f, shard, bwCeil, rf, spec.RemotePenalty)
 		iterTime += tPhase
 		memBytesTotal += bytes
+		if ev == nil {
+			continue
+		}
 
 		// CPU energy contribution of this phase at its core count.
 		if capOK {
@@ -369,43 +345,23 @@ func runNode(spec *hw.NodeSpec, node *hw.Node, app *workload.Spec, cfg Config, b
 	if iterTime > 0 {
 		avgBW = memBytesTotal / iterTime
 	}
-	maxSocketsAny := socketsUsed(spec, maxCores, cfg.Affinity)
-	memPower := power.MemPowerAt(spec, maxSocketsAny, avgBW)
 	cpuPower := 0.0
-	if iterTime > 0 {
+	if ev != nil && iterTime > 0 {
 		cpuPower = cpuEnergyW / iterTime
+		ev.ElapsedSeconds += iterTime
 	}
-	ev.ElapsedSeconds = iterTime
 
 	return NodeResult{
 		NodeID:    node.ID,
 		Freq:      f,
 		CPUPower:  cpuPower,
-		MemPower:  memPower,
+		MemPower:  power.MemPowerAt(spec, maxSockets, avgBW),
 		IterTime:  iterTime,
 		MemBW:     avgBW,
 		CapOK:     capOK,
 		Sockets:   maxSockets,
 		CoresUsed: maxCores,
-	}, ev
-}
-
-// commTime returns the per-iteration communication cost for an N-node
-// run: a log2(N) collective-latency term plus a halo-volume term that
-// shrinks with the surface-to-volume exponent.
-func commTime(cl *hw.Cluster, app *workload.Spec, nodes int) float64 {
-	if nodes <= 1 {
-		return 0
 	}
-	n := float64(nodes)
-	lat := app.CommLatFactor * cl.CommBaseLatency * math.Log2(n)
-	vol := app.CommBytes * math.Pow(1/n, app.SurfaceExp) / cl.LinkBW
-	if app.Scaling == workload.WeakScaling {
-		// Per-node halo volume stays constant when the problem grows
-		// with the node count.
-		vol = app.CommBytes / cl.LinkBW
-	}
-	return lat + vol
 }
 
 // SweepCores measures single-node performance for every core count in

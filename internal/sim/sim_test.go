@@ -227,6 +227,24 @@ func TestOddConcurrencyPenaltyApplied(t *testing.T) {
 	}
 }
 
+func TestSocketsUsedFor(t *testing.T) {
+	spec := hw.HaswellSpec()
+	cases := []struct {
+		n    int
+		aff  workload.Affinity
+		want int
+	}{
+		{1, workload.Scatter, 1}, {2, workload.Scatter, 2}, {24, workload.Scatter, 2},
+		{1, workload.Compact, 1}, {12, workload.Compact, 1}, {13, workload.Compact, 2},
+		{24, workload.Compact, 2},
+	}
+	for _, c := range cases {
+		if got := SocketsUsedFor(spec, c.n, c.aff); got != c.want {
+			t.Errorf("SocketsUsedFor(%d,%v) = %d, want %d", c.n, c.aff, got, c.want)
+		}
+	}
+}
+
 func TestSharedDataPrefersCompactWithinSocket(t *testing.T) {
 	// Below the single-socket bandwidth limit the two mappings admit
 	// the same bandwidth, so scatter only adds cross-NUMA traffic: a
