@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/plan"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -193,6 +194,18 @@ func TestBudgetsWithinBound(t *testing.T) {
 				t.Errorf("%s @%v: %v", m.Name(), bound, err)
 			}
 		}
+	}
+}
+
+// TestSocketsForBaseline pins the placement the baselines size their
+// power plans with: the shared rule in sim.
+func TestSocketsForBaseline(t *testing.T) {
+	spec := hw.HaswellSpec()
+	if sim.SocketsUsedFor(spec, 12, workload.Compact) != 1 {
+		t.Error("compact 12 should use 1 socket")
+	}
+	if sim.SocketsUsedFor(spec, 2, workload.Scatter) != 2 {
+		t.Error("scatter 2 should use 2 sockets")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/hw"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -142,6 +143,25 @@ func TestClampNP(t *testing.T) {
 	for _, c := range cases {
 		if got := ClampNP(c.np, c.cores); got != c.want {
 			t.Errorf("ClampNP(%d,%d) = %d, want %d", c.np, c.cores, got, c.want)
+		}
+	}
+}
+
+// TestSocketsUsed pins the placement the profiler models a run with:
+// the shared rule in sim.
+func TestSocketsUsed(t *testing.T) {
+	spec := hw.HaswellSpec()
+	cases := []struct {
+		n    int
+		aff  workload.Affinity
+		want int
+	}{
+		{1, workload.Scatter, 1}, {2, workload.Scatter, 2}, {24, workload.Scatter, 2},
+		{1, workload.Compact, 1}, {12, workload.Compact, 1}, {13, workload.Compact, 2},
+	}
+	for _, c := range cases {
+		if got := sim.SocketsUsedFor(spec, c.n, c.aff); got != c.want {
+			t.Errorf("SocketsUsedFor(%d,%v) = %d, want %d", c.n, c.aff, got, c.want)
 		}
 	}
 }
