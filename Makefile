@@ -31,10 +31,6 @@ check:
 	$(GO) test -race -count=2 ./internal/fed/...
 	$(GO) test -run=NONE -fuzz=FuzzDispatchMatchesCold -fuzztime=10s ./internal/jobsched
 	$(GO) test -run=NONE -bench=. -benchtime=1x .
-	$(GO) run ./cmd/clipsim -app sp-mz.C -budget 1200 \
-		-faults "crash-mtbf=120,mttr=20,exc-mtbf=240,seed=7" \
-		| grep -q "bound-invariant: ok"
-	./scripts/preempt_smoke.sh
 	./scripts/clipd_smoke.sh
 	./scripts/fed_smoke.sh
 	./scripts/fed_chaos_smoke.sh

@@ -280,6 +280,9 @@ func TestClipsimGolden(t *testing.T) {
 		{"hipri0_faults", []string{"-hipri-frac", "0", "-faults", scenario}},
 		{"hipri30", []string{"-hipri-frac", "0.3"}},
 		{"hipri30_faults", []string{"-hipri-frac", "0.3", "-faults", scenario}},
+		// The one shape where killed jobs retry and finish and evicted
+		// jobs re-run.
+		{"hipri40_faults", []string{"-hipri-frac", "0.4", "-faults", "crash-mtbf=600,mttr=30,exc-mtbf=300,seed=7"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(filepath.Join(binDir, "clipsim"), tc.args...)

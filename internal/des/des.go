@@ -83,6 +83,10 @@ func (e *Event) Cancel() {
 	e.eng.maybeCompact()
 }
 
+// Pending reports whether the event is still due: scheduled, not yet
+// fired, and not cancelled.
+func (e *Event) Pending() bool { return e.eng != nil && !e.cancelled }
+
 // Engine is a minimal discrete-event core: schedule closures in virtual
 // time and run until the queue drains or a horizon is reached.
 type Engine struct {

@@ -91,6 +91,74 @@ func checkQueueCounts(t *testing.T, tag string, st *schedState) {
 	}
 }
 
+// checkRecords requires every job record to match where its job
+// physically is: a running record's slot is live and holds it, a
+// retrying record's backoff event is pending, a queued record has
+// exactly one live queue entry, a terminal record holds no slot,
+// backoff event or kill time, and the non-terminal records number
+// Pending().
+func checkRecords(t *testing.T, tag string, st *schedState) {
+	t.Helper()
+	entries := map[*jobRecord]int{}
+	for li := range st.levels {
+		l := &st.levels[li]
+		for _, e := range l.q[l.head:] {
+			if !e.started {
+				entries[e.rec]++
+			}
+		}
+	}
+	open, running := 0, 0
+	for id, rec := range st.jobs {
+		bad := func(what string) {
+			t.Helper()
+			t.Fatalf("%s: %s record of %s %s", tag, rec.state, id, what)
+		}
+		if rec.job.ID != id || st.recs[rec.idx] != rec {
+			bad("is not indexed under its id and arena slot")
+		}
+		if (rec.run != nil) != (rec.state == JobRunning) {
+			bad("disagrees with its running slot")
+		}
+		if (rec.backoff != nil) != (rec.state == JobRetrying) {
+			bad("disagrees with its backoff event")
+		}
+		want := 0
+		if rec.state == JobQueued {
+			want = 1
+		}
+		if entries[rec] != want {
+			bad(fmt.Sprintf("has %d live queue entries, want %d", entries[rec], want))
+		}
+		switch {
+		case rec.state == JobRunning:
+			running++
+			if rj := rec.run; !rj.live || st.slots[rj.slot] != rj || rj.rec != rec {
+				bad("holds a slot that is not live with it")
+			}
+		case rec.state == JobRetrying && !rec.backoff.Pending():
+			bad("has no pending backoff event")
+		case rec.state.Terminal() && rec.killed:
+			bad("still holds a kill time")
+		}
+		if !rec.state.Terminal() {
+			open++
+		}
+	}
+	live := 0
+	for _, rj := range st.slots {
+		if rj.live {
+			live++
+		}
+	}
+	if running != st.nrunning || live != st.nrunning {
+		t.Fatalf("%s: %d running records, %d live slots, running count %d", tag, running, live, st.nrunning)
+	}
+	if open != st.jobsLeft {
+		t.Fatalf("%s: %d non-terminal records, Pending() %d", tag, open, st.jobsLeft)
+	}
+}
+
 // opMix weights the differential driver's operations; each step draws
 // one in proportion to its weight. An all-zero mix only advances time.
 type opMix struct {
@@ -112,8 +180,9 @@ type diffCounts struct {
 // reconciles and time advances, under node crashes, power excursions
 // and stragglers — through two sessions of cfg. The cached session
 // dispatches with every memo; the cold one is made cold before every
-// event. After every step the two must be indistinguishable, and the
-// cached session's queue counts must match its queue.
+// event. After every step the two must be indistinguishable, the
+// cached session's queue counts must match its queue, and every job
+// record of either session must match where its job is.
 func diffDispatch(t *testing.T, cfg Config, seed uint64, mix opMix, steps int) diffCounts {
 	t.Helper()
 	apps := []*workload.Spec{workload.CoMD(), workload.LUMZ(), workload.SPMZ(),
@@ -154,7 +223,7 @@ func diffDispatch(t *testing.T, cfg Config, seed uint64, mix opMix, steps int) d
 			id := ""
 			if r.Intn(2) == 0 {
 				if e := cached.st.topQueued(); e != nil {
-					id = e.job.ID
+					id = e.rec.job.ID
 				}
 			} else if len(known) > 0 {
 				id = known[r.Intn(len(known))]
@@ -178,6 +247,8 @@ func diffDispatch(t *testing.T, cfg Config, seed uint64, mix opMix, steps int) d
 		step := fmt.Sprintf("%s ev %d", tag, ev)
 		sameSessions(t, step, cached, cold)
 		checkQueueCounts(t, step, cached.st)
+		checkRecords(t, step, cached.st)
+		checkRecords(t, step+" cold", cold.st)
 	}
 	coldUntil(t, cold, cold.Now())
 	makeCold(cold.st)
@@ -188,6 +259,7 @@ func diffDispatch(t *testing.T, cfg Config, seed uint64, mix opMix, steps int) d
 	}
 	sameSessions(t, tag+" drained", cached, cold)
 	checkQueueCounts(t, tag+" drained", cached.st)
+	checkRecords(t, tag+" drained", cached.st)
 	n.adopted = cached.st.adopted
 	return n
 }
@@ -276,11 +348,15 @@ func TestDispatchReusesDecisionPerFreeState(t *testing.T) {
 		}
 	}
 	for o.st.qlive > 0 {
-		if len(o.st.running) != 1 {
-			t.Fatalf("%d jobs running; each job should take every node", len(o.st.running))
+		running := 0
+		for _, rec := range o.st.jobs {
+			if rec.state == JobRunning {
+				running++
+				states[math.Float64bits(o.st.freeW+rec.run.powerUsed)] = true
+			}
 		}
-		for _, rj := range o.st.running {
-			states[math.Float64bits(o.st.freeW+rj.powerUsed)] = true
+		if running != 1 {
+			t.Fatalf("%d jobs running; each job should take every node", running)
 		}
 		if err := o.ProcessNextEvent(); err != nil {
 			t.Fatal(err)

@@ -134,8 +134,6 @@ func (st *schedState) initFaults(sc faults.Scenario, nodes int) {
 	}
 	st.derated = make([]bool, nodes)
 	st.reserved = make([]float64, nodes)
-	st.retries = make(map[string]int)
-	st.killedAt = make(map[string]float64)
 	st.faultEvs = make(map[*des.Event]struct{})
 	for i := 0; i < nodes; i++ {
 		st.scheduleNextCrash(i)
@@ -337,83 +335,66 @@ func (st *schedState) nodeRecover(i int) {
 // schedules a backoff retry or reports the job failed once its retries
 // are exhausted.
 func (st *schedState) killJob(rj *runningJob, node int, cause string) {
-	if rj.completion != nil {
-		rj.completion.Cancel()
-		rj.completion = nil
-	}
-	j := rj.job
-	delete(st.running, j.ID)
-	st.invalidateShadow()
-	reclaimed := rj.powerUsed
-	st.freeW += reclaimed
+	rec := rj.rec
+	reclaimed := st.teardown(rj)
 	st.stats.Faults.WattsReclaimed += reclaimed
 	gWattsReclaimed.Add(reclaimed)
-	st.releaseNodes(rj.globalIDs)
-	st.releaseRecord(rj) // rj must not be touched below this line
-	st.logFault("kill", node, j.ID, reclaimed, cause)
+	st.logFault("kill", node, rec.job.ID, reclaimed, cause)
 
-	attempt := st.retries[j.ID] + 1
-	st.retries[j.ID] = attempt
-	if attempt > st.inj.MaxRetries() {
-		// The final kill was not re-tried; report only completed retries.
-		st.retries[j.ID] = attempt - 1
-		st.failJob(j, fmt.Sprintf("%s; %d retries exhausted", cause, attempt-1))
+	if int(rec.retries) >= st.inj.MaxRetries() {
+		// The final kill is not re-tried; report only completed retries.
+		st.failJob(rec, fmt.Sprintf("%s; %d retries exhausted", cause, rec.retries))
 		return
 	}
+	rec.retries++
 	mJobsRetried.Inc()
 	st.stats.Faults.Retries++
-	backoff := st.inj.Backoff(j.ID, attempt)
-	st.killedAt[j.ID] = st.eng.Now()
-	ev, err := st.eng.After(backoff, func() { st.requeue(j) })
+	backoff := st.inj.Backoff(rec.job.ID, int(rec.retries))
+	ev, err := st.eng.AfterHandler(backoff, st, evkRequeue, uint64(rec.idx))
 	if err != nil {
 		st.failure = err
 		return
 	}
-	ev.Kind = evkRequeue
-	if st.pendingRequeue != nil {
-		st.pendingRequeue[j.ID] = ev
-	}
-	st.logFault("retry", -1, j.ID, 0, fmt.Sprintf("attempt %d in %.2fs", attempt, backoff))
+	rec.state, rec.backoff = JobRetrying, ev
+	rec.killed, rec.killedAt = true, st.eng.Now()
+	st.logFault("retry", -1, rec.job.ID, 0, fmt.Sprintf("attempt %d in %.2fs", rec.retries, backoff))
 }
 
 // requeue re-enqueues a killed job after its backoff delay.
-func (st *schedState) requeue(j Job) {
+func (st *schedState) requeue(rec *jobRecord) {
 	start := time.Now()
 	defer func() { mEventSeconds.Observe(time.Since(start).Seconds()) }()
-	delete(st.pendingRequeue, j.ID)
+	rec.backoff = nil
 	if st.inj.AllDrained() {
-		st.failJob(j, "no nodes left: entire cluster drained")
+		st.failJob(rec, "no nodes left: entire cluster drained")
 		st.publishState()
 		return
 	}
-	st.logFault("requeue", -1, j.ID, 0, fmt.Sprintf("attempt %d", st.retries[j.ID]))
-	st.enqueue(j)
+	st.logFault("requeue", -1, rec.job.ID, 0, fmt.Sprintf("attempt %d", rec.retries))
+	st.enqueue(rec)
 	st.dispatch()
 	st.assertBound("requeue")
 	st.publishState()
 }
 
 // failJob reports a job permanently failed and retires it.
-func (st *schedState) failJob(j Job, reason string) {
-	fj := FailedJob{
+func (st *schedState) failJob(rec *jobRecord, reason string) {
+	j := &rec.job
+	st.stats.Failed = append(st.stats.Failed, FailedJob{
 		ID: j.ID, Arrival: j.Arrival, FailedAt: st.eng.Now(),
-		Retries: st.retries[j.ID], Reason: reason,
-	}
-	st.stats.Failed = append(st.stats.Failed, fj)
-	if st.hooks.onFail != nil {
-		st.hooks.onFail(fj)
-	}
+		Retries: int(rec.retries), Reason: reason,
+	})
+	rec.reason = reason
 	st.logFault("fail", -1, j.ID, 0, reason)
-	delete(st.killedAt, j.ID)
-	st.jobDone()
+	st.retire(rec, JobFailed)
 }
 
 // failQueued fails every still-queued job, in enqueue order (the
 // cluster has fully drained, or the session is draining; nothing can
 // ever start again).
 func (st *schedState) failQueued(reason string) {
-	for _, j := range st.takeQueued() {
-		st.failJob(j, reason)
+	for _, rec := range st.takeQueued() {
+		st.failJob(rec, reason)
 	}
 }
 
@@ -473,7 +454,7 @@ func (st *schedState) recapJob(rj *runningJob, node int, frac float64) {
 	}
 	if !feasible {
 		st.stats.Faults.Migrations++
-		st.logFault("migrate", node, rj.job.ID, 0, "re-cap infeasible on fixed configuration; killed for retry")
+		st.logFault("migrate", node, rj.rec.job.ID, 0, "re-cap infeasible on fixed configuration; killed for retry")
 		st.killJob(rj, node, fmt.Sprintf("power excursion on node %d", node))
 		return
 	}
@@ -497,7 +478,7 @@ func (st *schedState) recapJob(rj *runningJob, node int, frac float64) {
 	st.scheduleCompletion(rj)
 	st.stats.Faults.WattsReclaimed += released
 	gWattsReclaimed.Add(released)
-	st.logFault("recap", node, rj.job.ID, released,
+	st.logFault("recap", node, rj.rec.job.ID, released,
 		fmt.Sprintf("per-node %.1f→%.1f W, %.1f W reserved", old.Total(), b.Total(), cut))
 }
 
@@ -625,7 +606,7 @@ func (st *schedState) publishState() {
 		Kind: telemetry.KindSchedState, TimeS: st.eng.Now(),
 		BoundWatts: st.bound, FreeWatts: st.freeW,
 		AllocWatts: alloc, ReservedWatts: resv,
-		QueueDepth: st.qlive, RunningJobs: len(st.running),
+		QueueDepth: st.qlive, RunningJobs: st.nrunning,
 		QuarantinedNodes: quar,
 	})
 	gQueueDepth.Set(float64(st.qlive))

@@ -250,7 +250,7 @@ func TestBoundInvariantTripsOnOverAllocation(t *testing.T) {
 	s := sched(t, Config{Bound: 100})
 	st := &schedState{s: s, eng: des.NewEngine(), bound: 100, stats: &Stats{}}
 	for _, w := range []float64{80, 30} {
-		rj := st.acquireRecord()
+		rj := st.acquireSlot()
 		rj.powerUsed, rj.live = w, true
 	}
 	st.assertBound("test")

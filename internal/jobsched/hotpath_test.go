@@ -17,8 +17,8 @@ import (
 	"repro/internal/workload"
 )
 
-// TestRunDoesNotMutateCallerJobs: Run sorts arrivals in its own scratch
-// buffer; the slice the caller handed in (order and contents) must come
+// TestRunDoesNotMutateCallerJobs: Run keeps each job's state in its own
+// record; the slice the caller handed in (order and contents) must come
 // back untouched, run after run.
 func TestRunDoesNotMutateCallerJobs(t *testing.T) {
 	s := sched(t, Config{Bound: 2000, Policy: Backfill})

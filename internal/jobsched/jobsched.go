@@ -13,7 +13,8 @@
 // analytic simulator.
 //
 // Hot-path discipline: the run state is pooled and recycled across
-// Runs, running-job records live in a slot arena with a freelist, DES
+// Runs, each job's state lives in one record taken from an arena, a
+// running job's placement lives in a slot arena with a freelist, DES
 // events dispatch through a handler interface (no closure per event),
 // and placement decisions are memoized per application against the
 // free set and free watts they were computed for — a steady-state
@@ -26,6 +27,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -60,14 +62,13 @@ var (
 )
 
 // des handler event kinds of the core scheduler (the fault layer owns
-// 1..7; see faults.go). The argument encodes an index: into the
-// arrivals arena (evkArrival), the running-record slot arena
+// 1..7; see faults.go). The argument encodes an index: into the job
+// record arena (evkArrival, evkRequeue), the running slot arena
 // (evkCompletion) or the bound schedule (evkBound).
 const (
 	evkArrival uint16 = 32 + iota
 	evkCompletion
 	evkBound
-	evkSubmit
 )
 
 // Job is one unit of work submitted to the scheduler.
@@ -258,20 +259,52 @@ func New(cl *hw.Cluster, clip *core.CLIP, cfg Config) (*Scheduler, error) {
 	return &Scheduler{Cluster: cl, CLIP: clip, Config: cfg}, nil
 }
 
-// runningJob tracks an executing job. Records live in the run state's
-// slot arena: a record keeps its slot index for the lifetime of the
-// state and is recycled through a freelist, so completion events can
-// reference the job by slot and the globalIDs / subcluster buffers are
-// reused across occupants.
+// jobRecord is the one account of a submitted job, shared by Run and
+// Online: its lifecycle state, where it physically is (a running slot
+// or a pending backoff event), its fault and preemption counters, and
+// its terminal snapshot. Records live in the run state's record arena;
+// queue entries and running slots point at theirs, so no step of
+// dispatch looks a job up by id.
+//
+// Online keeps a record for every job it was sent, so the record's size
+// is a per-job memory cost: the int32 fields keep it at 240 bytes.
+type jobRecord struct {
+	job   Job
+	state JobState
+	// run is the running slot while running; backoff is the pending
+	// requeue event while retrying.
+	run     *runningJob
+	backoff *des.Event
+	// retries counts fault kills that were re-tried, preempts evictions
+	// for a higher-priority job.
+	retries, preempts int32
+	// killedAt is the time of the last fault kill while killed is set:
+	// from the kill until the job restarts or leaves the system.
+	killedAt float64
+	killed   bool
+	idx      int32 // index in schedState.recs, the arrival and requeue event argument
+	// result is the in-flight result while running (NodeIDs may alias
+	// the slot's globalIDs) and the terminal snapshot once completed;
+	// reason explains a failure. finishedAt is the completion, failure
+	// or cancellation time, reclaimedW the watts a cancellation returned.
+	result     JobResult
+	reason     string
+	finishedAt float64
+	reclaimedW float64
+}
+
+// runningJob is the placement of an executing job. Slots live in the
+// run state's slot arena: a slot keeps its index for the lifetime of
+// the state and is recycled through a freelist, so completion events
+// can reference the job by slot and the globalIDs / subcluster buffers
+// are reused across occupants.
 type runningJob struct {
-	job    Job
-	result JobResult // in-flight result; NodeIDs may alias globalIDs
-	slot   int32     // index in schedState.slots, stable across recycles
-	// live marks a record in the running set: walks over running jobs
-	// range the slot arena and skip dead slots instead of ranging the
-	// running map (which serves lookup by id).
+	rec  *jobRecord
+	slot int32 // index in schedState.slots, stable across recycles
+	// live marks a slot in the running set: walks over running jobs
+	// range the slot arena and skip dead slots.
 	live bool
-	// globalIDs is the record-owned node id buffer (ascending).
+	// globalIDs is the slot-owned node id buffer (ascending).
 	globalIDs []int
 	cores     int
 	affinity  workload.Affinity
@@ -287,7 +320,7 @@ type runningJob struct {
 	finishAt     float64 // scheduled completion time
 	powerUsed    float64 // total managed watts held by this job
 	// sub is the job's fixed subcluster view, filled in place at start
-	// (the node objects are record-owned and reused) and consulted by
+	// (the node objects are slot-owned and reused) and consulted by
 	// every mid-run retune preview.
 	sub *hw.Cluster
 }
@@ -296,7 +329,7 @@ type runningJob struct {
 // are tombstoned in place so dispatch scans never revisit them, instead
 // of shifting the whole tail on every start.
 type queueEntry struct {
-	job     Job
+	rec     *jobRecord
 	dc      *dispatchEntry // the application's dispatch-cache entry
 	seq     uint64         // enqueue order across all levels
 	started bool
@@ -412,31 +445,30 @@ type schedState struct {
 	qlive   int    // queued jobs not yet started, over all levels
 	qapps   int    // applications with queued jobs (dispatchEntry.live > 0)
 	adopted uint64 // dispatch-cache entries served by a content match, never reset
-	running map[string]*runningJob
-	free    []int // free global node ids, ascending
+	free    []int  // free global node ids, ascending
 	freeW   float64
 	bound   float64 // current (possibly time-varying) bound
 	stats   *Stats
-	// running-record arena: slots[i].slot == i; freeSlots is the stack
-	// of recyclable indices.
+	// job-record arena: recs[:nrecs] have been handed out (recs[i].idx
+	// == i); jobs indexes the live ones by id, and freeRecs is the stack
+	// of forgotten ones, which the arena hands out again.
+	recs     []*jobRecord
+	nrecs    int32
+	freeRecs []int32
+	jobs     map[string]*jobRecord
+	// running-slot arena: slots[i].slot == i; freeSlots is the stack of
+	// recyclable indices; nrunning counts the live slots.
 	slots     []*runningJob
 	freeSlots []int32
+	nrunning  int
 	// placement machinery, persistent across events and runs.
 	coord  coordinator.Coordinator
 	csc    coordinator.Scratch
 	pl     coordinator.Placement
 	dcache map[*workload.Spec]*dispatchEntry
-	// arrivals is the scheduler-owned arrival arena: Run copies and
-	// sorts the caller's job list here (the caller's slice is never
-	// reordered), and arrival events reference it by index.
-	arrivals []Job
-	arrSort  arrivalSorter
-	// pendingArrival carries one online submission into its arrival
-	// event (fired synchronously inside SubmitPri).
-	pendingArrival Job
-	// reallocIDs is the deterministic-iteration scratch of reallocate
-	// and shedPower.
-	reallocIDs []string
+	// byID is the deterministic-iteration scratch of reallocate and
+	// shedPower.
+	byID []*runningJob
 	// cached derived state
 	freeVer    uint64 // bumped on every free-set change, never reset
 	freeSub    *hw.Cluster
@@ -450,8 +482,7 @@ type schedState struct {
 	// priority pipeline state. feasIDs/feasSub back the
 	// constraint-filtered cluster view; the pre* scratch set backs
 	// preemption planning so a plan never clobbers the freeVer-cached
-	// free view or the shared coordinator scratch; preempts counts
-	// evictions per job id (nil until the first preemption).
+	// free view or the shared coordinator scratch.
 	feasIDs    []int
 	feasSub    *hw.Cluster
 	preIDs     []int
@@ -460,7 +491,6 @@ type schedState struct {
 	prePl      coordinator.Placement
 	preCoord   coordinator.Coordinator
 	preVictims []*runningJob
-	preempts   map[string]int
 	// power-use integral
 	lastAccount  float64
 	usedIntegral float64
@@ -469,32 +499,16 @@ type schedState struct {
 	// fault streams outlive idle periods instead of stopping when the
 	// in-flight job count touches zero, and drain is explicit.
 	online bool
-	// hooks observe job lifecycle transitions (online driver support).
-	hooks lifecycleHooks
-	// pendingRequeue tracks the backoff event of each killed job so an
-	// online cancel can withdraw a job that is neither queued nor
-	// running.
-	pendingRequeue map[string]*des.Event
 	// fault injection (nil / unused without Config.Faults)
 	inj           *faults.Injector
 	runningOn     []*runningJob // node id -> resident job
 	straggle      []float64     // node id -> active slowdown factor (1 = none)
 	derated       []bool        // node id -> excursion active
 	reserved      []float64     // node id -> watts held back by an active excursion
-	retries       map[string]int
-	killedAt      map[string]float64 // job id -> kill time (time-to-reschedule)
 	faultEvs      map[*des.Event]struct{}
 	faultsStopped bool
 	jobsLeft      int // submitted jobs not yet finished or failed
 }
-
-// arrivalSorter stable-sorts the arrival arena by arrival time without
-// boxing a fresh closure per Run.
-type arrivalSorter struct{ jobs []Job }
-
-func (a *arrivalSorter) Len() int           { return len(a.jobs) }
-func (a *arrivalSorter) Less(i, j int) bool { return a.jobs[i].Arrival < a.jobs[j].Arrival }
-func (a *arrivalSorter) Swap(i, j int)      { a.jobs[i], a.jobs[j] = a.jobs[j], a.jobs[i] }
 
 // jobsByStart orders final results by start time.
 type jobsByStart []JobResult
@@ -508,13 +522,13 @@ func (x jobsByStart) Swap(i, j int)      { x[i], x[j] = x[j], x[i] }
 func (st *schedState) HandleEvent(kind uint16, arg uint64) {
 	switch kind {
 	case evkArrival:
-		st.arrive(st.arrivals[arg])
+		st.arrive(st.recs[arg])
 	case evkCompletion:
 		st.finish(st.slots[arg])
 	case evkBound:
 		st.applyBoundChange(st.s.Config.BoundSchedule[arg].Watts)
-	case evkSubmit:
-		st.arrive(st.pendingArrival)
+	case evkRequeue:
+		st.requeue(st.recs[arg])
 	}
 }
 
@@ -527,10 +541,10 @@ func (s *Scheduler) newState(online bool) (*schedState, error) {
 	st := s.pool.Swap(nil)
 	if st == nil {
 		st = &schedState{
-			s:       s,
-			eng:     des.NewEngine(),
-			running: make(map[string]*runningJob),
-			dcache:  make(map[*workload.Spec]*dispatchEntry),
+			s:      s,
+			eng:    des.NewEngine(),
+			jobs:   make(map[string]*jobRecord),
+			dcache: make(map[*workload.Spec]*dispatchEntry),
 		}
 	}
 	st.reset(online)
@@ -571,12 +585,14 @@ func (st *schedState) reset(online bool) {
 	for _, dc := range st.dcache {
 		dc.free, dc.live = dc.free[:0], 0
 	}
-	clear(st.running)
+	st.nrecs, st.freeRecs = 0, st.freeRecs[:0]
+	clear(st.jobs)
 	st.freeSlots = st.freeSlots[:0]
 	for i, rj := range st.slots {
-		rj.live = false // a Run that ended in error leaves records live
+		rj.live = false // a Run that ended in error leaves slots live
 		st.freeSlots = append(st.freeSlots, int32(i))
 	}
+	st.nrunning = 0
 	st.free = st.free[:0]
 	for i := range s.Cluster.Nodes {
 		st.free = append(st.free, i)
@@ -589,27 +605,56 @@ func (st *schedState) reset(online bool) {
 	st.shadow, st.shadowOK = 0, false
 	st.settled = settleMemo{}
 	st.preVictims = st.preVictims[:0]
-	st.preempts = nil
 	st.lastAccount, st.usedIntegral = 0, 0
 	st.failure = nil
 	st.online = online
-	st.hooks = lifecycleHooks{}
-	st.pendingRequeue = nil
-	st.pendingArrival = Job{}
 	st.inj = nil
 	st.runningOn = nil
 	st.straggle = nil
 	st.derated = nil
 	st.reserved = nil
-	st.retries = nil
-	st.killedAt = nil
 	st.faultEvs = nil
 	st.faultsStopped = false
 	st.jobsLeft = 0
 }
 
-// acquireRecord takes a running-job record from the slot arena.
-func (st *schedState) acquireRecord() *runningJob {
+// newRecord takes a queued record for j from the record arena and
+// indexes it by id; the caller has checked that the id is new.
+func (st *schedState) newRecord(j Job) *jobRecord {
+	var idx int32
+	if n := len(st.freeRecs); n > 0 {
+		idx, st.freeRecs = st.freeRecs[n-1], st.freeRecs[:n-1]
+	} else {
+		idx = st.nrecs
+		st.nrecs++
+		if int(idx) == len(st.recs) {
+			st.recs = append(st.recs, new(jobRecord))
+		}
+	}
+	rec := st.recs[idx]
+	*rec = jobRecord{job: j, idx: idx}
+	st.jobs[j.ID] = rec
+	return rec
+}
+
+// forget drops a record that no queue entry, slot or event refers to:
+// its id may be submitted again, and the arena hands the record out
+// again.
+func (st *schedState) forget(rec *jobRecord) {
+	delete(st.jobs, rec.job.ID)
+	*rec = jobRecord{idx: rec.idx}
+	st.freeRecs = append(st.freeRecs, rec.idx)
+}
+
+// retire makes a record terminal at the current time and retires its
+// job (jobDone).
+func (st *schedState) retire(rec *jobRecord, s JobState) {
+	rec.state, rec.finishedAt, rec.killed = s, st.eng.Now(), false
+	st.jobDone()
+}
+
+// acquireSlot takes a running slot from the slot arena.
+func (st *schedState) acquireSlot() *runningJob {
 	if n := len(st.freeSlots); n > 0 {
 		slot := st.freeSlots[n-1]
 		st.freeSlots = st.freeSlots[:n-1]
@@ -624,17 +669,31 @@ func (st *schedState) acquireRecord() *runningJob {
 	return rj
 }
 
-// releaseRecord recycles a record whose completion event has fired or
-// been cancelled. The caller must not touch rj afterwards: the next
-// start may reuse the slot (and its buffers) immediately.
-func (st *schedState) releaseRecord(rj *runningJob) {
-	rj.completion = nil
-	rj.live = false
+// teardown takes a running job off the cluster, the one exit path of
+// completion, fault kill, preemption and cancellation: its pending
+// completion is withdrawn, it leaves the running set, its watts return
+// to the pool, its nodes are released and its slot is recycled. The
+// caller must not touch rj afterwards: the next start may reuse the
+// slot (and its buffers) immediately. Returns the reclaimed watts.
+func (st *schedState) teardown(rj *runningJob) float64 {
+	if rj.completion != nil {
+		rj.completion.Cancel() // a no-op when the completion has fired
+	}
+	st.nrunning--
+	st.invalidateShadow()
+	reclaimed := rj.powerUsed
+	st.freeW += reclaimed
+	st.releaseNodes(rj.globalIDs)
+	rj.rec.run = nil
+	rj.rec, rj.completion, rj.live = nil, nil, false
 	st.freeSlots = append(st.freeSlots, rj.slot)
+	return reclaimed
 }
 
 // Run schedules the job list to completion and returns statistics.
-// The caller's slice is read but never reordered or mutated.
+// The caller's slice is read but never reordered or mutated. Job ids
+// must be unique: a repeated id fails the run, before anything is
+// simulated, with an error wrapping ErrDuplicateJob.
 func (s *Scheduler) Run(jobs []Job) (*Stats, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("jobsched: empty job list")
@@ -653,11 +712,14 @@ func (s *Scheduler) Run(jobs []Job) (*Stats, error) {
 	}
 	defer s.pool.Store(st)
 	st.jobsLeft = len(jobs)
-	st.arrivals = append(st.arrivals[:0], jobs...)
-	st.arrSort.jobs = st.arrivals
-	sort.Stable(&st.arrSort)
-	for i := range st.arrivals {
-		if _, err := st.eng.AtHandler(st.arrivals[i].Arrival, st, evkArrival, uint64(i)); err != nil {
+	// Arrival events fire in (time, schedule order), so scheduling them
+	// in list order starts equal arrivals in list order without a sort.
+	for _, j := range jobs {
+		if _, dup := st.jobs[j.ID]; dup {
+			return nil, fmt.Errorf("%w: %q", ErrDuplicateJob, j.ID)
+		}
+		rec := st.newRecord(j)
+		if _, err := st.eng.AtHandler(j.Arrival, st, evkArrival, uint64(rec.idx)); err != nil {
 			return nil, err
 		}
 	}
@@ -667,9 +729,9 @@ func (s *Scheduler) Run(jobs []Job) (*Stats, error) {
 	if st.failure != nil {
 		return nil, st.failure
 	}
-	if st.qlive > 0 || len(st.running) > 0 {
+	if st.qlive > 0 || st.nrunning > 0 {
 		return nil, fmt.Errorf("jobsched: %d queued and %d running jobs never finished",
-			st.qlive, len(st.running))
+			st.qlive, st.nrunning)
 	}
 
 	st.accountPower()
@@ -705,23 +767,24 @@ func (st *schedState) accountPower() {
 // arrive enqueues a job and tries to dispatch. A job arriving after
 // the entire cluster has drained fails immediately — there is no node
 // it could ever run on.
-func (st *schedState) arrive(j Job) {
+func (st *schedState) arrive(rec *jobRecord) {
 	start := time.Now()
 	defer func() { mEventSeconds.Observe(time.Since(start).Seconds()) }()
 	if st.inj != nil && st.inj.AllDrained() {
-		st.failJob(j, "no nodes left: entire cluster drained")
+		st.failJob(rec, "no nodes left: entire cluster drained")
 		st.publishState()
 		return
 	}
+	j := &rec.job
 	if j.Priority == 0 {
 		j.Priority = j.App.Priority
 	}
 	if !j.App.Constraint.Zero() && !st.constraintSatisfiable(j.App) {
-		st.failJob(j, "node constraint matches no cluster node")
+		st.failJob(rec, "node constraint matches no cluster node")
 		st.publishState()
 		return
 	}
-	st.enqueue(j)
+	st.enqueue(rec)
 	st.dispatch()
 	st.assertBound("arrive")
 	st.publishState()
@@ -729,15 +792,17 @@ func (st *schedState) arrive(j Job) {
 
 // enqueue appends a job at the tail of its priority level: the one
 // enqueue path of arrivals, fault requeues and preemption re-enqueues.
-func (st *schedState) enqueue(j Job) {
-	dc := st.dcache[j.App]
+func (st *schedState) enqueue(rec *jobRecord) {
+	app := rec.job.App
+	dc := st.dcache[app]
 	if dc == nil {
 		dc = &dispatchEntry{}
-		st.dcache[j.App] = dc
+		st.dcache[app] = dc
 	}
-	l := st.level(j.Priority, true)
+	rec.state = JobQueued
+	l := st.level(rec.job.Priority, true)
 	st.qseq++
-	l.q = append(l.q, queueEntry{job: j, dc: dc, seq: st.qseq})
+	l.q = append(l.q, queueEntry{rec: rec, dc: dc, seq: st.qseq})
 	l.live++
 	st.qlive++
 	if dc.live++; dc.live == 1 {
@@ -799,10 +864,10 @@ func (st *schedState) topQueued() *queueEntry {
 	return nil
 }
 
-// takeQueued empties the queue and returns its jobs in enqueue (seq)
+// takeQueued empties the queue and returns its records in enqueue (seq)
 // order across all levels: the physical order in which evacuation and
 // drain failures report queued jobs.
-func (st *schedState) takeQueued() []Job {
+func (st *schedState) takeQueued() []*jobRecord {
 	st.settled.ok = false // every queue removal clears the dispatch memo
 	var live []queueEntry
 	for li := range st.levels {
@@ -817,9 +882,9 @@ func (st *schedState) takeQueued() []Job {
 	}
 	st.qlive, st.qapps = 0, 0
 	sort.Slice(live, func(a, b int) bool { return live[a].seq < live[b].seq })
-	out := make([]Job, len(live))
+	out := make([]*jobRecord, len(live))
 	for i, e := range live {
-		out[i] = e.job
+		out[i] = e.rec
 	}
 	return out
 }
@@ -843,7 +908,7 @@ type resStamp struct {
 }
 
 func (st *schedState) resStamp() resStamp {
-	return resStamp{st.freeVer, math.Float64bits(st.freeW), len(st.running), st.shadowEpoch}
+	return resStamp{st.freeVer, math.Float64bits(st.freeW), st.nrunning, st.shadowEpoch}
 }
 
 // headSeq returns the dispatch head's seq, or 0 when the queue is empty.
@@ -936,7 +1001,7 @@ func (st *schedState) dispatchPass(from uint64) bool {
 			if !head && st.s.Config.Policy == Backfill {
 				deadline = st.shadowTime()
 			}
-			if st.tryStart(e.job, e.dc, deadline) {
+			if st.tryStart(e.rec, e.dc, deadline) {
 				mJobsStarted.Inc()
 				e.started = true
 				st.unqueue(l, e)
@@ -1049,7 +1114,7 @@ func (st *schedState) freeCluster() *hw.Cluster {
 // the simulator evaluation is memoized alongside it. The CapOK and
 // deadline gates depend on per-call state (running-set size, shadow
 // window) and are applied after the lookup.
-func (st *schedState) tryStart(j Job, e *dispatchEntry, deadline float64) bool {
+func (st *schedState) tryStart(rec *jobRecord, e *dispatchEntry, deadline float64) bool {
 	if len(st.free) == 0 || st.freeW <= 0 {
 		return false
 	}
@@ -1059,6 +1124,7 @@ func (st *schedState) tryStart(j Job, e *dispatchEntry, deadline float64) bool {
 	// the allocation-free hot path). The view is a pure function of the
 	// free set per application, so the content-keyed cache check below
 	// stays sound.
+	j := &rec.job
 	view, pool, ranked := st.feasibleView(j.App)
 	if len(pool) == 0 {
 		return false
@@ -1085,7 +1151,7 @@ func (st *schedState) tryStart(j Job, e *dispatchEntry, deadline float64) bool {
 	if e.state == entryInfeasible {
 		return false
 	}
-	if !e.pl.capOK && len(st.running) > 0 {
+	if !e.pl.capOK && st.nrunning > 0 {
 		// Below the acceptable power range: wait for more power unless
 		// nothing is running (then duty-cycling beats starvation).
 		return false
@@ -1112,7 +1178,7 @@ func (st *schedState) tryStart(j Job, e *dispatchEntry, deadline float64) bool {
 	// the globals arrive sorted for the free-list subtract/merge; a
 	// ranked affinity view is ordered by preference instead, so its
 	// mapped globals need the explicit sort).
-	rj := st.acquireRecord()
+	rj := st.acquireSlot()
 	for _, slot := range e.pl.nodeIDs {
 		rj.globalIDs = append(rj.globalIDs, pool[slot])
 	}
@@ -1125,15 +1191,12 @@ func (st *schedState) tryStart(j Job, e *dispatchEntry, deadline float64) bool {
 	st.freeW -= used
 	st.takeFree(rj.globalIDs)
 	now := st.eng.Now()
-	rj.job = j
-	rj.result = JobResult{
+	rj.rec, rec.run, rec.state = rec, rj, JobRunning
+	rec.result = JobResult{
 		ID: j.ID, Arrival: j.Arrival, Start: now,
 		Nodes: len(rj.globalIDs), Cores: e.pl.cores,
 		PerNodeW: e.pl.perNode[0].Total(),
-		Priority: j.Priority,
-	}
-	if st.preempts != nil {
-		rj.result.Preemptions = st.preempts[j.ID]
+		Retries:  int(rec.retries), Priority: j.Priority, Preemptions: int(rec.preempts),
 	}
 	rj.cores = e.pl.cores
 	rj.affinity = e.pl.affinity
@@ -1144,22 +1207,21 @@ func (st *schedState) tryStart(j Job, e *dispatchEntry, deadline float64) bool {
 	rj.lastUpdate = now
 	rj.powerUsed = used
 	rj.sub = fillSub(rj.sub, st.s.Cluster, rj.globalIDs)
-	st.running[j.ID] = rj
 	rj.live = true
+	st.nrunning++
 	if st.inj != nil {
 		for _, g := range rj.globalIDs {
 			st.runningOn[g] = rj
 		}
-		rj.result.NodeIDs = rj.globalIDs
-		rj.result.Retries = st.retries[j.ID]
+		rec.result.NodeIDs = rj.globalIDs
 		if f := st.jobFactor(rj); f > 1 {
 			rj.iterTime = e.eval.IterTime * f
 		}
-		if t0, ok := st.killedAt[j.ID]; ok {
-			mReschedSeconds.Observe(st.eng.Now() - t0)
+		if rec.killed {
+			mReschedSeconds.Observe(st.eng.Now() - rec.killedAt)
 			st.logFault("restart", -1, j.ID, 0,
-				fmt.Sprintf("rescheduled %.2fs after kill", st.eng.Now()-t0))
-			delete(st.killedAt, j.ID)
+				fmt.Sprintf("rescheduled %.2fs after kill", st.eng.Now()-rec.killedAt))
+			rec.killed = false
 		}
 	}
 	st.scheduleCompletion(rj)
@@ -1199,24 +1261,17 @@ func (st *schedState) finish(rj *runningJob) {
 	start := time.Now()
 	mJobsFinished.Inc()
 	st.accountPower()
-	rj.result.Finish = st.eng.Now()
-	jr := rj.result
-	if jr.NodeIDs != nil {
-		// The in-flight result aliases the record's reusable node
-		// buffer; terminal snapshots own their copy (interned in the
-		// stats arena — no per-job allocation).
-		jr.NodeIDs = st.stats.internNodeIDs(jr.NodeIDs)
+	rec := rj.rec
+	rec.result.Finish = st.eng.Now()
+	if rec.result.NodeIDs != nil {
+		// The in-flight result aliases the slot's reusable node buffer;
+		// terminal snapshots own their copy (interned in the stats arena
+		// — no per-job allocation).
+		rec.result.NodeIDs = st.stats.internNodeIDs(rec.result.NodeIDs)
 	}
-	st.stats.Jobs = append(st.stats.Jobs, jr)
-	if st.hooks.onFinish != nil {
-		st.hooks.onFinish(jr)
-	}
-	delete(st.running, rj.job.ID)
-	st.invalidateShadow()
-	st.freeW += rj.powerUsed
-	st.releaseNodes(rj.globalIDs)
-	st.releaseRecord(rj)
-	st.jobDone()
+	st.stats.Jobs = append(st.stats.Jobs, rec.result)
+	st.teardown(rj)
+	st.retire(rec, JobCompleted)
 	st.dispatch()
 	if st.s.Config.Reallocate {
 		st.reallocate()
@@ -1231,19 +1286,13 @@ func (st *schedState) finish(rj *runningJob) {
 // and concurrency with a fatter per-node budget; jobs that speed up
 // keep the extra power until they finish.
 func (st *schedState) reallocate() {
-	if st.freeW <= 1 || len(st.running) == 0 {
+	if st.freeW <= 1 || st.nrunning == 0 {
 		return
 	}
-	ids := st.reallocIDs[:0]
-	for id := range st.running {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids) // determinism
-	st.reallocIDs = ids
-	share := st.freeW / float64(len(ids))
-	for _, id := range ids {
-		rj := st.running[id]
-		prof, pd, err := st.s.CLIP.Predictor(rj.job.App)
+	live := st.liveByID()
+	share := st.freeW / float64(len(live))
+	for _, rj := range live {
+		prof, pd, err := st.s.CLIP.Predictor(rj.rec.job.App)
 		if err != nil {
 			st.failure = err
 			return
@@ -1308,14 +1357,14 @@ func (st *schedState) applyBoost(rj *runningJob, cfg recommend.NodeConfig) {
 		return
 	}
 	st.commitRetune(rj, cfg.Budget, res.IterTime)
-	rj.result.Boosted = true
+	rj.rec.result.Boosted = true
 }
 
 // previewRetune scores a running job's fixed configuration under a new
 // per-node budget without committing, on the allocation-free fast path
 // against the job's cached subcluster view.
 func (st *schedState) previewRetune(rj *runningJob, b power.Budget) (sim.Eval, error) {
-	return sim.EvalTime(rj.sub, rj.job.App, sim.Config{
+	return sim.EvalTime(rj.sub, rj.rec.job.App, sim.Config{
 		Nodes: len(rj.globalIDs), CoresPerNode: rj.cores, Affinity: rj.affinity,
 		Capped: true, Budget: b,
 	})
@@ -1360,21 +1409,15 @@ func (st *schedState) applyBoundChange(watts float64) {
 // and concurrency (a restart would cost more than a slowdown); the CPU
 // domain absorbs the cut, with DRAM trimmed only when unavoidable.
 func (st *schedState) shedPower() {
-	if len(st.running) == 0 {
+	if st.nrunning == 0 {
 		// Nothing to shed from; the deficit resolves as queued work
 		// stays queued until the bound recovers.
 		return
 	}
-	ids := st.reallocIDs[:0]
-	for id := range st.running {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	st.reallocIDs = ids
-	// Sum in id order: a float sum in map order varies from run to run.
+	live := st.liveByID()
 	var totalAlloc float64
-	for _, id := range ids {
-		totalAlloc += st.running[id].powerUsed
+	for _, rj := range live {
+		totalAlloc += rj.powerUsed
 	}
 	target := totalAlloc + st.freeW // freeW < 0
 	if target < 1 {
@@ -1382,8 +1425,7 @@ func (st *schedState) shedPower() {
 	}
 	factor := target / totalAlloc
 	spec := st.s.Cluster.Spec()
-	for _, id := range ids {
-		rj := st.running[id]
+	for _, rj := range live {
 		perNode := rj.powerUsed * factor / float64(len(rj.globalIDs))
 		b := shrinkBudget(spec, rj, perNode)
 		res, err := st.previewRetune(rj, b)
@@ -1393,6 +1435,21 @@ func (st *schedState) shedPower() {
 		}
 		st.commitRetune(rj, b, res.IterTime)
 	}
+}
+
+// liveByID returns the running jobs ordered by job id, in a reused
+// scratch buffer: the walk order of reallocate and shedPower, so their
+// float sums and retunes do not depend on slot order.
+func (st *schedState) liveByID() []*runningJob {
+	live := st.byID[:0]
+	for _, rj := range st.slots {
+		if rj.live {
+			live = append(live, rj)
+		}
+	}
+	slices.SortFunc(live, func(a, b *runningJob) int { return strings.Compare(a.rec.job.ID, b.rec.job.ID) })
+	st.byID = live
+	return live
 }
 
 // shrinkBudget splits a reduced per-node budget for a job's fixed

@@ -1,6 +1,7 @@
 package jobsched
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -62,6 +63,29 @@ func TestRunRejectsBadJobs(t *testing.T) {
 	}
 	if _, err := s.Run([]Job{{ID: "x", App: workload.CoMD(), Arrival: -1}}); err == nil {
 		t.Error("negative arrival accepted")
+	}
+}
+
+// TestRunRejectsDuplicateIDs: two jobs of one id would share one
+// record, so Run refuses the list before it simulates anything. With
+// distinct ids the same stream completes, including a bound drop that
+// must shed power from both running jobs.
+func TestRunRejectsDuplicateIDs(t *testing.T) {
+	app := workload.CoMD()
+	app.ProcCounts = []int{4}
+	s := sched(t, Config{Bound: 2400, Policy: Backfill, Reallocate: true,
+		BoundSchedule: []BoundChange{{Time: 3, Watts: 500}}})
+	list := []Job{{ID: "a", App: app, Arrival: 0}, {ID: "a", App: app, Arrival: 1}}
+	if _, err := s.Run(list); !errors.Is(err, ErrDuplicateJob) {
+		t.Fatalf("duplicate ids: error %v, want one wrapping ErrDuplicateJob", err)
+	}
+	list[1].ID = "b"
+	st, err := s.Run(list)
+	if err != nil {
+		t.Fatalf("distinct ids: %v", err)
+	}
+	if len(st.Jobs) != 2 {
+		t.Fatalf("distinct ids: %d of 2 jobs finished", len(st.Jobs))
 	}
 }
 

@@ -13,9 +13,9 @@ package jobsched
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
-	"repro/internal/des"
 	"repro/internal/workload"
 )
 
@@ -25,17 +25,18 @@ import (
 var (
 	// ErrUnknownJob: the job id was never submitted this session.
 	ErrUnknownJob = errors.New("jobsched: unknown job")
-	// ErrDuplicateJob: the job id was already submitted this session.
+	// ErrDuplicateJob: the job id was already submitted this session (or
+	// appears twice in a Run's job list).
 	ErrDuplicateJob = errors.New("jobsched: duplicate job id")
 	// ErrJobTerminal: the operation needs a live job but the job already
 	// completed, failed or was cancelled.
 	ErrJobTerminal = errors.New("jobsched: job already terminal")
 )
 
-// JobState is an online job's lifecycle phase.
+// JobState is a job's lifecycle phase.
 type JobState int
 
-// Job lifecycle states of the online driver.
+// Job lifecycle states.
 const (
 	// JobQueued: admitted, waiting for nodes or power.
 	JobQueued JobState = iota
@@ -136,28 +137,11 @@ type ClusterState struct {
 	Nodes     []NodeState
 }
 
-// lifecycleHooks observe job lifecycle transitions inside the event
-// handlers; the online driver uses them to keep its job index current.
-type lifecycleHooks struct {
-	onFinish func(JobResult)
-	onFail   func(FailedJob)
-}
-
-// jobRecord is the online driver's account of one submitted job.
-type jobRecord struct {
-	job        Job
-	state      JobState
-	result     JobResult // terminal snapshot (completed)
-	failed     FailedJob // terminal snapshot (failed)
-	finishedAt float64   // terminal time (cancellation time when cancelled)
-	reclaimedW float64   // power returned by a cancellation
-}
-
 // Online drives the scheduler incrementally. Not safe for concurrent
-// use; callers serialise access.
+// use; callers serialise access. Each job's state lives in the run
+// state's job record (jobRecord), the one the batch Run uses.
 type Online struct {
-	st   *schedState
-	jobs map[string]*jobRecord
+	st *schedState
 }
 
 // Online opens an incremental scheduling session over the scheduler's
@@ -169,27 +153,7 @@ func (s *Scheduler) Online() (*Online, error) {
 	if err != nil {
 		return nil, err
 	}
-	if st.pendingRequeue == nil {
-		st.pendingRequeue = make(map[string]*des.Event)
-	}
-	o := &Online{st: st, jobs: make(map[string]*jobRecord)}
-	st.hooks = lifecycleHooks{
-		onFinish: func(r JobResult) {
-			if rec := o.jobs[r.ID]; rec != nil {
-				rec.state = JobCompleted
-				rec.result = r
-				rec.finishedAt = r.Finish
-			}
-		},
-		onFail: func(f FailedJob) {
-			if rec := o.jobs[f.ID]; rec != nil {
-				rec.state = JobFailed
-				rec.failed = f
-				rec.finishedAt = f.FailedAt
-			}
-		},
-	}
-	return o, nil
+	return &Online{st: st}, nil
 }
 
 // Now returns the current virtual time in seconds.
@@ -282,7 +246,7 @@ func (o *Online) FreeWatts() float64 { return o.st.freeW }
 func (o *Online) QueueLen() int { return o.st.qlive }
 
 // RunningLen returns the number of jobs currently placed.
-func (o *Online) RunningLen() int { return len(o.st.running) }
+func (o *Online) RunningLen() int { return o.st.nrunning }
 
 // FreeNodes returns the number of unoccupied, non-quarantined nodes.
 func (o *Online) FreeNodes() int { return len(o.st.free) }
@@ -311,7 +275,7 @@ func (o *Online) SubmitPri(id string, app *workload.Spec, pri int) (JobStatus, e
 	if app == nil {
 		return JobStatus{}, fmt.Errorf("jobsched: job %q has no application", id)
 	}
-	if _, dup := o.jobs[id]; dup {
+	if _, dup := o.st.jobs[id]; dup {
 		return JobStatus{}, fmt.Errorf("%w: %q", ErrDuplicateJob, id)
 	}
 	if o.st.failure != nil {
@@ -321,11 +285,9 @@ func (o *Online) SubmitPri(id string, app *workload.Spec, pri int) (JobStatus, e
 		pri = app.Priority
 	}
 	now := o.st.eng.Now()
-	j := Job{ID: id, App: app, Arrival: now, Priority: pri}
-	o.jobs[id] = &jobRecord{job: j, state: JobQueued}
+	rec := o.st.newRecord(Job{ID: id, App: app, Arrival: now, Priority: pri})
 	o.st.jobsLeft++
-	o.st.pendingArrival = j
-	if _, err := o.st.eng.AtHandler(now, o.st, evkSubmit, 0); err != nil {
+	if _, err := o.st.eng.AtHandler(now, o.st, evkArrival, uint64(rec.idx)); err != nil {
 		return JobStatus{}, err
 	}
 	// Fire the arrival (and anything else already due at now) so the
@@ -373,55 +335,46 @@ func (o *Online) SubmitBatch(subs []Submission) []SubmitResult {
 
 // Status reports the current state of a submitted job.
 func (o *Online) Status(id string) (JobStatus, error) {
-	rec, ok := o.jobs[id]
+	rec, ok := o.st.jobs[id]
 	if !ok {
 		return JobStatus{}, fmt.Errorf("%w: %q", ErrUnknownJob, id)
 	}
-	js := o.status(id, rec)
-	if js.State == JobQueued {
-		js.QueuePos = o.st.queuePos(id, rec.job.Priority)
+	pos := 0
+	if rec.state == JobQueued {
+		pos = o.st.queuePos(rec)
 	}
-	return js, nil
+	return status(rec, pos), nil
 }
 
-// status builds a job's status from its record, leaving QueuePos to
-// the caller.
-func (o *Online) status(id string, rec *jobRecord) JobStatus {
+// status builds a job's status from its record; queuePos is a queued
+// job's position.
+func status(rec *jobRecord, queuePos int) JobStatus {
 	js := JobStatus{
-		ID: id, Arrival: rec.job.Arrival, Retries: o.st.retries[id],
-		Priority: rec.job.Priority, Preemptions: o.st.preempts[id],
+		ID: rec.job.ID, State: rec.state, Arrival: rec.job.Arrival, Retries: int(rec.retries),
+		Priority: rec.job.Priority, Preemptions: int(rec.preempts),
+	}
+	if rec.state.Terminal() {
+		js.Finish = rec.finishedAt
 	}
 	switch rec.state {
-	case JobCompleted:
-		js.State = JobCompleted
+	case JobQueued:
+		js.QueuePos = queuePos
+	case JobRunning:
+		rj := rec.run
 		js.Start = rec.result.Start
-		js.Finish = rec.result.Finish
+		js.Nodes = append([]int(nil), rj.globalIDs...)
+		js.Cores = rj.cores
+		js.PerNodeW = rj.perNode.Total()
+		js.EstFinish = rj.finishAt
+	case JobCompleted:
+		js.Start = rec.result.Start
 		js.Nodes = rec.result.NodeIDs
 		js.Cores = rec.result.Cores
 		js.PerNodeW = rec.result.PerNodeW
-		js.Retries = rec.result.Retries
 	case JobFailed:
-		js.State = JobFailed
-		js.Finish = rec.failed.FailedAt
-		js.Retries = rec.failed.Retries
-		js.Reason = rec.failed.Reason
+		js.Reason = rec.reason
 	case JobCancelled:
-		js.State = JobCancelled
-		js.Finish = rec.finishedAt
 		js.ReclaimedW = rec.reclaimedW
-	default:
-		if rj := o.st.running[id]; rj != nil {
-			js.State = JobRunning
-			js.Start = rj.result.Start
-			js.Nodes = append([]int(nil), rj.globalIDs...)
-			js.Cores = rj.cores
-			js.PerNodeW = rj.perNode.Total()
-			js.EstFinish = rj.finishAt
-		} else if _, retrying := o.st.pendingRequeue[id]; retrying {
-			js.State = JobRetrying
-		} else {
-			js.State = JobQueued
-		}
 	}
 	return js
 }
@@ -430,8 +383,8 @@ func (o *Online) status(id string, rec *jobRecord) JobStatus {
 // the live jobs of every higher priority level plus the job's place in
 // its own level's FIFO. Positions are dense and gap-free across cancel
 // tombstones, queue compaction, evacuations and preemption re-enqueues.
-func (st *schedState) queuePos(id string, pri int) int {
-	pos := 0
+func (st *schedState) queuePos(rec *jobRecord) int {
+	pri, pos := rec.job.Priority, 0
 	for li := range st.levels {
 		l := &st.levels[li]
 		if l.pri > pri {
@@ -447,7 +400,7 @@ func (st *schedState) queuePos(id string, pri int) int {
 		// is quadratic in queue depth.
 		for qi := len(l.q) - 1; qi >= l.head; qi-- {
 			if e := &l.q[qi]; !e.started {
-				if e.job.ID == id {
+				if e.rec == rec {
 					return pos + l.live - 1
 				}
 				break
@@ -455,7 +408,7 @@ func (st *schedState) queuePos(id string, pri int) int {
 		}
 		for qi := l.head; qi < len(l.q); qi++ {
 			if e := &l.q[qi]; !e.started {
-				if e.job.ID == id {
+				if e.rec == rec {
 					break
 				}
 				pos++
@@ -470,26 +423,23 @@ func (st *schedState) queuePos(id string, pri int) int {
 // positions come from one walk of the queue in dispatch order, not one
 // walk per queued job.
 func (o *Online) Jobs() []JobStatus {
-	pos := make(map[string]int, o.st.qlive)
+	pos := make(map[*jobRecord]int, o.st.qlive)
 	for li := range o.st.levels {
 		l := &o.st.levels[li]
 		for qi := l.head; qi < len(l.q); qi++ {
 			if !l.q[qi].started {
-				pos[l.q[qi].job.ID] = len(pos)
+				pos[l.q[qi].rec] = len(pos)
 			}
 		}
 	}
-	ids := make([]string, 0, len(o.jobs))
-	for id := range o.jobs {
-		ids = append(ids, id)
+	recs := make([]*jobRecord, 0, len(o.st.jobs))
+	for _, rec := range o.st.jobs {
+		recs = append(recs, rec)
 	}
-	sort.Strings(ids)
-	out := make([]JobStatus, len(ids))
-	for i, id := range ids {
-		out[i] = o.status(id, o.jobs[id])
-		if out[i].State == JobQueued {
-			out[i].QueuePos = pos[id]
-		}
+	slices.SortFunc(recs, func(a, b *jobRecord) int { return strings.Compare(a.job.ID, b.job.ID) })
+	out := make([]JobStatus, len(recs))
+	for i, rec := range recs {
+		out[i] = status(rec, pos[rec])
 	}
 	return out
 }
@@ -500,40 +450,28 @@ func (o *Online) Jobs() []JobStatus {
 // retry withdrawn. Cancelling a terminal job is an error. Returns the
 // watts reclaimed.
 func (o *Online) Cancel(id string) (float64, error) {
-	rec, ok := o.jobs[id]
+	st := o.st
+	rec, ok := st.jobs[id]
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownJob, id)
 	}
 	if rec.state.Terminal() {
 		return 0, fmt.Errorf("%w: job %q is %s", ErrJobTerminal, id, rec.state)
 	}
-	st := o.st
-	reclaimed := 0.0
-	switch {
-	case st.running[id] != nil:
-		rj := st.running[id]
+	switch rec.state {
+	case JobRunning:
 		st.accountPower()
-		if rj.completion != nil {
-			rj.completion.Cancel()
-			rj.completion = nil
-		}
-		delete(st.running, id)
-		st.invalidateShadow()
-		reclaimed = rj.powerUsed
-		st.freeW += reclaimed
-		st.releaseNodes(rj.globalIDs)
-		st.releaseRecord(rj)
-		st.jobDone()
+		rec.reclaimedW = st.teardown(rec.run)
+		st.retire(rec, JobCancelled)
 		st.dispatch()
 		if st.s.Config.Reallocate {
 			st.reallocate()
 		}
 		st.assertBound("cancel")
-	case st.pendingRequeue[id] != nil:
-		st.pendingRequeue[id].Cancel()
-		delete(st.pendingRequeue, id)
-		delete(st.killedAt, id)
-		st.jobDone()
+	case JobRetrying:
+		rec.backoff.Cancel()
+		rec.backoff = nil
+		st.retire(rec, JobCancelled)
 	default:
 		// Queued: tombstone the entry in place. Only the job's own
 		// priority level can hold it; the search runs from the tail,
@@ -542,7 +480,7 @@ func (o *Online) Cancel(id string) (float64, error) {
 		found := false
 		if l != nil {
 			for qi := len(l.q) - 1; qi >= l.head && !found; qi-- {
-				if e := &l.q[qi]; !e.started && e.job.ID == id {
+				if e := &l.q[qi]; !e.started && e.rec == rec {
 					e.started = true
 					st.unqueue(l, e)
 					found = true
@@ -554,17 +492,10 @@ func (o *Online) Cancel(id string) (float64, error) {
 		}
 		st.settled.ok = false // the removal can promote an entry to head
 		st.compactQueue()
-		delete(st.killedAt, id)
-		st.jobDone()
+		st.retire(rec, JobCancelled)
 	}
-	rec.state = JobCancelled
-	rec.finishedAt = st.eng.Now()
-	rec.reclaimedW = reclaimed
 	st.publishState()
-	if st.failure != nil {
-		return reclaimed, st.failure
-	}
-	return reclaimed, nil
+	return rec.reclaimedW, st.failure
 }
 
 // EvacuateQueued extracts every queued (not-yet-running) job from the
@@ -580,12 +511,11 @@ func (o *Online) EvacuateQueued() []Job {
 	if st.qlive == 0 {
 		return nil
 	}
-	out := st.takeQueued()
-	for _, j := range out {
-		delete(o.jobs, j.ID)
-		delete(st.retries, j.ID)
-		delete(st.preempts, j.ID)
-		delete(st.killedAt, j.ID)
+	recs := st.takeQueued()
+	out := make([]Job, len(recs))
+	for i, rec := range recs {
+		out[i] = rec.job
+		st.forget(rec)
 		st.jobDone()
 	}
 	st.publishState()
@@ -603,14 +533,14 @@ func (o *Online) Cluster() ClusterState {
 		AllocW:    st.allocatedW(),
 		ReservedW: st.reservedW(),
 		Queued:    st.qlive,
-		Running:   len(st.running),
+		Running:   st.nrunning,
 		Nodes:     make([]NodeState, len(st.s.Cluster.Nodes)),
 	}
 	resident := make([]string, len(cs.Nodes))
 	for _, rj := range st.slots {
 		if rj.live {
 			for _, g := range rj.globalIDs {
-				resident[g] = rj.job.ID
+				resident[g] = rj.rec.job.ID
 			}
 		}
 	}
@@ -658,9 +588,9 @@ func (o *Online) Drain() error {
 	if st.failure != nil {
 		return st.failure
 	}
-	if st.jobsLeft != 0 || len(st.running) > 0 {
+	if st.jobsLeft != 0 || st.nrunning > 0 {
 		return fmt.Errorf("jobsched: drain left %d jobs unaccounted (%d running)",
-			st.jobsLeft, len(st.running))
+			st.jobsLeft, st.nrunning)
 	}
 	return nil
 }

@@ -364,11 +364,20 @@ func TestOnlineCancelRetryingJob(t *testing.T) {
 	}
 }
 
+// killTime returns the kill time id's record holds, if it has a record
+// that holds one.
+func killTime(o *Online, id string) (float64, bool) {
+	if rec := o.st.jobs[id]; rec != nil && rec.killed {
+		return rec.killedAt, true
+	}
+	return 0, false
+}
+
 // TestQueueRemovalForgetsKillTime: a job killed by a fault and
 // requeued carries its kill time until it restarts. Cancelling it while
-// it is queued, or evacuating it, must drop that record too — otherwise
-// clipd leaks one entry per such cancel, and an evacuated job that later
-// returns to the shard logs a restart against a stale kill time.
+// it is queued must clear the kill time from its record, and evacuating
+// it must forget the record entirely — otherwise an evacuated job that
+// later returns to the shard logs a restart against a stale kill time.
 func TestQueueRemovalForgetsKillTime(t *testing.T) {
 	for _, evacuate := range []bool{false, true} {
 		o := online(t, Config{Bound: 2000,
@@ -386,7 +395,7 @@ func TestQueueRemovalForgetsKillTime(t *testing.T) {
 			var requeued []string
 			for _, id := range ids {
 				if js, err := o.Status(id); err == nil && js.State == JobQueued {
-					if _, killed := o.st.killedAt[id]; killed {
+					if _, killed := killTime(o, id); killed {
 						requeued = append(requeued, id)
 					}
 				}
@@ -403,8 +412,11 @@ func TestQueueRemovalForgetsKillTime(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if _, leaked := o.st.killedAt[id]; leaked {
+				if _, leaked := killTime(o, id); leaked {
 					t.Errorf("evacuate=%v: %s removed from the queue but its kill time stayed", evacuate, id)
+				}
+				if evacuate && o.st.jobs[id] != nil {
+					t.Errorf("%s evacuated but its record stayed", id)
 				}
 				removed++
 			}

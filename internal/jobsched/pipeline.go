@@ -130,13 +130,13 @@ func (st *schedState) feasibleView(app *workload.Spec) (*hw.Cluster, []int, bool
 // cheapest reclaimed watts, then job id — evicting in this order
 // yields the minimal-cost victim set for a greedy prefix scan.
 func victimLess(a, b *runningJob) bool {
-	if a.job.Priority != b.job.Priority {
-		return a.job.Priority < b.job.Priority
+	if a.rec.job.Priority != b.rec.job.Priority {
+		return a.rec.job.Priority < b.rec.job.Priority
 	}
 	if a.powerUsed != b.powerUsed {
 		return a.powerUsed < b.powerUsed
 	}
-	return a.job.ID < b.job.ID
+	return a.rec.job.ID < b.rec.job.ID
 }
 
 // preemptPass runs once per dispatch fixpoint when preemption is
@@ -150,13 +150,13 @@ func victimLess(a, b *runningJob) bool {
 // every job shares one priority — it returns false without side
 // effects. Returns whether anything was evicted.
 func (st *schedState) preemptPass() bool {
-	if st.qlive == 0 || len(st.running) == 0 {
+	if st.qlive == 0 || st.nrunning == 0 {
 		return false
 	}
-	top := st.topQueued().job
+	top := &st.topQueued().rec.job
 	victims := st.preVictims[:0]
 	for _, rj := range st.slots {
-		if rj.live && rj.job.Priority < top.Priority {
+		if rj.live && rj.rec.job.Priority < top.Priority {
 			victims = append(victims, rj)
 		}
 	}
@@ -194,7 +194,7 @@ func (st *schedState) preemptPass() bool {
 // — constraint filter, placement, and the CapOK duty-cycling rule
 // against the post-eviction running count — so a committed plan is
 // guaranteed to start the job on the rescan.
-func (st *schedState) planPreemption(top Job, victims []*runningJob) int {
+func (st *schedState) planPreemption(top *Job, victims []*runningJob) int {
 	prof, pd, err := st.s.CLIP.Predictor(top.App)
 	if err != nil {
 		st.failure = err
@@ -227,11 +227,11 @@ func (st *schedState) planPreemption(top Job, victims []*runningJob) int {
 		if err := st.preCoord.Place(top.App, prof, pd, candW, &st.preSc, &st.prePl); err != nil {
 			continue
 		}
-		if !st.prePl.NodeCfg.CapOK && len(st.running)-k > 0 {
+		if !st.prePl.NodeCfg.CapOK && st.nrunning-k > 0 {
 			continue
 		}
-		if len(st.running)-k < 0 {
-			st.failure = fmt.Errorf("jobsched: preemption plan evicts %d of %d running jobs", k, len(st.running))
+		if st.nrunning-k < 0 {
+			st.failure = fmt.Errorf("jobsched: preemption plan evicts %d of %d running jobs", k, st.nrunning)
 			return 0
 		}
 		return k
@@ -247,26 +247,14 @@ func (st *schedState) planPreemption(top Job, victims []*runningJob) int {
 // below the preemptor's.
 func (st *schedState) preemptJob(rj *runningJob, forID string) {
 	st.accountPower()
-	if rj.completion != nil {
-		rj.completion.Cancel()
-		rj.completion = nil
-	}
-	j := rj.job
-	delete(st.running, j.ID)
-	st.invalidateShadow()
-	reclaimed := rj.powerUsed
-	st.freeW += reclaimed
+	rec := rj.rec
+	reclaimed := st.teardown(rj)
 	mJobsPreempted.Inc()
 	gPreemptWatts.Add(reclaimed)
 	st.stats.Preemptions++
-	if st.preempts == nil {
-		st.preempts = make(map[string]int)
-	}
-	st.preempts[j.ID]++
-	st.releaseNodes(rj.globalIDs)
-	st.releaseRecord(rj) // rj must not be touched below this line
-	st.logFault("preempt", -1, j.ID, reclaimed, "evicted for higher-priority "+forID)
-	st.enqueue(j)
+	rec.preempts++
+	st.logFault("preempt", -1, rec.job.ID, reclaimed, "evicted for higher-priority "+forID)
+	st.enqueue(rec)
 }
 
 // maxReconcilePasses bounds the reconciler's re-dispatch loop; a
@@ -314,7 +302,7 @@ func (st *schedState) uncovered() string {
 	if st.qlive == 0 || st.failure != nil {
 		return ""
 	}
-	j := st.topQueued().job
+	j := &st.topQueued().rec.job
 	e := st.dcache[j.App]
 	if e == nil || !st.fresh(e) {
 		return "" // no decision recorded for the current state
@@ -322,7 +310,7 @@ func (st *schedState) uncovered() string {
 	if e.state != entryEvaled {
 		return "" // infeasible, or never reached evaluation
 	}
-	if !e.pl.capOK && len(st.running) > 0 {
+	if !e.pl.capOK && st.nrunning > 0 {
 		return "" // duty-cycling gate: waiting for more power
 	}
 	return j.ID
