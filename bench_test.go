@@ -14,6 +14,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/fed"
 	"repro/internal/hw"
 	"repro/internal/jobsched"
 	"repro/internal/mlr"
@@ -119,13 +120,14 @@ func BenchmarkSmartProfile(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainNP measures the offline regression training.
+// BenchmarkTrainNP measures the offline regression training for one
+// node spec.
 func BenchmarkTrainNP(b *testing.B) {
-	cl := hw.NewCluster(1, hw.HaswellSpec(), 0, 1)
+	spec := hw.HaswellSpec()
 	apps := workload.TrainingSet(42, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := perfmodel.TrainNP(cl, apps); err != nil {
+		if _, err := perfmodel.TrainNP(spec, apps); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -180,6 +182,26 @@ func BenchmarkColdCLIP(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.New(cl); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFedNew measures federation construction at the fed-scale
+// shape: 64 shards of 4 nodes at 400 W each, no arrivals scheduled. It
+// is dominated by building the shard clusters and CLIP instances, which
+// share one NP regression trained per federation.
+func BenchmarkFedNew(b *testing.B) {
+	cfg := fed.Config{Routing: fed.Locality}
+	for i := 0; i < 64; i++ {
+		cfg.Shards = append(cfg.Shards, fed.ShardConfig{
+			Nodes: 4, BudgetW: 400, Sigma: 0.02, Seed: int64(1000 + i),
+			Policy: jobsched.AggressiveBackfill, Reallocate: true,
+		})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fed.New(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/coordinator"
+	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/plan"
 	"repro/internal/sim"
@@ -41,10 +42,16 @@ func runAblVar(ctx *Context, w io.Writer) error {
 	app := workload.LUMZ()
 	const bound = 1000.0
 
+	// The sweep varies only node variability, so every cluster reuses
+	// the context's regression for the testbed spec.
+	model, err := ctx.npModel()
+	if err != nil {
+		return err
+	}
 	t := trace.NewTable("sigma", "spread", "coordinated", "runtime_s", "gain_%")
 	for _, sigma := range []float64{0.0, 0.02, 0.05, 0.08} {
-		cl := hw.NewCluster(8, hw.HaswellSpec(), sigma, 4242)
-		clip, err := newCLIPFor(cl)
+		cl := hw.NewCluster(8, ctx.Cluster.Spec(), sigma, 4242)
+		clip, err := core.New(cl, core.Options{NPModel: model})
 		if err != nil {
 			return err
 		}

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hw"
+	"repro/internal/perfmodel"
 	"repro/internal/plan"
 	"repro/internal/power"
 	"repro/internal/telemetry"
@@ -38,9 +39,10 @@ var (
 		"wall time per experiment", nil)
 )
 
-// Context carries shared state across experiments: the testbed model
-// and a lazily constructed CLIP instance (training the NP regression
-// once, like the paper's offline training).
+// Context carries shared state across experiments: the testbed model,
+// the NP regression trained once per run on its node spec (like the
+// paper's offline training) and a lazily constructed CLIP instance
+// holding that regression.
 //
 // A Context is safe for concurrent use: the suite runner executes
 // experiments from a worker pool and the heavyweight experiments fan
@@ -61,9 +63,10 @@ type Context struct {
 	// dispatching once it is done. Nil means context.Background().
 	BaseCtx context.Context
 
-	mu   sync.Mutex
-	clip *core.CLIP
-	run  context.Context
+	mu    sync.Mutex
+	model *perfmodel.NPModel
+	clip  *core.CLIP
+	run   context.Context
 }
 
 // runCtx returns the context the current suite run operates under:
@@ -171,12 +174,32 @@ func (c *Context) SaveBars(name, title string, labels, names []string, values []
 // NewContext builds a context on the paper's 8-node Haswell testbed.
 func NewContext() *Context { return &Context{Cluster: hw.Haswell()} }
 
+// npModel returns the NP regression for the testbed's node spec,
+// training it on first use. Experiments that build their own CLIP
+// instance over that spec pass it in through core.Options.NPModel.
+func (c *Context) npModel() (*perfmodel.NPModel, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.model == nil {
+		m, err := core.TrainNPModel(c.Cluster.Spec())
+		if err != nil {
+			return nil, err
+		}
+		c.model = m
+	}
+	return c.model, nil
+}
+
 // CLIP returns the shared scheduler, constructing it on first use.
 func (c *Context) CLIP() (*core.CLIP, error) {
+	m, err := c.npModel()
+	if err != nil {
+		return nil, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.clip == nil {
-		cl, err := core.New(c.Cluster)
+		cl, err := core.New(c.Cluster, core.Options{NPModel: m})
 		if err != nil {
 			return nil, err
 		}
@@ -321,10 +344,6 @@ func header(w io.Writer, e Experiment) {
 
 // suiteApps returns the Table II applications in a stable order.
 func suiteApps() []*workload.Spec { return workload.Suite() }
-
-// newCLIPFor builds a fresh CLIP for an alternate cluster (ablations
-// that vary the machine rather than the workload).
-func newCLIPFor(cl *hw.Cluster) (*core.CLIP, error) { return core.New(cl) }
 
 // appByName resolves any catalogue application.
 func appByName(name string) (*workload.Spec, error) { return workload.SuiteByName(name) }

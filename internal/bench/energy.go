@@ -52,7 +52,11 @@ func runEnergy(ctx *Context, w io.Writer) error {
 	}
 	// CLIP-E: the energy-aware objective (minimum predicted energy
 	// within a 10% slowdown of the fastest configuration).
-	clipE, err := core.New(ctx.Cluster, core.Options{EnergyTolerance: 0.10})
+	model, err := ctx.npModel()
+	if err != nil {
+		return err
+	}
+	clipE, err := core.New(ctx.Cluster, core.Options{NPModel: model, EnergyTolerance: 0.10})
 	if err != nil {
 		return err
 	}

@@ -13,7 +13,7 @@ import (
 
 func setup(t *testing.T, cl *hw.Cluster, app *workload.Spec) (*profile.Profile, *perfmodel.Predictor) {
 	t.Helper()
-	m, err := perfmodel.TrainNP(cl, workload.TrainingSet(42, 7))
+	m, err := perfmodel.TrainNP(cl.Spec(), workload.TrainingSet(42, 7))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,12 +59,11 @@ var (
 
 // Options configures CLIP construction.
 type Options struct {
-	// TrainingApps overrides the default synthetic training set for the
-	// inflection-point regression.
-	TrainingApps []*workload.Spec
 	// DB seeds the knowledge database (e.g. loaded from disk).
 	DB *profile.DB
-	// NPModel injects a pre-trained regression, skipping training.
+	// NPModel injects a pre-trained regression (see TrainNPModel),
+	// skipping training. It must have been trained on the cluster's
+	// node spec.
 	NPModel *perfmodel.NPModel
 	// EnergyTolerance switches the node-level objective to energy-aware
 	// selection: minimum predicted energy within this relative slowdown
@@ -118,8 +117,23 @@ func (k decisionKey) flightKey() string {
 
 var _ plan.Method = (*CLIP)(nil)
 
-// New builds a CLIP instance for a cluster, training the
-// inflection-point regression offline (one-time cost, as in the paper).
+// TrainNPModel trains the inflection-point regression for a node spec
+// on the default synthetic training set. The model depends on the spec
+// alone, so a caller that builds several CLIP instances over one spec
+// trains it once and passes it to each through Options.NPModel.
+func TrainNPModel(spec *hw.NodeSpec) (*perfmodel.NPModel, error) {
+	m, err := perfmodel.TrainNP(spec, workload.TrainingSet(42, 7))
+	if err != nil {
+		return nil, fmt.Errorf("core: train NP model: %w", err)
+	}
+	return m, nil
+}
+
+// New builds a CLIP instance for a cluster. Without Options.NPModel it
+// trains the inflection-point regression on the cluster's node spec.
+// Training is the paper's one-time offline cost only when a caller that
+// builds several instances over one spec trains once (TrainNPModel) and
+// passes the model to each.
 func New(cl *hw.Cluster, opts ...Options) (*CLIP, error) {
 	if err := cl.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -139,16 +153,11 @@ func New(cl *hw.Cluster, opts ...Options) (*CLIP, error) {
 	if c.db == nil {
 		c.db = profile.NewDB()
 	}
-	if o.NPModel != nil {
-		c.NPModel = o.NPModel
-	} else {
-		train := o.TrainingApps
-		if train == nil {
-			train = workload.TrainingSet(42, 7)
-		}
-		m, err := perfmodel.TrainNP(cl, train)
+	c.NPModel = o.NPModel
+	if c.NPModel == nil {
+		m, err := TrainNPModel(cl.Spec())
 		if err != nil {
-			return nil, fmt.Errorf("core: train NP model: %w", err)
+			return nil, err
 		}
 		c.NPModel = m
 	}

@@ -26,13 +26,6 @@ func TestNewValidatesCluster(t *testing.T) {
 	}
 }
 
-func TestNewRejectsTinyTrainingSet(t *testing.T) {
-	cl := hw.NewCluster(1, hw.HaswellSpec(), 0, 1)
-	if _, err := New(cl, Options{TrainingApps: workload.TrainingSet(3, 1)}); err == nil {
-		t.Error("tiny training set accepted")
-	}
-}
-
 func TestProfileCaching(t *testing.T) {
 	_, c := newCLIP(t)
 	app := workload.LUMZ()

@@ -197,6 +197,9 @@ type Shard struct {
 	ID int
 	// Cluster is the shard's hardware.
 	Cluster *hw.Cluster
+	// CLIP is the shard's scheduler façade; every shard's instance
+	// holds the federation's one trained NP regression.
+	CLIP *core.CLIP
 	// Online is the shard's incremental scheduler session.
 	Online *jobsched.Online
 
@@ -284,7 +287,9 @@ type Federation struct {
 // New builds a federation of len(cfg.Shards) shards. Shard clusters and
 // CLIP instances are constructed per shard, so distinct seeds give
 // distinct silicon; the aggregate cap (when below the nameplate sum)
-// scales every shard's starting bound proportionally.
+// scales every shard's starting bound proportionally. Every shard is
+// built from one node spec, so the NP regression is trained once and
+// shared by all shards' CLIP instances.
 func New(cfg Config) (*Federation, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("fed: no shards configured")
@@ -317,9 +322,14 @@ func New(cfg Config) (*Federation, error) {
 			f.anyFaults = true
 		}
 	}
+	spec := hw.HaswellSpec()
+	model, err := core.TrainNPModel(spec)
+	if err != nil {
+		return nil, fmt.Errorf("fed: %w", err)
+	}
 	for i, sc := range cfg.Shards {
-		cl := hw.NewCluster(sc.Nodes, hw.HaswellSpec(), sc.Sigma, sc.Seed)
-		clip, err := core.New(cl)
+		cl := hw.NewCluster(sc.Nodes, spec, sc.Sigma, sc.Seed)
+		clip, err := core.New(cl, core.Options{NPModel: model})
 		if err != nil {
 			return nil, fmt.Errorf("fed: shard %d: %w", i, err)
 		}
@@ -336,7 +346,7 @@ func New(cfg Config) (*Federation, error) {
 			return nil, fmt.Errorf("fed: shard %d: %w", i, err)
 		}
 		f.shards = append(f.shards, &Shard{
-			ID: i, Cluster: cl, Online: on, entitlement: ent, eff: ent,
+			ID: i, Cluster: cl, CLIP: clip, Online: on, entitlement: ent, eff: ent,
 		})
 	}
 	if cfg.ShardFaults != nil && cfg.ShardFaults.Enabled() {

@@ -3,6 +3,7 @@ package fed
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -213,6 +214,40 @@ func TestFederationMatchesSingleShardOracle(t *testing.T) {
 // TestLendingMovesWattsUnderCap: a starved shard borrows from an idle
 // one; the aggregate cap holds in every per-event audit; every lease is
 // terminal after the run; recalls fire when the lender's queue fills.
+// TestShardsShareOneNPModel: New trains the NP regression once and
+// every shard's CLIP holds that one model, which is the model a bare
+// core.New trains on any of the shard clusters.
+func TestShardsShareOneNPModel(t *testing.T) {
+	shards := make([]ShardConfig, 8)
+	sigmas := []float64{0.08, 0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06}
+	for i := range shards {
+		shards[i] = ShardConfig{
+			Nodes: 2 + i%3, BudgetW: 400, Sigma: sigmas[i], Seed: int64(1000 + 7*i),
+			Policy: jobsched.FCFS,
+		}
+	}
+	f, err := New(Config{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := f.Shards()[0].CLIP.NPModel
+	if model == nil {
+		t.Fatal("shard 0 has no NP model")
+	}
+	for _, sh := range f.Shards() {
+		if sh.CLIP.NPModel != model {
+			t.Errorf("shard %d holds its own NP model, want the federation's shared one", sh.ID)
+		}
+	}
+	bare, err := core.New(f.Shards()[0].Cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(bare.NPModel, model) {
+		t.Errorf("shared model %+v differs from the one core.New trains on shard 0's cluster %+v", model, bare.NPModel)
+	}
+}
+
 func TestLendingMovesWattsUnderCap(t *testing.T) {
 	cfg := Config{
 		// Shard 0 is small (one job at a time), shard 1 has slack.

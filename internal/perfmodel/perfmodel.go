@@ -96,15 +96,20 @@ func logFeatures(raw []float64) []float64 {
 	return out
 }
 
-// TrainNP trains the inflection-point regression on a set of training
-// applications: each is profiled (samples 1-2) and exhaustively swept
-// for its ground-truth NP, then an MLR is fitted on the Table I event
-// features. This reproduces the paper's offline training over NPB,
-// HPCC, STREAM and PolyBench workloads.
-func TrainNP(cl *hw.Cluster, apps []*workload.Spec) (*NPModel, error) {
+// TrainNP trains the inflection-point regression for a node spec on a
+// set of training applications: each is profiled (samples 1-2) and
+// exhaustively swept for its ground-truth NP, then an MLR is fitted on
+// the Table I event features. This reproduces the paper's offline
+// training over NPB, HPCC, STREAM and PolyBench workloads.
+//
+// Training runs uncapped on one nominal node (a one-node cluster of
+// spec with no manufacturing variability), so the model depends on the
+// spec alone and one model serves every cluster built from that spec.
+func TrainNP(spec *hw.NodeSpec, apps []*workload.Spec) (*NPModel, error) {
 	if len(apps) < 10 {
 		return nil, fmt.Errorf("perfmodel: training set too small (%d apps)", len(apps))
 	}
+	cl := hw.NewCluster(1, spec, 0, 0)
 	pr := &profile.Profiler{Cluster: cl}
 	var x [][]float64
 	var y []float64
@@ -130,7 +135,7 @@ func TrainNP(cl *hw.Cluster, apps []*workload.Spec) (*NPModel, error) {
 	}
 	return &NPModel{
 		Model:    m,
-		MaxCores: cl.Spec().Cores(),
+		MaxCores: spec.Cores(),
 		TrainR2:  mlr.R2(y, pred),
 		TrainMAE: mlr.MAE(y, pred),
 	}, nil

@@ -2,6 +2,7 @@ package perfmodel
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/hw"
@@ -66,15 +67,61 @@ func TestGroundTruthNPClasses(t *testing.T) {
 }
 
 func TestTrainNPRejectsTinySet(t *testing.T) {
-	if _, err := TrainNP(testCluster(), workload.TrainingSet(5, 1)); err == nil {
+	if _, err := TrainNP(hw.HaswellSpec(), workload.TrainingSet(5, 1)); err == nil {
 		t.Error("training on 5 apps should be rejected")
+	}
+}
+
+// TestTrainingInputsIgnoreVariability pins the premise that lets one
+// trained regression serve every cluster of a node spec: the uncapped
+// training path never reads a node's manufacturing variability. For
+// every training application, the Basic profile's features and the
+// ground-truth NP are the same on clusters of any size, sigma and seed
+// as on the nominal one-node cluster TrainNP profiles. If a model
+// change breaks this, sharing one model per spec must be revisited.
+func TestTrainingInputsIgnoreVariability(t *testing.T) {
+	spec := hw.HaswellSpec()
+	nominal := hw.NewCluster(1, spec, 0, 0)
+	clusters := []*hw.Cluster{
+		hw.NewCluster(8, spec, 0, 1),
+		hw.NewCluster(4, spec, 0.02, 1000),
+		hw.NewCluster(4, spec, 0.02, 1063),
+		hw.Haswell(),
+		hw.NewCluster(8, spec, 0.08, 4242),
+		hw.NewCluster(2, spec, 0.08, 7),
+	}
+	type inputs struct {
+		features []float64
+		np       int
+	}
+	trainingInputs := func(cl *hw.Cluster, app *workload.Spec) inputs {
+		t.Helper()
+		p, err := (&profile.Profiler{Cluster: cl}).Basic(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		np, err := GroundTruthNP(cl, app, p.Affinity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inputs{p.Features(), np}
+	}
+	for _, app := range workload.TrainingSet(42, 7) {
+		want := trainingInputs(nominal, app)
+		for _, cl := range clusters {
+			got := trainingInputs(cl, app)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s on %d nodes (node 0 PowerEff %.4f): features/NP %v, nominal %v",
+					app.Name, cl.NumNodes(), cl.Nodes[0].PowerEff, got, want)
+			}
+		}
 	}
 }
 
 func trainModel(t *testing.T) (*hw.Cluster, *NPModel) {
 	t.Helper()
 	cl := testCluster()
-	m, err := TrainNP(cl, workload.TrainingSet(42, 7))
+	m, err := TrainNP(cl.Spec(), workload.TrainingSet(42, 7))
 	if err != nil {
 		t.Fatal(err)
 	}

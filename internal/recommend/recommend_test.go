@@ -15,7 +15,7 @@ import (
 func setup(t *testing.T, app *workload.Spec) (*hw.NodeSpec, *profile.Profile, *perfmodel.Predictor) {
 	t.Helper()
 	cl := hw.NewCluster(1, hw.HaswellSpec(), 0, 1)
-	m, err := perfmodel.TrainNP(cl, workload.TrainingSet(42, 7))
+	m, err := perfmodel.TrainNP(cl.Spec(), workload.TrainingSet(42, 7))
 	if err != nil {
 		t.Fatal(err)
 	}

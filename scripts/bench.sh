@@ -21,6 +21,14 @@ echo "== micro-benchmarks ==" >&2
 go test -run '^$' -bench "$BENCHES" -benchmem -benchtime=50x . | tee "$TMP/bench.txt" >&2
 go test -run '^$' -bench "$BENCHES_LARGE" -benchmem -benchtime=5x . | tee -a "$TMP/bench.txt" >&2
 
+echo "== federation construction, 64 shards x 4 nodes ==" >&2
+# fed.New at the fed-scale shape with no arrivals: what a federation
+# pays before it schedules anything (64 shard clusters and CLIP
+# instances sharing one trained NP regression).
+go test -run '^$' -bench 'BenchmarkFedNew$' -benchmem -benchtime=20x . | tee "$TMP/fednew_full.txt" >&2
+awk '/^BenchmarkFedNew/ { print "fed_new ns_per_op=" $3 " bytes_per_op=" $5 " allocs_per_op=" $7 }' \
+    "$TMP/fednew_full.txt" > "$TMP/fednew.txt"
+
 echo "== suite wall time ==" >&2
 go build -o "$TMP/clipbench" ./cmd/clipbench
 
@@ -159,6 +167,8 @@ function val(key,    i, eq) {
 # The 64-shard federation, without and with the shard-fault stream.
 /^clipfed /        { fbody = kv() }
 /^clipfed_chaos /  { cfbody = kv() }
+# Federation construction (BenchmarkFedNew).
+/^fed_new /        { fnbody = kv() }
 /^clipfed_parallel / {
     # Parallel-executor scaling rows, best-of-N per worker count.
     w = val("workers"); eps = val("events_per_s") + 0
@@ -182,13 +192,14 @@ END {
     printf "  \"clipload_batch_50k\": {%s},\n", l50body
     printf "  \"clipfed\": {%s},\n", fbody
     printf "  \"clipfed_chaos\": {%s},\n", cfbody
+    printf "  \"fed_new\": {%s},\n", fnbody
     printf "  \"clipfed_parallel\": [\n"
     for (i = 1; i <= pn; i++)
         printf "    {%s}%s\n", pbody[porder[i]], i < pn ? "," : ""
     printf "  ],\n"
     printf "  \"suite\": {\"serial_wall_ms\": %s, \"parallel_wall_ms\": %s, \"workers\": %s}\n", serial, par, workers
     printf "}\n"
-}' "$TMP/bench.txt" "$TMP/chaos.txt" "$TMP/clipload.txt" "$TMP/clipload50k.txt" "$TMP/clipfed.txt" "$TMP/clipfed_chaos.txt" "$TMP/clipfed_par.txt" > "$OUT"
+}' "$TMP/bench.txt" "$TMP/chaos.txt" "$TMP/clipload.txt" "$TMP/clipload50k.txt" "$TMP/clipfed.txt" "$TMP/clipfed_chaos.txt" "$TMP/fednew.txt" "$TMP/clipfed_par.txt" > "$OUT"
 
 echo "wrote $OUT" >&2
 cat "$OUT"
