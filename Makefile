@@ -2,9 +2,9 @@
 #
 #   make build   — compile everything
 #   make test    — tier-1: the full test suite
-#   make check   — tier-2: build + vet + race tests + dispatch fuzz + bench
-#                  smoke + docs lint, then the paired perf gate against the
-#                  parent commit
+#   make check   — tier-2: build + vet + race tests + dispatch and scenario
+#                  fuzz + bench smoke + docs lint, then the paired perf
+#                  gate against the parent commit
 #   make docs    — gofmt + vet + godoc-coverage lint (cmd/doclint)
 #   make bench   — hot-path benchmarks + suite wall time -> BENCH_results.json
 #   make suite   — regenerate every paper artifact (parallel runner)
@@ -30,6 +30,8 @@ check:
 	$(GO) test -race -count=2 ./internal/jobsched/... ./internal/server/...
 	$(GO) test -race -count=2 ./internal/fed/...
 	$(GO) test -run=NONE -fuzz=FuzzDispatchMatchesCold -fuzztime=10s ./internal/jobsched
+	$(GO) test -run=NONE -fuzz=FuzzScenarioRoundTrip -fuzztime=5s ./internal/faults
+	$(GO) test -run=NONE -fuzz=FuzzScenarioRoundTrip -fuzztime=5s ./internal/fed
 	$(GO) test -run=NONE -bench=. -benchtime=1x .
 	./scripts/clipd_smoke.sh
 	./scripts/fed_smoke.sh

@@ -11,8 +11,7 @@
 //	clipfed -shards 4 -lend=false -routing locality    # isolated shards
 //	clipfed -shards 64 -jobs 4096 -gap 0.25 -routing locality \
 //	        -lend=false -workers 4                     # partitioned replay
-//	clipfed -shards 16 -shard-faults crash-mtbf=400,part-mtbf=600 \
-//	        -shard-fault-seed 7                        # chaos federation
+//	clipfed -shards 16 -shard-faults crash-mtbf=400,part-mtbf=600,seed=7 # chaos federation
 //
 // The run is fully deterministic: the same flags always produce
 // byte-identical stdout (the per-shard table, lease ledger summary and
@@ -57,23 +56,22 @@ import (
 // options carries every knob of one clipfed run; main fills it from
 // flags, tests fill it directly.
 type options struct {
-	shards, nodes  int
-	budget, sigma  float64
-	policyName     string
-	routingName    string
-	jobs           int
-	meanGap        float64
-	seed           uint64
-	workers        int
-	lend           bool
-	aggCap         float64
-	leaseTTL       float64
-	quantum        float64
-	shardFaults    string
-	shardFaultSeed uint64
-	hipriFrac      float64
-	hipri          int
-	teleOut        string
+	shards, nodes int
+	budget, sigma float64
+	policyName    string
+	routingName   string
+	jobs          int
+	meanGap       float64
+	seed          uint64
+	workers       int
+	lend          bool
+	aggCap        float64
+	leaseTTL      float64
+	quantum       float64
+	shardFaults   string
+	hipriFrac     float64
+	hipri         int
+	teleOut       string
 	// notify arms the signal handler (disabled under tests).
 	notify bool
 }
@@ -95,7 +93,6 @@ func main() {
 	flag.Float64Var(&o.leaseTTL, "lease-ttl", 240, "lease lifetime in virtual seconds")
 	flag.Float64Var(&o.quantum, "quantum", 60, "watts moved per lease")
 	flag.StringVar(&o.shardFaults, "shard-faults", "", "shard-fault scenario spec, e.g. crash-mtbf=400,mttr=120,part-mtbf=600 (empty = no shard faults)")
-	flag.Uint64Var(&o.shardFaultSeed, "shard-fault-seed", 0, "override the shard-fault scenario seed (0 = use the spec's seed)")
 	flag.Float64Var(&o.hipriFrac, "hipri-frac", 0, "fraction of trace jobs submitted at high priority (enables preemption)")
 	flag.IntVar(&o.hipri, "hipri", 10, "priority value for high-priority trace jobs")
 	flag.StringVar(&o.teleOut, "telemetry-out", "", "write a telemetry report (JSON) here after the run")
@@ -128,11 +125,6 @@ func run(w io.Writer, o options) error {
 		if sf, err = fed.ParseShardScenario(o.shardFaults); err != nil {
 			return err
 		}
-		if o.shardFaultSeed != 0 {
-			sf.Seed = o.shardFaultSeed
-		}
-	} else if o.shardFaultSeed != 0 {
-		return fmt.Errorf("-shard-fault-seed needs a -shard-faults scenario")
 	}
 
 	cfg := fed.Config{Routing: routing, Lending: fed.Lending{

@@ -312,8 +312,8 @@ func TestClipfedGolden(t *testing.T) {
 		{"lending", []string{"-gap", "2"}},
 		{"nolend", []string{"-lend=false", "-gap", "0.25"}},
 		{"locality", []string{"-routing", "locality", "-lend=false", "-gap", "0.25"}},
-		{"chaos", []string{"-gap", "2", "-shard-faults", "crash-mtbf=400,mttr=120,part-mtbf=600,part-dur=60",
-			"-shard-fault-seed", "9", "-hipri-frac", "0.2"}},
+		{"chaos", []string{"-gap", "2", "-shard-faults", "crash-mtbf=400,mttr=120,part-mtbf=600,part-dur=60,seed=9",
+			"-hipri-frac", "0.2"}},
 	}
 	for _, sh := range shapes {
 		golden := filepath.Join("testdata", "clipfed_"+sh.name+".golden")

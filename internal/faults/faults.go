@@ -15,11 +15,7 @@
 package faults
 
 import (
-	"fmt"
 	"math"
-	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/rng"
 )
@@ -50,34 +46,6 @@ func (h Health) String() string {
 	}
 }
 
-// Default scenario parameters, applied by Normalized for fields left
-// zero. They are exported so CLI help and docs can quote them.
-const (
-	// DefaultMTTR is the mean node repair time in seconds.
-	DefaultMTTR = 30.0
-	// DefaultExcursionFrac is the mean fraction of a node's budget a
-	// power excursion removes.
-	DefaultExcursionFrac = 0.3
-	// DefaultExcursionDur is the mean excursion duration in seconds.
-	DefaultExcursionDur = 20.0
-	// DefaultStragglerFactor is the mean slowdown factor of a straggling
-	// node.
-	DefaultStragglerFactor = 1.5
-	// DefaultStragglerDur is the mean straggler duration in seconds.
-	DefaultStragglerDur = 15.0
-	// DefaultMaxRetries bounds how often a killed job is re-enqueued.
-	DefaultMaxRetries = 3
-	// DefaultBackoffBase is the first retry delay in seconds.
-	DefaultBackoffBase = 2.0
-	// DefaultBackoffCap caps the exponential retry delay in seconds.
-	DefaultBackoffCap = 60.0
-	// DefaultJitterFrac is the relative jitter added to each backoff.
-	DefaultJitterFrac = 0.25
-	// DefaultCrashLimit is the per-node circuit breaker: one more crash
-	// drains the node permanently.
-	DefaultCrashLimit = 5
-)
-
 // Scenario describes one fault-injection campaign. A zero MTBF disables
 // the corresponding fault class; all times are simulated seconds.
 type Scenario struct {
@@ -106,19 +74,20 @@ type Scenario struct {
 	// StragglerDur is the mean straggler duration.
 	StragglerDur float64
 	// MaxRetries bounds how often a killed job is re-enqueued before it
-	// is reported failed; 0 means DefaultMaxRetries, negative means no
-	// retries at all.
+	// is reported failed; 0 means the default, negative means no retries
+	// at all.
 	MaxRetries int
 	// BackoffBase is the first retry delay; doubles per attempt.
 	BackoffBase float64
 	// BackoffCap caps the exponential retry delay.
 	BackoffCap float64
 	// JitterFrac adds a deterministic per-(job, attempt) jitter of up to
-	// this fraction on top of each backoff delay.
+	// this fraction on top of each backoff delay; 0 means the default,
+	// negative means no jitter.
 	JitterFrac float64
 	// CrashLimit is the per-node circuit breaker: a node whose crash
-	// count exceeds this limit is drained permanently; 0 means
-	// DefaultCrashLimit, negative drains on the first crash.
+	// count exceeds this limit is drained permanently; 0 means the
+	// default, negative drains on the first crash.
 	CrashLimit int
 }
 
@@ -127,161 +96,41 @@ func (sc *Scenario) Enabled() bool {
 	return sc.CrashMTBF > 0 || sc.ExcursionMTBF > 0 || sc.StragglerMTBF > 0
 }
 
-// Normalized returns a copy with defaults applied to zero-valued
-// parameters (MTTR, excursion shape, straggler shape, retry policy).
-func (sc *Scenario) Normalized() Scenario {
-	out := *sc
-	if out.MTTR <= 0 {
-		out.MTTR = DefaultMTTR
-	}
-	if out.ExcursionFrac <= 0 {
-		out.ExcursionFrac = DefaultExcursionFrac
-	}
-	if out.ExcursionDur <= 0 {
-		out.ExcursionDur = DefaultExcursionDur
-	}
-	if out.StragglerFactor <= 1 {
-		out.StragglerFactor = DefaultStragglerFactor
-	}
-	if out.StragglerDur <= 0 {
-		out.StragglerDur = DefaultStragglerDur
-	}
-	if out.MaxRetries == 0 {
-		out.MaxRetries = DefaultMaxRetries
-	}
-	if out.BackoffBase <= 0 {
-		out.BackoffBase = DefaultBackoffBase
-	}
-	if out.BackoffCap <= 0 {
-		out.BackoffCap = DefaultBackoffCap
-	}
-	if out.JitterFrac < 0 {
-		out.JitterFrac = 0
-	} else if out.JitterFrac == 0 {
-		out.JitterFrac = DefaultJitterFrac
-	}
-	if out.CrashLimit == 0 {
-		out.CrashLimit = DefaultCrashLimit
-	}
-	return out
-}
+// ScenarioGrammar is the node fault grammar: one row per key, in String
+// order. Parse, Normalized, Validate and String all read it.
+var ScenarioGrammar = Grammar[Scenario]{Prefix: "faults", Params: []Param[Scenario]{
+	{Key: "crash-mtbf", Float: func(s *Scenario) *float64 { return &s.CrashMTBF }, Hi: inf},
+	{Key: "mttr", Float: func(s *Scenario) *float64 { return &s.MTTR }, Rule: DefaultAtLo, Def: 30, Hi: inf},
+	{Key: "exc-mtbf", Float: func(s *Scenario) *float64 { return &s.ExcursionMTBF }, Hi: inf},
+	{Key: "exc-frac", Float: func(s *Scenario) *float64 { return &s.ExcursionFrac }, Rule: DefaultAtLo, Def: 0.3, Hi: 0.95},
+	{Key: "exc-dur", Float: func(s *Scenario) *float64 { return &s.ExcursionDur }, Rule: DefaultAtLo, Def: 20, Hi: inf},
+	{Key: "strag-mtbf", Float: func(s *Scenario) *float64 { return &s.StragglerMTBF }, Hi: inf},
+	{Key: "strag-factor", Float: func(s *Scenario) *float64 { return &s.StragglerFactor }, Rule: DefaultAtLo, Def: 1.5, Lo: 1, Hi: 100},
+	{Key: "strag-dur", Float: func(s *Scenario) *float64 { return &s.StragglerDur }, Rule: DefaultAtLo, Def: 15, Hi: inf},
+	{Key: "max-retries", Int: func(s *Scenario) *int { return &s.MaxRetries }, Rule: NegativeIsNone, Def: 3, Lo: -1, Hi: inf},
+	{Key: "backoff", Float: func(s *Scenario) *float64 { return &s.BackoffBase }, Rule: DefaultAtLo, Def: 2, Hi: inf},
+	{Key: "backoff-cap", Float: func(s *Scenario) *float64 { return &s.BackoffCap }, Rule: DefaultAtLo, Def: 60, Hi: inf},
+	{Key: "jitter", Float: func(s *Scenario) *float64 { return &s.JitterFrac }, Rule: NegativeIsNone, Def: 0.25, Lo: -1, Hi: 10},
+	{Key: "crash-limit", Int: func(s *Scenario) *int { return &s.CrashLimit }, Rule: NegativeIsNone, Def: 5, Lo: -1, Hi: inf},
+	{Key: "seed", Uint: func(s *Scenario) *uint64 { return &s.Seed }, Hi: inf},
+}}
 
-// Validate rejects scenarios whose parameters are out of range. It
-// validates the raw values; callers normally Normalized() first.
-func (sc *Scenario) Validate() error {
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"crash-mtbf", sc.CrashMTBF}, {"mttr", sc.MTTR},
-		{"exc-mtbf", sc.ExcursionMTBF}, {"exc-dur", sc.ExcursionDur},
-		{"strag-mtbf", sc.StragglerMTBF}, {"strag-dur", sc.StragglerDur},
-		{"backoff", sc.BackoffBase}, {"backoff-cap", sc.BackoffCap},
-	} {
-		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("faults: %s must be a finite non-negative duration, got %g", f.name, f.v)
-		}
-	}
-	if sc.ExcursionFrac < 0 || sc.ExcursionFrac > 0.95 {
-		return fmt.Errorf("faults: exc-frac must be in [0, 0.95], got %g", sc.ExcursionFrac)
-	}
-	if sc.StragglerFactor < 0 || sc.StragglerFactor > 100 {
-		return fmt.Errorf("faults: strag-factor must be in [0, 100], got %g", sc.StragglerFactor)
-	}
-	if sc.JitterFrac < 0 || sc.JitterFrac > 10 {
-		return fmt.Errorf("faults: jitter must be in [0, 10], got %g", sc.JitterFrac)
-	}
-	return nil
-}
+var inf = math.Inf(1)
 
-// String renders the scenario as a canonical Parse-able spec (active
-// fault classes first, then the retry policy).
-func (sc *Scenario) String() string {
-	var parts []string
-	add := func(k string, v float64) { parts = append(parts, fmt.Sprintf("%s=%g", k, v)) }
-	if sc.CrashMTBF > 0 {
-		add("crash-mtbf", sc.CrashMTBF)
-		add("mttr", sc.MTTR)
-	}
-	if sc.ExcursionMTBF > 0 {
-		add("exc-mtbf", sc.ExcursionMTBF)
-		add("exc-frac", sc.ExcursionFrac)
-		add("exc-dur", sc.ExcursionDur)
-	}
-	if sc.StragglerMTBF > 0 {
-		add("strag-mtbf", sc.StragglerMTBF)
-		add("strag-factor", sc.StragglerFactor)
-		add("strag-dur", sc.StragglerDur)
-	}
-	parts = append(parts, fmt.Sprintf("max-retries=%d", sc.MaxRetries),
-		fmt.Sprintf("crash-limit=%d", sc.CrashLimit),
-		fmt.Sprintf("seed=%d", sc.Seed))
-	return strings.Join(parts, ",")
-}
+// Normalized returns a copy with each key's zero/negative rule applied.
+func (sc *Scenario) Normalized() Scenario { return ScenarioGrammar.Normalized(*sc) }
+
+// Validate rejects a scenario with a value that is not finite or out of
+// range.
+func (sc *Scenario) Validate() error { return ScenarioGrammar.Validate(sc) }
+
+// String renders every key at its value, a spec Parse reads back to sc.
+func (sc *Scenario) String() string { return ScenarioGrammar.String(sc) }
 
 // Parse builds a Scenario from a comma-separated key=value spec, e.g.
 // "crash-mtbf=120,mttr=30,exc-mtbf=300,seed=7". Unset parameters get
 // their defaults (Normalized); the result is validated.
-func Parse(spec string) (*Scenario, error) {
-	sc := Scenario{}
-	for _, kv := range strings.Split(spec, ",") {
-		kv = strings.TrimSpace(kv)
-		if kv == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return nil, fmt.Errorf("faults: %q is not key=value", kv)
-		}
-		k = strings.TrimSpace(k)
-		v = strings.TrimSpace(v)
-		var err error
-		switch k {
-		case "seed":
-			sc.Seed, err = strconv.ParseUint(v, 10, 64)
-		case "crash-mtbf":
-			sc.CrashMTBF, err = strconv.ParseFloat(v, 64)
-		case "mttr":
-			sc.MTTR, err = strconv.ParseFloat(v, 64)
-		case "exc-mtbf":
-			sc.ExcursionMTBF, err = strconv.ParseFloat(v, 64)
-		case "exc-frac":
-			sc.ExcursionFrac, err = strconv.ParseFloat(v, 64)
-		case "exc-dur":
-			sc.ExcursionDur, err = strconv.ParseFloat(v, 64)
-		case "strag-mtbf":
-			sc.StragglerMTBF, err = strconv.ParseFloat(v, 64)
-		case "strag-factor":
-			sc.StragglerFactor, err = strconv.ParseFloat(v, 64)
-		case "strag-dur":
-			sc.StragglerDur, err = strconv.ParseFloat(v, 64)
-		case "max-retries":
-			sc.MaxRetries, err = strconv.Atoi(v)
-		case "backoff":
-			sc.BackoffBase, err = strconv.ParseFloat(v, 64)
-		case "backoff-cap":
-			sc.BackoffCap, err = strconv.ParseFloat(v, 64)
-		case "jitter":
-			sc.JitterFrac, err = strconv.ParseFloat(v, 64)
-		case "crash-limit":
-			sc.CrashLimit, err = strconv.Atoi(v)
-		default:
-			keys := []string{"seed", "crash-mtbf", "mttr", "exc-mtbf", "exc-frac", "exc-dur",
-				"strag-mtbf", "strag-factor", "strag-dur", "max-retries", "backoff",
-				"backoff-cap", "jitter", "crash-limit"}
-			sort.Strings(keys)
-			return nil, fmt.Errorf("faults: unknown key %q (known: %s)", k, strings.Join(keys, ", "))
-		}
-		if err != nil {
-			return nil, fmt.Errorf("faults: bad value for %s: %v", k, err)
-		}
-	}
-	norm := sc.Normalized()
-	if err := norm.Validate(); err != nil {
-		return nil, err
-	}
-	return &norm, nil
-}
+func Parse(spec string) (*Scenario, error) { return ScenarioGrammar.Parse(spec) }
 
 // Excursion is one drawn power-cap excursion: it begins After seconds
 // from the previous draw point, removes Frac of the node's effective
@@ -326,24 +175,25 @@ const (
 // NewInjector builds an injector for nodes nodes under the normalized
 // scenario sc.
 func NewInjector(sc Scenario, nodes int) *Injector {
-	in := &Injector{
+	return &Injector{
 		sc:      sc,
-		crash:   make([]*rng.Source, nodes),
-		exc:     make([]*rng.Source, nodes),
-		strag:   make([]*rng.Source, nodes),
+		crash:   Streams(sc.Seed, saltCrash, nodes),
+		exc:     Streams(sc.Seed, saltExcursion, nodes),
+		strag:   Streams(sc.Seed, saltStraggler, nodes),
 		health:  make([]Health, nodes),
 		crashes: make([]int, nodes),
 	}
-	for i := 0; i < nodes; i++ {
-		in.crash[i] = rng.New(rng.Derive(sc.Seed, saltCrash, i))
-		in.exc[i] = rng.New(rng.Derive(sc.Seed, saltExcursion, i))
-		in.strag[i] = rng.New(rng.Derive(sc.Seed, saltStraggler, i))
-	}
-	return in
 }
 
-// Scenario returns the (normalized) scenario driving the injector.
-func (in *Injector) Scenario() Scenario { return in.sc }
+// Streams returns one seeded stream per entity 0..n-1 for a stream salt,
+// so no entity's draws depend on another's.
+func Streams(seed, salt uint64, n int) []*rng.Source {
+	s := make([]*rng.Source, n)
+	for i := range s {
+		s[i] = rng.New(rng.Derive(seed, salt, i))
+	}
+	return s
+}
 
 // NextCrash draws the delay to node's next crash; ok is false when
 // crashes are disabled or the node is drained.
@@ -462,8 +312,9 @@ func hashString(s string) uint64 {
 // Backoff returns the retry delay before attempt (1-based re-run
 // attempt) of jobID: capped exponential growth from BackoffBase with a
 // deterministic jitter derived from (seed, job, attempt) — independent
-// of draw interleaving, so retries replay byte-identically.
+// of draw interleaving, so retries replay byte-identically. A negative
+// JitterFrac adds none.
 func (in *Injector) Backoff(jobID string, attempt int) float64 {
 	return rng.Backoff(in.sc.Seed^hashString(jobID), saltBackoff, attempt,
-		in.sc.BackoffBase, in.sc.BackoffCap, in.sc.JitterFrac)
+		in.sc.BackoffBase, in.sc.BackoffCap, math.Max(0, in.sc.JitterFrac))
 }

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -14,22 +15,48 @@ func TestParseDefaultsAndRoundTrip(t *testing.T) {
 	if sc.CrashMTBF != 120 || sc.Seed != 7 {
 		t.Fatalf("parsed %+v", sc)
 	}
-	if sc.MTTR != DefaultMTTR || sc.MaxRetries != DefaultMaxRetries ||
-		sc.BackoffBase != DefaultBackoffBase || sc.BackoffCap != DefaultBackoffCap ||
-		sc.JitterFrac != DefaultJitterFrac || sc.CrashLimit != DefaultCrashLimit {
-		t.Fatalf("defaults not applied: %+v", sc)
+	for _, p := range ScenarioGrammar.Params {
+		if p.Rule != Literal && p.value(sc) != p.Def {
+			t.Errorf("%s = %g, want its default %g", p.Key, p.value(sc), p.Def)
+		}
 	}
 	if !sc.Enabled() {
 		t.Fatal("crash-mtbf=120 should enable the scenario")
 	}
-	// The canonical rendering must parse back to the same scenario.
-	back, err := Parse(sc.String())
-	if err != nil {
-		t.Fatalf("round-trip parse of %q: %v", sc.String(), err)
+	// The round trip through String is FuzzScenarioRoundTrip's.
+}
+
+// FuzzScenarioRoundTrip: every scenario Parse accepts renders to a spec
+// that parses back to the same scenario, and is already normalized.
+func FuzzScenarioRoundTrip(f *testing.F) {
+	for _, spec := range []string{
+		"crash-mtbf=120,seed=7",
+		"crash-mtbf=120,backoff=5,backoff-cap=90,jitter=0.3,crash-limit=2",
+		"exc-mtbf=60,exc-frac=NaN,seed=7",
+		"strag-mtbf=60,strag-factor=NaN",
+		"crash-mtbf=60,jitter=NaN",
+		"crash-mtbf=60,jitter=-1",
+		"crash-mtbf=60,mttr=-Inf,exc-mtbf=30,exc-dur=+Inf",
+		"max-retries=-4,crash-limit=-9,seed=18446744073709551615",
+	} {
+		f.Add(spec)
 	}
-	if *back != *sc {
-		t.Fatalf("round trip changed the scenario:\n  %+v\n  %+v", sc, back)
-	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		sc, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		back, err := Parse(sc.String())
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, its String %q rejected: %v", spec, sc.String(), err)
+		}
+		if *back != *sc {
+			t.Fatalf("round trip of %q changed the scenario:\n  %+v\n  %+v", spec, *sc, *back)
+		}
+		if n := sc.Normalized(); n != *sc {
+			t.Fatalf("Normalized changed the parsed %q:\n  %+v\n  %+v", spec, *sc, n)
+		}
+	})
 }
 
 func TestParseErrors(t *testing.T) {
@@ -44,6 +71,12 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) should fail", spec)
 		}
+	}
+	_, err := Parse("bogus-key=1")
+	keys := ScenarioGrammar.keys()
+	if !sort.StringsAreSorted(keys) || len(keys) != len(ScenarioGrammar.Params) ||
+		err == nil || !strings.Contains(err.Error(), "faults: unknown key \"bogus-key\" (known: "+strings.Join(keys, ", ")+")") {
+		t.Errorf("unknown key: %v, want the sorted key list %v", err, keys)
 	}
 }
 
@@ -151,16 +184,12 @@ func TestBackoffCapJitterDeterminism(t *testing.T) {
 	}
 }
 
-func TestScenarioStringListsActiveClasses(t *testing.T) {
+func TestScenarioStringListsEveryKey(t *testing.T) {
 	sc := (&Scenario{Seed: 3, CrashMTBF: 60}).Normalized()
-	s := sc.String()
-	for _, want := range []string{"crash-mtbf=60", "mttr=30", "max-retries=3", "seed=3"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("String() = %q, missing %q", s, want)
-		}
-	}
-	if strings.Contains(s, "exc-mtbf") || strings.Contains(s, "strag-mtbf") {
-		t.Errorf("String() = %q mentions disabled classes", s)
+	const want = "crash-mtbf=60,mttr=30,exc-mtbf=0,exc-frac=0.3,exc-dur=20,strag-mtbf=0,strag-factor=1.5," +
+		"strag-dur=15,max-retries=3,backoff=2,backoff-cap=60,jitter=0.25,crash-limit=5,seed=3"
+	if got := sc.String(); got != want {
+		t.Fatalf("String() = %q\nwant       %q", got, want)
 	}
 }
 
@@ -174,7 +203,7 @@ func TestNormalizedValidate(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if ok.ExcursionFrac != DefaultExcursionFrac || ok.ExcursionDur != DefaultExcursionDur {
+	if ok.ExcursionFrac != ScenarioGrammar.param("exc-frac").Def || ok.ExcursionDur != ScenarioGrammar.param("exc-dur").Def {
 		t.Fatalf("excursion defaults not applied: %+v", ok)
 	}
 }

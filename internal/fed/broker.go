@@ -261,6 +261,21 @@ func (f *Federation) settleLease(l *Lease, state LeaseState) {
 		l.expiry.Cancel()
 		l.expiry = nil
 	}
+	f.returnWatts(l, state, &f.active)
+	switch state {
+	case LeaseExpired:
+		mLeaseExpiries.Inc()
+	case LeaseRecalled:
+		mLeaseRecalls.Inc()
+	case LeaseReleased:
+		mLeaseReleases.Inc()
+	}
+}
+
+// returnWatts moves l's watts back to its lender, borrower first so
+// the sum of bounds never transiently exceeds the cap, ends l in state
+// at the current time and drops it from list.
+func (f *Federation) returnWatts(l *Lease, state LeaseState, list *[]*Lease) {
 	lender, borrower := f.shards[l.Lender], f.shards[l.Borrower]
 	if err := f.moveBound(borrower, -l.Watts); err != nil {
 		f.fail(err)
@@ -272,19 +287,11 @@ func (f *Federation) settleLease(l *Lease, state LeaseState) {
 	borrower.borrowedW -= l.Watts
 	l.State = state
 	l.SettledAt = f.now
-	for i, a := range f.active {
+	for i, a := range *list {
 		if a == l {
-			f.active = append(f.active[:i], f.active[i+1:]...)
+			*list = append((*list)[:i], (*list)[i+1:]...)
 			break
 		}
-	}
-	switch state {
-	case LeaseExpired:
-		mLeaseExpiries.Inc()
-	case LeaseRecalled:
-		mLeaseRecalls.Inc()
-	case LeaseReleased:
-		mLeaseReleases.Inc()
 	}
 }
 
@@ -363,9 +370,9 @@ func (f *Federation) recallProbe(l *Lease) {
 }
 
 // settleOrphan ends an orphaned lease: the watts finally move back
-// (borrower first, exactly like settleLease, so the sum of bounds never
-// transiently exceeds the cap). forced marks reclaims the broker
-// imposed without the shard answering (probe budget exhausted, Drain).
+// through returnWatts, like settleLease's. forced marks reclaims the
+// broker imposed without the shard answering (probe budget exhausted,
+// Drain).
 func (f *Federation) settleOrphan(l *Lease, forced bool) {
 	if l.State != LeaseOrphaned {
 		return
@@ -374,24 +381,8 @@ func (f *Federation) settleOrphan(l *Lease, forced bool) {
 		l.recall.Cancel()
 		l.recall = nil
 	}
-	lender, borrower := f.shards[l.Lender], f.shards[l.Borrower]
-	if err := f.moveBound(borrower, -l.Watts); err != nil {
-		f.fail(err)
-	}
-	if err := f.moveBound(lender, +l.Watts); err != nil {
-		f.fail(err)
-	}
-	lender.lentW -= l.Watts
-	borrower.borrowedW -= l.Watts
-	l.State = LeaseReclaimed
-	l.SettledAt = f.now
 	l.Forced = forced
-	for i, o := range f.orphans {
-		if o == l {
-			f.orphans = append(f.orphans[:i], f.orphans[i+1:]...)
-			break
-		}
-	}
+	f.returnWatts(l, LeaseReclaimed, &f.orphans)
 	mLeaseReclaims.Inc()
 }
 

@@ -31,13 +31,10 @@ package fed
 // parallel executor's byte-identity guarantee rests on.
 
 import (
-	"fmt"
 	"math"
-	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/des"
+	"repro/internal/faults"
 	"repro/internal/rng"
 )
 
@@ -75,30 +72,6 @@ func (h ShardHealth) String() string {
 	}
 }
 
-// Default shard-fault scenario parameters, applied by Normalized for
-// fields left zero. Exported so CLI help and docs can quote them.
-const (
-	// DefaultShardMTTR is the mean shard outage duration in seconds.
-	DefaultShardMTTR = 120.0
-	// DefaultPartitionDur is the mean broker-link partition duration.
-	DefaultPartitionDur = 60.0
-	// DefaultRejoinDelay is the mean entitlement re-earn delay after an
-	// outage ends.
-	DefaultRejoinDelay = 30.0
-	// DefaultGraceTTL is how long the broker waits after a shard
-	// becomes unreachable before the first orphan-lease recall probe.
-	DefaultGraceTTL = 45.0
-	// DefaultRecallRetries bounds the recall probes per orphaned lease
-	// before the broker force-reclaims the watts.
-	DefaultRecallRetries = 3
-	// DefaultRecallBackoff is the first inter-probe delay in seconds.
-	DefaultRecallBackoff = 20.0
-	// DefaultRecallCap caps the exponential inter-probe delay.
-	DefaultRecallCap = 120.0
-	// DefaultRecallJitter is the relative jitter added per probe delay.
-	DefaultRecallJitter = 0.25
-)
-
 // ShardScenario describes one shard-level fault campaign. A zero MTBF
 // disables the corresponding fault class; all times are simulated
 // seconds.
@@ -123,16 +96,16 @@ type ShardScenario struct {
 	// without any probe failing.
 	GraceTTL float64
 	// RecallRetries bounds the recall probes per orphaned lease; after
-	// the last failed probe the broker force-reclaims. 0 means
-	// DefaultRecallRetries, negative means force-reclaim at the first
-	// probe.
+	// the last failed probe the broker force-reclaims. 0 means the
+	// default, negative means force-reclaim at the first probe.
 	RecallRetries int
 	// RecallBackoff is the first inter-probe delay; doubles per probe.
 	RecallBackoff float64
 	// RecallCap caps the exponential inter-probe delay.
 	RecallCap float64
 	// RecallJitter adds a deterministic per-(lease, attempt) jitter of
-	// up to this fraction on top of each probe delay.
+	// up to this fraction on top of each probe delay; 0 means the
+	// default, negative means no jitter.
 	RecallJitter float64
 }
 
@@ -141,142 +114,40 @@ func (sc *ShardScenario) Enabled() bool {
 	return sc.CrashMTBF > 0 || sc.PartitionMTBF > 0
 }
 
-// Normalized returns a copy with defaults applied to zero-valued
-// parameters (outage shape, partition shape, reclaim protocol).
-func (sc *ShardScenario) Normalized() ShardScenario {
-	out := *sc
-	if out.MTTR <= 0 {
-		out.MTTR = DefaultShardMTTR
-	}
-	if out.PartitionDur <= 0 {
-		out.PartitionDur = DefaultPartitionDur
-	}
-	if out.RejoinDelay <= 0 {
-		out.RejoinDelay = DefaultRejoinDelay
-	}
-	if out.GraceTTL <= 0 {
-		out.GraceTTL = DefaultGraceTTL
-	}
-	if out.RecallRetries == 0 {
-		out.RecallRetries = DefaultRecallRetries
-	}
-	if out.RecallBackoff <= 0 {
-		out.RecallBackoff = DefaultRecallBackoff
-	}
-	if out.RecallCap <= 0 {
-		out.RecallCap = DefaultRecallCap
-	}
-	if out.RecallJitter < 0 {
-		out.RecallJitter = 0
-	} else if out.RecallJitter == 0 {
-		out.RecallJitter = DefaultRecallJitter
-	}
-	return out
-}
+// ShardGrammar is the shard fault grammar: one row per key, in String
+// order. ParseShardScenario, Normalized, Validate and String all read it.
+var ShardGrammar = faults.Grammar[ShardScenario]{Prefix: "fed: shard-faults", Params: []faults.Param[ShardScenario]{
+	{Key: "crash-mtbf", Float: func(s *ShardScenario) *float64 { return &s.CrashMTBF }, Hi: inf},
+	{Key: "mttr", Float: func(s *ShardScenario) *float64 { return &s.MTTR }, Rule: faults.DefaultAtLo, Def: 120, Hi: inf},
+	{Key: "rejoin-delay", Float: func(s *ShardScenario) *float64 { return &s.RejoinDelay }, Rule: faults.DefaultAtLo, Def: 30, Hi: inf},
+	{Key: "part-mtbf", Float: func(s *ShardScenario) *float64 { return &s.PartitionMTBF }, Hi: inf},
+	{Key: "part-dur", Float: func(s *ShardScenario) *float64 { return &s.PartitionDur }, Rule: faults.DefaultAtLo, Def: 60, Hi: inf},
+	{Key: "grace-ttl", Float: func(s *ShardScenario) *float64 { return &s.GraceTTL }, Rule: faults.DefaultAtLo, Def: 45, Hi: inf},
+	{Key: "recall-retries", Int: func(s *ShardScenario) *int { return &s.RecallRetries }, Rule: faults.NegativeIsNone, Def: 3, Lo: -1, Hi: 64},
+	{Key: "recall-backoff", Float: func(s *ShardScenario) *float64 { return &s.RecallBackoff }, Rule: faults.DefaultAtLo, Def: 20, Hi: inf},
+	{Key: "recall-cap", Float: func(s *ShardScenario) *float64 { return &s.RecallCap }, Rule: faults.DefaultAtLo, Def: 120, Hi: inf},
+	{Key: "recall-jitter", Float: func(s *ShardScenario) *float64 { return &s.RecallJitter }, Rule: faults.NegativeIsNone, Def: 0.25, Lo: -1, Hi: 10},
+	{Key: "seed", Uint: func(s *ShardScenario) *uint64 { return &s.Seed }, Hi: inf},
+}}
 
-// Validate rejects scenarios whose parameters are out of range. It
-// validates the raw values; callers normally Normalized() first.
-func (sc *ShardScenario) Validate() error {
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"crash-mtbf", sc.CrashMTBF}, {"mttr", sc.MTTR},
-		{"part-mtbf", sc.PartitionMTBF}, {"part-dur", sc.PartitionDur},
-		{"rejoin-delay", sc.RejoinDelay}, {"grace-ttl", sc.GraceTTL},
-		{"recall-backoff", sc.RecallBackoff}, {"recall-cap", sc.RecallCap},
-	} {
-		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("fed: shard-faults: %s must be a finite non-negative duration, got %g", f.name, f.v)
-		}
-	}
-	if sc.RecallJitter < 0 || sc.RecallJitter > 10 {
-		return fmt.Errorf("fed: shard-faults: recall-jitter must be in [0, 10], got %g", sc.RecallJitter)
-	}
-	if sc.RecallRetries > 64 {
-		return fmt.Errorf("fed: shard-faults: recall-retries must be <= 64, got %d", sc.RecallRetries)
-	}
-	return nil
-}
+var inf = math.Inf(1)
 
-// String renders the scenario as a canonical ParseShardScenario-able
-// spec (active fault classes first, then the reclaim protocol).
-func (sc *ShardScenario) String() string {
-	var parts []string
-	add := func(k string, v float64) { parts = append(parts, fmt.Sprintf("%s=%g", k, v)) }
-	if sc.CrashMTBF > 0 {
-		add("crash-mtbf", sc.CrashMTBF)
-		add("mttr", sc.MTTR)
-		add("rejoin-delay", sc.RejoinDelay)
-	}
-	if sc.PartitionMTBF > 0 {
-		add("part-mtbf", sc.PartitionMTBF)
-		add("part-dur", sc.PartitionDur)
-	}
-	add("grace-ttl", sc.GraceTTL)
-	parts = append(parts, fmt.Sprintf("recall-retries=%d", sc.RecallRetries),
-		fmt.Sprintf("seed=%d", sc.Seed))
-	return strings.Join(parts, ",")
-}
+// Normalized returns a copy with each key's zero/negative rule applied.
+func (sc *ShardScenario) Normalized() ShardScenario { return ShardGrammar.Normalized(*sc) }
+
+// Validate rejects a scenario with a value that is not finite or out of
+// range.
+func (sc *ShardScenario) Validate() error { return ShardGrammar.Validate(sc) }
+
+// String renders every key at its value, a spec ParseShardScenario reads
+// back to sc.
+func (sc *ShardScenario) String() string { return ShardGrammar.String(sc) }
 
 // ParseShardScenario builds a ShardScenario from a comma-separated
 // key=value spec, e.g. "crash-mtbf=400,mttr=120,part-mtbf=600,seed=7".
 // Unset parameters get their defaults (Normalized); the result is
 // validated.
-func ParseShardScenario(spec string) (*ShardScenario, error) {
-	sc := ShardScenario{}
-	for _, kv := range strings.Split(spec, ",") {
-		kv = strings.TrimSpace(kv)
-		if kv == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return nil, fmt.Errorf("fed: shard-faults: %q is not key=value", kv)
-		}
-		k = strings.TrimSpace(k)
-		v = strings.TrimSpace(v)
-		var err error
-		switch k {
-		case "seed":
-			sc.Seed, err = strconv.ParseUint(v, 10, 64)
-		case "crash-mtbf":
-			sc.CrashMTBF, err = strconv.ParseFloat(v, 64)
-		case "mttr":
-			sc.MTTR, err = strconv.ParseFloat(v, 64)
-		case "part-mtbf":
-			sc.PartitionMTBF, err = strconv.ParseFloat(v, 64)
-		case "part-dur":
-			sc.PartitionDur, err = strconv.ParseFloat(v, 64)
-		case "rejoin-delay":
-			sc.RejoinDelay, err = strconv.ParseFloat(v, 64)
-		case "grace-ttl":
-			sc.GraceTTL, err = strconv.ParseFloat(v, 64)
-		case "recall-retries":
-			sc.RecallRetries, err = strconv.Atoi(v)
-		case "recall-backoff":
-			sc.RecallBackoff, err = strconv.ParseFloat(v, 64)
-		case "recall-cap":
-			sc.RecallCap, err = strconv.ParseFloat(v, 64)
-		case "recall-jitter":
-			sc.RecallJitter, err = strconv.ParseFloat(v, 64)
-		default:
-			keys := []string{"seed", "crash-mtbf", "mttr", "part-mtbf", "part-dur",
-				"rejoin-delay", "grace-ttl", "recall-retries", "recall-backoff",
-				"recall-cap", "recall-jitter"}
-			sort.Strings(keys)
-			return nil, fmt.Errorf("fed: shard-faults: unknown key %q (known: %s)", k, strings.Join(keys, ", "))
-		}
-		if err != nil {
-			return nil, fmt.Errorf("fed: shard-faults: bad value for %s: %v", k, err)
-		}
-	}
-	norm := sc.Normalized()
-	if err := norm.Validate(); err != nil {
-		return nil, err
-	}
-	return &norm, nil
-}
+func ParseShardScenario(spec string) (*ShardScenario, error) { return ShardGrammar.Parse(spec) }
 
 // Stream salts: one independent SplitMix64 stream per (class, shard),
 // disjoint from the internal/faults node-level salts.
@@ -303,19 +174,14 @@ type shardInjector struct {
 // newShardInjector builds an injector for shards shards under the
 // normalized scenario sc.
 func newShardInjector(sc ShardScenario, shards int) *shardInjector {
-	in := &shardInjector{
+	return &shardInjector{
 		sc:         sc,
-		crash:      make([]*rng.Source, shards),
-		part:       make([]*rng.Source, shards),
+		crash:      faults.Streams(sc.Seed, saltShardCrash, shards),
+		part:       faults.Streams(sc.Seed, saltShardPart, shards),
 		health:     make([]ShardHealth, shards),
 		downs:      make([]int, shards),
 		partitions: make([]int, shards),
 	}
-	for i := 0; i < shards; i++ {
-		in.crash[i] = rng.New(rng.Derive(sc.Seed, saltShardCrash, i))
-		in.part[i] = rng.New(rng.Derive(sc.Seed, saltShardPart, i))
-	}
-	return in
 }
 
 // nextCrash draws the delay to shard's next crash; ok is false when
@@ -368,79 +234,46 @@ func (in *shardInjector) reachable(shard int) bool {
 	return h == ShardHealthy || h == ShardRejoining
 }
 
-// setHealth moves shard to h, maintaining the unhealthy count.
-func (in *shardInjector) setHealth(shard int, h ShardHealth) {
-	was, is := in.health[shard] != ShardHealthy, h != ShardHealthy
-	in.health[shard] = h
-	if !was && is {
+// move transitions shard from health from to health to, keeping the
+// unhealthy count and the crash and partition tallies. It reports false,
+// and does nothing, when shard is not in from: a stale timer (a heal
+// after a crash absorbed the partition, a crash of a shard already down
+// or rejoining) is ignored.
+func (in *shardInjector) move(shard int, from, to ShardHealth) bool {
+	if in.health[shard] != from {
+		return false
+	}
+	in.health[shard] = to
+	if from == ShardHealthy {
 		in.unhealthy++
-	} else if was && !is {
+	} else if to == ShardHealthy {
 		in.unhealthy--
 	}
-}
-
-// crashShard transitions shard to down (legal from healthy or
-// partitioned — a crash absorbs an ongoing partition); it reports false
-// for shards already down or rejoining.
-func (in *shardInjector) crashShard(shard int) bool {
-	switch in.health[shard] {
-	case ShardHealthy, ShardPartitioned:
-		in.setHealth(shard, ShardDown)
+	switch to {
+	case ShardDown:
 		in.downs[shard]++
-		return true
+	case ShardPartitioned:
+		in.partitions[shard]++
 	}
-	return false
-}
-
-// recoverShard transitions shard from down to rejoining.
-func (in *shardInjector) recoverShard(shard int) bool {
-	if in.health[shard] != ShardDown {
-		return false
-	}
-	in.setHealth(shard, ShardRejoining)
 	return true
 }
 
-// rejoinShard transitions shard from rejoining back to healthy.
-func (in *shardInjector) rejoinShard(shard int) bool {
-	if in.health[shard] != ShardRejoining {
-		return false
-	}
-	in.setHealth(shard, ShardHealthy)
-	return true
-}
-
-// partitionShard transitions shard from healthy to partitioned; it
-// reports false in any other state (a down shard's broker link is
-// already gone).
-func (in *shardInjector) partitionShard(shard int) bool {
-	if in.health[shard] != ShardHealthy {
-		return false
-	}
-	in.setHealth(shard, ShardPartitioned)
-	in.partitions[shard]++
-	return true
-}
-
-// healShard transitions shard from partitioned back to healthy; it
-// reports false in any other state (stale heal events after a crash
-// absorbed the partition are ignored).
-func (in *shardInjector) healShard(shard int) bool {
-	if in.health[shard] != ShardPartitioned {
-		return false
-	}
-	in.setHealth(shard, ShardHealthy)
-	return true
+// crashShard takes shard down from healthy or partitioned (a crash
+// absorbs an ongoing partition); it reports false for shards already
+// down or rejoining.
+func (in *shardInjector) crashShard(shard int) bool {
+	return in.move(shard, ShardHealthy, ShardDown) || in.move(shard, ShardPartitioned, ShardDown)
 }
 
 // recallBackoff returns the delay before probe attempt (1-based) of an
 // orphaned lease: capped exponential growth from RecallBackoff with a
 // deterministic jitter derived from (seed, lease, attempt) — stateless,
 // so the reclaim schedule replays byte-identically regardless of how
-// probes interleave with other events.
+// probes interleave with other events. A negative RecallJitter adds
+// none.
 func (in *shardInjector) recallBackoff(leaseID, attempt int) float64 {
 	return rng.Backoff(in.sc.Seed^(uint64(leaseID)+1)*0x94d049bb133111eb, saltShardRecall, attempt,
-		in.sc.RecallBackoff, in.sc.RecallCap, in.sc.RecallJitter)
+		in.sc.RecallBackoff, in.sc.RecallCap, math.Max(0, in.sc.RecallJitter))
 }
 
 // --- federation-side wiring -----------------------------------------
@@ -556,7 +389,7 @@ func (f *Federation) handleShardCrash(id int) {
 // reachable (rejoining) — recall probes against it now succeed — but
 // stays out of routing and lending until its rejoin delay elapses.
 func (f *Federation) handleShardRecover(id int) {
-	if !f.sfaults.recoverShard(id) {
+	if !f.sfaults.move(id, ShardDown, ShardRejoining) {
 		return
 	}
 	if _, err := f.eng.AtHandler(f.now+f.sfaults.rejoinDelay(id), f, fevShardRejoin, uint64(id)); err != nil {
@@ -570,7 +403,7 @@ func (f *Federation) handleShardRecover(id int) {
 // entitlement: it is routable and lendable again, with its next crash
 // and partition draws re-armed.
 func (f *Federation) handleShardRejoin(id int) {
-	if !f.sfaults.rejoinShard(id) {
+	if !f.sfaults.move(id, ShardRejoining, ShardHealthy) {
 		return
 	}
 	gShardsUnhealthy.Set(float64(f.sfaults.unhealthy))
@@ -604,7 +437,7 @@ func (f *Federation) handleShardRejoin(id int) {
 // resident jobs keep running.
 func (f *Federation) handleShardPartition(id int) {
 	f.pendingPartition[id] = nil
-	if !f.sfaults.partitionShard(id) {
+	if !f.sfaults.move(id, ShardHealthy, ShardPartitioned) {
 		return // stale: crash won the race
 	}
 	mShardPartitions.Inc()
@@ -622,7 +455,7 @@ func (f *Federation) handleShardPartition(id int) {
 // its remaining orphans settle and the partition stream re-arms.
 func (f *Federation) handleShardHeal(id int) {
 	f.pendingPartition[id] = nil
-	if !f.sfaults.healShard(id) {
+	if !f.sfaults.move(id, ShardPartitioned, ShardHealthy) {
 		return // stale: a crash absorbed the partition
 	}
 	gShardsUnhealthy.Set(float64(f.sfaults.unhealthy))

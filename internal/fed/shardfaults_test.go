@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/jobsched"
 )
 
@@ -19,21 +20,22 @@ func TestShardScenarioParse(t *testing.T) {
 	if sc.CrashMTBF != 400 || sc.MTTR != 90 || sc.PartitionMTBF != 600 || sc.Seed != 7 {
 		t.Fatalf("parsed %+v, want crash-mtbf=400 mttr=90 part-mtbf=600 seed=7", sc)
 	}
-	if sc.PartitionDur != DefaultPartitionDur || sc.RejoinDelay != DefaultRejoinDelay ||
-		sc.GraceTTL != DefaultGraceTTL || sc.RecallRetries != DefaultRecallRetries ||
-		sc.RecallBackoff != DefaultRecallBackoff || sc.RecallCap != DefaultRecallCap ||
-		sc.RecallJitter != DefaultRecallJitter {
-		t.Fatalf("defaults not applied: %+v", sc)
+	for _, p := range ShardGrammar.Params {
+		if p.Rule == faults.Literal || p.Key == "mttr" {
+			continue
+		}
+		got := float64(0)
+		if p.Float != nil {
+			got = *p.Float(sc)
+		} else {
+			got = float64(*p.Int(sc))
+		}
+		if got != p.Def {
+			t.Errorf("%s = %g, want its default %g", p.Key, got, p.Def)
+		}
 	}
 	if !sc.Enabled() {
 		t.Fatal("parsed scenario reports disabled")
-	}
-	rt, err := ParseShardScenario(sc.String())
-	if err != nil {
-		t.Fatalf("round trip of %q: %v", sc.String(), err)
-	}
-	if *rt != *sc {
-		t.Fatalf("round trip diverged:\n%+v\n%+v", sc, rt)
 	}
 	for _, bad := range []string{
 		"crash-mtbf",          // not key=value
@@ -53,6 +55,87 @@ func TestShardScenarioParse(t *testing.T) {
 	}
 }
 
+// FuzzScenarioRoundTrip: every shard scenario ParseShardScenario
+// accepts renders to a spec that parses back to the same scenario, and
+// is already normalized.
+func FuzzScenarioRoundTrip(f *testing.F) {
+	for _, spec := range []string{
+		"crash-mtbf=400,mttr=90,part-mtbf=600,seed=7",
+		"crash-mtbf=400,recall-backoff=9,recall-cap=99,recall-jitter=0.5",
+		"crash-mtbf=400,recall-jitter=NaN",
+		"crash-mtbf=400,recall-jitter=-1",
+		"part-mtbf=600,part-dur=-Inf,grace-ttl=+Inf",
+		"recall-retries=-7,seed=18446744073709551615",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		sc, err := ParseShardScenario(spec)
+		if err != nil {
+			return
+		}
+		back, err := ParseShardScenario(sc.String())
+		if err != nil {
+			t.Fatalf("ParseShardScenario(%q) accepted, its String %q rejected: %v", spec, sc.String(), err)
+		}
+		if *back != *sc {
+			t.Fatalf("round trip of %q changed the scenario:\n  %+v\n  %+v", spec, *sc, *back)
+		}
+		if n := sc.Normalized(); n != *sc {
+			t.Fatalf("Normalized changed the parsed %q:\n  %+v\n  %+v", spec, *sc, n)
+		}
+	})
+}
+
+// TestFloatKeysRejectNonFinite: NaN and ±Inf fail to parse for every
+// float key of the node and the shard grammar.
+func TestFloatKeysRejectNonFinite(t *testing.T) {
+	grammars := []struct {
+		keys  []string
+		parse func(string) error
+	}{
+		{floatKeys(faults.ScenarioGrammar.Params), func(s string) error { _, err := faults.Parse(s); return err }},
+		{floatKeys(ShardGrammar.Params), func(s string) error { _, err := ParseShardScenario(s); return err }},
+	}
+	for _, g := range grammars {
+		for _, k := range g.keys {
+			for _, v := range []string{"NaN", "Inf", "-Inf"} {
+				// crash-mtbf enables a fault class, so the spec is a real run.
+				spec := "crash-mtbf=100," + k + "=" + v
+				if err := g.parse(spec); err == nil {
+					t.Errorf("%q parsed", spec)
+				}
+			}
+		}
+	}
+}
+
+func floatKeys[S any](params []faults.Param[S]) (keys []string) {
+	for _, p := range params {
+		if p.Float != nil {
+			keys = append(keys, p.Key)
+		}
+	}
+	return keys
+}
+
+// TestRecallJitterOff: recall-jitter=-1 survives fed.New's second
+// Normalized, so every probe delay is the unjittered
+// min(recall-backoff·2^(k−1), recall-cap).
+func TestRecallJitterOff(t *testing.T) {
+	sc, err := ParseShardScenario("crash-mtbf=400,recall-backoff=5,recall-cap=90,recall-jitter=-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := newShardInjector(sc.Normalized(), 1)
+	for k := 1; k <= 8; k++ {
+		want := math.Min(5*math.Pow(2, float64(k-1)), 90)
+		if got := in.recallBackoff(3, k); got != want {
+			t.Errorf("probe %d: delay %g, want %g", k, got, want)
+		}
+	}
+}
+
 // TestShardHealthMachine: every legal transition moves the machine,
 // every stale one is rejected, and the unhealthy count tracks.
 func TestShardHealthMachine(t *testing.T) {
@@ -63,10 +146,10 @@ func TestShardHealthMachine(t *testing.T) {
 			t.Fatalf("shard %d starts %s, want healthy", i, h)
 		}
 	}
-	if !in.partitionShard(0) {
+	if !in.move(0, ShardHealthy, ShardPartitioned) {
 		t.Fatal("partition from healthy rejected")
 	}
-	if in.partitionShard(0) {
+	if in.move(0, ShardHealthy, ShardPartitioned) {
 		t.Fatal("partition from partitioned accepted")
 	}
 	if in.healthOf(0) != ShardPartitioned || in.unhealthy != 1 {
@@ -79,16 +162,16 @@ func TestShardHealthMachine(t *testing.T) {
 	if !in.crashShard(0) {
 		t.Fatal("crash from partitioned rejected")
 	}
-	if in.crashShard(0) || in.partitionShard(0) || in.healShard(0) || in.rejoinShard(0) {
+	if in.crashShard(0) || in.move(0, ShardHealthy, ShardPartitioned) || in.move(0, ShardPartitioned, ShardHealthy) || in.move(0, ShardRejoining, ShardHealthy) {
 		t.Error("transition out of down other than recover accepted")
 	}
 	if in.healthOf(0) != ShardDown || in.unhealthy != 1 {
 		t.Fatalf("after crash: %s, unhealthy=%d", in.healthOf(0), in.unhealthy)
 	}
-	if !in.recoverShard(0) {
+	if !in.move(0, ShardDown, ShardRejoining) {
 		t.Fatal("recover from down rejected")
 	}
-	if in.recoverShard(0) || in.crashShard(0) || in.partitionShard(0) || in.healShard(0) {
+	if in.move(0, ShardDown, ShardRejoining) || in.crashShard(0) || in.move(0, ShardHealthy, ShardPartitioned) || in.move(0, ShardPartitioned, ShardHealthy) {
 		t.Error("transition out of rejoining other than rejoin accepted")
 	}
 	if !in.reachable(0) {
@@ -97,17 +180,17 @@ func TestShardHealthMachine(t *testing.T) {
 	if in.routable(0) {
 		t.Error("rejoining shard is routable")
 	}
-	if !in.rejoinShard(0) {
+	if !in.move(0, ShardRejoining, ShardHealthy) {
 		t.Fatal("rejoin from rejoining rejected")
 	}
 	if in.healthOf(0) != ShardHealthy || in.unhealthy != 0 {
 		t.Fatalf("after rejoin: %s, unhealthy=%d", in.healthOf(0), in.unhealthy)
 	}
 	// Heal only applies to partitioned shards.
-	if in.healShard(1) || in.rejoinShard(1) || in.recoverShard(1) {
+	if in.move(1, ShardPartitioned, ShardHealthy) || in.move(1, ShardRejoining, ShardHealthy) || in.move(1, ShardDown, ShardRejoining) {
 		t.Error("stale transition on a healthy shard accepted")
 	}
-	if !in.partitionShard(1) || !in.healShard(1) {
+	if !in.move(1, ShardHealthy, ShardPartitioned) || !in.move(1, ShardPartitioned, ShardHealthy) {
 		t.Error("partition/heal round trip rejected")
 	}
 	if in.downs[0] != 1 || in.partitions[0] != 1 || in.partitions[1] != 1 {

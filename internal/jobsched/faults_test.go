@@ -2,6 +2,7 @@ package jobsched
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -314,5 +315,25 @@ func TestFaultTelemetryExposition(t *testing.T) {
 	}
 	if snaps == 0 {
 		t.Error("no sched-state snapshots in the event ring")
+	}
+}
+
+// TestBackoffJitterOff: jitter=-1 survives the Normalized that New's run
+// state applies to an already-parsed scenario, so every retry delay is
+// the unjittered min(backoff·2^(k−1), backoff-cap).
+func TestBackoffJitterOff(t *testing.T) {
+	sc, err := faults.Parse("crash-mtbf=100,backoff=3,backoff-cap=50,jitter=-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sched(t, Config{Bound: 1400, Policy: AggressiveBackfill, Faults: sc}).newState(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= 8; k++ {
+		want := math.Min(3*math.Pow(2, float64(k-1)), 50)
+		if got := st.inj.Backoff("j00", k); got != want {
+			t.Errorf("attempt %d: delay %g, want %g", k, got, want)
+		}
 	}
 }

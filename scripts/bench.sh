@@ -105,7 +105,7 @@ echo "== clipfed chaos federation, 64 shards + shard faults ==" >&2
 # the measured path. Exits non-zero on any audit violation, failing the
 # bench run outright.
 CHAOS_FLAGS="-shards 64 -nodes 4 -budget 400 -jobs 512 -gap 1 -routing locality -seed 1 \
-    -shard-faults crash-mtbf=400,mttr=120,part-mtbf=600,part-dur=60 -shard-fault-seed 9"
+    -shard-faults crash-mtbf=400,mttr=120,part-mtbf=600,part-dur=60,seed=9"
 "$TMP/clipfed" $CHAOS_FLAGS > /dev/null 2> "$TMP/clipfed_chaos_full.txt"
 cat "$TMP/clipfed_chaos_full.txt" >&2
 grep '^clipfed shards=' "$TMP/clipfed_chaos_full.txt" \

@@ -49,7 +49,7 @@ SMALL='BenchmarkCLIPSchedule$|BenchmarkSimRun$|BenchmarkOptimalSearch$'
 LARGE='BenchmarkOptimalSearchLarge$|BenchmarkJobschedThroughput$|BenchmarkJobschedPriorityThroughput$'
 PFLAGS="-shards 64 -nodes 4 -budget 400 -jobs 4096 -gap 0.25 -routing locality -seed 1 -lend=false"
 CHAOS_FLAGS="-shards 64 -nodes 4 -budget 400 -jobs 512 -gap 1 -routing locality -seed 1 \
-    -shard-faults crash-mtbf=400,mttr=120,part-mtbf=600,part-dur=60 -shard-fault-seed 9"
+    -shard-faults crash-mtbf=400,mttr=120,part-mtbf=600,part-dur=60,seed=9"
 
 # measure ROUND SIDE DIR appends one round of every row on one side to
 # rows.txt, each line prefixed "ROUND SIDE". A failing benchmark, or a

@@ -14,7 +14,7 @@ trap 'rm -rf "$TMP"' EXIT
 go build -o "$TMP/clipfed" ./cmd/clipfed
 
 FLAGS="-shards 16 -nodes 4 -budget 400 -jobs 192 -gap 1.5 -seed 7 \
-  -shard-faults crash-mtbf=400,mttr=120,part-mtbf=600,part-dur=60 -shard-fault-seed 9"
+  -shard-faults crash-mtbf=400,mttr=120,part-mtbf=600,part-dur=60,seed=9"
 "$TMP/clipfed" $FLAGS > "$TMP/run1.out" 2>"$TMP/run1.err" || {
     echo "fed chaos smoke: clipfed exited non-zero" >&2
     cat "$TMP/run1.out" "$TMP/run1.err" >&2
