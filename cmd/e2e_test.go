@@ -233,6 +233,34 @@ func TestClipjobsStreamFile(t *testing.T) {
 	mustContain(t, out, "j1", "j2", "fcfs")
 }
 
+// TestExamplesRun builds every main under examples/ and requires each
+// to run to completion: the examples drive the library surface end to
+// end, and go build alone only compiles them.
+func TestExamplesRun(t *testing.T) {
+	entries, err := os.ReadDir("../examples")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	build := exec.Command("go", "build", "-o", dir, "./examples/...")
+	build.Dir = ".."
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("build examples: %v\n%s", err, out)
+	}
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		t.Run(e.Name(), func(t *testing.T) {
+			cmd := exec.Command(filepath.Join(dir, e.Name()))
+			cmd.Dir = dir
+			if out, err := cmd.CombinedOutput(); err != nil {
+				t.Fatalf("%s failed: %v\n%s", e.Name(), err, out)
+			}
+		})
+	}
+}
+
 // checkGolden compares got against the golden file. Under -update a
 // recording call (record) rewrites the file first; the other calls of
 // the same golden still compare against it.

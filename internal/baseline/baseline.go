@@ -64,10 +64,8 @@ func (a *AllIn) Plan(cl *hw.Cluster, app *workload.Spec, bound float64) (*plan.P
 }
 
 // LowerLimit shrinks the node count until every participating node
-// receives at least Floor watts, then behaves like All-In.
+// receives at least DefaultFloorWatts, then behaves like All-In.
 type LowerLimit struct {
-	// Floor is the per-node minimum (DefaultFloorWatts when 0).
-	Floor float64
 	// MemWatts is the static DRAM allocation (DefaultMemWatts when 0).
 	MemWatts float64
 }
@@ -79,17 +77,13 @@ func (*LowerLimit) Name() string { return "Lower-Limit" }
 
 // Plan implements plan.Method.
 func (l *LowerLimit) Plan(cl *hw.Cluster, app *workload.Spec, bound float64) (*plan.Plan, error) {
-	floor := l.Floor
-	if floor <= 0 {
-		floor = DefaultFloorWatts
-	}
 	mem := l.MemWatts
 	if mem <= 0 {
 		mem = DefaultMemWatts
 	}
 	n := cl.NumNodes()
-	if bound < floor*float64(n) {
-		n = int(bound / floor)
+	if bound < DefaultFloorWatts*float64(n) {
+		n = int(bound / DefaultFloorWatts)
 	}
 	if n < 1 {
 		n = 1
@@ -104,7 +98,7 @@ func (l *LowerLimit) Plan(cl *hw.Cluster, app *workload.Spec, bound float64) (*p
 		Cores:    cl.Spec().Cores(),
 		Affinity: baselineAffinity,
 		PerNode:  plan.UniformBudgets(n, power.Budget{CPU: cpu, Mem: mem}),
-		Notes:    fmt.Sprintf("floor=%.0fW nodes=%d", floor, n),
+		Notes:    fmt.Sprintf("floor=%.0fW nodes=%d", DefaultFloorWatts, n),
 	}, nil
 }
 

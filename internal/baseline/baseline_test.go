@@ -84,17 +84,6 @@ func TestLowerLimitFloorRespected(t *testing.T) {
 	}
 }
 
-func TestLowerLimitCustomFloor(t *testing.T) {
-	cl := cluster()
-	p, err := (&LowerLimit{Floor: 300}).Plan(cl, workload.CoMD(), 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Nodes() != 3 {
-		t.Errorf("custom floor: %d nodes, want 3", p.Nodes())
-	}
-}
-
 func TestCoordinatedMemFollowsApp(t *testing.T) {
 	cl := cluster()
 	stream, err := (&Coordinated{}).Plan(cl, workload.Stream(), 1600)
@@ -252,20 +241,5 @@ func TestConductorInfeasible(t *testing.T) {
 	cl := cluster()
 	if _, err := (&Conductor{}).TimeToSolution(cl, workload.CoMD(), 3); err == nil {
 		t.Error("3 W bound accepted")
-	}
-}
-
-func TestConductorTrialIterationsOverride(t *testing.T) {
-	cl := cluster()
-	short, err := (&Conductor{TrialIterations: 1}).TimeToSolution(cl, workload.LUMZ(), 1200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	long, err := (&Conductor{TrialIterations: 5}).TimeToSolution(cl, workload.LUMZ(), 1200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if long.SearchSeconds <= short.SearchSeconds {
-		t.Error("longer trials should cost more search time")
 	}
 }

@@ -20,11 +20,11 @@ import (
 // is reflected here: the node count is fixed to everything available
 // under the application's power floor (like Coordinated), and only the
 // per-node concurrency and CPU/DRAM split are searched online.
-type Conductor struct {
-	// TrialIterations is how many application iterations each trial
-	// configuration executes (default 3).
-	TrialIterations int
-}
+type Conductor struct{}
+
+// trialIters is how many application iterations each trial
+// configuration executes.
+const trialIters = 3
 
 // SearchReport describes an online search run: where the time went.
 type SearchReport struct {
@@ -46,10 +46,6 @@ func (r *SearchReport) Total() float64 { return r.SearchSeconds + r.RunSeconds }
 // floor, then trial executions over concurrency × DRAM splits. The
 // returned report charges every trial's wall time against the job.
 func (c *Conductor) TimeToSolution(cl *hw.Cluster, app *workload.Spec, bound float64) (*SearchReport, error) {
-	trialIters := c.TrialIterations
-	if trialIters <= 0 {
-		trialIters = 3
-	}
 	spec := cl.Spec()
 
 	// Node count like Coordinated: everything that fits the floor.

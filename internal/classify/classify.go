@@ -45,8 +45,3 @@ func FromRatioWith(ratio, linMax, logMax float64) workload.Class {
 		return workload.Parabolic
 	}
 }
-
-// FromTimes classifies directly from the two profile runtimes.
-func FromTimes(timeHalf, timeAll float64) workload.Class {
-	return FromRatio(Ratio(timeHalf, timeAll))
-}

@@ -39,21 +39,6 @@ func TestRatio(t *testing.T) {
 	}
 }
 
-func TestFromTimes(t *testing.T) {
-	// Half-core run twice as slow as all-core: ratio 0.5 -> linear.
-	if got := FromTimes(20, 10); got != workload.Linear {
-		t.Errorf("FromTimes(20,10) = %v, want linear", got)
-	}
-	// All-core slower than half-core: parabolic.
-	if got := FromTimes(10, 12); got != workload.Parabolic {
-		t.Errorf("FromTimes(10,12) = %v, want parabolic", got)
-	}
-	// In between: logarithmic.
-	if got := FromTimes(10, 8); got != workload.Logarithmic {
-		t.Errorf("FromTimes(10,8) = %v, want logarithmic", got)
-	}
-}
-
 func TestClassificationTotal(t *testing.T) {
 	// Every non-negative ratio maps to exactly one of the three classes.
 	f := func(r float64) bool {

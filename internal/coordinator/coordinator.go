@@ -88,30 +88,14 @@ func (d *Decision) Clone() *Decision {
 // Coordinator computes cluster-level power allocation decisions.
 type Coordinator struct {
 	Cluster *hw.Cluster
-	// Threshold overrides VariabilityThreshold (ablation support). A
-	// non-zero value always takes effect; an explicit zero — "coordinate
-	// whenever any variability at all is present" — additionally
-	// requires ThresholdSet, because the zero value of this struct must
-	// keep meaning "use the paper's default". A negative value disables
-	// inter-node coordination entirely.
+	// Threshold overrides VariabilityThreshold (ablation support). Zero
+	// keeps the paper's default; a negative value disables inter-node
+	// coordination entirely.
 	Threshold float64
-	// ThresholdSet marks Threshold as explicitly configured so that an
-	// override of exactly 0 is distinguishable from "unset".
-	ThresholdSet bool
 	// EnergyTolerance, when positive, switches node-level selection to
 	// the energy-aware objective: minimum predicted energy within this
 	// relative slowdown of the fastest configuration.
 	EnergyTolerance float64
-	// Unavailable marks nodes that must not receive placements
-	// (quarantined after a crash, drained by a circuit breaker). They are
-	// excluded from node-count candidacy and from pickNodes. A nil map
-	// means every node is available.
-	Unavailable map[int]bool
-	// NodeDerate maps a node id to the fraction of its budget currently
-	// withheld by an emergency re-cap (power excursion). Assigned budgets
-	// for such nodes are reduced via power.DerateBudget after the uniform
-	// or variability-aware split. A nil map applies no derating.
-	NodeDerate map[int]float64
 	// Ranked makes pickNodes honour the caller's node order instead of
 	// re-ranking by PowerEff: the scheduler's feasibility/scoring stage
 	// sets it when a workload's affinity preferences already fixed the
@@ -125,7 +109,7 @@ type Coordinator struct {
 
 // threshold returns the effective variability threshold.
 func (c *Coordinator) threshold() float64 {
-	if c.ThresholdSet || c.Threshold != 0 {
+	if c.Threshold != 0 {
 		return c.Threshold
 	}
 	return VariabilityThreshold
@@ -245,8 +229,8 @@ func (c *Coordinator) Schedule(app *workload.Spec, prof *profile.Profile, pd *pe
 		case errors.Is(err, ErrNonPositiveBound):
 			return nil, fmt.Errorf("coordinator: non-positive bound %.1f W", bound)
 		case errors.Is(err, ErrNoProcCount):
-			return nil, fmt.Errorf("coordinator: %s admits no process count on %d available of %d nodes",
-				app.Name, c.availableNodes(), c.Cluster.NumNodes())
+			return nil, fmt.Errorf("coordinator: %s admits no process count on %d nodes",
+				app.Name, c.Cluster.NumNodes())
 		case errors.Is(err, ErrInfeasible):
 			return nil, fmt.Errorf("coordinator: no feasible node count for %s under %.1f W", app.Name, bound)
 		}
@@ -289,8 +273,7 @@ func (c *Coordinator) Place(app *workload.Spec, prof *profile.Profile, pd *perfm
 		return ErrNonPositiveBound
 	}
 	spec := c.Cluster.Spec()
-	avail := c.availableNodes()
-	sc.counts = app.AppendProcCounts(sc.counts[:0], avail)
+	sc.counts = app.AppendProcCounts(sc.counts[:0], c.Cluster.NumNodes())
 	if len(sc.counts) == 0 {
 		return ErrNoProcCount
 	}
@@ -403,34 +386,19 @@ func (c *Coordinator) publish(sc *Scratch, app string, bound float64, ids []int,
 	telemetry.Default.Events().Append(ev)
 }
 
-// availableNodes counts nodes eligible for placement.
-func (c *Coordinator) availableNodes() int {
-	n := c.Cluster.NumNodes()
-	for id, bad := range c.Unavailable {
-		if bad && id >= 0 && id < c.Cluster.NumNodes() {
-			n--
-		}
-	}
-	return n
-}
-
-// pickNodes selects the n most power-efficient available nodes (lowest
-// PowerEff): under a shared bound the efficient parts sustain the
-// highest frequencies. Unavailable (quarantined/drained) nodes never
-// appear in the result. The result lives in sc.ids. The ranking uses a
+// pickNodes selects the n most power-efficient nodes (lowest PowerEff):
+// under a shared bound the efficient parts sustain the highest
+// frequencies. The result lives in sc.ids. The ranking uses a
 // stable insertion sort — node counts are small and the reflection-free
 // sort keeps the pass allocation-free.
 func (c *Coordinator) pickNodes(sc *Scratch, n int) []int {
 	ids := sc.ids[:0]
 	for i := 0; i < c.Cluster.NumNodes(); i++ {
-		if c.Unavailable[i] {
-			continue
-		}
 		ids = append(ids, i)
 	}
 	if c.Ranked {
 		// The caller pre-ranked the cluster view (workload affinity):
-		// take the first n available view positions in the given order.
+		// take the first n view positions in the given order.
 		ids = ids[:n]
 		sc.ids = ids
 		return ids
@@ -465,7 +433,7 @@ func (c *Coordinator) nodeBudgets(sc *Scratch, ids []int, cfg recommend.NodeConf
 			out = append(out, cfg.Budget)
 		}
 		sc.budgets = out
-		return c.applyDerate(ids, out), false
+		return out, false
 	}
 
 	spec := c.Cluster.Spec()
@@ -513,22 +481,7 @@ func (c *Coordinator) nodeBudgets(sc *Scratch, ids []int, cfg recommend.NodeConf
 			out[i].CPU *= scale
 		}
 	}
-	return c.applyDerate(ids, out), true
-}
-
-// applyDerate shaves each node's assigned budget by its active
-// excursion derate fraction, if any. With no derates the input slice is
-// returned untouched, keeping the common path allocation-identical.
-func (c *Coordinator) applyDerate(ids []int, budgets []power.Budget) []power.Budget {
-	if len(c.NodeDerate) == 0 {
-		return budgets
-	}
-	for i, id := range ids {
-		if frac := c.NodeDerate[id]; frac > 0 {
-			budgets[i] = power.DerateBudget(budgets[i], frac)
-		}
-	}
-	return budgets
+	return out, true
 }
 
 // variabilityAcross returns the PowerEff spread over the chosen nodes.

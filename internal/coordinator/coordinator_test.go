@@ -1,7 +1,6 @@
 package coordinator
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/hw"
@@ -257,17 +256,12 @@ func TestNotesPopulated(t *testing.T) {
 	}
 }
 
-// TestExplicitZeroThreshold pins the ThresholdSet semantics: a
-// zero-value Coordinator uses the paper's default, while an explicit
-// Threshold of 0 (ThresholdSet) coordinates on any variability at all.
+// TestExplicitZeroThreshold pins the Threshold semantics the ablations
+// rely on: an explicit 0 (their "default" mode) is the zero value and
+// keeps the paper's trigger, while a positive value overrides it.
 func TestExplicitZeroThreshold(t *testing.T) {
-	def := &Coordinator{}
-	if got := def.threshold(); got != VariabilityThreshold {
-		t.Errorf("unset threshold = %g, want default %g", got, VariabilityThreshold)
-	}
-	zero := &Coordinator{ThresholdSet: true}
-	if got := zero.threshold(); got != 0 {
-		t.Errorf("explicit zero threshold = %g, want 0", got)
+	if got := (&Coordinator{Threshold: 0}).threshold(); got != VariabilityThreshold {
+		t.Errorf("zero threshold = %g, want default %g", got, VariabilityThreshold)
 	}
 	override := &Coordinator{Threshold: 0.10}
 	if got := override.threshold(); got != 0.10 {
@@ -275,87 +269,26 @@ func TestExplicitZeroThreshold(t *testing.T) {
 	}
 
 	// On the mildly variable paper testbed (spread below the default
-	// threshold) the default skips coordination but an explicit zero
-	// threshold activates it.
+	// threshold) the default skips coordination but a threshold below
+	// the spread activates it.
 	cl := hw.NewCluster(8, hw.HaswellSpec(), 0.004, 7)
 	if cl.MaxVariability() <= 0 || cl.MaxVariability() > VariabilityThreshold {
 		t.Fatalf("test cluster spread %.4f outside (0, %g]", cl.MaxVariability(), VariabilityThreshold)
 	}
 	app := workload.AMG()
 	p, pd := setup(t, cl, app)
-	dDef, err := (&Coordinator{Cluster: cl}).Schedule(app, p, pd, 1100)
+	dDef, err := (&Coordinator{Cluster: cl, Threshold: 0}).Schedule(app, p, pd, 1100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dDef.Coordinated {
 		t.Error("default threshold coordinated below the paper's trigger")
 	}
-	dZero, err := (&Coordinator{Cluster: cl, ThresholdSet: true}).Schedule(app, p, pd, 1100)
+	dLow, err := (&Coordinator{Cluster: cl, Threshold: 1e-9}).Schedule(app, p, pd, 1100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dZero.Coordinated {
-		t.Error("explicit zero threshold did not coordinate")
-	}
-}
-
-func TestUnavailableNodesExcluded(t *testing.T) {
-	cl := uniformCluster()
-	app := workload.CoMD()
-	p, pd := setup(t, cl, app)
-	co := &Coordinator{Cluster: cl, Unavailable: map[int]bool{2: true, 5: true}}
-	d, err := co.Schedule(app, p, pd, 2600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Plan.Nodes() > 6 {
-		t.Errorf("got %d nodes with 2 of 8 unavailable, want <= 6", d.Plan.Nodes())
-	}
-	for _, id := range d.Plan.NodeIDs {
-		if id == 2 || id == 5 {
-			t.Errorf("quarantined node %d received a placement", id)
-		}
-	}
-}
-
-func TestAllNodesUnavailableErrors(t *testing.T) {
-	cl := uniformCluster()
-	app := workload.CoMD()
-	p, pd := setup(t, cl, app)
-	bad := map[int]bool{}
-	for i := 0; i < cl.NumNodes(); i++ {
-		bad[i] = true
-	}
-	co := &Coordinator{Cluster: cl, Unavailable: bad}
-	if _, err := co.Schedule(app, p, pd, 2600); err == nil {
-		t.Error("schedule succeeded with every node unavailable")
-	}
-}
-
-func TestNodeDerateShrinksBudget(t *testing.T) {
-	cl := uniformCluster()
-	app := workload.CoMD()
-	p, pd := setup(t, cl, app)
-	base := &Coordinator{Cluster: cl}
-	d0, err := base.Schedule(app, p, pd, 2600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	co := &Coordinator{Cluster: cl, NodeDerate: map[int]float64{0: 0.3}}
-	d1, err := co.Schedule(app, p, pd, 2600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1.Plan.NodeIDs[0] != 0 {
-		t.Skip("node 0 not placed")
-	}
-	want := d0.Plan.PerNode[0].Total() * 0.7
-	got := d1.Plan.PerNode[0].Total()
-	if math.Abs(got-want) > 1e-6 {
-		t.Errorf("derated node budget %.3f W, want %.3f W", got, want)
-	}
-	// Other nodes keep the uniform budget.
-	if got, want := d1.Plan.PerNode[1].Total(), d0.Plan.PerNode[1].Total(); math.Abs(got-want) > 1e-6 {
-		t.Errorf("non-derated node budget %.3f W, want %.3f W", got, want)
+	if !dLow.Coordinated {
+		t.Error("threshold below the spread did not coordinate")
 	}
 }

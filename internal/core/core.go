@@ -93,26 +93,17 @@ type CLIP struct {
 	flight singleflight.Group
 }
 
-// decisionKey memoizes Schedule: one entry per application, bound and
-// coordinator configuration (the coordinator options are fixed per CLIP
-// instance, but keying on them keeps the cache correct if that ever
-// changes).
+// decisionKey memoizes Schedule: one entry per application and bound
+// (the coordinator options are fixed when the CLIP instance is built).
 type decisionKey struct {
-	app          string
-	bound        float64
-	threshold    float64
-	thresholdSet bool
-	tolerance    float64
+	app   string
+	bound float64
 }
 
 // flightKey renders the key for singleflight (string-keyed). %x-style
 // float formatting is exact, so distinct keys never collide.
 func (k decisionKey) flightKey() string {
-	return "sched:" + k.app + "|" +
-		strconv.FormatFloat(k.bound, 'x', -1, 64) + "|" +
-		strconv.FormatFloat(k.threshold, 'x', -1, 64) + "|" +
-		strconv.FormatBool(k.thresholdSet) + "|" +
-		strconv.FormatFloat(k.tolerance, 'x', -1, 64)
+	return "sched:" + k.app + "|" + strconv.FormatFloat(k.bound, 'x', -1, 64)
 }
 
 var _ plan.Method = (*CLIP)(nil)
@@ -256,17 +247,11 @@ func (c *CLIP) Predictor(app *workload.Spec) (*profile.Profile, *perfmodel.Predi
 // Schedule produces the full cluster-level decision for app under a
 // total power bound (watts over the CPU+DRAM domains of all
 // participating nodes). Decisions are memoized per (application,
-// bound, coordinator options): repeated and concurrent requests share
-// one profile/predictor/coordination pass and then serve clones of the
+// bound): repeated and concurrent requests share one
+// profile/predictor/coordination pass and then serve clones of the
 // cached decision, so callers may freely annotate the returned plan.
 func (c *CLIP) Schedule(app *workload.Spec, bound float64) (*coordinator.Decision, error) {
-	key := decisionKey{
-		app:          app.Name,
-		bound:        bound,
-		threshold:    c.coord.Threshold,
-		thresholdSet: c.coord.ThresholdSet,
-		tolerance:    c.coord.EnergyTolerance,
-	}
+	key := decisionKey{app: app.Name, bound: bound}
 	c.mu.RLock()
 	d, ok := c.decisions[key]
 	c.mu.RUnlock()

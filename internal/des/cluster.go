@@ -73,6 +73,7 @@ type nodeState struct {
 	phase      int     // index into app.Phases
 	remaining  float64 // fraction of the current phase left [0,1]
 	completion *Event
+	tick       *Event // pending controller tick (capped runs)
 	// phaseStartTime/phaseSpan describe the currently scheduled
 	// completion so mid-phase frequency changes can carry progress over.
 	phaseStartTime float64
@@ -298,6 +299,14 @@ func (st *runState) phaseDone(ns *nodeState) {
 	st.arrived = 0
 	st.iter++
 	if st.iter >= st.iters {
+		// The run ends with this collective: a controller tick due
+		// after it would stretch the runtime and energy.
+		for _, other := range st.nodes {
+			if other.tick != nil {
+				other.tick.Cancel()
+				other.tick = nil
+			}
+		}
 		if _, err := st.eng.After(st.comm, func() {}); err != nil {
 			st.failure = err
 		}
@@ -314,15 +323,19 @@ func (st *runState) phaseDone(ns *nodeState) {
 
 // scheduleControl arms the node's RAPL controller tick.
 func (st *runState) scheduleControl(ns *nodeState) {
-	if _, err := st.eng.After(st.cfg.ControlInterval, func() { st.controlTick(ns) }); err != nil {
+	ev, err := st.eng.After(st.cfg.ControlInterval, func() { st.controlTick(ns) })
+	if err != nil {
 		st.failure = err
+		return
 	}
+	ns.tick = ev
 }
 
 // controlTick samples the node's CPU power and steps the DVFS ladder
 // toward the cap (one step per interval, like RAPL's running-average
-// throttling). It re-arms itself while the run is active.
+// throttling). It re-arms itself until the final barrier.
 func (st *runState) controlTick(ns *nodeState) {
+	ns.tick = nil
 	st.res.ControlSteps++
 	st.accountEnergy(ns)
 	if st.cfg.RecordTrace && ns == st.nodes[0] {
@@ -382,8 +395,6 @@ func (st *runState) controlTick(ns *nodeState) {
 		st.schedulePhaseCompletion(ns)
 	}
 
-	// Keep sampling while the run is alive.
-	if st.iter < st.iters {
-		st.scheduleControl(ns)
-	}
+	// Keep sampling; the final barrier cancels the pending tick.
+	st.scheduleControl(ns)
 }

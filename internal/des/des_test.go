@@ -205,6 +205,34 @@ func TestCappedConvergesToAnalytic(t *testing.T) {
 	}
 }
 
+// TestNonBindingCapEndsWithLastCollective pins the end of a capped
+// run: under a cap that never binds the controller changes nothing, so
+// the run ends with its last collective at the uncapped runtime, even
+// when the next controller tick is due long after it.
+func TestNonBindingCapEndsWithLastCollective(t *testing.T) {
+	cl := cluster(4)
+	for _, app := range workload.Suite() {
+		cfg := RunConfig{Nodes: 4, CoresPerNode: 12, Affinity: workload.Scatter, MaxIterations: 3}
+		uncapped, err := Run(cl, app, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", app.Name, err)
+		}
+		cfg.Capped = true
+		cfg.Budget = power.Budget{CPU: 1000, Mem: 1000}
+		for _, interval := range []float64{DefaultControlInterval, 0.5} {
+			cfg.ControlInterval = interval
+			res, err := Run(cl, app, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", app.Name, err)
+			}
+			if rel := math.Abs(res.Time-uncapped.Time) / uncapped.Time; rel > 1e-9 {
+				t.Errorf("%s at a %g s control interval: capped %.6f s, uncapped %.6f s",
+					app.Name, interval, res.Time, uncapped.Time)
+			}
+		}
+	}
+}
+
 func TestControllerSettlesAndOvershootBounded(t *testing.T) {
 	cl := cluster(1)
 	cfg := RunConfig{Nodes: 1, CoresPerNode: 24, Affinity: workload.Scatter,

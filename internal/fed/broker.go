@@ -194,7 +194,7 @@ func (f *Federation) pickLender(borrower int) *Shard {
 		if sh.ID == borrower || sh.Online.QueueLen() > 0 || !f.routable(sh.ID) {
 			continue
 		}
-		// Envelope headroom: free watts beyond the reserve, capped so
+		// Headroom: free watts beyond the reserve, capped so
 		// the effective bound never drops below the floor.
 		head := sh.Online.FreeWatts() - reserveFrac*sh.entitlement
 		if floorRoom := sh.eff - minBoundFrac*sh.entitlement; head > floorRoom {

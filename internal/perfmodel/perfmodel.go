@@ -141,11 +141,6 @@ func TrainNP(spec *hw.NodeSpec, apps []*workload.Spec) (*NPModel, error) {
 	}, nil
 }
 
-// PredictFromProfile runs the regression on a finished profile.
-func (m *NPModel) PredictFromProfile(p *profile.Profile) (int, error) {
-	return m.PredictNP(p.Features())
-}
-
 // Predictor estimates runtime-per-iteration for arbitrary target
 // configurations from a profile, implementing the piecewise model of
 // Equations 1-3. CLIP uses it to rank configurations without

@@ -319,26 +319,6 @@ func TestMemDemandWatts(t *testing.T) {
 	}
 }
 
-func TestPredictFromProfileMatchesPredictNP(t *testing.T) {
-	cl, m := trainModel(t)
-	pr := &profile.Profiler{Cluster: cl}
-	p, err := pr.Basic(workload.LUMZ())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := m.PredictFromProfile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := m.PredictNP(p.Features())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("PredictFromProfile %d != PredictNP %d", a, b)
-	}
-}
-
 func TestLogarithmicTailNeverSlower(t *testing.T) {
 	cl, p := fullProfile(t, workload.LUMZ())
 	pd, err := NewPredictor(cl.Spec(), p)

@@ -178,20 +178,6 @@ func SolveFreq(spec *hw.NodeSpec, activeCores, socketsUsed int, cpuCap, eff floa
 	return spec.FreqLevels[lo-1], ladder[lo-1] * eff, true
 }
 
-// MaxCoresAt returns the largest number of active cores that fit within
-// cpuCap watts at frequency f (GHz) using the fewest sockets that can
-// host them, plus the socket count used. Zero cores means the cap cannot
-// host even one core.
-func MaxCoresAt(spec *hw.NodeSpec, cpuCap, f, eff float64) (cores, sockets int) {
-	for n := spec.Cores(); n >= 1; n-- {
-		s := SocketsFor(spec, n)
-		if CPUPower(spec, n, s, f, eff) <= cpuCap+1e-9 {
-			return n, s
-		}
-	}
-	return 0, 0
-}
-
 // SocketsFor returns the fewest sockets needed to host n cores.
 func SocketsFor(spec *hw.NodeSpec, n int) int {
 	if n <= 0 {
@@ -203,72 +189,3 @@ func SocketsFor(spec *hw.NodeSpec, n int) int {
 	}
 	return s
 }
-
-// NodeEnvelope describes the efficient node-power operating range for an
-// application configuration: Lo is the power at the lowest frequency
-// (the paper's Pcpu,L2 + Pmem,L2 lower bound of the acceptable range)
-// and Hi the power at the highest frequency (Pcpu,L1 + Pmem,L1). Budgets
-// below Lo degrade performance disproportionately; budgets above Hi are
-// wasted on this node.
-type NodeEnvelope struct {
-	CPULo, MemLo float64
-	CPUHi, MemHi float64
-}
-
-// Lo returns the lower bound of the acceptable node power range.
-func (e NodeEnvelope) Lo() float64 { return e.CPULo + e.MemLo }
-
-// Hi returns the upper bound of the acceptable node power range.
-func (e NodeEnvelope) Hi() float64 { return e.CPUHi + e.MemHi }
-
-// Envelope computes the acceptable power range for a node running
-// activeCores cores over socketsUsed sockets with memory demand bwDemand
-// GB/s (the bandwidth the application would consume unthrottled).
-func Envelope(spec *hw.NodeSpec, activeCores, socketsUsed int, bwDemand, eff float64) NodeEnvelope {
-	memAt := func() float64 {
-		bwCap := float64(socketsUsed) * spec.SocketMemBW
-		return MemPowerAt(spec, socketsUsed, math.Min(bwDemand, bwCap))
-	}
-	return NodeEnvelope{
-		CPULo: CPUPower(spec, activeCores, socketsUsed, spec.FMin(), eff),
-		MemLo: memAt(),
-		CPUHi: CPUPower(spec, activeCores, socketsUsed, spec.FMax(), eff),
-		MemHi: memAt(),
-	}
-}
-
-// Meter accumulates energy over simulated execution.
-type Meter struct {
-	energy  float64 // joules
-	seconds float64
-	peak    float64
-}
-
-// Accumulate records a phase that drew p watts for dt seconds.
-func (m *Meter) Accumulate(p, dt float64) {
-	if dt < 0 {
-		return
-	}
-	m.energy += p * dt
-	m.seconds += dt
-	if p > m.peak {
-		m.peak = p
-	}
-}
-
-// Energy returns total joules recorded.
-func (m *Meter) Energy() float64 { return m.energy }
-
-// AvgPower returns average watts over the recorded duration.
-func (m *Meter) AvgPower() float64 {
-	if m.seconds == 0 {
-		return 0
-	}
-	return m.energy / m.seconds
-}
-
-// Peak returns the highest instantaneous power recorded.
-func (m *Meter) Peak() float64 { return m.peak }
-
-// Duration returns the total recorded seconds.
-func (m *Meter) Duration() float64 { return m.seconds }

@@ -188,24 +188,6 @@ func TestEffectiveFreqDutyFloor(t *testing.T) {
 	}
 }
 
-func TestMaxCoresAt(t *testing.T) {
-	s := spec()
-	cores, sockets := MaxCoresAt(s, 1000, s.FMax(), 1.0)
-	if cores != 24 || sockets != 2 {
-		t.Errorf("ample power: %d cores %d sockets, want 24/2", cores, sockets)
-	}
-	cores, _ = MaxCoresAt(s, 5, s.FMax(), 1.0)
-	if cores != 0 {
-		t.Errorf("5 W fits %d cores, want 0", cores)
-	}
-	// One socket base + 1 core at Fmax.
-	one := s.SocketBasePower + s.CoreIdlePower + s.CoreDynCoeff*math.Pow(s.FMax(), s.CoreDynExp)
-	cores, sockets = MaxCoresAt(s, one+0.01, s.FMax(), 1.0)
-	if cores != 1 || sockets != 1 {
-		t.Errorf("exactly-one-core budget: %d cores %d sockets", cores, sockets)
-	}
-}
-
 func TestSocketsFor(t *testing.T) {
 	s := spec()
 	cases := []struct{ n, want int }{{0, 0}, {1, 1}, {12, 1}, {13, 2}, {24, 2}, {30, 2}}
@@ -213,31 +195,6 @@ func TestSocketsFor(t *testing.T) {
 		if got := SocketsFor(s, c.n); got != c.want {
 			t.Errorf("SocketsFor(%d) = %d, want %d", c.n, got, c.want)
 		}
-	}
-}
-
-func TestEnvelopeOrdering(t *testing.T) {
-	s := spec()
-	e := Envelope(s, 24, 2, 40, 1.0)
-	if e.Lo() >= e.Hi() {
-		t.Errorf("envelope Lo %v >= Hi %v", e.Lo(), e.Hi())
-	}
-	if e.CPULo >= e.CPUHi {
-		t.Errorf("CPULo %v >= CPUHi %v", e.CPULo, e.CPUHi)
-	}
-}
-
-func TestEnvelopeProperty(t *testing.T) {
-	s := spec()
-	f := func(coresRaw uint8, bwRaw uint8) bool {
-		cores := int(coresRaw)%24 + 1
-		bw := float64(bwRaw) / 4
-		sockets := SocketsFor(s, cores)
-		e := Envelope(s, cores, sockets, bw, 1.0)
-		return e.Lo() <= e.Hi()+1e-9 && e.CPULo > 0 && e.MemLo >= 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -254,32 +211,6 @@ func TestBudget(t *testing.T) {
 	}
 	if b.String() == "" {
 		t.Error("empty String()")
-	}
-}
-
-func TestMeter(t *testing.T) {
-	var m Meter
-	m.Accumulate(100, 2)
-	m.Accumulate(200, 2)
-	if m.Energy() != 600 {
-		t.Errorf("energy %v, want 600", m.Energy())
-	}
-	if m.AvgPower() != 150 {
-		t.Errorf("avg %v, want 150", m.AvgPower())
-	}
-	if m.Peak() != 200 {
-		t.Errorf("peak %v, want 200", m.Peak())
-	}
-	if m.Duration() != 4 {
-		t.Errorf("duration %v, want 4", m.Duration())
-	}
-	m.Accumulate(1000, -1) // ignored
-	if m.Energy() != 600 {
-		t.Error("negative duration not ignored")
-	}
-	var empty Meter
-	if empty.AvgPower() != 0 {
-		t.Error("empty meter AvgPower != 0")
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/hw"
-	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -69,16 +68,6 @@ type Profile struct {
 // performance ratio (event 7).
 func (p *Profile) Features() []float64 {
 	return append(p.All.Events.Rates(), p.Ratio)
-}
-
-// Envelope returns the acceptable power range (paper §III-B1) for a
-// configuration of cores under the profiled affinity: the CPU and DRAM
-// power at the highest and lowest frequency, using the measured
-// bandwidth demand. Variability coefficient eff adjusts for a specific
-// node.
-func (p *Profile) Envelope(spec *hw.NodeSpec, cores int, eff float64) power.NodeEnvelope {
-	sockets := sim.SocketsUsedFor(spec, cores, p.Affinity)
-	return power.Envelope(spec, cores, sockets, p.All.MemBW, eff)
 }
 
 // NPPredictor predicts the inflection point from a profile feature

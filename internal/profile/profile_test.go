@@ -166,23 +166,6 @@ func TestSocketsUsed(t *testing.T) {
 	}
 }
 
-func TestEnvelope(t *testing.T) {
-	pr := &Profiler{Cluster: testCluster()}
-	p, err := pr.Basic(workload.AMG())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := p.Envelope(hw.HaswellSpec(), 24, 1.0)
-	if e.Lo() >= e.Hi() {
-		t.Errorf("envelope Lo %v >= Hi %v", e.Lo(), e.Hi())
-	}
-	// A leaky node needs more power for the same envelope.
-	leaky := p.Envelope(hw.HaswellSpec(), 24, 1.1)
-	if leaky.CPUHi <= e.CPUHi {
-		t.Error("leaky node envelope should be higher")
-	}
-}
-
 func TestIterationsOverride(t *testing.T) {
 	pr := &Profiler{Cluster: testCluster(), Iterations: 2}
 	p, err := pr.Basic(workload.CoMD())

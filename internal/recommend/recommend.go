@@ -7,7 +7,6 @@
 package recommend
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/hw"
@@ -64,33 +63,6 @@ func coreLimit(p *profile.Profile) int {
 	return p.NodeCores
 }
 
-// Recommend selects the node configuration for a budget of nodeBudget
-// watts (CPU+DRAM domains) on a node with variability coefficient eff.
-// It returns an error when even the smallest configuration cannot be
-// expressed (non-positive budget).
-func Recommend(spec *hw.NodeSpec, p *profile.Profile, pd *perfmodel.Predictor, nodeBudget, eff float64) (NodeConfig, error) {
-	return RecommendWithTolerance(spec, p, pd, nodeBudget, eff, 0)
-}
-
-// RecommendWithTolerance is the energy-aware variant: among candidate
-// configurations predicted within (1+tolerance) of the fastest, it
-// picks the one with the lowest predicted node power — trading a small
-// bounded slowdown for energy (the intro's power-efficiency goal).
-// tolerance 0 reduces to the pure-performance objective.
-func RecommendWithTolerance(spec *hw.NodeSpec, p *profile.Profile, pd *perfmodel.Predictor, nodeBudget, eff, tolerance float64) (NodeConfig, error) {
-	if nodeBudget <= 0 {
-		return NodeConfig{}, fmt.Errorf("recommend: non-positive node budget %.1f W", nodeBudget)
-	}
-	if tolerance < 0 {
-		return NodeConfig{}, fmt.Errorf("recommend: negative slowdown tolerance %g", tolerance)
-	}
-	best, ok := Best(spec, p, pd, nodeBudget, eff, tolerance)
-	if !ok {
-		return NodeConfig{}, fmt.Errorf("recommend: no feasible configuration under %.1f W", nodeBudget)
-	}
-	return best, nil
-}
-
 // cpuFracsFull is the performance objective's single operating point:
 // spend the whole CPU remainder. Package-level so the hot path borrows
 // it without allocating.
@@ -101,13 +73,15 @@ var cpuFracsFull = [...]float64{1.0}
 // can buy a larger power reduction).
 var cpuFracsEnergy = [...]float64{1.0, 0.85, 0.7, 0.55}
 
-// Best is the allocation-free core of the recommender: it returns the
-// selected configuration and false when no candidate fits (non-positive
-// or starvation-level budget, negative tolerance). It is the hot-path
-// entry used by the scheduler's dispatch loop; RecommendWithTolerance
-// wraps it with formatted errors for human-facing callers. With
-// tolerance 0 (the pure-performance objective) it performs no heap
-// allocations.
+// Best selects the node configuration for a budget of nodeBudget watts
+// (CPU+DRAM domains) on a node with variability coefficient eff, and
+// reports false when no candidate fits (non-positive or
+// starvation-level budget, negative tolerance). tolerance 0 is the
+// pure-performance objective and performs no heap allocations; a
+// positive tolerance is the energy-aware variant, which picks the
+// lowest predicted energy among candidates predicted within
+// (1+tolerance) of the fastest. The coordinator and the scheduler's
+// dispatch loop call it.
 func Best(spec *hw.NodeSpec, p *profile.Profile, pd *perfmodel.Predictor, nodeBudget, eff, tolerance float64) (NodeConfig, bool) {
 	if nodeBudget <= 0 || tolerance < 0 {
 		return NodeConfig{}, false
@@ -194,30 +168,6 @@ func Best(spec *hw.NodeSpec, p *profile.Profile, pd *perfmodel.Predictor, nodeBu
 		best.Budget.CPU = maxUseful
 	}
 	return best, true
-}
-
-// Unconstrained returns the configuration the recommender would pick
-// with ample power: the basis for the acceptable power range used at
-// the cluster level.
-func Unconstrained(spec *hw.NodeSpec, p *profile.Profile, pd *perfmodel.Predictor) (NodeConfig, error) {
-	// A budget large enough to never bind.
-	ample := float64(spec.Sockets)*spec.MemMaxPower +
-		power.CPUPower(spec, spec.Cores(), spec.Sockets, spec.FMax(), 2.0) + 10
-	return Recommend(spec, p, pd, ample, 1.0)
-}
-
-// EnvelopeFor computes the acceptable power range [Lo, Hi] (§III-B1)
-// for a chosen core count: DRAM demand power plus CPU power at the
-// lowest and highest frequencies.
-func EnvelopeFor(spec *hw.NodeSpec, p *profile.Profile, pd *perfmodel.Predictor, cores int, eff float64) power.NodeEnvelope {
-	sockets := sim.SocketsUsedFor(spec, cores, p.Affinity)
-	mem := math.Min(pd.MemDemandWatts(cores)+MemHeadroomWatts, float64(sockets)*spec.MemMaxPower)
-	return power.NodeEnvelope{
-		CPULo: power.CPUPower(spec, cores, sockets, spec.FMin(), eff),
-		CPUHi: power.CPUPower(spec, cores, sockets, spec.FMax(), eff),
-		MemLo: math.Max(float64(sockets)*spec.MemBasePower, mem*0.7),
-		MemHi: mem,
-	}
 }
 
 // PhasePlan builds per-phase concurrency overrides for multi-phase

@@ -131,22 +131,6 @@ func (l *EventLog) copyPerNode(src []NodeBudget) []NodeBudget {
 	return append(dst, src...)
 }
 
-// SetCapacity resizes the ring (minimum 1), keeping the newest events.
-func (l *EventLog) SetCapacity(n int) {
-	if n < 1 {
-		n = 1
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	cur := l.snapshotLocked()
-	if len(cur) > n {
-		cur = cur[len(cur)-n:]
-	}
-	l.cap = n
-	l.buf = cur
-	l.start = 0
-}
-
 // Append adds an event, stamping its Seq, evicting the oldest entry
 // when the ring is full. The ring owns the stored event's PerNode
 // slice: the incoming one is copied into a buffer recycled from the
@@ -174,18 +158,13 @@ func (l *EventLog) Append(e Event) {
 	l.start = (l.start + 1) % len(l.buf)
 }
 
-// Snapshot returns the retained events, oldest first.
+// Snapshot returns the retained events, oldest first. PerNode slices
+// are deep-copied: the ring recycles their backing arrays into future
+// appends, so a snapshot must own its budgets. Lazily rendered details
+// are rendered here.
 func (l *EventLog) Snapshot() []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.snapshotLocked()
-}
-
-// snapshotLocked copies the ring in order; callers must hold l.mu.
-// PerNode slices are deep-copied: the ring recycles their backing
-// arrays into future appends, so a snapshot must own its budgets.
-// Lazily rendered details are rendered here.
-func (l *EventLog) snapshotLocked() []Event {
 	out := make([]Event, 0, len(l.buf))
 	out = append(out, l.buf[l.start:]...)
 	out = append(out, l.buf[:l.start]...)

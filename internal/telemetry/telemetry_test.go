@@ -104,8 +104,7 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 func TestEventLogRing(t *testing.T) {
-	var l EventLog
-	l.SetCapacity(3)
+	l := EventLog{cap: 3}
 	for i := 1; i <= 5; i++ {
 		l.Append(Event{Kind: "k", Cores: i})
 	}

@@ -1,6 +1,6 @@
-// Package trace renders experiment output: aligned text tables, CSV,
-// and ASCII bar/line charts that preserve the shape of the paper's
-// figures in terminal output.
+// Package trace renders experiment output: aligned text tables, ASCII
+// bar/line charts and SVG charts that preserve the shape of the paper's
+// figures.
 package trace
 
 import (
@@ -82,25 +82,6 @@ func (t *Table) Render(w io.Writer) {
 	for _, r := range t.Rows {
 		line(r)
 	}
-}
-
-// CSV writes the table as comma-separated values.
-func (t *Table) CSV(w io.Writer) {
-	writeCSVRow(w, t.Header)
-	for _, r := range t.Rows {
-		writeCSVRow(w, r)
-	}
-}
-
-func writeCSVRow(w io.Writer, cells []string) {
-	out := make([]string, len(cells))
-	for i, c := range cells {
-		if strings.ContainsAny(c, ",\"\n") {
-			c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-		}
-		out[i] = c
-	}
-	fmt.Fprintln(w, strings.Join(out, ","))
 }
 
 func pad(s string, w int) string {

@@ -58,23 +58,6 @@ func TestFloatFormatting(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	tb := NewTable("name", "note")
-	tb.Add("a,b", `say "hi"`)
-	var sb strings.Builder
-	tb.CSV(&sb)
-	out := sb.String()
-	if !strings.Contains(out, `"a,b"`) {
-		t.Errorf("comma not quoted: %q", out)
-	}
-	if !strings.Contains(out, `"say ""hi"""`) {
-		t.Errorf("quotes not escaped: %q", out)
-	}
-	if !strings.HasPrefix(out, "name,note\n") {
-		t.Errorf("header wrong: %q", out)
-	}
-}
-
 func TestBars(t *testing.T) {
 	var sb strings.Builder
 	Bars(&sb, "title", []string{"x", "yy"}, []float64{1, 2}, 10)

@@ -75,25 +75,7 @@ func (s *Scaling) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// SaveSpecs writes specs as indented JSON to path.
-func SaveSpecs(path string, specs []*Spec) error {
-	for _, s := range specs {
-		if err := s.Validate(); err != nil {
-			return fmt.Errorf("workload: refusing to save invalid spec: %w", err)
-		}
-	}
-	data, err := json.MarshalIndent(specs, "", "  ")
-	if err != nil {
-		return fmt.Errorf("workload: encode specs: %w", err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("workload: write specs: %w", err)
-	}
-	return nil
-}
-
-// LoadSpecs reads and validates a spec list written by SaveSpecs (or
-// authored by hand).
+// LoadSpecs reads and validates a JSON spec list.
 func LoadSpecs(path string) ([]*Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

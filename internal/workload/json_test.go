@@ -11,7 +11,11 @@ import (
 func TestSpecsRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "specs.json")
 	orig := []*Spec{BTMZ(), Stream().WeakScaled(), XSBench()}
-	if err := SaveSpecs(path, orig); err != nil {
+	data, err := json.MarshalIndent(orig, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadSpecs(path)
@@ -73,14 +77,6 @@ func TestUnmarshalEnumDefaults(t *testing.T) {
 	var a Affinity
 	if err := json.Unmarshal([]byte(`""`), &a); err != nil || a != Compact {
 		t.Error("empty affinity should default to compact")
-	}
-}
-
-func TestSaveSpecsRejectsInvalid(t *testing.T) {
-	bad := CoMD()
-	bad.Iterations = 0
-	if err := SaveSpecs(filepath.Join(t.TempDir(), "x.json"), []*Spec{bad}); err == nil {
-		t.Error("invalid spec saved")
 	}
 }
 

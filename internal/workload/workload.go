@@ -301,16 +301,6 @@ func (s *Spec) TotalMemoryBytes() float64 {
 	return t
 }
 
-// MemoryIntensity is bytes per gigacycle of parallel work, the signal
-// the recommender uses for affinity and CPU/DRAM power splitting.
-func (s *Spec) MemoryIntensity() float64 {
-	w := s.TotalParallelCycles()
-	if w == 0 {
-		return 0
-	}
-	return s.TotalMemoryBytes() / w
-}
-
 // BWFactor returns the effective per-core bandwidth multiplier.
 func (s *Spec) BWFactor() float64 {
 	if s.CoreBWFactor <= 0 {

@@ -107,21 +107,6 @@ func TestAffinityString(t *testing.T) {
 	}
 }
 
-func TestMemoryIntensity(t *testing.T) {
-	s := Stream()
-	if s.MemoryIntensity() < 5 {
-		t.Errorf("stream memory intensity %v suspiciously low", s.MemoryIntensity())
-	}
-	c := EP()
-	if c.MemoryIntensity() > 0.1 {
-		t.Errorf("ep memory intensity %v suspiciously high", c.MemoryIntensity())
-	}
-	empty := &Spec{}
-	if empty.MemoryIntensity() != 0 {
-		t.Error("empty spec intensity should be 0")
-	}
-}
-
 func TestTotals(t *testing.T) {
 	bt := BTMZ()
 	var wantP, wantM float64
