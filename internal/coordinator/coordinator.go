@@ -31,20 +31,57 @@ import (
 	"repro/internal/workload"
 )
 
-// Telemetry handles (see internal/telemetry): schedule and rebalance
-// totals, infeasible node-count rejections, and duty-cycle fallbacks.
-// Per-node budget gauges are looked up per schedule (node ids are
-// dynamic) — Schedule is memoized by core.CLIP, so that path is cold.
-var (
-	mSchedules = telemetry.Default.Counter("clip_coordinator_schedules_total",
-		"cluster-level scheduling passes (Algorithm 1)")
-	mRebalances = telemetry.Default.Counter("clip_coordinator_rebalances_total",
-		"variability-aware budget redistributions (paper §III-B2)")
-	mInfeasible = telemetry.Default.Counter("clip_coordinator_infeasible_counts_total",
-		"candidate node counts rejected as infeasible under the bound")
-	mDutyFallback = telemetry.Default.Counter("clip_coordinator_dutycycle_fallbacks_total",
-		"decisions forced outside the acceptable power range (duty-cycled fallback)")
-)
+// Metrics is the coordinator's telemetry handle set, resolved once per
+// registry: schedule and rebalance totals, infeasible node-count
+// rejections, duty-cycle fallbacks, the per-node budget gauges and the
+// rebalance events. A handle set may serve several coordinators at
+// once.
+type Metrics struct {
+	reg                                             *telemetry.Registry
+	schedules, rebalances, infeasible, dutyFallback *telemetry.Counter
+	events                                          *telemetry.EventLog
+	// The per-node budget gauges, indexed by node id, are created on
+	// first use (node ids are dynamic) and cached: registering a gauge
+	// means building its label string and taking the registry lock.
+	nodeMu           sync.Mutex
+	nodeCPU, nodeMem []*telemetry.Gauge
+}
+
+// NewMetrics resolves the coordinator's handle set from r.
+func NewMetrics(r *telemetry.Registry) *Metrics {
+	return &Metrics{
+		reg: r,
+		schedules: r.Counter("clip_coordinator_schedules_total",
+			"cluster-level scheduling passes (Algorithm 1)"),
+		rebalances: r.Counter("clip_coordinator_rebalances_total",
+			"variability-aware budget redistributions (paper §III-B2)"),
+		infeasible: r.Counter("clip_coordinator_infeasible_counts_total",
+			"candidate node counts rejected as infeasible under the bound"),
+		dutyFallback: r.Counter("clip_coordinator_dutycycle_fallbacks_total",
+			"decisions forced outside the acceptable power range (duty-cycled fallback)"),
+		events: r.Events(),
+	}
+}
+
+// defaultMetrics is the handle set of every coordinator not bound
+// elsewhere.
+var defaultMetrics = NewMetrics(telemetry.Default)
+
+// nodeGauges returns the cached budget gauges for a node id.
+func (m *Metrics) nodeGauges(id int) (cpu, mem *telemetry.Gauge) {
+	m.nodeMu.Lock()
+	defer m.nodeMu.Unlock()
+	for len(m.nodeCPU) <= id {
+		n := strconv.Itoa(len(m.nodeCPU))
+		m.nodeCPU = append(m.nodeCPU, m.reg.Gauge(
+			telemetry.Label("clip_node_budget_cpu_watts", "node", n),
+			"CPU-domain power budget most recently assigned to the node"))
+		m.nodeMem = append(m.nodeMem, m.reg.Gauge(
+			telemetry.Label("clip_node_budget_mem_watts", "node", n),
+			"DRAM-domain power budget most recently assigned to the node"))
+	}
+	return m.nodeCPU[id], m.nodeMem[id]
+}
 
 // VariabilityThreshold is the spread in per-node power efficiency above
 // which inter-node power coordination activates; the paper only
@@ -105,6 +142,17 @@ type Coordinator struct {
 	// events) for what-if placements, such as the scheduler's preemption
 	// planner probing hypothetical resource pools.
 	Quiet bool
+	// Metrics receives the coordinator's telemetry (nil means
+	// telemetry.Default).
+	Metrics *Metrics
+}
+
+// metrics returns the bound handle set.
+func (c *Coordinator) metrics() *Metrics {
+	if c.Metrics == nil {
+		return defaultMetrics
+	}
+	return c.Metrics
 }
 
 // threshold returns the effective variability threshold.
@@ -290,7 +338,7 @@ func (c *Coordinator) Place(app *workload.Spec, prof *profile.Profile, pd *perfm
 		perNode := bound / float64(n)
 		cfg, ok := sc.bestConfig(spec, prof, pd, perNode, c.EnergyTolerance)
 		if !ok {
-			mInfeasible.Inc()
+			c.metrics().infeasible.Inc()
 			continue
 		}
 		// Respect the acceptable power range: skip node counts that
@@ -314,7 +362,7 @@ func (c *Coordinator) Place(app *workload.Spec, prof *profile.Profile, pd *perfm
 			return ErrInfeasible
 		}
 		best = fallback
-		mDutyFallback.Inc()
+		c.metrics().dutyFallback.Inc()
 	}
 
 	ids := c.pickNodes(sc, best.nodes)
@@ -333,46 +381,21 @@ func (c *Coordinator) Place(app *workload.Spec, prof *profile.Profile, pd *perfm
 	return nil
 }
 
-// Per-node budget gauge handles, indexed by node id. Registering a
-// gauge means building its label string and taking the registry lock,
-// which dominated the hot path's object churn; the handles are
-// append-only and shared by every coordinator.
-var (
-	nodeGaugeMu  sync.Mutex
-	nodeGaugeCPU []*telemetry.Gauge
-	nodeGaugeMem []*telemetry.Gauge
-)
-
-// nodeGauges returns the cached budget gauges for a node id.
-func nodeGauges(id int) (cpu, mem *telemetry.Gauge) {
-	nodeGaugeMu.Lock()
-	defer nodeGaugeMu.Unlock()
-	for len(nodeGaugeCPU) <= id {
-		n := strconv.Itoa(len(nodeGaugeCPU))
-		nodeGaugeCPU = append(nodeGaugeCPU, telemetry.Default.Gauge(
-			telemetry.Label("clip_node_budget_cpu_watts", "node", n),
-			"CPU-domain power budget most recently assigned to the node"))
-		nodeGaugeMem = append(nodeGaugeMem, telemetry.Default.Gauge(
-			telemetry.Label("clip_node_budget_mem_watts", "node", n),
-			"DRAM-domain power budget most recently assigned to the node"))
-	}
-	return nodeGaugeCPU[id], nodeGaugeMem[id]
-}
-
 // publish reports the scheduling pass to the telemetry layer: the
 // per-node budget gauges every pass, plus a rebalance event carrying
 // the redistributed budgets when coordination ran.
 func (c *Coordinator) publish(sc *Scratch, app string, bound float64, ids []int, budgets []power.Budget, coordinated bool) {
-	mSchedules.Inc()
+	m := c.metrics()
+	m.schedules.Inc()
 	for i, id := range ids {
-		cpu, mem := nodeGauges(id)
+		cpu, mem := m.nodeGauges(id)
 		cpu.Set(budgets[i].CPU)
 		mem.Set(budgets[i].Mem)
 	}
 	if !coordinated {
 		return
 	}
-	mRebalances.Inc()
+	m.rebalances.Inc()
 	ev := telemetry.Event{Kind: telemetry.KindRebalance, App: app, BoundWatts: bound, Coordinated: true}
 	// The ring copies PerNode into ring-owned (recycled) storage on
 	// Append, so the event is staged in the caller's reusable scratch.
@@ -383,7 +406,7 @@ func (c *Coordinator) publish(sc *Scratch, app string, bound float64, ids []int,
 		})
 	}
 	ev.PerNode = sc.perNode
-	telemetry.Default.Events().Append(ev)
+	m.events.Append(ev)
 }
 
 // pickNodes selects the n most power-efficient nodes (lowest PowerEff):

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/coordinator"
@@ -35,27 +36,72 @@ import (
 	"repro/internal/workload"
 )
 
-// Telemetry handles (see internal/telemetry): cache effectiveness of
-// the memoized knowledge-database and decision caches, singleflight
-// dedups, and cold scheduling latency. Every Schedule call additionally
-// appends a decision event (app, bound, class, NP, configuration,
-// budget split, cache hit/miss) to the default event log.
-var (
-	mProfileHits = telemetry.Default.Counter("clip_profile_cache_hits_total",
-		"knowledge-database hits in CLIP.Profile")
-	mProfileMisses = telemetry.Default.Counter("clip_profile_cache_misses_total",
-		"knowledge-database misses (full smart-profiling passes)")
-	mDecisionHits = telemetry.Default.Counter("clip_decision_cache_hits_total",
-		"memoized scheduling decisions served from cache")
-	mDecisionMisses = telemetry.Default.Counter("clip_decision_cache_misses_total",
-		"scheduling decisions computed from scratch")
-	mFlightShared = telemetry.Default.Counter("clip_singleflight_shared_total",
-		"concurrent duplicate calls deduplicated singleflight-style")
-	mSchedules = telemetry.Default.Counter("clip_schedules_total",
-		"CLIP.Schedule calls (cache hits included)")
-	mScheduleSeconds = telemetry.Default.Histogram("clip_schedule_seconds",
-		"wall time of cold (uncached) scheduling decisions", nil)
-)
+// Metrics is CLIP's telemetry handle set, resolved once per registry
+// (see internal/telemetry): cache effectiveness of the memoized
+// knowledge-database and decision caches, singleflight dedups, cold
+// scheduling latency, decisions per scalability class, and the decision
+// event every Schedule call appends (app, bound, class, NP,
+// configuration, budget split, cache hit/miss). It also carries the
+// handle set of the instance's coordinator.
+type Metrics struct {
+	profileHits, profileMisses   *telemetry.Counter
+	decisionHits, decisionMisses *telemetry.Counter
+	flightShared, schedules      *telemetry.Counter
+	scheduleSeconds              *telemetry.Histogram
+	byClass                      [len(classNames)]*telemetry.Counter
+	reg                          *telemetry.Registry
+	events                       *telemetry.EventLog
+	coord                        *coordinator.Metrics
+}
+
+// classNames are the scalability classes a decision can carry, in the
+// order of Metrics.byClass.
+var classNames = [...]string{workload.Linear.String(), workload.Logarithmic.String(), workload.Parabolic.String()}
+
+// classHelp is the help text of clip_decisions_by_class_total.
+const classHelp = "scheduling decisions per scalability class (paper Table I axis)"
+
+// NewMetrics resolves CLIP's handle set from r.
+func NewMetrics(r *telemetry.Registry) *Metrics {
+	m := &Metrics{
+		profileHits: r.Counter("clip_profile_cache_hits_total",
+			"knowledge-database hits in CLIP.Profile"),
+		profileMisses: r.Counter("clip_profile_cache_misses_total",
+			"knowledge-database misses (full smart-profiling passes)"),
+		decisionHits: r.Counter("clip_decision_cache_hits_total",
+			"memoized scheduling decisions served from cache"),
+		decisionMisses: r.Counter("clip_decision_cache_misses_total",
+			"scheduling decisions computed from scratch"),
+		flightShared: r.Counter("clip_singleflight_shared_total",
+			"concurrent duplicate calls deduplicated singleflight-style"),
+		schedules: r.Counter("clip_schedules_total",
+			"CLIP.Schedule calls (cache hits included)"),
+		scheduleSeconds: r.Histogram("clip_schedule_seconds",
+			"wall time of cold (uncached) scheduling decisions", nil),
+		reg:    r,
+		events: r.Events(),
+		coord:  coordinator.NewMetrics(r),
+	}
+	for i, c := range classNames {
+		m.byClass[i] = r.Counter(telemetry.Label("clip_decisions_by_class_total", "class", c), classHelp)
+	}
+	return m
+}
+
+// classCounter returns the decision counter of a scalability class,
+// resolved once per handle set for the known classes.
+func (m *Metrics) classCounter(class string) *telemetry.Counter {
+	for i, c := range classNames {
+		if c == class {
+			return m.byClass[i]
+		}
+	}
+	return m.reg.Counter(telemetry.Label("clip_decisions_by_class_total", "class", class), classHelp)
+}
+
+// defaultMetrics is the handle set of every CLIP instance not bound
+// elsewhere.
+var defaultMetrics = NewMetrics(telemetry.Default)
 
 // Options configures CLIP construction.
 type Options struct {
@@ -91,6 +137,22 @@ type CLIP struct {
 	decisions map[decisionKey]*coordinator.Decision
 
 	flight singleflight.Group
+	// m is the bound handle set (nil publishes to telemetry.Default).
+	m atomic.Pointer[Metrics]
+}
+
+// SetMetrics binds the instance's telemetry, its coordinator's
+// included, to a handle set (nil means telemetry.Default). It is safe
+// to call while other goroutines schedule: each call publishes to the
+// handle set bound when it started.
+func (c *CLIP) SetMetrics(m *Metrics) { c.m.Store(m) }
+
+// metrics returns the bound handle set.
+func (c *CLIP) metrics() *Metrics {
+	if m := c.m.Load(); m != nil {
+		return m
+	}
+	return defaultMetrics
 }
 
 // decisionKey memoizes Schedule: one entry per application and bound
@@ -166,16 +228,17 @@ func (c *CLIP) DB() *profile.DB { return c.db }
 // checks the database first). Concurrent misses for the same
 // application share one profiling pass.
 func (c *CLIP) Profile(app *workload.Spec) (*profile.Profile, error) {
+	m := c.metrics()
 	if p, ok := c.db.Get(app.Name); ok {
-		mProfileHits.Inc()
+		m.profileHits.Inc()
 		return p, nil
 	}
 	v, err, shared := c.flight.Do("profile:"+app.Name, func() (interface{}, error) {
 		if p, ok := c.db.Get(app.Name); ok {
-			mProfileHits.Inc()
+			m.profileHits.Inc()
 			return p, nil
 		}
-		mProfileMisses.Inc()
+		m.profileMisses.Inc()
 		p, err := c.prof.Full(app, c.NPModel)
 		if err != nil {
 			return nil, fmt.Errorf("core: profile %s: %w", app.Name, err)
@@ -184,7 +247,7 @@ func (c *CLIP) Profile(app *workload.Spec) (*profile.Profile, error) {
 		return p, nil
 	})
 	if shared {
-		mFlightShared.Inc()
+		m.flightShared.Inc()
 	}
 	if err != nil {
 		return nil, err
@@ -251,13 +314,14 @@ func (c *CLIP) Predictor(app *workload.Spec) (*profile.Profile, *perfmodel.Predi
 // profile/predictor/coordination pass and then serve clones of the
 // cached decision, so callers may freely annotate the returned plan.
 func (c *CLIP) Schedule(app *workload.Spec, bound float64) (*coordinator.Decision, error) {
+	m := c.metrics()
 	key := decisionKey{app: app.Name, bound: bound}
 	c.mu.RLock()
 	d, ok := c.decisions[key]
 	c.mu.RUnlock()
 	if ok {
-		mDecisionHits.Inc()
-		recordDecision(app.Name, bound, d, true)
+		m.decisionHits.Inc()
+		m.recordDecision(app.Name, bound, d, true)
 		return d.Clone(), nil
 	}
 	v, err, shared := c.flight.Do(key.flightKey(), func() (interface{}, error) {
@@ -265,45 +329,45 @@ func (c *CLIP) Schedule(app *workload.Spec, bound float64) (*coordinator.Decisio
 		d, ok := c.decisions[key]
 		c.mu.RUnlock()
 		if ok {
-			mDecisionHits.Inc()
+			m.decisionHits.Inc()
 			return d, nil
 		}
-		mDecisionMisses.Inc()
+		m.decisionMisses.Inc()
 		start := time.Now()
 		p, pd, err := c.predictor(app)
 		if err != nil {
 			return nil, err
 		}
-		d, err = c.coord.Schedule(app, p, pd, bound)
+		coord := *c.coord
+		coord.Metrics = m.coord
+		d, err = coord.Schedule(app, p, pd, bound)
 		if err != nil {
 			return nil, err // infeasible bounds are not cached
 		}
-		mScheduleSeconds.Observe(time.Since(start).Seconds())
+		m.scheduleSeconds.Observe(time.Since(start).Seconds())
 		c.mu.Lock()
 		c.decisions[key] = d
 		c.mu.Unlock()
 		return d, nil
 	})
 	if shared {
-		mFlightShared.Inc()
+		m.flightShared.Inc()
 	}
 	if err != nil {
 		return nil, err
 	}
 	d = v.(*coordinator.Decision)
-	recordDecision(app.Name, bound, d, false)
+	m.recordDecision(app.Name, bound, d, false)
 	return d.Clone(), nil
 }
 
 // recordDecision appends one schedule event to the telemetry decision
 // log — the provenance trail that lets a configuration choice be traced
 // back to the power bound and scalability class that produced it.
-func recordDecision(app string, bound float64, d *coordinator.Decision, cacheHit bool) {
-	mSchedules.Inc()
-	telemetry.Default.Counter(
-		telemetry.Label("clip_decisions_by_class_total", "class", d.Class),
-		"scheduling decisions per scalability class (paper Table I axis)").Inc()
-	telemetry.Default.Events().Append(telemetry.Event{
+func (m *Metrics) recordDecision(app string, bound float64, d *coordinator.Decision, cacheHit bool) {
+	m.schedules.Inc()
+	m.classCounter(d.Class).Inc()
+	m.events.Append(telemetry.Event{
 		Kind:        telemetry.KindSchedule,
 		App:         app,
 		BoundWatts:  bound,

@@ -25,20 +25,33 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Telemetry handles. The event loop is single-goroutine, so the engine
-// counts steps, compactions and the queue high-water mark in plain
-// fields and flushes them to the shared registry once per Run — the
-// per-event path stays free even of atomic operations.
-var (
-	mEvents = telemetry.Default.Counter("clip_des_events_total",
-		"discrete events processed across all simulation runs")
-	mCompactions = telemetry.Default.Counter("clip_des_compactions_total",
-		"event-queue compactions (cancelled events purged)")
-	mRuns = telemetry.Default.Counter("clip_des_runs_total",
-		"Engine.Run invocations")
-	gQueuePeak = telemetry.Default.Gauge("clip_des_queue_depth_peak",
-		"highest event-queue depth observed by any engine")
-)
+// Metrics is the engine's telemetry handle set, resolved once per
+// registry. The event loop is single-goroutine, so the engine counts
+// steps, compactions and the queue high-water mark in plain fields and
+// flushes them to its handle set at the end of each Run, RunUntil and
+// RunBefore call that changed them — the per-event path stays free even
+// of atomic operations.
+type Metrics struct {
+	events, compactions, runs *telemetry.Counter
+	queuePeak                 *telemetry.Gauge
+}
+
+// NewMetrics resolves the engine's handle set from r.
+func NewMetrics(r *telemetry.Registry) *Metrics {
+	return &Metrics{
+		events: r.Counter("clip_des_events_total",
+			"discrete events processed across all simulation runs"),
+		compactions: r.Counter("clip_des_compactions_total",
+			"event-queue compactions (cancelled events purged)"),
+		runs: r.Counter("clip_des_runs_total",
+			"Engine.Run invocations"),
+		queuePeak: r.Gauge("clip_des_queue_depth_peak",
+			"highest event-queue depth observed by any engine"),
+	}
+}
+
+// defaultMetrics is the handle set of every engine not bound elsewhere.
+var defaultMetrics = NewMetrics(telemetry.Default)
 
 // Handler receives indexed event dispatch. Scheduling a (handler,
 // kind, arg) triple instead of a closure keeps the hot path
@@ -102,10 +115,51 @@ type Engine struct {
 	maxDepth int
 	// Steps counts processed (non-cancelled) events.
 	Steps int
+	// m is the bound handle set (nil publishes to telemetry.Default);
+	// pubDepth is the high-water mark last published to it.
+	m        *Metrics
+	pubDepth int
 }
 
 // NewEngine returns an engine at time zero.
 func NewEngine() *Engine { return &Engine{} }
+
+// SetMetrics binds the engine's telemetry to a handle set (nil means
+// telemetry.Default). Later publishes go to m; the queue high-water
+// mark is published to it again at the next flush.
+func (e *Engine) SetMetrics(m *Metrics) {
+	e.m, e.pubDepth = m, 0
+}
+
+// metrics returns the bound handle set.
+func (e *Engine) metrics() *Metrics {
+	if e.m == nil {
+		return defaultMetrics
+	}
+	return e.m
+}
+
+// publish flushes the steps and compactions since a call began at
+// (steps, comps), and a risen queue high-water mark, to the bound
+// handle set. A call that changed none of them publishes nothing, so
+// the per-arrival catch-up of an online driver, which usually fires no
+// event, costs no atomic operation.
+func (e *Engine) publish(steps, comps int) {
+	if e.Steps == steps && e.compactions == comps && e.maxDepth <= e.pubDepth {
+		return
+	}
+	m := e.metrics()
+	if e.Steps != steps {
+		m.events.Add(uint64(e.Steps - steps))
+	}
+	if e.compactions != comps {
+		m.compactions.Add(uint64(e.compactions - comps))
+	}
+	if e.maxDepth > e.pubDepth {
+		m.queuePeak.SetMax(float64(e.maxDepth))
+		e.pubDepth = e.maxDepth
+	}
+}
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
@@ -201,6 +255,7 @@ func (e *Engine) Reset() {
 	e.seq = 0
 	e.Steps = 0
 	e.maxDepth = 0
+	e.pubDepth = 0
 	e.compactions = 0
 }
 
@@ -318,11 +373,11 @@ func (e *Engine) StepNext() (bool, error) {
 	if _, ok := e.Next(); !ok {
 		return false, nil
 	}
+	steps, comps := e.Steps, e.compactions
 	if err := e.step(e.Steps + 1); err != nil {
 		return false, err
 	}
-	mEvents.Add(1)
-	gQueuePeak.SetMax(float64(e.maxDepth))
+	e.publish(steps, comps)
 	return true, nil
 }
 
@@ -335,13 +390,8 @@ func (e *Engine) Run(horizon float64, maxSteps int) error {
 	if maxSteps <= 0 {
 		maxSteps = 50_000_000
 	}
-	mRuns.Inc()
-	startSteps, startComp := e.Steps, e.compactions
-	defer func() {
-		mEvents.Add(uint64(e.Steps - startSteps))
-		mCompactions.Add(uint64(e.compactions - startComp))
-		gQueuePeak.SetMax(float64(e.maxDepth))
-	}()
+	e.metrics().runs.Inc()
+	defer e.publish(e.Steps, e.compactions)
 	for {
 		next, ok := e.Next()
 		if !ok {
@@ -375,12 +425,7 @@ func (e *Engine) RunUntil(t float64, maxSteps int) error {
 	if maxSteps <= 0 {
 		maxSteps = 1_000_000
 	}
-	startSteps, startComp := e.Steps, e.compactions
-	defer func() {
-		mEvents.Add(uint64(e.Steps - startSteps))
-		mCompactions.Add(uint64(e.compactions - startComp))
-		gQueuePeak.SetMax(float64(e.maxDepth))
-	}()
+	defer e.publish(e.Steps, e.compactions)
 	budget := e.Steps + maxSteps
 	for {
 		next, ok := e.Next()
@@ -414,12 +459,8 @@ func (e *Engine) RunBefore(t float64, maxSteps int) (int, error) {
 	if maxSteps <= 0 {
 		maxSteps = 50_000_000
 	}
-	startSteps, startComp := e.Steps, e.compactions
-	defer func() {
-		mEvents.Add(uint64(e.Steps - startSteps))
-		mCompactions.Add(uint64(e.compactions - startComp))
-		gQueuePeak.SetMax(float64(e.maxDepth))
-	}()
+	startSteps := e.Steps
+	defer e.publish(startSteps, e.compactions)
 	budget := e.Steps + maxSteps
 	for {
 		next, ok := e.Next()

@@ -13,6 +13,15 @@ package fed
 // Either way the final drain fans out over the workers, since after the
 // last lease is recalled the shards share nothing. Output is therefore
 // byte-identical to Federation.Run for any worker count.
+//
+// Workers share no telemetry either. Each worker goroutine publishes to
+// its own registry: a shard's Online and CLIP are bound to the worker's
+// handle sets while the worker replays or drains the shard, and back to
+// telemetry.Default afterwards. When a fan-out ends (the replay barrier,
+// the end of the drain) every worker registry folds into Default in
+// worker order (telemetry.Registry.FoldInto), so counter totals and
+// histogram counts equal Run's. A fan-out that runs inline makes no
+// registry.
 
 import (
 	"math"
@@ -21,6 +30,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/jobsched"
 	"repro/internal/telemetry"
 )
 
@@ -120,6 +131,9 @@ func (f *Federation) RunParallel(workers int) error {
 func (f *Federation) runPartitioned(workers int) error {
 	// Pop every pending arrival without routing it; engine pop order is
 	// (time, seq), the serial processing order.
+	if cap(f.collect) < len(f.arrivals) {
+		f.collect = make([]fedArrival, 0, len(f.arrivals))
+	}
 	f.collect = f.collect[:0]
 	f.collecting = true
 	for {
@@ -135,20 +149,33 @@ func (f *Federation) runPartitioned(workers int) error {
 
 	// Placement is a pure hash, so it happens serially up front; the
 	// shared jobShard map and routing telemetry never see the workers.
-	perShard := make([][]fedArrival, len(f.shards))
-	for _, a := range f.collect {
+	// A counting pass sizes every shard's slice of one backing array.
+	nArr := len(f.collect)
+	sids := make([]int32, nArr)
+	counts := make([]int, len(f.shards))
+	for i, a := range f.collect {
 		sid := f.pickShard(a)
 		f.jobShard[a.id] = sid
 		f.shards[sid].submitted++
-		perShard[sid] = append(perShard[sid], a)
+		sids[i] = int32(sid)
+		counts[sid]++
 	}
-	nArr := len(f.collect)
+	perShard := make([][]fedArrival, len(f.shards))
+	backing := make([]fedArrival, nArr)
+	off := 0
+	for sid, n := range counts {
+		perShard[sid] = backing[off : off : off+n]
+		off += n
+	}
+	for i, a := range f.collect {
+		perShard[sids[i]] = append(perShard[sids[i]], a)
+	}
 	mFedJobsRouted.Add(uint64(nArr))
 
 	// Replay every shard to quiescence concurrently (shards without
 	// arrivals may still own pending events from earlier serial steps).
 	results := make([]replayResult, len(f.shards))
-	fanOut(len(f.shards), workers, func(k int) { results[k] = replayShard(f.shards[k], perShard[k]) })
+	f.fanOut(workers, func(sh *Shard) { results[sh.ID] = replayShard(sh, perShard[sh.ID]) })
 
 	// Single barrier: merge in shard order, reconstruct the serial
 	// event/audit counts, one physical audit over the final state.
@@ -231,7 +258,7 @@ func (f *Federation) drainParallel(workers int) error {
 	f.rekeyTouched()
 	f.audit()
 	errs := make([]error, len(f.shards))
-	fanOut(len(f.shards), workers, func(k int) { errs[k] = f.shards[k].Online.Drain() })
+	f.fanOut(workers, func(sh *Shard) { errs[sh.ID] = sh.Online.Drain() })
 	for _, sh := range f.shards {
 		if errs[sh.ID] != nil {
 			f.fail(errs[sh.ID])
@@ -242,30 +269,72 @@ func (f *Federation) drainParallel(workers int) error {
 	return f.failure
 }
 
-// fanOut calls fn(k) for every k in [0, n) on up to workers goroutines
-// (inline, in order, when one would do) and returns once every call
-// has. Each k runs exactly once, so fn may write slot k of a shared
-// slice without locking.
-func fanOut(n, workers int, fn func(k int)) {
+// worker is one fanOut goroutine's telemetry: a private registry and
+// the handle sets resolved from it. A shard is bound to it while the
+// worker replays or drains the shard, so the workers never write a
+// shared metric or event ring; fanOut folds every registry into
+// telemetry.Default when the last shard is done.
+type worker struct {
+	reg   *telemetry.Registry
+	sched *jobsched.Metrics
+	clip  *core.Metrics
+}
+
+// newWorker builds a worker registry and resolves its handle sets.
+func newWorker() *worker {
+	reg := telemetry.NewRegistry()
+	return &worker{reg: reg, sched: jobsched.NewMetrics(reg), clip: core.NewMetrics(reg)}
+}
+
+// bindTelemetry routes the shard's scheduler and CLIP telemetry to a
+// worker's registry, or back to telemetry.Default for nil.
+func (sh *Shard) bindTelemetry(w *worker) {
+	if w == nil {
+		sh.Online.SetMetrics(nil)
+		sh.CLIP.SetMetrics(nil)
+		return
+	}
+	sh.Online.SetMetrics(w.sched)
+	sh.CLIP.SetMetrics(w.clip)
+}
+
+// fanOut calls fn for every shard on up to workers goroutines (inline,
+// in shard order, when one would do) and returns once every call has.
+// Each shard runs exactly once, so fn may write the shard's slot of a
+// shared slice without locking. On the goroutines a shard publishes
+// its telemetry to the worker's own registry while fn runs; the worker
+// registries fold into telemetry.Default in worker order before fanOut
+// returns. Inline, shards publish to telemetry.Default directly.
+func (f *Federation) fanOut(workers int, fn func(sh *Shard)) {
+	n := len(f.shards)
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		for k := 0; k < n; k++ {
-			fn(k)
+		for _, sh := range f.shards {
+			fn(sh)
 		}
 		return
+	}
+	for len(f.workers) < workers {
+		f.workers = append(f.workers, newWorker())
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for _, w := range f.workers[:workers] {
 		go func() {
 			defer wg.Done()
 			for k := int(next.Add(1)) - 1; k < n; k = int(next.Add(1)) - 1 {
-				fn(k)
+				sh := f.shards[k]
+				sh.bindTelemetry(w)
+				fn(sh)
+				sh.bindTelemetry(nil)
 			}
 		}()
 	}
 	wg.Wait()
+	for _, w := range f.workers[:workers] {
+		w.reg.FoldInto(telemetry.Default)
+	}
 }

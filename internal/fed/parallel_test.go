@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/jobsched"
 	"repro/internal/rng"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -285,3 +286,91 @@ func BenchmarkFedSerial(b *testing.B)    { benchRun(b, 0) }
 func BenchmarkFedParallel1(b *testing.B) { benchRun(b, 1) }
 func BenchmarkFedParallel2(b *testing.B) { benchRun(b, 2) }
 func BenchmarkFedParallel4(b *testing.B) { benchRun(b, 4) }
+
+// TestRunParallelTelemetryMatchesRun: on a reduced fed-scale shape
+// (locality routing, lending off, so RunParallel takes the partitioned
+// replay) every counter and every histogram count that Run adds to
+// telemetry.Default, and the event log's total, must be added
+// identically by RunParallel at 1, 2 and 4 workers, whose shards
+// publish to per-worker registries folded into Default. Histogram sums
+// are left out (most are wall times), as are the executor's own
+// replay metrics, which only RunParallel records.
+func TestRunParallelTelemetryMatchesRun(t *testing.T) {
+	build := func() *Federation {
+		cfg := Config{Routing: Locality}
+		for i := 0; i < 16; i++ {
+			cfg.Shards = append(cfg.Shards, ShardConfig{
+				Nodes: 4, BudgetW: 400, Sigma: 0.02, Seed: int64(1000 + i),
+				Policy: jobsched.AggressiveBackfill, Reallocate: true,
+			})
+		}
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mix := workload.Suite()
+		r := rng.New(1)
+		now := 0.0
+		for i := 0; i < 2048; i++ {
+			now += r.Range(0, 0.5)
+			id := fmt.Sprintf("fed-scale-%d", i)
+			if err := f.ScheduleArrivalPri(now, id, mix[r.Intn(len(mix))], id, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f
+	}
+	replayOnly := map[string]bool{
+		"clip_fed_windows_total":       true,
+		"clip_fed_window_events_total": true,
+		"clip_fed_barrier_seconds":     true,
+	}
+	// delta runs f with run and returns what it added to Default.
+	delta := func(f *Federation, run func() error) map[string]uint64 {
+		before := telemetry.Default.Snapshot()
+		if err := run(); err != nil {
+			t.Fatal(err)
+		}
+		after := telemetry.Default.Snapshot()
+		d := map[string]uint64{"events_total": after.EventsTotal - before.EventsTotal}
+		for name, v := range after.Counters {
+			if !replayOnly[name] {
+				d["counter "+name] = v - before.Counters[name]
+			}
+		}
+		for name, h := range after.Histograms {
+			if !replayOnly[name] {
+				d["histogram count "+name] = h.Count - before.Histograms[name].Count
+			}
+		}
+		return d
+	}
+	serial := build()
+	want := delta(serial, serial.Run)
+	if want["counter clip_jobsched_jobs_finished_total"] != 2048 {
+		t.Fatalf("Run finished %d jobs, want 2048", want["counter clip_jobsched_jobs_finished_total"])
+	}
+	for _, workers := range []int{1, 2, 4} {
+		f := build()
+		windows := telemetry.Default.Counter("clip_fed_windows_total", "").Value()
+		got := delta(f, func() error { return f.RunParallel(workers) })
+		if telemetry.Default.Counter("clip_fed_windows_total", "").Value() != windows+1 {
+			t.Fatalf("RunParallel(%d) did not take the partitioned replay", workers)
+		}
+		names := make([]string, 0, len(want))
+		for name := range want {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			if got[name] != want[name] {
+				t.Errorf("RunParallel(%d): %s delta %d, Run's %d", workers, name, got[name], want[name])
+			}
+		}
+		for name, v := range got {
+			if _, ok := want[name]; !ok && v != 0 {
+				t.Errorf("RunParallel(%d): %s delta %d, absent from Run", workers, name, v)
+			}
+		}
+	}
+}

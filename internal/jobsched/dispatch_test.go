@@ -342,6 +342,16 @@ func TestDispatchReusesDecisionPerFreeState(t *testing.T) {
 	// finishing job returns otherwise (the same float sum as finish).
 	states := map[uint64]bool{math.Float64bits(o.st.freeW): true}
 	const jobs = 24
+	// A completed job's status carries no placement without fault
+	// injection, so each job's node count is read while it runs.
+	nodes := make(map[string]int, jobs)
+	observe := func() {
+		for _, js := range o.Jobs() {
+			if js.State == JobRunning {
+				nodes[js.ID] = len(js.Nodes)
+			}
+		}
+	}
 	for i := 0; i < jobs; i++ {
 		if _, err := o.SubmitPri(fmt.Sprintf("j%02d", i), app, 0); err != nil {
 			t.Fatal(err)
@@ -358,20 +368,27 @@ func TestDispatchReusesDecisionPerFreeState(t *testing.T) {
 		if running != 1 {
 			t.Fatalf("%d jobs running; each job should take every node", running)
 		}
+		observe()
 		if err := o.ProcessNextEvent(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	observe() // the last job runs until Drain
 	if err := o.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if len(o.st.stats.Jobs) != jobs {
-		t.Fatalf("%d of %d jobs finished", len(o.st.stats.Jobs), jobs)
-	}
-	for _, jr := range o.st.stats.Jobs {
-		if jr.Nodes != len(cl.Nodes) {
-			t.Fatalf("job %s ran on %d nodes, want every node (%d)", jr.ID, jr.Nodes, len(cl.Nodes))
+	completed := 0
+	for _, js := range o.Jobs() {
+		if js.State != JobCompleted {
+			continue
 		}
+		completed++
+		if nodes[js.ID] != len(cl.Nodes) {
+			t.Fatalf("job %s ran on %d nodes, want every node (%d)", js.ID, nodes[js.ID], len(cl.Nodes))
+		}
+	}
+	if completed != jobs {
+		t.Fatalf("%d of %d jobs finished", completed, jobs)
 	}
 	got := schedules.Value() - before
 	t.Logf("%d starts, %d distinct free states, %d coordinator schedules", jobs, len(states), got)

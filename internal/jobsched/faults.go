@@ -24,21 +24,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Telemetry handles of the fault layer (ISSUE 4 acceptance set).
-var (
-	mFaultsInjected = telemetry.Default.Counter("clip_faults_injected_total",
-		"fault events injected into the runtime (crashes, power excursions, stragglers)")
-	mJobsRetried = telemetry.Default.Counter("clip_jobs_retried_total",
-		"jobs killed by a fault and re-enqueued for retry")
-	gWattsReclaimed = telemetry.Default.Gauge("clip_watts_reclaimed_total",
-		"cumulative watts reclaimed from killed or re-capped jobs and returned to the pool")
-	gQuarantined = telemetry.Default.Gauge("clip_node_quarantined",
-		"nodes currently out of service (quarantined or drained)")
-	mReschedSeconds = telemetry.Default.Histogram("clip_fault_resched_seconds",
-		"simulated seconds between a job being killed by a fault and its restart",
-		[]float64{1, 2, 5, 10, 30, 60, 120, 300, 600})
-)
-
 // des event kinds of the fault layer (the engine treats them as opaque
 // labels; they make heap dumps and tests legible).
 const (
@@ -197,7 +182,7 @@ func (st *schedState) jobDone() {
 func (st *schedState) logFault(kind string, node int, job string, watts float64, detail string) {
 	fe := FaultEvent{T: st.eng.Now(), Kind: kind, Node: node, Job: job, Watts: watts, Detail: detail}
 	st.stats.FaultLog = append(st.stats.FaultLog, fe)
-	telemetry.Default.Events().Append(telemetry.Event{
+	st.m.events.Append(telemetry.Event{
 		Kind: telemetry.KindFault, TimeS: fe.T, App: job, Render: fe,
 	})
 }
@@ -293,9 +278,9 @@ func (st *schedState) scheduleNextCrash(i int) {
 // scheduled.
 func (st *schedState) nodeCrash(i int) {
 	start := time.Now()
-	defer func() { mEventSeconds.Observe(time.Since(start).Seconds()) }()
+	defer func() { st.m.eventSeconds.Observe(time.Since(start).Seconds()) }()
 	st.accountPower()
-	mFaultsInjected.Inc()
+	st.m.faultsInjected.Inc()
 	st.stats.Faults.Injected++
 	st.stats.Faults.Crashes++
 	h := st.inj.RecordCrash(i)
@@ -320,7 +305,7 @@ func (st *schedState) nodeCrash(i int) {
 // nodeRecover returns a quarantined node to service.
 func (st *schedState) nodeRecover(i int) {
 	start := time.Now()
-	defer func() { mEventSeconds.Observe(time.Since(start).Seconds()) }()
+	defer func() { st.m.eventSeconds.Observe(time.Since(start).Seconds()) }()
 	if !st.inj.Recover(i) {
 		return
 	}
@@ -347,7 +332,7 @@ func (st *schedState) killJob(rj *runningJob, node int, cause string) {
 		return
 	}
 	rec.retries++
-	mJobsRetried.Inc()
+	st.m.jobsRetried.Inc()
 	st.stats.Faults.Retries++
 	backoff := st.inj.Backoff(rec.job.ID, int(rec.retries))
 	ev, err := st.eng.AfterHandler(backoff, st, evkRequeue, uint64(rec.idx))
@@ -363,7 +348,7 @@ func (st *schedState) killJob(rj *runningJob, node int, cause string) {
 // requeue re-enqueues a killed job after its backoff delay.
 func (st *schedState) requeue(rec *jobRecord) {
 	start := time.Now()
-	defer func() { mEventSeconds.Observe(time.Since(start).Seconds()) }()
+	defer func() { st.m.eventSeconds.Observe(time.Since(start).Seconds()) }()
 	rec.backoff = nil
 	if st.inj.AllDrained() {
 		st.failJob(rec, "no nodes left: entire cluster drained")
@@ -417,9 +402,9 @@ func (st *schedState) scheduleNextExcursion(i int) {
 // duration.
 func (st *schedState) excursionStart(i int, frac, dur float64) {
 	start := time.Now()
-	defer func() { mEventSeconds.Observe(time.Since(start).Seconds()) }()
+	defer func() { st.m.eventSeconds.Observe(time.Since(start).Seconds()) }()
 	st.accountPower()
-	mFaultsInjected.Inc()
+	st.m.faultsInjected.Inc()
 	st.stats.Faults.Injected++
 	st.stats.Faults.Excursions++
 	st.derated[i] = true
@@ -486,7 +471,7 @@ func (st *schedState) recapJob(rj *runningJob, node int, frac float64) {
 // returns to the free pool and the node may receive placements again.
 func (st *schedState) excursionEnd(i int) {
 	start := time.Now()
-	defer func() { mEventSeconds.Observe(time.Since(start).Seconds()) }()
+	defer func() { st.m.eventSeconds.Observe(time.Since(start).Seconds()) }()
 	st.accountPower()
 	st.derated[i] = false
 	st.freeW += st.reserved[i]
@@ -514,8 +499,8 @@ func (st *schedState) scheduleNextStraggler(i int) {
 // its nodes.
 func (st *schedState) stragglerStart(i int, factor, dur float64) {
 	start := time.Now()
-	defer func() { mEventSeconds.Observe(time.Since(start).Seconds()) }()
-	mFaultsInjected.Inc()
+	defer func() { st.m.eventSeconds.Observe(time.Since(start).Seconds()) }()
+	st.m.faultsInjected.Inc()
 	st.stats.Faults.Injected++
 	st.stats.Faults.Stragglers++
 	st.straggle[i] = factor
@@ -531,7 +516,7 @@ func (st *schedState) stragglerStart(i int, factor, dur float64) {
 // stragglerEnd restores the node's speed.
 func (st *schedState) stragglerEnd(i int) {
 	start := time.Now()
-	defer func() { mEventSeconds.Observe(time.Since(start).Seconds()) }()
+	defer func() { st.m.eventSeconds.Observe(time.Since(start).Seconds()) }()
 	st.straggle[i] = 1
 	st.logFault("straggler-end", i, "", 0, "")
 	if rj := st.runningOn[i]; rj != nil {
@@ -602,14 +587,14 @@ func (st *schedState) publishState() {
 	if st.inj != nil {
 		quar = st.inj.Unhealthy()
 	}
-	telemetry.Default.Events().Append(telemetry.Event{
+	st.m.events.Append(telemetry.Event{
 		Kind: telemetry.KindSchedState, TimeS: st.eng.Now(),
 		BoundWatts: st.bound, FreeWatts: st.freeW,
 		AllocWatts: alloc, ReservedWatts: resv,
 		QueueDepth: st.qlive, RunningJobs: st.nrunning,
 		QuarantinedNodes: quar,
 	})
-	gQueueDepth.Set(float64(st.qlive))
-	gFreeWatts.Set(st.freeW)
-	gQuarantined.Set(float64(quar))
+	st.m.queueDepth.Set(float64(st.qlive))
+	st.m.freeWatts.Set(st.freeW)
+	st.m.quarantined.Set(float64(quar))
 }

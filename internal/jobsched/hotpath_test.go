@@ -116,19 +116,19 @@ func TestSubmitBatchMatchesSerialSubmits(t *testing.T) {
 		{ID: "c", App: workload.AMG()},
 	}
 	serial := online(t, Config{Bound: 320})
-	startBefore := mJobsStarted.Value()
+	startBefore := defaultMetrics.jobsStarted.Value()
 	var serialRes []SubmitResult
 	for _, sub := range subs {
 		var r SubmitResult
 		r.Status, r.Err = serial.SubmitPri(sub.ID, sub.App, 0)
 		serialRes = append(serialRes, r)
 	}
-	serialStarted := mJobsStarted.Value() - startBefore
+	serialStarted := defaultMetrics.jobsStarted.Value() - startBefore
 
 	batched := online(t, Config{Bound: 320})
-	startBefore = mJobsStarted.Value()
+	startBefore = defaultMetrics.jobsStarted.Value()
 	batchRes := batched.SubmitBatch(subs)
-	batchStarted := mJobsStarted.Value() - startBefore
+	batchStarted := defaultMetrics.jobsStarted.Value() - startBefore
 
 	if len(batchRes) != len(serialRes) {
 		t.Fatalf("batch returned %d results, want %d", len(batchRes), len(serialRes))

@@ -44,21 +44,72 @@ import (
 	"repro/internal/workload"
 )
 
-// Telemetry handles: job throughput and queue pressure of the
-// multi-job runtime.
+// Metrics is the scheduler's telemetry handle set, resolved once per
+// registry: job throughput and queue pressure, handler latency, the
+// fault layer's and the priority pipeline's counters, the state and
+// fault events, and the handle sets of the session's DES engine and
+// coordinators. A Run or a fresh session publishes to
+// telemetry.Default; Online.SetMetrics rebinds a session.
+type Metrics struct {
+	jobsStarted, jobsFinished        *telemetry.Counter
+	queueDepth, queuePeak, freeWatts *telemetry.Gauge
+	eventSeconds                     *telemetry.Histogram
+	faultsInjected, jobsRetried      *telemetry.Counter
+	quarantined                      *telemetry.Gauge
+	reschedSeconds                   *telemetry.Histogram
+	jobsPreempted, reconcilePasses   *telemetry.Counter
+	events                           *telemetry.EventLog
+	des                              *des.Metrics
+	coord                            *coordinator.Metrics
+}
+
+// NewMetrics resolves the scheduler's handle set from r.
+func NewMetrics(r *telemetry.Registry) *Metrics {
+	return &Metrics{
+		jobsStarted: r.Counter("clip_jobsched_jobs_started_total",
+			"jobs placed on the cluster"),
+		jobsFinished: r.Counter("clip_jobsched_jobs_finished_total",
+			"jobs run to completion"),
+		queueDepth: r.Gauge("clip_jobsched_queue_depth",
+			"queued jobs after the most recent scheduler event"),
+		queuePeak: r.Gauge("clip_jobsched_queue_depth_peak",
+			"highest queue depth observed"),
+		freeWatts: r.Gauge("clip_jobsched_free_watts",
+			"unallocated power after the most recent scheduler event"),
+		eventSeconds: r.Histogram("clip_jobsched_event_seconds",
+			"wall-clock latency of scheduler event handlers (arrivals, completions, bound changes)", nil),
+		faultsInjected: r.Counter("clip_faults_injected_total",
+			"fault events injected into the runtime (crashes, power excursions, stragglers)"),
+		jobsRetried: r.Counter("clip_jobs_retried_total",
+			"jobs killed by a fault and re-enqueued for retry"),
+		quarantined: r.Gauge("clip_node_quarantined",
+			"nodes currently out of service (quarantined or drained)"),
+		reschedSeconds: r.Histogram("clip_fault_resched_seconds",
+			"simulated seconds between a job being killed by a fault and its restart",
+			[]float64{1, 2, 5, 10, 30, 60, 120, 300, 600}),
+		jobsPreempted: r.Counter("clip_jobs_preempted_total",
+			"running jobs evicted and re-enqueued in favour of a higher-priority job"),
+		reconcilePasses: r.Counter("clip_reconcile_passes_total",
+			"reconciler convergence passes after node-health or bound changes"),
+		events: r.Events(),
+		des:    des.NewMetrics(r),
+		coord:  coordinator.NewMetrics(r),
+	}
+}
+
+// defaultMetrics is the handle set of every run state not bound
+// elsewhere.
+var defaultMetrics = NewMetrics(telemetry.Default)
+
+// The cumulative-watts gauges add up rather than report a level, so a
+// fold that keeps the larger of two readings (Registry.FoldInto) would
+// lose their sum; they stay on telemetry.Default. Both move only on
+// preemptions and fault reactions, never per event.
 var (
-	mJobsStarted = telemetry.Default.Counter("clip_jobsched_jobs_started_total",
-		"jobs placed on the cluster")
-	mJobsFinished = telemetry.Default.Counter("clip_jobsched_jobs_finished_total",
-		"jobs run to completion")
-	gQueueDepth = telemetry.Default.Gauge("clip_jobsched_queue_depth",
-		"queued jobs after the most recent scheduler event")
-	gQueuePeak = telemetry.Default.Gauge("clip_jobsched_queue_depth_peak",
-		"highest queue depth observed")
-	gFreeWatts = telemetry.Default.Gauge("clip_jobsched_free_watts",
-		"unallocated power after the most recent scheduler event")
-	mEventSeconds = telemetry.Default.Histogram("clip_jobsched_event_seconds",
-		"wall-clock latency of scheduler event handlers (arrivals, completions, bound changes)", nil)
+	gWattsReclaimed = telemetry.Default.Gauge("clip_watts_reclaimed_total",
+		"cumulative watts reclaimed from killed or re-capped jobs and returned to the pool")
+	gPreemptWatts = telemetry.Default.Gauge("clip_preempt_watts_reclaimed_total",
+		"cumulative watts reclaimed from preempted jobs")
 )
 
 // des handler event kinds of the core scheduler (the fault layer owns
@@ -196,7 +247,9 @@ type Stats struct {
 	// AvgPowerUse is the time-averaged fraction of the bound allocated
 	// to running jobs.
 	AvgPowerUse float64
-	Jobs        []JobResult
+	// Jobs lists a batch Run's completed jobs by start time. An online
+	// session leaves it empty; its callers read Online.Jobs.
+	Jobs []JobResult
 	// Failed lists jobs that exhausted their retries (or had no node
 	// left) under fault injection; every submitted job ends up in Jobs
 	// or Failed.
@@ -436,6 +489,8 @@ func (st *schedState) fresh(e *dispatchEntry) bool {
 type schedState struct {
 	s   *Scheduler
 	eng *des.Engine
+	// m is the bound telemetry handle set (bind).
+	m *Metrics
 	// levels is the queue: one FIFO per priority, highest first, so the
 	// level walk is the dispatch order (priority descending, then
 	// enqueue order) and an all-equal-priority run is a single FIFO.
@@ -601,6 +656,7 @@ func (st *schedState) reset(online bool) {
 	st.bound = s.Config.Bound
 	st.stats = &Stats{}
 	st.coord = coordinator.Coordinator{}
+	st.bind(defaultMetrics)
 	st.freeVer++
 	st.shadow, st.shadowOK = 0, false
 	st.settled = settleMemo{}
@@ -616,6 +672,14 @@ func (st *schedState) reset(online bool) {
 	st.faultEvs = nil
 	st.faultsStopped = false
 	st.jobsLeft = 0
+}
+
+// bind routes the state's telemetry, its engine's and its
+// coordinators' included, to the handle set m.
+func (st *schedState) bind(m *Metrics) {
+	st.m = m
+	st.eng.SetMetrics(m.des)
+	st.coord.Metrics = m.coord
 }
 
 // newRecord takes a queued record for j from the record arena and
@@ -769,7 +833,7 @@ func (st *schedState) accountPower() {
 // it could ever run on.
 func (st *schedState) arrive(rec *jobRecord) {
 	start := time.Now()
-	defer func() { mEventSeconds.Observe(time.Since(start).Seconds()) }()
+	defer func() { st.m.eventSeconds.Observe(time.Since(start).Seconds()) }()
 	if st.inj != nil && st.inj.AllDrained() {
 		st.failJob(rec, "no nodes left: entire cluster drained")
 		st.publishState()
@@ -808,7 +872,7 @@ func (st *schedState) enqueue(rec *jobRecord) {
 	if dc.live++; dc.live == 1 {
 		st.qapps++
 	}
-	gQueuePeak.SetMax(float64(st.qlive))
+	st.m.queuePeak.SetMax(float64(st.qlive))
 }
 
 // unqueue accounts for one queued entry leaving the queue (started,
@@ -1002,7 +1066,7 @@ func (st *schedState) dispatchPass(from uint64) bool {
 				deadline = st.shadowTime()
 			}
 			if st.tryStart(e.rec, e.dc, deadline) {
-				mJobsStarted.Inc()
+				st.m.jobsStarted.Inc()
 				e.started = true
 				st.unqueue(l, e)
 				return true
@@ -1218,7 +1282,7 @@ func (st *schedState) tryStart(rec *jobRecord, e *dispatchEntry, deadline float6
 			rj.iterTime = e.eval.IterTime * f
 		}
 		if rec.killed {
-			mReschedSeconds.Observe(st.eng.Now() - rec.killedAt)
+			st.m.reschedSeconds.Observe(st.eng.Now() - rec.killedAt)
 			st.logFault("restart", -1, j.ID, 0,
 				fmt.Sprintf("rescheduled %.2fs after kill", st.eng.Now()-rec.killedAt))
 			rec.killed = false
@@ -1259,7 +1323,7 @@ func (rj *runningJob) progressTo(now float64) {
 // finish completes a job, frees its resources and dispatches.
 func (st *schedState) finish(rj *runningJob) {
 	start := time.Now()
-	mJobsFinished.Inc()
+	st.m.jobsFinished.Inc()
 	st.accountPower()
 	rec := rj.rec
 	rec.result.Finish = st.eng.Now()
@@ -1269,7 +1333,11 @@ func (st *schedState) finish(rj *runningJob) {
 		// — no per-job allocation).
 		rec.result.NodeIDs = st.stats.internNodeIDs(rec.result.NodeIDs)
 	}
-	st.stats.Jobs = append(st.stats.Jobs, rec.result)
+	if !st.online {
+		// Only a batch Run reports Stats.Jobs; a session's callers read
+		// the job records (Online.Jobs).
+		st.stats.Jobs = append(st.stats.Jobs, rec.result)
+	}
 	st.teardown(rj)
 	st.retire(rec, JobCompleted)
 	st.dispatch()
@@ -1278,7 +1346,7 @@ func (st *schedState) finish(rj *runningJob) {
 	}
 	st.assertBound("finish")
 	st.publishState()
-	mEventSeconds.Observe(time.Since(start).Seconds())
+	st.m.eventSeconds.Observe(time.Since(start).Seconds())
 }
 
 // reallocate offers surplus power to running jobs (POWsched-style):
@@ -1393,7 +1461,7 @@ func (st *schedState) commitRetune(rj *runningJob, b power.Budget, iterTime floa
 // the allocation fits the new bound.
 func (st *schedState) applyBoundChange(watts float64) {
 	start := time.Now()
-	defer func() { mEventSeconds.Observe(time.Since(start).Seconds()) }()
+	defer func() { st.m.eventSeconds.Observe(time.Since(start).Seconds()) }()
 	st.accountPower()
 	delta := watts - st.bound
 	st.bound = watts

@@ -525,12 +525,12 @@ func TestBoundScheduleValidation(t *testing.T) {
 // event-loop latency histogram exposed over the standard Prometheus
 // exposition.
 func TestEventLatencyTelemetry(t *testing.T) {
-	before := mEventSeconds.Count()
+	before := defaultMetrics.eventSeconds.Count()
 	s := sched(t, Config{Bound: 2000, Policy: Backfill})
 	if _, err := s.Run(jobs(workload.SPMZ(), workload.CoMD(), workload.LUMZ())); err != nil {
 		t.Fatal(err)
 	}
-	if mEventSeconds.Count() == before {
+	if defaultMetrics.eventSeconds.Count() == before {
 		t.Error("scheduler events did not observe the latency histogram")
 	}
 	var sb strings.Builder

@@ -156,6 +156,17 @@ func (s *Scheduler) Online() (*Online, error) {
 	return &Online{st: st}, nil
 }
 
+// SetMetrics binds the session's telemetry, its DES engine's and its
+// coordinators' included, to a handle set (nil means
+// telemetry.Default). The CLIP instance the scheduler was built with
+// has its own binding (core.CLIP.SetMetrics).
+func (o *Online) SetMetrics(m *Metrics) {
+	if m == nil {
+		m = defaultMetrics
+	}
+	o.st.bind(m)
+}
+
 // Now returns the current virtual time in seconds.
 func (o *Online) Now() float64 { return o.st.eng.Now() }
 

@@ -16,18 +16,7 @@ import (
 
 	"repro/internal/coordinator"
 	"repro/internal/hw"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
-)
-
-// Telemetry handles of the priority pipeline.
-var (
-	mJobsPreempted = telemetry.Default.Counter("clip_jobs_preempted_total",
-		"running jobs evicted and re-enqueued in favour of a higher-priority job")
-	gPreemptWatts = telemetry.Default.Gauge("clip_preempt_watts_reclaimed_total",
-		"cumulative watts reclaimed from preempted jobs")
-	mReconcilePasses = telemetry.Default.Counter("clip_reconcile_passes_total",
-		"reconciler convergence passes after node-health or bound changes")
 )
 
 // sortInts is an allocation-free insertion sort for small node-id
@@ -223,7 +212,7 @@ func (st *schedState) planPreemption(top *Job, victims []*runningJob) int {
 			continue
 		}
 		st.preSub = fillSub(st.preSub, st.s.Cluster, ids)
-		st.preCoord = coordinator.Coordinator{Cluster: st.preSub, Ranked: ranked, Quiet: true}
+		st.preCoord = coordinator.Coordinator{Cluster: st.preSub, Ranked: ranked, Quiet: true, Metrics: st.m.coord}
 		if err := st.preCoord.Place(top.App, prof, pd, candW, &st.preSc, &st.prePl); err != nil {
 			continue
 		}
@@ -249,7 +238,7 @@ func (st *schedState) preemptJob(rj *runningJob, forID string) {
 	st.accountPower()
 	rec := rj.rec
 	reclaimed := st.teardown(rj)
-	mJobsPreempted.Inc()
+	st.m.jobsPreempted.Inc()
 	gPreemptWatts.Add(reclaimed)
 	st.stats.Preemptions++
 	rec.preempts++
@@ -282,7 +271,7 @@ func (st *schedState) reconcile(where string, realloc bool) {
 	if realloc {
 		st.reallocate()
 	}
-	mReconcilePasses.Add(uint64(passes))
+	st.m.reconcilePasses.Add(uint64(passes))
 	if id := st.uncovered(); id != "" && st.failure == nil {
 		st.failure = fmt.Errorf(
 			"jobsched: coverage violation after %s at t=%.3f: job %q is dispatchable but still queued",

@@ -139,8 +139,18 @@ func (l *EventLog) copyPerNode(src []NodeBudget) []NodeBudget {
 func (l *EventLog) Append(e Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.appendLocked(e)
+}
+
+// appendLocked is Append for a caller that holds l.mu.
+func (l *EventLog) appendLocked(e Event) {
 	if l.cap == 0 {
 		l.cap = DefaultEventCapacity
+	}
+	if l.buf == nil {
+		// The ring fills in any run long enough to matter, so its
+		// storage is sized once rather than grown by doubling.
+		l.buf = make([]Event, 0, l.cap)
 	}
 	l.total++
 	e.Seq = l.total
@@ -191,6 +201,29 @@ func (l *EventLog) Dropped() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.total - uint64(len(l.buf))
+}
+
+// foldInto appends l's retained events to dst, oldest first, and
+// empties l (keeping its ring storage for reuse). dst's total grows by
+// l's evicted count before the retained events append, so the events
+// carry the Seq they would have had in one log and dst's Total and
+// Dropped stay exact.
+func (l *EventLog) foldInto(dst *EventLog) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	dst.mu.Lock()
+	defer dst.mu.Unlock()
+	dst.total += l.total - uint64(len(l.buf))
+	for _, part := range [2][]Event{l.buf[l.start:], l.buf[:l.start]} {
+		for i := range part {
+			dst.appendLocked(part[i])
+			if pn := part[i].PerNode; pn != nil && len(l.spare) < maxSparePerNode {
+				l.spare = append(l.spare, pn[:0])
+			}
+			part[i] = Event{}
+		}
+	}
+	l.buf, l.start, l.total = l.buf[:0], 0, 0
 }
 
 // reset clears the log (test support, via Registry.Reset).

@@ -114,7 +114,8 @@ grep '^clipfed shards=' "$TMP/clipfed_chaos_full.txt" \
 echo "== clipfed parallel executor, 64 shards x 4096 jobs ==" >&2
 # RunParallel's scaling row: locality routing with lending off takes
 # the partitioned replay (one replay per shard).
-# Best-of-3 per worker count; the awk below keeps the top events/s row.
+# Best-of-3 per worker count; the awk below keeps the top events/s row
+# and records the speedup of 2 workers over 1.
 PFLAGS="-shards 64 -nodes 4 -budget 400 -jobs 4096 -gap 0.25 -routing locality -seed 1 -lend=false"
 : > "$TMP/clipfed_par.txt"
 for W in 1 2 4; do
@@ -172,7 +173,7 @@ function val(key,    i, eq) {
 /^clipfed_parallel / {
     # Parallel-executor scaling rows, best-of-N per worker count.
     w = val("workers"); eps = val("events_per_s") + 0
-    if (!(w in pbest) || eps > pbest[w]) { pbest[w] = eps; pbody[w] = kv() }
+    if (!(w in pbest) || eps > pbest[w]) { pbest[w] = eps; pbody[w] = kv(); pwall[w] = val("wall_ms") + 0 }
     if (!(w in pseen)) { pseen[w] = ++pn; porder[pn] = w }
 }
 END {
@@ -193,10 +194,12 @@ END {
     printf "  \"clipfed\": {%s},\n", fbody
     printf "  \"clipfed_chaos\": {%s},\n", cfbody
     printf "  \"fed_new\": {%s},\n", fnbody
-    printf "  \"clipfed_parallel\": [\n"
+    # speedup: the best workers-1 wall over the best workers-2 wall.
+    speedup = pwall[2] > 0 ? pwall[1] / pwall[2] : 0
+    printf "  \"clipfed_parallel\": {\"speedup\": %.2f, \"rows\": [\n", speedup
     for (i = 1; i <= pn; i++)
         printf "    {%s}%s\n", pbody[porder[i]], i < pn ? "," : ""
-    printf "  ],\n"
+    printf "  ]},\n"
     printf "  \"suite\": {\"serial_wall_ms\": %s, \"parallel_wall_ms\": %s, \"workers\": %s}\n", serial, par, workers
     printf "}\n"
 }' "$TMP/bench.txt" "$TMP/chaos.txt" "$TMP/clipload.txt" "$TMP/clipload50k.txt" "$TMP/clipfed.txt" "$TMP/clipfed_chaos.txt" "$TMP/fednew.txt" "$TMP/clipfed_par.txt" > "$OUT"
