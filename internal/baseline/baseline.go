@@ -31,11 +31,9 @@ const DefaultFloorWatts = 200.0
 const baselineAffinity = workload.Scatter
 
 // AllIn always uses every node and every core, giving memory the static
-// allocation and CPU the rest, regardless of application behaviour.
-type AllIn struct {
-	// MemWatts overrides DefaultMemWatts when > 0.
-	MemWatts float64
-}
+// allocation (DefaultMemWatts) and CPU the rest, regardless of
+// application behaviour.
+type AllIn struct{}
 
 var _ plan.Method = (*AllIn)(nil)
 
@@ -43,14 +41,10 @@ var _ plan.Method = (*AllIn)(nil)
 func (*AllIn) Name() string { return "All-In" }
 
 // Plan implements plan.Method.
-func (a *AllIn) Plan(cl *hw.Cluster, app *workload.Spec, bound float64) (*plan.Plan, error) {
-	mem := a.MemWatts
-	if mem <= 0 {
-		mem = DefaultMemWatts
-	}
+func (*AllIn) Plan(cl *hw.Cluster, app *workload.Spec, bound float64) (*plan.Plan, error) {
 	n := cl.NumNodes()
 	perNode := bound / float64(n)
-	cpu := perNode - mem
+	cpu := perNode - DefaultMemWatts
 	if cpu <= 0 {
 		return nil, fmt.Errorf("all-in: bound %.1f W leaves no CPU power on %d nodes", bound, n)
 	}
@@ -58,17 +52,14 @@ func (a *AllIn) Plan(cl *hw.Cluster, app *workload.Spec, bound float64) (*plan.P
 		NodeIDs:  plan.FirstN(n),
 		Cores:    cl.Spec().Cores(),
 		Affinity: baselineAffinity,
-		PerNode:  plan.UniformBudgets(n, power.Budget{CPU: cpu, Mem: mem}),
+		PerNode:  plan.UniformBudgets(n, power.Budget{CPU: cpu, Mem: DefaultMemWatts}),
 		Notes:    "all nodes, all cores, static memory power",
 	}, nil
 }
 
 // LowerLimit shrinks the node count until every participating node
 // receives at least DefaultFloorWatts, then behaves like All-In.
-type LowerLimit struct {
-	// MemWatts is the static DRAM allocation (DefaultMemWatts when 0).
-	MemWatts float64
-}
+type LowerLimit struct{}
 
 var _ plan.Method = (*LowerLimit)(nil)
 
@@ -76,11 +67,7 @@ var _ plan.Method = (*LowerLimit)(nil)
 func (*LowerLimit) Name() string { return "Lower-Limit" }
 
 // Plan implements plan.Method.
-func (l *LowerLimit) Plan(cl *hw.Cluster, app *workload.Spec, bound float64) (*plan.Plan, error) {
-	mem := l.MemWatts
-	if mem <= 0 {
-		mem = DefaultMemWatts
-	}
+func (*LowerLimit) Plan(cl *hw.Cluster, app *workload.Spec, bound float64) (*plan.Plan, error) {
 	n := cl.NumNodes()
 	if bound < DefaultFloorWatts*float64(n) {
 		n = int(bound / DefaultFloorWatts)
@@ -89,7 +76,7 @@ func (l *LowerLimit) Plan(cl *hw.Cluster, app *workload.Spec, bound float64) (*p
 		n = 1
 	}
 	perNode := bound / float64(n)
-	cpu := perNode - mem
+	cpu := perNode - DefaultMemWatts
 	if cpu <= 0 {
 		return nil, fmt.Errorf("lower-limit: bound %.1f W leaves no CPU power", bound)
 	}
@@ -97,7 +84,7 @@ func (l *LowerLimit) Plan(cl *hw.Cluster, app *workload.Spec, bound float64) (*p
 		NodeIDs:  plan.FirstN(n),
 		Cores:    cl.Spec().Cores(),
 		Affinity: baselineAffinity,
-		PerNode:  plan.UniformBudgets(n, power.Budget{CPU: cpu, Mem: mem}),
+		PerNode:  plan.UniformBudgets(n, power.Budget{CPU: cpu, Mem: DefaultMemWatts}),
 		Notes:    fmt.Sprintf("floor=%.0fW nodes=%d", DefaultFloorWatts, n),
 	}, nil
 }

@@ -255,6 +255,11 @@ type Federation struct {
 	sfStopped        bool
 	arrivalsLeft     int // scheduled arrivals not yet routed
 	evacuated        int // queued jobs migrated off crashed shards
+	// evacuateShard's buffers, reused across crashes: the survivors'
+	// load heap, the evacuated jobs and the shards that received any.
+	evacHeap loadHeap
+	evacJobs []jobsched.Job
+	evacDst  []bool
 	// audit state
 	audits       int
 	violations   int

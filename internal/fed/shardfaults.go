@@ -469,27 +469,32 @@ func (f *Federation) handleShardHeal(id int) {
 
 // evacuateShard migrates the crashed shard's queued (not-yet-running)
 // jobs to surviving shards: each job is extracted via the scheduler's
-// evacuation primitive and re-submitted least-loaded-first among
+// evacuation primitive and re-admitted least-loaded-first among
 // routable shards (its locality home is down anyway, so the emergency
 // path optimizes for drain time; ties go to the lower id, keeping the
 // placement deterministic). With no routable survivor the queue stays
 // put — the autonomous region runs it when power allows — so no job is
 // ever lost either way. Each job lands on exactly one shard: the
 // extraction removes it from the source's accounting before the
-// re-submit enters it on the destination's, and jobShard repoints in
+// re-admission enters it on the destination's, and jobShard repoints in
 // the same step.
 //
 // The survivors' loads sit in a min-heap built once per crash. Inside
 // this handler only the destination's load moves, so after each
-// re-submit re-reading the root's load and sifting it down keeps the
+// re-admission re-reading the root's load and sifting it down keeps the
 // heap exact: every pick is the one a full least-loaded scan would make.
+// Jobs move one at a time because each pick depends on whether the
+// previous job started or queued. The heap and the job buffer are the
+// federation's, reused across crashes, and Readmit publishes nothing, so
+// each destination publishes one state snapshot when the handler ends.
 func (f *Federation) evacuateShard(id int) {
-	var h loadHeap
+	h := f.evacHeap[:0]
 	for _, sh := range f.shards {
 		if sh.ID != id && f.routable(sh.ID) {
 			h = append(h, loadOf(sh))
 		}
 	}
+	f.evacHeap = h
 	if len(h) == 0 {
 		return // no routable survivor: leave the queue in place
 	}
@@ -497,19 +502,25 @@ func (f *Federation) evacuateShard(id int) {
 		h.down(i)
 	}
 	src := f.shards[id]
-	jobs := src.Online.EvacuateQueued()
+	jobs := src.Online.EvacuateQueued(f.evacJobs[:0])
+	f.evacJobs = jobs
 	if len(jobs) == 0 {
 		return
 	}
+	if f.evacDst == nil {
+		f.evacDst = make([]bool, len(f.shards))
+	}
+	defer f.publishEvacuated()
 	f.touch(src)
 	for _, j := range jobs {
 		dst := f.shards[h[0].id]
 		f.touch(dst)
+		f.evacDst[dst.ID] = true
 		if err := dst.Online.Advance(f.now); err != nil {
 			f.fail(err)
 			return
 		}
-		if _, err := dst.Online.SubmitPri(j.ID, j.App, j.Priority); err != nil {
+		if err := dst.Online.Readmit(j.ID, j.App, j.Priority); err != nil {
 			f.fail(err)
 			return
 		}
@@ -519,6 +530,17 @@ func (f *Federation) evacuateShard(id int) {
 		dst.submitted++
 		f.evacuated++
 		mJobsEvacuated.Inc()
+	}
+}
+
+// publishEvacuated publishes one state snapshot on every shard that
+// received evacuees, in shard order, and clears the marks.
+func (f *Federation) publishEvacuated() {
+	for i, got := range f.evacDst {
+		if got {
+			f.shards[i].Online.PublishState()
+			f.evacDst[i] = false
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/jobsched"
+	"repro/internal/workload"
 )
 
 // TestShardScenarioParse: the spec grammar round-trips through String
@@ -556,6 +557,54 @@ func TestInterruptDrains(t *testing.T) {
 			if len(f.ActiveLeases()) != 0 || len(f.OrphanedLeases()) != 0 {
 				t.Errorf("%s/%s: leases outstanding after interrupted drain", sh.name, r.name)
 			}
+		}
+	}
+}
+
+// TestEvacuationAllocs pins the evacuation path's allocation diet. Two
+// shards hand one queue of n jobs back and forth, one crash at a time.
+// Once a first crash has sized the federation's buffers and each
+// shard's queue, record arena and id map, a crash allocates nothing,
+// for n = 64 as for n = 512.
+func TestEvacuationAllocs(t *testing.T) {
+	for _, n := range []int{64, 512} {
+		f, err := New(Config{Shards: shardCfg(2, 4, 400, jobsched.FCFS)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		app := workload.CoMD()
+		// One job occupies each shard, so every evacuee queues.
+		for i := 0; i < n+2; i++ {
+			id, sh := fmt.Sprintf("j%04d", i), f.shards[0]
+			if i == n+1 {
+				sh = f.shards[1]
+			}
+			if _, err := sh.Online.SubmitPri(id, app, 0); err != nil {
+				t.Fatal(err)
+			}
+			f.jobShard[id] = sh.ID
+		}
+		for _, sh := range f.shards {
+			if sh.Online.RunningLen() != 1 {
+				t.Fatalf("shard %d runs %d jobs, want 1", sh.ID, sh.Online.RunningLen())
+			}
+		}
+		from := 0
+		crash := func() {
+			f.evacuateShard(from)
+			from = 1 - from
+		}
+		crash() // the warm-up crash: the first the receiving shard sees
+		allocs := testing.AllocsPerRun(10, crash)
+		if err := f.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if f.evacuated != 12*n || f.shards[from].Online.QueueLen() != n {
+			t.Fatalf("n=%d: %d evacuations, %d queued, want %d and %d",
+				n, f.evacuated, f.shards[from].Online.QueueLen(), 12*n, n)
+		}
+		if allocs != 0 {
+			t.Errorf("n=%d: a crash allocates %.0f objects, want 0", n, allocs)
 		}
 	}
 }

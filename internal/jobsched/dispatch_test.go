@@ -50,20 +50,20 @@ func coldUntil(t *testing.T, o *Online, until float64) {
 
 // sameSessions requires two sessions to agree on every observable: job
 // listing, cluster snapshot, first failure, and the run statistics with
-// the fault log.
+// the fault log. want is the reference session.
 func sameSessions(t *testing.T, tag string, got, want *Online) {
 	t.Helper()
 	if fmt.Sprint(got.Err()) != fmt.Sprint(want.Err()) {
-		t.Fatalf("%s: error %v, cold dispatch %v", tag, got.Err(), want.Err())
+		t.Fatalf("%s: error %v, reference %v", tag, got.Err(), want.Err())
 	}
 	if g, w := got.Jobs(), want.Jobs(); !reflect.DeepEqual(g, w) {
-		t.Fatalf("%s: Jobs() differ from cold dispatch\n got %+v\nwant %+v", tag, g, w)
+		t.Fatalf("%s: Jobs() differ from the reference\n got %+v\nwant %+v", tag, g, w)
 	}
 	if g, w := got.Cluster(), want.Cluster(); !reflect.DeepEqual(g, w) {
-		t.Fatalf("%s: Cluster() differs from cold dispatch\n got %+v\nwant %+v", tag, g, w)
+		t.Fatalf("%s: Cluster() differs from the reference\n got %+v\nwant %+v", tag, g, w)
 	}
 	if !reflect.DeepEqual(*got.st.stats, *want.st.stats) {
-		t.Fatalf("%s: stats or fault log differ from cold dispatch\n got %+v\nwant %+v",
+		t.Fatalf("%s: stats or fault log differ from the reference\n got %+v\nwant %+v",
 			tag, *got.st.stats, *want.st.stats)
 	}
 }
@@ -235,7 +235,7 @@ func diffDispatch(t *testing.T, cfg Config, seed uint64, mix opMix, steps int) d
 			w := 1200 + 2400*r.Float64()
 			both(func(o *Online) error { return o.SetBound(w) })
 		case op < mix.submit+mix.cancel+mix.bound+mix.evacuate:
-			both(func(o *Online) error { o.EvacuateQueued(); return nil })
+			both(func(o *Online) error { o.EvacuateQueued(nil); return nil })
 		case op < total-mix.advance:
 			both(func(o *Online) error { return o.Reconcile() })
 		default:

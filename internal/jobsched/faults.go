@@ -378,8 +378,8 @@ func (st *schedState) failJob(rec *jobRecord, reason string) {
 // cluster has fully drained, or the session is draining; nothing can
 // ever start again).
 func (st *schedState) failQueued(reason string) {
-	for _, rec := range st.takeQueued() {
-		st.failJob(rec, reason)
+	for _, e := range st.takeQueued() {
+		st.failJob(e.rec, reason)
 	}
 }
 

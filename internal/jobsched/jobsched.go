@@ -22,6 +22,7 @@
 package jobsched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -546,6 +547,8 @@ type schedState struct {
 	prePl      coordinator.Placement
 	preCoord   coordinator.Coordinator
 	preVictims []*runningJob
+	// take is takeQueued's result buffer.
+	take []queueEntry
 	// power-use integral
 	lastAccount  float64
 	usedIntegral float64
@@ -828,15 +831,21 @@ func (st *schedState) accountPower() {
 	}
 }
 
-// arrive enqueues a job and tries to dispatch. A job arriving after
-// the entire cluster has drained fails immediately — there is no node
-// it could ever run on.
+// arrive is the arrival event's handler: admit, timed and published.
 func (st *schedState) arrive(rec *jobRecord) {
 	start := time.Now()
 	defer func() { st.m.eventSeconds.Observe(time.Since(start).Seconds()) }()
+	st.admit(rec)
+	st.publishState()
+}
+
+// admit enqueues a job and tries to dispatch: the arrival core shared
+// by the arrival event and Online.Readmit. A job arriving after the
+// entire cluster has drained fails immediately — there is no node it
+// could ever run on.
+func (st *schedState) admit(rec *jobRecord) {
 	if st.inj != nil && st.inj.AllDrained() {
 		st.failJob(rec, "no nodes left: entire cluster drained")
-		st.publishState()
 		return
 	}
 	j := &rec.job
@@ -845,13 +854,11 @@ func (st *schedState) arrive(rec *jobRecord) {
 	}
 	if !j.App.Constraint.Zero() && !st.constraintSatisfiable(j.App) {
 		st.failJob(rec, "node constraint matches no cluster node")
-		st.publishState()
 		return
 	}
 	st.enqueue(rec)
 	st.dispatch()
 	st.assertBound("arrive")
-	st.publishState()
 }
 
 // enqueue appends a job at the tail of its priority level: the one
@@ -928,29 +935,29 @@ func (st *schedState) topQueued() *queueEntry {
 	return nil
 }
 
-// takeQueued empties the queue and returns its records in enqueue (seq)
+// takeQueued empties the queue and returns its entries in enqueue (seq)
 // order across all levels: the physical order in which evacuation and
-// drain failures report queued jobs.
-func (st *schedState) takeQueued() []*jobRecord {
+// drain failures report queued jobs. The result is the state's scratch
+// buffer, valid until the next call; the emptied level slots are
+// cleared, so no level buffer keeps an entry it handed over.
+func (st *schedState) takeQueued() []queueEntry {
 	st.settled.ok = false // every queue removal clears the dispatch memo
-	var live []queueEntry
+	take := slices.Grow(st.take[:0], st.qlive)
 	for li := range st.levels {
 		l := &st.levels[li]
 		for _, e := range l.q[l.head:] {
 			if !e.started {
-				live = append(live, e)
+				take = append(take, e)
 				e.dc.live = 0
 			}
 		}
+		clear(l.q)
 		l.q, l.head, l.live = l.q[:0], 0, 0
 	}
 	st.qlive, st.qapps = 0, 0
-	sort.Slice(live, func(a, b int) bool { return live[a].seq < live[b].seq })
-	out := make([]*jobRecord, len(live))
-	for i, e := range live {
-		out[i] = e.rec
-	}
-	return out
+	slices.SortFunc(take, func(a, b queueEntry) int { return cmp.Compare(a.seq, b.seq) })
+	st.take = take
+	return take
 }
 
 // settleMemo records the last dispatch fixpoint: the resources its

@@ -280,24 +280,11 @@ func (o *Online) Advance(t float64) error {
 // node set and budget) or queued. Job ids are unique for the lifetime
 // of the session.
 func (o *Online) SubmitPri(id string, app *workload.Spec, pri int) (JobStatus, error) {
-	if id == "" {
-		return JobStatus{}, fmt.Errorf("jobsched: empty job id")
-	}
-	if app == nil {
-		return JobStatus{}, fmt.Errorf("jobsched: job %q has no application", id)
-	}
-	if _, dup := o.st.jobs[id]; dup {
-		return JobStatus{}, fmt.Errorf("%w: %q", ErrDuplicateJob, id)
-	}
-	if o.st.failure != nil {
-		return JobStatus{}, o.st.failure
-	}
-	if pri == 0 {
-		pri = app.Priority
+	rec, err := o.newJob(id, app, pri)
+	if err != nil {
+		return JobStatus{}, err
 	}
 	now := o.st.eng.Now()
-	rec := o.st.newRecord(Job{ID: id, App: app, Arrival: now, Priority: pri})
-	o.st.jobsLeft++
 	if _, err := o.st.eng.AtHandler(now, o.st, evkArrival, uint64(rec.idx)); err != nil {
 		return JobStatus{}, err
 	}
@@ -310,6 +297,58 @@ func (o *Online) SubmitPri(id string, app *workload.Spec, pri int) (JobStatus, e
 		return JobStatus{}, o.st.failure
 	}
 	return o.Status(id)
+}
+
+// Readmit admits a job at the current virtual time exactly as SubmitPri
+// would — same checks, same placement decision — but directly, not
+// through an arrival event: it times no event, publishes no state
+// snapshot and builds no status. It is the federation's re-admission
+// path for jobs evacuated off a crashed shard (EvacuateQueued). The
+// caller must first have fired every event due at now (Advance(Now())),
+// which is what puts SubmitPri's arrival event first in line; Readmit
+// refuses otherwise. Events the admission itself leaves due at now fire
+// before Readmit returns, as they would after SubmitPri's arrival.
+func (o *Online) Readmit(id string, app *workload.Spec, pri int) error {
+	st := o.st
+	now := st.eng.Now()
+	if t, ok := st.eng.Next(); ok && t <= now {
+		return fmt.Errorf("jobsched: readmit %q with events due at t=%g; advance first", id, now)
+	}
+	rec, err := o.newJob(id, app, pri)
+	if err != nil {
+		return err
+	}
+	st.admit(rec)
+	if t, ok := st.eng.Next(); ok && t <= now {
+		if err := st.eng.RunUntil(now, 0); err != nil {
+			return err
+		}
+	}
+	return st.failure
+}
+
+// newJob runs a submission's id, application, duplicate and
+// sticky-failure checks and takes a record for the job, arriving now;
+// priority 0 inherits the application's default.
+func (o *Online) newJob(id string, app *workload.Spec, pri int) (*jobRecord, error) {
+	if id == "" {
+		return nil, fmt.Errorf("jobsched: empty job id")
+	}
+	if app == nil {
+		return nil, fmt.Errorf("jobsched: job %q has no application", id)
+	}
+	if _, dup := o.st.jobs[id]; dup {
+		return nil, fmt.Errorf("%w: %q", ErrDuplicateJob, id)
+	}
+	if o.st.failure != nil {
+		return nil, o.st.failure
+	}
+	if pri == 0 {
+		pri = app.Priority
+	}
+	rec := o.st.newRecord(Job{ID: id, App: app, Arrival: o.st.eng.Now(), Priority: pri})
+	o.st.jobsLeft++
+	return rec, nil
 }
 
 // Submission is one entry of a SubmitBatch call.
@@ -510,28 +549,32 @@ func (o *Online) Cancel(id string) (float64, error) {
 }
 
 // EvacuateQueued extracts every queued (not-yet-running) job from the
-// session in enqueue order and forgets them entirely — the jobs are
-// handed back to the caller for re-submission elsewhere, as if they had
-// never been submitted here. Running and retrying jobs are untouched
-// (they hold nodes and watts on this cluster and must finish or fail
-// here). This is the federation's shard-evacuation primitive: when a
-// shard's control plane crashes, its queue migrates to surviving shards
-// while its resident work rides out the outage.
-func (o *Online) EvacuateQueued() []Job {
+// session in enqueue order, appends them to dst and forgets them
+// entirely — the jobs are handed back to the caller for re-submission
+// elsewhere, as if they had never been submitted here. Running and
+// retrying jobs are untouched (they hold nodes and watts on this
+// cluster and must finish or fail here). This is the federation's
+// shard-evacuation primitive: when a shard's control plane crashes, its
+// queue migrates to surviving shards while its resident work rides out
+// the outage. A caller that passes the previous call's buffer back,
+// truncated, evacuates without allocating.
+func (o *Online) EvacuateQueued(dst []Job) []Job {
 	st := o.st
 	if st.qlive == 0 {
-		return nil
+		return dst
 	}
-	recs := st.takeQueued()
-	out := make([]Job, len(recs))
-	for i, rec := range recs {
-		out[i] = rec.job
-		st.forget(rec)
+	for _, e := range st.takeQueued() {
+		dst = append(dst, e.rec.job)
+		st.forget(e.rec)
 		st.jobDone()
 	}
 	st.publishState()
-	return out
+	return dst
 }
+
+// PublishState publishes one scheduler state snapshot at the current
+// virtual time: the snapshot a Readmit does not publish.
+func (o *Online) PublishState() { o.st.publishState() }
 
 // Cluster snapshots the cluster's power decomposition, queue pressure
 // and per-node health at the current virtual time.

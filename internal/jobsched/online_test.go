@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/rng"
 	"repro/internal/workload"
 )
 
@@ -402,7 +403,7 @@ func TestQueueRemovalForgetsKillTime(t *testing.T) {
 			}
 			if len(requeued) > 0 && evacuate {
 				requeued = requeued[:0]
-				for _, j := range o.EvacuateQueued() {
+				for _, j := range o.EvacuateQueued(nil) {
 					requeued = append(requeued, j.ID)
 				}
 			}
@@ -493,7 +494,7 @@ func TestOnlineEvacuateQueued(t *testing.T) {
 			t.Fatalf("job %s %v, want queued", id, js.State)
 		}
 	}
-	jobs := o.EvacuateQueued()
+	jobs := o.EvacuateQueued(nil)
 	if len(jobs) != 3 || jobs[0].ID != "b" || jobs[1].ID != "c" || jobs[2].ID != "d" {
 		t.Fatalf("evacuated %v, want [b c d] in queue order", jobs)
 	}
@@ -512,7 +513,7 @@ func TestOnlineEvacuateQueued(t *testing.T) {
 		t.Errorf("pending = %d after evacuation, want 1 (the running job)", o.Pending())
 	}
 	// An idle queue evacuates to nothing.
-	if jobs := o.EvacuateQueued(); jobs != nil {
+	if jobs := o.EvacuateQueued(nil); jobs != nil {
 		t.Errorf("second evacuation returned %v, want nil", jobs)
 	}
 	// The ids are free again — a survivor shard re-submits them.
@@ -530,5 +531,91 @@ func TestOnlineEvacuateQueued(t *testing.T) {
 		if js.State != JobCompleted {
 			t.Errorf("job %s ended %v after drain", id, js.State)
 		}
+	}
+}
+
+// TestReadmitMatchesSubmitPri drives seeded traces — mixed priorities
+// and pinned applications, preemption on, node faults off and on —
+// through two identical sessions. Jobs evacuated from a third session
+// enter one of them through Readmit and the other through Advance and
+// SubmitPri; every other operation (arrivals, cancels, advances) is the
+// same on both. After every step the two must be indistinguishable, and
+// every record of the Readmit session must match where its job is.
+func TestReadmitMatchesSubmitPri(t *testing.T) {
+	apps := []*workload.Spec{workload.CoMD(), workload.LUMZ(), workload.SPMZ(),
+		pinnedApp(0, 3), pinnedApp(4, 7)}
+	pris := []int{0, 0, 0, 2, 5}
+	outcomes, preempted := map[JobState]int{}, 0
+	for _, withFaults := range []bool{false, true} {
+		for _, seed := range []uint64{1, 2, 3} {
+			cfg := Config{Bound: 2400, Policy: Backfill, Preempt: true}
+			if withFaults {
+				cfg.Faults = &faults.Scenario{Seed: seed, CrashMTBF: 600, MTTR: 40,
+					ExcursionMTBF: 300, StragglerMTBF: 100, StragglerFactor: 8}
+			}
+			src := online(t, Config{Bound: 1200, Preempt: true})
+			re, sub := online(t, cfg), online(t, cfg)
+			tag := fmt.Sprintf("faults=%v seed=%d", withFaults, seed)
+			r := rng.New(seed)
+			var buf []Job
+			var known []string
+			for ev := 0; ev < 400; ev++ {
+				step := fmt.Sprintf("%s ev %d", tag, ev)
+				check := func(err error) {
+					t.Helper()
+					if err != nil {
+						t.Fatalf("%s: %v", step, err)
+					}
+				}
+				id, app, pri := fmt.Sprintf("j%04d", ev), apps[r.Intn(len(apps))], pris[r.Intn(len(pris))]
+				switch op := r.Intn(20); {
+				case op < 8: // an arrival at the evacuated session
+					_, err := src.SubmitPri(id, app, pri)
+					check(err)
+				case op < 12: // the same arrival at both sessions
+					for _, o := range []*Online{re, sub} {
+						_, err := o.SubmitPri(id, app, pri)
+						check(err)
+					}
+					known = append(known, id)
+				case op < 14: // evacuate into both, one job at a time
+					buf = src.EvacuateQueued(buf[:0])
+					for _, j := range buf {
+						check(re.Advance(re.Now()))
+						check(re.Readmit(j.ID, j.App, j.Priority))
+						check(sub.Advance(sub.Now()))
+						_, err := sub.SubmitPri(j.ID, j.App, j.Priority)
+						check(err)
+						js, err := re.Status(j.ID)
+						check(err)
+						outcomes[js.State]++
+						known = append(known, j.ID)
+					}
+				case op < 15: // cancel the same live job in both
+					if len(known) == 0 {
+						break
+					}
+					cid := known[r.Intn(len(known))]
+					if js, err := re.Status(cid); err == nil && !js.State.Terminal() {
+						for _, o := range []*Online{re, sub} {
+							_, err := o.Cancel(cid)
+							check(err)
+						}
+					}
+				default:
+					until := re.Now() + 50*r.Float64()
+					for _, o := range []*Online{src, re, sub} {
+						check(o.Advance(until))
+					}
+				}
+				sameSessions(t, step, re, sub)
+				checkRecords(t, step, re.st)
+			}
+			preempted += re.st.stats.Preemptions
+		}
+	}
+	t.Logf("re-admitted jobs by state right after Readmit: %v; %d preemptions", outcomes, preempted)
+	if outcomes[JobQueued] == 0 || outcomes[JobRunning] == 0 || preempted == 0 {
+		t.Errorf("re-admissions never both queued and started, or nothing was preempted: the traces test too little")
 	}
 }

@@ -258,7 +258,7 @@ func TestQueuePosDenseAcrossChurn(t *testing.T) {
 	}
 	checkDense([]string{"q0", "q1", "q3", "q4", "filler"})
 	// Evacuation empties the queue in one sweep.
-	evacuated := o.EvacuateQueued()
+	evacuated := o.EvacuateQueued(nil)
 	if len(evacuated) != 5 {
 		t.Fatalf("evacuated %d jobs, want 5", len(evacuated))
 	}
@@ -531,7 +531,7 @@ func TestQueueMatchesReferenceOrder(t *testing.T) {
 					}
 				case op < 131:
 					var got []string
-					for _, j := range o.EvacuateQueued() {
+					for _, j := range o.EvacuateQueued(nil) {
 						got = append(got, j.ID)
 					}
 					if strings.Join(got, " ") != strings.Join(m.ids, " ") {

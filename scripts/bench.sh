@@ -111,6 +111,18 @@ cat "$TMP/clipfed_chaos_full.txt" >&2
 grep '^clipfed shards=' "$TMP/clipfed_chaos_full.txt" \
     | sed 's/^clipfed /clipfed_chaos /' > "$TMP/clipfed_chaos.txt"
 
+echo "== clipfed evacuation federation, 64 shards x 4096 jobs + shard faults ==" >&2
+# The evacuation row: the chaos fault stream under least-loaded routing
+# with a 20% high-priority share, so crashed shards hold deep queues and
+# about 32k queued jobs move between shards per run. The locality row
+# above evacuates little.
+EVAC_FLAGS="-shards 64 -nodes 4 -budget 400 -jobs 4096 -gap 1 -seed 1 -hipri-frac 0.2 \
+    -shard-faults crash-mtbf=400,mttr=120,part-mtbf=600,part-dur=60,seed=9"
+"$TMP/clipfed" $EVAC_FLAGS > /dev/null 2> "$TMP/clipfed_evac_full.txt"
+cat "$TMP/clipfed_evac_full.txt" >&2
+grep '^clipfed shards=' "$TMP/clipfed_evac_full.txt" \
+    | sed 's/^clipfed /clipfed_evac /' > "$TMP/clipfed_evac.txt"
+
 echo "== clipfed parallel executor, 64 shards x 4096 jobs ==" >&2
 # RunParallel's scaling row: locality routing with lending off takes
 # the partitioned replay (one replay per shard).
@@ -168,6 +180,7 @@ function val(key,    i, eq) {
 # The 64-shard federation, without and with the shard-fault stream.
 /^clipfed /        { fbody = kv() }
 /^clipfed_chaos /  { cfbody = kv() }
+/^clipfed_evac /   { cebody = kv() }
 # Federation construction (BenchmarkFedNew).
 /^fed_new /        { fnbody = kv() }
 /^clipfed_parallel / {
@@ -193,6 +206,7 @@ END {
     printf "  \"clipload_batch_50k\": {%s},\n", l50body
     printf "  \"clipfed\": {%s},\n", fbody
     printf "  \"clipfed_chaos\": {%s},\n", cfbody
+    printf "  \"clipfed_evac\": {%s},\n", cebody
     printf "  \"fed_new\": {%s},\n", fnbody
     # speedup: the best workers-1 wall over the best workers-2 wall.
     speedup = pwall[2] > 0 ? pwall[1] / pwall[2] : 0
@@ -202,7 +216,7 @@ END {
     printf "  ]},\n"
     printf "  \"suite\": {\"serial_wall_ms\": %s, \"parallel_wall_ms\": %s, \"workers\": %s}\n", serial, par, workers
     printf "}\n"
-}' "$TMP/bench.txt" "$TMP/chaos.txt" "$TMP/clipload.txt" "$TMP/clipload50k.txt" "$TMP/clipfed.txt" "$TMP/clipfed_chaos.txt" "$TMP/fednew.txt" "$TMP/clipfed_par.txt" > "$OUT"
+}' "$TMP/bench.txt" "$TMP/chaos.txt" "$TMP/clipload.txt" "$TMP/clipload50k.txt" "$TMP/clipfed.txt" "$TMP/clipfed_chaos.txt" "$TMP/clipfed_evac.txt" "$TMP/fednew.txt" "$TMP/clipfed_par.txt" > "$OUT"
 
 echo "wrote $OUT" >&2
 cat "$OUT"

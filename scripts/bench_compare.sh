@@ -6,18 +6,19 @@
 # The base tree comes from `git archive` (no worktree, no network). Each
 # side builds the root benchmark test binary and clipfed once, then 9
 # rounds alternate the sides (base first in even rounds) over the six
-# tracked micro-benchmarks, the clipfed_parallel rows at workers 1/2/4
-# and the clipfed_chaos row. A row fails when the median of its
-# per-round head/base ratios is past its limit (ns/op above 1.20,
-# allocs/op above 1.00, events/s below 1/1.20) and at least 8 of the 9
-# rounds went the same way. On a noisy 2-vCPU VM one round's ratio
-# ranges 0.6-1.6 on identical code, and the median alone still crossed
-# a limit in some A/A runs; 8 of 9 by chance has odds of 10/512. The
-# head side's mixed-priority jobsched trace must also cost at most 1.6x
-# the all-equal-priority trace of the same round (median over rounds):
-# it does inherent extra work, about 1.4x, while a dispatch path that
-# re-sorted the queue per pass measured 1.8-2.0x. Every verdict prints
-# before the script exits non-zero.
+# tracked micro-benchmarks, the clipfed_parallel rows at workers 1/2/4,
+# the clipfed_chaos row and the clipfed_evac row (the chaos fault
+# stream under least-loaded routing, about 32k evacuations). A row
+# fails when the median of its per-round head/base ratios is past its
+# limit (ns/op above 1.20, allocs/op above 1.00, events/s below 1/1.20)
+# and at least 8 of the 9 rounds went the same way. On a noisy 2-vCPU
+# VM one round's ratio ranges 0.6-1.6 on identical code, and the median
+# alone still crossed a limit in some A/A runs; 8 of 9 by chance has
+# odds of 10/512. The head side's mixed-priority jobsched trace must
+# also cost at most 1.6x the all-equal-priority trace of the same round
+# (median over rounds): it does inherent extra work, about 1.4x, while
+# a dispatch path that re-sorted the queue per pass measured 1.8-2.0x.
+# Every verdict prints before the script exits non-zero.
 #
 # The benchtimes are measured: 50 iterations of the ~1 us CLIPSchedule
 # gave an A/A median ratio of 1.30, while 200ms for the three small
@@ -50,6 +51,8 @@ LARGE='BenchmarkOptimalSearchLarge$|BenchmarkJobschedThroughput$|BenchmarkJobsch
 PFLAGS="-shards 64 -nodes 4 -budget 400 -jobs 4096 -gap 0.25 -routing locality -seed 1 -lend=false"
 CHAOS_FLAGS="-shards 64 -nodes 4 -budget 400 -jobs 512 -gap 1 -routing locality -seed 1 \
     -shard-faults crash-mtbf=400,mttr=120,part-mtbf=600,part-dur=60,seed=9"
+EVAC_FLAGS="-shards 64 -nodes 4 -budget 400 -jobs 4096 -gap 1 -seed 1 -hipri-frac 0.2 \
+    -shard-faults crash-mtbf=400,mttr=120,part-mtbf=600,part-dur=60,seed=9"
 
 # measure ROUND SIDE DIR appends one round of every row on one side to
 # rows.txt, each line prefixed "ROUND SIDE". A failing benchmark, or a
@@ -64,6 +67,8 @@ measure() {
     done
     "$bin.clipfed" $CHAOS_FLAGS > /dev/null 2> "$TMP/cf.txt"
     sed -n 's/^clipfed shards=/clipfed_chaos shards=/p' "$TMP/cf.txt" >> "$TMP/out.txt"
+    "$bin.clipfed" $EVAC_FLAGS > /dev/null 2> "$TMP/cf.txt"
+    sed -n 's/^clipfed shards=/clipfed_evac shards=/p' "$TMP/cf.txt" >> "$TMP/out.txt"
     grep -E '^(Benchmark|clipfed_)' "$TMP/out.txt" | sed "s/^/$1 $2 /" >> "$TMP/rows.txt"
 }
 
