@@ -2,9 +2,9 @@
 #
 #   make build   — compile everything
 #   make test    — tier-1: the full test suite
-#   make check   — tier-2: build + vet + race tests + dispatch and scenario
-#                  fuzz + bench smoke + docs lint, then the paired perf
-#                  gate against the parent commit
+#   make check   — tier-2: build + vet (the benchmark module too) + race
+#                  tests + dispatch and scenario fuzz + bench smoke + docs
+#                  lint, then the paired perf gate against the parent commit
 #   make docs    — gofmt + vet + godoc-coverage lint (cmd/doclint)
 #   make bench   — hot-path benchmarks + suite wall time -> BENCH_results.json
 #   make suite   — regenerate every paper artifact (parallel runner)
@@ -26,6 +26,7 @@ test:
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
+	cd benchmark && GOPROXY=off $(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/jobsched/... ./internal/server/...
 	$(GO) test -race -count=2 ./internal/fed/...

@@ -63,6 +63,7 @@ type RunResult struct {
 
 // nodeState tracks one node's progress through the run.
 type nodeState struct {
+	slot    int // index into runState.nodes: the argument of its events
 	id      int
 	eff     float64
 	budget  power.Budget
@@ -84,7 +85,19 @@ type nodeState struct {
 	busy       bool // executing (not waiting at the barrier)
 }
 
-// runState carries the whole simulation.
+// Event kinds of a run. Phase completions and controller ticks carry
+// the node slot as their argument.
+const (
+	kindPhaseDone uint16 = iota
+	kindTick
+	// kindBarrier is the collective after a barrier; every node then
+	// starts its next iteration.
+	kindBarrier
+	// kindFinal is the run's last collective: it only ends the run.
+	kindFinal
+)
+
+// runState carries the whole simulation and handles its events.
 type runState struct {
 	eng     *Engine
 	cl      *hw.Cluster
@@ -145,7 +158,7 @@ func Run(cl *hw.Cluster, app *workload.Spec, cfg RunConfig) (*RunResult, error) 
 			b = cfg.PerNode[slot]
 		}
 		ns := &nodeState{
-			id: node.ID, eff: node.PowerEff, budget: b,
+			slot: slot, id: node.ID, eff: node.PowerEff, budget: b,
 			fIdx: len(st.spec.FreqLevels) - 1, dutyFac: 1,
 		}
 		st.nodes = append(st.nodes, ns)
@@ -159,7 +172,7 @@ func Run(cl *hw.Cluster, app *workload.Spec, cfg RunConfig) (*RunResult, error) 
 			st.scheduleControl(ns)
 		}
 	}
-	if err := st.eng.Run(0, 0); err != nil {
+	if err := st.eng.Run(); err != nil {
 		return nil, err
 	}
 	if st.failure != nil {
@@ -181,6 +194,20 @@ func Run(cl *hw.Cluster, app *workload.Spec, cfg RunConfig) (*RunResult, error) 
 		st.res.AvgPower = energy / st.res.Time
 	}
 	return st.res, nil
+}
+
+// HandleEvent implements Handler.
+func (st *runState) HandleEvent(kind uint16, arg uint64) {
+	switch kind {
+	case kindPhaseDone:
+		st.phaseDone(st.nodes[arg])
+	case kindTick:
+		st.controlTick(st.nodes[arg])
+	case kindBarrier:
+		for _, ns := range st.nodes {
+			st.startIteration(ns)
+		}
+	}
 }
 
 // freqOf returns the node's effective frequency (duty-scaled when
@@ -267,7 +294,7 @@ func (st *runState) schedulePhaseCompletion(ns *nodeState) {
 		ns.completion = nil
 	}
 	dur := st.phaseDuration(ns, ns.phase) * ns.remaining
-	ev, err := st.eng.After(dur, func() { st.phaseDone(ns) })
+	ev, err := st.eng.After(dur, st, kindPhaseDone, uint64(ns.slot))
 	if err != nil {
 		st.failure = err
 		return
@@ -307,23 +334,19 @@ func (st *runState) phaseDone(ns *nodeState) {
 				other.tick = nil
 			}
 		}
-		if _, err := st.eng.After(st.comm, func() {}); err != nil {
+		if _, err := st.eng.After(st.comm, st, kindFinal, 0); err != nil {
 			st.failure = err
 		}
 		return
 	}
-	if _, err := st.eng.After(st.comm, func() {
-		for _, other := range st.nodes {
-			st.startIteration(other)
-		}
-	}); err != nil {
+	if _, err := st.eng.After(st.comm, st, kindBarrier, 0); err != nil {
 		st.failure = err
 	}
 }
 
 // scheduleControl arms the node's RAPL controller tick.
 func (st *runState) scheduleControl(ns *nodeState) {
-	ev, err := st.eng.After(st.cfg.ControlInterval, func() { st.controlTick(ns) })
+	ev, err := st.eng.After(st.cfg.ControlInterval, st, kindTick, uint64(ns.slot))
 	if err != nil {
 		st.failure = err
 		return

@@ -12,6 +12,10 @@
 // manufacturing variability, and cap overshoot during the first control
 // intervals.
 //
+// Every event is a (handler, kind, argument) triple: the engine calls
+// Handler.HandleEvent(kind, arg) when the event's time comes, and the
+// layer above indexes its own state with the argument.
+//
 // The event queue is a typed binary heap (no container/heap, no
 // interface{} boxing) with a free list for Event structs, so steady
 // simulation runs allocate next to nothing per event; cancelled events
@@ -53,30 +57,25 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 // defaultMetrics is the handle set of every engine not bound elsewhere.
 var defaultMetrics = NewMetrics(telemetry.Default)
 
-// Handler receives indexed event dispatch. Scheduling a (handler,
-// kind, arg) triple instead of a closure keeps the hot path
-// allocation-free: converting a pointer that already implements the
-// interface does not allocate, while every closure capturing loop
-// state does.
+// Handler receives the engine's events: each fires as
+// HandleEvent(kind, arg) with the kind and argument it was scheduled
+// with. Converting a pointer that already implements the interface
+// does not allocate, so scheduling stays allocation-free on the hot
+// path.
 type Handler interface {
 	HandleEvent(kind uint16, arg uint64)
 }
 
-// Event is a scheduled callback in virtual time.
+// Event is a scheduled handler call in virtual time.
 type Event struct {
 	Time float64
-	// Kind optionally labels the event for the layer above (jobsched
-	// tags completions, fault injections and recoveries with its own
-	// kind constants). The engine never interprets it; it is cleared
-	// when the event fires or is reclaimed, so recycled events start
-	// unlabelled. Handler events receive it as the dispatch kind.
+	// Kind is the dispatch kind the handler receives. The engine never
+	// interprets it; it is cleared when the event fires or is
+	// reclaimed, so recycled events start unlabelled.
 	Kind uint16
 	seq  uint64
-	fn   func()
-	// h/arg carry a handler-dispatched event (AtHandler); fn carries a
-	// closure-dispatched one (At). Exactly one is set while pending.
-	h   Handler
-	arg uint64
+	h    Handler
+	arg  uint64
 	// cancelled events stay in the heap but do nothing when popped.
 	cancelled bool
 	// eng is the owning engine while the event is pending; nil once it
@@ -100,8 +99,8 @@ func (e *Event) Cancel() {
 // fired, and not cancelled.
 func (e *Event) Pending() bool { return e.eng != nil && !e.cancelled }
 
-// Engine is a minimal discrete-event core: schedule closures in virtual
-// time and run until the queue drains or a horizon is reached.
+// Engine is a minimal discrete-event core: schedule handler events in
+// virtual time and fire them in (time, scheduling order) order.
 type Engine struct {
 	now   float64
 	seq   uint64
@@ -177,7 +176,6 @@ func (e *Engine) alloc() *Event {
 
 // reclaim returns a finished event to the free list.
 func (e *Engine) reclaim(ev *Event) {
-	ev.fn = nil
 	ev.h = nil
 	ev.arg = 0
 	ev.eng = nil
@@ -186,36 +184,10 @@ func (e *Engine) reclaim(ev *Event) {
 	e.free = append(e.free, ev)
 }
 
-// At schedules fn at absolute time t (>= Now) and returns the event for
-// cancellation. The returned pointer is only valid until the event
-// fires; the engine recycles fired events.
-func (e *Engine) At(t float64, fn func()) (*Event, error) {
-	if t < e.now-1e-12 {
-		return nil, fmt.Errorf("des: schedule at %g before now %g", t, e.now)
-	}
-	if math.IsNaN(t) || math.IsInf(t, 0) {
-		return nil, fmt.Errorf("des: invalid event time %g", t)
-	}
-	e.seq++
-	ev := e.alloc()
-	ev.Time = t
-	ev.seq = e.seq
-	ev.fn = fn
-	ev.eng = e
-	e.push(ev)
-	return ev, nil
-}
-
-// After schedules fn dt seconds from now.
-func (e *Engine) After(dt float64, fn func()) (*Event, error) {
-	return e.At(e.now+dt, fn)
-}
-
-// AtHandler schedules h.HandleEvent(kind, arg) at absolute time t. It
-// is the allocation-free sibling of At: the event is labelled with
-// kind up front and carries arg to the handler, so callers index into
-// their own arenas instead of capturing state in a closure.
-func (e *Engine) AtHandler(t float64, h Handler, kind uint16, arg uint64) (*Event, error) {
+// At schedules h.HandleEvent(kind, arg) at absolute time t (>= Now)
+// and returns the event for cancellation. The returned pointer is only
+// valid until the event fires; the engine recycles fired events.
+func (e *Engine) At(t float64, h Handler, kind uint16, arg uint64) (*Event, error) {
 	if t < e.now-1e-12 {
 		return nil, fmt.Errorf("des: schedule at %g before now %g", t, e.now)
 	}
@@ -234,9 +206,9 @@ func (e *Engine) AtHandler(t float64, h Handler, kind uint16, arg uint64) (*Even
 	return ev, nil
 }
 
-// AfterHandler schedules h.HandleEvent(kind, arg) dt seconds from now.
-func (e *Engine) AfterHandler(dt float64, h Handler, kind uint16, arg uint64) (*Event, error) {
-	return e.AtHandler(e.now+dt, h, kind, arg)
+// After schedules h.HandleEvent(kind, arg) dt seconds from now.
+func (e *Engine) After(dt float64, h Handler, kind uint16, arg uint64) (*Event, error) {
+	return e.At(e.now+dt, h, kind, arg)
 }
 
 // Reset rewinds the engine to time zero for reuse by a fresh run:
@@ -374,67 +346,43 @@ func (e *Engine) StepNext() (bool, error) {
 		return false, nil
 	}
 	steps, comps := e.Steps, e.compactions
-	if err := e.step(e.Steps + 1); err != nil {
+	if err := e.step(); err != nil {
 		return false, err
 	}
 	e.publish(steps, comps)
 	return true, nil
 }
 
-// Run processes events until the queue is empty or time exceeds
-// horizon (0 = no horizon). It returns an error if the event count
-// exceeds maxSteps (runaway guard; 0 = default 50 million). An event
-// past the horizon stays in the queue — a later Run or RunUntil still
-// fires it.
-func (e *Engine) Run(horizon float64, maxSteps int) error {
-	if maxSteps <= 0 {
-		maxSteps = 50_000_000
-	}
+// Runaway guards: the most events one Run or RunBefore call, and one
+// RunUntil call, may fire. A cascade past them is reported as an error,
+// so it cannot wedge a batch run or a live daemon.
+const (
+	maxRunEvents   = 50_000_000
+	maxUntilEvents = 1_000_000
+)
+
+// Run processes events until the queue is empty.
+func (e *Engine) Run() error {
 	e.metrics().runs.Inc()
-	defer e.publish(e.Steps, e.compactions)
-	for {
-		next, ok := e.Next()
-		if !ok {
-			return nil
-		}
-		if horizon > 0 && next > horizon {
-			// Peek before pop: the over-horizon event must survive for
-			// a later Run/RunUntil, not be silently discarded.
-			e.now = horizon
-			return nil
-		}
-		if err := e.step(maxSteps); err != nil {
-			return err
-		}
-	}
+	_, err := e.fire(math.Inf(1), maxRunEvents)
+	return err
 }
 
 // RunUntil fires every pending event due at or before t (in order) and
 // advances the virtual clock to exactly t. It is the driving primitive
 // of the wall-clock bridge: the online scheduler maps wall time to
-// virtual time and repeatedly asks the engine to catch up. maxSteps
-// bounds the events fired by this call (0 = default 1 million), so a
-// runaway cascade cannot wedge a live daemon.
-func (e *Engine) RunUntil(t float64, maxSteps int) error {
+// virtual time and repeatedly asks the engine to catch up.
+func (e *Engine) RunUntil(t float64) error {
 	if t < e.now-1e-12 {
 		return fmt.Errorf("des: RunUntil %g before now %g", t, e.now)
 	}
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		return fmt.Errorf("des: invalid RunUntil time %g", t)
 	}
-	if maxSteps <= 0 {
-		maxSteps = 1_000_000
-	}
-	defer e.publish(e.Steps, e.compactions)
-	budget := e.Steps + maxSteps
-	for {
-		next, ok := e.Next()
-		if !ok || next > t {
-			break
-		}
-		if err := e.step(budget); err != nil {
-			return err
-		}
+	// No float lies between t and the next one up, so this fires every
+	// event due at or before t.
+	if _, err := e.fire(math.Nextafter(t, math.Inf(1)), maxUntilEvents); err != nil {
+		return err
 	}
 	if t > e.now {
 		e.now = t
@@ -449,50 +397,47 @@ func (e *Engine) RunUntil(t float64, maxSteps int) error {
 // federation's partitioned replay) can advance each member engine
 // through its earlier events in isolation, and the member's clock
 // afterwards reads exactly as if the events had been interleaved
-// globally.
-// t may be +Inf (drain every pending event); maxSteps bounds the events
-// fired by this call (0 = default 50 million).
-func (e *Engine) RunBefore(t float64, maxSteps int) (int, error) {
+// globally. t may be +Inf (drain every pending event).
+func (e *Engine) RunBefore(t float64) (int, error) {
 	if math.IsNaN(t) {
 		return 0, fmt.Errorf("des: invalid RunBefore time %g", t)
 	}
-	if maxSteps <= 0 {
-		maxSteps = 50_000_000
-	}
-	startSteps := e.Steps
-	defer e.publish(startSteps, e.compactions)
-	budget := e.Steps + maxSteps
+	return e.fire(t, maxRunEvents)
+}
+
+// fire is the one event loop of Run, RunUntil and RunBefore: it fires,
+// in order, every live event due before t, at most limit of them, and
+// reports how many fired. A further due event past the limit is left
+// unfired and reported as a runaway.
+func (e *Engine) fire(t float64, limit int) (int, error) {
+	steps, comps := e.Steps, e.compactions
+	defer e.publish(steps, comps)
 	for {
 		next, ok := e.Next()
 		if !ok || next >= t {
-			break
+			return e.Steps - steps, nil
 		}
-		if err := e.step(budget); err != nil {
-			return e.Steps - startSteps, err
+		if e.Steps-steps == limit {
+			return limit, fmt.Errorf("des: exceeded %d events (runaway simulation?)", limit)
+		}
+		if err := e.step(); err != nil {
+			return e.Steps - steps, err
 		}
 	}
-	return e.Steps - startSteps, nil
 }
 
 // step fires the earliest live event. Callers must have established via
 // Next that one exists.
-func (e *Engine) step(maxSteps int) error {
+func (e *Engine) step() error {
 	ev := e.pop()
 	if ev.Time < e.now-1e-9 {
 		return fmt.Errorf("des: time went backwards: %g < %g", ev.Time, e.now)
 	}
 	e.now = ev.Time
 	e.Steps++
-	if e.Steps > maxSteps {
-		return fmt.Errorf("des: exceeded %d events (runaway simulation?)", maxSteps)
-	}
-	fn, h, kind, arg := ev.fn, ev.h, ev.Kind, ev.arg
+	h, kind, arg := ev.h, ev.Kind, ev.arg
 	ev.eng = nil // pending no more: Cancel becomes a no-op
-	if h != nil {
-		h.HandleEvent(kind, arg)
-	} else {
-		fn()
-	}
+	h.HandleEvent(kind, arg)
 	e.reclaim(ev)
 	return nil
 }

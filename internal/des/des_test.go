@@ -10,16 +10,57 @@ import (
 	"repro/internal/workload"
 )
 
+// fns adapts closures to Handler for the engine tests: an event's
+// argument indexes the closure it fires.
+type fns []func()
+
+func (f *fns) HandleEvent(_ uint16, arg uint64) { (*f)[arg]() }
+
+// at schedules fn on e at absolute time t.
+func (f *fns) at(e *Engine, t float64, fn func()) (*Event, error) {
+	*f = append(*f, fn)
+	return e.At(t, f, 0, uint64(len(*f)-1))
+}
+
+// after schedules fn on e dt seconds from now.
+func (f *fns) after(e *Engine, dt float64, fn func()) (*Event, error) {
+	return f.at(e, e.Now()+dt, fn)
+}
+
+// ticker re-arms itself dt seconds after each of its events, until it
+// has fired max times (0 = forever).
+type ticker struct {
+	e      *Engine
+	dt     float64
+	n, max int
+}
+
+func (k *ticker) HandleEvent(uint16, uint64) {
+	k.n++
+	if k.max == 0 || k.n < k.max {
+		if _, err := k.e.After(k.dt, k, 0, 0); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// start arms the ticker's first event at t.
+func (k *ticker) start(t float64) error {
+	_, err := k.e.At(t, k, 0, 0)
+	return err
+}
+
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
+	var h fns
 	var order []int
 	for i, tm := range []float64{3, 1, 2} {
 		i, tm := i, tm
-		if _, err := e.At(tm, func() { order = append(order, i) }); err != nil {
+		if _, err := h.at(e, tm, func() { order = append(order, i) }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Run(0, 0); err != nil {
+	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 0 {
@@ -32,14 +73,15 @@ func TestEngineOrdering(t *testing.T) {
 
 func TestEngineFIFOAtSameTime(t *testing.T) {
 	e := NewEngine()
+	var h fns
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		if _, err := e.At(1, func() { order = append(order, i) }); err != nil {
+		if _, err := h.at(e, 1, func() { order = append(order, i) }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Run(0, 0); err != nil {
+	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range order {
@@ -51,13 +93,14 @@ func TestEngineFIFOAtSameTime(t *testing.T) {
 
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
+	var h fns
 	ran := false
-	ev, err := e.At(1, func() { ran = true })
+	ev, err := h.at(e, 1, func() { ran = true })
 	if err != nil {
 		t.Fatal(err)
 	}
 	ev.Cancel()
-	if err := e.Run(0, 0); err != nil {
+	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if ran {
@@ -67,73 +110,53 @@ func TestEngineCancel(t *testing.T) {
 
 func TestEngineRejectsPast(t *testing.T) {
 	e := NewEngine()
-	if _, err := e.At(5, func() {}); err != nil {
+	var h fns
+	if _, err := h.at(e, 5, func() {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(0, 0); err != nil {
+	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.At(1, func() {}); err == nil {
+	if _, err := h.at(e, 1, func() {}); err == nil {
 		t.Error("event in the past accepted")
 	}
-	if _, err := e.At(math.NaN(), func() {}); err == nil {
+	if _, err := h.at(e, math.NaN(), func() {}); err == nil {
 		t.Error("NaN time accepted")
 	}
 }
 
-func TestEngineHorizon(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	if _, err := e.At(10, func() { ran = true }); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(5, 0); err != nil {
-		t.Fatal(err)
-	}
-	if ran {
-		t.Error("event beyond horizon ran")
-	}
-	if e.Now() != 5 {
-		t.Errorf("time %v, want horizon 5", e.Now())
-	}
-}
-
+// TestEngineRunawayGuard: the event loop shared by Run, RunUntil and
+// RunBefore stops a cascade at its limit, leaving the next event
+// unfired.
 func TestEngineRunawayGuard(t *testing.T) {
 	e := NewEngine()
-	var loop func()
-	loop = func() {
-		if _, err := e.After(1, loop); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := e.At(0, loop); err != nil {
+	k := &ticker{e: e, dt: 1}
+	if err := k.start(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(0, 100); err == nil {
-		t.Error("runaway simulation not caught")
+	n, err := e.fire(math.Inf(1), 100)
+	if err == nil {
+		t.Fatal("runaway simulation not caught")
+	}
+	if n != 100 || k.n != 100 || e.Steps != 100 {
+		t.Errorf("guard fired after %d events (%d handled, %d steps), want 100", n, k.n, e.Steps)
+	}
+	if next, ok := e.Next(); !ok || next != 100 {
+		t.Errorf("event past the limit: Next = %v,%v, want 100,true", next, ok)
 	}
 }
 
 func TestEngineChainedScheduling(t *testing.T) {
 	e := NewEngine()
-	count := 0
-	var tick func()
-	tick = func() {
-		count++
-		if count < 10 {
-			if _, err := e.After(0.5, tick); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if _, err := e.At(0, tick); err != nil {
+	k := &ticker{e: e, dt: 0.5, max: 10}
+	if err := k.start(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(0, 0); err != nil {
+	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if count != 10 {
-		t.Errorf("ticks %d, want 10", count)
+	if k.n != 10 {
+		t.Errorf("ticks %d, want 10", k.n)
 	}
 	if math.Abs(e.Now()-4.5) > 1e-9 {
 		t.Errorf("final time %v, want 4.5", e.Now())
@@ -413,11 +436,12 @@ func TestDESCapsPropertyRandomBudgets(t *testing.T) {
 // delivery order of the survivors.
 func TestEngineCompaction(t *testing.T) {
 	e := NewEngine()
+	var h fns
 	var events []*Event
 	var got []int
 	for i := 0; i < 1000; i++ {
 		i := i
-		ev, err := e.At(float64(i%10), func() { got = append(got, i) })
+		ev, err := h.at(e, float64(i%10), func() { got = append(got, i) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -440,7 +464,7 @@ func TestEngineCompaction(t *testing.T) {
 	if len(e.queue) >= 1000 {
 		t.Errorf("queue not compacted: %d events still held", len(e.queue))
 	}
-	if err := e.Run(0, 0); err != nil {
+	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
@@ -460,21 +484,22 @@ func TestEngineCompaction(t *testing.T) {
 // already-fired event must not affect later events that reuse its slot.
 func TestEngineCancelAfterFire(t *testing.T) {
 	e := NewEngine()
+	var h fns
 	var first *Event
 	var err error
-	first, err = e.At(1, func() {})
+	first, err = h.at(e, 1, func() {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(0, 0); err != nil {
+	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	first.Cancel() // no-op: already fired
 	ran := false
-	if _, err := e.At(2, func() { ran = true }); err != nil {
+	if _, err := h.at(e, 2, func() { ran = true }); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(0, 0); err != nil {
+	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !ran {
@@ -486,24 +511,15 @@ func TestEngineCancelAfterFire(t *testing.T) {
 // schedule/fire loop must not grow allocations linearly.
 func TestEngineReusesEvents(t *testing.T) {
 	e := NewEngine()
-	n := 0
-	var loop func()
-	loop = func() {
-		n++
-		if n < 1000 {
-			if _, err := e.After(1, loop); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if _, err := e.At(0, loop); err != nil {
+	k := &ticker{e: e, dt: 1, max: 1000}
+	if err := k.start(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(0, 0); err != nil {
+	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if n != 1000 {
-		t.Fatalf("ran %d events", n)
+	if k.n != 1000 {
+		t.Fatalf("ran %d events", k.n)
 	}
 	if len(e.free) > 4 {
 		t.Errorf("free list holds %d events after a serial chain; reuse broken?", len(e.free))
@@ -514,15 +530,16 @@ func TestEngineReusesEvents(t *testing.T) {
 // fired event into the next event recycled from the free list.
 func TestEventKindCleared(t *testing.T) {
 	e := NewEngine()
-	ev, err := e.After(1, func() {})
+	var h fns
+	ev, err := h.after(e, 1, func() {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ev.Kind = 42
-	if err := e.Run(0, 0); err != nil {
+	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	next, err := e.After(1, func() {})
+	next, err := h.after(e, 1, func() {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,45 +548,13 @@ func TestEventKindCleared(t *testing.T) {
 	}
 }
 
-// TestRunHorizonKeepsOverHorizonEvent pins an edge-case fix: reaching
-// the horizon used to pop-and-discard the first over-horizon event, so
-// a later Run would never fire it. The event must survive.
-func TestRunHorizonKeepsOverHorizonEvent(t *testing.T) {
-	e := NewEngine()
-	fired := []float64{}
-	for _, at := range []float64{1, 2, 5, 9} {
-		at := at
-		if _, err := e.At(at, func() { fired = append(fired, at) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.Run(3, 0); err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 2 || e.Now() != 3 {
-		t.Fatalf("after horizon 3: fired %v, now %v", fired, e.Now())
-	}
-	// The t=5 event was beyond the horizon; it must still be pending.
-	if err := e.Run(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 2, 5, 9}
-	if len(fired) != len(want) {
-		t.Fatalf("events lost across horizon: fired %v, want %v", fired, want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Fatalf("fired %v, want %v", fired, want)
-		}
-	}
-}
-
 // TestNextSkipsCancelled: Next reports the earliest live event, pruning
 // cancelled tops, and reports nothing on an all-cancelled queue.
 func TestNextSkipsCancelled(t *testing.T) {
 	e := NewEngine()
-	ev1, _ := e.At(1, func() {})
-	ev2, _ := e.At(2, func() {})
+	var h fns
+	ev1, _ := h.at(e, 1, func() {})
+	ev2, _ := h.at(e, 2, func() {})
 	if at, ok := e.Next(); !ok || at != 1 {
 		t.Fatalf("Next = %v,%v want 1,true", at, ok)
 	}
@@ -588,41 +573,42 @@ func TestNextSkipsCancelled(t *testing.T) {
 // the requested time even with no event there.
 func TestRunUntil(t *testing.T) {
 	e := NewEngine()
+	var h fns
 	var fired []float64
 	add := func(at float64) {
-		if _, err := e.At(at, func() { fired = append(fired, at) }); err != nil {
+		if _, err := h.at(e, at, func() { fired = append(fired, at) }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	add(1)
 	add(2.5)
 	add(7)
-	if err := e.RunUntil(2.5, 0); err != nil {
+	if err := e.RunUntil(2.5); err != nil {
 		t.Fatal(err)
 	}
 	if len(fired) != 2 || e.Now() != 2.5 {
 		t.Fatalf("RunUntil(2.5): fired %v now %v", fired, e.Now())
 	}
-	if err := e.RunUntil(4, 0); err != nil {
+	if err := e.RunUntil(4); err != nil {
 		t.Fatal(err)
 	}
 	if len(fired) != 2 || e.Now() != 4 {
 		t.Fatalf("RunUntil(4): fired %v now %v (clock must advance without events)", fired, e.Now())
 	}
 	// Events scheduled mid-catch-up at due times fire in the same call.
-	if _, err := e.At(5, func() { add(5.5); fired = append(fired, 5) }); err != nil {
+	if _, err := h.at(e, 5, func() { add(5.5); fired = append(fired, 5) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RunUntil(6, 0); err != nil {
+	if err := e.RunUntil(6); err != nil {
 		t.Fatal(err)
 	}
 	if len(fired) != 4 || fired[2] != 5 || fired[3] != 5.5 {
 		t.Fatalf("cascade: fired %v", fired)
 	}
-	if err := e.RunUntil(3, 0); err == nil {
+	if err := e.RunUntil(3); err == nil {
 		t.Fatal("RunUntil accepted a time before now")
 	}
-	if err := e.RunUntil(e.Now(), 0); err != nil {
+	if err := e.RunUntil(e.Now()); err != nil {
 		t.Fatalf("RunUntil(now) must be a no-op: %v", err)
 	}
 }
@@ -631,29 +617,30 @@ func TestRunUntil(t *testing.T) {
 // against a runaway event cascade.
 func TestRunUntilStepBudget(t *testing.T) {
 	e := NewEngine()
-	var reschedule func()
-	reschedule = func() {
-		if _, err := e.After(0.001, reschedule); err != nil {
-			t.Fatal(err)
-		}
+	k := &ticker{e: e, dt: 0.001}
+	if err := k.start(0.001); err != nil {
+		t.Fatal(err)
 	}
-	reschedule()
-	if err := e.RunUntil(1e6, 100); err == nil {
+	if err := e.RunUntil(1e6); err == nil {
 		t.Fatal("runaway cascade not caught by the step budget")
+	}
+	if k.n != maxUntilEvents {
+		t.Errorf("RunUntil stopped after %d events, want %d", k.n, maxUntilEvents)
 	}
 }
 
 func TestEngineRunBefore(t *testing.T) {
 	e := NewEngine()
+	var h fns
 	var order []int
 	for i, tm := range []float64{1, 2, 3, 3, 5} {
 		i := i
-		if _, err := e.At(tm, func() { order = append(order, i) }); err != nil {
+		if _, err := h.at(e, tm, func() { order = append(order, i) }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Strictly before: the two events at exactly t=3 must not fire.
-	n, err := e.RunBefore(3, 0)
+	n, err := e.RunBefore(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -668,7 +655,7 @@ func TestEngineRunBefore(t *testing.T) {
 		t.Errorf("clock %v after RunBefore(3), want 2", e.Now())
 	}
 	// +Inf drains everything that is left.
-	n, err = e.RunBefore(math.Inf(1), 0)
+	n, err = e.RunBefore(math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -679,20 +666,10 @@ func TestEngineRunBefore(t *testing.T) {
 		t.Errorf("clock %v after drain, want 5", e.Now())
 	}
 	// Nothing pending: zero events, no error, clock untouched.
-	if n, err = e.RunBefore(100, 0); err != nil || n != 0 {
+	if n, err = e.RunBefore(100); err != nil || n != 0 {
 		t.Errorf("idle RunBefore = (%d, %v), want (0, nil)", n, err)
 	}
-	if _, err := e.RunBefore(math.NaN(), 0); err == nil {
+	if _, err := e.RunBefore(math.NaN()); err == nil {
 		t.Error("RunBefore accepted NaN")
-	}
-	// maxSteps bounds the events fired by one call.
-	e2 := NewEngine()
-	for i := 0; i < 10; i++ {
-		if _, err := e2.At(float64(i+1), func() {}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := e2.RunBefore(math.Inf(1), 3); err == nil {
-		t.Error("RunBefore ignored maxSteps")
 	}
 }

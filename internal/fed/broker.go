@@ -226,7 +226,7 @@ func (f *Federation) grant(lender, borrower *Shard) {
 		f.fail(err)
 		return
 	}
-	ev, err := f.eng.AtHandler(l.ExpiresAt, f, fevLeaseExpiry, uint64(l.ID))
+	ev, err := f.eng.At(l.ExpiresAt, f, fevLeaseExpiry, uint64(l.ID))
 	if err != nil {
 		f.fail(err)
 		return
@@ -333,7 +333,7 @@ func (f *Federation) orphanShardLeases(shard int) {
 		f.active = append(f.active[:i], f.active[i+1:]...)
 		f.orphans = append(f.orphans, l)
 		mLeasesOrphaned.Inc()
-		ev, err := f.eng.AtHandler(f.now+f.sfaults.sc.GraceTTL, f, fevLeaseRecall, uint64(l.ID))
+		ev, err := f.eng.At(f.now+f.sfaults.sc.GraceTTL, f, fevLeaseRecall, uint64(l.ID))
 		if err != nil {
 			f.fail(err)
 			return
@@ -361,7 +361,7 @@ func (f *Federation) recallProbe(l *Lease) {
 		return
 	}
 	dt := f.sfaults.recallBackoff(l.ID, l.Attempts)
-	ev, err := f.eng.AtHandler(f.now+dt, f, fevLeaseRecall, uint64(l.ID))
+	ev, err := f.eng.At(f.now+dt, f, fevLeaseRecall, uint64(l.ID))
 	if err != nil {
 		f.fail(err)
 		return

@@ -25,6 +25,7 @@ package fed
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -73,9 +74,9 @@ var (
 		"shards currently partitioned, down or rejoining")
 )
 
-// Per-shard queue-depth gauge handles, cached like the coordinator's
-// node-budget gauges: registering means building a label string and
-// taking the registry lock, so the handles are created once per shard.
+// Per-shard queue-depth gauge handles on telemetry.Default, cached by
+// shard id: registering means building a label string and taking the
+// registry lock, so each handle is created once.
 var (
 	shardGaugeMu sync.Mutex
 	shardGaugeQ  []*telemetry.Gauge
@@ -163,6 +164,9 @@ const (
 	// maxBorrowed caps one shard's concurrently held leases.
 	maxBorrowed = 4
 )
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // withDefaults fills the zero-valued knobs.
 func (l Lending) withDefaults() Lending {
@@ -302,11 +306,15 @@ func New(cfg Config) (*Federation, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("fed: no shards configured")
 	}
+	if l := cfg.Lending; !finite(l.AggregateCapW) || !finite(l.QuantumW) || !finite(l.TTL) {
+		return nil, fmt.Errorf("fed: lending cap %g W, quantum %g W and TTL %g s must be finite",
+			l.AggregateCapW, l.QuantumW, l.TTL)
+	}
 	cfg.Lending = cfg.Lending.withDefaults()
 	var nameplate float64
 	for i, sc := range cfg.Shards {
-		if sc.Nodes <= 0 || sc.BudgetW <= 0 {
-			return nil, fmt.Errorf("fed: shard %d: need positive nodes and budget", i)
+		if sc.Nodes <= 0 || sc.BudgetW <= 0 || !finite(sc.BudgetW) {
+			return nil, fmt.Errorf("fed: shard %d: need positive nodes and a positive, finite budget", i)
 		}
 		nameplate += sc.BudgetW
 	}
@@ -437,7 +445,7 @@ func (f *Federation) ScheduleArrivalPri(t float64, id string, app *workload.Spec
 	}
 	// Schedule first: a time the engine rejects (NaN, ±Inf, the past)
 	// must leave the id free and the arrival arena untouched.
-	if _, err := f.eng.AtHandler(t, f, fevArrival, uint64(len(f.arrivals))); err != nil {
+	if _, err := f.eng.At(t, f, fevArrival, uint64(len(f.arrivals))); err != nil {
 		return err
 	}
 	f.jobShard[id] = -1 // reserved; set on routing

@@ -11,6 +11,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/jobsched"
 	"repro/internal/rng"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -81,6 +82,28 @@ func renderRun(f *Federation) string {
 	audits, violations := f.AuditStats()
 	fmt.Fprintf(&b, "events=%d audits=%d violations=%d\n", f.Events(), audits, violations)
 	return b.String()
+}
+
+// TestNewRejectsNonFiniteWatts: New refuses a NaN or ±Inf shard budget,
+// aggregate cap, lease quantum or lease TTL.
+func TestNewRejectsNonFiniteWatts(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, tc := range []struct {
+			name string
+			set  func(*Config)
+		}{
+			{"BudgetW", func(c *Config) { c.Shards[1].BudgetW = v }},
+			{"AggregateCapW", func(c *Config) { c.Lending.AggregateCapW = v }},
+			{"QuantumW", func(c *Config) { c.Lending.QuantumW = v }},
+			{"TTL", func(c *Config) { c.Lending.TTL = v }},
+		} {
+			cfg := Config{Shards: shardCfg(2, 2, 300, jobsched.FCFS), Lending: Lending{Enabled: true}}
+			tc.set(&cfg)
+			if _, err := New(cfg); err == nil {
+				t.Errorf("%s = %g accepted", tc.name, v)
+			}
+		}
+	}
 }
 
 // TestFederationRunsToCompletion: a small federation schedules, runs
@@ -330,6 +353,114 @@ func localityKeys(t *testing.T, n int) (key0, key1 string) {
 		}
 	}
 	return key0, key1
+}
+
+// TestAuditTrips corrupts one piece of broker state per case and checks
+// that the per-event audit reports exactly that violation kind.
+func TestAuditTrips(t *testing.T) {
+	sc, err := ParseShardScenario("crash-mtbf=400,seed=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		kind    string
+		corrupt func(f *Federation)
+	}{
+		{"mirror-drift", func(f *Federation) { f.shards[0].eff += 10 }},
+		{"cap-exceeded", func(f *Federation) { f.cfg.Lending.AggregateCapW -= 10 }},
+		{"lent-imbalance", func(f *Federation) { f.shards[0].lentW += 10 }},
+		{"borrowed-imbalance", func(f *Federation) { f.shards[1].borrowedW += 10 }},
+		{"orphan-healthy", func(f *Federation) {
+			// A balanced ledger, so only the orphan's healthy endpoints
+			// are wrong.
+			f.orphans = append(f.orphans, &Lease{Lender: 0, Borrower: 1, Watts: 10, State: LeaseOrphaned})
+			f.shards[0].lentW += 10
+			f.shards[1].borrowedW += 10
+		}},
+	} {
+		f, err := New(Config{Shards: shardCfg(2, 2, 300, jobsched.FCFS),
+			Lending: Lending{Enabled: true}, ShardFaults: sc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.auditCheck()
+		if v := f.Violations(); len(v) != 0 {
+			t.Fatalf("%s: clean federation fails its audit: %+v", tc.kind, v)
+		}
+		tc.corrupt(f)
+		f.auditCheck()
+		if v := f.Violations(); len(v) != 1 || v[0].Kind != tc.kind {
+			t.Errorf("%s: audit reported %+v", tc.kind, v)
+		}
+		if f.Err() == nil {
+			t.Errorf("%s: violation not latched as the federation's failure", tc.kind)
+		}
+	}
+}
+
+// TestLeaseLedger checks every lease's terminal record against its
+// meaning and against the lease counters, after the lending and chaos
+// shapes under Run and RunParallel(2). Every lease is terminal; the
+// leases in each terminal state number what the matching counter
+// added, and together the leases granted. A lease expired exactly when
+// it settled at its expiry time, and a recall or release settled before
+// it: federation events order ahead of a same-time expiry.
+func TestLeaseLedger(t *testing.T) {
+	counters := map[LeaseState]string{
+		LeaseExpired:   "clip_fed_lease_expiries_total",
+		LeaseRecalled:  "clip_fed_lease_recalls_total",
+		LeaseReleased:  "clip_fed_lease_releases_total",
+		LeaseReclaimed: "clip_fed_lease_reclaims_total",
+	}
+	seen := map[LeaseState]int{}
+	for _, g := range []goldenFed{{name: "lending", routing: LeastLoaded, lending: true, gap: 2}, goldenFeds[0]} {
+		for _, workers := range []int{1, 2} {
+			f := g.build(t)
+			before := telemetry.Default.Snapshot()
+			run := f.Run
+			if workers > 1 {
+				run = func() error { return f.RunParallel(workers) }
+			}
+			if err := run(); err != nil {
+				t.Fatalf("%s workers=%d: %v", g.name, workers, err)
+			}
+			after := telemetry.Default.Snapshot()
+			delta := func(name string) int { return int(after.Counters[name] - before.Counters[name]) }
+			count := map[LeaseState]int{}
+			for _, l := range f.Leases() {
+				count[l.State]++
+				seen[l.State]++
+				if counters[l.State] == "" {
+					t.Errorf("%s workers=%d: lease %d not terminal: %s", g.name, workers, l.ID, l.State)
+				}
+				if (l.State == LeaseExpired) != (l.SettledAt == l.ExpiresAt) {
+					t.Errorf("%s workers=%d: lease %d %s settled at %v, expires at %v",
+						g.name, workers, l.ID, l.State, l.SettledAt, l.ExpiresAt)
+				}
+				if (l.State == LeaseRecalled || l.State == LeaseReleased) && !(l.SettledAt < l.ExpiresAt) {
+					t.Errorf("%s workers=%d: lease %d %s at %v, not before its expiry %v",
+						g.name, workers, l.ID, l.State, l.SettledAt, l.ExpiresAt)
+				}
+			}
+			total := 0
+			for state, name := range counters {
+				if count[state] != delta(name) {
+					t.Errorf("%s workers=%d: %d leases %s, %s added %d",
+						g.name, workers, count[state], state, name, delta(name))
+				}
+				total += count[state]
+			}
+			if granted := delta("clip_fed_leases_total"); total != granted || total != len(f.Leases()) {
+				t.Errorf("%s workers=%d: %d terminal leases of %d, clip_fed_leases_total added %d",
+					g.name, workers, total, len(f.Leases()), granted)
+			}
+		}
+	}
+	for state := range counters {
+		if seen[state] == 0 {
+			t.Errorf("no lease ended %s: the shapes do not cover every terminal state", state)
+		}
+	}
 }
 
 // TestLeasePropertyRandomTraces: across seeded random traces on an

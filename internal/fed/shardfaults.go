@@ -339,7 +339,7 @@ func (f *Federation) scheduleNextCrash(id int) error {
 	if !ok {
 		return nil
 	}
-	ev, err := f.eng.AtHandler(f.now+dt, f, fevShardCrash, uint64(id))
+	ev, err := f.eng.At(f.now+dt, f, fevShardCrash, uint64(id))
 	if err != nil {
 		return err
 	}
@@ -353,7 +353,7 @@ func (f *Federation) scheduleNextPartition(id int) error {
 	if !ok {
 		return nil
 	}
-	ev, err := f.eng.AtHandler(f.now+dt, f, fevShardPartition, uint64(id))
+	ev, err := f.eng.At(f.now+dt, f, fevShardPartition, uint64(id))
 	if err != nil {
 		return err
 	}
@@ -380,7 +380,7 @@ func (f *Federation) handleShardCrash(id int) {
 	gShardsUnhealthy.Set(float64(f.sfaults.unhealthy))
 	f.orphanShardLeases(id)
 	f.evacuateShard(id)
-	if _, err := f.eng.AtHandler(f.now+f.sfaults.outageDuration(id), f, fevShardRecover, uint64(id)); err != nil {
+	if _, err := f.eng.At(f.now+f.sfaults.outageDuration(id), f, fevShardRecover, uint64(id)); err != nil {
 		f.fail(err)
 	}
 }
@@ -392,7 +392,7 @@ func (f *Federation) handleShardRecover(id int) {
 	if !f.sfaults.move(id, ShardDown, ShardRejoining) {
 		return
 	}
-	if _, err := f.eng.AtHandler(f.now+f.sfaults.rejoinDelay(id), f, fevShardRejoin, uint64(id)); err != nil {
+	if _, err := f.eng.At(f.now+f.sfaults.rejoinDelay(id), f, fevShardRejoin, uint64(id)); err != nil {
 		f.fail(err)
 	}
 }
@@ -443,7 +443,7 @@ func (f *Federation) handleShardPartition(id int) {
 	mShardPartitions.Inc()
 	gShardsUnhealthy.Set(float64(f.sfaults.unhealthy))
 	f.orphanShardLeases(id)
-	ev, err := f.eng.AtHandler(f.now+f.sfaults.partitionDuration(id), f, fevShardHeal, uint64(id))
+	ev, err := f.eng.At(f.now+f.sfaults.partitionDuration(id), f, fevShardHeal, uint64(id))
 	if err != nil {
 		f.fail(err)
 		return

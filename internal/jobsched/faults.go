@@ -16,7 +16,6 @@ package jobsched
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/des"
 	"repro/internal/faults"
@@ -24,8 +23,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// des event kinds of the fault layer (the engine treats them as opaque
-// labels; they make heap dumps and tests legible).
+// des event kinds of the fault layer. The first six pair up into a
+// node's three fault streams (crash and recovery, excursion and its
+// end, straggler and its end); each stream holds at most one pending
+// event, its next injection or the end of its active episode. A
+// requeue carries the job's record index as its argument, every other
+// kind the node id.
 const (
 	evkCrash uint16 = 1 + iota
 	evkRecover
@@ -105,6 +108,12 @@ type FaultStats struct {
 	WattsReclaimed float64
 }
 
+// faultStreams is the number of fault streams per node.
+const faultStreams = 3
+
+// faultSlot returns the index in faultEv of node's stream for kind.
+func faultSlot(kind uint16, node int) int { return node*faultStreams + int(kind-evkCrash)/2 }
+
 // boundSlack absorbs floating-point rounding in the bound invariant.
 const boundSlack = 1e-6
 
@@ -119,7 +128,9 @@ func (st *schedState) initFaults(sc faults.Scenario, nodes int) {
 	}
 	st.derated = make([]bool, nodes)
 	st.reserved = make([]float64, nodes)
-	st.faultEvs = make(map[*des.Event]struct{})
+	st.faultEv = make([]*des.Event, nodes*faultStreams)
+	st.excursion = make([]faults.Excursion, nodes)
+	st.straggler = make([]faults.Straggler, nodes)
 	for i := 0; i < nodes; i++ {
 		st.scheduleNextCrash(i)
 		st.scheduleNextExcursion(i)
@@ -127,31 +138,40 @@ func (st *schedState) initFaults(sc faults.Scenario, nodes int) {
 	}
 }
 
-// scheduleFault schedules a tracked fault event: tracked events are
-// cancelled en masse when the last job completes (stopFaults), and a
-// fired event removes itself from the registry first so a recycled
-// *des.Event can never be cancelled by a stale registration.
-func (st *schedState) scheduleFault(dt float64, kind uint16, fn func()) {
+// scheduleFault arms node's next event of kind dt seconds from now in
+// the node's slot for that stream, which stopFaults cancels.
+func (st *schedState) scheduleFault(dt float64, kind uint16, node int) {
 	if st.faultsStopped {
 		// The run is over (last job retired mid-handler); arming another
 		// stream event would only delay the engine drain.
 		return
 	}
-	var ev *des.Event
-	scheduled, err := st.eng.After(dt, func() {
-		delete(st.faultEvs, ev)
-		if st.faultsStopped {
-			return
-		}
-		fn()
-	})
+	ev, err := st.eng.After(dt, st, kind, uint64(node))
 	if err != nil {
 		st.failure = err
 		return
 	}
-	ev = scheduled
-	ev.Kind = kind
-	st.faultEvs[ev] = struct{}{}
+	st.faultEv[faultSlot(kind, node)] = ev
+}
+
+// handleFault dispatches a fault event of kind on node, first clearing
+// its stream's slot.
+func (st *schedState) handleFault(kind uint16, node int) {
+	st.faultEv[faultSlot(kind, node)] = nil
+	switch kind {
+	case evkCrash:
+		st.nodeCrash(node)
+	case evkRecover:
+		st.nodeRecover(node)
+	case evkExcursion:
+		st.excursionStart(node)
+	case evkExcursionEnd:
+		st.excursionEnd(node)
+	case evkStraggler:
+		st.stragglerStart(node)
+	case evkStragglerEnd:
+		st.stragglerEnd(node)
+	}
 }
 
 // stopFaults cancels every pending fault event so the engine drains at
@@ -159,10 +179,12 @@ func (st *schedState) scheduleFault(dt float64, kind uint16, fn func()) {
 // forever.
 func (st *schedState) stopFaults() {
 	st.faultsStopped = true
-	for ev := range st.faultEvs {
-		ev.Cancel()
+	for i, ev := range st.faultEv {
+		if ev != nil {
+			ev.Cancel()
+			st.faultEv[i] = nil
+		}
 	}
-	st.faultEvs = nil
 }
 
 // jobDone retires one submitted job (finished, failed or cancelled).
@@ -269,7 +291,7 @@ func (st *schedState) scheduleNextCrash(i int) {
 	if !ok {
 		return
 	}
-	st.scheduleFault(dt, evkCrash, func() { st.nodeCrash(i) })
+	st.scheduleFault(dt, evkCrash, i)
 }
 
 // nodeCrash handles a node-crash event: the resident job (if any) is
@@ -277,8 +299,6 @@ func (st *schedState) scheduleNextCrash(i int) {
 // or drained when the circuit breaker trips — and recovery is
 // scheduled.
 func (st *schedState) nodeCrash(i int) {
-	start := time.Now()
-	defer func() { st.m.eventSeconds.Observe(time.Since(start).Seconds()) }()
 	st.accountPower()
 	st.m.faultsInjected.Inc()
 	st.stats.Faults.Injected++
@@ -297,15 +317,13 @@ func (st *schedState) nodeCrash(i int) {
 			st.failQueued("no nodes left: entire cluster drained")
 		}
 	} else {
-		st.scheduleFault(st.inj.RecoveryDelay(i), evkRecover, func() { st.nodeRecover(i) })
+		st.scheduleFault(st.inj.RecoveryDelay(i), evkRecover, i)
 	}
 	st.reconcile("crash", st.s.Config.Reallocate)
 }
 
 // nodeRecover returns a quarantined node to service.
 func (st *schedState) nodeRecover(i int) {
-	start := time.Now()
-	defer func() { st.m.eventSeconds.Observe(time.Since(start).Seconds()) }()
 	if !st.inj.Recover(i) {
 		return
 	}
@@ -335,7 +353,7 @@ func (st *schedState) killJob(rj *runningJob, node int, cause string) {
 	st.m.jobsRetried.Inc()
 	st.stats.Faults.Retries++
 	backoff := st.inj.Backoff(rec.job.ID, int(rec.retries))
-	ev, err := st.eng.AfterHandler(backoff, st, evkRequeue, uint64(rec.idx))
+	ev, err := st.eng.After(backoff, st, evkRequeue, uint64(rec.idx))
 	if err != nil {
 		st.failure = err
 		return
@@ -347,8 +365,6 @@ func (st *schedState) killJob(rj *runningJob, node int, cause string) {
 
 // requeue re-enqueues a killed job after its backoff delay.
 func (st *schedState) requeue(rec *jobRecord) {
-	start := time.Now()
-	defer func() { st.m.eventSeconds.Observe(time.Since(start).Seconds()) }()
 	rec.backoff = nil
 	if st.inj.AllDrained() {
 		st.failJob(rec, "no nodes left: entire cluster drained")
@@ -392,17 +408,17 @@ func (st *schedState) scheduleNextExcursion(i int) {
 	if !ok {
 		return
 	}
-	st.scheduleFault(ex.After, evkExcursion, func() { st.excursionStart(i, ex.Frac, ex.Dur) })
+	st.excursion[i] = ex
+	st.scheduleFault(ex.After, evkExcursion, i)
 }
 
-// excursionStart handles a transient power-cap excursion on node i: the
-// node's effective budget drops by frac for dur seconds. A resident job
-// is emergency-re-capped (or killed for retry when the derated plan is
-// infeasible); an idle node is withheld from placement for the
-// duration.
-func (st *schedState) excursionStart(i int, frac, dur float64) {
-	start := time.Now()
-	defer func() { st.m.eventSeconds.Observe(time.Since(start).Seconds()) }()
+// excursionStart handles the transient power-cap excursion drawn for
+// node i: the node's effective budget drops by its fraction for its
+// duration. A resident job is emergency-re-capped (or killed for retry
+// when the derated plan is infeasible); an idle node is withheld from
+// placement for the duration.
+func (st *schedState) excursionStart(i int) {
+	frac, dur := st.excursion[i].Frac, st.excursion[i].Dur
 	st.accountPower()
 	st.m.faultsInjected.Inc()
 	st.stats.Faults.Injected++
@@ -414,7 +430,7 @@ func (st *schedState) excursionStart(i int, frac, dur float64) {
 	} else {
 		st.syncNode(i)
 	}
-	st.scheduleFault(dur, evkExcursionEnd, func() { st.excursionEnd(i) })
+	st.scheduleFault(dur, evkExcursionEnd, i)
 	st.reconcile("excursion", st.s.Config.Reallocate)
 }
 
@@ -470,8 +486,6 @@ func (st *schedState) recapJob(rj *runningJob, node int, frac float64) {
 // excursionEnd restores the node's effective budget: the reserved cut
 // returns to the free pool and the node may receive placements again.
 func (st *schedState) excursionEnd(i int) {
-	start := time.Now()
-	defer func() { st.m.eventSeconds.Observe(time.Since(start).Seconds()) }()
 	st.accountPower()
 	st.derated[i] = false
 	st.freeW += st.reserved[i]
@@ -491,15 +505,15 @@ func (st *schedState) scheduleNextStraggler(i int) {
 	if !ok {
 		return
 	}
-	st.scheduleFault(sg.After, evkStraggler, func() { st.stragglerStart(i, sg.Factor, sg.Dur) })
+	st.straggler[i] = sg
+	st.scheduleFault(sg.After, evkStraggler, i)
 }
 
-// stragglerStart slows node i down by factor for dur seconds; a
-// resident job's iteration time stretches to the worst factor across
-// its nodes.
-func (st *schedState) stragglerStart(i int, factor, dur float64) {
-	start := time.Now()
-	defer func() { st.m.eventSeconds.Observe(time.Since(start).Seconds()) }()
+// stragglerStart slows node i down by its drawn episode's factor for
+// the episode's duration; a resident job's iteration time stretches to
+// the worst factor across its nodes.
+func (st *schedState) stragglerStart(i int) {
+	factor, dur := st.straggler[i].Factor, st.straggler[i].Dur
 	st.m.faultsInjected.Inc()
 	st.stats.Faults.Injected++
 	st.stats.Faults.Stragglers++
@@ -508,15 +522,13 @@ func (st *schedState) stragglerStart(i int, factor, dur float64) {
 	if rj := st.runningOn[i]; rj != nil {
 		st.applyStraggle(rj)
 	}
-	st.scheduleFault(dur, evkStragglerEnd, func() { st.stragglerEnd(i) })
+	st.scheduleFault(dur, evkStragglerEnd, i)
 	st.assertBound("straggler")
 	st.publishState()
 }
 
 // stragglerEnd restores the node's speed.
 func (st *schedState) stragglerEnd(i int) {
-	start := time.Now()
-	defer func() { st.m.eventSeconds.Observe(time.Since(start).Seconds()) }()
 	st.straggle[i] = 1
 	st.logFault("straggler-end", i, "", 0, "")
 	if rj := st.runningOn[i]; rj != nil {

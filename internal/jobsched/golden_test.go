@@ -103,3 +103,44 @@ func TestGoldenChurnOutcomes(t *testing.T) {
 		t.Errorf("churn outcomes moved:\n got:\n%s want:\n%s", got.String(), want)
 	}
 }
+
+// TestGoldenFaultLog pins a batch Run's fault log and makespan with the
+// crash, excursion and straggler streams all active, under every
+// policy. The clipsim fault goldens inject no stragglers; this one
+// covers the straggler stream's scheduling and its interleaving with
+// the other two.
+func TestGoldenFaultLog(t *testing.T) {
+	want := map[Policy]string{
+		FCFS:               "0xd99b3086e8c2c170 events=536 makespan=409f6969da797b3b",
+		Backfill:           "0xd99b3086e8c2c170 events=536 makespan=409f6969da797b3b",
+		AggressiveBackfill: "0x828b7fe42a507ced events=733 makespan=40a7b9025f183155",
+	}
+	sc := &faults.Scenario{Seed: 21, CrashMTBF: 500, MTTR: 30,
+		ExcursionMTBF: 300, StragglerMTBF: 150, StragglerFactor: 3}
+	var jobs []Job
+	for round := 0; round < 3; round++ {
+		for i, j := range chaosJobs() {
+			j.ID = fmt.Sprintf("r%d-%s", round, j.ID)
+			j.Arrival += float64(round*40 + i)
+			jobs = append(jobs, j)
+		}
+	}
+	for _, pol := range []Policy{FCFS, Backfill, AggressiveBackfill} {
+		s := sched(t, Config{Bound: 1000, Policy: pol, Reallocate: true, Faults: sc})
+		st, err := s.Run(jobs)
+		if err != nil {
+			t.Fatalf("%s: %v", pol, err)
+		}
+		f := st.Faults
+		if f.Crashes == 0 || f.Excursions == 0 || f.Stragglers == 0 {
+			t.Fatalf("%s: streams not all active: %+v", pol, f)
+		}
+		h := fnv.New64a()
+		h.Write([]byte(renderFaultLog(st.FaultLog)))
+		got := fmt.Sprintf("%#016x events=%d makespan=%x", h.Sum64(), len(st.FaultLog),
+			math.Float64bits(st.Makespan))
+		if got != want[pol] {
+			t.Errorf("%s: fault log digest %s, want %s", pol, got, want[pol])
+		}
+	}
+}

@@ -300,8 +300,8 @@ type Scheduler struct {
 // New builds a scheduler sharing CLIP's knowledge database and trained
 // regression.
 func New(cl *hw.Cluster, clip *core.CLIP, cfg Config) (*Scheduler, error) {
-	if cfg.Bound <= 0 {
-		return nil, fmt.Errorf("jobsched: non-positive bound %.1f", cfg.Bound)
+	if !validBound(cfg.Bound) {
+		return nil, fmt.Errorf("jobsched: bound %g W is not positive and finite", cfg.Bound)
 	}
 	if clip == nil {
 		var err error
@@ -312,6 +312,10 @@ func New(cl *hw.Cluster, clip *core.CLIP, cfg Config) (*Scheduler, error) {
 	}
 	return &Scheduler{Cluster: cl, CLIP: clip, Config: cfg}, nil
 }
+
+// validBound reports whether watts is a usable power bound: positive
+// and finite (NaN and ±Inf are not).
+func validBound(watts float64) bool { return watts > 0 && watts < math.Inf(1) }
 
 // jobRecord is the one account of a submitted job, shared by Run and
 // Online: its lifecycle state, where it physically is (a running slot
@@ -559,11 +563,13 @@ type schedState struct {
 	online bool
 	// fault injection (nil / unused without Config.Faults)
 	inj           *faults.Injector
-	runningOn     []*runningJob // node id -> resident job
-	straggle      []float64     // node id -> active slowdown factor (1 = none)
-	derated       []bool        // node id -> excursion active
-	reserved      []float64     // node id -> watts held back by an active excursion
-	faultEvs      map[*des.Event]struct{}
+	runningOn     []*runningJob      // node id -> resident job
+	straggle      []float64          // node id -> active slowdown factor (1 = none)
+	derated       []bool             // node id -> excursion active
+	reserved      []float64          // node id -> watts held back by an active excursion
+	faultEv       []*des.Event       // faultSlot -> pending event
+	excursion     []faults.Excursion // node id -> drawn excursion
+	straggler     []faults.Straggler // node id -> drawn straggler episode
 	faultsStopped bool
 	jobsLeft      int // submitted jobs not yet finished or failed
 }
@@ -575,19 +581,24 @@ func (x jobsByStart) Len() int           { return len(x) }
 func (x jobsByStart) Less(i, j int) bool { return x[i].Start < x[j].Start }
 func (x jobsByStart) Swap(i, j int)      { x[i], x[j] = x[j], x[i] }
 
-// HandleEvent implements des.Handler: the scheduler's own events
-// dispatch through the state object instead of a per-event closure.
+// HandleEvent implements des.Handler: every scheduler event dispatches
+// through the state object and is timed once here.
 func (st *schedState) HandleEvent(kind uint16, arg uint64) {
+	start := time.Now()
 	switch kind {
 	case evkArrival:
-		st.arrive(st.recs[arg])
+		st.admit(st.recs[arg])
+		st.publishState()
 	case evkCompletion:
 		st.finish(st.slots[arg])
 	case evkBound:
 		st.applyBoundChange(st.s.Config.BoundSchedule[arg].Watts)
 	case evkRequeue:
 		st.requeue(st.recs[arg])
+	default:
+		st.handleFault(kind, int(arg))
 	}
+	st.m.eventSeconds.Observe(time.Since(start).Seconds())
 }
 
 // newState builds the mutable run state shared by the batch Run and
@@ -617,10 +628,10 @@ func (s *Scheduler) newState(online bool) (*schedState, error) {
 		}
 	}
 	for i, bc := range s.Config.BoundSchedule {
-		if bc.Time < 0 || bc.Watts <= 0 {
+		if bc.Time < 0 || !validBound(bc.Watts) {
 			return nil, fmt.Errorf("jobsched: invalid bound change at t=%g to %g W", bc.Time, bc.Watts)
 		}
-		if _, err := st.eng.AtHandler(bc.Time, st, evkBound, uint64(i)); err != nil {
+		if _, err := st.eng.At(bc.Time, st, evkBound, uint64(i)); err != nil {
 			return nil, err
 		}
 	}
@@ -672,7 +683,9 @@ func (st *schedState) reset(online bool) {
 	st.straggle = nil
 	st.derated = nil
 	st.reserved = nil
-	st.faultEvs = nil
+	st.faultEv = nil
+	st.excursion = nil
+	st.straggler = nil
 	st.faultsStopped = false
 	st.jobsLeft = 0
 }
@@ -786,11 +799,11 @@ func (s *Scheduler) Run(jobs []Job) (*Stats, error) {
 			return nil, fmt.Errorf("%w: %q", ErrDuplicateJob, j.ID)
 		}
 		rec := st.newRecord(j)
-		if _, err := st.eng.AtHandler(j.Arrival, st, evkArrival, uint64(rec.idx)); err != nil {
+		if _, err := st.eng.At(j.Arrival, st, evkArrival, uint64(rec.idx)); err != nil {
 			return nil, err
 		}
 	}
-	if err := st.eng.Run(0, 0); err != nil {
+	if err := st.eng.Run(); err != nil {
 		return nil, err
 	}
 	if st.failure != nil {
@@ -829,14 +842,6 @@ func (st *schedState) accountPower() {
 		st.usedIntegral += used * dt
 		st.lastAccount = now
 	}
-}
-
-// arrive is the arrival event's handler: admit, timed and published.
-func (st *schedState) arrive(rec *jobRecord) {
-	start := time.Now()
-	defer func() { st.m.eventSeconds.Observe(time.Since(start).Seconds()) }()
-	st.admit(rec)
-	st.publishState()
 }
 
 // admit enqueues a job and tries to dispatch: the arrival core shared
@@ -1306,7 +1311,7 @@ func (st *schedState) scheduleCompletion(rj *runningJob) {
 	if rj.completion != nil {
 		rj.completion.Cancel()
 	}
-	ev, err := st.eng.AfterHandler(rj.itersLeft*rj.iterTime, st, evkCompletion, uint64(rj.slot))
+	ev, err := st.eng.After(rj.itersLeft*rj.iterTime, st, evkCompletion, uint64(rj.slot))
 	if err != nil {
 		st.failure = err
 		return
@@ -1329,7 +1334,6 @@ func (rj *runningJob) progressTo(now float64) {
 
 // finish completes a job, frees its resources and dispatches.
 func (st *schedState) finish(rj *runningJob) {
-	start := time.Now()
 	st.m.jobsFinished.Inc()
 	st.accountPower()
 	rec := rj.rec
@@ -1353,7 +1357,6 @@ func (st *schedState) finish(rj *runningJob) {
 	}
 	st.assertBound("finish")
 	st.publishState()
-	st.m.eventSeconds.Observe(time.Since(start).Seconds())
 }
 
 // reallocate offers surplus power to running jobs (POWsched-style):
@@ -1467,8 +1470,6 @@ func (st *schedState) commitRetune(rj *runningJob, b power.Budget, iterTime floa
 // Reallocate); a deficit throttles running jobs proportionally until
 // the allocation fits the new bound.
 func (st *schedState) applyBoundChange(watts float64) {
-	start := time.Now()
-	defer func() { st.m.eventSeconds.Observe(time.Since(start).Seconds()) }()
 	st.accountPower()
 	delta := watts - st.bound
 	st.bound = watts

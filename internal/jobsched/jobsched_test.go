@@ -521,6 +521,33 @@ func TestBoundScheduleValidation(t *testing.T) {
 	}
 }
 
+// TestNonFiniteBoundsRejected: NaN and ±Inf watts are refused at
+// every entry point that takes a power bound, instead of opening a
+// session that never dispatches or a run whose power figures are NaN.
+func TestNonFiniteBoundsRejected(t *testing.T) {
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, tc := range []struct {
+			name string
+			try  func() error
+		}{
+			{"New", func() error {
+				_, err := New(testCl, clip(t), Config{Bound: w})
+				return err
+			}},
+			{"BoundSchedule", func() error {
+				s := sched(t, Config{Bound: 1000, BoundSchedule: []BoundChange{{Time: 5, Watts: w}}})
+				_, err := s.Run(jobs(workload.CoMD()))
+				return err
+			}},
+			{"SetBound", func() error { return online(t, Config{Bound: 1000}).SetBound(w) }},
+		} {
+			if err := tc.try(); err == nil {
+				t.Errorf("%s accepted a %g W bound", tc.name, w)
+			}
+		}
+	}
+}
+
 // TestEventLatencyTelemetry: scheduler event handlers feed the
 // event-loop latency histogram exposed over the standard Prometheus
 // exposition.

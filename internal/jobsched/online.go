@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"time"
 
 	"repro/internal/workload"
 )
@@ -200,7 +201,7 @@ func (o *Online) ProcessNextEvent() error {
 // advances through its events before its next arrival on its own
 // worker. t may be +Inf (run to quiescence).
 func (o *Online) ProcessEventsUntil(t float64) (int, error) {
-	n, err := o.st.eng.RunBefore(t, 0)
+	n, err := o.st.eng.RunBefore(t)
 	if err != nil {
 		return n, err
 	}
@@ -215,16 +216,18 @@ func (o *Online) ProcessEventsUntil(t float64) (int, error) {
 // net). Events already due fire first so the change lands on a settled
 // state.
 func (o *Online) SetBound(watts float64) error {
-	if watts <= 0 {
-		return fmt.Errorf("jobsched: non-positive bound %.1f", watts)
+	if !validBound(watts) {
+		return fmt.Errorf("jobsched: bound %g W is not positive and finite", watts)
 	}
 	if o.st.failure != nil {
 		return o.st.failure
 	}
-	if err := o.st.eng.RunUntil(o.st.eng.Now(), 0); err != nil {
+	if err := o.st.eng.RunUntil(o.st.eng.Now()); err != nil {
 		return err
 	}
+	start := time.Now()
 	o.st.applyBoundChange(watts)
+	o.st.m.eventSeconds.Observe(time.Since(start).Seconds())
 	return o.st.failure
 }
 
@@ -240,7 +243,7 @@ func (o *Online) Reconcile() error {
 	if o.st.failure != nil {
 		return o.st.failure
 	}
-	if err := o.st.eng.RunUntil(o.st.eng.Now(), 0); err != nil {
+	if err := o.st.eng.RunUntil(o.st.eng.Now()); err != nil {
 		return err
 	}
 	o.st.reconcile("reconcile", o.st.s.Config.Reallocate)
@@ -265,7 +268,7 @@ func (o *Online) FreeNodes() int { return len(o.st.free) }
 // Advance fires every event due at or before virtual time t (in order)
 // and moves the clock there; t must be at or after Now.
 func (o *Online) Advance(t float64) error {
-	if err := o.st.eng.RunUntil(t, 0); err != nil {
+	if err := o.st.eng.RunUntil(t); err != nil {
 		return err
 	}
 	return o.st.failure
@@ -285,12 +288,12 @@ func (o *Online) SubmitPri(id string, app *workload.Spec, pri int) (JobStatus, e
 		return JobStatus{}, err
 	}
 	now := o.st.eng.Now()
-	if _, err := o.st.eng.AtHandler(now, o.st, evkArrival, uint64(rec.idx)); err != nil {
+	if _, err := o.st.eng.At(now, o.st, evkArrival, uint64(rec.idx)); err != nil {
 		return JobStatus{}, err
 	}
 	// Fire the arrival (and anything else already due at now) so the
 	// caller sees the placement decision synchronously.
-	if err := o.st.eng.RunUntil(now, 0); err != nil {
+	if err := o.st.eng.RunUntil(now); err != nil {
 		return JobStatus{}, err
 	}
 	if o.st.failure != nil {
@@ -320,7 +323,7 @@ func (o *Online) Readmit(id string, app *workload.Spec, pri int) error {
 	}
 	st.admit(rec)
 	if t, ok := st.eng.Next(); ok && t <= now {
-		if err := st.eng.RunUntil(now, 0); err != nil {
+		if err := st.eng.RunUntil(now); err != nil {
 			return err
 		}
 	}
@@ -628,7 +631,7 @@ func (o *Online) Drain() error {
 		if !ok {
 			break
 		}
-		if err := st.eng.RunUntil(next, 0); err != nil {
+		if err := st.eng.RunUntil(next); err != nil {
 			return err
 		}
 		if st.failure != nil {
