@@ -83,6 +83,9 @@ func run(listen string, budget float64, nodes int, sigma float64, policyName str
 			return err
 		}
 	}
+	if err := hw.CheckSigma(sigma); err != nil {
+		return err
+	}
 	cl := hw.NewCluster(nodes, hw.HaswellSpec(), sigma, 42)
 	clip, err := core.New(cl)
 	if err != nil {

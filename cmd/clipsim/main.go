@@ -74,6 +74,9 @@ func main() {
 	if *weak {
 		app = app.WeakScaled()
 	}
+	if err := hw.CheckSigma(*sigma); err != nil {
+		fatal(err)
+	}
 	cl := hw.NewCluster(*nodes, hw.HaswellSpec(), *sigma, 42)
 
 	if *faultSpec != "" {

@@ -5,6 +5,7 @@ package cmd_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // binDir holds the built binaries for the test process.
@@ -105,6 +107,28 @@ func TestClipsimRejectsUnknownApp(t *testing.T) {
 	cmd := exec.Command(filepath.Join(binDir, "clipsim"), "-app", "nope")
 	if out, err := cmd.CombinedOutput(); err == nil {
 		t.Errorf("unknown app accepted:\n%s", out)
+	}
+}
+
+// TestBadSigmaRejected: clipsim, clipd and clipfed exit with an error
+// on a negative or non-finite -sigma instead of running.
+func TestBadSigmaRejected(t *testing.T) {
+	for _, sigma := range []string{"NaN", "Inf", "-Inf", "-0.1"} {
+		for _, args := range [][]string{
+			{"clipsim", "-nodes", "1"},
+			{"clipd", "-listen", "127.0.0.1:0"},
+			{"clipfed", "-shards", "1", "-jobs", "1"},
+		} {
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			cmd := exec.CommandContext(ctx, filepath.Join(binDir, args[0]), append(args[1:], "-sigma", sigma)...)
+			cmd.Dir = binDir
+			out, err := cmd.CombinedOutput()
+			timedOut := ctx.Err() != nil
+			cancel()
+			if err == nil || timedOut || !strings.Contains(string(out), "sigma") {
+				t.Errorf("%s -sigma %s: err %v, output:\n%s", args[0], sigma, err, out)
+			}
+		}
 	}
 }
 

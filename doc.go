@@ -17,9 +17,10 @@
 // table and figure (internal/bench).
 //
 // The stack is safe for concurrent use: a single core.CLIP may be
-// shared across goroutines — profiling and scheduling results are
-// memoized under a read-write lock with singleflight deduplication of
-// concurrent misses, and Schedule returns a deep clone of the cached
+// shared across goroutines — it keeps one memo table per question
+// (profile and predictor per application, decision per application and
+// bound), each entry filled once under its own lock so concurrent
+// misses share one pass, and Schedule returns a deep clone of the cached
 // decision so callers may mutate the returned plan. The bench harness
 // exploits this to run experiments and their inner sweeps from a
 // bounded worker pool (clipbench -parallel) while emitting

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/hw"
+	"repro/internal/plan"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -103,9 +105,8 @@ func TestScheduleClonesCachedDecision(t *testing.T) {
 	}
 }
 
-// TestConcurrentProfileSharesWork checks that concurrent misses do not
-// produce distinct database entries (singleflight) and agree with the
-// serial result.
+// TestConcurrentProfileSharesWork checks that concurrent first requests
+// for one application leave one knowledge-database entry.
 func TestConcurrentProfileSharesWork(t *testing.T) {
 	clip, err := New(hw.Haswell())
 	if err != nil {
@@ -125,5 +126,69 @@ func TestConcurrentProfileSharesWork(t *testing.T) {
 	wg.Wait()
 	if n := clip.DB().Len(); n != 1 {
 		t.Errorf("knowledge database holds %d entries, want 1", n)
+	}
+}
+
+// TestOneFillPerKey starts 16 goroutines that each ask a fresh CLIP for
+// one application's predictor and for one decision. The entry locks
+// must let exactly one of them profile and coordinate: one profiling
+// pass, one profile miss, one decision miss, and every goroutine sees
+// the same decision. A profiling pass takes microseconds, so the test
+// repeats on fresh instances to make the goroutines overlap in it.
+func TestOneFillPerKey(t *testing.T) {
+	model, err := TrainNPModel(hw.HaswellSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	passes := telemetry.Default.Counter("clip_profiling_passes_total", "")
+	const n = 16
+	app := workload.AMG()
+	for round := 0; round < 50 && !t.Failed(); round++ {
+		clip, err := New(hw.Haswell(), Options{NPModel: model})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := telemetry.NewRegistry()
+		clip.SetMetrics(NewMetrics(reg))
+		before := passes.Value()
+		plans := make([]*plan.Plan, n)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < n; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				if _, _, err := clip.Predictor(app); err != nil {
+					t.Error(err)
+					return
+				}
+				d, err := clip.Schedule(app, 1200)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				plans[g] = d.Plan
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+
+		if d := passes.Value() - before; d != 1 {
+			t.Errorf("round %d: %d profiling passes, want 1", round, d)
+		}
+		count := func(name string) uint64 { return reg.Counter(name, "").Value() }
+		hits, misses := count("clip_profile_cache_hits_total"), count("clip_profile_cache_misses_total")
+		if misses != 1 || hits+misses != n+1 {
+			t.Errorf("round %d: profile hits %d, misses %d; want 1 miss of %d calls", round, hits, misses, n+1)
+		}
+		if m := count("clip_decision_cache_misses_total"); m != 1 {
+			t.Errorf("round %d: %d decision misses, want 1", round, m)
+		}
+		for g, p := range plans {
+			if p != nil && !reflect.DeepEqual(p, plans[0]) {
+				t.Errorf("round %d: goroutine %d decision %+v, want %+v", round, g, p, plans[0])
+			}
+		}
 	}
 }

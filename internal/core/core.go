@@ -10,17 +10,16 @@
 //	clip, _ := core.New(cl)
 //	res, _ := clip.Run(workload.SPMZ(), 800) // 800 W cluster bound
 //
-// A CLIP instance is safe for concurrent use. Profiles and scheduling
-// decisions are memoized: repeated Schedule calls for the same
-// (application, bound, options) return a cached decision, concurrent
-// misses are deduplicated singleflight-style so the underlying work
-// runs once, and Schedule hands out a deep clone so callers may mutate
-// the returned plan without corrupting the cache.
+// A CLIP instance is safe for concurrent use. It memoizes each answer
+// in one table: profiles and fitted predictors per application, and
+// decisions per (application, bound). An entry is filled once under its
+// own lock, so concurrent first requests for one key wait for a single
+// profiling or scheduling pass, and Schedule hands out a deep clone so
+// callers may mutate the returned plan without corrupting the table.
 package core
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,22 +30,21 @@ import (
 	"repro/internal/plan"
 	"repro/internal/profile"
 	"repro/internal/sim"
-	"repro/internal/singleflight"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
 // Metrics is CLIP's telemetry handle set, resolved once per registry
-// (see internal/telemetry): cache effectiveness of the memoized
-// knowledge-database and decision caches, singleflight dedups, cold
-// scheduling latency, decisions per scalability class, and the decision
+// (see internal/telemetry): hits and misses of the profile and decision
+// tables, callers that waited on another caller's fill, cold scheduling
+// latency, decisions per scalability class, and the decision
 // event every Schedule call appends (app, bound, class, NP,
 // configuration, budget split, cache hit/miss). It also carries the
 // handle set of the instance's coordinator.
 type Metrics struct {
 	profileHits, profileMisses   *telemetry.Counter
 	decisionHits, decisionMisses *telemetry.Counter
-	flightShared, schedules      *telemetry.Counter
+	waited, schedules            *telemetry.Counter
 	scheduleSeconds              *telemetry.Histogram
 	byClass                      [len(classNames)]*telemetry.Counter
 	reg                          *telemetry.Registry
@@ -72,8 +70,8 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 			"memoized scheduling decisions served from cache"),
 		decisionMisses: r.Counter("clip_decision_cache_misses_total",
 			"scheduling decisions computed from scratch"),
-		flightShared: r.Counter("clip_singleflight_shared_total",
-			"concurrent duplicate calls deduplicated singleflight-style"),
+		waited: r.Counter("clip_singleflight_shared_total",
+			"calls that waited on another caller's fill of the same memo entry"),
 		schedules: r.Counter("clip_schedules_total",
 			"CLIP.Schedule calls (cache hits included)"),
 		scheduleSeconds: r.Histogram("clip_schedule_seconds",
@@ -105,8 +103,6 @@ var defaultMetrics = NewMetrics(telemetry.Default)
 
 // Options configures CLIP construction.
 type Options struct {
-	// DB seeds the knowledge database (e.g. loaded from disk).
-	DB *profile.DB
 	// NPModel injects a pre-trained regression (see TrainNPModel),
 	// skipping training. It must have been trained on the cluster's
 	// node spec.
@@ -118,12 +114,12 @@ type Options struct {
 	EnergyTolerance float64
 }
 
-// CLIP is the scheduler. It is safe for concurrent use: profiles,
-// fitted predictors and full cluster-level decisions are cached behind
-// a read-write lock, and cache misses are computed under singleflight
-// so concurrent callers of the same application share one profiling or
-// scheduling pass instead of duplicating it or serialising on a single
-// big lock.
+// CLIP is the scheduler. It is safe for concurrent use. It keeps one
+// memo table per question: an appEntry per application (the profile and
+// the fitted predictor) and a decisionEntry per (application, bound).
+// Each answer is filled once, under its entry's lock, so concurrent
+// callers of one key wait for that single fill; a caller that finds the
+// answer filled reads it without a lock. Errors are not cached.
 type CLIP struct {
 	Cluster *hw.Cluster
 	NPModel *perfmodel.NPModel
@@ -132,13 +128,49 @@ type CLIP struct {
 	coord *coordinator.Coordinator
 	prof  *profile.Profiler
 
-	mu        sync.RWMutex // guards preds and decisions
-	preds     map[string]*perfmodel.Predictor
-	decisions map[decisionKey]*coordinator.Decision
+	apps      table[string, appEntry]
+	decisions table[decisionKey, decisionEntry]
 
-	flight singleflight.Group
 	// m is the bound handle set (nil publishes to telemetry.Default).
 	m atomic.Pointer[Metrics]
+}
+
+// table is a memo table: one entry per key, made on first use and never
+// removed. Looking up an existing entry takes no exclusive lock once
+// the map has settled.
+type table[K comparable, E any] struct{ m sync.Map }
+
+// entry returns the entry of k, making it on first use.
+func (t *table[K, E]) entry(k K) *E {
+	if e, ok := t.m.Load(k); ok {
+		return e.(*E)
+	}
+	e, _ := t.m.LoadOrStore(k, new(E))
+	return e.(*E)
+}
+
+// appEntry memoizes one application: its knowledge-database profile and
+// its fitted predictor, each filled once under mu. The profile is
+// stored before the predictor, so a loaded predictor implies a profile.
+type appEntry struct {
+	mu sync.Mutex
+	p  atomic.Pointer[profile.Profile]
+	pd atomic.Pointer[perfmodel.Predictor]
+}
+
+// decisionKey keys the decision table: one entry per application and
+// bound (the coordinator options are fixed when the CLIP instance is
+// built).
+type decisionKey struct {
+	app   string
+	bound float64
+}
+
+// decisionEntry memoizes one cluster-level decision, filled once under
+// mu.
+type decisionEntry struct {
+	mu sync.Mutex
+	d  atomic.Pointer[coordinator.Decision]
 }
 
 // SetMetrics binds the instance's telemetry, its coordinator's
@@ -153,19 +185,6 @@ func (c *CLIP) metrics() *Metrics {
 		return m
 	}
 	return defaultMetrics
-}
-
-// decisionKey memoizes Schedule: one entry per application and bound
-// (the coordinator options are fixed when the CLIP instance is built).
-type decisionKey struct {
-	app   string
-	bound float64
-}
-
-// flightKey renders the key for singleflight (string-keyed). %x-style
-// float formatting is exact, so distinct keys never collide.
-func (k decisionKey) flightKey() string {
-	return "sched:" + k.app + "|" + strconv.FormatFloat(k.bound, 'x', -1, 64)
 }
 
 var _ plan.Method = (*CLIP)(nil)
@@ -196,17 +215,12 @@ func New(cl *hw.Cluster, opts ...Options) (*CLIP, error) {
 		o = opts[0]
 	}
 	c := &CLIP{
-		Cluster:   cl,
-		db:        o.DB,
-		preds:     make(map[string]*perfmodel.Predictor),
-		decisions: make(map[decisionKey]*coordinator.Decision),
-		coord:     &coordinator.Coordinator{Cluster: cl, EnergyTolerance: o.EnergyTolerance},
-		prof:      &profile.Profiler{Cluster: cl},
+		Cluster: cl,
+		NPModel: o.NPModel,
+		db:      profile.NewDB(),
+		coord:   &coordinator.Coordinator{Cluster: cl, EnergyTolerance: o.EnergyTolerance},
+		prof:    &profile.Profiler{Cluster: cl},
 	}
-	if c.db == nil {
-		c.db = profile.NewDB()
-	}
-	c.NPModel = o.NPModel
 	if c.NPModel == nil {
 		m, err := TrainNPModel(cl.Spec())
 		if err != nil {
@@ -220,91 +234,76 @@ func New(cl *hw.Cluster, opts ...Options) (*CLIP, error) {
 // Name implements plan.Method.
 func (c *CLIP) Name() string { return "CLIP" }
 
-// DB exposes the knowledge database (for persistence and inspection).
+// DB exposes the knowledge database, which holds every profile this
+// instance has filled (for persistence and inspection).
 func (c *CLIP) DB() *profile.DB { return c.db }
 
 // Profile returns the knowledge-database record for app, running smart
-// profiling on a cache miss (the paper's application execution module
-// checks the database first). Concurrent misses for the same
-// application share one profiling pass.
+// profiling on its first request (the paper's application execution
+// module checks the database first). Concurrent first requests share
+// one profiling pass.
 func (c *CLIP) Profile(app *workload.Spec) (*profile.Profile, error) {
 	m := c.metrics()
-	if p, ok := c.db.Get(app.Name); ok {
+	e := c.apps.entry(app.Name)
+	if p := e.p.Load(); p != nil {
 		m.profileHits.Inc()
 		return p, nil
 	}
-	v, err, shared := c.flight.Do("profile:"+app.Name, func() (interface{}, error) {
-		if p, ok := c.db.Get(app.Name); ok {
-			m.profileHits.Inc()
-			return p, nil
-		}
-		m.profileMisses.Inc()
-		p, err := c.prof.Full(app, c.NPModel)
-		if err != nil {
-			return nil, fmt.Errorf("core: profile %s: %w", app.Name, err)
-		}
-		c.db.Put(p)
-		return p, nil
-	})
-	if shared {
-		m.flightShared.Inc()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return v.(*profile.Profile), nil
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return c.fillProfile(e, app, m, true)
 }
 
-// predictor returns (and caches) the piecewise performance predictor
-// for app, profiling on demand.
-func (c *CLIP) predictor(app *workload.Spec) (*profile.Profile, *perfmodel.Predictor, error) {
-	c.mu.RLock()
-	pd, ok := c.preds[app.Name]
-	c.mu.RUnlock()
-	if ok {
-		p, err := c.Profile(app) // knowledge-database hit by construction
-		if err != nil {
-			return nil, nil, err
+// fillProfile returns e's profile, profiling app unless it is filled.
+// The caller holds e.mu; missed reports that it found no profile before
+// taking the lock, so a profile found now was filled while it waited.
+// It counts one profile hit or miss.
+func (c *CLIP) fillProfile(e *appEntry, app *workload.Spec, m *Metrics, missed bool) (*profile.Profile, error) {
+	if p := e.p.Load(); p != nil {
+		m.profileHits.Inc()
+		if missed {
+			m.waited.Inc()
 		}
-		return p, pd, nil
+		return p, nil
 	}
-	type pair struct {
-		p  *profile.Profile
-		pd *perfmodel.Predictor
-	}
-	v, err, _ := c.flight.Do("pred:"+app.Name, func() (interface{}, error) {
-		p, err := c.Profile(app)
-		if err != nil {
-			return nil, err
-		}
-		c.mu.RLock()
-		pd, ok := c.preds[app.Name]
-		c.mu.RUnlock()
-		if ok {
-			return pair{p, pd}, nil
-		}
-		pd, err = perfmodel.NewPredictor(c.Cluster.Spec(), p)
-		if err != nil {
-			return nil, fmt.Errorf("core: predictor %s: %w", app.Name, err)
-		}
-		c.mu.Lock()
-		c.preds[app.Name] = pd
-		c.mu.Unlock()
-		return pair{p, pd}, nil
-	})
+	m.profileMisses.Inc()
+	p, err := c.prof.Full(app, c.NPModel)
 	if err != nil {
-		return nil, nil, err
+		return nil, fmt.Errorf("core: profile %s: %w", app.Name, err)
 	}
-	pr := v.(pair)
-	return pr.p, pr.pd, nil
+	c.db.Put(p)
+	e.p.Store(p)
+	return p, nil
 }
 
 // Predictor returns the knowledge-database profile and the fitted
-// piecewise performance predictor for app, profiling on demand. It is
-// exported for experiment harnesses (ablations drive the coordinator
-// directly).
+// piecewise performance predictor for app, profiling and fitting on its
+// first request. A failed fit leaves the profile cached.
 func (c *CLIP) Predictor(app *workload.Spec) (*profile.Profile, *perfmodel.Predictor, error) {
-	return c.predictor(app)
+	m := c.metrics()
+	e := c.apps.entry(app.Name)
+	if pd := e.pd.Load(); pd != nil {
+		m.profileHits.Inc()
+		return e.p.Load(), pd, nil
+	}
+	missed := e.p.Load() == nil
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if pd := e.pd.Load(); pd != nil {
+		m.profileHits.Inc()
+		m.waited.Inc()
+		return e.p.Load(), pd, nil
+	}
+	p, err := c.fillProfile(e, app, m, missed)
+	if err != nil {
+		return nil, nil, err
+	}
+	pd, err := perfmodel.NewPredictor(c.Cluster.Spec(), p)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: predictor %s: %w", app.Name, err)
+	}
+	e.pd.Store(pd)
+	return p, pd, nil
 }
 
 // Schedule produces the full cluster-level decision for app under a
@@ -315,50 +314,45 @@ func (c *CLIP) Predictor(app *workload.Spec) (*profile.Profile, *perfmodel.Predi
 // cached decision, so callers may freely annotate the returned plan.
 func (c *CLIP) Schedule(app *workload.Spec, bound float64) (*coordinator.Decision, error) {
 	m := c.metrics()
-	key := decisionKey{app: app.Name, bound: bound}
-	c.mu.RLock()
-	d, ok := c.decisions[key]
-	c.mu.RUnlock()
-	if ok {
+	e := c.decisions.entry(decisionKey{app: app.Name, bound: bound})
+	if d := e.d.Load(); d != nil {
 		m.decisionHits.Inc()
 		m.recordDecision(app.Name, bound, d, true)
 		return d.Clone(), nil
 	}
-	v, err, shared := c.flight.Do(key.flightKey(), func() (interface{}, error) {
-		c.mu.RLock()
-		d, ok := c.decisions[key]
-		c.mu.RUnlock()
-		if ok {
-			m.decisionHits.Inc()
-			return d, nil
-		}
-		m.decisionMisses.Inc()
-		start := time.Now()
-		p, pd, err := c.predictor(app)
-		if err != nil {
-			return nil, err
-		}
-		coord := *c.coord
-		coord.Metrics = m.coord
-		d, err = coord.Schedule(app, p, pd, bound)
-		if err != nil {
-			return nil, err // infeasible bounds are not cached
-		}
-		m.scheduleSeconds.Observe(time.Since(start).Seconds())
-		c.mu.Lock()
-		c.decisions[key] = d
-		c.mu.Unlock()
-		return d, nil
-	})
-	if shared {
-		m.flightShared.Inc()
-	}
+	d, err := c.fillDecision(e, app, bound, m)
 	if err != nil {
 		return nil, err
 	}
-	d = v.(*coordinator.Decision)
 	m.recordDecision(app.Name, bound, d, false)
 	return d.Clone(), nil
+}
+
+// fillDecision returns e's decision, coordinating it unless another
+// caller filled it while this one waited for e.mu. Infeasible bounds
+// are not cached.
+func (c *CLIP) fillDecision(e *decisionEntry, app *workload.Spec, bound float64, m *Metrics) (*coordinator.Decision, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if d := e.d.Load(); d != nil {
+		m.waited.Inc()
+		return d, nil
+	}
+	m.decisionMisses.Inc()
+	start := time.Now()
+	p, pd, err := c.Predictor(app)
+	if err != nil {
+		return nil, err
+	}
+	coord := *c.coord
+	coord.Metrics = m.coord
+	d, err := coord.Schedule(app, p, pd, bound)
+	if err != nil {
+		return nil, err
+	}
+	m.scheduleSeconds.Observe(time.Since(start).Seconds())
+	e.d.Store(d)
+	return d, nil
 }
 
 // recordDecision appends one schedule event to the telemetry decision

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/hw"
-	"repro/internal/profile"
 	"repro/internal/workload"
 )
 
@@ -42,25 +41,6 @@ func TestProfileCaching(t *testing.T) {
 	}
 	if c.DB().Len() != 1 {
 		t.Errorf("db has %d entries, want 1", c.DB().Len())
-	}
-}
-
-func TestSeededDB(t *testing.T) {
-	cl := hw.NewCluster(8, hw.HaswellSpec(), 0, 1)
-	db := profile.NewDB()
-	seeded := &profile.Profile{App: "comd", NodeCores: 24,
-		Class: workload.Linear, PredictedNP: 24, Affinity: workload.Compact}
-	db.Put(seeded)
-	c, err := New(cl, Options{DB: db})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := c.Profile(workload.CoMD())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p != seeded {
-		t.Error("seeded knowledge database entry ignored")
 	}
 }
 

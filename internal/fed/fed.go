@@ -33,7 +33,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/des"
-	"repro/internal/faults"
 	"repro/internal/hw"
 	"repro/internal/jobsched"
 	"repro/internal/telemetry"
@@ -133,8 +132,6 @@ type ShardConfig struct {
 	// Preempt enables priority preemption inside the shard: a blocked
 	// higher-priority job may evict running lower-priority jobs.
 	Preempt bool
-	// Faults optionally injects the shard's fault scenario.
-	Faults *faults.Scenario
 }
 
 // Lending configures the cross-shard power broker. The zero value
@@ -282,10 +279,6 @@ type Federation struct {
 	heap        *shardHeap
 	touched     []int
 	touchedMark []bool
-	// anyFaults records whether any shard injects faults: fault streams
-	// requeue work, so RunParallel steps serially instead of replaying
-	// partitioned.
-	anyFaults bool
 	// collecting / collect implement the partitioned executor's arrival
 	// drain: while collecting is set, fevArrival events append their
 	// arrival here (in engine pop order) instead of routing it.
@@ -316,6 +309,9 @@ func New(cfg Config) (*Federation, error) {
 		if sc.Nodes <= 0 || sc.BudgetW <= 0 || !finite(sc.BudgetW) {
 			return nil, fmt.Errorf("fed: shard %d: need positive nodes and a positive, finite budget", i)
 		}
+		if err := hw.CheckSigma(sc.Sigma); err != nil {
+			return nil, fmt.Errorf("fed: shard %d: %w", i, err)
+		}
 		nameplate += sc.BudgetW
 	}
 	cap := cfg.Lending.AggregateCapW
@@ -333,11 +329,6 @@ func New(cfg Config) (*Federation, error) {
 		eng:      des.NewEngine(),
 		jobShard: make(map[string]int),
 	}
-	for _, sc := range cfg.Shards {
-		if sc.Faults != nil {
-			f.anyFaults = true
-		}
-	}
 	spec := hw.HaswellSpec()
 	model, err := core.TrainNPModel(spec)
 	if err != nil {
@@ -352,7 +343,7 @@ func New(cfg Config) (*Federation, error) {
 		ent := sc.BudgetW * scale
 		s, err := jobsched.New(cl, clip, jobsched.Config{
 			Bound: ent, Policy: sc.Policy, Reallocate: sc.Reallocate,
-			Preempt: sc.Preempt, Faults: sc.Faults,
+			Preempt: sc.Preempt,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("fed: shard %d: %w", i, err)

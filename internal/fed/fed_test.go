@@ -106,6 +106,23 @@ func TestNewRejectsNonFiniteWatts(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBadSigma: New refuses a negative or non-finite shard
+// variability sigma; zero stays valid.
+func TestNewRejectsBadSigma(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.1} {
+		cfg := Config{Shards: shardCfg(2, 2, 300, jobsched.FCFS)}
+		cfg.Shards[1].Sigma = v
+		if _, err := New(cfg); err == nil {
+			t.Errorf("Sigma = %g accepted", v)
+		}
+	}
+	cfg := Config{Shards: shardCfg(2, 2, 300, jobsched.FCFS)}
+	cfg.Shards[1].Sigma = 0
+	if _, err := New(cfg); err != nil {
+		t.Errorf("Sigma = 0 rejected: %v", err)
+	}
+}
+
 // TestFederationRunsToCompletion: a small federation schedules, runs
 // and drains a trace with zero lost jobs.
 func TestFederationRunsToCompletion(t *testing.T) {

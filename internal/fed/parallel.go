@@ -96,7 +96,7 @@ func (f *Federation) RunParallel(workers int) error {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	f.ensureHeap()
-	if f.failure == nil && !f.interrupted.Load() && !f.anyFaults && f.sfaults == nil &&
+	if f.failure == nil && !f.interrupted.Load() && f.sfaults == nil &&
 		f.cfg.Routing == Locality && f.lendingInert() {
 		// Locality routing is a pure hash of the job key — arrivals
 		// read no cross-shard state — and the broker can never act, so

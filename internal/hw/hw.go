@@ -233,8 +233,8 @@ func (c *Cluster) Validate() error {
 		if err := n.Spec.Validate(); err != nil {
 			return fmt.Errorf("hw: node %d: %w", i, err)
 		}
-		if n.PowerEff <= 0 {
-			return fmt.Errorf("hw: node %d has non-positive PowerEff %g", i, n.PowerEff)
+		if !(n.PowerEff > 0) || math.IsInf(n.PowerEff, 1) {
+			return fmt.Errorf("hw: node %d needs a finite, positive PowerEff, got %g", i, n.PowerEff)
 		}
 	}
 	if c.LinkBW <= 0 {
@@ -324,10 +324,20 @@ func SkylakeSpec() *NodeSpec {
 	return s
 }
 
+// CheckSigma reports an error unless sigma is a valid manufacturing
+// variability for NewCluster: finite and non-negative.
+func CheckSigma(sigma float64) error {
+	if !(sigma >= 0) || math.IsInf(sigma, 1) {
+		return fmt.Errorf("hw: variability sigma must be finite and non-negative, got %g", sigma)
+	}
+	return nil
+}
+
 // NewCluster builds a homogeneous cluster of n nodes from spec, with
 // manufacturing variability drawn deterministically from seed. A
 // variability of 0 yields identical nodes; the paper's testbed is "quite
 // homogeneous" so the default experiments use a small sigma (e.g. 0.02).
+// A sigma that fails CheckSigma is the caller's error.
 func NewCluster(n int, spec *NodeSpec, sigma float64, seed int64) *Cluster {
 	rng := newSplitMix(uint64(seed))
 	nodes := make([]*Node, n)

@@ -104,6 +104,21 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// TestCheckSigma: CheckSigma refuses a negative or non-finite sigma
+// and accepts zero.
+func TestCheckSigma(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.1} {
+		if err := CheckSigma(v); err == nil {
+			t.Errorf("CheckSigma(%g) accepted", v)
+		}
+	}
+	for _, v := range []float64{0, 0.02} {
+		if err := CheckSigma(v); err != nil {
+			t.Errorf("CheckSigma(%g): %v", v, err)
+		}
+	}
+}
+
 func TestNewClusterDeterministic(t *testing.T) {
 	a := NewCluster(8, HaswellSpec(), 0.05, 42)
 	b := NewCluster(8, HaswellSpec(), 0.05, 42)
@@ -164,10 +179,12 @@ func TestClusterValidate(t *testing.T) {
 		t.Errorf("Haswell has %d nodes, want 8", cl.NumNodes())
 	}
 
-	bad := NewCluster(2, HaswellSpec(), 0, 1)
-	bad.Nodes[1].PowerEff = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("Validate accepted non-positive PowerEff")
+	for _, v := range []float64{0, -0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := NewCluster(2, HaswellSpec(), 0, 1)
+		bad.Nodes[1].PowerEff = v
+		if err := bad.Validate(); err == nil {
+			t.Errorf("Validate accepted PowerEff %g", v)
+		}
 	}
 
 	empty := &Cluster{LinkBW: 1}

@@ -50,15 +50,16 @@ type Options struct {
 	// RequestTimeout is the per-request deadline for acquiring the
 	// scheduler lock and running the operation. Default 5s.
 	RequestTimeout time.Duration
-	// MaxTick caps how long the bridge pump sleeps when no simulation
-	// event is due. Default 250ms.
-	MaxTick time.Duration
 	// Registry receives the server's metrics. Default telemetry.Default.
 	Registry *telemetry.Registry
 	// Pprof exposes net/http/pprof under /debug/pprof/ on the daemon's
 	// listener (cmd/clipd -pprof).
 	Pprof bool
 }
+
+// maxTick caps how long the bridge pump sleeps when no simulation event
+// is due.
+const maxTick = 250 * time.Millisecond
 
 // withDefaults fills unset options.
 func (o Options) withDefaults() Options {
@@ -70,9 +71,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 5 * time.Second
-	}
-	if o.MaxTick <= 0 {
-		o.MaxTick = 250 * time.Millisecond
 	}
 	if o.Registry == nil {
 		o.Registry = telemetry.Default
@@ -244,11 +242,11 @@ func (s *Server) Start(addr string) (string, error) {
 
 // pump is the bridge's clock thread: it advances the driver to the
 // wall-mapped virtual time, then sleeps until the next simulation event
-// is due in wall terms (capped at MaxTick so bound-schedule changes and
+// is due in wall terms (capped at maxTick so bound-schedule changes and
 // freshly armed fault streams are picked up promptly).
 func (s *Server) pump() {
 	defer close(s.pumpDone)
-	timer := time.NewTimer(s.opts.MaxTick)
+	timer := time.NewTimer(maxTick)
 	defer timer.Stop()
 	for {
 		select {
@@ -259,7 +257,7 @@ func (s *Server) pump() {
 		}
 		s.lock <- struct{}{}
 		_ = s.syncLocked() // sticky failure; surfaced via /healthz and requests
-		d := s.opts.MaxTick
+		d := maxTick
 		if next, ok := s.drv.Next(); ok {
 			wall := time.Duration((next - s.drv.Now()) / s.opts.Timescale * float64(time.Second))
 			if wall < time.Millisecond {

@@ -439,7 +439,7 @@ func TestHTTPMetricsExposed(t *testing.T) {
 func TestHTTPDrainEndToEnd(t *testing.T) {
 	// Real timescale ×300: jobs complete in wall milliseconds via the
 	// pump; drain finishes the rest instantly in virtual time.
-	s, base := httpServer(t, jobsched.Config{Bound: 640}, Options{Timescale: 300, MaxTick: 10 * time.Millisecond})
+	s, base := httpServer(t, jobsched.Config{Bound: 640}, Options{Timescale: 300})
 	ids := make([]string, 0, 6)
 	for i := 0; i < 6; i++ {
 		var job JobJSON
@@ -484,7 +484,7 @@ func TestHTTPConcurrentSubmitsUnderPump(t *testing.T) {
 	// Hammer the daemon from several goroutines while the pump advances
 	// virtual time; every accepted job must be tracked and the final
 	// drain must account for all of them. Run with -race in make check.
-	s, base := httpServer(t, jobsched.Config{Bound: 2000}, Options{Timescale: 120, MaxTick: 5 * time.Millisecond})
+	s, base := httpServer(t, jobsched.Config{Bound: 2000}, Options{Timescale: 120})
 	const workers, per = 4, 5
 	var wg sync.WaitGroup
 	accepted := make(chan string, workers*per)
