@@ -22,6 +22,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/power"
 	"repro/internal/profile"
+	"repro/internal/recommend"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -171,6 +172,32 @@ func BenchmarkCLIPSchedule(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := clip.Schedule(app, 1200); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRecommendBest measures the node-level configuration search
+// (§IV-B2) behind a warm knowledge table: one op sweeps 64 per-node
+// budgets from 30 W, below the DVFS range, to 330 W, above the FMax
+// draw, each searched afresh (no memo) on the candidate grid of
+// LU-MZ's cached profile and predictor.
+func BenchmarkRecommendBest(b *testing.B) {
+	ctx := sharedContext(b)
+	clip, err := ctx.CLIP()
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, pd, err := clip.Predictor(workload.LUMZ())
+	if err != nil {
+		b.Fatal(err)
+	}
+	grid := recommend.NewGrid(ctx.Cluster.Spec(), p, pd)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < 64; k++ {
+			if _, ok := grid.Best(30+float64(k)*300/63, 0); !ok {
+				b.Fatal("no configuration fits")
+			}
 		}
 	}
 }

@@ -143,13 +143,13 @@ func runFaults(cl *hw.Cluster, app *workload.Spec, budget float64, spec string, 
 		jobs[i] = jobsched.Job{ID: fmt.Sprintf("j%02d", i), App: app, Arrival: float64(i) * 5, Priority: pri}
 	}
 	// Both runs use the same cluster, so they share one trained NP
-	// regression; each still gets a fresh CLIP (empty knowledge base).
+	// regression; each still gets a fresh CLIP and knowledge table.
 	model, err := core.TrainNPModel(cl.Spec())
 	if err != nil {
 		return err
 	}
 	run := func(sc *faults.Scenario) (*jobsched.Stats, error) {
-		clip, err := core.New(cl, core.Options{NPModel: model})
+		clip, err := core.New(cl, core.Options{Knowledge: core.NewKnowledge(cl.Spec(), model)})
 		if err != nil {
 			return nil, err
 		}

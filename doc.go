@@ -17,9 +17,10 @@
 // table and figure (internal/bench).
 //
 // The stack is safe for concurrent use: a single core.CLIP may be
-// shared across goroutines — it keeps one memo table per question
-// (profile and predictor per application, decision per application and
-// bound), each entry filled once under its own lock so concurrent
+// shared across goroutines, and several may share one knowledge table
+// per node spec — profile, predictor and node-configuration answers per
+// application, beside each instance's own decision per application and
+// bound — each entry filled once under its own lock so concurrent
 // misses share one pass, and Schedule returns a deep clone of the cached
 // decision so callers may mutate the returned plan. The bench harness
 // exploits this to run experiments and their inner sweeps from a

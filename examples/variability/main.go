@@ -29,7 +29,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		prof, pd, err := clip.Predictor(app)
+		adv, err := clip.Advisor(app)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func main() {
 			thr  float64
 		}{{"uniform", -1}, {"coordinated", 0}} {
 			co := &coordinator.Coordinator{Cluster: cluster, Threshold: mode.thr}
-			d, err := co.Schedule(app, prof, pd, bound)
+			d, err := co.Schedule(app, adv, bound)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -43,7 +43,8 @@ func runAblVar(ctx *Context, w io.Writer) error {
 	const bound = 1000.0
 
 	// The sweep varies only node variability, so every cluster reuses
-	// the context's regression for the testbed spec.
+	// the context's regression for the testbed spec, each in a fresh
+	// knowledge table.
 	model, err := ctx.npModel()
 	if err != nil {
 		return err
@@ -51,11 +52,11 @@ func runAblVar(ctx *Context, w io.Writer) error {
 	t := trace.NewTable("sigma", "spread", "coordinated", "runtime_s", "gain_%")
 	for _, sigma := range []float64{0.0, 0.02, 0.05, 0.08} {
 		cl := hw.NewCluster(8, ctx.Cluster.Spec(), sigma, 4242)
-		clip, err := core.New(cl, core.Options{NPModel: model})
+		clip, err := core.New(cl, core.Options{Knowledge: core.NewKnowledge(cl.Spec(), model)})
 		if err != nil {
 			return err
 		}
-		prof, pd, err := clip.Predictor(app)
+		adv, err := clip.Advisor(app)
 		if err != nil {
 			return err
 		}
@@ -64,7 +65,7 @@ func runAblVar(ctx *Context, w io.Writer) error {
 		var coordFlag [2]bool
 		for i, thr := range []float64{-1, 0} { // off, default
 			co := &coordinator.Coordinator{Cluster: cl, Threshold: thr}
-			d, err := co.Schedule(app, prof, pd, bound)
+			d, err := co.Schedule(app, adv, bound)
 			if err != nil {
 				return err
 			}

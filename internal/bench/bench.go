@@ -176,7 +176,8 @@ func NewContext() *Context { return &Context{Cluster: hw.Haswell()} }
 
 // npModel returns the NP regression for the testbed's node spec,
 // training it on first use. Experiments that build their own CLIP
-// instance over that spec pass it in through core.Options.NPModel.
+// instance over that spec give it a fresh knowledge table
+// (core.NewKnowledge) over this model.
 func (c *Context) npModel() (*perfmodel.NPModel, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -199,7 +200,7 @@ func (c *Context) CLIP() (*core.CLIP, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.clip == nil {
-		cl, err := core.New(c.Cluster, core.Options{NPModel: m})
+		cl, err := core.New(c.Cluster, core.Options{Knowledge: core.NewKnowledge(c.Cluster.Spec(), m)})
 		if err != nil {
 			return nil, err
 		}

@@ -56,7 +56,10 @@ func runEnergy(ctx *Context, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	clipE, err := core.New(ctx.Cluster, core.Options{NPModel: model, EnergyTolerance: 0.10})
+	clipE, err := core.New(ctx.Cluster, core.Options{
+		Knowledge:       core.NewKnowledge(ctx.Cluster.Spec(), model),
+		EnergyTolerance: 0.10,
+	})
 	if err != nil {
 		return err
 	}

@@ -21,7 +21,6 @@ import (
 	"sync"
 
 	"repro/internal/hw"
-	"repro/internal/perfmodel"
 	"repro/internal/plan"
 	"repro/internal/power"
 	"repro/internal/profile"
@@ -204,45 +203,9 @@ type Scratch struct {
 	ids     []int
 	budgets []power.Budget
 	phase   map[phaseKey]map[string]int
-	best    map[bestKey]bestMemo
 	// perNode stages a rebalance event's budgets; the event ring copies
 	// it into ring-owned storage, so the scratch is reused every pass.
 	perNode []telemetry.NodeBudget
-}
-
-// bestKey identifies one memoized per-node recommendation: the search
-// is a pure function of (node spec, predictor, per-node budget, energy
-// tolerance) — the profile is paired 1:1 with the predictor, and Place
-// always searches at full efficiency.
-type bestKey struct {
-	spec    *hw.NodeSpec
-	pd      *perfmodel.Predictor
-	bits    uint64 // math.Float64bits of the per-node budget
-	tolBits uint64 // math.Float64bits of the energy tolerance
-}
-
-// bestMemo is one cached recommend.Best outcome.
-type bestMemo struct {
-	cfg recommend.NodeConfig
-	ok  bool
-}
-
-// bestConfig returns the memoized single-node recommendation for a
-// per-node budget, computing and caching it on first sight. Budgets
-// recur heavily across a scheduling run (power conservation returns
-// the free pool to previously seen values), so the candidate search
-// runs once per distinct (app, budget) pair.
-func (sc *Scratch) bestConfig(spec *hw.NodeSpec, prof *profile.Profile, pd *perfmodel.Predictor, perNode, tolerance float64) (recommend.NodeConfig, bool) {
-	k := bestKey{spec: spec, pd: pd, bits: math.Float64bits(perNode), tolBits: math.Float64bits(tolerance)}
-	if m, ok := sc.best[k]; ok {
-		return m.cfg, m.ok
-	}
-	if sc.best == nil {
-		sc.best = make(map[bestKey]bestMemo)
-	}
-	cfg, ok := recommend.Best(spec, prof, pd, perNode, 1.0, tolerance)
-	sc.best[k] = bestMemo{cfg: cfg, ok: ok}
-	return cfg, ok
 }
 
 // phasePlan returns the memoized phase-concurrency override map.
@@ -259,6 +222,16 @@ func (sc *Scratch) phasePlan(app *workload.Spec, prof *profile.Profile, cores in
 	return m
 }
 
+// Recommender answers the node-level questions of one application's
+// placement: its profile, and the best node configuration under a
+// per-node budget and energy tolerance (§IV-B2). A recommend.Grid
+// answers directly; the CLIP façade answers from a table shared by every
+// CLIP instance of one node spec, so each question is searched once.
+type Recommender interface {
+	Profile() *profile.Profile
+	Best(perNode, tolerance float64) (recommend.NodeConfig, bool)
+}
+
 // Sentinel errors of the allocation-free Place path. Schedule maps them
 // back to its formatted human-facing messages.
 var (
@@ -268,11 +241,11 @@ var (
 )
 
 // Schedule produces the CLIP decision for app under a total budget of
-// bound watts, given its profile and fitted performance predictor.
-func (c *Coordinator) Schedule(app *workload.Spec, prof *profile.Profile, pd *perfmodel.Predictor, bound float64) (*Decision, error) {
+// bound watts, asking rec for the profile and the node-level answers.
+func (c *Coordinator) Schedule(app *workload.Spec, rec Recommender, bound float64) (*Decision, error) {
 	var sc Scratch
 	var pl Placement
-	if err := c.Place(app, prof, pd, bound, &sc, &pl); err != nil {
+	if err := c.Place(app, rec, bound, &sc, &pl); err != nil {
 		switch {
 		case errors.Is(err, ErrNonPositiveBound):
 			return nil, fmt.Errorf("coordinator: non-positive bound %.1f W", bound)
@@ -284,6 +257,7 @@ func (c *Coordinator) Schedule(app *workload.Spec, prof *profile.Profile, pd *pe
 		}
 		return nil, err
 	}
+	prof := rec.Profile()
 	// Materialize caller-owned storage: the scratch dies with this
 	// frame, while the Decision may be cached and annotated.
 	var phases map[string]int
@@ -315,12 +289,13 @@ func (c *Coordinator) Schedule(app *workload.Spec, prof *profile.Profile, pd *pe
 // caller's scratch buffers without heap allocation: node-count search,
 // node picking, budget assignment, and telemetry publication — the
 // exact decision Schedule produces, minus the materialized Plan. It is
-// the hot-path entry for the job scheduler's dispatch loop.
-func (c *Coordinator) Place(app *workload.Spec, prof *profile.Profile, pd *perfmodel.Predictor, bound float64, sc *Scratch, out *Placement) error {
+// the hot-path entry for the job scheduler's dispatch loop. Each
+// candidate node count asks rec for the best configuration under its
+// per-node share of the bound.
+func (c *Coordinator) Place(app *workload.Spec, rec Recommender, bound float64, sc *Scratch, out *Placement) error {
 	if bound <= 0 {
 		return ErrNonPositiveBound
 	}
-	spec := c.Cluster.Spec()
 	sc.counts = app.AppendProcCounts(sc.counts[:0], c.Cluster.NumNodes())
 	if len(sc.counts) == 0 {
 		return ErrNoProcCount
@@ -336,7 +311,7 @@ func (c *Coordinator) Place(app *workload.Spec, prof *profile.Profile, pd *perfm
 	haveFallback := false
 	for _, n := range sc.counts {
 		perNode := bound / float64(n)
-		cfg, ok := sc.bestConfig(spec, prof, pd, perNode, c.EnergyTolerance)
+		cfg, ok := rec.Best(perNode, c.EnergyTolerance)
 		if !ok {
 			c.metrics().infeasible.Inc()
 			continue
@@ -374,7 +349,7 @@ func (c *Coordinator) Place(app *workload.Spec, prof *profile.Profile, pd *perfm
 	out.NodeCfg = best.cfg
 	out.PredTime = best.pred
 	out.Coordinated = coordinated
-	out.PhaseCores = sc.phasePlan(app, prof, best.cfg.Cores)
+	out.PhaseCores = sc.phasePlan(app, rec.Profile(), best.cfg.Cores)
 	if !c.Quiet {
 		c.publish(sc, app.Name, bound, ids, budgets, coordinated)
 	}

@@ -7,10 +7,11 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/plan"
 	"repro/internal/profile"
+	"repro/internal/recommend"
 	"repro/internal/workload"
 )
 
-func setup(t *testing.T, cl *hw.Cluster, app *workload.Spec) (*profile.Profile, *perfmodel.Predictor) {
+func setup(t *testing.T, cl *hw.Cluster, app *workload.Spec) *recommend.Grid {
 	t.Helper()
 	m, err := perfmodel.TrainNP(cl.Spec(), workload.TrainingSet(42, 7))
 	if err != nil {
@@ -25,19 +26,19 @@ func setup(t *testing.T, cl *hw.Cluster, app *workload.Spec) (*profile.Profile, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, pd
+	return recommend.NewGrid(cl.Spec(), p, pd)
 }
 
 func uniformCluster() *hw.Cluster { return hw.NewCluster(8, hw.HaswellSpec(), 0, 1) }
 
 func TestScheduleRejectsBadBound(t *testing.T) {
 	cl := uniformCluster()
-	p, pd := setup(t, cl, workload.CoMD())
+	g := setup(t, cl, workload.CoMD())
 	co := &Coordinator{Cluster: cl}
-	if _, err := co.Schedule(workload.CoMD(), p, pd, 0); err == nil {
+	if _, err := co.Schedule(workload.CoMD(), g, 0); err == nil {
 		t.Error("zero bound accepted")
 	}
-	if _, err := co.Schedule(workload.CoMD(), p, pd, -100); err == nil {
+	if _, err := co.Schedule(workload.CoMD(), g, -100); err == nil {
 		t.Error("negative bound accepted")
 	}
 }
@@ -45,9 +46,9 @@ func TestScheduleRejectsBadBound(t *testing.T) {
 func TestHighBoundUsesAllNodes(t *testing.T) {
 	cl := uniformCluster()
 	app := workload.CoMD()
-	p, pd := setup(t, cl, app)
+	g := setup(t, cl, app)
 	co := &Coordinator{Cluster: cl}
-	d, err := co.Schedule(app, p, pd, 2600)
+	d, err := co.Schedule(app, g, 2600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,10 +63,10 @@ func TestHighBoundUsesAllNodes(t *testing.T) {
 func TestBudgetNeverExceeded(t *testing.T) {
 	cl := uniformCluster()
 	for _, app := range []*workload.Spec{workload.CoMD(), workload.LUMZ(), workload.SPMZ()} {
-		p, pd := setup(t, cl, app)
+		g := setup(t, cl, app)
 		co := &Coordinator{Cluster: cl}
 		for _, bound := range []float64{2400, 1600, 1000, 700} {
-			d, err := co.Schedule(app, p, pd, bound)
+			d, err := co.Schedule(app, g, bound)
 			if err != nil {
 				t.Fatalf("%s @%v: %v", app.Name, bound, err)
 			}
@@ -79,13 +80,13 @@ func TestBudgetNeverExceeded(t *testing.T) {
 func TestLowBoundReducesNodesOrCores(t *testing.T) {
 	cl := uniformCluster()
 	app := workload.LUMZ()
-	p, pd := setup(t, cl, app)
+	g := setup(t, cl, app)
 	co := &Coordinator{Cluster: cl}
-	high, err := co.Schedule(app, p, pd, 2400)
+	high, err := co.Schedule(app, g, 2400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	low, err := co.Schedule(app, p, pd, 700)
+	low, err := co.Schedule(app, g, 700)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,9 +100,9 @@ func TestPredefinedProcCounts(t *testing.T) {
 	cl := uniformCluster()
 	app := workload.CoMD()
 	app.ProcCounts = []int{1, 2, 4}
-	p, pd := setup(t, cl, app)
+	g := setup(t, cl, app)
 	co := &Coordinator{Cluster: cl}
-	d, err := co.Schedule(app, p, pd, 2600)
+	d, err := co.Schedule(app, g, 2600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +115,11 @@ func TestPredefinedProcCounts(t *testing.T) {
 func TestNoFeasibleCount(t *testing.T) {
 	cl := uniformCluster()
 	app := workload.CoMD()
-	p, pd := setup(t, cl, app)
+	g := setup(t, cl, app)
 	co := &Coordinator{Cluster: cl}
 	// A bound far below one node's lower range: the coordinator falls
 	// back to a duty-cycled plan rather than failing.
-	d, err := co.Schedule(app, p, pd, 40)
+	d, err := co.Schedule(app, g, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,9 +134,9 @@ func TestNoFeasibleCount(t *testing.T) {
 func TestVariabilityCoordinationTriggers(t *testing.T) {
 	cl := hw.NewCluster(8, hw.HaswellSpec(), 0.06, 7)
 	app := workload.AMG()
-	p, pd := setup(t, cl, app)
+	g := setup(t, cl, app)
 	co := &Coordinator{Cluster: cl}
-	d, err := co.Schedule(app, p, pd, 1100)
+	d, err := co.Schedule(app, g, 1100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,15 +162,15 @@ func TestVariabilityCoordinationTriggers(t *testing.T) {
 func TestVariabilityCoordinationImproves(t *testing.T) {
 	cl := hw.NewCluster(8, hw.HaswellSpec(), 0.06, 7)
 	app := workload.AMG()
-	p, pd := setup(t, cl, app)
+	g := setup(t, cl, app)
 
 	on := &Coordinator{Cluster: cl}
 	off := &Coordinator{Cluster: cl, Threshold: -1}
-	dOn, err := on.Schedule(app, p, pd, 1100)
+	dOn, err := on.Schedule(app, g, 1100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dOff, err := off.Schedule(app, p, pd, 1100)
+	dOff, err := off.Schedule(app, g, 1100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,9 +190,9 @@ func TestVariabilityCoordinationImproves(t *testing.T) {
 func TestHomogeneousSkipsCoordination(t *testing.T) {
 	cl := uniformCluster()
 	app := workload.AMG()
-	p, pd := setup(t, cl, app)
+	g := setup(t, cl, app)
 	co := &Coordinator{Cluster: cl}
-	d, err := co.Schedule(app, p, pd, 1100)
+	d, err := co.Schedule(app, g, 1100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,16 +226,16 @@ func TestPickNodesPrefersEfficient(t *testing.T) {
 func TestParabolicCoresAtMostNP(t *testing.T) {
 	cl := uniformCluster()
 	app := workload.TeaLeaf()
-	p, pd := setup(t, cl, app)
+	g := setup(t, cl, app)
 	co := &Coordinator{Cluster: cl}
 	for _, bound := range []float64{2400, 1200, 800} {
-		d, err := co.Schedule(app, p, pd, bound)
+		d, err := co.Schedule(app, g, bound)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Plan.Cores > p.PredictedNP {
+		if d.Plan.Cores > g.Profile().PredictedNP {
 			t.Errorf("bound %v: parabolic plan uses %d cores beyond NP %d",
-				bound, d.Plan.Cores, p.PredictedNP)
+				bound, d.Plan.Cores, g.Profile().PredictedNP)
 		}
 	}
 }
@@ -242,9 +243,9 @@ func TestParabolicCoresAtMostNP(t *testing.T) {
 func TestNotesPopulated(t *testing.T) {
 	cl := uniformCluster()
 	app := workload.LUMZ()
-	p, pd := setup(t, cl, app)
+	g := setup(t, cl, app)
 	co := &Coordinator{Cluster: cl}
-	d, err := co.Schedule(app, p, pd, 1200)
+	d, err := co.Schedule(app, g, 1200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,15 +277,15 @@ func TestExplicitZeroThreshold(t *testing.T) {
 		t.Fatalf("test cluster spread %.4f outside (0, %g]", cl.MaxVariability(), VariabilityThreshold)
 	}
 	app := workload.AMG()
-	p, pd := setup(t, cl, app)
-	dDef, err := (&Coordinator{Cluster: cl, Threshold: 0}).Schedule(app, p, pd, 1100)
+	g := setup(t, cl, app)
+	dDef, err := (&Coordinator{Cluster: cl, Threshold: 0}).Schedule(app, g, 1100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dDef.Coordinated {
 		t.Error("default threshold coordinated below the paper's trigger")
 	}
-	dLow, err := (&Coordinator{Cluster: cl, Threshold: 1e-9}).Schedule(app, p, pd, 1100)
+	dLow, err := (&Coordinator{Cluster: cl, Threshold: 1e-9}).Schedule(app, g, 1100)
 	if err != nil {
 		t.Fatal(err)
 	}

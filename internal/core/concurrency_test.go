@@ -144,7 +144,8 @@ func TestOneFillPerKey(t *testing.T) {
 	const n = 16
 	app := workload.AMG()
 	for round := 0; round < 50 && !t.Failed(); round++ {
-		clip, err := New(hw.Haswell(), Options{NPModel: model})
+		cl := hw.Haswell()
+		clip, err := New(cl, Options{Knowledge: NewKnowledge(cl.Spec(), model)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,6 +189,66 @@ func TestOneFillPerKey(t *testing.T) {
 		for g, p := range plans {
 			if p != nil && !reflect.DeepEqual(p, plans[0]) {
 				t.Errorf("round %d: goroutine %d decision %+v, want %+v", round, g, p, plans[0])
+			}
+		}
+	}
+}
+
+// TestOneSearchPerQuestion starts 16 goroutines on two CLIP instances
+// that share a fresh knowledge table; each asks its instance for one
+// application's advisor and then the same node-level questions. The
+// table must profile once and search each question once, and every
+// goroutine must read the same answers. Each round uses a fresh table.
+func TestOneSearchPerQuestion(t *testing.T) {
+	spec := hw.HaswellSpec()
+	model, err := TrainNPModel(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	passes := telemetry.Default.Counter("clip_profiling_passes_total", "")
+	searches := telemetry.Default.Counter("clip_recommend_calls_total", "")
+	const n = 16
+	app := workload.LUMZ()
+	budgets := []float64{60, 140, 220}
+	for round := 0; round < 50 && !t.Failed(); round++ {
+		know := NewKnowledge(spec, model)
+		var clips [2]*CLIP
+		for i := range clips {
+			if clips[i], err = New(hw.NewCluster(4, spec, 0.02, int64(i)), Options{Knowledge: know}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p0, s0 := passes.Value(), searches.Value()
+		answers := make([][]float64, n)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < n; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				adv, err := clips[g%2].Advisor(app)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, b := range budgets {
+					cfg, _ := adv.Best(b, 0)
+					answers[g] = append(answers[g], cfg.PredIterTime, cfg.Budget.CPU)
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		if d := passes.Value() - p0; d != 1 {
+			t.Errorf("round %d: %d profiling passes, want 1", round, d)
+		}
+		if d := searches.Value() - s0; d != uint64(len(budgets)) {
+			t.Errorf("round %d: %d searches for %d questions", round, d, len(budgets))
+		}
+		for g := range answers {
+			if !reflect.DeepEqual(answers[g], answers[0]) {
+				t.Errorf("round %d: goroutine %d read %v, goroutine 0 %v", round, g, answers[g], answers[0])
 			}
 		}
 	}

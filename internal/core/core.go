@@ -10,16 +10,21 @@
 //	clip, _ := core.New(cl)
 //	res, _ := clip.Run(workload.SPMZ(), 800) // 800 W cluster bound
 //
-// A CLIP instance is safe for concurrent use. It memoizes each answer
-// in one table: profiles and fitted predictors per application, and
-// decisions per (application, bound). An entry is filled once under its
-// own lock, so concurrent first requests for one key wait for a single
-// profiling or scheduling pass, and Schedule hands out a deep clone so
-// callers may mutate the returned plan without corrupting the table.
+// A CLIP instance is safe for concurrent use. Its answers come from two
+// memo tables. The knowledge table (Knowledge) belongs to a node spec
+// and may be shared by every instance over clusters of that spec: per
+// application it holds the profile, the fitted predictor, the candidate
+// grid and the node-configuration answers. The decision table is the
+// instance's own, one entry per (application, bound). An entry is
+// filled once under its own lock, so concurrent first requests for one
+// key wait for a single profiling, search or scheduling pass, and
+// Schedule hands out a deep clone so callers may mutate the returned
+// plan without corrupting the table.
 package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,6 +34,7 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/plan"
 	"repro/internal/profile"
+	"repro/internal/recommend"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -103,10 +109,12 @@ var defaultMetrics = NewMetrics(telemetry.Default)
 
 // Options configures CLIP construction.
 type Options struct {
-	// NPModel injects a pre-trained regression (see TrainNPModel),
-	// skipping training. It must have been trained on the cluster's
-	// node spec.
-	NPModel *perfmodel.NPModel
+	// Knowledge is the knowledge table the instance reads and fills
+	// (see NewKnowledge); it must have been built for the cluster's node
+	// spec. Instances that share one profile each application once and
+	// search each node-level question once. Nil builds a private table,
+	// training the NP regression on the cluster's spec.
+	Knowledge *Knowledge
 	// EnergyTolerance switches the node-level objective to energy-aware
 	// selection: minimum predicted energy within this relative slowdown
 	// of the fastest configuration (0 = pure performance, the paper's
@@ -114,19 +122,22 @@ type Options struct {
 	EnergyTolerance float64
 }
 
-// CLIP is the scheduler. It is safe for concurrent use. It keeps one
-// memo table per question: an appEntry per application (the profile and
-// the fitted predictor) and a decisionEntry per (application, bound).
-// Each answer is filled once, under its entry's lock, so concurrent
-// callers of one key wait for that single fill; a caller that finds the
-// answer filled reads it without a lock. Errors are not cached.
+// CLIP is the scheduler. It is safe for concurrent use. It reads its
+// profiles, predictors and node-level answers from a knowledge table and
+// keeps its own decision table, one decisionEntry per (application,
+// bound). It also records, per application, what it has taken from the
+// knowledge table (appEntry), so its profile hits and misses count as
+// if the table were its own. Each answer is filled once, under its
+// entry's lock, so concurrent callers of one key wait for that single
+// fill; a caller that finds the answer filled reads it without a lock.
+// Errors are not cached.
 type CLIP struct {
 	Cluster *hw.Cluster
 	NPModel *perfmodel.NPModel
 
+	know  *Knowledge
 	db    *profile.DB
 	coord *coordinator.Coordinator
-	prof  *profile.Profiler
 
 	apps      table[string, appEntry]
 	decisions table[decisionKey, decisionEntry]
@@ -149,13 +160,145 @@ func (t *table[K, E]) entry(k K) *E {
 	return e.(*E)
 }
 
-// appEntry memoizes one application: its knowledge-database profile and
-// its fitted predictor, each filled once under mu. The profile is
-// stored before the predictor, so a loaded predictor implies a profile.
+// appEntry records what one instance has taken from the knowledge
+// table for one application: the profile, then the application's
+// advisor once its predictor is fitted, each set once under mu. The
+// profile is set before the advisor, so a loaded advisor implies a
+// profile.
 type appEntry struct {
 	mu sync.Mutex
 	p  atomic.Pointer[profile.Profile]
-	pd atomic.Pointer[perfmodel.Predictor]
+	a  atomic.Pointer[Advisor]
+}
+
+// Knowledge is the knowledge table of one node spec: the NP regression
+// and, per application, an Advisor holding the profile, the fitted
+// predictor, the candidate grid and the node-configuration answers.
+// Profiling runs uncapped on one nominal node of the spec, so every
+// answer is a function of the spec and the application alone, and CLIP
+// instances over clusters of one spec (a federation's shards) can share
+// one table: each application is profiled once and each (application,
+// per-node budget, tolerance) is searched once. A table is filled on
+// demand and never emptied; its owner scopes it (one per federation),
+// so independent runs do not see each other's answers.
+type Knowledge struct {
+	spec  *hw.NodeSpec
+	model *perfmodel.NPModel
+	prof  profile.Profiler
+	apps  table[string, Advisor]
+}
+
+// NewKnowledge returns an empty knowledge table for a node spec and an
+// NP regression trained on it (TrainNPModel). It profiles nothing until
+// asked.
+func NewKnowledge(spec *hw.NodeSpec, model *perfmodel.NPModel) *Knowledge {
+	return &Knowledge{
+		spec:  spec,
+		model: model,
+		prof:  profile.Profiler{Cluster: hw.NewCluster(1, spec, 0, 0)},
+	}
+}
+
+// Advisor is one application's entry in a knowledge table: its profile,
+// its fitted predictor and candidate grid, and a memo of the grid's
+// node-configuration answers, one configEntry per (per-node budget,
+// tolerance). The profile and the grid are filled once under mu; CLIP
+// hands an advisor out only once both are.
+type Advisor struct {
+	mu      sync.Mutex
+	p       *profile.Profile
+	grid    *recommend.Grid
+	configs table[configKey, configEntry]
+}
+
+// configKey keys an advisor's answers by the bits of the per-node
+// budget and of the energy tolerance.
+type configKey struct{ budget, tolerance uint64 }
+
+// configEntry memoizes one recommend answer, filled once under mu.
+type configEntry struct {
+	mu   sync.Mutex
+	done atomic.Bool
+	cfg  recommend.NodeConfig
+	ok   bool
+}
+
+// Profile returns the application's profile.
+func (a *Advisor) Profile() *profile.Profile { return a.p }
+
+// Predictor returns the application's fitted performance predictor.
+func (a *Advisor) Predictor() *perfmodel.Predictor { return a.grid.Predictor() }
+
+// Best returns the node configuration recommend's grid search picks for
+// a per-node budget and energy tolerance, searching once per table: every
+// CLIP instance sharing the table reads the same answer.
+func (a *Advisor) Best(perNode, tolerance float64) (recommend.NodeConfig, bool) {
+	e := a.configs.entry(configKey{math.Float64bits(perNode), math.Float64bits(tolerance)})
+	if !e.done.Load() {
+		e.mu.Lock()
+		if !e.done.Load() {
+			e.cfg, e.ok = a.grid.Best(perNode, tolerance)
+			e.done.Store(true)
+		}
+		e.mu.Unlock()
+	}
+	return e.cfg, e.ok
+}
+
+// Answers returns how many node-configuration answers the table holds:
+// one per (application, per-node budget, tolerance) asked so far.
+func (k *Knowledge) Answers() int {
+	n := 0
+	k.apps.m.Range(func(_, a any) bool {
+		a.(*Advisor).configs.m.Range(func(_, _ any) bool { n++; return true })
+		return true
+	})
+	return n
+}
+
+// profile returns app's profile, profiling on the table's nominal node
+// on first request.
+func (k *Knowledge) profile(app *workload.Spec) (*profile.Profile, error) {
+	a := k.apps.entry(app.Name)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if err := k.fillProfile(a, app); err != nil {
+		return nil, err
+	}
+	return a.p, nil
+}
+
+// advisor returns app's advisor with its profile and grid filled.
+func (k *Knowledge) advisor(app *workload.Spec) (*Advisor, error) {
+	a := k.apps.entry(app.Name)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.grid != nil {
+		return a, nil
+	}
+	if err := k.fillProfile(a, app); err != nil {
+		return nil, err
+	}
+	pd, err := perfmodel.NewPredictor(k.spec, a.p)
+	if err != nil {
+		return nil, fmt.Errorf("core: predictor %s: %w", app.Name, err)
+	}
+	a.grid = recommend.NewGrid(k.spec, a.p, pd)
+	return a, nil
+}
+
+// fillProfile profiles app into a unless it is filled. The caller
+// holds a.mu.
+func (k *Knowledge) fillProfile(a *Advisor, app *workload.Spec) error {
+	if a.p != nil {
+		return nil
+	}
+	p, err := k.prof.Full(app, k.model)
+	if err != nil {
+		return fmt.Errorf("core: profile %s: %w", app.Name, err)
+	}
+	a.p = p
+	return nil
 }
 
 // decisionKey keys the decision table: one entry per application and
@@ -191,8 +334,8 @@ var _ plan.Method = (*CLIP)(nil)
 
 // TrainNPModel trains the inflection-point regression for a node spec
 // on the default synthetic training set. The model depends on the spec
-// alone, so a caller that builds several CLIP instances over one spec
-// trains it once and passes it to each through Options.NPModel.
+// alone, so a caller that builds several knowledge tables over one spec
+// trains it once and passes it to each NewKnowledge.
 func TrainNPModel(spec *hw.NodeSpec) (*perfmodel.NPModel, error) {
 	m, err := perfmodel.TrainNP(spec, workload.TrainingSet(42, 7))
 	if err != nil {
@@ -201,11 +344,12 @@ func TrainNPModel(spec *hw.NodeSpec) (*perfmodel.NPModel, error) {
 	return m, nil
 }
 
-// New builds a CLIP instance for a cluster. Without Options.NPModel it
-// trains the inflection-point regression on the cluster's node spec.
-// Training is the paper's one-time offline cost only when a caller that
-// builds several instances over one spec trains once (TrainNPModel) and
-// passes the model to each.
+// New builds a CLIP instance for a cluster. Without Options.Knowledge
+// it builds a private knowledge table, training the inflection-point
+// regression on the cluster's node spec. Training is the paper's
+// one-time offline cost only when a caller that builds several
+// instances over one spec trains once (TrainNPModel) or shares one
+// table.
 func New(cl *hw.Cluster, opts ...Options) (*CLIP, error) {
 	if err := cl.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -214,22 +358,27 @@ func New(cl *hw.Cluster, opts ...Options) (*CLIP, error) {
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	c := &CLIP{
-		Cluster: cl,
-		NPModel: o.NPModel,
-		db:      profile.NewDB(),
-		coord:   &coordinator.Coordinator{Cluster: cl, EnergyTolerance: o.EnergyTolerance},
-		prof:    &profile.Profiler{Cluster: cl},
-	}
-	if c.NPModel == nil {
+	know := o.Knowledge
+	if know == nil {
 		m, err := TrainNPModel(cl.Spec())
 		if err != nil {
 			return nil, err
 		}
-		c.NPModel = m
+		know = NewKnowledge(cl.Spec(), m)
+	} else if know.spec != cl.Spec() {
+		return nil, fmt.Errorf("core: knowledge table built for a different node spec")
 	}
-	return c, nil
+	return &CLIP{
+		Cluster: cl,
+		NPModel: know.model,
+		know:    know,
+		db:      profile.NewDB(),
+		coord:   &coordinator.Coordinator{Cluster: cl, EnergyTolerance: o.EnergyTolerance},
+	}, nil
 }
+
+// Knowledge returns the knowledge table the instance reads and fills.
+func (c *CLIP) Knowledge() *Knowledge { return c.know }
 
 // Name implements plan.Method.
 func (c *CLIP) Name() string { return "CLIP" }
@@ -254,10 +403,10 @@ func (c *CLIP) Profile(app *workload.Spec) (*profile.Profile, error) {
 	return c.fillProfile(e, app, m, true)
 }
 
-// fillProfile returns e's profile, profiling app unless it is filled.
-// The caller holds e.mu; missed reports that it found no profile before
-// taking the lock, so a profile found now was filled while it waited.
-// It counts one profile hit or miss.
+// fillProfile returns e's profile, taking it from the knowledge table
+// unless it is set. The caller holds e.mu; missed reports that it found
+// no profile before taking the lock, so a profile found now was set
+// while it waited. It counts one profile hit or miss.
 func (c *CLIP) fillProfile(e *appEntry, app *workload.Spec, m *Metrics, missed bool) (*profile.Profile, error) {
 	if p := e.p.Load(); p != nil {
 		m.profileHits.Inc()
@@ -267,9 +416,9 @@ func (c *CLIP) fillProfile(e *appEntry, app *workload.Spec, m *Metrics, missed b
 		return p, nil
 	}
 	m.profileMisses.Inc()
-	p, err := c.prof.Full(app, c.NPModel)
+	p, err := c.know.profile(app)
 	if err != nil {
-		return nil, fmt.Errorf("core: profile %s: %w", app.Name, err)
+		return nil, err
 	}
 	c.db.Put(p)
 	e.p.Store(p)
@@ -280,30 +429,41 @@ func (c *CLIP) fillProfile(e *appEntry, app *workload.Spec, m *Metrics, missed b
 // piecewise performance predictor for app, profiling and fitting on its
 // first request. A failed fit leaves the profile cached.
 func (c *CLIP) Predictor(app *workload.Spec) (*profile.Profile, *perfmodel.Predictor, error) {
+	a, err := c.Advisor(app)
+	if err != nil {
+		return nil, nil, err
+	}
+	return a.Profile(), a.Predictor(), nil
+}
+
+// Advisor returns app's entry in the knowledge table, profiling and
+// fitting on its first request; it counts as Predictor does. The
+// advisor answers node-level configuration questions (Advisor.Best)
+// once for every instance sharing the table.
+func (c *CLIP) Advisor(app *workload.Spec) (*Advisor, error) {
 	m := c.metrics()
 	e := c.apps.entry(app.Name)
-	if pd := e.pd.Load(); pd != nil {
+	if a := e.a.Load(); a != nil {
 		m.profileHits.Inc()
-		return e.p.Load(), pd, nil
+		return a, nil
 	}
 	missed := e.p.Load() == nil
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if pd := e.pd.Load(); pd != nil {
+	if a := e.a.Load(); a != nil {
 		m.profileHits.Inc()
 		m.waited.Inc()
-		return e.p.Load(), pd, nil
+		return a, nil
 	}
-	p, err := c.fillProfile(e, app, m, missed)
+	if _, err := c.fillProfile(e, app, m, missed); err != nil {
+		return nil, err
+	}
+	a, err := c.know.advisor(app)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	pd, err := perfmodel.NewPredictor(c.Cluster.Spec(), p)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: predictor %s: %w", app.Name, err)
-	}
-	e.pd.Store(pd)
-	return p, pd, nil
+	e.a.Store(a)
+	return a, nil
 }
 
 // Schedule produces the full cluster-level decision for app under a
@@ -340,13 +500,13 @@ func (c *CLIP) fillDecision(e *decisionEntry, app *workload.Spec, bound float64,
 	}
 	m.decisionMisses.Inc()
 	start := time.Now()
-	p, pd, err := c.Predictor(app)
+	a, err := c.Advisor(app)
 	if err != nil {
 		return nil, err
 	}
 	coord := *c.coord
 	coord.Metrics = m.coord
-	d, err := coord.Schedule(app, p, pd, bound)
+	d, err := coord.Schedule(app, a, bound)
 	if err != nil {
 		return nil, err
 	}

@@ -44,18 +44,40 @@ func TestProfileCaching(t *testing.T) {
 	}
 }
 
-func TestInjectedNPModel(t *testing.T) {
+// TestSharedKnowledge: instances over clusters of one node spec share
+// a knowledge table, its NP model and its profiles, while each keeps its
+// own knowledge database; a table built for another spec is rejected.
+func TestSharedKnowledge(t *testing.T) {
 	cl := hw.NewCluster(8, hw.HaswellSpec(), 0, 1)
 	base, err := New(cl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone, err := New(cl, Options{NPModel: base.NPModel})
+	other := hw.NewCluster(2, cl.Spec(), 0.05, 7)
+	clone, err := New(other, Options{Knowledge: base.Knowledge()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clone.NPModel != base.NPModel {
-		t.Error("injected NP model not used")
+	if clone.Knowledge() != base.Knowledge() || clone.NPModel != base.NPModel {
+		t.Error("shared knowledge table or its NP model not used")
+	}
+	app := workload.LUMZ()
+	p1, err := base.Profile(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := clone.Profile(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p1 != p2 {
+		t.Error("instances sharing a table profiled the application twice")
+	}
+	if base.DB().Len() != 1 || clone.DB().Len() != 1 {
+		t.Errorf("knowledge databases hold %d and %d entries, want 1 each", base.DB().Len(), clone.DB().Len())
+	}
+	if _, err := New(hw.Haswell(), Options{Knowledge: base.Knowledge()}); err == nil {
+		t.Error("knowledge table of another node spec accepted")
 	}
 }
 

@@ -293,8 +293,11 @@ type Federation struct {
 // CLIP instances are constructed per shard, so distinct seeds give
 // distinct silicon; the aggregate cap (when below the nameplate sum)
 // scales every shard's starting bound proportionally. Every shard is
-// built from one node spec, so the NP regression is trained once and
-// shared by all shards' CLIP instances.
+// built from one node spec, so all shards' CLIP instances share one
+// knowledge table: the NP regression is trained once, and each
+// application is profiled and fitted, and each node-level configuration
+// question searched, once per federation. The table fills as jobs
+// arrive; New profiles nothing.
 func New(cfg Config) (*Federation, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("fed: no shards configured")
@@ -334,9 +337,10 @@ func New(cfg Config) (*Federation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fed: %w", err)
 	}
+	know := core.NewKnowledge(spec, model)
 	for i, sc := range cfg.Shards {
 		cl := hw.NewCluster(sc.Nodes, spec, sc.Sigma, sc.Seed)
-		clip, err := core.New(cl, core.Options{NPModel: model})
+		clip, err := core.New(cl, core.Options{Knowledge: know})
 		if err != nil {
 			return nil, fmt.Errorf("fed: shard %d: %w", i, err)
 		}

@@ -374,3 +374,72 @@ func TestRunParallelTelemetryMatchesRun(t *testing.T) {
 		}
 	}
 }
+
+// TestKnowledgeFilledOncePerFederation: every shard's CLIP reads one
+// knowledge table, which profiles each application once per federation
+// and searches each (application, per-node budget, tolerance) once,
+// whichever shard asks first. The counts are the same under Run and
+// RunParallel at 1, 2 and 4 workers.
+func TestKnowledgeFilledOncePerFederation(t *testing.T) {
+	passes := telemetry.Default.Counter("clip_profiling_passes_total", "")
+	searches := telemetry.Default.Counter("clip_recommend_calls_total", "")
+	mix := workload.Suite()[:6]
+	build := func() *Federation {
+		cfg := Config{Routing: Locality}
+		for i := 0; i < 8; i++ {
+			cfg.Shards = append(cfg.Shards, ShardConfig{
+				Nodes: 4, BudgetW: float64(400 + 60*i), Sigma: 0.02, Seed: int64(1000 + i),
+				Policy: jobsched.AggressiveBackfill, Reallocate: true,
+			})
+		}
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rng.New(3)
+		now := 0.0
+		for i := 0; i < 512; i++ {
+			now += r.Range(0, 0.5)
+			id := fmt.Sprintf("k%d", i)
+			if err := f.ScheduleArrivalPri(now, id, mix[r.Intn(len(mix))], id, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f
+	}
+	answers := -1
+	for _, workers := range []int{0, 1, 2, 4} {
+		f := build()
+		know := f.Shards()[0].CLIP.Knowledge()
+		for _, sh := range f.Shards() {
+			if sh.CLIP.Knowledge() != know {
+				t.Fatalf("shard %d reads its own knowledge table", sh.ID)
+			}
+		}
+		p0, s0 := passes.Value(), searches.Value()
+		run := f.Run
+		if workers > 0 {
+			run = func() error { return f.RunParallel(workers) }
+		}
+		if err := run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := passes.Value() - p0; got != uint64(len(mix)) {
+			t.Errorf("workers=%d: %d profiling passes for %d applications", workers, got, len(mix))
+		}
+		n := know.Answers()
+		if got := searches.Value() - s0; got != uint64(n) {
+			t.Errorf("workers=%d: %d searches for %d distinct questions", workers, got, n)
+		}
+		if answers >= 0 && n != answers {
+			t.Errorf("workers=%d: %d distinct questions, Run asked %d", workers, n, answers)
+		}
+		if workers == 0 {
+			answers = n
+		}
+	}
+	if answers <= len(mix) {
+		t.Errorf("the trace asked only %d node-level questions", answers)
+	}
+	t.Logf("%d applications, %d node-level questions", len(mix), answers)
+}

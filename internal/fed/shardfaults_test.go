@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/jobsched"
+	"repro/internal/rng"
 	"repro/internal/workload"
 )
 
@@ -605,6 +606,79 @@ func TestEvacuationAllocs(t *testing.T) {
 		}
 		if allocs != 0 {
 			t.Errorf("n=%d: a crash allocates %.0f objects, want 0", n, allocs)
+		}
+	}
+}
+
+// TestSubmissionConservation checks by meaning, with no golden, that a
+// chaos run neither loses nor duplicates a submission: shard crashes
+// and partitions, lending and 20% preemptive high priority, under Run
+// and RunParallel(2). Every routing and every evacuation submits to
+// exactly one shard, so Σ shard submissions = jobs routed + evacuations,
+// and each job id is listed by exactly one shard's session.
+func TestSubmissionConservation(t *testing.T) {
+	const jobs = 96
+	build := func() *Federation {
+		cfg := chaosConfig(t, true, "crash-mtbf=300,mttr=120,part-mtbf=400,part-dur=80,seed=9")
+		for i := range cfg.Shards {
+			cfg.Shards[i].Preempt = true
+		}
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mix := apps()
+		r, pr := rng.New(5), rng.New(12)
+		now := 0.0
+		for i := 0; i < jobs; i++ {
+			now += r.Range(0, 6)
+			pri := 0
+			if pr.Float64() < 0.2 {
+				pri = 5
+			}
+			id := fmt.Sprintf("c%03d", i)
+			if err := f.ScheduleArrivalPri(now, id, mix[i%len(mix)], id, pri); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f
+	}
+	for _, mode := range []struct {
+		name string
+		run  func(*Federation) error
+	}{
+		{"Run", (*Federation).Run},
+		{"RunParallel(2)", func(f *Federation) error { return f.RunParallel(2) }},
+	} {
+		f := build()
+		if err := mode.run(f); err != nil {
+			t.Fatalf("%s: %v", mode.name, err)
+		}
+		downs, parts := f.ShardFaultStats()
+		if downs == 0 || parts == 0 || f.Evacuated() == 0 || len(f.Leases()) == 0 {
+			t.Fatalf("%s: %d crashes, %d partitions, %d evacuations, %d leases; the shape must have all four",
+				mode.name, downs, parts, f.Evacuated(), len(f.Leases()))
+		}
+		sub := 0
+		listed := make(map[string]int)
+		for _, sh := range f.Shards() {
+			sub += sh.submitted
+			for _, js := range sh.Online.Jobs() {
+				listed[js.ID]++
+			}
+		}
+		if sub != jobs+f.Evacuated() {
+			t.Errorf("%s: Σ shard submissions %d != %d routed + %d evacuated", mode.name, sub, jobs, f.Evacuated())
+		}
+		for i := 0; i < jobs; i++ {
+			id := fmt.Sprintf("c%03d", i)
+			if n := listed[id]; n != 1 {
+				t.Errorf("%s: job %s listed by %d shards, want 1", mode.name, id, n)
+			}
+			delete(listed, id)
+		}
+		for id, n := range listed {
+			t.Errorf("%s: shards list %d copies of unknown job %s", mode.name, n, id)
 		}
 	}
 }

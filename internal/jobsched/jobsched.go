@@ -1209,14 +1209,14 @@ func (st *schedState) tryStart(rec *jobRecord, e *dispatchEntry, deadline float6
 		e.freeVer, e.wBits = st.freeVer, math.Float64bits(st.freeW)
 		e.free = append(e.free[:0], st.free...)
 		e.state = entryInfeasible
-		prof, pd, err := st.s.CLIP.Predictor(j.App)
+		adv, err := st.s.CLIP.Advisor(j.App)
 		if err != nil {
 			st.failure = err
 			return false
 		}
 		st.coord.Cluster = view
 		st.coord.Ranked = ranked
-		err = st.coord.Place(j.App, prof, pd, st.freeW, &st.csc, &st.pl)
+		err = st.coord.Place(j.App, adv, st.freeW, &st.csc, &st.pl)
 		st.coord.Ranked = false
 		if err != nil {
 			return false // does not fit now; retry on the next completion
@@ -1370,20 +1370,19 @@ func (st *schedState) reallocate() {
 	live := st.liveByID()
 	share := st.freeW / float64(len(live))
 	for _, rj := range live {
-		prof, pd, err := st.s.CLIP.Predictor(rj.rec.job.App)
+		adv, err := st.s.CLIP.Advisor(rj.rec.job.App)
 		if err != nil {
 			st.failure = err
 			return
 		}
-		spec := st.s.Cluster.Spec()
 		newPerNode := rj.perNode.Total() + share/float64(len(rj.globalIDs))
-		cfg, ok := recommend.Best(spec, prof, pd, newPerNode, 1.0, 0)
+		cfg, ok := adv.Best(newPerNode, 0)
 		if !ok || cfg.Cores != rj.cores {
 			// Only power boosts that keep the execution configuration
 			// are safe mid-run (cores/affinity cannot change without a
 			// restart).
 			var err error
-			cfg, err = fixedConfigBoost(spec, pd, rj, newPerNode)
+			cfg, err = fixedConfigBoost(st.s.Cluster.Spec(), adv.Predictor(), rj, newPerNode)
 			if err != nil {
 				continue
 			}

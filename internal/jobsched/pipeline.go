@@ -184,7 +184,7 @@ func (st *schedState) preemptPass() bool {
 // against the post-eviction running count — so a committed plan is
 // guaranteed to start the job on the rescan.
 func (st *schedState) planPreemption(top *Job, victims []*runningJob) int {
-	prof, pd, err := st.s.CLIP.Predictor(top.App)
+	adv, err := st.s.CLIP.Advisor(top.App)
 	if err != nil {
 		st.failure = err
 		return 0
@@ -213,7 +213,7 @@ func (st *schedState) planPreemption(top *Job, victims []*runningJob) int {
 		}
 		st.preSub = fillSub(st.preSub, st.s.Cluster, ids)
 		st.preCoord = coordinator.Coordinator{Cluster: st.preSub, Ranked: ranked, Quiet: true, Metrics: st.m.coord}
-		if err := st.preCoord.Place(top.App, prof, pd, candW, &st.preSc, &st.prePl); err != nil {
+		if err := st.preCoord.Place(top.App, adv, candW, &st.preSc, &st.prePl); err != nil {
 			continue
 		}
 		if !st.prePl.NodeCfg.CapOK && st.nrunning-k > 0 {

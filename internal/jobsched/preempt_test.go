@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/coordinator"
 	"repro/internal/hw"
+	"repro/internal/recommend"
 	"repro/internal/rng"
 	"repro/internal/workload"
 )
@@ -61,6 +62,7 @@ func prefixVictims(t *testing.T, o *Online, app *workload.Spec, pri int) (victim
 	if err != nil {
 		t.Fatal(err)
 	}
+	grid := recommend.NewGrid(cl.Spec(), prof, pd) // searched afresh, no shared answers
 	if len(app.Constraint.PreferNodes) > 0 {
 		t.Fatalf("%s prefers nodes; the reference does not rank", app.Name)
 	}
@@ -88,7 +90,7 @@ func prefixVictims(t *testing.T, o *Online, app *workload.Spec, pri int) (victim
 			continue
 		}
 		co := coordinator.Coordinator{Cluster: sub, Quiet: true}
-		d, err := co.Schedule(app, prof, pd, watts)
+		d, err := co.Schedule(app, grid, watts)
 		if err != nil || !d.NodeCfg.CapOK && running-k > 0 {
 			continue
 		}

@@ -385,3 +385,75 @@ func TestPredictorUndershootNP(t *testing.T) {
 		t.Error("monotone logarithmic curve inverted")
 	}
 }
+
+// TestProfilesIgnoreVariability pins the premise that lets a
+// federation's shards share one knowledge table per node spec: smart
+// profiling runs uncapped on one node, so the full profile and the
+// predictor fitted from it depend on the node spec alone. For every
+// suite application, Profiler.Full and NewPredictor give the same
+// result on shard-shaped clusters of any size, sigma and seed as on the
+// nominal one-node cluster the shared table profiles on. The one field
+// that differs is each sample's recorded CPU power, which scales with
+// node 0's manufacturing variability and which no model reads; the test
+// compares with it cleared and pins that no prediction moves. If a
+// model change breaks this, each shard needs its own profiles again.
+func TestProfilesIgnoreVariability(t *testing.T) {
+	spec := hw.HaswellSpec()
+	model, err := TrainNP(spec, workload.TrainingSet(42, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nominal := hw.NewCluster(1, spec, 0, 0)
+	var clusters []*hw.Cluster
+	for nodes := 2; nodes <= 8; nodes += 2 {
+		for _, sigma := range []float64{0, 0.02, 0.05, 0.08} {
+			for _, seed := range []int64{1, 1063, 4242} {
+				clusters = append(clusters, hw.NewCluster(nodes, spec, sigma, seed))
+			}
+		}
+	}
+	fit := func(cl *hw.Cluster, app *workload.Spec) (*profile.Profile, *Predictor) {
+		t.Helper()
+		p, err := (&profile.Profiler{Cluster: cl}).Full(app, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pd, err := NewPredictor(spec, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p, pd
+	}
+	clearPower := func(p *profile.Profile) {
+		p.All.CPUPower, p.Half.CPUPower = 0, 0
+		if p.NP != nil {
+			p.NP.CPUPower = 0
+		}
+	}
+	for _, app := range workload.Suite() {
+		wantP, wantPD := fit(nominal, app)
+		for _, cl := range clusters {
+			p, pd := fit(cl, app)
+			for n := 1; n <= spec.Cores(); n++ {
+				for _, f := range spec.FreqLevels {
+					if got, want := pd.Time(n, f, 20), wantPD.Time(n, f, 20); got != want {
+						t.Fatalf("%s on %d nodes: Time(%d, %g) = %v, nominal %v", app.Name, cl.NumNodes(), n, f, got, want)
+					}
+				}
+				if got, want := pd.MemDemandWatts(n), wantPD.MemDemandWatts(n); got != want {
+					t.Fatalf("%s on %d nodes: MemDemandWatts(%d) = %v, nominal %v", app.Name, cl.NumNodes(), n, got, want)
+				}
+			}
+			clearPower(p)
+			clearPower(wantP)
+			if !reflect.DeepEqual(p, wantP) {
+				t.Errorf("%s on %d nodes (node 0 PowerEff %.4f): profile %+v, nominal %+v",
+					app.Name, cl.NumNodes(), cl.Nodes[0].PowerEff, p, wantP)
+			}
+			if !reflect.DeepEqual(pd, wantPD) {
+				t.Errorf("%s on %d nodes (node 0 PowerEff %.4f): predictor differs from nominal",
+					app.Name, cl.NumNodes(), cl.Nodes[0].PowerEff)
+			}
+		}
+	}
+}

@@ -73,68 +73,149 @@ var cpuFracsFull = [...]float64{1.0}
 // can buy a larger power reduction).
 var cpuFracsEnergy = [...]float64{1.0, 0.85, 0.7, 0.55}
 
-// Best selects the node configuration for a budget of nodeBudget watts
-// (CPU+DRAM domains) on a node with variability coefficient eff, and
-// reports false when no candidate fits (non-positive or
-// starvation-level budget, negative tolerance). tolerance 0 is the
+// Grid is the candidate grid of one profiled application on one node
+// spec: every (core count, DRAM budget) pair Best considers, in its
+// search order, with the pair's sockets, its DRAM budget clamped to
+// those sockets' range, the nominal CPU power at each DVFS level and the
+// predicted iteration time at each level. None of it depends on the
+// node budget, so it is built once per fitted predictor (NewGrid) and
+// only read afterwards; one grid serves concurrent Best calls.
+type Grid struct {
+	spec  *hw.NodeSpec
+	prof  *profile.Profile
+	pd    *perfmodel.Predictor
+	cands []candidate
+}
+
+// candidate is one (core count, DRAM budget) pair of a grid.
+type candidate struct {
+	cores, sockets int
+	mem            float64
+	// ladder is the nominal CPU power per DVFS level (spec-owned);
+	// times is the predicted iteration time per level under mem.
+	ladder, times []float64
+	// maxUseful is the CPU draw at FMax plus the variability headroom,
+	// the trim Best applies to a surplus budget (§III-B1).
+	maxUseful float64
+}
+
+// NewGrid enumerates the candidate grid of a profiled application: core
+// counts 1 and the even counts up to the class-dependent limit, each
+// with four DRAM budgets around the predicted demand.
+func NewGrid(spec *hw.NodeSpec, p *profile.Profile, pd *perfmodel.Predictor) *Grid {
+	g := &Grid{spec: spec, prof: p, pd: pd}
+	limit := coreLimit(p)
+	if limit > p.NodeCores {
+		limit = p.NodeCores
+	}
+	levels := spec.FreqLevels
+	for n := 1; n <= limit; n = nextCore(n) {
+		sockets := sim.SocketsUsedFor(spec, n, p.Affinity)
+		memBase := float64(sockets) * spec.MemBasePower
+		memMax := float64(sockets) * spec.MemMaxPower
+		ladder := spec.LadderPowers(n, sockets)
+		maxUseful := power.CPUPower(spec, n, sockets, spec.FMax(), 1.0) * 1.08
+
+		// Candidate DRAM budgets around the application's demand.
+		demand := pd.MemDemandWatts(n) + MemHeadroomWatts
+		for _, mem := range [...]float64{demand, demand * 0.8, demand * 1.25, memBase + 1} {
+			mem = math.Max(memBase, math.Min(mem, memMax))
+			times := make([]float64, len(levels))
+			for i, f := range levels {
+				times[i] = pd.Time(n, f, mem)
+			}
+			g.cands = append(g.cands, candidate{
+				cores: n, sockets: sockets, mem: mem,
+				ladder: ladder, times: times, maxUseful: maxUseful,
+			})
+		}
+	}
+	return g
+}
+
+// Profile returns the profile the grid was built from.
+func (g *Grid) Profile() *profile.Profile { return g.prof }
+
+// Predictor returns the predictor the grid was built from.
+func (g *Grid) Predictor() *perfmodel.Predictor { return g.pd }
+
+// operate returns the operating point of candidate c under a CPU cap of
+// cpu watts on a nominal node. Within the DVFS range it is the highest
+// ladder level whose power fits (the binary search of power.SolveFreq)
+// and the precomputed time there; below the range it is the duty-cycled
+// frequency of power.EffectiveFreq and a fresh prediction.
+func (g *Grid) operate(c *candidate, cpu float64) (f, pDraw, t float64, ok bool) {
+	lo, hi := 0, len(c.ladder)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if c.ladder[mid] <= cpu+1e-9 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo > 0 {
+		return g.spec.FreqLevels[lo-1], c.ladder[lo-1], c.times[lo-1], true
+	}
+	f, pDraw, ok = power.EffectiveFreq(g.spec, c.cores, c.sockets, cpu, 1.0)
+	return f, pDraw, g.pd.Time(c.cores, f, c.mem), ok
+}
+
+// Best selects the configuration of a nominal node for a budget of
+// nodeBudget watts (CPU+DRAM domains), and reports false when no
+// candidate fits (non-positive or starvation-level budget, negative
+// tolerance). Each grid candidate spends the CPU remainder of the
+// budget (or, for the energy objective, fractions of it) at the
+// operating point the remainder sustains. tolerance 0 is the
 // pure-performance objective and performs no heap allocations; a
 // positive tolerance is the energy-aware variant, which picks the
 // lowest predicted energy among candidates predicted within
-// (1+tolerance) of the fastest. The coordinator and the scheduler's
-// dispatch loop call it.
-func Best(spec *hw.NodeSpec, p *profile.Profile, pd *perfmodel.Predictor, nodeBudget, eff, tolerance float64) (NodeConfig, bool) {
+// (1+tolerance) of the fastest. Programs call it through the CLIP
+// façade's knowledge table (core.Advisor.Best), which answers each
+// (application, budget, tolerance) once for every CLIP instance of a
+// node spec: the coordinator's node-count search and the scheduler's
+// surplus reallocation ask it there.
+func (g *Grid) Best(nodeBudget, tolerance float64) (NodeConfig, bool) {
 	if nodeBudget <= 0 || tolerance < 0 {
 		return NodeConfig{}, false
 	}
 	mRecommends.Inc()
 	type scored struct {
-		cfg   NodeConfig
-		watts float64 // predicted node power at the operating point
+		cfg       NodeConfig
+		watts     float64 // predicted node power at the operating point
+		maxUseful float64
 	}
 	// The energy objective revisits every candidate within the slowdown
 	// window, so only it retains them; the performance objective keeps
 	// a running best and never allocates.
 	var candidates []scored
-	limit := coreLimit(p)
-	if limit > p.NodeCores {
-		limit = p.NodeCores
+	cpuFracs := cpuFracsFull[:]
+	if tolerance > 0 {
+		cpuFracs = cpuFracsEnergy[:]
 	}
 	best := NodeConfig{PredIterTime: math.Inf(1)}
-	for n := 1; n <= limit; n = nextCore(n) {
-		sockets := sim.SocketsUsedFor(spec, n, p.Affinity)
-		memBase := float64(sockets) * spec.MemBasePower
-		memMax := float64(sockets) * spec.MemMaxPower
-
-		// Candidate DRAM budgets around the application's demand.
-		demand := pd.MemDemandWatts(n) + MemHeadroomWatts
-		cands := [...]float64{demand, demand * 0.8, demand * 1.25, memBase + 1}
-		cpuFracs := cpuFracsFull[:]
-		if tolerance > 0 {
-			cpuFracs = cpuFracsEnergy[:]
-		}
-		for _, mem := range cands {
-			mem = math.Max(memBase, math.Min(mem, memMax))
-			for _, frac := range cpuFracs {
-				cpu := (nodeBudget - mem) * frac
-				if cpu <= 0 {
-					continue
-				}
-				f, pDraw, ok := power.EffectiveFreq(spec, n, sockets, cpu, eff)
-				t := pd.Time(n, f, mem)
-				cfg := NodeConfig{
-					Cores: n, Affinity: p.Affinity,
-					Budget:       power.Budget{CPU: cpu, Mem: mem},
-					Freq:         f,
-					PredIterTime: t,
-					CapOK:        ok,
-				}
-				if tolerance > 0 {
-					candidates = append(candidates, scored{cfg, pDraw + mem})
-				}
-				if t < best.PredIterTime-1e-12 ||
-					(math.Abs(t-best.PredIterTime) <= 1e-12 && n < best.Cores) {
-					best = cfg
-				}
+	var maxUseful float64
+	for i := range g.cands {
+		c := &g.cands[i]
+		for _, frac := range cpuFracs {
+			cpu := (nodeBudget - c.mem) * frac
+			if cpu <= 0 {
+				continue
+			}
+			f, pDraw, t, ok := g.operate(c, cpu)
+			cfg := NodeConfig{
+				Cores: c.cores, Affinity: g.prof.Affinity,
+				Budget:       power.Budget{CPU: cpu, Mem: c.mem},
+				Freq:         f,
+				PredIterTime: t,
+				CapOK:        ok,
+			}
+			if tolerance > 0 {
+				candidates = append(candidates, scored{cfg, pDraw + c.mem, c.maxUseful})
+			}
+			if t < best.PredIterTime-1e-12 ||
+				(math.Abs(t-best.PredIterTime) <= 1e-12 && c.cores < best.Cores) {
+				best, maxUseful = cfg, c.maxUseful
 			}
 		}
 	}
@@ -153,7 +234,7 @@ func Best(spec *hw.NodeSpec, p *profile.Profile, pd *perfmodel.Predictor, nodeBu
 			e := c.watts * c.cfg.PredIterTime
 			if e < bestEnergy-1e-12 {
 				bestEnergy = e
-				best = c.cfg
+				best, maxUseful = c.cfg, c.maxUseful
 			}
 		}
 	}
@@ -162,8 +243,6 @@ func Best(spec *hw.NodeSpec, p *profile.Profile, pd *perfmodel.Predictor, nodeBu
 	// can draw at the highest frequency plus headroom for inter-node
 	// variability re-balancing, so surplus power stays in the cluster
 	// pool for other nodes or jobs.
-	sockets := sim.SocketsUsedFor(spec, best.Cores, best.Affinity)
-	maxUseful := power.CPUPower(spec, best.Cores, sockets, spec.FMax(), eff) * 1.08
 	if best.Budget.CPU > maxUseful {
 		best.Budget.CPU = maxUseful
 	}

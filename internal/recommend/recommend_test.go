@@ -32,9 +32,9 @@ func setup(t *testing.T, app *workload.Spec) (*hw.NodeSpec, *profile.Profile, *p
 }
 
 // mustBest runs Best and fails the test when no configuration fits.
-func mustBest(t *testing.T, spec *hw.NodeSpec, p *profile.Profile, pd *perfmodel.Predictor, budget, eff, tolerance float64) NodeConfig {
+func mustBest(t *testing.T, spec *hw.NodeSpec, p *profile.Profile, pd *perfmodel.Predictor, budget, tolerance float64) NodeConfig {
 	t.Helper()
-	cfg, ok := Best(spec, p, pd, budget, eff, tolerance)
+	cfg, ok := NewGrid(spec, p, pd).Best(budget, tolerance)
 	if !ok {
 		t.Fatalf("no feasible configuration under %.1f W (tolerance %g)", budget, tolerance)
 	}
@@ -43,17 +43,17 @@ func mustBest(t *testing.T, spec *hw.NodeSpec, p *profile.Profile, pd *perfmodel
 
 func TestRecommendRejectsBadBudget(t *testing.T) {
 	spec, p, pd := setup(t, workload.CoMD())
-	if _, ok := Best(spec, p, pd, 0, 1.0, 0); ok {
+	if _, ok := NewGrid(spec, p, pd).Best(0, 0); ok {
 		t.Error("zero budget accepted")
 	}
-	if _, ok := Best(spec, p, pd, -5, 1.0, 0); ok {
+	if _, ok := NewGrid(spec, p, pd).Best(-5, 0); ok {
 		t.Error("negative budget accepted")
 	}
 }
 
 func TestLinearGetsAllCoresAtHighBudget(t *testing.T) {
 	spec, p, pd := setup(t, workload.CoMD())
-	cfg := mustBest(t, spec, p, pd, 320, 1.0, 0)
+	cfg := mustBest(t, spec, p, pd, 320, 0)
 	if cfg.Cores != 24 {
 		t.Errorf("linear app at ample budget got %d cores, want 24", cfg.Cores)
 	}
@@ -68,7 +68,7 @@ func TestLinearGetsAllCoresAtHighBudget(t *testing.T) {
 func TestParabolicNeverExceedsNP(t *testing.T) {
 	spec, p, pd := setup(t, workload.SPMZ())
 	for _, budget := range []float64{320, 200, 120, 80} {
-		cfg := mustBest(t, spec, p, pd, budget, 1.0, 0)
+		cfg := mustBest(t, spec, p, pd, budget, 0)
 		if cfg.Cores > p.PredictedNP {
 			t.Errorf("budget %v: parabolic app got %d cores beyond NP %d",
 				budget, cfg.Cores, p.PredictedNP)
@@ -79,7 +79,7 @@ func TestParabolicNeverExceedsNP(t *testing.T) {
 func TestBudgetRespected(t *testing.T) {
 	spec, p, pd := setup(t, workload.LUMZ())
 	for _, budget := range []float64{300, 200, 150, 100, 60} {
-		cfg := mustBest(t, spec, p, pd, budget, 1.0, 0)
+		cfg := mustBest(t, spec, p, pd, budget, 0)
 		if tot := cfg.Budget.Total(); tot > budget+1e-9 {
 			t.Errorf("budget %v: split totals %v", budget, tot)
 		}
@@ -93,7 +93,7 @@ func TestTighterBudgetNotFaster(t *testing.T) {
 	spec, p, pd := setup(t, workload.LUMZ())
 	prev := 0.0
 	for _, budget := range []float64{320, 240, 180, 130, 90} {
-		cfg := mustBest(t, spec, p, pd, budget, 1.0, 0)
+		cfg := mustBest(t, spec, p, pd, budget, 0)
 		if cfg.PredIterTime < prev-1e-9 {
 			t.Errorf("tighter budget %v predicted faster run", budget)
 		}
@@ -103,7 +103,7 @@ func TestTighterBudgetNotFaster(t *testing.T) {
 
 func TestAffinityFollowsProfile(t *testing.T) {
 	spec, p, pd := setup(t, workload.Stream())
-	cfg := mustBest(t, spec, p, pd, 250, 1.0, 0)
+	cfg := mustBest(t, spec, p, pd, 250, 0)
 	if cfg.Affinity != p.Affinity {
 		t.Errorf("recommended affinity %v differs from profile %v", cfg.Affinity, p.Affinity)
 	}
@@ -114,25 +114,16 @@ func TestAffinityFollowsProfile(t *testing.T) {
 
 func TestMemoryHungryGetsMemoryPower(t *testing.T) {
 	spec, p, pd := setup(t, workload.Stream())
-	cfg := mustBest(t, spec, p, pd, 250, 1.0, 0)
+	cfg := mustBest(t, spec, p, pd, 250, 0)
 	base := float64(spec.Sockets) * spec.MemBasePower
 	if cfg.Budget.Mem < base+10 {
 		t.Errorf("stream granted only %.1f W of DRAM power", cfg.Budget.Mem)
 	}
 
 	_, p2, pd2 := setup(t, workload.EP())
-	cfg2 := mustBest(t, spec, p2, pd2, 250, 1.0, 0)
+	cfg2 := mustBest(t, spec, p2, pd2, 250, 0)
 	if cfg2.Budget.Mem >= cfg.Budget.Mem {
 		t.Error("compute-bound app granted as much DRAM power as stream")
-	}
-}
-
-func TestLeakyNodeLowerFreq(t *testing.T) {
-	spec, p, pd := setup(t, workload.CoMD())
-	nominal := mustBest(t, spec, p, pd, 180, 1.0, 0)
-	leaky := mustBest(t, spec, p, pd, 180, 1.12, 0)
-	if leaky.Freq > nominal.Freq {
-		t.Error("leaky node recommended a higher frequency than nominal")
 	}
 }
 
@@ -141,7 +132,7 @@ func TestUnconstrained(t *testing.T) {
 	// A budget large enough to never bind.
 	ample := float64(spec.Sockets)*spec.MemMaxPower +
 		power.CPUPower(spec, spec.Cores(), spec.Sockets, spec.FMax(), 2.0) + 10
-	cfg := mustBest(t, spec, p, pd, ample, 1.0, 0)
+	cfg := mustBest(t, spec, p, pd, ample, 0)
 	if !cfg.CapOK || cfg.Freq != spec.FMax() {
 		t.Error("unconstrained recommendation should run at FMax")
 	}
@@ -195,8 +186,8 @@ func TestCandidateCoresShape(t *testing.T) {
 
 func TestEnergyAwareTolerance(t *testing.T) {
 	spec, p, pd := setup(t, workload.CoMD())
-	perf := mustBest(t, spec, p, pd, 250, 1.0, 0)
-	eco := mustBest(t, spec, p, pd, 250, 1.0, 0.10)
+	perf := mustBest(t, spec, p, pd, 250, 0)
+	eco := mustBest(t, spec, p, pd, 250, 0.10)
 	// Slowdown bounded by the tolerance.
 	if eco.PredIterTime > perf.PredIterTime*1.10+1e-9 {
 		t.Errorf("energy-aware pick exceeds the slowdown bound: %v vs %v",
@@ -208,7 +199,7 @@ func TestEnergyAwareTolerance(t *testing.T) {
 	if ecoE > perfE+1e-9 {
 		t.Errorf("energy-aware pick costs more energy: %v vs %v", ecoE, perfE)
 	}
-	if _, ok := Best(spec, p, pd, 250, 1.0, -0.1); ok {
+	if _, ok := NewGrid(spec, p, pd).Best(250, -0.1); ok {
 		t.Error("negative tolerance accepted")
 	}
 }
@@ -237,7 +228,7 @@ func TestTieBreakFewestCores(t *testing.T) {
 		t.Fatalf("synthetic profile is not flat: T(1)=%v T(all)=%v",
 			pd.Time(1, spec.FMax(), 100), pd.Time(spec.Cores(), spec.FMax(), 100))
 	}
-	cfg := mustBest(t, spec, flat, pd, 400, 1.0, 0)
+	cfg := mustBest(t, spec, flat, pd, 400, 0)
 	if cfg.Cores != 1 {
 		t.Errorf("flat profile recommended %d cores, want 1 (fewest on a tie)", cfg.Cores)
 	}
@@ -249,7 +240,7 @@ func TestTieBreakFewestCores(t *testing.T) {
 // duty-cycled frequency below FMin, and the split stays within budget.
 func TestDutyCycleFallback(t *testing.T) {
 	spec, p, pd := setup(t, workload.CoMD())
-	cfg := mustBest(t, spec, p, pd, 40, 1.0, 0)
+	cfg := mustBest(t, spec, p, pd, 40, 0)
 	if cfg.CapOK {
 		t.Error("a 40 W node budget cannot be within the acceptable range")
 	}
@@ -271,7 +262,7 @@ func TestDutyCycleFallback(t *testing.T) {
 func TestSurplusBudgetTrimmed(t *testing.T) {
 	spec, p, pd := setup(t, workload.CoMD())
 	const ample = 5000.0
-	cfg := mustBest(t, spec, p, pd, ample, 1.0, 0)
+	cfg := mustBest(t, spec, p, pd, ample, 0)
 	sockets := sim.SocketsUsedFor(spec, cfg.Cores, cfg.Affinity)
 	maxUseful := power.CPUPower(spec, cfg.Cores, sockets, spec.FMax(), 1.0) * 1.08
 	if cfg.Budget.CPU > maxUseful+1e-9 {
@@ -289,8 +280,8 @@ func TestEnergyAwareSacrificesFrequency(t *testing.T) {
 	// For a compute-bound app (energy ∝ f^1.2 over the DVFS range), the
 	// 10% slowdown window should buy a lower frequency.
 	spec, p, pd := setup(t, workload.EP())
-	perf := mustBest(t, spec, p, pd, 280, 1.0, 0)
-	eco := mustBest(t, spec, p, pd, 280, 1.0, 0.10)
+	perf := mustBest(t, spec, p, pd, 280, 0)
+	eco := mustBest(t, spec, p, pd, 280, 0.10)
 	if eco.Freq >= perf.Freq {
 		t.Errorf("energy objective kept frequency at %v (performance pick: %v)",
 			eco.Freq, perf.Freq)
