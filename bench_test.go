@@ -187,11 +187,11 @@ func BenchmarkRecommendBest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, pd, err := clip.Predictor(workload.LUMZ())
+	adv, err := clip.Advisor(workload.LUMZ())
 	if err != nil {
 		b.Fatal(err)
 	}
-	grid := recommend.NewGrid(ctx.Cluster.Spec(), p, pd)
+	grid := recommend.NewGrid(ctx.Cluster.Spec(), adv.Profile(), adv.Predictor())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for k := 0; k < 64; k++ {

@@ -61,10 +61,11 @@ func main() {
 	t.Render(os.Stdout)
 
 	if *dbPath != "" {
-		if err := clip.DB().Save(*dbPath); err != nil {
+		db := clip.Knowledge().Profiles()
+		if err := profile.SaveDB(*dbPath, db); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("\nknowledge database (%d entries) written to %s\n", clip.DB().Len(), *dbPath)
+		fmt.Printf("\nknowledge database (%d entries) written to %s\n", len(db), *dbPath)
 		// Round-trip check so a corrupt write is caught immediately.
 		if _, err := profile.LoadDB(*dbPath); err != nil {
 			fatal(err)

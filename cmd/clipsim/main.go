@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/baseline"
@@ -76,6 +77,9 @@ func main() {
 	}
 	if err := hw.CheckSigma(*sigma); err != nil {
 		fatal(err)
+	}
+	if !(*budget > 0) || math.IsInf(*budget, 1) {
+		fatal(fmt.Errorf("budget %g W is not positive and finite", *budget))
 	}
 	cl := hw.NewCluster(*nodes, hw.HaswellSpec(), *sigma, 42)
 

@@ -14,6 +14,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/profile"
+	"repro/internal/workload"
 )
 
 // binDir holds the built binaries for the test process.
@@ -132,13 +135,46 @@ func TestBadSigmaRejected(t *testing.T) {
 	}
 }
 
+// TestBadBudgetRejected: clipsim, clipd, clipjobs and clipfed exit with
+// an error on a non-positive or non-finite power bound instead of
+// running.
+func TestBadBudgetRejected(t *testing.T) {
+	for _, budget := range []string{"NaN", "Inf", "-Inf", "0", "-5"} {
+		for _, args := range [][]string{
+			{"clipsim", "-nodes", "1", "-budget"},
+			{"clipd", "-listen", "127.0.0.1:0", "-budget"},
+			{"clipjobs", "-demo", "-bound"},
+			{"clipfed", "-shards", "1", "-jobs", "1", "-budget"},
+		} {
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			cmd := exec.CommandContext(ctx, filepath.Join(binDir, args[0]), append(args[1:], budget)...)
+			cmd.Dir = binDir
+			out, err := cmd.CombinedOutput()
+			timedOut := ctx.Err() != nil
+			cancel()
+			if err == nil || timedOut || !strings.Contains(string(out), "budget") && !strings.Contains(string(out), "bound") {
+				t.Errorf("%s %s %s: err %v, output:\n%s", args[0], args[len(args)-1], budget, err, out)
+			}
+		}
+	}
+}
+
 func TestClipprofSuiteAndDB(t *testing.T) {
-	db := filepath.Join(t.TempDir(), "kb.json")
-	out := run(t, "clipprof", "-suite", "-db", db)
+	path := filepath.Join(t.TempDir(), "kb.json")
+	out := run(t, "clipprof", "-suite", "-db", path)
 	mustContain(t, out, "bt-mz.C", "logarithmic", "parabolic", "linear",
 		"knowledge database (10 entries)")
-	if _, err := os.Stat(db); err != nil {
-		t.Error("knowledge database not written")
+	db, err := profile.LoadDB(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(db) != len(workload.Suite()) {
+		t.Errorf("knowledge database holds %d entries, want %d", len(db), len(workload.Suite()))
+	}
+	for _, app := range workload.Suite() {
+		if db[app.Name] == nil {
+			t.Errorf("knowledge database has no entry %s", app.Name)
+		}
 	}
 }
 

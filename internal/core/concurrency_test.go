@@ -106,7 +106,7 @@ func TestScheduleClonesCachedDecision(t *testing.T) {
 }
 
 // TestConcurrentProfileSharesWork checks that concurrent first requests
-// for one application leave one knowledge-database entry.
+// for one application leave one profile in the knowledge table.
 func TestConcurrentProfileSharesWork(t *testing.T) {
 	clip, err := New(hw.Haswell())
 	if err != nil {
@@ -124,13 +124,13 @@ func TestConcurrentProfileSharesWork(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := clip.DB().Len(); n != 1 {
-		t.Errorf("knowledge database holds %d entries, want 1", n)
+	if n := len(clip.Knowledge().Profiles()); n != 1 {
+		t.Errorf("knowledge table holds %d profiles, want 1", n)
 	}
 }
 
 // TestOneFillPerKey starts 16 goroutines that each ask a fresh CLIP for
-// one application's predictor and for one decision. The entry locks
+// one application's advisor and for one decision. The entry locks
 // must let exactly one of them profile and coordinate: one profiling
 // pass, one profile miss, one decision miss, and every goroutine sees
 // the same decision. A profiling pass takes microseconds, so the test
@@ -160,7 +160,7 @@ func TestOneFillPerKey(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				<-start
-				if _, _, err := clip.Predictor(app); err != nil {
+				if _, err := clip.Advisor(app); err != nil {
 					t.Error(err)
 					return
 				}

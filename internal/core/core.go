@@ -11,13 +11,14 @@
 //	res, _ := clip.Run(workload.SPMZ(), 800) // 800 W cluster bound
 //
 // A CLIP instance is safe for concurrent use. Its answers come from two
-// memo tables. The knowledge table (Knowledge) belongs to a node spec
-// and may be shared by every instance over clusters of that spec: per
-// application it holds the profile, the fitted predictor, the candidate
-// grid and the node-configuration answers. The decision table is the
-// instance's own, one entry per (application, bound). An entry is
-// filled once under its own lock, so concurrent first requests for one
-// key wait for a single profiling, search or scheduling pass, and
+// memo tables. The knowledge table (Knowledge) is the paper's knowledge
+// database and the only place a profile lives. It belongs to a node
+// spec and may be shared by every instance over clusters of that spec:
+// per application it holds the profile, the fitted predictor, the
+// candidate grid and the node-configuration answers. The decision table
+// is the instance's own, one entry per (application, bound). An entry
+// is filled once under its own lock, so concurrent first requests for
+// one key wait for a single profiling, search or scheduling pass, and
 // Schedule hands out a deep clone so callers may mutate the returned
 // plan without corrupting the table.
 package core
@@ -41,11 +42,11 @@ import (
 )
 
 // Metrics is CLIP's telemetry handle set, resolved once per registry
-// (see internal/telemetry): hits and misses of the profile and decision
-// tables, callers that waited on another caller's fill, cold scheduling
-// latency, decisions per scalability class, and the decision
-// event every Schedule call appends (app, bound, class, NP,
-// configuration, budget split, cache hit/miss). It also carries the
+// (see internal/telemetry): hits and misses of the knowledge and
+// decision tables, callers that waited on another caller's decision
+// fill, cold scheduling latency, decisions per scalability class, and
+// the decision event every Schedule call appends (app, bound, class,
+// NP, configuration, budget split, cache hit/miss). It also carries the
 // handle set of the instance's coordinator.
 type Metrics struct {
 	profileHits, profileMisses   *telemetry.Counter
@@ -69,15 +70,15 @@ const classHelp = "scheduling decisions per scalability class (paper Table I axi
 func NewMetrics(r *telemetry.Registry) *Metrics {
 	m := &Metrics{
 		profileHits: r.Counter("clip_profile_cache_hits_total",
-			"knowledge-database hits in CLIP.Profile"),
+			"CLIP.Profile and CLIP.Advisor calls that found the profile in the knowledge table"),
 		profileMisses: r.Counter("clip_profile_cache_misses_total",
-			"knowledge-database misses (full smart-profiling passes)"),
+			"CLIP.Profile and CLIP.Advisor calls that ran the smart-profiling pass (one per application per knowledge table)"),
 		decisionHits: r.Counter("clip_decision_cache_hits_total",
 			"memoized scheduling decisions served from cache"),
 		decisionMisses: r.Counter("clip_decision_cache_misses_total",
 			"scheduling decisions computed from scratch"),
 		waited: r.Counter("clip_singleflight_shared_total",
-			"calls that waited on another caller's fill of the same memo entry"),
+			"CLIP.Schedule calls that waited on another caller's fill of the same decision-table entry"),
 		schedules: r.Counter("clip_schedules_total",
 			"CLIP.Schedule calls (cache hits included)"),
 		scheduleSeconds: r.Histogram("clip_schedule_seconds",
@@ -122,24 +123,20 @@ type Options struct {
 	EnergyTolerance float64
 }
 
-// CLIP is the scheduler. It is safe for concurrent use. It reads its
-// profiles, predictors and node-level answers from a knowledge table and
-// keeps its own decision table, one decisionEntry per (application,
-// bound). It also records, per application, what it has taken from the
-// knowledge table (appEntry), so its profile hits and misses count as
-// if the table were its own. Each answer is filled once, under its
-// entry's lock, so concurrent callers of one key wait for that single
-// fill; a caller that finds the answer filled reads it without a lock.
-// Errors are not cached.
+// CLIP is the scheduler. It is safe for concurrent use. It reads and
+// fills its profiles, predictors and node-level answers in a knowledge
+// table and keeps its own decision table, one decisionEntry per
+// (application, bound). Each answer is filled once, under its entry's
+// lock, so concurrent callers of one key wait for that single fill; a
+// caller that finds the answer filled reads it without a lock. Errors
+// are not cached.
 type CLIP struct {
 	Cluster *hw.Cluster
 	NPModel *perfmodel.NPModel
 
 	know  *Knowledge
-	db    *profile.DB
 	coord *coordinator.Coordinator
 
-	apps      table[string, appEntry]
 	decisions table[decisionKey, decisionEntry]
 
 	// m is the bound handle set (nil publishes to telemetry.Default).
@@ -160,27 +157,18 @@ func (t *table[K, E]) entry(k K) *E {
 	return e.(*E)
 }
 
-// appEntry records what one instance has taken from the knowledge
-// table for one application: the profile, then the application's
-// advisor once its predictor is fitted, each set once under mu. The
-// profile is set before the advisor, so a loaded advisor implies a
-// profile.
-type appEntry struct {
-	mu sync.Mutex
-	p  atomic.Pointer[profile.Profile]
-	a  atomic.Pointer[Advisor]
-}
-
-// Knowledge is the knowledge table of one node spec: the NP regression
-// and, per application, an Advisor holding the profile, the fitted
-// predictor, the candidate grid and the node-configuration answers.
-// Profiling runs uncapped on one nominal node of the spec, so every
-// answer is a function of the spec and the application alone, and CLIP
-// instances over clusters of one spec (a federation's shards) can share
-// one table: each application is profiled once and each (application,
-// per-node budget, tolerance) is searched once. A table is filled on
-// demand and never emptied; its owner scopes it (one per federation),
-// so independent runs do not see each other's answers.
+// Knowledge is the knowledge database (paper §IV-B3) of one node spec,
+// and the only place a profile lives: the NP regression and, per
+// application, an Advisor holding the profile, the fitted predictor,
+// the candidate grid and the node-configuration answers. CLIP reads it
+// before it profiles. Profiling runs uncapped on one nominal node of
+// the spec, so every answer is a function of the spec and the
+// application alone, and CLIP instances over clusters of one spec (a
+// federation's shards) can share one table: each application is
+// profiled once and each (application, per-node budget, tolerance) is
+// searched once. A table is filled on demand and never emptied; its
+// owner scopes it (one per federation), so independent runs do not see
+// each other's answers.
 type Knowledge struct {
 	spec  *hw.NodeSpec
 	model *perfmodel.NPModel
@@ -202,12 +190,13 @@ func NewKnowledge(spec *hw.NodeSpec, model *perfmodel.NPModel) *Knowledge {
 // Advisor is one application's entry in a knowledge table: its profile,
 // its fitted predictor and candidate grid, and a memo of the grid's
 // node-configuration answers, one configEntry per (per-node budget,
-// tolerance). The profile and the grid are filled once under mu; CLIP
-// hands an advisor out only once both are.
+// tolerance). The profile, then the grid, is filled once under mu and
+// read with an atomic load; CLIP hands an advisor out only once both
+// are.
 type Advisor struct {
 	mu      sync.Mutex
-	p       *profile.Profile
-	grid    *recommend.Grid
+	p       atomic.Pointer[profile.Profile]
+	grid    atomic.Pointer[recommend.Grid]
 	configs table[configKey, configEntry]
 }
 
@@ -224,10 +213,10 @@ type configEntry struct {
 }
 
 // Profile returns the application's profile.
-func (a *Advisor) Profile() *profile.Profile { return a.p }
+func (a *Advisor) Profile() *profile.Profile { return a.p.Load() }
 
 // Predictor returns the application's fitted performance predictor.
-func (a *Advisor) Predictor() *perfmodel.Predictor { return a.grid.Predictor() }
+func (a *Advisor) Predictor() *perfmodel.Predictor { return a.grid.Load().Predictor() }
 
 // Best returns the node configuration recommend's grid search picks for
 // a per-node budget and energy tolerance, searching once per table: every
@@ -237,7 +226,7 @@ func (a *Advisor) Best(perNode, tolerance float64) (recommend.NodeConfig, bool) 
 	if !e.done.Load() {
 		e.mu.Lock()
 		if !e.done.Load() {
-			e.cfg, e.ok = a.grid.Best(perNode, tolerance)
+			e.cfg, e.ok = a.grid.Load().Best(perNode, tolerance)
 			e.done.Store(true)
 		}
 		e.mu.Unlock()
@@ -256,49 +245,17 @@ func (k *Knowledge) Answers() int {
 	return n
 }
 
-// profile returns app's profile, profiling on the table's nominal node
-// on first request.
-func (k *Knowledge) profile(app *workload.Spec) (*profile.Profile, error) {
-	a := k.apps.entry(app.Name)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := k.fillProfile(a, app); err != nil {
-		return nil, err
-	}
-	return a.p, nil
-}
-
-// advisor returns app's advisor with its profile and grid filled.
-func (k *Knowledge) advisor(app *workload.Spec) (*Advisor, error) {
-	a := k.apps.entry(app.Name)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.grid != nil {
-		return a, nil
-	}
-	if err := k.fillProfile(a, app); err != nil {
-		return nil, err
-	}
-	pd, err := perfmodel.NewPredictor(k.spec, a.p)
-	if err != nil {
-		return nil, fmt.Errorf("core: predictor %s: %w", app.Name, err)
-	}
-	a.grid = recommend.NewGrid(k.spec, a.p, pd)
-	return a, nil
-}
-
-// fillProfile profiles app into a unless it is filled. The caller
-// holds a.mu.
-func (k *Knowledge) fillProfile(a *Advisor, app *workload.Spec) error {
-	if a.p != nil {
-		return nil
-	}
-	p, err := k.prof.Full(app, k.model)
-	if err != nil {
-		return fmt.Errorf("core: profile %s: %w", app.Name, err)
-	}
-	a.p = p
-	return nil
+// Profiles returns the profiles the table holds, keyed by application
+// name (for persistence and inspection).
+func (k *Knowledge) Profiles() map[string]*profile.Profile {
+	out := make(map[string]*profile.Profile)
+	k.apps.m.Range(func(app, a any) bool {
+		if p := a.(*Advisor).p.Load(); p != nil {
+			out[app.(string)] = p
+		}
+		return true
+	})
+	return out
 }
 
 // decisionKey keys the decision table: one entry per application and
@@ -372,7 +329,6 @@ func New(cl *hw.Cluster, opts ...Options) (*CLIP, error) {
 		Cluster: cl,
 		NPModel: know.model,
 		know:    know,
-		db:      profile.NewDB(),
 		coord:   &coordinator.Coordinator{Cluster: cl, EnergyTolerance: o.EnergyTolerance},
 	}, nil
 }
@@ -383,86 +339,54 @@ func (c *CLIP) Knowledge() *Knowledge { return c.know }
 // Name implements plan.Method.
 func (c *CLIP) Name() string { return "CLIP" }
 
-// DB exposes the knowledge database, which holds every profile this
-// instance has filled (for persistence and inspection).
-func (c *CLIP) DB() *profile.DB { return c.db }
-
-// Profile returns the knowledge-database record for app, running smart
-// profiling on its first request (the paper's application execution
-// module checks the database first). Concurrent first requests share
-// one profiling pass.
+// Profile returns app's record in the knowledge table, running smart
+// profiling on the table's first request (the paper's application
+// execution module checks the database first). Concurrent first
+// requests share one profiling pass.
 func (c *CLIP) Profile(app *workload.Spec) (*profile.Profile, error) {
-	m := c.metrics()
-	e := c.apps.entry(app.Name)
-	if p := e.p.Load(); p != nil {
-		m.profileHits.Inc()
-		return p, nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return c.fillProfile(e, app, m, true)
-}
-
-// fillProfile returns e's profile, taking it from the knowledge table
-// unless it is set. The caller holds e.mu; missed reports that it found
-// no profile before taking the lock, so a profile found now was set
-// while it waited. It counts one profile hit or miss.
-func (c *CLIP) fillProfile(e *appEntry, app *workload.Spec, m *Metrics, missed bool) (*profile.Profile, error) {
-	if p := e.p.Load(); p != nil {
-		m.profileHits.Inc()
-		if missed {
-			m.waited.Inc()
-		}
-		return p, nil
-	}
-	m.profileMisses.Inc()
-	p, err := c.know.profile(app)
+	a, err := c.fill(app, false)
 	if err != nil {
 		return nil, err
 	}
-	c.db.Put(p)
-	e.p.Store(p)
-	return p, nil
-}
-
-// Predictor returns the knowledge-database profile and the fitted
-// piecewise performance predictor for app, profiling and fitting on its
-// first request. A failed fit leaves the profile cached.
-func (c *CLIP) Predictor(app *workload.Spec) (*profile.Profile, *perfmodel.Predictor, error) {
-	a, err := c.Advisor(app)
-	if err != nil {
-		return nil, nil, err
-	}
-	return a.Profile(), a.Predictor(), nil
+	return a.Profile(), nil
 }
 
 // Advisor returns app's entry in the knowledge table, profiling and
-// fitting on its first request; it counts as Predictor does. The
-// advisor answers node-level configuration questions (Advisor.Best)
-// once for every instance sharing the table.
-func (c *CLIP) Advisor(app *workload.Spec) (*Advisor, error) {
+// fitting on the table's first request; a failed fit leaves the profile
+// cached. The advisor answers node-level configuration questions
+// (Advisor.Best) once for every instance sharing the table.
+func (c *CLIP) Advisor(app *workload.Spec) (*Advisor, error) { return c.fill(app, true) }
+
+// fill returns app's advisor with its profile filled and, when fit is
+// set, its predictor and grid too. It counts one profile hit, or one
+// miss on the call that runs the profiling pass.
+func (c *CLIP) fill(app *workload.Spec, fit bool) (*Advisor, error) {
 	m := c.metrics()
-	e := c.apps.entry(app.Name)
-	if a := e.a.Load(); a != nil {
+	a := c.know.apps.entry(app.Name)
+	if a.grid.Load() != nil || !fit && a.p.Load() != nil {
 		m.profileHits.Inc()
 		return a, nil
 	}
-	missed := e.p.Load() == nil
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if a := e.a.Load(); a != nil {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	p := a.p.Load()
+	if p != nil {
 		m.profileHits.Inc()
-		m.waited.Inc()
-		return a, nil
+	} else {
+		m.profileMisses.Inc()
+		var err error
+		if p, err = c.know.prof.Full(app, c.know.model); err != nil {
+			return nil, fmt.Errorf("core: profile %s: %w", app.Name, err)
+		}
+		a.p.Store(p)
 	}
-	if _, err := c.fillProfile(e, app, m, missed); err != nil {
-		return nil, err
+	if fit && a.grid.Load() == nil {
+		pd, err := perfmodel.NewPredictor(c.know.spec, p)
+		if err != nil {
+			return nil, fmt.Errorf("core: predictor %s: %w", app.Name, err)
+		}
+		a.grid.Store(recommend.NewGrid(c.know.spec, p, pd))
 	}
-	a, err := c.know.advisor(app)
-	if err != nil {
-		return nil, err
-	}
-	e.a.Store(a)
 	return a, nil
 }
 
@@ -473,6 +397,11 @@ func (c *CLIP) Advisor(app *workload.Spec) (*Advisor, error) {
 // profile/predictor/coordination pass and then serve clones of the
 // cached decision, so callers may freely annotate the returned plan.
 func (c *CLIP) Schedule(app *workload.Spec, bound float64) (*coordinator.Decision, error) {
+	if !(bound > 0) {
+		// Rejected before the lookup: a NaN key never matches, so it
+		// would add an entry per call.
+		return nil, fmt.Errorf("coordinator: non-positive bound %.1f W", bound)
+	}
 	m := c.metrics()
 	e := c.decisions.entry(decisionKey{app: app.Name, bound: bound})
 	if d := e.d.Load(); d != nil {

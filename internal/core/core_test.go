@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -39,14 +41,14 @@ func TestProfileCaching(t *testing.T) {
 	if p1 != p2 {
 		t.Error("second Profile call did not hit the knowledge database")
 	}
-	if c.DB().Len() != 1 {
-		t.Errorf("db has %d entries, want 1", c.DB().Len())
+	if n := len(c.Knowledge().Profiles()); n != 1 {
+		t.Errorf("knowledge table holds %d profiles, want 1", n)
 	}
 }
 
 // TestSharedKnowledge: instances over clusters of one node spec share
-// a knowledge table, its NP model and its profiles, while each keeps its
-// own knowledge database; a table built for another spec is rejected.
+// a knowledge table, its NP model and its profiles; a table built for
+// another spec is rejected.
 func TestSharedKnowledge(t *testing.T) {
 	cl := hw.NewCluster(8, hw.HaswellSpec(), 0, 1)
 	base, err := New(cl)
@@ -72,9 +74,6 @@ func TestSharedKnowledge(t *testing.T) {
 	}
 	if p1 != p2 {
 		t.Error("instances sharing a table profiled the application twice")
-	}
-	if base.DB().Len() != 1 || clone.DB().Len() != 1 {
-		t.Errorf("knowledge databases hold %d and %d entries, want 1 each", base.DB().Len(), clone.DB().Len())
 	}
 	if _, err := New(hw.Haswell(), Options{Knowledge: base.Knowledge()}); err == nil {
 		t.Error("knowledge table of another node spec accepted")
@@ -140,8 +139,8 @@ func TestConcurrentScheduling(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if c.DB().Len() != len(apps) {
-		t.Errorf("db has %d entries, want %d", c.DB().Len(), len(apps))
+	if n := len(c.Knowledge().Profiles()); n != len(apps) {
+		t.Errorf("knowledge table holds %d profiles, want %d", n, len(apps))
 	}
 }
 
@@ -158,5 +157,33 @@ func TestScheduleRespectsBoundAcrossSuite(t *testing.T) {
 				t.Errorf("%s @%v: %v", app.Name, bound, err)
 			}
 		}
+	}
+}
+
+// TestBadBoundLeavesDecisionTable: a NaN, zero or -Inf bound is
+// rejected before the decision table is read, so repeated calls leave
+// no entry behind (a NaN key never matches, so each call would add
+// one).
+func TestBadBoundLeavesDecisionTable(t *testing.T) {
+	_, c := newCLIP(t)
+	app := workload.CoMD()
+	if _, err := c.Schedule(app, 1000); err != nil {
+		t.Fatal(err)
+	}
+	size := func() int {
+		n := 0
+		c.decisions.m.Range(func(_, _ any) bool { n++; return true })
+		return n
+	}
+	before := size()
+	for i := 0; i < 4; i++ {
+		for _, bound := range []float64{math.NaN(), 0, math.Inf(-1)} {
+			if _, err := c.Schedule(app, bound); err == nil || !strings.Contains(err.Error(), "non-positive bound") {
+				t.Errorf("bound %v: err %v, want a non-positive bound", bound, err)
+			}
+		}
+	}
+	if n := size(); n != before {
+		t.Errorf("decision table grew from %d to %d entries", before, n)
 	}
 }

@@ -378,10 +378,12 @@ func TestRunParallelTelemetryMatchesRun(t *testing.T) {
 // TestKnowledgeFilledOncePerFederation: every shard's CLIP reads one
 // knowledge table, which profiles each application once per federation
 // and searches each (application, per-node budget, tolerance) once,
-// whichever shard asks first. The counts are the same under Run and
-// RunParallel at 1, 2 and 4 workers.
+// whichever shard asks first. Only the shard whose call profiles counts
+// a profile miss, so misses equal profiling passes. The counts are the
+// same under Run and RunParallel at 1, 2 and 4 workers.
 func TestKnowledgeFilledOncePerFederation(t *testing.T) {
 	passes := telemetry.Default.Counter("clip_profiling_passes_total", "")
+	misses := telemetry.Default.Counter("clip_profile_cache_misses_total", "")
 	searches := telemetry.Default.Counter("clip_recommend_calls_total", "")
 	mix := workload.Suite()[:6]
 	build := func() *Federation {
@@ -416,7 +418,7 @@ func TestKnowledgeFilledOncePerFederation(t *testing.T) {
 				t.Fatalf("shard %d reads its own knowledge table", sh.ID)
 			}
 		}
-		p0, s0 := passes.Value(), searches.Value()
+		p0, m0, s0 := passes.Value(), misses.Value(), searches.Value()
 		run := f.Run
 		if workers > 0 {
 			run = func() error { return f.RunParallel(workers) }
@@ -426,6 +428,9 @@ func TestKnowledgeFilledOncePerFederation(t *testing.T) {
 		}
 		if got := passes.Value() - p0; got != uint64(len(mix)) {
 			t.Errorf("workers=%d: %d profiling passes for %d applications", workers, got, len(mix))
+		}
+		if got := misses.Value() - m0; got != uint64(len(mix)) {
+			t.Errorf("workers=%d: %d profile misses for %d applications", workers, got, len(mix))
 		}
 		n := know.Answers()
 		if got := searches.Value() - s0; got != uint64(n) {

@@ -331,7 +331,7 @@ func TestDispatchReusesDecisionPerFreeState(t *testing.T) {
 		t.Fatal(err)
 	}
 	app := workload.CoMD()
-	if _, _, err := c.Predictor(app); err != nil {
+	if _, err := c.Advisor(app); err != nil {
 		t.Fatal(err)
 	}
 	schedules := telemetry.Default.Counter("clip_coordinator_schedules_total", "")

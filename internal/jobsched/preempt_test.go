@@ -58,11 +58,11 @@ func prefixVictims(t *testing.T, o *Online, app *workload.Spec, pri int) (victim
 		}
 		return a.id < b.id
 	})
-	prof, pd, err := st.s.CLIP.Predictor(app)
+	adv, err := st.s.CLIP.Advisor(app)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid := recommend.NewGrid(cl.Spec(), prof, pd) // searched afresh, no shared answers
+	grid := recommend.NewGrid(cl.Spec(), adv.Profile(), adv.Predictor()) // searched afresh, no shared answers
 	if len(app.Constraint.PreferNodes) > 0 {
 		t.Fatalf("%s prefers nodes; the reference does not rank", app.Name)
 	}

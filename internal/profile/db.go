@@ -4,61 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
-	"sync"
 )
 
-// DB is the knowledge database of the application execution module
-// (§IV-B3): profiles keyed by application name. The scheduler consults
-// it before deciding whether smart profiling is needed. It is safe for
-// concurrent use.
-type DB struct {
-	mu      sync.RWMutex
-	entries map[string]*Profile
-}
-
-// NewDB returns an empty knowledge database.
-func NewDB() *DB { return &DB{entries: make(map[string]*Profile)} }
-
-// Get returns the stored profile for app, if any.
-func (db *DB) Get(app string) (*Profile, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	p, ok := db.entries[app]
-	return p, ok
-}
-
-// Put stores (or replaces) a profile.
-func (db *DB) Put(p *Profile) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.entries[p.App] = p
-}
-
-// Len returns the number of stored profiles.
-func (db *DB) Len() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.entries)
-}
-
-// Apps returns the stored application names, sorted.
-func (db *DB) Apps() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.entries))
-	for k := range db.entries {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Save writes the database as JSON to path.
-func (db *DB) Save(path string) error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	data, err := json.MarshalIndent(db.entries, "", "  ")
+// SaveDB writes a knowledge database (§IV-B3), profiles keyed by
+// application name, as JSON to path.
+func SaveDB(path string, profiles map[string]*Profile) error {
+	data, err := json.MarshalIndent(profiles, "", "  ")
 	if err != nil {
 		return fmt.Errorf("profile: encode db: %w", err)
 	}
@@ -68,19 +19,24 @@ func (db *DB) Save(path string) error {
 	return nil
 }
 
-// LoadDB reads a database previously written by Save.
-func LoadDB(path string) (*DB, error) {
+// LoadDB reads a knowledge database written by SaveDB. Every entry must
+// be a profile whose App is its key.
+func LoadDB(path string) (map[string]*Profile, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("profile: read db: %w", err)
 	}
-	entries := make(map[string]*Profile)
-	if err := json.Unmarshal(data, &entries); err != nil {
+	var profiles map[string]*Profile
+	if err := json.Unmarshal(data, &profiles); err != nil {
 		return nil, fmt.Errorf("profile: decode db: %w", err)
 	}
-	db := NewDB()
-	for _, p := range entries {
-		db.Put(p)
+	if profiles == nil {
+		return nil, fmt.Errorf("profile: decode db: not a JSON object")
 	}
-	return db, nil
+	for app, p := range profiles {
+		if p == nil || p.App != app {
+			return nil, fmt.Errorf("profile: db entry %q does not hold its profile", app)
+		}
+	}
+	return profiles, nil
 }

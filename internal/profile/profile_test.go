@@ -2,6 +2,7 @@ package profile
 
 import (
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -179,35 +180,27 @@ func TestIterationsOverride(t *testing.T) {
 
 func TestDBRoundTrip(t *testing.T) {
 	pr := &Profiler{Cluster: testCluster()}
-	db := NewDB()
+	db := make(map[string]*Profile)
 	for _, app := range []*workload.Spec{workload.CoMD(), workload.LUMZ()} {
 		p, err := pr.Basic(app)
 		if err != nil {
 			t.Fatal(err)
 		}
-		db.Put(p)
+		db[p.App] = p
 	}
-	if db.Len() != 2 {
-		t.Fatalf("db has %d entries, want 2", db.Len())
-	}
-	apps := db.Apps()
-	if len(apps) != 2 || apps[0] != "comd" || apps[1] != "lu-mz.C" {
-		t.Errorf("Apps() = %v", apps)
-	}
-
 	path := filepath.Join(t.TempDir(), "db.json")
-	if err := db.Save(path); err != nil {
+	if err := SaveDB(path, db); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadDB(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Len() != 2 {
-		t.Fatalf("loaded db has %d entries", loaded.Len())
+	if len(loaded) != 2 {
+		t.Fatalf("loaded db has %d entries", len(loaded))
 	}
-	orig, _ := db.Get("lu-mz.C")
-	got, ok := loaded.Get("lu-mz.C")
+	orig := db["lu-mz.C"]
+	got, ok := loaded["lu-mz.C"]
 	if !ok {
 		t.Fatal("lu-mz.C missing after round trip")
 	}
@@ -216,28 +209,27 @@ func TestDBRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDBGetMissing(t *testing.T) {
-	db := NewDB()
-	if _, ok := db.Get("nope"); ok {
-		t.Error("empty db returned an entry")
-	}
-}
-
+// TestLoadDBErrors: LoadDB returns an error, and does not panic, on a
+// file that is missing, is not a JSON object, or holds an entry that is
+// null or keyed by another application than its profile's.
 func TestLoadDBErrors(t *testing.T) {
-	if _, err := LoadDB(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("missing file accepted")
-	}
-}
-
-func TestDBOverwrite(t *testing.T) {
-	db := NewDB()
-	db.Put(&Profile{App: "x", Ratio: 1})
-	db.Put(&Profile{App: "x", Ratio: 2})
-	if db.Len() != 1 {
-		t.Fatalf("duplicate Put grew the db to %d", db.Len())
-	}
-	p, _ := db.Get("x")
-	if p.Ratio != 2 {
-		t.Error("Put did not replace")
+	dir := t.TempDir()
+	for _, tc := range []struct{ name, data string }{
+		{"missing", ""},
+		{"null entry", `{"x": null}`},
+		{"key mismatch", `{"x": {"App": "y"}}`},
+		{"array", `[{"App": "x"}]`},
+		{"null", `null`},
+		{"number", `42`},
+	} {
+		path := filepath.Join(dir, tc.name+".json")
+		if tc.data != "" {
+			if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if db, err := LoadDB(path); err == nil {
+			t.Errorf("%s: accepted as %v", tc.name, db)
+		}
 	}
 }
