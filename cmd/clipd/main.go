@@ -73,7 +73,7 @@ func main() {
 func run(listen string, budget float64, nodes int, sigma float64, policyName string,
 	realloc bool, timescale float64, queueDepth int, reqTimeout time.Duration,
 	faultSpec, teleOut string, pprof, preempt bool) error {
-	policy, err := parsePolicy(policyName)
+	policy, err := jobsched.ParsePolicy(policyName)
 	if err != nil {
 		return err
 	}
@@ -156,17 +156,4 @@ func report(jobs []jobsched.JobStatus) {
 	t.Render(os.Stdout)
 	fmt.Printf("clipd: %d jobs: %d completed, %d cancelled, %d failed\n", len(jobs),
 		counts[jobsched.JobCompleted], counts[jobsched.JobCancelled], counts[jobsched.JobFailed])
-}
-
-func parsePolicy(name string) (jobsched.Policy, error) {
-	switch name {
-	case "fcfs":
-		return jobsched.FCFS, nil
-	case "backfill":
-		return jobsched.Backfill, nil
-	case "aggressive-backfill":
-		return jobsched.AggressiveBackfill, nil
-	default:
-		return 0, fmt.Errorf("clipd: unknown policy %q", name)
-	}
 }

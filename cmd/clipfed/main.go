@@ -112,7 +112,7 @@ func run(w io.Writer, o options) error {
 	if o.workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", o.workers)
 	}
-	policy, err := parsePolicy(o.policyName)
+	policy, err := jobsched.ParsePolicy(o.policyName)
 	if err != nil {
 		return err
 	}
@@ -312,17 +312,4 @@ func onOff(b bool) string {
 		return "on"
 	}
 	return "off"
-}
-
-func parsePolicy(name string) (jobsched.Policy, error) {
-	switch name {
-	case "fcfs":
-		return jobsched.FCFS, nil
-	case "backfill":
-		return jobsched.Backfill, nil
-	case "aggressive-backfill":
-		return jobsched.AggressiveBackfill, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q", name)
-	}
 }

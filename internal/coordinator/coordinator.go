@@ -13,10 +13,11 @@
 package coordinator
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -384,11 +385,10 @@ func (c *Coordinator) publish(sc *Scratch, app string, bound float64, ids []int,
 	m.events.Append(ev)
 }
 
-// pickNodes selects the n most power-efficient nodes (lowest PowerEff):
-// under a shared bound the efficient parts sustain the highest
-// frequencies. The result lives in sc.ids. The ranking uses a
-// stable insertion sort — node counts are small and the reflection-free
-// sort keeps the pass allocation-free.
+// pickNodes selects the n most power-efficient nodes (lowest PowerEff,
+// ties to the lower id): under a shared bound the efficient parts
+// sustain the highest frequencies. The result lives in sc.ids, in
+// ascending id order.
 func (c *Coordinator) pickNodes(sc *Scratch, n int) []int {
 	ids := sc.ids[:0]
 	for i := 0; i < c.Cluster.NumNodes(); i++ {
@@ -401,18 +401,12 @@ func (c *Coordinator) pickNodes(sc *Scratch, n int) []int {
 		sc.ids = ids
 		return ids
 	}
-	for i := 1; i < len(ids); i++ {
-		v := ids[i]
-		e := c.Cluster.Nodes[v].PowerEff
-		j := i - 1
-		for j >= 0 && c.Cluster.Nodes[ids[j]].PowerEff > e {
-			ids[j+1] = ids[j]
-			j--
-		}
-		ids[j+1] = v
-	}
+	nodes := c.Cluster.Nodes
+	slices.SortFunc(ids, func(a, b int) int {
+		return cmp.Or(cmp.Compare(nodes[a].PowerEff, nodes[b].PowerEff), cmp.Compare(a, b))
+	})
 	ids = ids[:n]
-	sort.Ints(ids)
+	slices.Sort(ids)
 	sc.ids = ids
 	return ids
 }

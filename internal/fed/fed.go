@@ -26,9 +26,7 @@ package fed
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -72,27 +70,6 @@ var (
 	gShardsUnhealthy = telemetry.Default.Gauge("clip_fed_shards_unhealthy",
 		"shards currently partitioned, down or rejoining")
 )
-
-// Per-shard queue-depth gauge handles on telemetry.Default, cached by
-// shard id: registering means building a label string and taking the
-// registry lock, so each handle is created once.
-var (
-	shardGaugeMu sync.Mutex
-	shardGaugeQ  []*telemetry.Gauge
-)
-
-// shardQueueGauge returns the cached queue gauge for a shard id.
-func shardQueueGauge(id int) *telemetry.Gauge {
-	shardGaugeMu.Lock()
-	defer shardGaugeMu.Unlock()
-	for len(shardGaugeQ) <= id {
-		n := strconv.Itoa(len(shardGaugeQ))
-		shardGaugeQ = append(shardGaugeQ, telemetry.Default.Gauge(
-			telemetry.Label("clip_fed_shard_queue", "shard", n),
-			"queued jobs on the shard after its most recent event"))
-	}
-	return shardGaugeQ[id]
-}
 
 // fed-level des handler event kinds (the shards' own engines use the
 // jobsched kinds; this engine only carries federation events).
@@ -215,6 +192,9 @@ type Shard struct {
 	lentW, borrowedW float64
 	// submitted counts jobs routed to this shard.
 	submitted int
+	// queueGauge is the shard's clip_fed_shard_queue{shard=ID} handle
+	// on telemetry.Default.
+	queueGauge *telemetry.Gauge
 }
 
 // fedArrival is one pre-scheduled submission.
@@ -239,8 +219,11 @@ type Federation struct {
 	now float64
 	// arrivals is the arrival arena referenced by fevArrival events.
 	arrivals []fedArrival
-	// jobShard maps a job id to the shard it was routed to.
-	jobShard map[string]int
+	// scheduled holds every id ScheduleArrivalPri accepted, so a
+	// duplicate is rejected federation-wide. It is the only per-job
+	// record the federation keeps: a routed job's shard is the shard
+	// whose session lists it.
+	scheduled map[string]struct{}
 	// broker state
 	leases  []*Lease // every lease ever granted, by ID
 	active  []*Lease // active leases, ascending ID
@@ -328,9 +311,9 @@ func New(cfg Config) (*Federation, error) {
 	scale := cap / nameplate
 
 	f := &Federation{
-		cfg:      cfg,
-		eng:      des.NewEngine(),
-		jobShard: make(map[string]int),
+		cfg:       cfg,
+		eng:       des.NewEngine(),
+		scheduled: make(map[string]struct{}),
 	}
 	spec := hw.HaswellSpec()
 	model, err := core.TrainNPModel(spec)
@@ -358,6 +341,9 @@ func New(cfg Config) (*Federation, error) {
 		}
 		f.shards = append(f.shards, &Shard{
 			ID: i, Cluster: cl, CLIP: clip, Online: on, entitlement: ent, eff: ent,
+			queueGauge: telemetry.Default.Gauge(
+				telemetry.Label("clip_fed_shard_queue", "shard", strconv.Itoa(i)),
+				"queued jobs on the shard after its most recent event"),
 		})
 	}
 	if cfg.ShardFaults != nil && cfg.ShardFaults.Enabled() {
@@ -435,7 +421,7 @@ func (f *Federation) ScheduleArrivalPri(t float64, id string, app *workload.Spec
 	if app == nil {
 		return fmt.Errorf("fed: job %q has no application", id)
 	}
-	if _, dup := f.jobShard[id]; dup {
+	if _, dup := f.scheduled[id]; dup {
 		return fmt.Errorf("fed: duplicate job id %q", id)
 	}
 	// Schedule first: a time the engine rejects (NaN, ±Inf, the past)
@@ -443,7 +429,7 @@ func (f *Federation) ScheduleArrivalPri(t float64, id string, app *workload.Spec
 	if _, err := f.eng.At(t, f, fevArrival, uint64(len(f.arrivals))); err != nil {
 		return err
 	}
-	f.jobShard[id] = -1 // reserved; set on routing
+	f.scheduled[id] = struct{}{}
 	f.arrivals = append(f.arrivals, fedArrival{id: id, app: app, key: key, t: t, pri: pri})
 	f.arrivalsLeft++
 	return nil
@@ -461,7 +447,6 @@ func (f *Federation) routeArrival(a fedArrival) {
 		f.fail(err)
 		return
 	}
-	f.jobShard[a.id] = sh.ID
 	sh.submitted++
 	mFedJobsRouted.Inc()
 }
@@ -543,7 +528,7 @@ func (f *Federation) Step() (bool, error) {
 			f.rekeyTouched()
 			return false, f.latch(err)
 		}
-		shardQueueGauge(sh.ID).Set(float64(sh.Online.QueueLen()))
+		sh.queueGauge.Set(float64(sh.Online.QueueLen()))
 	}
 	f.now = t
 	f.events++
@@ -613,41 +598,6 @@ func (f *Federation) ArrivalsPending() int { return f.arrivalsLeft }
 func (f *Federation) Drain() error {
 	f.ensureHeap()
 	return f.drainParallel(1)
-}
-
-// JobShard reports which shard a job was routed to (-1 while its
-// arrival is still pending) and whether the id is known.
-func (f *Federation) JobShard(id string) (int, bool) {
-	s, ok := f.jobShard[id]
-	return s, ok
-}
-
-// Status returns a routed job's status from its shard.
-func (f *Federation) Status(id string) (jobsched.JobStatus, error) {
-	s, ok := f.jobShard[id]
-	if !ok || s < 0 {
-		return jobsched.JobStatus{}, fmt.Errorf("fed: job %q not routed", id)
-	}
-	return f.shards[s].Online.Status(id)
-}
-
-// Jobs lists every routed job's status ordered by id.
-func (f *Federation) Jobs() []jobsched.JobStatus {
-	ids := make([]string, 0, len(f.jobShard))
-	for id, s := range f.jobShard {
-		if s >= 0 {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	out := make([]jobsched.JobStatus, 0, len(ids))
-	for _, id := range ids {
-		js, err := f.shards[f.jobShard[id]].Online.Status(id)
-		if err == nil {
-			out = append(out, js)
-		}
-	}
-	return out
 }
 
 // AuditStats reports how many per-event aggregate audits ran and how

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -59,16 +60,42 @@ func scheduleTrace(t *testing.T, f *Federation, seed uint64, jobs int, meanGap f
 	return out
 }
 
+// shardJob is one routed job's status and the shard whose session
+// lists it.
+type shardJob struct {
+	jobsched.JobStatus
+	shard int
+}
+
+// routedJobs merges every shard session's job list by id: each routed
+// job with its shard, ordered by id. A job lives in exactly one
+// session, so an id listed by two shards fails the test.
+func routedJobs(t testing.TB, f *Federation) []shardJob {
+	t.Helper()
+	var out []shardJob
+	for _, sh := range f.shards {
+		for _, js := range sh.Online.Jobs() {
+			out = append(out, shardJob{js, sh.ID})
+		}
+	}
+	slices.SortFunc(out, func(a, b shardJob) int { return strings.Compare(a.ID, b.ID) })
+	for i := 1; i < len(out); i++ {
+		if out[i].ID == out[i-1].ID {
+			t.Fatalf("job %s listed by shards %d and %d", out[i].ID, out[i-1].shard, out[i].shard)
+		}
+	}
+	return out
+}
+
 // renderRun flattens a finished federation into a deterministic string:
 // every job's terminal record, every lease's lifecycle, and the audit
 // counters. Two runs of the same configuration must render
 // byte-identically.
-func renderRun(f *Federation) string {
+func renderRun(t testing.TB, f *Federation) string {
 	var b strings.Builder
-	for _, js := range f.Jobs() {
-		sh, _ := f.JobShard(js.ID)
+	for _, js := range routedJobs(t, f) {
 		fmt.Fprintf(&b, "job %s shard=%d state=%s arrival=%.9f start=%.9f finish=%.9f nodes=%v retries=%d\n",
-			js.ID, sh, js.State, js.Arrival, js.Start, js.Finish, js.Nodes, js.Retries)
+			js.ID, js.shard, js.State, js.Arrival, js.Start, js.Finish, js.Nodes, js.Retries)
 	}
 	for _, l := range f.Leases() {
 		fmt.Fprintf(&b, "lease %d %d->%d %.1fW granted=%.9f settled=%.9f state=%s orphaned=%.9f attempts=%d forced=%v\n",
@@ -134,7 +161,7 @@ func TestFederationRunsToCompletion(t *testing.T) {
 	if err := f.Run(); err != nil {
 		t.Fatal(err)
 	}
-	jobs := f.Jobs()
+	jobs := routedJobs(t, f)
 	if len(jobs) != len(trace) {
 		t.Fatalf("got %d terminal jobs, want %d", len(jobs), len(trace))
 	}
@@ -165,7 +192,7 @@ func TestFederationDeterministic(t *testing.T) {
 		if err := f.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return renderRun(f)
+		return renderRun(t, f)
 	}
 	first := run()
 	for i := 0; i < 2; i++ {
@@ -200,11 +227,15 @@ func TestFederationMatchesSingleShardOracle(t *testing.T) {
 		if err := f.ScheduleArrivalPri(now, id, app, "", 0); err != nil {
 			t.Fatal(err)
 		}
-		home := ShardFor(id, nShards)
+		home := shardFor(id, nShards)
 		partitions[home] = append(partitions[home], jobsched.Job{ID: id, App: app, Arrival: now})
 	}
 	if err := f.Run(); err != nil {
 		t.Fatal(err)
+	}
+	routed := make(map[string]shardJob)
+	for _, js := range routedJobs(t, f) {
+		routed[js.ID] = js
 	}
 
 	for si, part := range partitions {
@@ -232,12 +263,12 @@ func TestFederationMatchesSingleShardOracle(t *testing.T) {
 			want[jr.ID] = [2]float64{jr.Start, jr.Finish}
 		}
 		for _, job := range part {
-			got, err := f.Status(job.ID)
-			if err != nil {
-				t.Fatal(err)
+			got, ok := routed[job.ID]
+			if !ok {
+				t.Fatalf("job %s not routed", job.ID)
 			}
-			if home, _ := f.JobShard(job.ID); home != si {
-				t.Fatalf("job %s routed to shard %d, want %d", job.ID, home, si)
+			if got.shard != si {
+				t.Fatalf("job %s routed to shard %d, want %d", job.ID, got.shard, si)
 			}
 			w, ok := want[job.ID]
 			if !ok {
@@ -335,7 +366,7 @@ func TestLendingMovesWattsUnderCap(t *testing.T) {
 	if audits, violations := f.AuditStats(); violations != 0 {
 		t.Errorf("%d audit violations in %d audits", violations, audits)
 	}
-	for _, js := range f.Jobs() {
+	for _, js := range routedJobs(t, f) {
 		if js.State != jobsched.JobCompleted {
 			t.Errorf("job %s ended %s (%s)", js.ID, js.State, js.Reason)
 		}
@@ -355,7 +386,7 @@ func localityKeys(t *testing.T, n int) (key0, key1 string) {
 	t.Helper()
 	for i := 0; key0 == "" || key1 == ""; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		switch ShardFor(k, n) {
+		switch shardFor(k, n) {
 		case 0:
 			if key0 == "" {
 				key0 = k
@@ -509,7 +540,7 @@ func TestLeasePropertyRandomTraces(t *testing.T) {
 			t.Errorf("seed %d: only %d audits for %d events", seed, audits, f.Events())
 		}
 		terminal := 0
-		for _, js := range f.Jobs() {
+		for _, js := range routedJobs(t, f) {
 			if js.State.Terminal() {
 				terminal++
 			}
@@ -544,7 +575,8 @@ func TestRoutingPolicies(t *testing.T) {
 	if err := f.ScheduleArrivalPri(0, "warm", workload.CoMD(), "", 0); err != nil {
 		t.Fatal(err)
 	}
-	for {
+	home := -1
+	for home < 0 {
 		ok, err := f.Step()
 		if err != nil {
 			t.Fatal(err)
@@ -552,11 +584,10 @@ func TestRoutingPolicies(t *testing.T) {
 		if !ok {
 			break
 		}
-		if s, _ := f.JobShard("warm"); s >= 0 && f.Now() >= 0 {
-			break
+		if jobs := routedJobs(t, f); len(jobs) == 1 {
+			home = jobs[0].shard
 		}
 	}
-	home, _ := f.JobShard("warm")
 	if home != 0 {
 		t.Fatalf("first job routed to shard %d, want 0", home)
 	}
@@ -570,7 +601,7 @@ func TestRoutingPolicies(t *testing.T) {
 		t.Errorf("power-headroom picked the loaded shard 0")
 	}
 	f.cfg.Routing = Locality
-	want := ShardFor("dataset-17", 3)
+	want := shardFor("dataset-17", 3)
 	if got := f.pickShard(fedArrival{id: "x", key: "dataset-17"}); got != want {
 		t.Errorf("locality picked %d, want %d", got, want)
 	}
@@ -714,8 +745,8 @@ func TestScheduleArrivalRejectedTimeFreesID(t *testing.T) {
 			if err := f.ScheduleArrivalPri(c.t(f.Now()), "x", workload.CoMD(), "", 0); err == nil {
 				t.Fatalf("time %v accepted", c.t(f.Now()))
 			}
-			if sh, ok := f.JobShard("x"); ok {
-				t.Fatalf("rejected arrival left JobShard = (%d, true)", sh)
+			if _, ok := f.scheduled["x"]; ok {
+				t.Fatal("rejected arrival left the id scheduled")
 			}
 			if n := f.ArrivalsPending(); n != 0 {
 				t.Fatalf("%d arrivals pending after the rejection", n)
@@ -733,9 +764,79 @@ func TestScheduleArrivalRejectedTimeFreesID(t *testing.T) {
 			if routed != 2 {
 				t.Errorf("%d arrivals routed, want 2 (warm and x)", routed)
 			}
-			if sh, ok := f.JobShard("x"); !ok || sh < 0 {
-				t.Errorf("retried arrival not routed: JobShard = (%d, %v)", sh, ok)
+			listed := 0
+			for _, js := range routedJobs(t, f) {
+				if js.ID == "x" {
+					listed++
+				}
+			}
+			if listed != 1 {
+				t.Errorf("retried arrival listed by %d shards, want 1", listed)
 			}
 		})
+	}
+}
+
+// TestScheduleArrivalRejectsDuplicateID: an id is taken federation-wide
+// once ScheduleArrivalPri accepts it. A second copy is rejected while
+// the first is still pending, after it was routed, and after a shard
+// crash evacuated it, and a rejection leaves ArrivalsPending as it was.
+func TestScheduleArrivalRejectsDuplicateID(t *testing.T) {
+	f, err := New(chaosConfig(t, true, "crash-mtbf=300,mttr=120,part-mtbf=400,part-dur=80,seed=9"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := scheduleTrace(t, f, 5, 96, 3)
+	dup := func(stage, id string) {
+		t.Helper()
+		pending := f.ArrivalsPending()
+		if err := f.ScheduleArrivalPri(f.Now()+1, id, workload.CoMD(), "", 0); err == nil {
+			t.Errorf("%s: duplicate id %s accepted", stage, id)
+		}
+		if got := f.ArrivalsPending(); got != pending {
+			t.Errorf("%s: %d arrivals pending after the rejection, want %d", stage, got, pending)
+		}
+	}
+	step := func() {
+		t.Helper()
+		if ok, err := f.Step(); err != nil || !ok {
+			t.Fatalf("step: ok=%v err=%v", ok, err)
+		}
+	}
+	shardOf := func() map[string]int {
+		m := make(map[string]int)
+		for _, js := range routedJobs(t, f) {
+			m[js.ID] = js.shard
+		}
+		return m
+	}
+
+	dup("pending", trace[0].id)
+	for len(routedJobs(t, f)) == 0 {
+		step()
+	}
+	dup("routed", trace[0].id)
+
+	var before map[string]int
+	for f.Evacuated() == 0 {
+		before = shardOf()
+		step()
+	}
+	moved := ""
+	for id, sh := range shardOf() {
+		if prev, ok := before[id]; ok && prev != sh && (moved == "" || id < moved) {
+			moved = id
+		}
+	}
+	if moved == "" {
+		t.Fatal("the first evacuation moved no routed job")
+	}
+	dup("evacuated", moved)
+
+	if err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(routedJobs(t, f)); n != len(trace) {
+		t.Errorf("%d jobs routed, want %d", n, len(trace))
 	}
 }

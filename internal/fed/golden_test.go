@@ -87,11 +87,10 @@ func (g goldenFed) build(t *testing.T) *Federation {
 
 // outcomeDigest hashes every job's shard, state, start and finish bits,
 // nodes, retries and preemptions.
-func outcomeDigest(f *Federation) uint64 {
+func outcomeDigest(t testing.TB, f *Federation) uint64 {
 	h := fnv.New64a()
-	for _, js := range f.Jobs() {
-		sh, _ := f.JobShard(js.ID)
-		fmt.Fprintf(h, "%s %d %d %x %x %v %d %d\n", js.ID, sh, js.State,
+	for _, js := range routedJobs(t, f) {
+		fmt.Fprintf(h, "%s %d %d %x %x %v %d %d\n", js.ID, js.shard, js.State,
 			math.Float64bits(js.Start), math.Float64bits(js.Finish), js.Nodes,
 			js.Retries, js.Preemptions)
 	}
@@ -115,7 +114,7 @@ func TestGoldenFederationOutcomes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", g.name, workers, err)
 			}
-			d, ev, events := outcomeDigest(f), f.Evacuated(), f.Events()
+			d, ev, events := outcomeDigest(t, f), f.Evacuated(), f.Events()
 			if d != g.digest || ev != g.evacuated || events != g.events {
 				t.Errorf("%s workers=%d: digest %#x evacuated %d events %d, want %#x, %d, %d",
 					g.name, workers, d, ev, events, g.digest, g.evacuated, g.events)

@@ -147,15 +147,14 @@ func (f *Federation) runPartitioned(workers int) error {
 	}
 	f.collecting = false
 
-	// Placement is a pure hash, so it happens serially up front; the
-	// shared jobShard map and routing telemetry never see the workers.
+	// Placement is a pure hash, so it happens serially up front; routing
+	// telemetry never sees the workers.
 	// A counting pass sizes every shard's slice of one backing array.
 	nArr := len(f.collect)
 	sids := make([]int32, nArr)
 	counts := make([]int, len(f.shards))
 	for i, a := range f.collect {
 		sid := f.pickShard(a)
-		f.jobShard[a.id] = sid
 		f.shards[sid].submitted++
 		sids[i] = int32(sid)
 		counts[sid]++
@@ -193,7 +192,7 @@ func (f *Federation) runPartitioned(workers int) error {
 		if res.err != nil {
 			f.fail(res.err)
 		}
-		shardQueueGauge(sh.ID).Set(float64(sh.Online.QueueLen()))
+		sh.queueGauge.Set(float64(sh.Online.QueueLen()))
 		f.rekeyShard(sh.ID)
 	}
 	f.events += uint64(nArr + total)
@@ -263,7 +262,7 @@ func (f *Federation) drainParallel(workers int) error {
 		if errs[sh.ID] != nil {
 			f.fail(errs[sh.ID])
 		}
-		shardQueueGauge(sh.ID).Set(float64(sh.Online.QueueLen()))
+		sh.queueGauge.Set(float64(sh.Online.QueueLen()))
 		f.rekeyShard(sh.ID)
 	}
 	return f.failure

@@ -40,13 +40,13 @@ func TestParallelByteIdentity(t *testing.T) {
 			if err := f.Run(); err != nil {
 				t.Fatalf("serial lending=%v seed=%d: %v", lending, seed, err)
 			}
-			want := renderRun(f)
+			want := renderRun(t, f)
 			for _, workers := range []int{1, 2, 4, 8} {
 				g := buildDeterministicFed(t, seed, lending)
 				if err := g.RunParallel(workers); err != nil {
 					t.Fatalf("parallel(%d) lending=%v seed=%d: %v", workers, lending, seed, err)
 				}
-				if got := renderRun(g); got != want {
+				if got := renderRun(t, g); got != want {
 					t.Fatalf("parallel(%d) lending=%v seed=%d diverged from serial:\n--- serial ---\n%s--- parallel ---\n%s",
 						workers, lending, seed, want, got)
 				}
@@ -83,13 +83,13 @@ func TestPartitionedByteIdentity(t *testing.T) {
 	if err := f.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := renderRun(f)
+	want := renderRun(t, f)
 	for _, workers := range []int{1, 2, 4, 8} {
 		g := build()
 		if err := g.RunParallel(workers); err != nil {
 			t.Fatalf("parallel(%d): %v", workers, err)
 		}
-		if got := renderRun(g); got != want {
+		if got := renderRun(t, g); got != want {
 			t.Fatalf("partitioned(%d) diverged from serial:\n--- serial ---\n%s--- parallel ---\n%s",
 				workers, want, got)
 		}
@@ -125,7 +125,7 @@ func TestParallelLeaseProperty(t *testing.T) {
 			t.Errorf("seed %d: only %d audits for %d events", seed, audits, f.Events())
 		}
 		terminal := 0
-		for _, js := range f.Jobs() {
+		for _, js := range routedJobs(t, f) {
 			if js.State.Terminal() {
 				terminal++
 			}

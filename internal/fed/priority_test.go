@@ -63,9 +63,9 @@ func TestPriorityParallelByteIdentity(t *testing.T) {
 			if err := f.Run(); err != nil {
 				t.Fatalf("serial seed=%d faults=%q: %v", seed, faults, err)
 			}
-			want := renderRun(f)
+			want := renderRun(t, f)
 			preempted := 0
-			for _, js := range f.Jobs() {
+			for _, js := range routedJobs(t, f) {
 				preempted += js.Preemptions
 			}
 			for _, workers := range []int{2, 4} {
@@ -73,7 +73,7 @@ func TestPriorityParallelByteIdentity(t *testing.T) {
 				if err := g.RunParallel(workers); err != nil {
 					t.Fatalf("parallel(%d) seed=%d faults=%q: %v", workers, seed, faults, err)
 				}
-				if got := renderRun(g); got != want {
+				if got := renderRun(t, g); got != want {
 					t.Fatalf("parallel(%d) seed=%d faults=%q diverged from serial:\n--- serial ---\n%s--- parallel ---\n%s",
 						workers, seed, faults, want, got)
 				}
@@ -187,7 +187,7 @@ func TestFedPriorityRouting(t *testing.T) {
 	}
 	var hiStart, hiArrival float64
 	evictions := 0
-	for _, js := range f.Jobs() {
+	for _, js := range routedJobs(t, f) {
 		if js.ID == "hi" {
 			hiStart, hiArrival = js.Start, js.Arrival
 			if js.State != jobsched.JobCompleted {

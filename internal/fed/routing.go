@@ -51,10 +51,9 @@ func ParsePolicy(name string) (Policy, bool) {
 	return 0, false
 }
 
-// ShardFor returns the shard index the Locality policy maps a key to
-// among n shards. Exported so tests and partition-aware clients can
-// pre-compute a job's home shard.
-func ShardFor(key string, n int) int {
+// shardFor returns the shard index the Locality policy maps a key to
+// among n shards.
+func shardFor(key string, n int) int {
 	h := fnv.New32a()
 	h.Write([]byte(key))
 	return int(h.Sum32() % uint32(n))
@@ -68,23 +67,32 @@ func ShardFor(key string, n int) int {
 // only read at federation-owned events, so routing stays a pure
 // function of deterministic state.
 func (f *Federation) pickShard(a fedArrival) int {
-	if f.sfaults == nil {
-		return f.pickShardAll(a)
+	if f.sfaults != nil {
+		if id := f.pickAmong(a, true); id >= 0 {
+			return id
+		}
 	}
+	return f.pickAmong(a, false)
+}
+
+// pickAmong applies the routing policy among routable shards only when
+// routableOnly is set, among all shards otherwise; -1 when none
+// qualifies.
+func (f *Federation) pickAmong(a fedArrival, routableOnly bool) int {
 	switch f.cfg.Routing {
 	case PowerHeadroom:
+		// The first eligible shard, then only a strictly greater
+		// free-watts value: ties go to the lowest id.
 		best, bestW := -1, 0.0
 		for _, sh := range f.shards {
-			if !f.routable(sh.ID) {
+			if routableOnly && !f.routable(sh.ID) {
 				continue
 			}
 			if w := sh.Online.FreeWatts(); best < 0 || w > bestW {
 				best, bestW = sh.ID, w
 			}
 		}
-		if best >= 0 {
-			return best
-		}
+		return best
 	case Locality:
 		// Linear-probe from the key's home shard so placement stays a
 		// pure function of (key, health vector) and keys rehome to
@@ -93,18 +101,16 @@ func (f *Federation) pickShard(a fedArrival) int {
 		if key == "" {
 			key = a.id
 		}
-		home := ShardFor(key, len(f.shards))
+		home := shardFor(key, len(f.shards))
 		for k := 0; k < len(f.shards); k++ {
-			if id := (home + k) % len(f.shards); f.routable(id) {
+			if id := (home + k) % len(f.shards); !routableOnly || f.routable(id) {
 				return id
 			}
 		}
+		return -1
 	default: // LeastLoaded
-		if best := f.leastLoaded(true); best >= 0 {
-			return best
-		}
+		return f.leastLoaded(routableOnly)
 	}
-	return f.pickShardAll(a)
 }
 
 // shardLoad is a shard's position in the least-loaded order.
@@ -140,27 +146,4 @@ func (f *Federation) leastLoaded(routableOnly bool) int {
 		}
 	}
 	return best.id
-}
-
-// pickShardAll is the health-blind policy core: the hot path when no
-// fault stream is armed, and the all-shards-unhealthy fallback.
-func (f *Federation) pickShardAll(a fedArrival) int {
-	switch f.cfg.Routing {
-	case PowerHeadroom:
-		best, bestW := 0, f.shards[0].Online.FreeWatts()
-		for _, sh := range f.shards[1:] {
-			if w := sh.Online.FreeWatts(); w > bestW {
-				best, bestW = sh.ID, w
-			}
-		}
-		return best
-	case Locality:
-		key := a.key
-		if key == "" {
-			key = a.id
-		}
-		return ShardFor(key, len(f.shards))
-	default: // LeastLoaded
-		return f.leastLoaded(false)
-	}
 }

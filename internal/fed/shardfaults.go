@@ -476,8 +476,7 @@ func (f *Federation) handleShardHeal(id int) {
 // put — the autonomous region runs it when power allows — so no job is
 // ever lost either way. Each job lands on exactly one shard: the
 // extraction removes it from the source's accounting before the
-// re-admission enters it on the destination's, and jobShard repoints in
-// the same step.
+// re-admission enters it on the destination's.
 //
 // The survivors' loads sit in a min-heap built once per crash. Inside
 // this handler only the destination's load moves, so after each
@@ -526,7 +525,6 @@ func (f *Federation) evacuateShard(id int) {
 		}
 		h[0] = loadOf(dst)
 		h.down(0)
-		f.jobShard[j.ID] = dst.ID
 		dst.submitted++
 		f.evacuated++
 		mJobsEvacuated.Inc()

@@ -256,7 +256,7 @@ func chaosInvariants(t *testing.T, tag string, f *Federation, jobs int) {
 	if audits, violations := f.AuditStats(); violations != 0 {
 		t.Errorf("%s: %d violations in %d audits: %v", tag, violations, audits, f.Violations())
 	}
-	got := f.Jobs()
+	got := routedJobs(t, f)
 	if len(got) != jobs {
 		t.Errorf("%s: %d terminal jobs, want %d (jobs lost)", tag, len(got), jobs)
 	}
@@ -312,7 +312,7 @@ func TestChaosByteIdentity(t *testing.T) {
 				if err := f.Run(); err != nil {
 					t.Fatalf("%s: %v", tag, err)
 				}
-				return f, renderRun(f)
+				return f, renderRun(t, f)
 			}
 			f, want := serial()
 			chaosInvariants(t, tag, f, jobs)
@@ -330,7 +330,7 @@ func TestChaosByteIdentity(t *testing.T) {
 				if err := fp.RunParallel(w); err != nil {
 					t.Fatalf("%s workers=%d: %v", tag, w, err)
 				}
-				if got := renderRun(fp); got != want {
+				if got := renderRun(t, fp); got != want {
 					t.Errorf("%s: workers=%d diverged from serial:\n--- serial ---\n%s--- parallel ---\n%s",
 						tag, w, want, got)
 				}
@@ -482,7 +482,7 @@ func TestRoutingAvoidsUnhealthyShards(t *testing.T) {
 	// land on shard 2 (home+1), then on shard 0 when 2 is down too.
 	key := ""
 	for i := 0; key == ""; i++ {
-		if k := fmt.Sprintf("k%d", i); ShardFor(k, 3) == 1 {
+		if k := fmt.Sprintf("k%d", i); shardFor(k, 3) == 1 {
 			key = k
 		}
 	}
@@ -550,7 +550,7 @@ func TestInterruptDrains(t *testing.T) {
 				t.Errorf("%s/%s: %d arrivals pending after the interrupted run, want %d (none routed)",
 					sh.name, r.name, got, pending)
 			}
-			for _, js := range f.Jobs() {
+			for _, js := range routedJobs(t, f) {
 				if !js.State.Terminal() {
 					t.Errorf("%s/%s: job %s non-terminal after interrupted drain", sh.name, r.name, js.ID)
 				}
@@ -583,7 +583,6 @@ func TestEvacuationAllocs(t *testing.T) {
 			if _, err := sh.Online.SubmitPri(id, app, 0); err != nil {
 				t.Fatal(err)
 			}
-			f.jobShard[id] = sh.ID
 		}
 		for _, sh := range f.shards {
 			if sh.Online.RunningLen() != 1 {
@@ -660,25 +659,23 @@ func TestSubmissionConservation(t *testing.T) {
 				mode.name, downs, parts, f.Evacuated(), len(f.Leases()))
 		}
 		sub := 0
-		listed := make(map[string]int)
 		for _, sh := range f.Shards() {
 			sub += sh.submitted
-			for _, js := range sh.Online.Jobs() {
-				listed[js.ID]++
-			}
 		}
 		if sub != jobs+f.Evacuated() {
 			t.Errorf("%s: Σ shard submissions %d != %d routed + %d evacuated", mode.name, sub, jobs, f.Evacuated())
 		}
-		for i := 0; i < jobs; i++ {
-			id := fmt.Sprintf("c%03d", i)
-			if n := listed[id]; n != 1 {
-				t.Errorf("%s: job %s listed by %d shards, want 1", mode.name, id, n)
-			}
-			delete(listed, id)
+		// routedJobs fails on an id listed by two shards; every trace id
+		// must be listed, and nothing else.
+		listed := routedJobs(t, f)
+		if len(listed) != jobs {
+			t.Errorf("%s: shards list %d jobs, want %d", mode.name, len(listed), jobs)
 		}
-		for id, n := range listed {
-			t.Errorf("%s: shards list %d copies of unknown job %s", mode.name, n, id)
+		for i, js := range listed {
+			if id := fmt.Sprintf("c%03d", i); js.ID != id {
+				t.Errorf("%s: listed job %d is %s, want %s", mode.name, i, js.ID, id)
+				break
+			}
 		}
 	}
 }

@@ -169,6 +169,17 @@ func (p Policy) String() string {
 	}
 }
 
+// ParsePolicy is the inverse of Policy.String: it maps "fcfs",
+// "backfill" or "aggressive-backfill" to its Policy.
+func ParsePolicy(name string) (Policy, error) {
+	for _, p := range []Policy{FCFS, Backfill, AggressiveBackfill} {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown policy %q", name)
+}
+
 // Config configures a scheduling run.
 type Config struct {
 	// Bound is the cluster-wide power budget over the managed domains
@@ -1259,7 +1270,7 @@ func (st *schedState) tryStart(rec *jobRecord, e *dispatchEntry, deadline float6
 		rj.globalIDs = append(rj.globalIDs, pool[slot])
 	}
 	if ranked {
-		sortInts(rj.globalIDs)
+		slices.Sort(rj.globalIDs)
 	}
 
 	st.accountPower()

@@ -53,6 +53,33 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestParsePolicy: ParsePolicy inverts Policy.String for every policy
+// and rejects any other name, clipjobs' short "aggressive" included.
+func TestParsePolicy(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Policy
+		ok   bool
+	}{
+		{"fcfs", FCFS, true},
+		{"backfill", Backfill, true},
+		{"aggressive-backfill", AggressiveBackfill, true},
+		{"", 0, false},
+		{"aggressive", 0, false},
+		{"all", 0, false},
+		{"FCFS", 0, false},
+		{"backfill ", 0, false},
+	} {
+		got, err := ParsePolicy(tc.name)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParsePolicy(%q) = (%v, %v), want (%v, ok=%v)", tc.name, got, err, tc.want, tc.ok)
+		}
+		if tc.ok && got.String() != tc.name {
+			t.Errorf("ParsePolicy(%q).String() = %q", tc.name, got.String())
+		}
+	}
+}
+
 func TestRunRejectsBadJobs(t *testing.T) {
 	s := sched(t, Config{Bound: 2000})
 	if _, err := s.Run(nil); err == nil {

@@ -12,26 +12,14 @@ package jobsched
 // unconstrained jobs skip the feasibility filter.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/coordinator"
 	"repro/internal/hw"
 	"repro/internal/workload"
 )
-
-// sortInts is an allocation-free insertion sort for small node-id
-// slices (ranked placements emit globals out of order).
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
-}
 
 // constraintSatisfiable reports whether any cluster node satisfies the
 // app's hard constraints, ignoring occupancy — a queued job may wait
@@ -47,31 +35,23 @@ func (st *schedState) constraintSatisfiable(app *workload.Spec) bool {
 	return false
 }
 
-// rankLess orders feasible node ids for an affinity-ranked view:
+// rankCmp orders feasible node ids for an affinity-ranked view:
 // preferred nodes first, then power efficiency ascending, node id as
 // the total tiebreak.
-func (st *schedState) rankLess(c *workload.NodeConstraint, a, b int) bool {
-	pa, pb := 1, 1
-	if c.Prefers(a) {
-		pa = 0
+func (st *schedState) rankCmp(c *workload.NodeConstraint, a, b int) int {
+	if pa, pb := c.Prefers(a), c.Prefers(b); pa != pb {
+		if pa {
+			return -1
+		}
+		return 1
 	}
-	if c.Prefers(b) {
-		pb = 0
-	}
-	if pa != pb {
-		return pa < pb
-	}
-	ea, eb := st.s.Cluster.Nodes[a].PowerEff, st.s.Cluster.Nodes[b].PowerEff
-	if ea != eb {
-		return ea < eb
-	}
-	return a < b
+	nodes := st.s.Cluster.Nodes
+	return cmp.Or(cmp.Compare(nodes[a].PowerEff, nodes[b].PowerEff), cmp.Compare(a, b))
 }
 
 // feasibleIDs filters pool (global node ids) through the app's hard
 // constraints into dst's storage and, when the app prefers nodes,
-// ranks the survivors (stable insertion sort — small pools, no
-// allocation at steady state). Reports whether the result is ranked.
+// ranks the survivors. Reports whether the result is ranked.
 func (st *schedState) feasibleIDs(app *workload.Spec, pool, dst []int) ([]int, bool) {
 	c := &app.Constraint
 	ids := dst[:0]
@@ -82,15 +62,7 @@ func (st *schedState) feasibleIDs(app *workload.Spec, pool, dst []int) ([]int, b
 	}
 	ranked := len(c.PreferNodes) > 0
 	if ranked {
-		for i := 1; i < len(ids); i++ {
-			v := ids[i]
-			j := i - 1
-			for j >= 0 && st.rankLess(c, v, ids[j]) {
-				ids[j+1] = ids[j]
-				j--
-			}
-			ids[j+1] = v
-		}
+		slices.SortFunc(ids, func(a, b int) int { return st.rankCmp(c, a, b) })
 	}
 	return ids, ranked
 }
@@ -115,17 +87,12 @@ func (st *schedState) feasibleView(app *workload.Spec) (*hw.Cluster, []int, bool
 	return st.feasSub, ids, ranked
 }
 
-// victimLess is the preemption cost order: lowest priority first, then
+// victimCmp is the preemption cost order: lowest priority first, then
 // cheapest reclaimed watts, then job id — evicting in this order
 // yields the minimal-cost victim set for a greedy prefix scan.
-func victimLess(a, b *runningJob) bool {
-	if a.rec.job.Priority != b.rec.job.Priority {
-		return a.rec.job.Priority < b.rec.job.Priority
-	}
-	if a.powerUsed != b.powerUsed {
-		return a.powerUsed < b.powerUsed
-	}
-	return a.rec.job.ID < b.rec.job.ID
+func victimCmp(a, b *runningJob) int {
+	return cmp.Or(cmp.Compare(a.rec.job.Priority, b.rec.job.Priority),
+		cmp.Compare(a.powerUsed, b.powerUsed), cmp.Compare(a.rec.job.ID, b.rec.job.ID))
 }
 
 // preemptPass runs once per dispatch fixpoint when preemption is
@@ -155,15 +122,7 @@ func (st *schedState) preemptPass() bool {
 	}
 	// The full (priority, watts, id) key is a total order, so the sorted
 	// order does not depend on slot order.
-	for i := 1; i < len(victims); i++ {
-		v := victims[i]
-		j := i - 1
-		for j >= 0 && victimLess(v, victims[j]) {
-			victims[j+1] = victims[j]
-			j--
-		}
-		victims[j+1] = v
-	}
+	slices.SortFunc(victims, victimCmp)
 	k := st.planPreemption(top, victims)
 	if k == 0 {
 		return false
@@ -201,7 +160,7 @@ func (st *schedState) planPreemption(top *Job, victims []*runningJob) int {
 				pool = append(pool, id)
 			}
 		}
-		sortInts(pool)
+		slices.Sort(pool)
 		st.preIDs = pool
 		if candW <= 0 || len(pool) == 0 {
 			continue
