@@ -141,6 +141,7 @@ func TestOneFillPerKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	passes := telemetry.Default.Counter("clip_profiling_passes_total", "")
+	counters := []string{"clip_profile_cache_hits_total", "clip_profile_cache_misses_total", "clip_decision_cache_misses_total"}
 	const n = 16
 	app := workload.AMG()
 	for round := 0; round < 50 && !t.Failed(); round++ {
@@ -149,9 +150,11 @@ func TestOneFillPerKey(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg := telemetry.NewRegistry()
-		clip.SetMetrics(NewMetrics(reg))
 		before := passes.Value()
+		base := make(map[string]uint64, len(counters))
+		for _, name := range counters {
+			base[name] = telemetry.Default.Counter(name, "").Value()
+		}
 		plans := make([]*plan.Plan, n)
 		start := make(chan struct{})
 		var wg sync.WaitGroup
@@ -178,7 +181,7 @@ func TestOneFillPerKey(t *testing.T) {
 		if d := passes.Value() - before; d != 1 {
 			t.Errorf("round %d: %d profiling passes, want 1", round, d)
 		}
-		count := func(name string) uint64 { return reg.Counter(name, "").Value() }
+		count := func(name string) uint64 { return telemetry.Default.Counter(name, "").Value() - base[name] }
 		hits, misses := count("clip_profile_cache_hits_total"), count("clip_profile_cache_misses_total")
 		if misses != 1 || hits+misses != n+1 {
 			t.Errorf("round %d: profile hits %d, misses %d; want 1 miss of %d calls", round, hits, misses, n+1)

@@ -104,8 +104,7 @@ func (m *Metrics) classCounter(class string) *telemetry.Counter {
 	return m.reg.Counter(telemetry.Label("clip_decisions_by_class_total", "class", class), classHelp)
 }
 
-// defaultMetrics is the handle set of every CLIP instance not bound
-// elsewhere.
+// defaultMetrics is the handle set every CLIP instance publishes to.
 var defaultMetrics = NewMetrics(telemetry.Default)
 
 // Options configures CLIP construction.
@@ -139,8 +138,8 @@ type CLIP struct {
 
 	decisions table[decisionKey, decisionEntry]
 
-	// m is the bound handle set (nil publishes to telemetry.Default).
-	m atomic.Pointer[Metrics]
+	// m is the instance's handle set, fixed by New.
+	m *Metrics
 }
 
 // table is a memo table: one entry per key, made on first use and never
@@ -273,20 +272,6 @@ type decisionEntry struct {
 	d  atomic.Pointer[coordinator.Decision]
 }
 
-// SetMetrics binds the instance's telemetry, its coordinator's
-// included, to a handle set (nil means telemetry.Default). It is safe
-// to call while other goroutines schedule: each call publishes to the
-// handle set bound when it started.
-func (c *CLIP) SetMetrics(m *Metrics) { c.m.Store(m) }
-
-// metrics returns the bound handle set.
-func (c *CLIP) metrics() *Metrics {
-	if m := c.m.Load(); m != nil {
-		return m
-	}
-	return defaultMetrics
-}
-
 var _ plan.Method = (*CLIP)(nil)
 
 // TrainNPModel trains the inflection-point regression for a node spec
@@ -329,7 +314,8 @@ func New(cl *hw.Cluster, opts ...Options) (*CLIP, error) {
 		Cluster: cl,
 		NPModel: know.model,
 		know:    know,
-		coord:   &coordinator.Coordinator{Cluster: cl, EnergyTolerance: o.EnergyTolerance},
+		coord:   &coordinator.Coordinator{Cluster: cl, EnergyTolerance: o.EnergyTolerance, Metrics: defaultMetrics.coord},
+		m:       defaultMetrics,
 	}, nil
 }
 
@@ -361,19 +347,18 @@ func (c *CLIP) Advisor(app *workload.Spec) (*Advisor, error) { return c.fill(app
 // set, its predictor and grid too. It counts one profile hit, or one
 // miss on the call that runs the profiling pass.
 func (c *CLIP) fill(app *workload.Spec, fit bool) (*Advisor, error) {
-	m := c.metrics()
 	a := c.know.apps.entry(app.Name)
 	if a.grid.Load() != nil || !fit && a.p.Load() != nil {
-		m.profileHits.Inc()
+		c.m.profileHits.Inc()
 		return a, nil
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	p := a.p.Load()
 	if p != nil {
-		m.profileHits.Inc()
+		c.m.profileHits.Inc()
 	} else {
-		m.profileMisses.Inc()
+		c.m.profileMisses.Inc()
 		var err error
 		if p, err = c.know.prof.Full(app, c.know.model); err != nil {
 			return nil, fmt.Errorf("core: profile %s: %w", app.Name, err)
@@ -402,44 +387,41 @@ func (c *CLIP) Schedule(app *workload.Spec, bound float64) (*coordinator.Decisio
 		// would add an entry per call.
 		return nil, fmt.Errorf("coordinator: non-positive bound %.1f W", bound)
 	}
-	m := c.metrics()
 	e := c.decisions.entry(decisionKey{app: app.Name, bound: bound})
 	if d := e.d.Load(); d != nil {
-		m.decisionHits.Inc()
-		m.recordDecision(app.Name, bound, d, true)
+		c.m.decisionHits.Inc()
+		c.m.recordDecision(app.Name, bound, d, true)
 		return d.Clone(), nil
 	}
-	d, err := c.fillDecision(e, app, bound, m)
+	d, err := c.fillDecision(e, app, bound)
 	if err != nil {
 		return nil, err
 	}
-	m.recordDecision(app.Name, bound, d, false)
+	c.m.recordDecision(app.Name, bound, d, false)
 	return d.Clone(), nil
 }
 
 // fillDecision returns e's decision, coordinating it unless another
 // caller filled it while this one waited for e.mu. Infeasible bounds
 // are not cached.
-func (c *CLIP) fillDecision(e *decisionEntry, app *workload.Spec, bound float64, m *Metrics) (*coordinator.Decision, error) {
+func (c *CLIP) fillDecision(e *decisionEntry, app *workload.Spec, bound float64) (*coordinator.Decision, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if d := e.d.Load(); d != nil {
-		m.waited.Inc()
+		c.m.waited.Inc()
 		return d, nil
 	}
-	m.decisionMisses.Inc()
+	c.m.decisionMisses.Inc()
 	start := time.Now()
 	a, err := c.Advisor(app)
 	if err != nil {
 		return nil, err
 	}
-	coord := *c.coord
-	coord.Metrics = m.coord
-	d, err := coord.Schedule(app, a, bound)
+	d, err := c.coord.Schedule(app, a, bound)
 	if err != nil {
 		return nil, err
 	}
-	m.scheduleSeconds.Observe(time.Since(start).Seconds())
+	c.m.scheduleSeconds.Observe(time.Since(start).Seconds())
 	e.d.Store(d)
 	return d, nil
 }

@@ -54,7 +54,7 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 	}
 }
 
-// defaultMetrics is the handle set of every engine not bound elsewhere.
+// defaultMetrics is the handle set every engine publishes to.
 var defaultMetrics = NewMetrics(telemetry.Default)
 
 // Handler receives the engine's events: each fires as
@@ -114,32 +114,15 @@ type Engine struct {
 	maxDepth int
 	// Steps counts processed (non-cancelled) events.
 	Steps int
-	// m is the bound handle set (nil publishes to telemetry.Default);
-	// pubDepth is the high-water mark last published to it.
-	m        *Metrics
+	// pubDepth is the high-water mark last published.
 	pubDepth int
 }
 
 // NewEngine returns an engine at time zero.
 func NewEngine() *Engine { return &Engine{} }
 
-// SetMetrics binds the engine's telemetry to a handle set (nil means
-// telemetry.Default). Later publishes go to m; the queue high-water
-// mark is published to it again at the next flush.
-func (e *Engine) SetMetrics(m *Metrics) {
-	e.m, e.pubDepth = m, 0
-}
-
-// metrics returns the bound handle set.
-func (e *Engine) metrics() *Metrics {
-	if e.m == nil {
-		return defaultMetrics
-	}
-	return e.m
-}
-
 // publish flushes the steps and compactions since a call began at
-// (steps, comps), and a risen queue high-water mark, to the bound
+// (steps, comps), and a risen queue high-water mark, to the package
 // handle set. A call that changed none of them publishes nothing, so
 // the per-arrival catch-up of an online driver, which usually fires no
 // event, costs no atomic operation.
@@ -147,7 +130,7 @@ func (e *Engine) publish(steps, comps int) {
 	if e.Steps == steps && e.compactions == comps && e.maxDepth <= e.pubDepth {
 		return
 	}
-	m := e.metrics()
+	m := defaultMetrics
 	if e.Steps != steps {
 		m.events.Add(uint64(e.Steps - steps))
 	}
@@ -363,7 +346,7 @@ const (
 
 // Run processes events until the queue is empty.
 func (e *Engine) Run() error {
-	e.metrics().runs.Inc()
+	defaultMetrics.runs.Inc()
 	_, err := e.fire(math.Inf(1), maxRunEvents)
 	return err
 }

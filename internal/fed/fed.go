@@ -267,9 +267,6 @@ type Federation struct {
 	// arrival here (in engine pop order) instead of routing it.
 	collecting bool
 	collect    []fedArrival
-	// workers are RunParallel's worker registries, made on the first
-	// fan-out that runs on goroutines and reused by the next.
-	workers []*worker
 }
 
 // New builds a federation of len(cfg.Shards) shards. Shard clusters and

@@ -14,14 +14,12 @@ package fed
 // last lease is recalled the shards share nothing. Output is therefore
 // byte-identical to Federation.Run for any worker count.
 //
-// Workers share no telemetry either. Each worker goroutine publishes to
-// its own registry: a shard's Online and CLIP are bound to the worker's
-// handle sets while the worker replays or drains the shard, and back to
-// telemetry.Default afterwards. When a fan-out ends (the replay barrier,
-// the end of the drain) every worker registry folds into Default in
-// worker order (telemetry.Registry.FoldInto), so counter totals and
-// histogram counts equal Run's. A fan-out that runs inline makes no
-// registry.
+// Telemetry is the one thing the workers share: every shard publishes
+// to telemetry.Default from whichever goroutine runs it. Counters,
+// gauges and histograms are atomic and the event ring takes a lock per
+// append, so counter totals and histogram counts equal Run's, and a
+// scrape during the run sees shard work as it happens. Only the order
+// of events in the ring depends on the interleaving.
 
 import (
 	"math"
@@ -30,8 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/jobsched"
 	"repro/internal/telemetry"
 )
 
@@ -268,42 +264,10 @@ func (f *Federation) drainParallel(workers int) error {
 	return f.failure
 }
 
-// worker is one fanOut goroutine's telemetry: a private registry and
-// the handle sets resolved from it. A shard is bound to it while the
-// worker replays or drains the shard, so the workers never write a
-// shared metric or event ring; fanOut folds every registry into
-// telemetry.Default when the last shard is done.
-type worker struct {
-	reg   *telemetry.Registry
-	sched *jobsched.Metrics
-	clip  *core.Metrics
-}
-
-// newWorker builds a worker registry and resolves its handle sets.
-func newWorker() *worker {
-	reg := telemetry.NewRegistry()
-	return &worker{reg: reg, sched: jobsched.NewMetrics(reg), clip: core.NewMetrics(reg)}
-}
-
-// bindTelemetry routes the shard's scheduler and CLIP telemetry to a
-// worker's registry, or back to telemetry.Default for nil.
-func (sh *Shard) bindTelemetry(w *worker) {
-	if w == nil {
-		sh.Online.SetMetrics(nil)
-		sh.CLIP.SetMetrics(nil)
-		return
-	}
-	sh.Online.SetMetrics(w.sched)
-	sh.CLIP.SetMetrics(w.clip)
-}
-
 // fanOut calls fn for every shard on up to workers goroutines (inline,
 // in shard order, when one would do) and returns once every call has.
 // Each shard runs exactly once, so fn may write the shard's slot of a
-// shared slice without locking. On the goroutines a shard publishes
-// its telemetry to the worker's own registry while fn runs; the worker
-// registries fold into telemetry.Default in worker order before fanOut
-// returns. Inline, shards publish to telemetry.Default directly.
+// shared slice without locking.
 func (f *Federation) fanOut(workers int, fn func(sh *Shard)) {
 	n := len(f.shards)
 	if workers > n {
@@ -315,25 +279,16 @@ func (f *Federation) fanOut(workers int, fn func(sh *Shard)) {
 		}
 		return
 	}
-	for len(f.workers) < workers {
-		f.workers = append(f.workers, newWorker())
-	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for _, w := range f.workers[:workers] {
+	for range workers {
 		go func() {
 			defer wg.Done()
 			for k := int(next.Add(1)) - 1; k < n; k = int(next.Add(1)) - 1 {
-				sh := f.shards[k]
-				sh.bindTelemetry(w)
-				fn(sh)
-				sh.bindTelemetry(nil)
+				fn(f.shards[k])
 			}
 		}()
 	}
 	wg.Wait()
-	for _, w := range f.workers[:workers] {
-		w.reg.FoldInto(telemetry.Default)
-	}
 }

@@ -484,8 +484,9 @@ func (f *Federation) handleShardHeal(id int) {
 // heap exact: every pick is the one a full least-loaded scan would make.
 // Jobs move one at a time because each pick depends on whether the
 // previous job started or queued. The heap and the job buffer are the
-// federation's, reused across crashes, and Readmit publishes nothing, so
-// each destination publishes one state snapshot when the handler ends.
+// federation's, reused across crashes, and Readmit sets no state
+// gauge, so each destination sets its gauges once when the handler
+// ends.
 func (f *Federation) evacuateShard(id int) {
 	h := f.evacHeap[:0]
 	for _, sh := range f.shards {
@@ -531,8 +532,8 @@ func (f *Federation) evacuateShard(id int) {
 	}
 }
 
-// publishEvacuated publishes one state snapshot on every shard that
-// received evacuees, in shard order, and clears the marks.
+// publishEvacuated sets the state gauges of every shard that received
+// evacuees, in shard order, and clears the marks.
 func (f *Federation) publishEvacuated() {
 	for i, got := range f.evacDst {
 		if got {

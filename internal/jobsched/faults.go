@@ -341,7 +341,7 @@ func (st *schedState) killJob(rj *runningJob, node int, cause string) {
 	rec := rj.rec
 	reclaimed := st.teardown(rj)
 	st.stats.Faults.WattsReclaimed += reclaimed
-	gWattsReclaimed.Add(reclaimed)
+	st.m.wattsReclaimed.Add(reclaimed)
 	st.logFault("kill", node, rec.job.ID, reclaimed, cause)
 
 	if int(rec.retries) >= st.inj.MaxRetries() {
@@ -478,7 +478,7 @@ func (st *schedState) recapJob(rj *runningJob, node int, frac float64) {
 	}
 	st.scheduleCompletion(rj)
 	st.stats.Faults.WattsReclaimed += released
-	gWattsReclaimed.Add(released)
+	st.m.wattsReclaimed.Add(released)
 	st.logFault("recap", node, rj.rec.job.ID, released,
 		fmt.Sprintf("per-node %.1f→%.1f W, %.1f W reserved", old.Total(), b.Total(), cut))
 }
@@ -547,7 +547,7 @@ func (st *schedState) applyStraggle(rj *runningJob) {
 	st.scheduleCompletion(rj)
 }
 
-// --- invariants and snapshots ------------------------------------------
+// --- invariants and state gauges --------------------------------------
 
 // allocatedW sums the power held by running jobs, in slot order.
 func (st *schedState) allocatedW() float64 {
@@ -587,25 +587,15 @@ func (st *schedState) assertBound(where string) {
 	}
 }
 
-// publishState publishes the scheduler's post-event state in one atomic
-// ring append (queue depth, running set, and the free/allocated/
-// reserved decomposition of the bound) and mirrors the headline values
-// into the gauges. Readers of the event ring can never observe a torn
-// multi-gauge state: each snapshot is internally consistent by
-// construction.
+// publishState sets the queue-depth, free-watts and quarantined-node
+// gauges to the scheduler's post-event state. The event ring does not
+// carry this state: Online.Cluster returns the bound's decomposition
+// atomically, and assertBound checks it at every state change.
 func (st *schedState) publishState() {
-	alloc, resv := st.allocatedW(), st.reservedW()
 	quar := 0
 	if st.inj != nil {
 		quar = st.inj.Unhealthy()
 	}
-	st.m.events.Append(telemetry.Event{
-		Kind: telemetry.KindSchedState, TimeS: st.eng.Now(),
-		BoundWatts: st.bound, FreeWatts: st.freeW,
-		AllocWatts: alloc, ReservedWatts: resv,
-		QueueDepth: st.qlive, RunningJobs: st.nrunning,
-		QuarantinedNodes: quar,
-	})
 	st.m.queueDepth.Set(float64(st.qlive))
 	st.m.freeWatts.Set(st.freeW)
 	st.m.quarantined.Set(float64(quar))

@@ -267,8 +267,9 @@ func TestBoundInvariantTripsOnOverAllocation(t *testing.T) {
 }
 
 // TestFaultTelemetryExposition: a faulty run must surface the new
-// counters in the Prometheus exposition and internally consistent
-// sched-state snapshots in the event ring.
+// counters in the Prometheus exposition, and the online cluster view
+// must decompose the bound exactly after every event of the same
+// scenario.
 func TestFaultTelemetryExposition(t *testing.T) {
 	s := sched(t, Config{Bound: 1400, Policy: AggressiveBackfill, Reallocate: true,
 		Faults: &faults.Scenario{Seed: 11, CrashMTBF: 150, MTTR: 25, ExcursionMTBF: 120}})
@@ -299,22 +300,104 @@ func TestFaultTelemetryExposition(t *testing.T) {
 		}
 	}
 
-	// Every sched-state snapshot must decompose the bound exactly:
-	// free + allocated + reserved == bound (atomic per-event publish).
-	snaps := 0
-	for _, ev := range telemetry.Default.Events().Snapshot() {
-		if ev.Kind != telemetry.KindSchedState {
-			continue
+	// The same scenario driven online: after every event the cluster
+	// view must decompose the bound exactly, free + allocated +
+	// reserved == bound.
+	o, err := s.Online()
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps, reserved := 0, false
+	check := func() {
+		t.Helper()
+		cs := o.Cluster()
+		if d := cs.FreeW + cs.AllocW + cs.ReservedW - cs.BoundW; d > 1e-6 || d < -1e-6 {
+			t.Fatalf("t=%.3f: free %.3f + alloc %.3f + reserved %.3f != bound %.3f",
+				cs.Now, cs.FreeW, cs.AllocW, cs.ReservedW, cs.BoundW)
 		}
-		snaps++
-		sum := ev.FreeWatts + ev.AllocWatts + ev.ReservedWatts
-		if d := sum - ev.BoundWatts; d > 1e-6 || d < -1e-6 {
-			t.Errorf("snapshot seq %d at t=%.3f: free %.3f + alloc %.3f + reserved %.3f = %.3f != bound %.3f",
-				ev.Seq, ev.TimeS, ev.FreeWatts, ev.AllocWatts, ev.ReservedWatts, sum, ev.BoundWatts)
+		reserved = reserved || cs.ReservedW > 0
+	}
+	step := func() {
+		t.Helper()
+		if err := o.ProcessNextEvent(); err != nil {
+			t.Fatal(err)
+		}
+		steps++
+		check()
+	}
+	for _, j := range chaosJobs() {
+		for next, ok := o.Next(); ok && next < j.Arrival; next, ok = o.Next() {
+			step()
+		}
+		if err := o.Advance(j.Arrival); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := o.SubmitPri(j.ID, j.App, j.Priority); err != nil {
+			t.Fatal(err)
+		}
+		check()
+	}
+	for o.Pending() > 0 && steps < 100000 {
+		step()
+	}
+	if o.Pending() > 0 {
+		t.Fatalf("%d jobs still pending after %d events", o.Pending(), steps)
+	}
+	if !reserved {
+		t.Error("no event left watts reserved by an excursion; the decomposition went untested")
+	}
+}
+
+// TestRingHoldsDecisionsOnly: the event ring logs decisions, not
+// scheduler state. A fault-free run on a σ = 0 cluster never
+// rebalances, so it appends nothing; a faulted run on a variable
+// cluster appends only fault actions and rebalances.
+func TestRingHoldsDecisionsOnly(t *testing.T) {
+	ring := telemetry.Default.Events()
+	appended := func(run func()) []telemetry.Event {
+		t.Helper()
+		before := ring.Total()
+		run()
+		n := ring.Total() - before
+		if n > telemetry.DefaultEventCapacity {
+			t.Fatalf("%d events appended, more than the ring retains", n)
+		}
+		evs := ring.Snapshot()
+		return evs[uint64(len(evs))-n:]
+	}
+	if evs := appended(func() {
+		if _, err := sched(t, Config{Bound: 1400, Policy: AggressiveBackfill, Reallocate: true}).Run(chaosJobs()); err != nil {
+			t.Fatal(err)
+		}
+	}); len(evs) != 0 {
+		t.Errorf("fault-free σ = 0 run appended %d events, first %+v", len(evs), evs[0])
+	}
+
+	cl := hw.NewCluster(8, testCl.Spec(), 0.05, 3)
+	c, err := core.New(cl, core.Options{Knowledge: clip(t).Knowledge()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(cl, c, Config{Bound: 1400, Policy: AggressiveBackfill, Reallocate: true,
+		Faults: &faults.Scenario{Seed: 11, CrashMTBF: 150, MTTR: 25, ExcursionMTBF: 120}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]int{}
+	for _, ev := range appended(func() {
+		if _, err := s.Run(chaosJobs()); err != nil {
+			t.Fatal(err)
+		}
+	}) {
+		kinds[ev.Kind]++
+	}
+	for k, n := range kinds {
+		if k != telemetry.KindFault && k != telemetry.KindRebalance {
+			t.Errorf("faulted run appended %d %q events", n, k)
 		}
 	}
-	if snaps == 0 {
-		t.Error("no sched-state snapshots in the event ring")
+	if kinds[telemetry.KindFault] == 0 || kinds[telemetry.KindRebalance] == 0 {
+		t.Errorf("faulted run appended %v, want fault and rebalance events", kinds)
 	}
 }
 

@@ -47,10 +47,10 @@ import (
 
 // Metrics is the scheduler's telemetry handle set, resolved once per
 // registry: job throughput and queue pressure, handler latency, the
-// fault layer's and the priority pipeline's counters, the state and
-// fault events, and the handle sets of the session's DES engine and
-// coordinators. A Run or a fresh session publishes to
-// telemetry.Default; Online.SetMetrics rebinds a session.
+// fault layer's and the priority pipeline's counters and cumulative
+// reclaimed watts, the fault events, and the handle set of the
+// session's coordinators. Every run state publishes to the set
+// resolved from telemetry.Default, fixed when the state is built.
 type Metrics struct {
 	jobsStarted, jobsFinished        *telemetry.Counter
 	queueDepth, queuePeak, freeWatts *telemetry.Gauge
@@ -59,8 +59,8 @@ type Metrics struct {
 	quarantined                      *telemetry.Gauge
 	reschedSeconds                   *telemetry.Histogram
 	jobsPreempted, reconcilePasses   *telemetry.Counter
+	wattsReclaimed, preemptWatts     *telemetry.Gauge
 	events                           *telemetry.EventLog
-	des                              *des.Metrics
 	coord                            *coordinator.Metrics
 }
 
@@ -92,26 +92,17 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 			"running jobs evicted and re-enqueued in favour of a higher-priority job"),
 		reconcilePasses: r.Counter("clip_reconcile_passes_total",
 			"reconciler convergence passes after node-health or bound changes"),
+		wattsReclaimed: r.Gauge("clip_watts_reclaimed_total",
+			"cumulative watts reclaimed from killed or re-capped jobs and returned to the pool"),
+		preemptWatts: r.Gauge("clip_preempt_watts_reclaimed_total",
+			"cumulative watts reclaimed from preempted jobs"),
 		events: r.Events(),
-		des:    des.NewMetrics(r),
 		coord:  coordinator.NewMetrics(r),
 	}
 }
 
-// defaultMetrics is the handle set of every run state not bound
-// elsewhere.
+// defaultMetrics is the handle set every run state publishes to.
 var defaultMetrics = NewMetrics(telemetry.Default)
-
-// The cumulative-watts gauges add up rather than report a level, so a
-// fold that keeps the larger of two readings (Registry.FoldInto) would
-// lose their sum; they stay on telemetry.Default. Both move only on
-// preemptions and fault reactions, never per event.
-var (
-	gWattsReclaimed = telemetry.Default.Gauge("clip_watts_reclaimed_total",
-		"cumulative watts reclaimed from killed or re-capped jobs and returned to the pool")
-	gPreemptWatts = telemetry.Default.Gauge("clip_preempt_watts_reclaimed_total",
-		"cumulative watts reclaimed from preempted jobs")
-)
 
 // des handler event kinds of the core scheduler (the fault layer owns
 // 1..7; see faults.go). The argument encodes an index: into the job
@@ -505,7 +496,7 @@ func (st *schedState) fresh(e *dispatchEntry) bool {
 type schedState struct {
 	s   *Scheduler
 	eng *des.Engine
-	// m is the bound telemetry handle set (bind).
+	// m is the state's telemetry handle set, fixed when it is built.
 	m *Metrics
 	// levels is the queue: one FIFO per priority, highest first, so the
 	// level walk is the dispatch order (priority descending, then
@@ -623,6 +614,7 @@ func (s *Scheduler) newState(online bool) (*schedState, error) {
 		st = &schedState{
 			s:      s,
 			eng:    des.NewEngine(),
+			m:      defaultMetrics,
 			jobs:   make(map[string]*jobRecord),
 			dcache: make(map[*workload.Spec]*dispatchEntry),
 		}
@@ -680,8 +672,7 @@ func (st *schedState) reset(online bool) {
 	st.freeW = s.Config.Bound
 	st.bound = s.Config.Bound
 	st.stats = &Stats{}
-	st.coord = coordinator.Coordinator{}
-	st.bind(defaultMetrics)
+	st.coord = coordinator.Coordinator{Metrics: st.m.coord}
 	st.freeVer++
 	st.shadow, st.shadowOK = 0, false
 	st.settled = settleMemo{}
@@ -699,14 +690,6 @@ func (st *schedState) reset(online bool) {
 	st.straggler = nil
 	st.faultsStopped = false
 	st.jobsLeft = 0
-}
-
-// bind routes the state's telemetry, its engine's and its
-// coordinators' included, to the handle set m.
-func (st *schedState) bind(m *Metrics) {
-	st.m = m
-	st.eng.SetMetrics(m.des)
-	st.coord.Metrics = m.coord
 }
 
 // newRecord takes a queued record for j from the record arena and
@@ -1036,10 +1019,8 @@ func (st *schedState) dispatch() {
 		memo, from = false, 0
 	}
 	st.settled = settleMemo{ok: true, res: st.resStamp(), qseq: st.qseq, head: st.headSeq()}
-	// Queue/free-watts telemetry is published by the event handlers via
-	// publishState — one atomic ring snapshot per event instead of
-	// piecemeal gauge stores that a concurrent reader could observe
-	// torn.
+	// The queue and free-watts gauges are set by the event handlers
+	// (publishState), once per event rather than per dispatch pass.
 }
 
 // dispatchPass walks the live queue entries in dispatch order —

@@ -157,17 +157,6 @@ func (s *Scheduler) Online() (*Online, error) {
 	return &Online{st: st}, nil
 }
 
-// SetMetrics binds the session's telemetry, its DES engine's and its
-// coordinators' included, to a handle set (nil means
-// telemetry.Default). The CLIP instance the scheduler was built with
-// has its own binding (core.CLIP.SetMetrics).
-func (o *Online) SetMetrics(m *Metrics) {
-	if m == nil {
-		m = defaultMetrics
-	}
-	o.st.bind(m)
-}
-
 // Now returns the current virtual time in seconds.
 func (o *Online) Now() float64 { return o.st.eng.Now() }
 
@@ -304,8 +293,8 @@ func (o *Online) SubmitPri(id string, app *workload.Spec, pri int) (JobStatus, e
 
 // Readmit admits a job at the current virtual time exactly as SubmitPri
 // would — same checks, same placement decision — but directly, not
-// through an arrival event: it times no event, publishes no state
-// snapshot and builds no status. It is the federation's re-admission
+// through an arrival event: it times no event, sets no state gauge and
+// builds no status. It is the federation's re-admission
 // path for jobs evacuated off a crashed shard (EvacuateQueued). The
 // caller must first have fired every event due at now (Advance(Now())),
 // which is what puts SubmitPri's arrival event first in line; Readmit
@@ -575,8 +564,9 @@ func (o *Online) EvacuateQueued(dst []Job) []Job {
 	return dst
 }
 
-// PublishState publishes one scheduler state snapshot at the current
-// virtual time: the snapshot a Readmit does not publish.
+// PublishState sets the scheduler's state gauges (queue depth, free
+// watts, quarantined nodes) at the current virtual time: the update a
+// Readmit does not make.
 func (o *Online) PublishState() { o.st.publishState() }
 
 // Cluster snapshots the cluster's power decomposition, queue pressure

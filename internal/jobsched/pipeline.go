@@ -198,7 +198,7 @@ func (st *schedState) preemptJob(rj *runningJob, forID string) {
 	rec := rj.rec
 	reclaimed := st.teardown(rj)
 	st.m.jobsPreempted.Inc()
-	gPreemptWatts.Add(reclaimed)
+	st.m.preemptWatts.Add(reclaimed)
 	st.stats.Preemptions++
 	rec.preempts++
 	st.logFault("preempt", -1, rec.job.ID, reclaimed, "evicted for higher-priority "+forID)

@@ -18,12 +18,6 @@ const (
 	// Detail carries the rendered description, or Render renders it
 	// when the ring is read.
 	KindFault = "fault"
-	// KindSchedState is an atomic snapshot of the multi-job runtime's
-	// state taken at the end of one scheduler event handler: queue
-	// depth, running set, and the free/allocated/reserved decomposition
-	// of the cluster power bound are captured in a single ring append,
-	// so readers can never observe a torn multi-gauge state.
-	KindSchedState = "sched-state"
 )
 
 // Event is one entry of the decision provenance log: enough context to
@@ -35,7 +29,8 @@ type Event struct {
 	// Seq is the 1-based position of the event in the run's full stream
 	// (it keeps counting even when the ring buffer drops old events).
 	Seq uint64 `json:"seq"`
-	// Kind discriminates the event (KindSchedule, KindRebalance).
+	// Kind discriminates the event (KindSchedule, KindRebalance,
+	// KindFault).
 	Kind string `json:"kind"`
 	// App is the application the decision concerns.
 	App string `json:"app,omitempty"`
@@ -64,8 +59,7 @@ type Event struct {
 	CacheHit bool `json:"cache_hit,omitempty"`
 	// PerNode carries the redistributed budgets of a rebalance event.
 	PerNode []NodeBudget `json:"per_node,omitempty"`
-	// TimeS is the simulated timestamp of a runtime event (KindFault,
-	// KindSchedState).
+	// TimeS is the simulated timestamp of a KindFault event.
 	TimeS float64 `json:"time_s,omitempty"`
 	// Detail is the rendered description of a KindFault event.
 	Detail string `json:"detail,omitempty"`
@@ -74,19 +68,6 @@ type Event struct {
 	// path pays for formatting only when the ring is exposed. Snapshots
 	// carry the rendered Detail and a nil Render.
 	Render fmt.Stringer `json:"-"`
-	// QueueDepth and RunningJobs are the queue and running-set sizes of
-	// a KindSchedState snapshot.
-	QueueDepth  int `json:"queue_depth,omitempty"`
-	RunningJobs int `json:"running_jobs,omitempty"`
-	// FreeWatts, AllocWatts and ReservedWatts decompose the cluster
-	// bound of a KindSchedState snapshot; free + allocated + reserved
-	// always equals BoundWatts because the snapshot is taken atomically.
-	FreeWatts     float64 `json:"free_watts,omitempty"`
-	AllocWatts    float64 `json:"alloc_watts,omitempty"`
-	ReservedWatts float64 `json:"reserved_watts,omitempty"`
-	// QuarantinedNodes counts nodes out of service (quarantined or
-	// drained) at a KindSchedState snapshot.
-	QuarantinedNodes int `json:"quarantined_nodes,omitempty"`
 }
 
 // NodeBudget is one node's share in a rebalance event.
@@ -113,37 +94,46 @@ type EventLog struct {
 	// with and without budgets interleave in the ring, so the slot an
 	// append evicts rarely carries a buffer of its own to reuse.
 	spare [][]NodeBudget
+	// slab backs PerNode copies when no evicted buffer is spare, as in
+	// a ring that has not wrapped yet: a ring can take thousands of
+	// events to wrap, and carving each copy from a shared slab makes
+	// that one allocation per slab rather than one per event.
+	slab []NodeBudget
 }
 
 // maxSparePerNode bounds the recycled-buffer stack; beyond it evicted
 // backings are simply dropped for the GC.
 const maxSparePerNode = 64
 
-// copyPerNode copies src into a recycled (or fresh) log-owned buffer;
-// callers must hold l.mu.
+// perNodeSlab is the capacity, in budgets, of one PerNode slab.
+const perNodeSlab = 1024
+
+// copyPerNode copies src into a recycled buffer or, failing that, the
+// next stretch of the slab; callers must hold l.mu.
 func (l *EventLog) copyPerNode(src []NodeBudget) []NodeBudget {
-	var dst []NodeBudget
 	if n := len(l.spare); n > 0 {
-		dst = l.spare[n-1]
+		dst := l.spare[n-1]
 		l.spare[n-1] = nil
 		l.spare = l.spare[:n-1]
+		return append(dst, src...)
 	}
-	return append(dst, src...)
+	if cap(l.slab)-len(l.slab) < len(src) {
+		l.slab = make([]NodeBudget, 0, max(perNodeSlab, len(src)))
+	}
+	lo := len(l.slab)
+	l.slab = append(l.slab, src...)
+	return l.slab[lo:len(l.slab):len(l.slab)]
 }
 
 // Append adds an event, stamping its Seq, evicting the oldest entry
 // when the ring is full. The ring owns the stored event's PerNode
-// slice: the incoming one is copied into a buffer recycled from the
-// evicted entry, so callers may pass a scratch slice they reuse and a
-// wrapped ring appends per-node events without allocating.
+// slice: the incoming one is copied into a buffer recycled from an
+// evicted entry or carved from a slab, so callers may pass a scratch
+// slice they reuse, a wrapped ring appends per-node events without
+// allocating, and one that has not wrapped allocates once per slab.
 func (l *EventLog) Append(e Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.appendLocked(e)
-}
-
-// appendLocked is Append for a caller that holds l.mu.
-func (l *EventLog) appendLocked(e Event) {
 	if l.cap == 0 {
 		l.cap = DefaultEventCapacity
 	}
@@ -203,29 +193,6 @@ func (l *EventLog) Dropped() uint64 {
 	return l.total - uint64(len(l.buf))
 }
 
-// foldInto appends l's retained events to dst, oldest first, and
-// empties l (keeping its ring storage for reuse). dst's total grows by
-// l's evicted count before the retained events append, so the events
-// carry the Seq they would have had in one log and dst's Total and
-// Dropped stay exact.
-func (l *EventLog) foldInto(dst *EventLog) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	dst.mu.Lock()
-	defer dst.mu.Unlock()
-	dst.total += l.total - uint64(len(l.buf))
-	for _, part := range [2][]Event{l.buf[l.start:], l.buf[:l.start]} {
-		for i := range part {
-			dst.appendLocked(part[i])
-			if pn := part[i].PerNode; pn != nil && len(l.spare) < maxSparePerNode {
-				l.spare = append(l.spare, pn[:0])
-			}
-			part[i] = Event{}
-		}
-	}
-	l.buf, l.start, l.total = l.buf[:0], 0, 0
-}
-
 // reset clears the log (test support, via Registry.Reset).
 func (l *EventLog) reset() {
 	l.mu.Lock()
@@ -234,4 +201,5 @@ func (l *EventLog) reset() {
 	l.start = 0
 	l.total = 0
 	l.spare = nil
+	l.slab = nil
 }

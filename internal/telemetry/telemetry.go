@@ -2,8 +2,8 @@
 // reproduction: a dependency-free metrics registry (counters, gauges,
 // histograms — all updated through atomic operations so instrumented
 // hot paths never take a lock), a bounded decision-event log that
-// records every cluster-level scheduling decision and budget
-// redistribution, and exposition surfaces in Prometheus text format and
+// records every cluster-level scheduling decision, budget
+// redistribution and fault action, and exposition surfaces in Prometheus text format and
 // JSON (see expose.go and http.go).
 //
 // Instrumented packages cache metric handles once instead of looking
@@ -16,11 +16,11 @@
 //	solves.Inc() // one atomic add, no map lookup, no lock
 //
 // The layers of a scheduler (des, coordinator, core, jobsched) resolve
-// a handle set per registry instead (their NewMetrics), bound to
-// Default unless a caller rebinds an instance. A parallel caller gives
-// each worker its own registry and merges it into Default with
-// FoldInto once the workers are done, so workers never write a shared
-// metric.
+// a handle set per registry instead (their NewMetrics), fixed when an
+// instance is built; every built-in instance publishes to Default.
+// Concurrent instances, such as the shards of a parallel federation
+// run, write the same handles: counters, gauges and histograms are
+// atomic and the event log takes a lock per append.
 //
 // Metric names follow Prometheus conventions (snake_case, unit
 // suffixes, `_total` for counters). Labelled series are addressed by
@@ -161,8 +161,7 @@ type Registry struct {
 }
 
 // Default is the process-wide registry all built-in instrumentation
-// reports to (worker registries fold into it) and the one
-// cmd/clipbench and cmd/clipsim expose.
+// reports to and the one the cmd/ tools expose.
 var Default = NewRegistry()
 
 // NewRegistry returns an empty registry (useful for tests that must
@@ -244,45 +243,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 
 // Events returns the registry's decision-event log.
 func (r *Registry) Events() *EventLog { return &r.events }
-
-// FoldInto merges everything r recorded into dst and zeroes r, so a
-// worker that recorded into a private registry can hand its work to a
-// shared one in one step instead of writing the shared one per event:
-//
-//   - counters, histogram buckets, counts and sums add;
-//   - gauges take the larger of the two readings (a gauge r never set
-//     reads 0);
-//   - r's retained events append to dst's log in order, and dst's
-//     Total and Dropped grow by r's, so both stay exact.
-//
-// A metric r holds that dst lacks is created in dst with r's help text
-// and bucket bounds. Handles into r stay valid and read zero
-// afterwards. dst must be another registry, and the caller must ensure
-// nothing writes r during the fold.
-func (r *Registry) FoldInto(dst *Registry) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for name, c := range r.counters {
-		dst.Counter(name, r.help[familyOf(name)]).Add(c.v.Swap(0))
-	}
-	for name, g := range r.gauges {
-		dst.Gauge(name, r.help[familyOf(name)]).SetMax(g.Value())
-		g.Set(0)
-	}
-	for name, h := range r.hists {
-		d := dst.Histogram(name, r.help[familyOf(name)], h.bounds)
-		for i := range h.counts {
-			le := math.Inf(1)
-			if i < len(h.bounds) {
-				le = h.bounds[i]
-			}
-			d.counts[sort.SearchFloat64s(d.bounds, le)].Add(h.counts[i].Swap(0))
-		}
-		d.count.Add(h.count.Swap(0))
-		d.addSum(math.Float64frombits(h.sum.Swap(0)))
-	}
-	r.events.foldInto(&dst.events)
-}
 
 // Reset drops every metric and event. It exists for tests; production
 // callers should never need it.

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -134,6 +135,49 @@ func TestEventLogRing(t *testing.T) {
 	}
 }
 
+// TestEventLogOwnsPerNode appends per-node events from one reused
+// scratch slice, with lengths that vary and events without budgets in
+// between, through and past the ring's wrap: every retained event must
+// keep the budgets it was appended with. Before the ring wraps nothing
+// is recycled, so the copies come from the slab, not one allocation
+// each.
+func TestEventLogOwnsPerNode(t *testing.T) {
+	const capacity = 40
+	l := EventLog{cap: capacity}
+	var scratch []NodeBudget
+	perNode := func(i int) []NodeBudget {
+		scratch = scratch[:0]
+		for n := 0; n < 1+i%5; n++ {
+			scratch = append(scratch, NodeBudget{Node: n, CPUWatts: float64(i), MemWatts: float64(n)})
+		}
+		return scratch
+	}
+	const appends = 3 * capacity
+	for i := 0; i < appends; i++ {
+		if i%3 == 2 {
+			l.Append(Event{Kind: KindSchedule, Cores: i})
+			continue
+		}
+		l.Append(Event{Kind: KindRebalance, Cores: i, PerNode: perNode(i)})
+	}
+	for _, e := range l.Snapshot() {
+		if e.Kind == KindSchedule {
+			continue
+		}
+		if want := perNode(e.Cores); !slices.Equal(e.PerNode, want) {
+			t.Errorf("event %d: per-node %v, want %v", e.Cores, e.PerNode, want)
+		}
+	}
+
+	fresh := EventLog{}
+	budgets := perNode(4)
+	if a := testing.AllocsPerRun(200, func() {
+		fresh.Append(Event{Kind: KindRebalance, PerNode: budgets})
+	}); a != 0 {
+		t.Errorf("%.0f allocations per per-node append before the ring wraps, want 0", a)
+	}
+}
+
 // countingDetail is a lazily rendered event detail that counts renders.
 type countingDetail struct{ calls int }
 
@@ -145,114 +189,5 @@ func TestLabel(t *testing.T) {
 	}
 	if got := Label("m"); got != "m" {
 		t.Errorf("Label with no pairs = %s", got)
-	}
-}
-
-// TestFoldInto checks every fold rule: counters and histogram buckets
-// add, gauges keep the larger reading, events append in order with
-// Total/Dropped exact, metrics the destination lacks are created, and
-// the source reads zero afterwards.
-func TestFoldInto(t *testing.T) {
-	dst, src := NewRegistry(), NewRegistry()
-	dst.Counter("c", "").Add(3)
-	src.Counter("c", "help c").Add(4)
-	src.Counter(Label("only_src", "k", "v"), "help only").Add(2)
-	dst.Gauge("g_low", "").Set(5)
-	src.Gauge("g_low", "").Set(7)
-	dst.Gauge("g_high", "").Set(9)
-	src.Gauge("g_high", "").Set(1)
-	bounds := []float64{1, 10}
-	dh := dst.Histogram("h", "", bounds)
-	sh := src.Histogram("h", "", bounds)
-	dh.Observe(0.5)
-	sh.Observe(0.5)
-	sh.Observe(5)
-	sh.Observe(50)
-	src.Histogram("h_new", "help h", bounds).Observe(3)
-
-	dst.events.cap, src.events.cap = 4, 3
-	dst.Events().Append(Event{Kind: "d", Cores: 1})
-	dst.Events().Append(Event{Kind: "d", Cores: 2})
-	for i := 1; i <= 5; i++ { // the ring keeps src events 3..5
-		src.Events().Append(Event{Kind: "s", Cores: i, PerNode: []NodeBudget{{Node: i}}})
-	}
-
-	src.FoldInto(dst)
-
-	if got := dst.Counter("c", "").Value(); got != 7 {
-		t.Errorf("counter = %d, want 3+4", got)
-	}
-	if got := dst.Counter(Label("only_src", "k", "v"), "").Value(); got != 2 {
-		t.Errorf("source-only counter = %d, want 2", got)
-	}
-	if got := dst.Gauge("g_low", "").Value(); got != 7 {
-		t.Errorf("gauge below source = %g, want max 7", got)
-	}
-	if got := dst.Gauge("g_high", "").Value(); got != 9 {
-		t.Errorf("gauge above source = %g, want max 9", got)
-	}
-	want := []uint64{2, 1, 1} // le 1, le 10, +Inf (per bucket)
-	for i, w := range want {
-		if got := dh.counts[i].Load(); got != w {
-			t.Errorf("histogram bucket %d = %d, want %d", i, got, w)
-		}
-	}
-	if dh.Count() != 4 || dh.Sum() != 56 {
-		t.Errorf("histogram count/sum = %d/%g, want 4/56", dh.Count(), dh.Sum())
-	}
-	if h := dst.Histogram("h_new", "", nil); h.Count() != 1 || len(h.bounds) != 2 {
-		t.Errorf("source-only histogram: count %d, %d bounds; want 1, 2", h.Count(), len(h.bounds))
-	}
-	if got := dst.help["only_src"]; got != "help only" {
-		t.Errorf("source-only help = %q", got)
-	}
-
-	// dst saw 2 own + 5 source events; its ring of 4 keeps d2, s3, s4, s5.
-	if dst.Events().Total() != 7 || dst.Events().Dropped() != 3 {
-		t.Errorf("dst total/dropped = %d/%d, want 7/3", dst.Events().Total(), dst.Events().Dropped())
-	}
-	evs := dst.Events().Snapshot()
-	wantEv := []struct {
-		kind  string
-		cores int
-		seq   uint64
-	}{{"d", 2, 2}, {"s", 3, 5}, {"s", 4, 6}, {"s", 5, 7}}
-	if len(evs) != len(wantEv) {
-		t.Fatalf("dst retains %d events, want %d", len(evs), len(wantEv))
-	}
-	for i, w := range wantEv {
-		e := evs[i]
-		if e.Kind != w.kind || e.Cores != w.cores || e.Seq != w.seq {
-			t.Errorf("event %d = %s/%d seq %d, want %s/%d seq %d", i, e.Kind, e.Cores, e.Seq, w.kind, w.cores, w.seq)
-		}
-		if e.Kind == "s" && (len(e.PerNode) != 1 || e.PerNode[0].Node != e.Cores) {
-			t.Errorf("event %d per-node budgets %v, want node %d", i, e.PerNode, e.Cores)
-		}
-	}
-
-	// The source is zeroed but keeps its metrics and stays usable.
-	s := src.Snapshot()
-	for name, v := range s.Counters {
-		if v != 0 {
-			t.Errorf("source counter %s = %d after fold", name, v)
-		}
-	}
-	for name, v := range s.Gauges {
-		if v != 0 {
-			t.Errorf("source gauge %s = %g after fold", name, v)
-		}
-	}
-	for name, h := range s.Histograms {
-		if h.Count != 0 || h.Sum != 0 || h.Buckets[len(h.Buckets)-1].Count != 0 {
-			t.Errorf("source histogram %s = %+v after fold", name, h)
-		}
-	}
-	if len(s.Events) != 0 || s.EventsTotal != 0 || s.EventsDropped != 0 {
-		t.Errorf("source events: %d retained, total %d, dropped %d after fold",
-			len(s.Events), s.EventsTotal, s.EventsDropped)
-	}
-	src.Events().Append(Event{Kind: "again"})
-	if got := src.Events().Snapshot(); len(got) != 1 || got[0].Seq != 1 {
-		t.Errorf("source after fold: %+v, want one event with seq 1", got)
 	}
 }

@@ -2,9 +2,11 @@
 # fed_chaos_smoke.sh — drive a 16-shard federation with the shard-fault
 # stream armed (crashes + broker-link partitions) through cmd/clipfed on
 # a fixed seed: require a clean degraded-mode audit, zero lost jobs and
-# actual fault/evacuation activity, then byte-compare a repeat run and a
-# `-workers 4` parallel run against the serial one to pin the chaos
-# determinism guarantee. Wired into `make check`.
+# actual fault/evacuation activity, and a decision-only event ring
+# (rebalances retained, no per-handler state snapshots); then
+# byte-compare a repeat run and a `-workers 4` parallel run against the
+# serial one to pin the chaos determinism guarantee. Wired into
+# `make check`.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -15,7 +17,7 @@ go build -o "$TMP/clipfed" ./cmd/clipfed
 
 FLAGS="-shards 16 -nodes 4 -budget 400 -jobs 192 -gap 1.5 -seed 7 \
   -shard-faults crash-mtbf=400,mttr=120,part-mtbf=600,part-dur=60,seed=9"
-"$TMP/clipfed" $FLAGS > "$TMP/run1.out" 2>"$TMP/run1.err" || {
+"$TMP/clipfed" $FLAGS -telemetry-out "$TMP/tel.json" > "$TMP/run1.out" 2>"$TMP/run1.err" || {
     echo "fed chaos smoke: clipfed exited non-zero" >&2
     cat "$TMP/run1.out" "$TMP/run1.err" >&2
     exit 1
@@ -44,6 +46,17 @@ grep -q "evacuated" "$TMP/run1.out" || {
 grep -q ", 0 outstanding" "$TMP/run1.out" || {
     echo "fed chaos smoke: orphaned leases left outstanding" >&2
     cat "$TMP/run1.out" >&2
+    exit 1
+}
+
+# The event ring logs decisions only: a scheduler-state snapshot there
+# would crowd the rebalance decisions out of the bounded ring.
+grep -q '"kind": "sched-state"' "$TMP/tel.json" && {
+    echo "fed chaos smoke: the event ring holds sched-state snapshots" >&2
+    exit 1
+}
+grep -q '"kind": "rebalance"' "$TMP/tel.json" || {
+    echo "fed chaos smoke: the event ring holds no rebalance event" >&2
     exit 1
 }
 
