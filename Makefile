@@ -28,7 +28,7 @@ check:
 	$(GO) vet ./...
 	cd benchmark && GOPROXY=off $(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -race -count=2 ./internal/core/... ./internal/jobsched/... ./internal/server/...
+	$(GO) test -race -count=2 ./internal/core/... ./internal/jobsched/... ./internal/server/... ./internal/telemetry/...
 	$(GO) test -race -count=2 ./internal/fed/...
 	$(GO) test -run=NONE -fuzz=FuzzDispatchMatchesCold -fuzztime=10s ./internal/jobsched
 	$(GO) test -run=NONE -fuzz=FuzzScenarioRoundTrip -fuzztime=5s ./internal/faults

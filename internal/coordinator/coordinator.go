@@ -32,12 +32,12 @@ import (
 )
 
 // Metrics is the coordinator's telemetry handle set, resolved once per
-// registry: schedule and rebalance totals, infeasible node-count
+// registry cell: schedule and rebalance totals, infeasible node-count
 // rejections, duty-cycle fallbacks, the per-node budget gauges and the
 // rebalance events. A handle set may serve several coordinators at
 // once.
 type Metrics struct {
-	reg                                             *telemetry.Registry
+	cell                                            telemetry.Cell
 	schedules, rebalances, infeasible, dutyFallback *telemetry.Counter
 	events                                          *telemetry.EventLog
 	// The per-node budget gauges, indexed by node id, are created on
@@ -47,10 +47,11 @@ type Metrics struct {
 	nodeCPU, nodeMem []*telemetry.Gauge
 }
 
-// NewMetrics resolves the coordinator's handle set from r.
-func NewMetrics(r *telemetry.Registry) *Metrics {
+// NewMetrics resolves the coordinator's handle set from a registry
+// cell.
+func NewMetrics(r telemetry.Cell) *Metrics {
 	return &Metrics{
-		reg: r,
+		cell: r,
 		schedules: r.Counter("clip_coordinator_schedules_total",
 			"cluster-level scheduling passes (Algorithm 1)"),
 		rebalances: r.Counter("clip_coordinator_rebalances_total",
@@ -64,8 +65,8 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 }
 
 // defaultMetrics is the handle set of every coordinator not bound
-// elsewhere.
-var defaultMetrics = NewMetrics(telemetry.Default)
+// elsewhere: cell 0 of telemetry.Default.
+var defaultMetrics = NewMetrics(telemetry.Default.Cell(0))
 
 // nodeGauges returns the cached budget gauges for a node id.
 func (m *Metrics) nodeGauges(id int) (cpu, mem *telemetry.Gauge) {
@@ -73,10 +74,10 @@ func (m *Metrics) nodeGauges(id int) (cpu, mem *telemetry.Gauge) {
 	defer m.nodeMu.Unlock()
 	for len(m.nodeCPU) <= id {
 		n := strconv.Itoa(len(m.nodeCPU))
-		m.nodeCPU = append(m.nodeCPU, m.reg.Gauge(
+		m.nodeCPU = append(m.nodeCPU, m.cell.Gauge(
 			telemetry.Label("clip_node_budget_cpu_watts", "node", n),
 			"CPU-domain power budget most recently assigned to the node"))
-		m.nodeMem = append(m.nodeMem, m.reg.Gauge(
+		m.nodeMem = append(m.nodeMem, m.cell.Gauge(
 			telemetry.Label("clip_node_budget_mem_watts", "node", n),
 			"DRAM-domain power budget most recently assigned to the node"))
 	}
@@ -142,8 +143,9 @@ type Coordinator struct {
 	// events) for what-if placements, such as the scheduler's preemption
 	// planner probing hypothetical resource pools.
 	Quiet bool
-	// Metrics receives the coordinator's telemetry (nil means
-	// telemetry.Default).
+	// Metrics receives the coordinator's telemetry (nil means cell 0 of
+	// telemetry.Default). A coordinator that a CLIP instance or a
+	// scheduler run state builds writes its owner's cell.
 	Metrics *Metrics
 }
 

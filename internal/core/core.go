@@ -41,7 +41,7 @@ import (
 	"repro/internal/workload"
 )
 
-// Metrics is CLIP's telemetry handle set, resolved once per registry
+// Metrics is CLIP's telemetry handle set, resolved once per registry cell
 // (see internal/telemetry): hits and misses of the knowledge and
 // decision tables, callers that waited on another caller's decision
 // fill, cold scheduling latency, decisions per scalability class, and
@@ -54,7 +54,7 @@ type Metrics struct {
 	waited, schedules            *telemetry.Counter
 	scheduleSeconds              *telemetry.Histogram
 	byClass                      [len(classNames)]*telemetry.Counter
-	reg                          *telemetry.Registry
+	cell                         telemetry.Cell
 	events                       *telemetry.EventLog
 	coord                        *coordinator.Metrics
 }
@@ -66,8 +66,8 @@ var classNames = [...]string{workload.Linear.String(), workload.Logarithmic.Stri
 // classHelp is the help text of clip_decisions_by_class_total.
 const classHelp = "scheduling decisions per scalability class (paper Table I axis)"
 
-// NewMetrics resolves CLIP's handle set from r.
-func NewMetrics(r *telemetry.Registry) *Metrics {
+// NewMetrics resolves CLIP's handle set from a registry cell.
+func NewMetrics(r telemetry.Cell) *Metrics {
 	m := &Metrics{
 		profileHits: r.Counter("clip_profile_cache_hits_total",
 			"CLIP.Profile and CLIP.Advisor calls that found the profile in the knowledge table"),
@@ -83,7 +83,7 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 			"CLIP.Schedule calls (cache hits included)"),
 		scheduleSeconds: r.Histogram("clip_schedule_seconds",
 			"wall time of cold (uncached) scheduling decisions", nil),
-		reg:    r,
+		cell:   r,
 		events: r.Events(),
 		coord:  coordinator.NewMetrics(r),
 	}
@@ -101,11 +101,13 @@ func (m *Metrics) classCounter(class string) *telemetry.Counter {
 			return m.byClass[i]
 		}
 	}
-	return m.reg.Counter(telemetry.Label("clip_decisions_by_class_total", "class", class), classHelp)
+	return m.cell.Counter(telemetry.Label("clip_decisions_by_class_total", "class", class), classHelp)
 }
 
-// defaultMetrics is the handle set every CLIP instance publishes to.
-var defaultMetrics = NewMetrics(telemetry.Default)
+// cellMetrics holds one handle set per cell of telemetry.Default; each
+// CLIP instance, and its coordinator, publishes to the set of the cell
+// it takes when it is built.
+var cellMetrics = telemetry.PerCell(telemetry.Default, NewMetrics)
 
 // Options configures CLIP construction.
 type Options struct {
@@ -310,12 +312,13 @@ func New(cl *hw.Cluster, opts ...Options) (*CLIP, error) {
 	} else if know.spec != cl.Spec() {
 		return nil, fmt.Errorf("core: knowledge table built for a different node spec")
 	}
+	m := cellMetrics[telemetry.NextCell()]
 	return &CLIP{
 		Cluster: cl,
 		NPModel: know.model,
 		know:    know,
-		coord:   &coordinator.Coordinator{Cluster: cl, EnergyTolerance: o.EnergyTolerance, Metrics: defaultMetrics.coord},
-		m:       defaultMetrics,
+		coord:   &coordinator.Coordinator{Cluster: cl, EnergyTolerance: o.EnergyTolerance, Metrics: m.coord},
+		m:       m,
 	}, nil
 }
 

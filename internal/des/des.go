@@ -30,7 +30,7 @@ import (
 )
 
 // Metrics is the engine's telemetry handle set, resolved once per
-// registry. The event loop is single-goroutine, so the engine counts
+// registry cell. The event loop is single-goroutine, so the engine counts
 // steps, compactions and the queue high-water mark in plain fields and
 // flushes them to its handle set at the end of each Run, RunUntil and
 // RunBefore call that changed them — the per-event path stays free even
@@ -40,8 +40,8 @@ type Metrics struct {
 	queuePeak                 *telemetry.Gauge
 }
 
-// NewMetrics resolves the engine's handle set from r.
-func NewMetrics(r *telemetry.Registry) *Metrics {
+// NewMetrics resolves the engine's handle set from a registry cell.
+func NewMetrics(r telemetry.Cell) *Metrics {
 	return &Metrics{
 		events: r.Counter("clip_des_events_total",
 			"discrete events processed across all simulation runs"),
@@ -54,8 +54,9 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 	}
 }
 
-// defaultMetrics is the handle set every engine publishes to.
-var defaultMetrics = NewMetrics(telemetry.Default)
+// cellMetrics holds one handle set per cell of telemetry.Default; each
+// engine publishes to the set of the cell it takes when it is built.
+var cellMetrics = telemetry.PerCell(telemetry.Default, NewMetrics)
 
 // Handler receives the engine's events: each fires as
 // HandleEvent(kind, arg) with the kind and argument it was scheduled
@@ -116,13 +117,16 @@ type Engine struct {
 	Steps int
 	// pubDepth is the high-water mark last published.
 	pubDepth int
+	// m is the handle set of the engine's telemetry cell.
+	m *Metrics
 }
 
-// NewEngine returns an engine at time zero.
-func NewEngine() *Engine { return &Engine{} }
+// NewEngine returns an engine at time zero, publishing to the next
+// telemetry cell (telemetry.NextCell).
+func NewEngine() *Engine { return &Engine{m: cellMetrics[telemetry.NextCell()]} }
 
 // publish flushes the steps and compactions since a call began at
-// (steps, comps), and a risen queue high-water mark, to the package
+// (steps, comps), and a risen queue high-water mark, to the engine's
 // handle set. A call that changed none of them publishes nothing, so
 // the per-arrival catch-up of an online driver, which usually fires no
 // event, costs no atomic operation.
@@ -130,7 +134,7 @@ func (e *Engine) publish(steps, comps int) {
 	if e.Steps == steps && e.compactions == comps && e.maxDepth <= e.pubDepth {
 		return
 	}
-	m := defaultMetrics
+	m := e.m
 	if e.Steps != steps {
 		m.events.Add(uint64(e.Steps - steps))
 	}
@@ -346,7 +350,7 @@ const (
 
 // Run processes events until the queue is empty.
 func (e *Engine) Run() error {
-	defaultMetrics.runs.Inc()
+	e.m.runs.Inc()
 	_, err := e.fire(math.Inf(1), maxRunEvents)
 	return err
 }

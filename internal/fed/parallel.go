@@ -15,11 +15,14 @@ package fed
 // byte-identical to Federation.Run for any worker count.
 //
 // Telemetry is the one thing the workers share: every shard publishes
-// to telemetry.Default from whichever goroutine runs it. Counters,
-// gauges and histograms are atomic and the event ring takes a lock per
-// append, so counter totals and histogram counts equal Run's, and a
-// scrape during the run sees shard work as it happens. Only the order
-// of events in the ring depends on the interleaving.
+// to telemetry.Default from whichever goroutine runs it. Its scheduler,
+// engine and CLIP instance each write their own cell of the counter
+// and histogram families (telemetry.Cells), so shards that run at once
+// rarely write the same cache line; readers sum the cells, so counter
+// totals and histogram counts equal Run's, and a scrape during the run
+// sees shard work as it happens. Gauges are atomic and the event ring
+// takes a lock per append; only the order of events in the ring
+// depends on the interleaving.
 
 import (
 	"math"
@@ -210,6 +213,7 @@ func (f *Federation) runPartitioned(workers int) error {
 // time replicate routeArrival — events at exactly the arrival time fire
 // inside Advance, uncounted, matching the serial fed-wins-ties rule.
 func replayShard(sh *Shard, arrivals []fedArrival) replayResult {
+	sh.Online.Grow(len(arrivals))
 	n := 0
 	var err error
 	for _, a := range arrivals {

@@ -292,9 +292,10 @@ func BenchmarkFedParallel4(b *testing.B) { benchRun(b, 4) }
 // replay) every counter and every histogram count that Run adds to
 // telemetry.Default, and the event log's total, must be added
 // identically by RunParallel at 1, 2 and 4 workers, whose shards
-// publish to per-worker registries folded into Default. Histogram sums
-// are left out (most are wall times), as are the executor's own
-// replay metrics, which only RunParallel records.
+// write their own cells of Default's counter and histogram families
+// from whichever goroutine runs them; every read sums the cells.
+// Histogram sums are left out (most are wall times), as are the
+// executor's own replay metrics, which only RunParallel records.
 func TestRunParallelTelemetryMatchesRun(t *testing.T) {
 	build := func() *Federation {
 		cfg := Config{Routing: Locality}

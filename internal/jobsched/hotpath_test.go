@@ -10,6 +10,7 @@ package jobsched
 // same submissions made one at a time.
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -116,19 +117,19 @@ func TestSubmitBatchMatchesSerialSubmits(t *testing.T) {
 		{ID: "c", App: workload.AMG()},
 	}
 	serial := online(t, Config{Bound: 320})
-	startBefore := defaultMetrics.jobsStarted.Value()
+	startBefore := cellMetrics[0].jobsStarted.Value()
 	var serialRes []SubmitResult
 	for _, sub := range subs {
 		var r SubmitResult
 		r.Status, r.Err = serial.SubmitPri(sub.ID, sub.App, 0)
 		serialRes = append(serialRes, r)
 	}
-	serialStarted := defaultMetrics.jobsStarted.Value() - startBefore
+	serialStarted := cellMetrics[0].jobsStarted.Value() - startBefore
 
 	batched := online(t, Config{Bound: 320})
-	startBefore = defaultMetrics.jobsStarted.Value()
+	startBefore = cellMetrics[0].jobsStarted.Value()
 	batchRes := batched.SubmitBatch(subs)
-	batchStarted := defaultMetrics.jobsStarted.Value() - startBefore
+	batchStarted := cellMetrics[0].jobsStarted.Value() - startBefore
 
 	if len(batchRes) != len(serialRes) {
 		t.Fatalf("batch returned %d results, want %d", len(batchRes), len(serialRes))
@@ -158,5 +159,68 @@ func TestSubmitBatchMatchesSerialSubmits(t *testing.T) {
 	}
 	if sc, bc := serial.Cluster(), batched.Cluster(); !reflect.DeepEqual(sc, bc) {
 		t.Errorf("Cluster():\n serial %+v\n batch  %+v", sc, bc)
+	}
+}
+
+// TestGrowKeepsSession: Grow changes no scheduling state. Two sessions
+// take the same submissions, one growing midway with jobs live (so its
+// id index is rebuilt around them); every status matches after every
+// submission. After Grow, a submission takes neither a record nor an
+// index slot of its own.
+func TestGrowKeepsSession(t *testing.T) {
+	plain := online(t, Config{Bound: 320})
+	grown := online(t, Config{Bound: 320})
+	apps := []*workload.Spec{workload.CoMD(), workload.LUMZ(), workload.SPMZ()}
+	for i := 0; i < 48; i++ {
+		if i == 8 {
+			grown.Grow(64)
+		}
+		id, app := fmt.Sprintf("g%02d", i), apps[i%len(apps)]
+		if err := plain.Advance(float64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := grown.Advance(float64(i)); err != nil {
+			t.Fatal(err)
+		}
+		a, errA := plain.SubmitPri(id, app, 0)
+		b, errB := grown.SubmitPri(id, app, 0)
+		if errA != nil || errB != nil {
+			t.Fatalf("submit %s: %v, %v", id, errA, errB)
+		}
+		if statusKey(a) != statusKey(b) {
+			t.Fatalf("submit %s: grown session %s, want %s", id, statusKey(b), statusKey(a))
+		}
+	}
+	pj, gj := plain.Jobs(), grown.Jobs()
+	for i := range pj {
+		if statusKey(pj[i]) != statusKey(gj[i]) {
+			t.Errorf("job %s: grown session %s, want %s", pj[i].ID, statusKey(gj[i]), statusKey(pj[i]))
+		}
+	}
+	if _, err := grown.SubmitPri("g00", apps[0], 0); !errors.Is(err, ErrDuplicateJob) {
+		t.Errorf("resubmitting g00 after Grow: %v, want ErrDuplicateJob", err)
+	}
+
+	// AllocsPerRun makes one warm-up call before the measured ones, so
+	// runs+1 submissions are made, each with its own id.
+	const runs = 200
+	ids := make([]string, runs+1)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("load-%d", i)
+	}
+	perSubmit := func(o *Online) float64 {
+		n := 0
+		return testing.AllocsPerRun(runs, func() {
+			if _, err := o.SubmitPri(ids[n], apps[0], 0); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		})
+	}
+	cold := perSubmit(online(t, Config{Bound: 320}))
+	warm := online(t, Config{Bound: 320})
+	warm.Grow(len(ids))
+	if w := perSubmit(warm); w > cold-1 {
+		t.Errorf("a submission allocates %.0f objects after Grow, %.0f without; want at least one fewer", w, cold)
 	}
 }

@@ -46,11 +46,11 @@ import (
 )
 
 // Metrics is the scheduler's telemetry handle set, resolved once per
-// registry: job throughput and queue pressure, handler latency, the
-// fault layer's and the priority pipeline's counters and cumulative
+// registry cell: job throughput and queue pressure, handler latency,
+// the fault layer's and the priority pipeline's counters and cumulative
 // reclaimed watts, the fault events, and the handle set of the
-// session's coordinators. Every run state publishes to the set
-// resolved from telemetry.Default, fixed when the state is built.
+// session's coordinators. Every run state publishes to the set of one
+// cell of telemetry.Default, fixed when the state is built.
 type Metrics struct {
 	jobsStarted, jobsFinished        *telemetry.Counter
 	queueDepth, queuePeak, freeWatts *telemetry.Gauge
@@ -64,8 +64,8 @@ type Metrics struct {
 	coord                            *coordinator.Metrics
 }
 
-// NewMetrics resolves the scheduler's handle set from r.
-func NewMetrics(r *telemetry.Registry) *Metrics {
+// NewMetrics resolves the scheduler's handle set from a registry cell.
+func NewMetrics(r telemetry.Cell) *Metrics {
 	return &Metrics{
 		jobsStarted: r.Counter("clip_jobsched_jobs_started_total",
 			"jobs placed on the cluster"),
@@ -101,8 +101,9 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 	}
 }
 
-// defaultMetrics is the handle set every run state publishes to.
-var defaultMetrics = NewMetrics(telemetry.Default)
+// cellMetrics holds one handle set per cell of telemetry.Default; each
+// run state publishes to the set of the cell it takes when it is built.
+var cellMetrics = telemetry.PerCell(telemetry.Default, NewMetrics)
 
 // des handler event kinds of the core scheduler (the fault layer owns
 // 1..7; see faults.go). The argument encodes an index: into the job
@@ -513,11 +514,13 @@ type schedState struct {
 	stats   *Stats
 	// job-record arena: recs[:nrecs] have been handed out (recs[i].idx
 	// == i); jobs indexes the live ones by id, and freeRecs is the stack
-	// of forgotten ones, which the arena hands out again.
+	// of forgotten ones, which the arena hands out again. jobsRoom is
+	// the most entries jobs is known to hold without growing (grow).
 	recs     []*jobRecord
 	nrecs    int32
 	freeRecs []int32
 	jobs     map[string]*jobRecord
+	jobsRoom int
 	// running-slot arena: slots[i].slot == i; freeSlots is the stack of
 	// recyclable indices; nrunning counts the live slots.
 	slots     []*runningJob
@@ -583,10 +586,15 @@ func (x jobsByStart) Len() int           { return len(x) }
 func (x jobsByStart) Less(i, j int) bool { return x[i].Start < x[j].Start }
 func (x jobsByStart) Swap(i, j int)      { x[i], x[j] = x[j], x[i] }
 
+// epoch anchors event timing: handlers are timed as time.Since(epoch)
+// at both ends, which reads only the monotonic clock, where time.Now
+// also reads the wall clock.
+var epoch = time.Now()
+
 // HandleEvent implements des.Handler: every scheduler event dispatches
 // through the state object and is timed once here.
 func (st *schedState) HandleEvent(kind uint16, arg uint64) {
-	start := time.Now()
+	start := time.Since(epoch)
 	switch kind {
 	case evkArrival:
 		st.admit(st.recs[arg])
@@ -600,7 +608,7 @@ func (st *schedState) HandleEvent(kind uint16, arg uint64) {
 	default:
 		st.handleFault(kind, int(arg))
 	}
-	st.m.eventSeconds.Observe(time.Since(start).Seconds())
+	st.m.eventSeconds.Observe((time.Since(epoch) - start).Seconds())
 }
 
 // newState builds the mutable run state shared by the batch Run and
@@ -614,7 +622,7 @@ func (s *Scheduler) newState(online bool) (*schedState, error) {
 		st = &schedState{
 			s:      s,
 			eng:    des.NewEngine(),
-			m:      defaultMetrics,
+			m:      cellMetrics[telemetry.NextCell()],
 			jobs:   make(map[string]*jobRecord),
 			dcache: make(map[*workload.Spec]*dispatchEntry),
 		}
@@ -711,6 +719,31 @@ func (st *schedState) newRecord(j Job) *jobRecord {
 	return rec
 }
 
+// grow makes room for n more jobs: the id index is presized to hold
+// them beside the live ones, and the arena takes the records it lacks
+// from one block. Records the arena already owns, handed out before or
+// forgotten since, count against n, so a pooled state that has run as
+// many jobs before allocates nothing.
+func (st *schedState) grow(n int) {
+	st.jobsRoom = max(st.jobsRoom, len(st.jobs))
+	if want := len(st.jobs) + n; want > st.jobsRoom {
+		jobs := make(map[string]*jobRecord, want)
+		for id, rec := range st.jobs {
+			jobs[id] = rec
+		}
+		st.jobs, st.jobsRoom = jobs, want
+	}
+	short := n - len(st.freeRecs) - (len(st.recs) - int(st.nrecs))
+	if short <= 0 {
+		return
+	}
+	block := make([]jobRecord, short)
+	st.recs = slices.Grow(st.recs, short)
+	for i := range block {
+		st.recs = append(st.recs, &block[i])
+	}
+}
+
 // forget drops a record that no queue entry, slot or event refers to:
 // its id may be submitted again, and the arena hands the record out
 // again.
@@ -785,6 +818,7 @@ func (s *Scheduler) Run(jobs []Job) (*Stats, error) {
 		return nil, err
 	}
 	defer s.pool.Store(st)
+	st.grow(len(jobs))
 	st.jobsLeft = len(jobs)
 	// Arrival events fire in (time, schedule order), so scheduling them
 	// in list order starts equal arrivals in list order without a sort.

@@ -579,12 +579,12 @@ func TestNonFiniteBoundsRejected(t *testing.T) {
 // event-loop latency histogram exposed over the standard Prometheus
 // exposition.
 func TestEventLatencyTelemetry(t *testing.T) {
-	before := defaultMetrics.eventSeconds.Count()
+	before := cellMetrics[0].eventSeconds.Count()
 	s := sched(t, Config{Bound: 2000, Policy: Backfill})
 	if _, err := s.Run(jobs(workload.SPMZ(), workload.CoMD(), workload.LUMZ())); err != nil {
 		t.Fatal(err)
 	}
-	if defaultMetrics.eventSeconds.Count() == before {
+	if cellMetrics[0].eventSeconds.Count() == before {
 		t.Error("scheduler events did not observe the latency histogram")
 	}
 	var sb strings.Builder

@@ -214,9 +214,9 @@ func (o *Online) SetBound(watts float64) error {
 	if err := o.st.eng.RunUntil(o.st.eng.Now()); err != nil {
 		return err
 	}
-	start := time.Now()
+	start := time.Since(epoch)
 	o.st.applyBoundChange(watts)
-	o.st.m.eventSeconds.Observe(time.Since(start).Seconds())
+	o.st.m.eventSeconds.Observe((time.Since(epoch) - start).Seconds())
 	return o.st.failure
 }
 
@@ -290,6 +290,12 @@ func (o *Online) SubmitPri(id string, app *workload.Spec, pri int) (JobStatus, e
 	}
 	return o.Status(id)
 }
+
+// Grow prepares the session for n more submissions: the id index is
+// presized for them and the job records they lack come from one block,
+// so the submissions neither rehash the index nor allocate records one
+// by one. It changes no scheduling state.
+func (o *Online) Grow(n int) { o.st.grow(n) }
 
 // Readmit admits a job at the current virtual time exactly as SubmitPri
 // would — same checks, same placement decision — but directly, not

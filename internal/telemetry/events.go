@@ -192,14 +192,3 @@ func (l *EventLog) Dropped() uint64 {
 	defer l.mu.Unlock()
 	return l.total - uint64(len(l.buf))
 }
-
-// reset clears the log (test support, via Registry.Reset).
-func (l *EventLog) reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.buf = nil
-	l.start = 0
-	l.total = 0
-	l.spare = nil
-	l.slab = nil
-}

@@ -56,8 +56,8 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot is a consistent-enough point-in-time copy of a registry:
-// individual metrics are read atomically, the set of metrics under the
-// registry lock. It is the payload of the JSON exposition and the
+// each cell of a metric is read atomically and a family's cells are
+// summed, the set of metrics is read under the registry lock. It is the payload of the JSON exposition and the
 // end-of-run telemetry report.
 type Snapshot struct {
 	Counters      map[string]uint64            `json:"counters"`
@@ -66,6 +66,23 @@ type Snapshot struct {
 	Events        []Event                      `json:"events"`
 	EventsTotal   uint64                       `json:"events_total"`
 	EventsDropped uint64                       `json:"events_dropped"`
+}
+
+// snapshot reads the family totals of h: count, sum and cumulative
+// buckets, each summed over the cells.
+func (h *Histogram) snapshot() HistogramSnapshot {
+	hs := HistogramSnapshot{Count: h.Count(), Sum: h.Sum(),
+		Buckets: make([]BucketCount, len(h.bounds)+1)}
+	var cum uint64
+	for i := range hs.Buckets {
+		cum += h.total(histBuckets + i)
+		le := math.Inf(1)
+		if i < len(h.bounds) {
+			le = h.bounds[i]
+		}
+		hs.Buckets[i] = BucketCount{LE: le, Count: cum}
+	}
+	return hs
 }
 
 // Snapshot captures the current state of every metric and the retained
@@ -77,24 +94,14 @@ func (r *Registry) Snapshot() *Snapshot {
 		Histograms: make(map[string]HistogramSnapshot),
 	}
 	r.mu.RLock()
-	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
+	for name, cs := range r.counters {
+		s.Counters[name] = cs[0].Value()
 	}
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Value()
 	}
-	for name, h := range r.hists {
-		hs := HistogramSnapshot{Count: h.Count(), Sum: h.Sum()}
-		var cum uint64
-		for i := range h.counts {
-			cum += h.counts[i].Load()
-			le := math.Inf(1)
-			if i < len(h.bounds) {
-				le = h.bounds[i]
-			}
-			hs.Buckets = append(hs.Buckets, BucketCount{LE: le, Count: cum})
-		}
-		s.Histograms[name] = hs
+	for name, hs := range r.hists {
+		s.Histograms[name] = hs[0].snapshot()
 	}
 	r.mu.RUnlock()
 	s.Events = r.events.Snapshot()

@@ -15,12 +15,24 @@
 //	...
 //	solves.Inc() // one atomic add, no map lookup, no lock
 //
+// Every counter and histogram family is striped over Cells cells, each
+// on cache lines of its own: a handle writes one cell, and every read
+// (Value, Count, Sum, Snapshot and the expositions) sums the cells, so
+// readers see one total per family and no extra series. Registry.Counter
+// and Registry.Histogram return cell 0's handles; Registry.Cell(k)
+// returns cell k's. Gauges and the event log are single, since they
+// hold last-writer values.
+//
 // The layers of a scheduler (des, coordinator, core, jobsched) resolve
-// a handle set per registry instead (their NewMetrics), fixed when an
-// instance is built; every built-in instance publishes to Default.
-// Concurrent instances, such as the shards of a parallel federation
-// run, write the same handles: counters, gauges and histograms are
-// atomic and the event log takes a lock per append.
+// one handle set per cell of Default (their NewMetrics, through
+// PerCell), and each engine, CLIP instance and scheduler run state
+// takes the next cell (NextCell) when it is built; a coordinator writes
+// its owner's cell. Instances built one after another, such as the
+// shards of a federation, thus write different cells, so shards that
+// run at once seldom write the same cache line, and picking an
+// instance's handle set is an array index. Writers that share a cell,
+// a gauge or the event log stay correct: cells and gauges are atomic
+// and the event log takes a lock per append.
 //
 // Metric names follow Prometheus conventions (snake_case, unit
 // suffixes, `_total` for counters). Labelled series are addressed by
@@ -36,16 +48,52 @@ package telemetry
 
 import (
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing metric. The zero value is
-// ready to use; updates are single atomic adds.
-type Counter struct {
+// Cells is the number of cells each counter and histogram family
+// stripes its writes over. Each cell sits on cache lines of its own, so
+// instances that write different cells from different goroutines never
+// contend for a line; readers sum the cells.
+const Cells = 8
+
+// cacheLine is the padding unit that keeps two cells off one line.
+const cacheLine = 64
+
+// nextCell is the process-wide round-robin cursor of NextCell.
+var nextCell atomic.Uint32
+
+// NextCell returns the cell the next instance should write, handing
+// cells out round robin across the whole process, so that instances
+// built one after another (the shards of a federation) write different
+// cells.
+func NextCell() int { return int((nextCell.Add(1) - 1) % Cells) }
+
+// counterCell is one cell of a counter family, padded to a full line.
+type counterCell struct {
 	v atomic.Uint64
+	_ [cacheLine - 8]byte
+}
+
+// Counter is a handle on a monotonically increasing metric: it adds to
+// one cell of its family and reads the family total. Updates are
+// single atomic adds.
+type Counter struct {
+	cells *[Cells]counterCell
+	v     *atomic.Uint64 // this handle's cell
+}
+
+// newCounters returns the handles of a fresh counter family, one per
+// cell.
+func newCounters() *[Cells]Counter {
+	cells := new([Cells]counterCell)
+	hs := new([Cells]Counter)
+	for k := range hs {
+		hs[k] = Counter{cells: cells, v: &cells[k].v}
+	}
+	return hs
 }
 
 // Inc adds one to the counter.
@@ -54,8 +102,14 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Add increases the counter by n.
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
+// Value returns the family's count, summed over its cells.
+func (c *Counter) Value() uint64 {
+	var n uint64
+	for k := range c.cells {
+		n += c.cells[k].v.Load()
+	}
+	return n
+}
 
 // Gauge is a metric that can go up and down (a float64 stored as
 // atomic bits). The zero value reads 0 and is ready to use.
@@ -99,14 +153,39 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // multi-second experiment sweeps.
 var DefSecondsBuckets = []float64{0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 1, 2.5, 10, 30}
 
-// Histogram counts observations into cumulative "le" buckets, exactly
-// like a Prometheus histogram. Observations are lock-free: one atomic
-// add per bucket plus a compare-and-swap for the running sum.
+// Histogram is a handle on a histogram family: it counts observations
+// into cumulative "le" buckets, exactly like a Prometheus histogram,
+// in one cell of the family, and reads the family totals. Observations
+// are lock-free: one atomic add for the bucket and one for the count,
+// plus a compare-and-swap for the running sum.
 type Histogram struct {
 	bounds []float64       // ascending upper bounds; +Inf is implicit
-	counts []atomic.Uint64 // len(bounds)+1, last is the +Inf bucket
-	count  atomic.Uint64
-	sum    atomic.Uint64 // float64 bits
+	words  []atomic.Uint64 // every cell, cell k at words[k*stride:]
+	stride int
+	cell   []atomic.Uint64 // this handle's cell
+}
+
+// Word offsets within a histogram cell: the observation count, the
+// running sum (float64 bits), then len(bounds)+1 bucket counts, the
+// last being the +Inf bucket. A line of padding follows each cell.
+const (
+	histCount   = 0
+	histSum     = 1
+	histBuckets = 2
+)
+
+// newHistograms returns the handles of a fresh histogram family, one
+// per cell, all sharing one backing array.
+func newHistograms(bounds []float64) *[Cells]Histogram {
+	stride := histBuckets + len(bounds) + 1 + cacheLine/8
+	words := make([]atomic.Uint64, Cells*stride)
+	hs := new([Cells]Histogram)
+	for k := range hs {
+		lo := k * stride
+		hs[k] = Histogram{bounds: bounds, words: words, stride: stride,
+			cell: words[lo : lo+stride-cacheLine/8]}
+	}
+	return hs
 }
 
 // Observe records one value. Non-finite observations (a NaN from a
@@ -122,28 +201,42 @@ func (h *Histogram) Observe(v float64) {
 	if v < 0 {
 		v = 0
 	}
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.addSum(v)
-}
-
-// addSum adds v to the running sum (compare-and-swap loop).
-func (h *Histogram) addSum(v float64) {
+	i := 0 // first bound >= v
+	for i < len(h.bounds) && h.bounds[i] < v {
+		i++
+	}
+	c := h.cell
+	c[histBuckets+i].Add(1)
+	c[histCount].Add(1)
 	for {
-		old := h.sum.Load()
+		old := c[histSum].Load()
 		nv := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, nv) {
+		if c[histSum].CompareAndSwap(old, nv) {
 			return
 		}
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+// total sums word i of every cell.
+func (h *Histogram) total(i int) uint64 {
+	var n uint64
+	for k := 0; k < Cells; k++ {
+		n += h.words[k*h.stride+i].Load()
+	}
+	return n
+}
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
+// Count returns the family's number of observations.
+func (h *Histogram) Count() uint64 { return h.total(histCount) }
+
+// Sum returns the sum of the family's observed values.
+func (h *Histogram) Sum() float64 {
+	var s float64
+	for k := 0; k < Cells; k++ {
+		s += math.Float64frombits(h.words[k*h.stride+histSum].Load())
+	}
+	return s
+}
 
 // Registry holds named metrics and the decision-event log. Metric
 // constructors are get-or-create: the first call for a name creates the
@@ -153,9 +246,9 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 // meant for per-operation paths.
 type Registry struct {
 	mu       sync.RWMutex
-	counters map[string]*Counter
+	counters map[string]*[Cells]Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	hists    map[string]*[Cells]Histogram
 	help     map[string]string // keyed by family (name sans labels)
 	events   EventLog
 }
@@ -168,32 +261,16 @@ var Default = NewRegistry()
 // not observe instrumentation noise from the rest of the process).
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
+		counters: make(map[string]*[Cells]Counter),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
+		hists:    make(map[string]*[Cells]Histogram),
 		help:     make(map[string]string),
 	}
 }
 
-// Counter returns the counter registered under name, creating it (and
-// recording help for its family) on first use.
-func (r *Registry) Counter(name, help string) *Counter {
-	r.mu.RLock()
-	c, ok := r.counters[name]
-	r.mu.RUnlock()
-	if ok {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	c = new(Counter)
-	r.counters[name] = c
-	r.setHelp(name, help)
-	return c
-}
+// Counter returns the handle on cell 0 of the counter registered under
+// name, creating the family (and recording help for it) on first use.
+func (r *Registry) Counter(name, help string) *Counter { return r.Cell(0).Counter(name, help) }
 
 // Gauge returns the gauge registered under name, creating it on first
 // use.
@@ -215,46 +292,92 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return g
 }
 
-// Histogram returns the histogram registered under name, creating it
-// with the given ascending bucket upper bounds on first use (nil means
-// DefSecondsBuckets).
+// Histogram returns the handle on cell 0 of the histogram registered
+// under name, creating the family with the given ascending bucket upper
+// bounds on first use (nil means DefSecondsBuckets).
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	r.mu.RLock()
-	h, ok := r.hists[name]
-	r.mu.RUnlock()
-	if ok {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.hists[name]; ok {
-		return h
-	}
-	if bounds == nil {
-		bounds = DefSecondsBuckets
-	}
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	h = &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
-	r.hists[name] = h
-	r.setHelp(name, help)
-	return h
+	return r.Cell(0).Histogram(name, help, bounds)
 }
 
 // Events returns the registry's decision-event log.
 func (r *Registry) Events() *EventLog { return &r.events }
 
-// Reset drops every metric and event. It exists for tests; production
-// callers should never need it.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	r.counters = make(map[string]*Counter)
-	r.gauges = make(map[string]*Gauge)
-	r.hists = make(map[string]*Histogram)
-	r.help = make(map[string]string)
-	r.mu.Unlock()
-	r.events.reset()
+// Cell returns the view of r whose counter and histogram handles write
+// cell k, 0 <= k < Cells. Every view sees the same families, gauges
+// and event log.
+func (r *Registry) Cell(k int) Cell {
+	if k < 0 || k >= Cells {
+		panic("telemetry: cell out of range")
+	}
+	return Cell{r: r, k: k}
 }
+
+// Cell is a view of a registry bound to one cell (Registry.Cell). Its
+// constructors are those of the registry, except that counter and
+// histogram handles write the view's cell; gauges and the event log
+// are single, since they hold last-writer values.
+type Cell struct {
+	r *Registry
+	k int
+}
+
+// PerCell resolves one handle set per cell of r, set k from
+// r.Cell(k). An instance then picks its set with NextCell when it is
+// built.
+func PerCell[T any](r *Registry, resolve func(Cell) T) (sets [Cells]T) {
+	for k := range sets {
+		sets[k] = resolve(r.Cell(k))
+	}
+	return sets
+}
+
+// Counter returns the view's handle on the counter registered under
+// name, creating the family on first use.
+func (c Cell) Counter(name, help string) *Counter {
+	r := c.r
+	r.mu.RLock()
+	hs, ok := r.counters[name]
+	r.mu.RUnlock()
+	if !ok {
+		r.mu.Lock()
+		if hs, ok = r.counters[name]; !ok {
+			hs = newCounters()
+			r.counters[name] = hs
+			r.setHelp(name, help)
+		}
+		r.mu.Unlock()
+	}
+	return &hs[c.k]
+}
+
+// Gauge returns the registry's gauge registered under name
+// (Registry.Gauge).
+func (c Cell) Gauge(name, help string) *Gauge { return c.r.Gauge(name, help) }
+
+// Histogram returns the view's handle on the histogram registered under
+// name, creating the family on first use (Registry.Histogram).
+func (c Cell) Histogram(name, help string, bounds []float64) *Histogram {
+	r := c.r
+	r.mu.RLock()
+	hs, ok := r.hists[name]
+	r.mu.RUnlock()
+	if !ok {
+		r.mu.Lock()
+		if hs, ok = r.hists[name]; !ok {
+			if bounds == nil {
+				bounds = DefSecondsBuckets
+			}
+			hs = newHistograms(append([]float64(nil), bounds...))
+			r.hists[name] = hs
+			r.setHelp(name, help)
+		}
+		r.mu.Unlock()
+	}
+	return &hs[c.k]
+}
+
+// Events returns the registry's decision-event log.
+func (c Cell) Events() *EventLog { return c.r.Events() }
 
 // setHelp records help text for the family of name; first writer wins.
 // Callers must hold r.mu.
