@@ -14,7 +14,11 @@
 //
 // Every event is a (handler, kind, argument) triple: the engine calls
 // Handler.HandleEvent(kind, arg) when the event's time comes, and the
-// layer above indexes its own state with the argument.
+// layer above indexes its own state with the argument. A layer that
+// processes a whole pending trace elsewhere takes it off the queue with
+// Engine.Skip instead: one pass in firing order that hands each event's
+// kind and argument to a function, counts the events as processed and
+// calls no handler.
 //
 // The event queue is a typed binary heap (no container/heap, no
 // interface{} boxing) with a free list for Event structs, so steady
@@ -23,8 +27,10 @@
 package des
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/telemetry"
 )
@@ -390,6 +396,44 @@ func (e *Engine) RunBefore(t float64) (int, error) {
 		return 0, fmt.Errorf("des: invalid RunBefore time %g", t)
 	}
 	return e.fire(t, maxRunEvents)
+}
+
+// Skip takes every pending live event off the queue in firing order,
+// (time, seq), and calls fn(kind, arg) for each instead of its handler.
+// It hands a whole pending trace to a layer that processes it elsewhere
+// (the federation's partitioned replay routes its arrivals to the
+// shards this way). The skipped events count as processed, as if each
+// had fired: Steps and the events counter rise by the returned count,
+// and the clock ends at the last one's time. Cancelled events are
+// dropped uncounted. No event is recycled onto the free list, so a
+// trace handed off once leaves no free list as long as itself. fn must
+// not schedule on the engine: Skip empties the queue it is reading.
+//
+// The queue array is sorted in place; a trace scheduled in time order
+// is already sorted as a heap array, so that sort is one linear pass.
+func (e *Engine) Skip(fn func(kind uint16, arg uint64)) int {
+	q := e.queue
+	slices.SortFunc(q, func(a, b *Event) int {
+		if c := cmp.Compare(a.Time, b.Time); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	steps := e.Steps
+	for i, ev := range q {
+		q[i] = nil
+		ev.eng = nil // pending no more: Cancel becomes a no-op
+		if ev.cancelled {
+			continue
+		}
+		e.now = ev.Time
+		e.Steps++
+		fn(ev.Kind, ev.arg)
+	}
+	e.queue = q[:0]
+	e.cancelled = 0
+	e.publish(steps, e.compactions)
+	return e.Steps - steps
 }
 
 // fire is the one event loop of Run, RunUntil and RunBefore: it fires,

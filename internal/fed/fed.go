@@ -217,7 +217,9 @@ type Federation struct {
 	// now is the shared clock: the timestamp of the last processed
 	// event anywhere in the federation.
 	now float64
-	// arrivals is the arrival arena referenced by fevArrival events.
+	// arrivals is the arrival arena: a fevArrival event's argument and
+	// a partitioned replay's per-shard lists are indices into it. It is
+	// written only by ScheduleArrivalPri and never copied.
 	arrivals []fedArrival
 	// scheduled holds every id ScheduleArrivalPri accepted, so a
 	// duplicate is rejected federation-wide. It is the only per-job
@@ -237,7 +239,7 @@ type Federation struct {
 	pendingCrash     []*des.Event
 	pendingPartition []*des.Event
 	sfStopped        bool
-	arrivalsLeft     int // scheduled arrivals not yet routed
+	arrivalsLeft     int // scheduled arrivals not yet routed (or handed to a replay)
 	evacuated        int // queued jobs migrated off crashed shards
 	// evacuateShard's buffers, reused across crashes: the survivors'
 	// load heap, the evacuated jobs and the shards that received any.
@@ -262,11 +264,6 @@ type Federation struct {
 	heap        *shardHeap
 	touched     []int
 	touchedMark []bool
-	// collecting / collect implement the partitioned executor's arrival
-	// drain: while collecting is set, fevArrival events append their
-	// arrival here (in engine pop order) instead of routing it.
-	collecting bool
-	collect    []fedArrival
 }
 
 // New builds a federation of len(cfg.Shards) shards. Shard clusters and
@@ -384,10 +381,6 @@ func (f *Federation) HandleEvent(kind uint16, arg uint64) {
 	switch kind {
 	case fevArrival:
 		f.arrivalsLeft--
-		if f.collecting {
-			f.collect = append(f.collect, f.arrivals[arg])
-			return
-		}
 		f.routeArrival(f.arrivals[arg])
 	case fevLeaseExpiry:
 		f.expireLease(f.leases[arg])

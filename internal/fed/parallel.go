@@ -5,8 +5,11 @@ package fed
 //   - Partitioned replay: with locality routing, an inert broker and no
 //     fault stream the federation owns no interaction points, so every
 //     shard's whole timeline is causally independent of every other
-//     shard's; each shard replays start to finish on a bounded worker
-//     pool and one serial barrier merges the results (runPartitioned).
+//     shard's. The pending arrivals leave the federation engine in one
+//     ordered pass (des.Engine.Skip) and each shard receives the arena
+//     indices of its own; each shard then replays start to finish on a
+//     bounded worker pool, and one serial barrier merges the results
+//     (runPartitioned).
 //   - Serial stepping: otherwise RunParallel steps exactly as Run does,
 //     one event at a time with the per-event broker pass and audit.
 //
@@ -25,6 +28,7 @@ package fed
 // depends on the interleaving.
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -117,63 +121,63 @@ func (f *Federation) RunParallel(workers int) error {
 // shard's full timeline — its own events interleaved with the arrivals
 // hashed to it — is causally independent of every other shard's.
 //
-// The arrivals drain off the federation engine serially in (time, seq)
-// order, exactly the order the serial run would route them, and are
-// partitioned by the same pure pickShard. Each worker then replays one
-// shard start to finish: Advance + SubmitPri at each of its arrival times
-// replicates routeArrival on the shard's own timeline, with the shard
-// events between arrivals processed as ordinary steps. The serial run's
+// One des.Engine.Skip pass takes the pending arrivals off the
+// federation engine in (time, seq) order, exactly the order the serial
+// run would route them, places each by the same pure pickShard and
+// records its arena index in its shard's list; no arrival is stepped
+// and no arrival is copied. Each worker then replays one shard start to
+// finish: Advance + SubmitPri at each of its arrival times replicates
+// routeArrival on the shard's own timeline, with the shard events
+// between arrivals processed as ordinary steps. The serial run's
 // per-event broker passes and audits are no-ops throughout (nothing
 // they observe ever changes), so crediting the event and audit counters
 // with the totals and running one physical check at the end reproduces
 // Run's output byte for byte.
 func (f *Federation) runPartitioned(workers int) error {
-	// Pop every pending arrival without routing it; engine pop order is
-	// (time, seq), the serial processing order.
-	if cap(f.collect) < len(f.arrivals) {
-		f.collect = make([]fedArrival, 0, len(f.arrivals))
-	}
-	f.collect = f.collect[:0]
-	f.collecting = true
-	for {
-		if _, ok := f.eng.Next(); !ok {
-			break
-		}
-		if _, err := f.eng.StepNext(); err != nil {
-			f.collecting = false
-			return f.latch(err)
-		}
-	}
-	f.collecting = false
-
-	// Placement is a pure hash, so it happens serially up front; routing
-	// telemetry never sees the workers.
-	// A counting pass sizes every shard's slice of one backing array.
-	nArr := len(f.collect)
-	sids := make([]int32, nArr)
+	// Only arrivals can be pending: no fault stream is armed, and a
+	// settled lease cancels its expiry. Placement is a pure hash, so it
+	// happens serially here; routing telemetry never sees the workers.
+	order := make([]int32, 0, f.arrivalsLeft) // arena indices, firing order
+	sids := make([]int32, 0, f.arrivalsLeft)  // their shards
 	counts := make([]int, len(f.shards))
-	for i, a := range f.collect {
-		sid := f.pickShard(a)
-		f.shards[sid].submitted++
-		sids[i] = int32(sid)
+	var stray error
+	f.eng.Skip(func(kind uint16, arg uint64) {
+		if kind != fevArrival {
+			if stray == nil {
+				stray = fmt.Errorf("fed: partitioned replay found a pending federation event of kind %d", kind)
+			}
+			return
+		}
+		sid := f.pickShard(f.arrivals[arg])
+		order = append(order, int32(arg))
+		sids = append(sids, int32(sid))
 		counts[sid]++
+	})
+	nArr := len(order)
+	f.arrivalsLeft -= nArr
+	if stray != nil {
+		return f.latch(stray)
 	}
-	perShard := make([][]fedArrival, len(f.shards))
-	backing := make([]fedArrival, nArr)
+
+	// Each shard's arrivals are a slice of one backing array, in firing
+	// order.
+	perShard := make([][]int32, len(f.shards))
+	backing := make([]int32, nArr)
 	off := 0
 	for sid, n := range counts {
 		perShard[sid] = backing[off : off : off+n]
 		off += n
+		f.shards[sid].submitted += n
 	}
-	for i, a := range f.collect {
-		perShard[sids[i]] = append(perShard[sids[i]], a)
+	for i, idx := range order {
+		perShard[sids[i]] = append(perShard[sids[i]], idx)
 	}
 	mFedJobsRouted.Add(uint64(nArr))
 
 	// Replay every shard to quiescence concurrently (shards without
 	// arrivals may still own pending events from earlier serial steps).
 	results := make([]replayResult, len(f.shards))
-	f.fanOut(workers, func(sh *Shard) { results[sh.ID] = replayShard(sh, perShard[sh.ID]) })
+	f.fanOut(workers, func(sh *Shard) { results[sh.ID] = f.replayShard(sh, perShard[sh.ID]) })
 
 	// Single barrier: merge in shard order, reconstruct the serial
 	// event/audit counts, one physical audit over the final state.
@@ -207,16 +211,19 @@ func (f *Federation) runPartitioned(workers int) error {
 	return f.drainParallel(workers)
 }
 
-// replayShard runs one shard's full timeline: events strictly before
-// each of its arrivals count as ordinary steps (exactly the events the
-// serial run pops individually), then Advance + SubmitPri at the arrival
-// time replicate routeArrival — events at exactly the arrival time fire
-// inside Advance, uncounted, matching the serial fed-wins-ties rule.
-func replayShard(sh *Shard, arrivals []fedArrival) replayResult {
-	sh.Online.Grow(len(arrivals))
+// replayShard runs one shard's full timeline, given the arena indices of
+// its arrivals in firing order: events strictly before each arrival
+// count as ordinary steps (exactly the events the serial run pops
+// individually), then Advance + SubmitPri at the arrival time replicate
+// routeArrival — events at exactly the arrival time fire inside
+// Advance, uncounted, matching the serial fed-wins-ties rule. Workers
+// only read the arrival arena.
+func (f *Federation) replayShard(sh *Shard, idx []int32) replayResult {
+	sh.Online.Grow(len(idx))
 	n := 0
 	var err error
-	for _, a := range arrivals {
+	for _, i := range idx {
+		a := &f.arrivals[i]
 		var k int
 		k, err = sh.Online.ProcessEventsUntil(a.t)
 		n += k

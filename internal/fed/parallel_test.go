@@ -57,42 +57,91 @@ func TestParallelByteIdentity(t *testing.T) {
 
 // TestPartitionedByteIdentity: locality routing with lending off takes
 // the partitioned replay (one replay per shard); it must still match
-// the serial run byte for byte.
+// the serial run byte for byte. Three inputs: a trace scheduled in time
+// order; one scheduled out of time order with equal-time ties, whose
+// firing order is not its arena order; and the first trace after a few
+// serial Steps, so some arrivals were already routed before the replay
+// takes the rest.
 func TestPartitionedByteIdentity(t *testing.T) {
-	build := func() *Federation {
-		f, err := New(Config{
-			Shards:  shardCfg(8, 4, 500, jobsched.AggressiveBackfill),
-			Routing: Locality,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mix := apps()
-		r := rng.New(5)
-		now := 0.0
-		for i := 0; i < 96; i++ {
-			now += r.Range(0, 4)
-			id := fmt.Sprintf("j%04d", i)
-			if err := f.ScheduleArrivalPri(now, id, mix[i%len(mix)], id, 0); err != nil {
+	inOrder := func(r *rng.Source, now float64) float64 { return now + r.Range(0, 4) }
+	shuffled := func(r *rng.Source, _ float64) float64 { return float64(r.Intn(48)) * 2 }
+	for _, tc := range []struct {
+		name  string
+		at    func(r *rng.Source, now float64) float64
+		steps int
+	}{
+		{"in-order", inOrder, 0},
+		{"out-of-order", shuffled, 0},
+		{"after-steps", inOrder, 40},
+	} {
+		build := func() *Federation {
+			f, err := New(Config{
+				Shards:  shardCfg(8, 4, 500, jobsched.AggressiveBackfill),
+				Routing: Locality,
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
+			mix := apps()
+			r := rng.New(5)
+			now := 0.0
+			for i := 0; i < 96; i++ {
+				now = tc.at(r, now)
+				id := fmt.Sprintf("j%04d", i)
+				if err := f.ScheduleArrivalPri(now, id, mix[i%len(mix)], id, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return f
 		}
-		return f
+		f := build()
+		if err := f.Run(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want := renderRun(t, f)
+		for _, workers := range []int{1, 2, 4, 8} {
+			g := build()
+			for k := 0; k < tc.steps; k++ {
+				if _, err := g.Step(); err != nil {
+					t.Fatalf("%s: step %d: %v", tc.name, k, err)
+				}
+			}
+			if tc.steps > 0 && (g.ArrivalsPending() == 0 || g.ArrivalsPending() == 96) {
+				t.Fatalf("%s: %d of 96 arrivals pending after %d steps; want some routed, some not",
+					tc.name, g.ArrivalsPending(), tc.steps)
+			}
+			windows := mWindows.Value()
+			if err := g.RunParallel(workers); err != nil {
+				t.Fatalf("%s: parallel(%d): %v", tc.name, workers, err)
+			}
+			if mWindows.Value() != windows+1 {
+				t.Fatalf("%s: RunParallel(%d) did not take the partitioned replay", tc.name, workers)
+			}
+			if got := renderRun(t, g); got != want {
+				t.Fatalf("%s: partitioned(%d) diverged from serial:\n--- serial ---\n%s--- parallel ---\n%s",
+					tc.name, workers, want, got)
+			}
+		}
 	}
-	f := build()
-	if err := f.Run(); err != nil {
+}
+
+// TestPartitionedRejectsStrayEvent: the partitioned replay hands only
+// arrivals to the shards; any other pending federation event means its
+// preconditions were wrong, and it latches an error instead of dropping
+// the event.
+func TestPartitionedRejectsStrayEvent(t *testing.T) {
+	f, err := New(Config{Shards: shardCfg(2, 4, 500, jobsched.FCFS), Routing: Locality})
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := renderRun(t, f)
-	for _, workers := range []int{1, 2, 4, 8} {
-		g := build()
-		if err := g.RunParallel(workers); err != nil {
-			t.Fatalf("parallel(%d): %v", workers, err)
-		}
-		if got := renderRun(t, g); got != want {
-			t.Fatalf("partitioned(%d) diverged from serial:\n--- serial ---\n%s--- parallel ---\n%s",
-				workers, want, got)
-		}
+	if err := f.ScheduleArrivalPri(1, "a", apps()[0], "", 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.eng.At(2, f, fevLeaseExpiry, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.RunParallel(2); err == nil || f.Err() == nil {
+		t.Fatalf("RunParallel = %v with a lease expiry pending; want an internal error", err)
 	}
 }
 

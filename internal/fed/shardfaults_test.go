@@ -609,6 +609,39 @@ func TestEvacuationAllocs(t *testing.T) {
 	}
 }
 
+// conservationJobs is the trace length of conservationFed.
+const conservationJobs = 96
+
+// conservationFed builds a 4-shard chaos federation with shard crashes
+// and partitions, lending and 20% preemptive high priority, and
+// schedules conservationJobs arrivals on it.
+func conservationFed(t *testing.T) *Federation {
+	t.Helper()
+	cfg := chaosConfig(t, true, "crash-mtbf=300,mttr=120,part-mtbf=400,part-dur=80,seed=9")
+	for i := range cfg.Shards {
+		cfg.Shards[i].Preempt = true
+	}
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix := apps()
+	r, pr := rng.New(5), rng.New(12)
+	now := 0.0
+	for i := 0; i < conservationJobs; i++ {
+		now += r.Range(0, 6)
+		pri := 0
+		if pr.Float64() < 0.2 {
+			pri = 5
+		}
+		id := fmt.Sprintf("c%03d", i)
+		if err := f.ScheduleArrivalPri(now, id, mix[i%len(mix)], id, pri); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return f
+}
+
 // TestSubmissionConservation checks by meaning, with no golden, that a
 // chaos run neither loses nor duplicates a submission: shard crashes
 // and partitions, lending and 20% preemptive high priority, under Run
@@ -616,32 +649,7 @@ func TestEvacuationAllocs(t *testing.T) {
 // exactly one shard, so Σ shard submissions = jobs routed + evacuations,
 // and each job id is listed by exactly one shard's session.
 func TestSubmissionConservation(t *testing.T) {
-	const jobs = 96
-	build := func() *Federation {
-		cfg := chaosConfig(t, true, "crash-mtbf=300,mttr=120,part-mtbf=400,part-dur=80,seed=9")
-		for i := range cfg.Shards {
-			cfg.Shards[i].Preempt = true
-		}
-		f, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mix := apps()
-		r, pr := rng.New(5), rng.New(12)
-		now := 0.0
-		for i := 0; i < jobs; i++ {
-			now += r.Range(0, 6)
-			pri := 0
-			if pr.Float64() < 0.2 {
-				pri = 5
-			}
-			id := fmt.Sprintf("c%03d", i)
-			if err := f.ScheduleArrivalPri(now, id, mix[i%len(mix)], id, pri); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return f
-	}
+	const jobs = conservationJobs
 	for _, mode := range []struct {
 		name string
 		run  func(*Federation) error
@@ -649,7 +657,7 @@ func TestSubmissionConservation(t *testing.T) {
 		{"Run", (*Federation).Run},
 		{"RunParallel(2)", func(f *Federation) error { return f.RunParallel(2) }},
 	} {
-		f := build()
+		f := conservationFed(t)
 		if err := mode.run(f); err != nil {
 			t.Fatalf("%s: %v", mode.name, err)
 		}
@@ -677,5 +685,60 @@ func TestSubmissionConservation(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// TestShardFaultTelemetry: in one chaos run the shard-fault counters
+// add exactly the federation's own tallies — crashes and partitions
+// (ShardFaultStats) and evacuations (Evacuated) — and the
+// unhealthy-shard gauge counts the shards not healthy after every
+// step and reads zero once Run returns.
+func TestShardFaultTelemetry(t *testing.T) {
+	f := conservationFed(t)
+	downs0, parts0, evac0 := mShardDowns.Value(), mShardPartitions.Value(), mJobsEvacuated.Value()
+	degraded := false
+	for {
+		ok, err := f.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		unhealthy := 0
+		for _, sh := range f.Shards() {
+			if f.ShardHealthOf(sh.ID) != ShardHealthy {
+				unhealthy++
+			}
+		}
+		if v := gShardsUnhealthy.Value(); v != float64(unhealthy) {
+			t.Fatalf("at %.3f s clip_fed_shards_unhealthy reads %g, %d shards are not healthy",
+				f.Now(), v, unhealthy)
+		}
+		degraded = degraded || unhealthy > 0
+	}
+	if !degraded {
+		t.Fatal("no shard was ever unhealthy")
+	}
+	// Every event is stepped; Run finishes the run with the drain.
+	if err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	downs, parts := f.ShardFaultStats()
+	if downs == 0 || parts == 0 || f.Evacuated() == 0 {
+		t.Fatalf("%d crashes, %d partitions, %d evacuations; the shape must have all three",
+			downs, parts, f.Evacuated())
+	}
+	if got := mShardDowns.Value() - downs0; got != uint64(downs) {
+		t.Errorf("clip_fed_shard_down_total rose %d, ShardFaultStats has %d crashes", got, downs)
+	}
+	if got := mShardPartitions.Value() - parts0; got != uint64(parts) {
+		t.Errorf("clip_fed_shard_partitions_total rose %d, ShardFaultStats has %d partitions", got, parts)
+	}
+	if got := mJobsEvacuated.Value() - evac0; got != uint64(f.Evacuated()) {
+		t.Errorf("clip_fed_jobs_evacuated_total rose %d, Evacuated is %d", got, f.Evacuated())
+	}
+	if v := gShardsUnhealthy.Value(); v != 0 {
+		t.Errorf("clip_fed_shards_unhealthy reads %g after Run, want 0", v)
 	}
 }

@@ -52,9 +52,20 @@ cmp -s "$TMP/run1.out" "$TMP/run4.out" || {
 }
 
 # With lending off, locality routing takes the partitioned replay: the
-# one path that runs shard events concurrently.
-"$TMP/clipfed" $FLAGS -lend=false > "$TMP/part1.out" 2>/dev/null
-"$TMP/clipfed" $FLAGS -lend=false -workers 4 > "$TMP/part4.out" 2>/dev/null
+# one path that runs shard events concurrently. The telemetry report
+# proves which path ran: one replay at -workers 4, none at -workers 1
+# (which calls Run), so a silent fallback to serial stepping fails here
+# even though its output would match.
+"$TMP/clipfed" $FLAGS -lend=false -telemetry-out "$TMP/part1.json" > "$TMP/part1.out" 2>/dev/null
+"$TMP/clipfed" $FLAGS -lend=false -workers 4 -telemetry-out "$TMP/part4.json" > "$TMP/part4.out" 2>/dev/null
+for run in 1:0 4:1; do
+    w=${run%%:*} want=${run#*:}
+    got=$(sed -n 's/.*"clip_fed_windows_total": \([0-9]*\).*/\1/p' "$TMP/part$w.json")
+    [ "$got" = "$want" ] || {
+        echo "fed smoke: -lend=false -workers $w ran ${got:-no} partitioned replays, want $want" >&2
+        exit 1
+    }
+done
 cmp -s "$TMP/part1.out" "$TMP/part4.out" || {
     echo "fed smoke: partitioned replay (-lend=false -workers 4) diverged from serial" >&2
     diff "$TMP/part1.out" "$TMP/part4.out" >&2 || true
