@@ -3,7 +3,7 @@
 #   make build   — compile everything
 #   make test    — tier-1: the full test suite
 #   make check   — tier-2: build + vet (the benchmark module too) + race
-#                  tests + dispatch, scenario and search fuzz + bench smoke + docs
+#                  tests + dispatch, scenario, search and id-index fuzz + bench smoke + docs
 #                  lint, then the paired perf gate against the parent commit
 #   make docs    — gofmt + vet + godoc-coverage lint (cmd/doclint)
 #   make bench   — hot-path benchmarks + suite wall time -> BENCH_results.json
@@ -34,6 +34,7 @@ check:
 	$(GO) test -run=NONE -fuzz=FuzzScenarioRoundTrip -fuzztime=5s ./internal/faults
 	$(GO) test -run=NONE -fuzz=FuzzScenarioRoundTrip -fuzztime=5s ./internal/fed
 	$(GO) test -run=NONE -fuzz=FuzzBestMatchesScan -fuzztime=5s ./internal/recommend
+	$(GO) test -run=NONE -fuzz=FuzzIndexMatchesMap -fuzztime=5s ./internal/idindex
 	$(GO) test -run=NONE -bench=. -benchtime=1x .
 	./scripts/clipd_smoke.sh
 	./scripts/fed_smoke.sh

@@ -343,15 +343,45 @@ func checkGolden(t *testing.T, golden string, got []byte, record bool) {
 // TestClipbenchGolden pins the full paper report: clipbench -exp all,
 // serial and on a 4-worker pool, must reproduce the committed
 // experiments_output.txt byte for byte. Run with -update to re-record
-// it from the serial run.
+// it from the serial run. Each run's telemetry report must also show
+// the decision mix EXPERIMENTS.md states: every scalability class takes
+// at least a quarter of the schedule decisions.
 func TestClipbenchGolden(t *testing.T) {
 	golden := filepath.Join("..", "experiments_output.txt")
 	for _, par := range []string{"1", "4"} {
 		t.Run("parallel="+par, func(t *testing.T) {
-			out := run(t, "clipbench", "-exp", "all", "-parallel", par)
+			tele := filepath.Join(t.TempDir(), "tele.json")
+			out := run(t, "clipbench", "-exp", "all", "-parallel", par, "-telemetry-out", tele)
 			checkGolden(t, golden, []byte(out), par == "1")
+			counters := reportCounters(t, tele)
+			classes := []string{"linear", "logarithmic", "parabolic"}
+			var total uint64
+			for _, c := range classes {
+				total += counters[`clip_decisions_by_class_total{class="`+c+`"}`]
+			}
+			for _, c := range classes {
+				if n := counters[`clip_decisions_by_class_total{class="`+c+`"}`]; total == 0 || 4*n < total {
+					t.Errorf("%s decisions: %d of %d, want at least a quarter", c, n, total)
+				}
+			}
 		})
 	}
+}
+
+// reportCounters reads the counters of a -telemetry-out report.
+func reportCounters(t *testing.T, path string) map[string]uint64 {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("telemetry report not written: %v", err)
+	}
+	var report struct {
+		Counters map[string]uint64 `json:"counters"`
+	}
+	if err := json.Unmarshal(data, &report); err != nil {
+		t.Fatalf("telemetry report is not valid JSON: %v", err)
+	}
+	return report.Counters
 }
 
 // TestClipsimGolden pins clipsim's stdout for the single-run planner

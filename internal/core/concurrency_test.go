@@ -141,7 +141,8 @@ func TestOneFillPerKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	passes := telemetry.Default.Counter("clip_profiling_passes_total", "")
-	counters := []string{"clip_profile_cache_hits_total", "clip_profile_cache_misses_total", "clip_decision_cache_misses_total"}
+	counters := []string{"clip_profile_cache_hits_total", "clip_profile_cache_misses_total",
+		"clip_decision_cache_misses_total", "clip_profile_sample_runs_total"}
 	const n = 16
 	app := workload.AMG()
 	for round := 0; round < 50 && !t.Failed(); round++ {
@@ -188,6 +189,10 @@ func TestOneFillPerKey(t *testing.T) {
 		}
 		if m := count("clip_decision_cache_misses_total"); m != 1 {
 			t.Errorf("round %d: %d decision misses, want 1", round, m)
+		}
+		// Fig. 5's overhead claim: a Full pass costs at most 3 samples.
+		if s := count("clip_profile_sample_runs_total"); s == 0 || s > 3 {
+			t.Errorf("round %d: %d profile sample runs for one profiling pass, want 1 to 3", round, s)
 		}
 		for g, p := range plans {
 			if p != nil && !reflect.DeepEqual(p, plans[0]) {

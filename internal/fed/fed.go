@@ -32,6 +32,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/hw"
+	"repro/internal/idindex"
 	"repro/internal/jobsched"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -221,11 +222,11 @@ type Federation struct {
 	// a partitioned replay's per-shard lists are indices into it. It is
 	// written only by ScheduleArrivalPri and never copied.
 	arrivals []fedArrival
-	// scheduled holds every id ScheduleArrivalPri accepted, so a
-	// duplicate is rejected federation-wide. It is the only per-job
-	// record the federation keeps: a routed job's shard is the shard
-	// whose session lists it.
-	scheduled map[string]struct{}
+	// scheduled indexes every id ScheduleArrivalPri accepted by its
+	// place in arrivals, so a duplicate is rejected federation-wide. It
+	// is the only per-job index the federation keeps: a routed job's
+	// shard is the shard whose session lists it.
+	scheduled idindex.Index
 	// broker state
 	leases  []*Lease // every lease ever granted, by ID
 	active  []*Lease // active leases, ascending ID
@@ -304,11 +305,7 @@ func New(cfg Config) (*Federation, error) {
 	cfg.Lending.AggregateCapW = cap
 	scale := cap / nameplate
 
-	f := &Federation{
-		cfg:       cfg,
-		eng:       des.NewEngine(),
-		scheduled: make(map[string]struct{}),
-	}
+	f := &Federation{cfg: cfg, eng: des.NewEngine()}
 	spec := hw.HaswellSpec()
 	model, err := core.TrainNPModel(spec)
 	if err != nil {
@@ -411,7 +408,8 @@ func (f *Federation) ScheduleArrivalPri(t float64, id string, app *workload.Spec
 	if app == nil {
 		return fmt.Errorf("fed: job %q has no application", id)
 	}
-	if _, dup := f.scheduled[id]; dup {
+	_, slot, dup := f.scheduled.Find(id, f.arrivalID)
+	if dup {
 		return fmt.Errorf("fed: duplicate job id %q", id)
 	}
 	// Schedule first: a time the engine rejects (NaN, ±Inf, the past)
@@ -419,11 +417,14 @@ func (f *Federation) ScheduleArrivalPri(t float64, id string, app *workload.Spec
 	if _, err := f.eng.At(t, f, fevArrival, uint64(len(f.arrivals))); err != nil {
 		return err
 	}
-	f.scheduled[id] = struct{}{}
+	f.scheduled.Fill(slot, int32(len(f.arrivals)))
 	f.arrivals = append(f.arrivals, fedArrival{id: id, app: app, key: key, t: t, pri: pri})
 	f.arrivalsLeft++
 	return nil
 }
+
+// arrivalID is the scheduled index's key: the id of arrival i.
+func (f *Federation) arrivalID(i int32) string { return f.arrivals[i].id }
 
 // routeArrival places one due arrival onto a shard.
 func (f *Federation) routeArrival(a fedArrival) {

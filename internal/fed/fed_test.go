@@ -745,7 +745,7 @@ func TestScheduleArrivalRejectedTimeFreesID(t *testing.T) {
 			if err := f.ScheduleArrivalPri(c.t(f.Now()), "x", workload.CoMD(), "", 0); err == nil {
 				t.Fatalf("time %v accepted", c.t(f.Now()))
 			}
-			if _, ok := f.scheduled["x"]; ok {
+			if _, ok := f.scheduled.Lookup("x", f.arrivalID); ok {
 				t.Fatal("rejected arrival left the id scheduled")
 			}
 			if n := f.ArrivalsPending(); n != 0 {

@@ -91,6 +91,21 @@ func checkQueueCounts(t *testing.T, tag string, st *schedState) {
 	}
 }
 
+// liveRecords lists the records the id index holds, by id.
+func liveRecords(st *schedState) map[string]*jobRecord {
+	recs := map[string]*jobRecord{}
+	st.jobs.Each(func(i int32) { recs[st.recs[i].job.ID] = st.recs[i] })
+	return recs
+}
+
+// record returns id's record, or nil when the id index lacks it.
+func record(st *schedState, id string) *jobRecord {
+	if i, ok := st.jobs.Lookup(id, st.recID); ok {
+		return st.recs[i]
+	}
+	return nil
+}
+
 // checkRecords requires every job record to match where its job
 // physically is: a running record's slot is live and holds it, a
 // retrying record's backoff event is pending, a queued record has
@@ -109,12 +124,16 @@ func checkRecords(t *testing.T, tag string, st *schedState) {
 		}
 	}
 	open, running := 0, 0
-	for id, rec := range st.jobs {
+	recs := liveRecords(st)
+	if len(recs) != st.jobs.Len() {
+		t.Fatalf("%s: the id index holds %d entries for %d ids", tag, st.jobs.Len(), len(recs))
+	}
+	for id, rec := range recs {
 		bad := func(what string) {
 			t.Helper()
 			t.Fatalf("%s: %s record of %s %s", tag, rec.state, id, what)
 		}
-		if rec.job.ID != id || st.recs[rec.idx] != rec {
+		if i, ok := st.jobs.Lookup(id, st.recID); !ok || i != rec.idx || st.recs[i] != rec {
 			bad("is not indexed under its id and arena slot")
 		}
 		if (rec.run != nil) != (rec.state == JobRunning) {
@@ -359,7 +378,7 @@ func TestDispatchReusesDecisionPerFreeState(t *testing.T) {
 	}
 	for o.st.qlive > 0 {
 		running := 0
-		for _, rec := range o.st.jobs {
+		for _, rec := range liveRecords(o.st) {
 			if rec.state == JobRunning {
 				running++
 				states[math.Float64bits(o.st.freeW+rec.run.powerUsed)] = true

@@ -37,6 +37,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/faults"
 	"repro/internal/hw"
+	"repro/internal/idindex"
 	"repro/internal/perfmodel"
 	"repro/internal/power"
 	"repro/internal/recommend"
@@ -513,14 +514,13 @@ type schedState struct {
 	bound   float64 // current (possibly time-varying) bound
 	stats   *Stats
 	// job-record arena: recs[:nrecs] have been handed out (recs[i].idx
-	// == i); jobs indexes the live ones by id, and freeRecs is the stack
-	// of forgotten ones, which the arena hands out again. jobsRoom is
-	// the most entries jobs is known to hold without growing (grow).
+	// == i); jobs indexes the live ones by id over the arena (recID is
+	// its key), and freeRecs is the stack of forgotten ones, which the
+	// arena hands out again.
 	recs     []*jobRecord
 	nrecs    int32
 	freeRecs []int32
-	jobs     map[string]*jobRecord
-	jobsRoom int
+	jobs     idindex.Index
 	// running-slot arena: slots[i].slot == i; freeSlots is the stack of
 	// recyclable indices; nrunning counts the live slots.
 	slots     []*runningJob
@@ -623,7 +623,6 @@ func (s *Scheduler) newState(online bool) (*schedState, error) {
 			s:      s,
 			eng:    des.NewEngine(),
 			m:      cellMetrics[telemetry.NextCell()],
-			jobs:   make(map[string]*jobRecord),
 			dcache: make(map[*workload.Spec]*dispatchEntry),
 		}
 	}
@@ -666,7 +665,7 @@ func (st *schedState) reset(online bool) {
 		dc.free, dc.live = dc.free[:0], 0
 	}
 	st.nrecs, st.freeRecs = 0, st.freeRecs[:0]
-	clear(st.jobs)
+	st.jobs.Reset()
 	st.freeSlots = st.freeSlots[:0]
 	for i, rj := range st.slots {
 		rj.live = false // a Run that ended in error leaves slots live
@@ -700,8 +699,11 @@ func (st *schedState) reset(online bool) {
 	st.jobsLeft = 0
 }
 
-// newRecord takes a queued record for j from the record arena and
-// indexes it by id; the caller has checked that the id is new.
+// recID is the id index's key: the id of record i.
+func (st *schedState) recID(i int32) string { return st.recs[i].job.ID }
+
+// newRecord takes a queued record for j from the record arena; the
+// caller indexes it in the slot its duplicate check found.
 func (st *schedState) newRecord(j Job) *jobRecord {
 	var idx int32
 	if n := len(st.freeRecs); n > 0 {
@@ -715,24 +717,16 @@ func (st *schedState) newRecord(j Job) *jobRecord {
 	}
 	rec := st.recs[idx]
 	*rec = jobRecord{job: j, idx: idx}
-	st.jobs[j.ID] = rec
 	return rec
 }
 
-// grow makes room for n more jobs: the id index is presized to hold
+// grow makes room for n more jobs: the id index reserves room for
 // them beside the live ones, and the arena takes the records it lacks
 // from one block. Records the arena already owns, handed out before or
 // forgotten since, count against n, so a pooled state that has run as
 // many jobs before allocates nothing.
 func (st *schedState) grow(n int) {
-	st.jobsRoom = max(st.jobsRoom, len(st.jobs))
-	if want := len(st.jobs) + n; want > st.jobsRoom {
-		jobs := make(map[string]*jobRecord, want)
-		for id, rec := range st.jobs {
-			jobs[id] = rec
-		}
-		st.jobs, st.jobsRoom = jobs, want
-	}
+	st.jobs.Reserve(n)
 	short := n - len(st.freeRecs) - (len(st.recs) - int(st.nrecs))
 	if short <= 0 {
 		return
@@ -748,7 +742,7 @@ func (st *schedState) grow(n int) {
 // its id may be submitted again, and the arena hands the record out
 // again.
 func (st *schedState) forget(rec *jobRecord) {
-	delete(st.jobs, rec.job.ID)
+	st.jobs.Remove(rec.job.ID, rec.idx)
 	*rec = jobRecord{idx: rec.idx}
 	st.freeRecs = append(st.freeRecs, rec.idx)
 }
@@ -823,10 +817,12 @@ func (s *Scheduler) Run(jobs []Job) (*Stats, error) {
 	// Arrival events fire in (time, schedule order), so scheduling them
 	// in list order starts equal arrivals in list order without a sort.
 	for _, j := range jobs {
-		if _, dup := st.jobs[j.ID]; dup {
+		_, slot, dup := st.jobs.Find(j.ID, st.recID)
+		if dup {
 			return nil, fmt.Errorf("%w: %q", ErrDuplicateJob, j.ID)
 		}
 		rec := st.newRecord(j)
+		st.jobs.Fill(slot, rec.idx)
 		if _, err := st.eng.At(j.Arrival, st, evkArrival, uint64(rec.idx)); err != nil {
 			return nil, err
 		}

@@ -268,9 +268,10 @@ func (o *Online) Advance(t float64) error {
 // Higher priorities dispatch first and, when Config.Preempt is enabled,
 // may evict running lower-priority jobs. The arrival is injected as a
 // DES event and executed before SubmitPri returns, so the returned
-// status already reflects the placement decision: running (with its
-// node set and budget) or queued. Job ids are unique for the lifetime
-// of the session.
+// status, built from the record the submission took, already reflects
+// the placement decision: running (with its node set and budget) or
+// queued. Job ids are unique among the jobs the session holds; an id
+// EvacuateQueued handed back may be submitted again.
 func (o *Online) SubmitPri(id string, app *workload.Spec, pri int) (JobStatus, error) {
 	rec, err := o.newJob(id, app, pri)
 	if err != nil {
@@ -288,13 +289,13 @@ func (o *Online) SubmitPri(id string, app *workload.Spec, pri int) (JobStatus, e
 	if o.st.failure != nil {
 		return JobStatus{}, o.st.failure
 	}
-	return o.Status(id)
+	return status(rec, o.st.queuePos(rec)), nil
 }
 
-// Grow prepares the session for n more submissions: the id index is
-// presized for them and the job records they lack come from one block,
-// so the submissions neither rehash the index nor allocate records one
-// by one. It changes no scheduling state.
+// Grow prepares the session for n more submissions: the id index
+// reserves room for them and the job records they lack come from one
+// block, so the submissions neither grow the index nor allocate records
+// one by one. It changes no scheduling state.
 func (o *Online) Grow(n int) { o.st.grow(n) }
 
 // Readmit admits a job at the current virtual time exactly as SubmitPri
@@ -335,7 +336,8 @@ func (o *Online) newJob(id string, app *workload.Spec, pri int) (*jobRecord, err
 	if app == nil {
 		return nil, fmt.Errorf("jobsched: job %q has no application", id)
 	}
-	if _, dup := o.st.jobs[id]; dup {
+	_, slot, dup := o.st.jobs.Find(id, o.st.recID)
+	if dup {
 		return nil, fmt.Errorf("%w: %q", ErrDuplicateJob, id)
 	}
 	if o.st.failure != nil {
@@ -345,6 +347,7 @@ func (o *Online) newJob(id string, app *workload.Spec, pri int) (*jobRecord, err
 		pri = app.Priority
 	}
 	rec := o.st.newRecord(Job{ID: id, App: app, Arrival: o.st.eng.Now(), Priority: pri})
+	o.st.jobs.Fill(slot, rec.idx)
 	o.st.jobsLeft++
 	return rec, nil
 }
@@ -383,15 +386,12 @@ func (o *Online) SubmitBatch(subs []Submission) []SubmitResult {
 
 // Status reports the current state of a submitted job.
 func (o *Online) Status(id string) (JobStatus, error) {
-	rec, ok := o.st.jobs[id]
+	idx, ok := o.st.jobs.Lookup(id, o.st.recID)
 	if !ok {
 		return JobStatus{}, fmt.Errorf("%w: %q", ErrUnknownJob, id)
 	}
-	pos := 0
-	if rec.state == JobQueued {
-		pos = o.st.queuePos(rec)
-	}
-	return status(rec, pos), nil
+	rec := o.st.recs[idx]
+	return status(rec, o.st.queuePos(rec)), nil
 }
 
 // status builds a job's status from its record; queuePos is a queued
@@ -427,12 +427,16 @@ func status(rec *jobRecord, queuePos int) JobStatus {
 	return js
 }
 
-// queuePos returns a queued job's 0-based position in dispatch order:
+// queuePos returns a queued job's 0-based position in dispatch order
+// (0 for a job that is not queued):
 // the live jobs of every higher priority level plus the job's place in
 // its own level's FIFO. Positions are dense and gap-free across cancel
 // tombstones, queue compaction, evacuations and preemption re-enqueues.
 func (st *schedState) queuePos(rec *jobRecord) int {
 	pri, pos := rec.job.Priority, 0
+	if rec.state != JobQueued {
+		return 0
+	}
 	for li := range st.levels {
 		l := &st.levels[li]
 		if l.pri > pri {
@@ -471,23 +475,24 @@ func (st *schedState) queuePos(rec *jobRecord) int {
 // positions come from one walk of the queue in dispatch order, not one
 // walk per queued job.
 func (o *Online) Jobs() []JobStatus {
-	pos := make(map[*jobRecord]int, o.st.qlive)
-	for li := range o.st.levels {
-		l := &o.st.levels[li]
+	st := o.st
+	pos := make([]int, st.nrecs) // by arena index; read for queued jobs only
+	n := 0
+	for li := range st.levels {
+		l := &st.levels[li]
 		for qi := l.head; qi < len(l.q); qi++ {
-			if !l.q[qi].started {
-				pos[l.q[qi].rec] = len(pos)
+			if e := &l.q[qi]; !e.started {
+				pos[e.rec.idx] = n
+				n++
 			}
 		}
 	}
-	recs := make([]*jobRecord, 0, len(o.st.jobs))
-	for _, rec := range o.st.jobs {
-		recs = append(recs, rec)
-	}
+	recs := make([]*jobRecord, 0, st.jobs.Len())
+	st.jobs.Each(func(i int32) { recs = append(recs, st.recs[i]) })
 	slices.SortFunc(recs, func(a, b *jobRecord) int { return strings.Compare(a.job.ID, b.job.ID) })
 	out := make([]JobStatus, len(recs))
 	for i, rec := range recs {
-		out[i] = status(rec, pos[rec])
+		out[i] = status(rec, pos[rec.idx])
 	}
 	return out
 }
@@ -499,10 +504,11 @@ func (o *Online) Jobs() []JobStatus {
 // watts reclaimed.
 func (o *Online) Cancel(id string) (float64, error) {
 	st := o.st
-	rec, ok := st.jobs[id]
+	idx, ok := st.jobs.Lookup(id, st.recID)
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownJob, id)
 	}
+	rec := st.recs[idx]
 	if rec.state.Terminal() {
 		return 0, fmt.Errorf("%w: job %q is %s", ErrJobTerminal, id, rec.state)
 	}

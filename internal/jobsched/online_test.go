@@ -1,8 +1,10 @@
 package jobsched
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -368,7 +370,7 @@ func TestOnlineCancelRetryingJob(t *testing.T) {
 // killTime returns the kill time id's record holds, if it has a record
 // that holds one.
 func killTime(o *Online, id string) (float64, bool) {
-	if rec := o.st.jobs[id]; rec != nil && rec.killed {
+	if rec := record(o.st, id); rec != nil && rec.killed {
 		return rec.killedAt, true
 	}
 	return 0, false
@@ -416,7 +418,7 @@ func TestQueueRemovalForgetsKillTime(t *testing.T) {
 				if _, leaked := killTime(o, id); leaked {
 					t.Errorf("evacuate=%v: %s removed from the queue but its kill time stayed", evacuate, id)
 				}
-				if evacuate && o.st.jobs[id] != nil {
+				if evacuate && record(o.st, id) != nil {
 					t.Errorf("%s evacuated but its record stayed", id)
 				}
 				removed++
@@ -618,4 +620,126 @@ func TestReadmitMatchesSubmitPri(t *testing.T) {
 	if outcomes[JobQueued] == 0 || outcomes[JobRunning] == 0 || preempted == 0 {
 		t.Errorf("re-admissions never both queued and started, or nothing was preempted: the traces test too little")
 	}
+}
+
+// TestEvacuateReadmitSameSession evacuates a session's queue and brings
+// the same ids back into the same session, round after round, with new
+// submissions, cancels and time passing between rounds: the path of a
+// federated job that moves between shards and returns to one it left.
+// Even rounds bring the ids back through Readmit, odd rounds through
+// SubmitPri. The record arena hands freed records out last-in
+// first-out and the ids come back in evacuation order, so a returning
+// id lands on another record than the one it left. Evacuated ids must be free
+// until they return; after every round every id must be known, Jobs()
+// must list them in id order with the statuses Status reports, and a
+// known id must be refused as a duplicate.
+func TestEvacuateReadmitSameSession(t *testing.T) {
+	apps := []*workload.Spec{workload.CoMD(), workload.LUMZ(), workload.SPMZ()}
+	o := online(t, Config{Bound: 1200, Policy: Backfill, Preempt: true})
+	r := rng.New(7)
+	var ids []string // every id submitted, ascending
+	var buf []Job
+	moved, moves := map[int32]bool{}, 0
+	for round := 0; round < 40; round++ {
+		tag := fmt.Sprintf("round %d", round)
+		check := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+		}
+		for k := 0; k < 8; k++ {
+			id, pri := fmt.Sprintf("j%04d", len(ids)), 0
+			if r.Intn(5) == 0 {
+				pri = 5
+			}
+			_, err := o.SubmitPri(id, apps[r.Intn(len(apps))], pri)
+			check(err)
+			ids = append(ids, id)
+		}
+		for k := 0; k < 2; k++ {
+			if id := ids[r.Intn(len(ids))]; !statusOf(t, o, id).State.Terminal() {
+				_, err := o.Cancel(id)
+				check(err)
+			}
+		}
+		check(o.Advance(o.Now() + 40*r.Float64()))
+
+		before := map[string]int32{}
+		for _, rec := range liveRecords(o.st) {
+			before[rec.job.ID] = rec.idx
+		}
+		buf = o.EvacuateQueued(buf[:0])
+		for _, j := range buf {
+			if _, err := o.Status(j.ID); !errors.Is(err, ErrUnknownJob) {
+				t.Fatalf("%s: evacuated %s: Status error %v, want ErrUnknownJob", tag, j.ID, err)
+			}
+		}
+		if n := len(o.Jobs()); n != len(ids)-len(buf) {
+			t.Fatalf("%s: %d jobs listed after evacuating %d of %d", tag, n, len(buf), len(ids))
+		}
+		check(o.Advance(o.Now()))
+		for _, j := range buf {
+			if round%2 == 0 {
+				check(o.Readmit(j.ID, j.App, j.Priority))
+			} else {
+				_, err := o.SubmitPri(j.ID, j.App, j.Priority)
+				check(err)
+			}
+			if js := statusOf(t, o, j.ID); js.Arrival != o.Now() || js.Priority != j.Priority {
+				t.Fatalf("%s: %s came back arriving at %g with priority %d, want %g and %d",
+					tag, j.ID, js.Arrival, js.Priority, o.Now(), j.Priority)
+			}
+			if idx := record(o.st, j.ID).idx; idx != before[j.ID] {
+				moved[idx] = true
+			}
+		}
+		moves += len(buf)
+		checkIndex(t, tag, o, ids)
+	}
+	if err := o.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	checkIndex(t, "drained", o, ids)
+	t.Logf("%d evacuations came back, %d records taken by another id", moves, len(moved))
+	if moves < 200 || len(moved) < 20 {
+		t.Errorf("%d evacuations came back on %d other records: the rounds test too little", moves, len(moved))
+	}
+}
+
+// statusOf is Status for an id the session must know.
+func statusOf(t *testing.T, o *Online, id string) JobStatus {
+	t.Helper()
+	js, err := o.Status(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return js
+}
+
+// checkIndex requires the session to know exactly ids (ascending):
+// Jobs() lists them in order, each with the status Status reports, and
+// each is refused as a duplicate by SubmitPri and Readmit. It also
+// checks every record against where its job is.
+func checkIndex(t *testing.T, tag string, o *Online, ids []string) {
+	t.Helper()
+	jobs := o.Jobs()
+	if len(jobs) != len(ids) {
+		t.Fatalf("%s: %d jobs listed, %d submitted", tag, len(jobs), len(ids))
+	}
+	for i, js := range jobs {
+		if js.ID != ids[i] {
+			t.Fatalf("%s: Jobs()[%d] is %s, want %s", tag, i, js.ID, ids[i])
+		}
+		if st := statusOf(t, o, js.ID); !reflect.DeepEqual(st, js) {
+			t.Fatalf("%s: Status(%s) = %+v, Jobs() lists %+v", tag, js.ID, st, js)
+		}
+		if _, err := o.SubmitPri(js.ID, workload.CoMD(), 0); !errors.Is(err, ErrDuplicateJob) {
+			t.Fatalf("%s: resubmitting %s (%s): %v, want ErrDuplicateJob", tag, js.ID, js.State, err)
+		}
+		if err := o.Readmit(js.ID, workload.CoMD(), 0); !errors.Is(err, ErrDuplicateJob) {
+			t.Fatalf("%s: readmitting %s (%s): %v, want ErrDuplicateJob", tag, js.ID, js.State, err)
+		}
+	}
+	checkRecords(t, tag, o.st)
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/rng"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -274,7 +275,9 @@ func TestQueuePosDenseAcrossChurn(t *testing.T) {
 // green, preempted jobs are re-enqueued exactly once per eviction, and
 // no job is ever lost.
 func TestPriorityPropertyRandomTrace(t *testing.T) {
+	preempted := telemetry.Default.Counter("clip_jobs_preempted_total", "")
 	for _, seed := range []uint64{3, 17, 101} {
+		before := preempted.Value()
 		o := online(t, Config{Bound: 3000, Policy: AggressiveBackfill, Reallocate: true, Preempt: true})
 		r := rng.New(seed)
 		apps := []*workload.Spec{workload.CoMD(), pinnedApp(0, 3), pinnedApp(4, 7)}
@@ -354,6 +357,10 @@ func TestPriorityPropertyRandomTrace(t *testing.T) {
 		}
 		if preSum != evictions {
 			t.Fatalf("seed %d: eviction ledger mismatch: observed %d step-ups, final sum %d", seed, evictions, preSum)
+		}
+		if n := preempted.Value() - before; n != uint64(o.st.stats.Preemptions) || int(n) != preSum {
+			t.Fatalf("seed %d: clip_jobs_preempted_total rose %d; the run reports %d evictions, the jobs %d",
+				seed, n, o.st.stats.Preemptions, preSum)
 		}
 		if evictions == 0 && seed == 3 {
 			t.Log("seed 3 produced no evictions; property run degenerate")
