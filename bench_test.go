@@ -214,11 +214,9 @@ func BenchmarkColdCLIP(b *testing.B) {
 	}
 }
 
-// BenchmarkFedNew measures federation construction at the fed-scale
-// shape: 64 shards of 4 nodes at 400 W each, no arrivals scheduled. It
-// is dominated by building the shard clusters and CLIP instances, which
-// share one NP regression trained per federation.
-func BenchmarkFedNew(b *testing.B) {
+// fedScaleConfig is the fed-scale federation shape: 64 shards of 4
+// nodes at 400 W each, locality routing, lending off.
+func fedScaleConfig() fed.Config {
 	cfg := fed.Config{Routing: fed.Locality}
 	for i := 0; i < 64; i++ {
 		cfg.Shards = append(cfg.Shards, fed.ShardConfig{
@@ -226,10 +224,48 @@ func BenchmarkFedNew(b *testing.B) {
 			Policy: jobsched.AggressiveBackfill, Reallocate: true,
 		})
 	}
+	return cfg
+}
+
+// BenchmarkFedNew measures federation construction at the fed-scale
+// shape, no arrivals scheduled. It is dominated by building the shard
+// clusters and CLIP instances, which share one NP regression trained
+// per federation.
+func BenchmarkFedNew(b *testing.B) {
+	cfg := fedScaleConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := fed.New(cfg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFedBuild measures what a fed-scale trial pays before it
+// runs: fed.New at the fed-scale shape plus 65,536 scheduled arrivals
+// (gaps uniform on [0, 0.5) s, applications uniform over the suite).
+// The trace is generated once, outside the timer.
+func BenchmarkFedBuild(b *testing.B) {
+	cfg := fedScaleConfig()
+	const n = 65536
+	r := rng.New(1)
+	suite := workload.Suite()
+	ids, ts, apps := make([]string, n), make([]float64, n), make([]*workload.Spec, n)
+	now := 0.0
+	for i := range ids {
+		now += r.Range(0, 0.5)
+		ids[i], ts[i], apps[i] = fmt.Sprintf("fed-build-%d", i), now, suite[r.Intn(len(suite))]
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := fed.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k := range ids {
+			if err := f.ScheduleArrivalPri(ts[k], ids[k], apps[k], ids[k], 0); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -24,6 +24,11 @@
 // interface{} boxing) with a free list for Event structs, so steady
 // simulation runs allocate next to nothing per event; cancelled events
 // are compacted out of the queue once they outnumber the live ones.
+// When the free list is empty, events are cut from slabs that double
+// with the events an engine has cut, up to slabEvents: scheduling a
+// long trace up front (the federation's arrivals) costs one allocation
+// per slabEvents events, and an engine that never holds many events at
+// once (a small shard's) never pays for a large slab.
 package des
 
 import (
@@ -73,21 +78,22 @@ type Handler interface {
 	HandleEvent(kind uint16, arg uint64)
 }
 
-// Event is a scheduled handler call in virtual time.
+// Event is a scheduled handler call in virtual time. The small fields
+// come last, which keeps an event, and a slab, an eighth smaller.
 type Event struct {
 	Time float64
+	seq  uint64
+	h    Handler
+	arg  uint64
+	// eng is the owning engine while the event is pending; nil once it
+	// has fired or been reclaimed (events are recycled via a free list).
+	eng *Engine
 	// Kind is the dispatch kind the handler receives. The engine never
 	// interprets it; it is cleared when the event fires or is
 	// reclaimed, so recycled events start unlabelled.
 	Kind uint16
-	seq  uint64
-	h    Handler
-	arg  uint64
 	// cancelled events stay in the heap but do nothing when popped.
 	cancelled bool
-	// eng is the owning engine while the event is pending; nil once it
-	// has fired or been reclaimed (events are recycled via a free list).
-	eng *Engine
 }
 
 // Cancel marks the event so it is skipped when its time comes. It is
@@ -113,6 +119,8 @@ type Engine struct {
 	seq   uint64
 	queue []*Event // binary heap ordered by (Time, seq)
 	free  []*Event // reclaimed events awaiting reuse
+	slab  []Event  // the uncut rest of the newest slab
+	cut   int      // events cut from slabs so far
 	// cancelled counts cancelled events still sitting in the queue.
 	cancelled int
 	// compactions counts queue rebuilds that purged cancelled events.
@@ -156,7 +164,16 @@ func (e *Engine) publish(steps, comps int) {
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// alloc takes an Event from the free list or the heap (the Go one).
+// A slab holds as many events as the engine has cut before it, at
+// least minSlab and at most slabEvents.
+const (
+	minSlab    = 16
+	slabEvents = 256
+)
+
+// alloc takes an Event from the free list or, when the list is empty,
+// cuts the next one from the current slab, allocating a new slab when
+// that one is used up.
 func (e *Engine) alloc() *Event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
@@ -164,7 +181,14 @@ func (e *Engine) alloc() *Event {
 		e.free = e.free[:n-1]
 		return ev
 	}
-	return new(Event)
+	if len(e.slab) == 0 {
+		n := min(slabEvents, max(minSlab, e.cut))
+		e.slab = make([]Event, n)
+		e.cut += n
+	}
+	ev := &e.slab[0]
+	e.slab = e.slab[1:]
+	return ev
 }
 
 // reclaim returns a finished event to the free list.
@@ -406,8 +430,10 @@ func (e *Engine) RunBefore(t float64) (int, error) {
 // had fired: Steps and the events counter rise by the returned count,
 // and the clock ends at the last one's time. Cancelled events are
 // dropped uncounted. No event is recycled onto the free list, so a
-// trace handed off once leaves no free list as long as itself. fn must
-// not schedule on the engine: Skip empties the queue it is reading.
+// trace handed off once leaves no free list as long as itself: the
+// skipped events' slabs go to the collector once nothing else on them
+// is referenced. fn must not schedule on the engine: Skip empties the
+// queue it is reading.
 //
 // The queue array is sorted in place; a trace scheduled in time order
 // is already sorted as a heap array, so that sort is one linear pass.

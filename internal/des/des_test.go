@@ -3,6 +3,8 @@ package des
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/hw"
@@ -747,5 +749,73 @@ func TestSkip(t *testing.T) {
 	}
 	if handled != 2 || e.Now() != 3.5 || e.Steps != steps+n+1 {
 		t.Errorf("event after Skip: handled %d, clock %v, Steps +%d", handled-1, e.Now(), e.Steps-steps)
+	}
+}
+
+// nop is a handler that does nothing.
+type nop struct{}
+
+func (nop) HandleEvent(uint16, uint64) {}
+
+// TestEventsComeFromSlabs: events are cut from slabs that double from
+// minSlab to slabEvents. A fresh engine's first event takes a small
+// slab; scheduling N events makes at most ⌈N/slabEvents⌉ event
+// allocations plus four, as the 16-, 16-, 32-, 64- and 128-event slabs
+// take the place of the first full one; and events that have fired
+// are reused before a new slab is cut.
+func TestEventsComeFromSlabs(t *testing.T) {
+	const n = 5*slabEvents + 17
+	e := NewEngine()
+	e.queue = make([]*Event, 0, n) // count event allocations only
+	var before, after runtime.MemStats
+
+	// The first event costs a small slab, so an engine that never holds
+	// many events (a small shard's) never pays for a full one. The
+	// bound is two minSlab slabs, room for the allocator's size class.
+	runtime.ReadMemStats(&before)
+	if _, err := e.At(0, nop{}, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got, max := after.TotalAlloc-before.TotalAlloc, 2*minSlab*uint64(reflect.TypeOf(Event{}).Size()); got > max {
+		t.Errorf("a fresh engine's first event allocated %d bytes, want at most %d (two %d-event slabs)", got, max, minSlab)
+	}
+
+	runtime.ReadMemStats(&before)
+	for i := 1; i < n; i++ {
+		if _, err := e.At(float64(i), nop{}, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got, max := after.Mallocs-before.Mallocs, uint64((n+slabEvents-1)/slabEvents+4); got > max {
+		t.Errorf("scheduling %d events made %d allocations, want at most %d", n, got, max)
+	}
+
+	// Fire the first k, then schedule k more: every new event must be a
+	// fired one, and the current slab must stay uncut.
+	const k = 40
+	fired := map[*Event]bool{}
+	for _, ev := range e.queue {
+		if ev.Time < k {
+			fired[ev] = true
+		}
+	}
+	if _, err := e.RunBefore(k); err != nil {
+		t.Fatal(err)
+	}
+	uncut := len(e.slab)
+	for i := 0; i < k; i++ {
+		ev, err := e.At(float64(n+i), nop{}, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !fired[ev] {
+			t.Fatalf("event %d of %d came from a slab while %d fired events were free", i, k, k-i)
+		}
+		delete(fired, ev)
+	}
+	if len(e.slab) != uncut {
+		t.Errorf("the slab lost %d events while fired ones were free", uncut-len(e.slab))
 	}
 }

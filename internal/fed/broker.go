@@ -154,7 +154,12 @@ func (f *Federation) releasePass() {
 
 // grantPass lends one quantum to each starved shard that can still
 // accept a lease, from the idle shard with the most envelope headroom.
+// The lender is picked once per pass and again only after a grant:
+// until a grant the pass changes no shard, and a borrower has queued
+// work, so it is never a lender candidate itself.
 func (f *Federation) grantPass() {
+	var lender *Shard
+	picked := false
 	for _, b := range f.shards {
 		if !f.routable(b.ID) {
 			continue // broker link down or entitlement not re-earned
@@ -165,11 +170,14 @@ func (f *Federation) grantPass() {
 		if f.borrowCount(b.ID) >= maxBorrowed {
 			continue
 		}
-		lender := f.pickLender(b.ID)
+		if !picked {
+			lender, picked = f.pickLender(), true
+		}
 		if lender == nil {
 			continue
 		}
 		f.grant(lender, b)
+		picked = false
 	}
 }
 
@@ -186,12 +194,12 @@ func (f *Federation) borrowCount(shard int) int {
 
 // pickLender selects the idle shard with the most lendable headroom
 // (ties to the lower id); nil when nobody can cover a quantum.
-func (f *Federation) pickLender(borrower int) *Shard {
+func (f *Federation) pickLender() *Shard {
 	cfg := f.cfg.Lending
 	var best *Shard
 	var bestHead float64
 	for _, sh := range f.shards {
-		if sh.ID == borrower || sh.Online.QueueLen() > 0 || !f.routable(sh.ID) {
+		if sh.Online.QueueLen() > 0 || !f.routable(sh.ID) {
 			continue
 		}
 		// Headroom: free watts beyond the reserve, capped so

@@ -207,6 +207,14 @@ type fedArrival struct {
 	pri int     // scheduling priority (0 inherits the app default)
 }
 
+// The arrival arena's blocks hold arrivalBlock arrivals each, a power
+// of two, so an arena index splits into block and offset with a shift
+// and a mask.
+const (
+	arrivalShift = 12
+	arrivalBlock = 1 << arrivalShift
+)
+
 // Federation drives N shards from one shared clock. Not safe for
 // concurrent use.
 type Federation struct {
@@ -219,9 +227,12 @@ type Federation struct {
 	// event anywhere in the federation.
 	now float64
 	// arrivals is the arrival arena: a fevArrival event's argument and
-	// a partitioned replay's per-shard lists are indices into it. It is
-	// written only by ScheduleArrivalPri and never copied.
-	arrivals []fedArrival
+	// a partitioned replay's per-shard lists are indices into it, read
+	// through arrival. It lives in fixed blocks of arrivalBlock, so it
+	// grows a block at a time and never copies an arrival or moves one;
+	// narrivals counts the arrivals ScheduleArrivalPri has written.
+	arrivals  []*[arrivalBlock]fedArrival
+	narrivals int32
 	// scheduled indexes every id ScheduleArrivalPri accepted by its
 	// place in arrivals, so a duplicate is rejected federation-wide. It
 	// is the only per-job index the federation keeps: a routed job's
@@ -378,7 +389,7 @@ func (f *Federation) HandleEvent(kind uint16, arg uint64) {
 	switch kind {
 	case fevArrival:
 		f.arrivalsLeft--
-		f.routeArrival(f.arrivals[arg])
+		f.routeArrival(f.arrival(int32(arg)))
 	case fevLeaseExpiry:
 		f.expireLease(f.leases[arg])
 	case fevShardCrash:
@@ -414,20 +425,30 @@ func (f *Federation) ScheduleArrivalPri(t float64, id string, app *workload.Spec
 	}
 	// Schedule first: a time the engine rejects (NaN, ±Inf, the past)
 	// must leave the id free and the arrival arena untouched.
-	if _, err := f.eng.At(t, f, fevArrival, uint64(len(f.arrivals))); err != nil {
+	i := f.narrivals
+	if _, err := f.eng.At(t, f, fevArrival, uint64(i)); err != nil {
 		return err
 	}
-	f.scheduled.Fill(slot, int32(len(f.arrivals)))
-	f.arrivals = append(f.arrivals, fedArrival{id: id, app: app, key: key, t: t, pri: pri})
+	if int(i>>arrivalShift) == len(f.arrivals) {
+		f.arrivals = append(f.arrivals, new([arrivalBlock]fedArrival))
+	}
+	*f.arrival(i) = fedArrival{id: id, app: app, key: key, t: t, pri: pri}
+	f.narrivals++
+	f.scheduled.Fill(slot, i)
 	f.arrivalsLeft++
 	return nil
 }
 
+// arrival returns arrival i of the arena.
+func (f *Federation) arrival(i int32) *fedArrival {
+	return &f.arrivals[i>>arrivalShift][i&(arrivalBlock-1)]
+}
+
 // arrivalID is the scheduled index's key: the id of arrival i.
-func (f *Federation) arrivalID(i int32) string { return f.arrivals[i].id }
+func (f *Federation) arrivalID(i int32) string { return f.arrival(i).id }
 
 // routeArrival places one due arrival onto a shard.
-func (f *Federation) routeArrival(a fedArrival) {
+func (f *Federation) routeArrival(a *fedArrival) {
 	sh := f.shards[f.pickShard(a)]
 	f.touch(sh)
 	if err := sh.Online.Advance(f.eng.Now()); err != nil {

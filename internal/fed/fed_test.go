@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -593,16 +594,16 @@ func TestRoutingPolicies(t *testing.T) {
 	}
 
 	f.cfg.Routing = LeastLoaded
-	if got := f.pickShard(fedArrival{id: "x"}); got != 1 {
+	if got := f.pickShard(&fedArrival{id: "x"}); got != 1 {
 		t.Errorf("least-loaded picked %d, want 1", got)
 	}
 	f.cfg.Routing = PowerHeadroom
-	if got := f.pickShard(fedArrival{id: "x"}); got == 0 {
+	if got := f.pickShard(&fedArrival{id: "x"}); got == 0 {
 		t.Errorf("power-headroom picked the loaded shard 0")
 	}
 	f.cfg.Routing = Locality
 	want := shardFor("dataset-17", 3)
-	if got := f.pickShard(fedArrival{id: "x", key: "dataset-17"}); got != want {
+	if got := f.pickShard(&fedArrival{id: "x", key: "dataset-17"}); got != want {
 		t.Errorf("locality picked %d, want %d", got, want)
 	}
 	if _, ok := ParsePolicy("locality"); !ok {
@@ -838,5 +839,69 @@ func TestScheduleArrivalRejectsDuplicateID(t *testing.T) {
 	}
 	if n := len(routedJobs(t, f)); n != len(trace) {
 		t.Errorf("%d jobs routed, want %d", n, len(trace))
+	}
+}
+
+// TestScheduleArrivalsCopyNothing schedules 65,536 arrivals on a fresh
+// federation of the fed-scale shape (64 shards of 4 nodes): the arrival
+// arena grows a block at a time, so no arrival moves, and the federation
+// engine cuts its events from slabs. The loop may make at most one heap
+// allocation per 100 arrivals, and it may allocate at most twice the
+// bytes its structures (arena, id index, engine queue, event slabs)
+// still hold once it is done.
+func TestScheduleArrivalsCopyNothing(t *testing.T) {
+	cfg := Config{Routing: Locality}
+	for i := 0; i < 64; i++ {
+		cfg.Shards = append(cfg.Shards, ShardConfig{
+			Nodes: 4, BudgetW: 400, Sigma: 0.02, Seed: int64(1000 + i),
+			Policy: jobsched.AggressiveBackfill, Reallocate: true,
+		})
+	}
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 65536
+	r := rng.New(1)
+	suite := workload.Suite()
+	ids, ts, apps := make([]string, n), make([]float64, n), make([]*workload.Spec, n)
+	now := 0.0
+	for i := range ids {
+		now += r.Range(0, 0.5)
+		ids[i], ts[i], apps[i] = fmt.Sprintf("a%05d", i), now, suite[r.Intn(len(suite))]
+	}
+
+	var before, after, held runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var first *fedArrival
+	for i := range ids {
+		if err := f.ScheduleArrivalPri(ts[i], ids[i], apps[i], ids[i], 0); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = f.arrival(0)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	runtime.GC()
+	runtime.ReadMemStats(&held)
+	runtime.KeepAlive(f)
+
+	if f.arrival(0) != first {
+		t.Error("arrival 0 moved while later arrivals were scheduled")
+	}
+	if *first != (fedArrival{id: ids[0], app: apps[0], key: ids[0], t: ts[0]}) {
+		t.Errorf("arrival 0 reads %+v", *first)
+	}
+	allocs := after.Mallocs - before.Mallocs
+	bytes := int64(after.TotalAlloc - before.TotalAlloc)
+	kept := int64(held.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("%d arrivals: %d allocations, %.1f MB allocated, %.1f MB held", n, allocs, float64(bytes)/1e6, float64(kept)/1e6)
+	if allocs > n/100 {
+		t.Errorf("scheduling %d arrivals made %d allocations, want at most %d", n, allocs, n/100)
+	}
+	if bytes > 2*kept {
+		t.Errorf("scheduling %d arrivals allocated %d bytes, over twice the %d its structures hold", n, bytes, kept)
 	}
 }

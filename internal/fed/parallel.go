@@ -148,7 +148,7 @@ func (f *Federation) runPartitioned(workers int) error {
 			}
 			return
 		}
-		sid := f.pickShard(f.arrivals[arg])
+		sid := f.pickShard(f.arrival(int32(arg)))
 		order = append(order, int32(arg))
 		sids = append(sids, int32(sid))
 		counts[sid]++
@@ -223,7 +223,7 @@ func (f *Federation) replayShard(sh *Shard, idx []int32) replayResult {
 	n := 0
 	var err error
 	for _, i := range idx {
-		a := &f.arrivals[i]
+		a := f.arrival(i)
 		var k int
 		k, err = sh.Online.ProcessEventsUntil(a.t)
 		n += k

@@ -66,7 +66,7 @@ func shardFor(key string, n int) int {
 // somewhere, and the region will run it once it recovers. Health is
 // only read at federation-owned events, so routing stays a pure
 // function of deterministic state.
-func (f *Federation) pickShard(a fedArrival) int {
+func (f *Federation) pickShard(a *fedArrival) int {
 	if f.sfaults != nil {
 		if id := f.pickAmong(a, true); id >= 0 {
 			return id
@@ -78,7 +78,7 @@ func (f *Federation) pickShard(a fedArrival) int {
 // pickAmong applies the routing policy among routable shards only when
 // routableOnly is set, among all shards otherwise; -1 when none
 // qualifies.
-func (f *Federation) pickAmong(a fedArrival, routableOnly bool) int {
+func (f *Federation) pickAmong(a *fedArrival, routableOnly bool) int {
 	switch f.cfg.Routing {
 	case PowerHeadroom:
 		// The first eligible shard, then only a strictly greater

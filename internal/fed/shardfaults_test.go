@@ -473,7 +473,7 @@ func TestRoutingAvoidsUnhealthyShards(t *testing.T) {
 		f.cfg.Routing = pol
 		f.sfaults.health = []ShardHealth{ShardHealthy, ShardHealthy, ShardHealthy}
 		f.sfaults.health[0] = ShardDown
-		if got := f.pickShard(fedArrival{id: "x"}); got == 0 {
+		if got := f.pickShard(&fedArrival{id: "x"}); got == 0 {
 			t.Errorf("%s routed to the down shard", pol)
 		}
 	}
@@ -487,16 +487,16 @@ func TestRoutingAvoidsUnhealthyShards(t *testing.T) {
 		}
 	}
 	f.sfaults.health = []ShardHealth{ShardHealthy, ShardDown, ShardHealthy}
-	if got := f.pickShard(fedArrival{id: "x", key: key}); got != 2 {
+	if got := f.pickShard(&fedArrival{id: "x", key: key}); got != 2 {
 		t.Errorf("locality probe picked %d, want 2", got)
 	}
 	f.sfaults.health[2] = ShardPartitioned
-	if got := f.pickShard(fedArrival{id: "x", key: key}); got != 0 {
+	if got := f.pickShard(&fedArrival{id: "x", key: key}); got != 0 {
 		t.Errorf("locality probe picked %d, want 0", got)
 	}
 	// Nothing routable: fall back to the health-blind home shard.
 	f.sfaults.health[0] = ShardRejoining
-	if got := f.pickShard(fedArrival{id: "x", key: key}); got != 1 {
+	if got := f.pickShard(&fedArrival{id: "x", key: key}); got != 1 {
 		t.Errorf("all-unhealthy fallback picked %d, want home shard 1", got)
 	}
 }

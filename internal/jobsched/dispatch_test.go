@@ -26,7 +26,8 @@ const coldApps = math.MaxInt32
 // scratch and walks the whole queue.
 func makeCold(st *schedState) {
 	st.settled.ok = false
-	for _, dc := range st.dcache {
+	for i := range st.apps {
+		dc := &st.apps[i].dc
 		*dc = dispatchEntry{free: dc.free[:0], live: dc.live, pl: dc.pl}
 	}
 	st.qapps = coldApps
@@ -72,18 +73,22 @@ func sameSessions(t *testing.T, tag string, got, want *Online) {
 // queued-application count from the queue itself.
 func checkQueueCounts(t *testing.T, tag string, st *schedState) {
 	t.Helper()
-	live := map[*dispatchEntry]int{}
+	live := map[int32]int{}
 	for li := range st.levels {
 		l := &st.levels[li]
 		for _, e := range l.q[l.head:] {
 			if !e.started {
-				live[e.dc]++
+				if e.app != st.recs[e.rec].app {
+					t.Fatalf("%s: queue entry of %s names application %d, its record %d",
+						tag, st.ids[e.rec], e.app, st.recs[e.rec].app)
+				}
+				live[e.app]++
 			}
 		}
 	}
-	for app, dc := range st.dcache {
-		if dc.live != live[dc] {
-			t.Fatalf("%s: %s has live count %d, queue holds %d", tag, app.Name, dc.live, live[dc])
+	for i := range st.apps {
+		if a := &st.apps[i]; a.dc.live != live[int32(i)] {
+			t.Fatalf("%s: %s has live count %d, queue holds %d", tag, a.spec.Name, a.dc.live, live[int32(i)])
 		}
 	}
 	if st.qapps != len(live) {
@@ -91,17 +96,19 @@ func checkQueueCounts(t *testing.T, tag string, st *schedState) {
 	}
 }
 
-// liveRecords lists the records the id index holds, by id.
-func liveRecords(st *schedState) map[string]*jobRecord {
-	recs := map[string]*jobRecord{}
-	st.jobs.Each(func(i int32) { recs[st.recs[i].job.ID] = st.recs[i] })
+// liveRecords lists the arena indices of the records the id index
+// holds, by id.
+func liveRecords(st *schedState) map[string]int32 {
+	recs := map[string]int32{}
+	st.jobs.Each(func(i int32) { recs[st.ids[i]] = i })
 	return recs
 }
 
-// record returns id's record, or nil when the id index lacks it.
+// record returns id's record, or nil when the id index lacks it. The
+// pointer is valid until the session takes its next record.
 func record(st *schedState, id string) *jobRecord {
 	if i, ok := st.jobs.Lookup(id, st.recID); ok {
-		return st.recs[i]
+		return &st.recs[i]
 	}
 	return nil
 }
@@ -114,7 +121,7 @@ func record(st *schedState, id string) *jobRecord {
 // Pending().
 func checkRecords(t *testing.T, tag string, st *schedState) {
 	t.Helper()
-	entries := map[*jobRecord]int{}
+	entries := map[int32]int{}
 	for li := range st.levels {
 		l := &st.levels[li]
 		for _, e := range l.q[l.head:] {
@@ -128,34 +135,36 @@ func checkRecords(t *testing.T, tag string, st *schedState) {
 	if len(recs) != st.jobs.Len() {
 		t.Fatalf("%s: the id index holds %d entries for %d ids", tag, st.jobs.Len(), len(recs))
 	}
-	for id, rec := range recs {
+	for id, idx := range recs {
+		rec := &st.recs[idx]
 		bad := func(what string) {
 			t.Helper()
 			t.Fatalf("%s: %s record of %s %s", tag, rec.state, id, what)
 		}
-		if i, ok := st.jobs.Lookup(id, st.recID); !ok || i != rec.idx || st.recs[i] != rec {
+		if i, ok := st.jobs.Lookup(id, st.recID); !ok || i != idx || rec.idx != idx || st.ids[idx] != id {
 			bad("is not indexed under its id and arena slot")
 		}
-		if (rec.run != nil) != (rec.state == JobRunning) {
+		if (rec.run != noSlot) != (rec.state == JobRunning) {
 			bad("disagrees with its running slot")
 		}
-		if (rec.backoff != nil) != (rec.state == JobRetrying) {
+		backoff, retrying := st.backoff[idx]
+		if retrying != (rec.state == JobRetrying) {
 			bad("disagrees with its backoff event")
 		}
 		want := 0
 		if rec.state == JobQueued {
 			want = 1
 		}
-		if entries[rec] != want {
-			bad(fmt.Sprintf("has %d live queue entries, want %d", entries[rec], want))
+		if entries[idx] != want {
+			bad(fmt.Sprintf("has %d live queue entries, want %d", entries[idx], want))
 		}
 		switch {
 		case rec.state == JobRunning:
 			running++
-			if rj := rec.run; !rj.live || st.slots[rj.slot] != rj || rj.rec != rec {
+			if rj := st.slots[rec.run]; !rj.live || rj.slot != rec.run || rj.rec != idx {
 				bad("holds a slot that is not live with it")
 			}
-		case rec.state == JobRetrying && !rec.backoff.Pending():
+		case rec.state == JobRetrying && !backoff.Pending():
 			bad("has no pending backoff event")
 		case rec.state.Terminal() && rec.killed:
 			bad("still holds a kill time")
@@ -242,7 +251,7 @@ func diffDispatch(t *testing.T, cfg Config, seed uint64, mix opMix, steps int) d
 			id := ""
 			if r.Intn(2) == 0 {
 				if e := cached.st.topQueued(); e != nil {
-					id = e.rec.job.ID
+					id = cached.st.ids[e.rec]
 				}
 			} else if len(known) > 0 {
 				id = known[r.Intn(len(known))]
@@ -378,10 +387,10 @@ func TestDispatchReusesDecisionPerFreeState(t *testing.T) {
 	}
 	for o.st.qlive > 0 {
 		running := 0
-		for _, rec := range liveRecords(o.st) {
-			if rec.state == JobRunning {
+		for _, idx := range liveRecords(o.st) {
+			if rec := &o.st.recs[idx]; rec.state == JobRunning {
 				running++
-				states[math.Float64bits(o.st.freeW+rec.run.powerUsed)] = true
+				states[math.Float64bits(o.st.freeW+o.st.slots[rec.run].powerUsed)] = true
 			}
 		}
 		if running != 1 {

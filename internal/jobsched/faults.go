@@ -338,11 +338,12 @@ func (st *schedState) nodeRecover(i int) {
 // schedules a backoff retry or reports the job failed once its retries
 // are exhausted.
 func (st *schedState) killJob(rj *runningJob, node int, cause string) {
-	rec := rj.rec
+	rec := &st.recs[rj.rec]
+	id := st.ids[rec.idx]
 	reclaimed := st.teardown(rj)
 	st.stats.Faults.WattsReclaimed += reclaimed
 	st.m.wattsReclaimed.Add(reclaimed)
-	st.logFault("kill", node, rec.job.ID, reclaimed, cause)
+	st.logFault("kill", node, id, reclaimed, cause)
 
 	if int(rec.retries) >= st.inj.MaxRetries() {
 		// The final kill is not re-tried; report only completed retries.
@@ -352,26 +353,26 @@ func (st *schedState) killJob(rj *runningJob, node int, cause string) {
 	rec.retries++
 	st.m.jobsRetried.Inc()
 	st.stats.Faults.Retries++
-	backoff := st.inj.Backoff(rec.job.ID, int(rec.retries))
+	backoff := st.inj.Backoff(id, int(rec.retries))
 	ev, err := st.eng.After(backoff, st, evkRequeue, uint64(rec.idx))
 	if err != nil {
 		st.failure = err
 		return
 	}
-	rec.state, rec.backoff = JobRetrying, ev
+	rec.state, st.backoff[rec.idx] = JobRetrying, ev
 	rec.killed, rec.killedAt = true, st.eng.Now()
-	st.logFault("retry", -1, rec.job.ID, 0, fmt.Sprintf("attempt %d in %.2fs", rec.retries, backoff))
+	st.logFault("retry", -1, id, 0, fmt.Sprintf("attempt %d in %.2fs", rec.retries, backoff))
 }
 
 // requeue re-enqueues a killed job after its backoff delay.
 func (st *schedState) requeue(rec *jobRecord) {
-	rec.backoff = nil
+	delete(st.backoff, rec.idx)
 	if st.inj.AllDrained() {
 		st.failJob(rec, "no nodes left: entire cluster drained")
 		st.publishState()
 		return
 	}
-	st.logFault("requeue", -1, rec.job.ID, 0, fmt.Sprintf("attempt %d", rec.retries))
+	st.logFault("requeue", -1, st.ids[rec.idx], 0, fmt.Sprintf("attempt %d", rec.retries))
 	st.enqueue(rec)
 	st.dispatch()
 	st.assertBound("requeue")
@@ -380,13 +381,13 @@ func (st *schedState) requeue(rec *jobRecord) {
 
 // failJob reports a job permanently failed and retires it.
 func (st *schedState) failJob(rec *jobRecord, reason string) {
-	j := &rec.job
+	id := st.ids[rec.idx]
 	st.stats.Failed = append(st.stats.Failed, FailedJob{
-		ID: j.ID, Arrival: j.Arrival, FailedAt: st.eng.Now(),
+		ID: id, Arrival: rec.arrival, FailedAt: st.eng.Now(),
 		Retries: int(rec.retries), Reason: reason,
 	})
-	rec.reason = reason
-	st.logFault("fail", -1, j.ID, 0, reason)
+	st.reasons[rec.idx] = reason
+	st.logFault("fail", -1, id, 0, reason)
 	st.retire(rec, JobFailed)
 }
 
@@ -395,7 +396,7 @@ func (st *schedState) failJob(rec *jobRecord, reason string) {
 // ever start again).
 func (st *schedState) failQueued(reason string) {
 	for _, e := range st.takeQueued() {
-		st.failJob(e.rec, reason)
+		st.failJob(&st.recs[e.rec], reason)
 	}
 }
 
@@ -455,7 +456,7 @@ func (st *schedState) recapJob(rj *runningJob, node int, frac float64) {
 	}
 	if !feasible {
 		st.stats.Faults.Migrations++
-		st.logFault("migrate", node, rj.rec.job.ID, 0, "re-cap infeasible on fixed configuration; killed for retry")
+		st.logFault("migrate", node, st.ids[rj.rec], 0, "re-cap infeasible on fixed configuration; killed for retry")
 		st.killJob(rj, node, fmt.Sprintf("power excursion on node %d", node))
 		return
 	}
@@ -479,7 +480,7 @@ func (st *schedState) recapJob(rj *runningJob, node int, frac float64) {
 	st.scheduleCompletion(rj)
 	st.stats.Faults.WattsReclaimed += released
 	st.m.wattsReclaimed.Add(released)
-	st.logFault("recap", node, rj.rec.job.ID, released,
+	st.logFault("recap", node, st.ids[rj.rec], released,
 		fmt.Sprintf("per-node %.1f→%.1f W, %.1f W reserved", old.Total(), b.Total(), cut))
 }
 

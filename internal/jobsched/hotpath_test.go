@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/workload"
@@ -165,8 +166,8 @@ func TestSubmitBatchMatchesSerialSubmits(t *testing.T) {
 // TestGrowKeepsSession: Grow changes no scheduling state. Two sessions
 // take the same submissions, one growing midway with jobs live (so its
 // id index is rebuilt around them); every status matches after every
-// submission. After Grow, a submission takes neither a record nor an
-// index slot of its own.
+// submission. After Grow, a stream of submissions neither moves the
+// record arena nor allocates as much as without.
 func TestGrowKeepsSession(t *testing.T) {
 	plain := online(t, Config{Bound: 320})
 	grown := online(t, Config{Bound: 320})
@@ -201,26 +202,59 @@ func TestGrowKeepsSession(t *testing.T) {
 		t.Errorf("resubmitting g00 after Grow: %v, want ErrDuplicateJob", err)
 	}
 
-	// AllocsPerRun makes one warm-up call before the measured ones, so
-	// runs+1 submissions are made, each with its own id.
+	// Records live by value, so a session without Grow takes no
+	// allocation per submission either: its arena, id column and index
+	// grow now and then. Count the allocations of the whole stream.
 	const runs = 200
-	ids := make([]string, runs+1)
+	ids := make([]string, runs)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("load-%d", i)
 	}
-	perSubmit := func(o *Online) float64 {
-		n := 0
-		return testing.AllocsPerRun(runs, func() {
-			if _, err := o.SubmitPri(ids[n], apps[0], 0); err != nil {
+	submitAll := func(o *Online) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, id := range ids {
+			if _, err := o.SubmitPri(id, apps[0], 0); err != nil {
 				t.Fatal(err)
 			}
-			n++
-		})
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
 	}
-	cold := perSubmit(online(t, Config{Bound: 320}))
+	cold := submitAll(online(t, Config{Bound: 320}))
 	warm := online(t, Config{Bound: 320})
 	warm.Grow(len(ids))
-	if w := perSubmit(warm); w > cold-1 {
-		t.Errorf("a submission allocates %.0f objects after Grow, %.0f without; want at least one fewer", w, cold)
+	arena, capRecs := &warm.st.recs[:1][0], cap(warm.st.recs)
+	if w := submitAll(warm); w >= cold {
+		t.Errorf("%d submissions allocate %d objects after Grow, %d without; want fewer", runs, w, cold)
 	}
+	if &warm.st.recs[0] != arena || cap(warm.st.recs) != capRecs {
+		t.Errorf("the record arena moved during %d submissions after Grow(%d)", runs, runs)
+	}
+}
+
+// TestRecordsHoldNoPointers: a job record and a queue entry hold no
+// field the collector must scan, so a session's record arena and queue
+// cost a collection nothing however many jobs they hold. It walks both
+// types, into arrays and structs, and fails on every kind that can
+// hold a pointer.
+func TestRecordsHoldNoPointers(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.String, reflect.Slice, reflect.Map,
+			reflect.Interface, reflect.Func, reflect.Chan, reflect.UnsafePointer:
+			t.Errorf("%s is a %s, which can hold a pointer", path, typ.Kind())
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		}
+	}
+	walk("jobRecord", reflect.TypeOf(jobRecord{}))
+	walk("queueEntry", reflect.TypeOf(queueEntry{}))
+	t.Logf("jobRecord is %d bytes, queueEntry %d", reflect.TypeOf(jobRecord{}).Size(), reflect.TypeOf(queueEntry{}).Size())
 }

@@ -272,21 +272,30 @@ type Stats struct {
 	// Preemptions counts evictions of running lower-priority jobs in
 	// favour of a blocked higher-priority job.
 	Preemptions int
-	// idArena backs the NodeIDs slices of terminal snapshots: one
-	// growable block owned by the run's Stats instead of one allocation
-	// per finished job. Growth reallocations leave earlier snapshots
-	// pointing at the retired block, which stays valid — nothing
-	// mutates a terminal snapshot.
+	// idArena holds completed jobs' node ids: one growable block owned
+	// by the run's Stats instead of one allocation per finished job.
+	// Records locate theirs by offset; a NodeIDs slice handed out before
+	// a growth keeps pointing at the retired block, which stays valid —
+	// nothing mutates interned ids.
 	idArena []int
 }
 
-// internNodeIDs copies ids into the stats-owned arena and returns the
-// capped sub-slice, so a terminal snapshot owns stable node ids without
-// a per-job allocation.
-func (s *Stats) internNodeIDs(ids []int) []int {
-	n := len(s.idArena)
+// internNodeIDs copies ids into the stats-owned arena and returns
+// their offset and length there, so a terminal record holds stable node
+// ids without a per-job allocation or a pointer.
+func (s *Stats) internNodeIDs(ids []int) (off, n int32) {
+	off = int32(len(s.idArena))
 	s.idArena = append(s.idArena, ids...)
-	return s.idArena[n : n+len(ids) : n+len(ids)]
+	return off, int32(len(ids))
+}
+
+// nodeIDs returns the interned node ids at (off, n), capped so an
+// append cannot reach the arena; nil when n is 0.
+func (s *Stats) nodeIDs(off, n int32) []int {
+	if n == 0 {
+		return nil
+	}
+	return s.idArena[off : off+n : off+n]
 }
 
 // Scheduler places jobs on a power-bounded cluster.
@@ -324,35 +333,55 @@ func validBound(watts float64) bool { return watts > 0 && watts < math.Inf(1) }
 // jobRecord is the one account of a submitted job, shared by Run and
 // Online: its lifecycle state, where it physically is (a running slot
 // or a pending backoff event), its fault and preemption counters, and
-// its terminal snapshot. Records live in the run state's record arena;
-// queue entries and running slots point at theirs, so no step of
-// dispatch looks a job up by id.
+// its terminal snapshot. Records live by value in the run state's
+// record arena and hold no Go pointer, so the collector never scans
+// them: the id lives beside the arena (schedState.ids), the application
+// is an index into the state's application table, the running slot an
+// index into the slot arena, a terminal job's node ids an (offset,
+// length) pair into the Stats node-id arena, and the rare backoff event
+// and failure reason sit in side tables keyed by record index. Queue
+// entries and running slots refer to their record by index, so no step
+// of dispatch looks a job up by id. Job, JobResult and JobStatus are
+// built from a record only at the API edge.
 //
 // Online keeps a record for every job it was sent, so the record's size
-// is a per-job memory cost: the int32 fields keep it at 240 bytes.
+// is a per-job memory cost: the int32 fields keep it at 104 bytes.
 type jobRecord struct {
-	job   Job
-	state JobState
-	// run is the running slot while running; backoff is the pending
-	// requeue event while retrying.
-	run     *runningJob
-	backoff *des.Event
-	// retries counts fault kills that were re-tried, preempts evictions
-	// for a higher-priority job.
-	retries, preempts int32
+	arrival float64
+	pri     int
+	state   JobState
 	// killedAt is the time of the last fault kill while killed is set:
 	// from the kill until the job restarts or leaves the system.
 	killedAt float64
-	killed   bool
-	idx      int32 // index in schedState.recs, the arrival and requeue event argument
-	// result is the in-flight result while running (NodeIDs may alias
-	// the slot's globalIDs) and the terminal snapshot once completed;
-	// reason explains a failure. finishedAt is the completion, failure
-	// or cancellation time, reclaimedW the watts a cancellation returned.
-	result     JobResult
-	reason     string
+	// The result, set at start: the start time, per-node budget, node
+	// count and cores, and whether reallocated power reached the job
+	// mid-run. nodeOff and nodeLen locate a completed job's node ids in
+	// the Stats node-id arena (nodeLen 0 when none were recorded).
+	start, perNodeW  float64
+	nodes, cores     int32
+	nodeOff, nodeLen int32
+	// finishedAt is the completion, failure or cancellation time,
+	// reclaimedW the watts a cancellation returned.
 	finishedAt float64
 	reclaimedW float64
+	idx        int32 // index in schedState.recs, the arrival and requeue event argument
+	app        int32 // index in schedState.apps
+	run        int32 // running slot while running, noSlot otherwise
+	// retries counts fault kills that were re-tried, preempts evictions
+	// for a higher-priority job.
+	retries, preempts int32
+	killed, boosted   bool
+}
+
+// noSlot is jobRecord.run and runningJob.rec when they refer to nothing.
+const noSlot int32 = -1
+
+// appEntry is one row of the state's application table: the
+// application and its dispatch-cache entry. A record and its queue
+// entries carry the row's index, so enqueueing looks nothing up.
+type appEntry struct {
+	spec *workload.Spec
+	dc   dispatchEntry
 }
 
 // runningJob is the placement of an executing job. Slots live in the
@@ -361,7 +390,7 @@ type jobRecord struct {
 // can reference the job by slot and the globalIDs / subcluster buffers
 // are reused across occupants.
 type runningJob struct {
-	rec  *jobRecord
+	rec  int32 // index in schedState.recs, noSlot while the slot is free
 	slot int32 // index in schedState.slots, stable across recycles
 	// live marks a slot in the running set: walks over running jobs
 	// range the slot arena and skip dead slots.
@@ -391,10 +420,9 @@ type runningJob struct {
 // are tombstoned in place so dispatch scans never revisit them, instead
 // of shifting the whole tail on every start.
 type queueEntry struct {
-	rec     *jobRecord
-	dc      *dispatchEntry // the application's dispatch-cache entry
-	seq     uint64         // enqueue order across all levels
-	started bool
+	rec, app int32  // indices in schedState.recs and schedState.apps
+	seq      uint64 // enqueue order across all levels
+	started  bool
 }
 
 // priLevel is the FIFO of one priority level: live counts the
@@ -513,27 +541,35 @@ type schedState struct {
 	freeW   float64
 	bound   float64 // current (possibly time-varying) bound
 	stats   *Stats
-	// job-record arena: recs[:nrecs] have been handed out (recs[i].idx
-	// == i); jobs indexes the live ones by id over the arena (recID is
-	// its key), and freeRecs is the stack of forgotten ones, which the
-	// arena hands out again.
-	recs     []*jobRecord
-	nrecs    int32
+	// job-record arena: every record handed out, by value (recs[i].idx
+	// == i), with its id beside it in ids; jobs indexes the live ones by
+	// id over the arena (recID is its key), and freeRecs is the stack of
+	// forgotten ones, which the arena hands out again. A *jobRecord is
+	// only ever a local: newRecord may move the arena.
+	recs     []jobRecord
+	ids      []string
 	freeRecs []int32
 	jobs     idindex.Index
+	// side tables of the fault and failure paths, by record index: a
+	// retrying job's pending requeue event and a failed job's reason.
+	backoff map[int32]*des.Event
+	reasons map[int32]string
 	// running-slot arena: slots[i].slot == i; freeSlots is the stack of
 	// recyclable indices; nrunning counts the live slots.
 	slots     []*runningJob
 	freeSlots []int32
 	nrunning  int
 	// placement machinery, persistent across events and runs.
-	coord  coordinator.Coordinator
-	csc    coordinator.Scratch
-	pl     coordinator.Placement
-	dcache map[*workload.Spec]*dispatchEntry
+	coord coordinator.Coordinator
+	csc   coordinator.Scratch
+	pl    coordinator.Placement
+	// apps is the application table, appIdx its index by application:
+	// one row per application the state has seen, kept across runs.
+	apps   []appEntry
+	appIdx map[*workload.Spec]int32
 	// byID is the deterministic-iteration scratch of reallocate and
-	// shedPower.
-	byID []*runningJob
+	// shedPower: running slot indices.
+	byID []int32
 	// cached derived state
 	freeVer    uint64 // bumped on every free-set change, never reset
 	freeSub    *hw.Cluster
@@ -597,14 +633,14 @@ func (st *schedState) HandleEvent(kind uint16, arg uint64) {
 	start := time.Since(epoch)
 	switch kind {
 	case evkArrival:
-		st.admit(st.recs[arg])
+		st.admit(&st.recs[arg])
 		st.publishState()
 	case evkCompletion:
 		st.finish(st.slots[arg])
 	case evkBound:
 		st.applyBoundChange(st.s.Config.BoundSchedule[arg].Watts)
 	case evkRequeue:
-		st.requeue(st.recs[arg])
+		st.requeue(&st.recs[arg])
 	default:
 		st.handleFault(kind, int(arg))
 	}
@@ -620,10 +656,12 @@ func (s *Scheduler) newState(online bool) (*schedState, error) {
 	st := s.pool.Swap(nil)
 	if st == nil {
 		st = &schedState{
-			s:      s,
-			eng:    des.NewEngine(),
-			m:      cellMetrics[telemetry.NextCell()],
-			dcache: make(map[*workload.Spec]*dispatchEntry),
+			s:       s,
+			eng:     des.NewEngine(),
+			m:       cellMetrics[telemetry.NextCell()],
+			appIdx:  make(map[*workload.Spec]int32),
+			backoff: make(map[int32]*des.Event),
+			reasons: make(map[int32]string),
 		}
 	}
 	st.reset(online)
@@ -661,11 +699,15 @@ func (st *schedState) reset(online bool) {
 		l.q, l.head, l.live = l.q[:0], 0, 0
 	}
 	st.qseq, st.qlive, st.qapps = 0, 0, 0
-	for _, dc := range st.dcache {
+	for i := range st.apps {
+		dc := &st.apps[i].dc
 		dc.free, dc.live = dc.free[:0], 0
 	}
-	st.nrecs, st.freeRecs = 0, st.freeRecs[:0]
+	clear(st.ids)
+	st.recs, st.ids, st.freeRecs = st.recs[:0], st.ids[:0], st.freeRecs[:0]
 	st.jobs.Reset()
+	clear(st.backoff)
+	clear(st.reasons)
 	st.freeSlots = st.freeSlots[:0]
 	for i, rj := range st.slots {
 		rj.live = false // a Run that ended in error leaves slots live
@@ -700,51 +742,65 @@ func (st *schedState) reset(online bool) {
 }
 
 // recID is the id index's key: the id of record i.
-func (st *schedState) recID(i int32) string { return st.recs[i].job.ID }
+func (st *schedState) recID(i int32) string { return st.ids[i] }
 
-// newRecord takes a queued record for j from the record arena; the
-// caller indexes it in the slot its duplicate check found.
-func (st *schedState) newRecord(j Job) *jobRecord {
+// job builds the API-edge Job of record i.
+func (st *schedState) job(i int32) Job {
+	rec := &st.recs[i]
+	return Job{ID: st.ids[i], App: st.apps[rec.app].spec, Arrival: rec.arrival, Priority: rec.pri}
+}
+
+// appIndex returns app's row in the application table, adding the row
+// on the application's first sight.
+func (st *schedState) appIndex(app *workload.Spec) int32 {
+	if i, ok := st.appIdx[app]; ok {
+		return i
+	}
+	i := int32(len(st.apps))
+	st.apps = append(st.apps, appEntry{spec: app})
+	st.appIdx[app] = i
+	return i
+}
+
+// newRecord takes a queued record for j from the record arena and
+// returns its index; the caller indexes it in the slot its duplicate
+// check found. The arena may move, so no *jobRecord survives the call.
+func (st *schedState) newRecord(j Job) int32 {
 	var idx int32
 	if n := len(st.freeRecs); n > 0 {
 		idx, st.freeRecs = st.freeRecs[n-1], st.freeRecs[:n-1]
 	} else {
-		idx = st.nrecs
-		st.nrecs++
-		if int(idx) == len(st.recs) {
-			st.recs = append(st.recs, new(jobRecord))
-		}
+		idx = int32(len(st.recs))
+		st.recs = append(st.recs, jobRecord{})
+		st.ids = append(st.ids, "")
 	}
-	rec := st.recs[idx]
-	*rec = jobRecord{job: j, idx: idx}
-	return rec
+	st.recs[idx] = jobRecord{arrival: j.Arrival, pri: j.Priority, idx: idx, app: st.appIndex(j.App), run: noSlot}
+	st.ids[idx] = j.ID
+	return idx
 }
 
 // grow makes room for n more jobs: the id index reserves room for
-// them beside the live ones, and the arena takes the records it lacks
-// from one block. Records the arena already owns, handed out before or
-// forgotten since, count against n, so a pooled state that has run as
-// many jobs before allocates nothing.
+// them beside the live ones, and the arena and its id column grow once
+// to hold the records the free stack cannot hand out, so neither moves
+// while the n jobs arrive. A pooled state that has run as many jobs
+// before allocates nothing.
 func (st *schedState) grow(n int) {
 	st.jobs.Reserve(n)
-	short := n - len(st.freeRecs) - (len(st.recs) - int(st.nrecs))
-	if short <= 0 {
-		return
-	}
-	block := make([]jobRecord, short)
-	st.recs = slices.Grow(st.recs, short)
-	for i := range block {
-		st.recs = append(st.recs, &block[i])
+	if short := n - len(st.freeRecs); short > 0 {
+		st.recs = slices.Grow(st.recs, short)
+		st.ids = slices.Grow(st.ids, short)
 	}
 }
 
-// forget drops a record that no queue entry, slot or event refers to:
-// its id may be submitted again, and the arena hands the record out
-// again.
-func (st *schedState) forget(rec *jobRecord) {
-	st.jobs.Remove(rec.job.ID, rec.idx)
-	*rec = jobRecord{idx: rec.idx}
-	st.freeRecs = append(st.freeRecs, rec.idx)
+// forget drops record i, which no queue entry, slot or event refers
+// to: its id may be submitted again, and the arena hands the record
+// out again.
+func (st *schedState) forget(i int32) {
+	st.jobs.Remove(st.ids[i], i)
+	st.ids[i] = ""
+	delete(st.backoff, i)
+	delete(st.reasons, i)
+	st.freeRecs = append(st.freeRecs, i)
 }
 
 // retire makes a record terminal at the current time and retires its
@@ -762,10 +818,10 @@ func (st *schedState) acquireSlot() *runningJob {
 		rj := st.slots[slot]
 		ids := rj.globalIDs[:0]
 		sub := rj.sub
-		*rj = runningJob{slot: slot, globalIDs: ids, sub: sub}
+		*rj = runningJob{rec: noSlot, slot: slot, globalIDs: ids, sub: sub}
 		return rj
 	}
-	rj := &runningJob{slot: int32(len(st.slots))}
+	rj := &runningJob{rec: noSlot, slot: int32(len(st.slots))}
 	st.slots = append(st.slots, rj)
 	return rj
 }
@@ -785,8 +841,8 @@ func (st *schedState) teardown(rj *runningJob) float64 {
 	reclaimed := rj.powerUsed
 	st.freeW += reclaimed
 	st.releaseNodes(rj.globalIDs)
-	rj.rec.run = nil
-	rj.rec, rj.completion, rj.live = nil, nil, false
+	st.recs[rj.rec].run = noSlot
+	rj.rec, rj.completion, rj.live = noSlot, nil, false
 	st.freeSlots = append(st.freeSlots, rj.slot)
 	return reclaimed
 }
@@ -821,9 +877,9 @@ func (s *Scheduler) Run(jobs []Job) (*Stats, error) {
 		if dup {
 			return nil, fmt.Errorf("%w: %q", ErrDuplicateJob, j.ID)
 		}
-		rec := st.newRecord(j)
-		st.jobs.Fill(slot, rec.idx)
-		if _, err := st.eng.At(j.Arrival, st, evkArrival, uint64(rec.idx)); err != nil {
+		idx := st.newRecord(j)
+		st.jobs.Fill(slot, idx)
+		if _, err := st.eng.At(j.Arrival, st, evkArrival, uint64(idx)); err != nil {
 			return nil, err
 		}
 	}
@@ -877,11 +933,11 @@ func (st *schedState) admit(rec *jobRecord) {
 		st.failJob(rec, "no nodes left: entire cluster drained")
 		return
 	}
-	j := &rec.job
-	if j.Priority == 0 {
-		j.Priority = j.App.Priority
+	app := st.apps[rec.app].spec
+	if rec.pri == 0 {
+		rec.pri = app.Priority
 	}
-	if !j.App.Constraint.Zero() && !st.constraintSatisfiable(j.App) {
+	if !app.Constraint.Zero() && !st.constraintSatisfiable(app) {
 		st.failJob(rec, "node constraint matches no cluster node")
 		return
 	}
@@ -893,16 +949,11 @@ func (st *schedState) admit(rec *jobRecord) {
 // enqueue appends a job at the tail of its priority level: the one
 // enqueue path of arrivals, fault requeues and preemption re-enqueues.
 func (st *schedState) enqueue(rec *jobRecord) {
-	app := rec.job.App
-	dc := st.dcache[app]
-	if dc == nil {
-		dc = &dispatchEntry{}
-		st.dcache[app] = dc
-	}
+	dc := &st.apps[rec.app].dc
 	rec.state = JobQueued
-	l := st.level(rec.job.Priority, true)
+	l := st.level(rec.pri, true)
 	st.qseq++
-	l.q = append(l.q, queueEntry{rec: rec, dc: dc, seq: st.qseq})
+	l.q = append(l.q, queueEntry{rec: rec.idx, app: rec.app, seq: st.qseq})
 	l.live++
 	st.qlive++
 	if dc.live++; dc.live == 1 {
@@ -916,7 +967,8 @@ func (st *schedState) enqueue(rec *jobRecord) {
 func (st *schedState) unqueue(l *priLevel, e *queueEntry) {
 	l.live--
 	st.qlive--
-	if e.dc.live--; e.dc.live == 0 {
+	dc := &st.apps[e.app].dc
+	if dc.live--; dc.live == 0 {
 		st.qapps--
 	}
 }
@@ -977,7 +1029,7 @@ func (st *schedState) takeQueued() []queueEntry {
 		for _, e := range l.q[l.head:] {
 			if !e.started {
 				take = append(take, e)
-				e.dc.live = 0
+				st.apps[e.app].dc.live = 0
 			}
 		}
 		clear(l.q)
@@ -1086,7 +1138,8 @@ func (st *schedState) dispatchPass(from uint64) bool {
 		}
 		for ; qi < len(l.q); qi++ {
 			e := &l.q[qi]
-			if e.started || e.dc.refused == st.pass {
+			dc := &st.apps[e.app].dc
+			if e.started || dc.refused == st.pass {
 				continue
 			}
 			if !head && st.s.Config.Policy == FCFS {
@@ -1099,13 +1152,13 @@ func (st *schedState) dispatchPass(from uint64) bool {
 			if !head && st.s.Config.Policy == Backfill {
 				deadline = st.shadowTime()
 			}
-			if st.tryStart(e.rec, e.dc, deadline) {
+			if st.tryStart(&st.recs[e.rec], dc, deadline) {
 				st.m.jobsStarted.Inc()
 				e.started = true
 				st.unqueue(l, e)
 				return true
 			}
-			e.dc.refused = st.pass
+			dc.refused = st.pass
 			if refused++; refused == st.qapps {
 				return false
 			}
@@ -1222,8 +1275,8 @@ func (st *schedState) tryStart(rec *jobRecord, e *dispatchEntry, deadline float6
 	// the allocation-free hot path). The view is a pure function of the
 	// free set per application, so the content-keyed cache check below
 	// stays sound.
-	j := &rec.job
-	view, pool, ranked := st.feasibleView(j.App)
+	app := st.apps[rec.app].spec
+	view, pool, ranked := st.feasibleView(app)
 	if len(pool) == 0 {
 		return false
 	}
@@ -1231,14 +1284,14 @@ func (st *schedState) tryStart(rec *jobRecord, e *dispatchEntry, deadline float6
 		e.freeVer, e.wBits = st.freeVer, math.Float64bits(st.freeW)
 		e.free = append(e.free[:0], st.free...)
 		e.state = entryInfeasible
-		adv, err := st.s.CLIP.Advisor(j.App)
+		adv, err := st.s.CLIP.Advisor(app)
 		if err != nil {
 			st.failure = err
 			return false
 		}
 		st.coord.Cluster = view
 		st.coord.Ranked = ranked
-		err = st.coord.Place(j.App, adv, st.freeW, &st.csc, &st.pl)
+		err = st.coord.Place(app, adv, st.freeW, &st.csc, &st.pl)
 		st.coord.Ranked = false
 		if err != nil {
 			return false // does not fit now; retry on the next completion
@@ -1255,7 +1308,7 @@ func (st *schedState) tryStart(rec *jobRecord, e *dispatchEntry, deadline float6
 		return false
 	}
 	if e.state == entryPlaced {
-		res, err := sim.EvalTime(view, j.App, sim.Config{
+		res, err := sim.EvalTime(view, app, sim.Config{
 			Nodes: len(e.pl.nodeIDs), NodeIDs: e.pl.nodeIDs,
 			CoresPerNode: e.pl.cores, Affinity: e.pl.affinity,
 			Capped: true, PerNode: e.pl.perNode, PhaseCores: e.pl.phaseCores,
@@ -1289,13 +1342,10 @@ func (st *schedState) tryStart(rec *jobRecord, e *dispatchEntry, deadline float6
 	st.freeW -= used
 	st.takeFree(rj.globalIDs)
 	now := st.eng.Now()
-	rj.rec, rec.run, rec.state = rec, rj, JobRunning
-	rec.result = JobResult{
-		ID: j.ID, Arrival: j.Arrival, Start: now,
-		Nodes: len(rj.globalIDs), Cores: e.pl.cores,
-		PerNodeW: e.pl.perNode[0].Total(),
-		Retries:  int(rec.retries), Priority: j.Priority, Preemptions: int(rec.preempts),
-	}
+	rj.rec, rec.run, rec.state = rec.idx, rj.slot, JobRunning
+	rec.start, rec.boosted = now, false
+	rec.nodes, rec.cores = int32(len(rj.globalIDs)), int32(e.pl.cores)
+	rec.perNodeW = e.pl.perNode[0].Total()
 	rj.cores = e.pl.cores
 	rj.affinity = e.pl.affinity
 	rj.perNode = e.pl.perNode[0]
@@ -1311,13 +1361,12 @@ func (st *schedState) tryStart(rec *jobRecord, e *dispatchEntry, deadline float6
 		for _, g := range rj.globalIDs {
 			st.runningOn[g] = rj
 		}
-		rec.result.NodeIDs = rj.globalIDs
 		if f := st.jobFactor(rj); f > 1 {
 			rj.iterTime = e.eval.IterTime * f
 		}
 		if rec.killed {
 			st.m.reschedSeconds.Observe(st.eng.Now() - rec.killedAt)
-			st.logFault("restart", -1, j.ID, 0,
+			st.logFault("restart", -1, st.ids[rec.idx], 0,
 				fmt.Sprintf("rescheduled %.2fs after kill", st.eng.Now()-rec.killedAt))
 			rec.killed = false
 		}
@@ -1358,27 +1407,36 @@ func (rj *runningJob) progressTo(now float64) {
 func (st *schedState) finish(rj *runningJob) {
 	st.m.jobsFinished.Inc()
 	st.accountPower()
-	rec := rj.rec
-	rec.result.Finish = st.eng.Now()
-	if rec.result.NodeIDs != nil {
-		// The in-flight result aliases the slot's reusable node buffer;
-		// terminal snapshots own their copy (interned in the stats arena
-		// — no per-job allocation).
-		rec.result.NodeIDs = st.stats.internNodeIDs(rec.result.NodeIDs)
-	}
-	if !st.online {
-		// Only a batch Run reports Stats.Jobs; a session's callers read
-		// the job records (Online.Jobs).
-		st.stats.Jobs = append(st.stats.Jobs, rec.result)
+	rec := &st.recs[rj.rec]
+	if st.inj != nil {
+		// Under fault injection a completed job keeps its node ids, for
+		// quarantine audits: interned in the stats arena, not the slot's
+		// reusable buffer (no per-job allocation).
+		rec.nodeOff, rec.nodeLen = st.stats.internNodeIDs(rj.globalIDs)
 	}
 	st.teardown(rj)
 	st.retire(rec, JobCompleted)
+	if !st.online {
+		// Only a batch Run reports Stats.Jobs; a session's callers read
+		// the job records (Online.Jobs).
+		st.stats.Jobs = append(st.stats.Jobs, st.result(rec))
+	}
 	st.dispatch()
 	if st.s.Config.Reallocate {
 		st.reallocate()
 	}
 	st.assertBound("finish")
 	st.publishState()
+}
+
+// result builds a completed record's JobResult.
+func (st *schedState) result(rec *jobRecord) JobResult {
+	return JobResult{
+		ID: st.ids[rec.idx], Arrival: rec.arrival, Start: rec.start, Finish: rec.finishedAt,
+		Nodes: int(rec.nodes), Cores: int(rec.cores), PerNodeW: rec.perNodeW, Boosted: rec.boosted,
+		NodeIDs: st.stats.nodeIDs(rec.nodeOff, rec.nodeLen),
+		Retries: int(rec.retries), Priority: rec.pri, Preemptions: int(rec.preempts),
+	}
 }
 
 // reallocate offers surplus power to running jobs (POWsched-style):
@@ -1391,8 +1449,9 @@ func (st *schedState) reallocate() {
 	}
 	live := st.liveByID()
 	share := st.freeW / float64(len(live))
-	for _, rj := range live {
-		adv, err := st.s.CLIP.Advisor(rj.rec.job.App)
+	for _, slot := range live {
+		rj := st.slots[slot]
+		adv, err := st.s.CLIP.Advisor(st.apps[st.recs[rj.rec].app].spec)
 		if err != nil {
 			st.failure = err
 			return
@@ -1456,14 +1515,14 @@ func (st *schedState) applyBoost(rj *runningJob, cfg recommend.NodeConfig) {
 		return
 	}
 	st.commitRetune(rj, cfg.Budget, res.IterTime)
-	rj.rec.result.Boosted = true
+	st.recs[rj.rec].boosted = true
 }
 
 // previewRetune scores a running job's fixed configuration under a new
 // per-node budget without committing, on the allocation-free fast path
 // against the job's cached subcluster view.
 func (st *schedState) previewRetune(rj *runningJob, b power.Budget) (sim.Eval, error) {
-	return sim.EvalTime(rj.sub, rj.rec.job.App, sim.Config{
+	return sim.EvalTime(rj.sub, st.apps[st.recs[rj.rec].app].spec, sim.Config{
 		Nodes: len(rj.globalIDs), CoresPerNode: rj.cores, Affinity: rj.affinity,
 		Capped: true, Budget: b,
 	})
@@ -1513,8 +1572,8 @@ func (st *schedState) shedPower() {
 	}
 	live := st.liveByID()
 	var totalAlloc float64
-	for _, rj := range live {
-		totalAlloc += rj.powerUsed
+	for _, slot := range live {
+		totalAlloc += st.slots[slot].powerUsed
 	}
 	target := totalAlloc + st.freeW // freeW < 0
 	if target < 1 {
@@ -1522,7 +1581,8 @@ func (st *schedState) shedPower() {
 	}
 	factor := target / totalAlloc
 	spec := st.s.Cluster.Spec()
-	for _, rj := range live {
+	for _, slot := range live {
+		rj := st.slots[slot]
 		perNode := rj.powerUsed * factor / float64(len(rj.globalIDs))
 		b := shrinkBudget(spec, rj, perNode)
 		res, err := st.previewRetune(rj, b)
@@ -1534,17 +1594,19 @@ func (st *schedState) shedPower() {
 	}
 }
 
-// liveByID returns the running jobs ordered by job id, in a reused
-// scratch buffer: the walk order of reallocate and shedPower, so their
-// float sums and retunes do not depend on slot order.
-func (st *schedState) liveByID() []*runningJob {
+// liveByID returns the running jobs' slots ordered by job id, in a
+// reused scratch buffer: the walk order of reallocate and shedPower, so
+// their float sums and retunes do not depend on slot order.
+func (st *schedState) liveByID() []int32 {
 	live := st.byID[:0]
 	for _, rj := range st.slots {
 		if rj.live {
-			live = append(live, rj)
+			live = append(live, rj.slot)
 		}
 	}
-	slices.SortFunc(live, func(a, b *runningJob) int { return strings.Compare(a.rec.job.ID, b.rec.job.ID) })
+	slices.SortFunc(live, func(a, b int32) int {
+		return strings.Compare(st.ids[st.slots[a].rec], st.ids[st.slots[b].rec])
+	})
 	st.byID = live
 	return live
 }

@@ -273,12 +273,12 @@ func (o *Online) Advance(t float64) error {
 // queued. Job ids are unique among the jobs the session holds; an id
 // EvacuateQueued handed back may be submitted again.
 func (o *Online) SubmitPri(id string, app *workload.Spec, pri int) (JobStatus, error) {
-	rec, err := o.newJob(id, app, pri)
+	idx, err := o.newJob(id, app, pri)
 	if err != nil {
 		return JobStatus{}, err
 	}
 	now := o.st.eng.Now()
-	if _, err := o.st.eng.At(now, o.st, evkArrival, uint64(rec.idx)); err != nil {
+	if _, err := o.st.eng.At(now, o.st, evkArrival, uint64(idx)); err != nil {
 		return JobStatus{}, err
 	}
 	// Fire the arrival (and anything else already due at now) so the
@@ -289,13 +289,14 @@ func (o *Online) SubmitPri(id string, app *workload.Spec, pri int) (JobStatus, e
 	if o.st.failure != nil {
 		return JobStatus{}, o.st.failure
 	}
-	return status(rec, o.st.queuePos(rec)), nil
+	return o.st.status(idx, o.st.queuePos(idx)), nil
 }
 
 // Grow prepares the session for n more submissions: the id index
-// reserves room for them and the job records they lack come from one
-// block, so the submissions neither grow the index nor allocate records
-// one by one. It changes no scheduling state.
+// reserves room for them, and the record arena and its id column grow
+// once to hold the records its free stack lacks, so the submissions
+// neither grow the index nor move the arena. It changes no scheduling
+// state.
 func (o *Online) Grow(n int) { o.st.grow(n) }
 
 // Readmit admits a job at the current virtual time exactly as SubmitPri
@@ -313,11 +314,11 @@ func (o *Online) Readmit(id string, app *workload.Spec, pri int) error {
 	if t, ok := st.eng.Next(); ok && t <= now {
 		return fmt.Errorf("jobsched: readmit %q with events due at t=%g; advance first", id, now)
 	}
-	rec, err := o.newJob(id, app, pri)
+	idx, err := o.newJob(id, app, pri)
 	if err != nil {
 		return err
 	}
-	st.admit(rec)
+	st.admit(&st.recs[idx])
 	if t, ok := st.eng.Next(); ok && t <= now {
 		if err := st.eng.RunUntil(now); err != nil {
 			return err
@@ -327,29 +328,29 @@ func (o *Online) Readmit(id string, app *workload.Spec, pri int) error {
 }
 
 // newJob runs a submission's id, application, duplicate and
-// sticky-failure checks and takes a record for the job, arriving now;
-// priority 0 inherits the application's default.
-func (o *Online) newJob(id string, app *workload.Spec, pri int) (*jobRecord, error) {
+// sticky-failure checks and takes a record for the job, arriving now,
+// returning its index; priority 0 inherits the application's default.
+func (o *Online) newJob(id string, app *workload.Spec, pri int) (int32, error) {
 	if id == "" {
-		return nil, fmt.Errorf("jobsched: empty job id")
+		return 0, fmt.Errorf("jobsched: empty job id")
 	}
 	if app == nil {
-		return nil, fmt.Errorf("jobsched: job %q has no application", id)
+		return 0, fmt.Errorf("jobsched: job %q has no application", id)
 	}
 	_, slot, dup := o.st.jobs.Find(id, o.st.recID)
 	if dup {
-		return nil, fmt.Errorf("%w: %q", ErrDuplicateJob, id)
+		return 0, fmt.Errorf("%w: %q", ErrDuplicateJob, id)
 	}
 	if o.st.failure != nil {
-		return nil, o.st.failure
+		return 0, o.st.failure
 	}
 	if pri == 0 {
 		pri = app.Priority
 	}
-	rec := o.st.newRecord(Job{ID: id, App: app, Arrival: o.st.eng.Now(), Priority: pri})
-	o.st.jobs.Fill(slot, rec.idx)
+	idx := o.st.newRecord(Job{ID: id, App: app, Arrival: o.st.eng.Now(), Priority: pri})
+	o.st.jobs.Fill(slot, idx)
 	o.st.jobsLeft++
-	return rec, nil
+	return idx, nil
 }
 
 // Submission is one entry of a SubmitBatch call.
@@ -390,16 +391,16 @@ func (o *Online) Status(id string) (JobStatus, error) {
 	if !ok {
 		return JobStatus{}, fmt.Errorf("%w: %q", ErrUnknownJob, id)
 	}
-	rec := o.st.recs[idx]
-	return status(rec, o.st.queuePos(rec)), nil
+	return o.st.status(idx, o.st.queuePos(idx)), nil
 }
 
-// status builds a job's status from its record; queuePos is a queued
-// job's position.
-func status(rec *jobRecord, queuePos int) JobStatus {
+// status builds the status of record i; queuePos is a queued job's
+// position.
+func (st *schedState) status(i int32, queuePos int) JobStatus {
+	rec := &st.recs[i]
 	js := JobStatus{
-		ID: rec.job.ID, State: rec.state, Arrival: rec.job.Arrival, Retries: int(rec.retries),
-		Priority: rec.job.Priority, Preemptions: int(rec.preempts),
+		ID: st.ids[i], State: rec.state, Arrival: rec.arrival, Retries: int(rec.retries),
+		Priority: rec.pri, Preemptions: int(rec.preempts),
 	}
 	if rec.state.Terminal() {
 		js.Finish = rec.finishedAt
@@ -408,19 +409,19 @@ func status(rec *jobRecord, queuePos int) JobStatus {
 	case JobQueued:
 		js.QueuePos = queuePos
 	case JobRunning:
-		rj := rec.run
-		js.Start = rec.result.Start
+		rj := st.slots[rec.run]
+		js.Start = rec.start
 		js.Nodes = append([]int(nil), rj.globalIDs...)
 		js.Cores = rj.cores
 		js.PerNodeW = rj.perNode.Total()
 		js.EstFinish = rj.finishAt
 	case JobCompleted:
-		js.Start = rec.result.Start
-		js.Nodes = rec.result.NodeIDs
-		js.Cores = rec.result.Cores
-		js.PerNodeW = rec.result.PerNodeW
+		js.Start = rec.start
+		js.Nodes = st.stats.nodeIDs(rec.nodeOff, rec.nodeLen)
+		js.Cores = int(rec.cores)
+		js.PerNodeW = rec.perNodeW
 	case JobFailed:
-		js.Reason = rec.reason
+		js.Reason = st.reasons[i]
 	case JobCancelled:
 		js.ReclaimedW = rec.reclaimedW
 	}
@@ -432,9 +433,9 @@ func status(rec *jobRecord, queuePos int) JobStatus {
 // the live jobs of every higher priority level plus the job's place in
 // its own level's FIFO. Positions are dense and gap-free across cancel
 // tombstones, queue compaction, evacuations and preemption re-enqueues.
-func (st *schedState) queuePos(rec *jobRecord) int {
-	pri, pos := rec.job.Priority, 0
-	if rec.state != JobQueued {
+func (st *schedState) queuePos(i int32) int {
+	pri, pos := st.recs[i].pri, 0
+	if st.recs[i].state != JobQueued {
 		return 0
 	}
 	for li := range st.levels {
@@ -452,7 +453,7 @@ func (st *schedState) queuePos(rec *jobRecord) int {
 		// is quadratic in queue depth.
 		for qi := len(l.q) - 1; qi >= l.head; qi-- {
 			if e := &l.q[qi]; !e.started {
-				if e.rec == rec {
+				if e.rec == i {
 					return pos + l.live - 1
 				}
 				break
@@ -460,7 +461,7 @@ func (st *schedState) queuePos(rec *jobRecord) int {
 		}
 		for qi := l.head; qi < len(l.q); qi++ {
 			if e := &l.q[qi]; !e.started {
-				if e.rec == rec {
+				if e.rec == i {
 					break
 				}
 				pos++
@@ -476,23 +477,23 @@ func (st *schedState) queuePos(rec *jobRecord) int {
 // walk per queued job.
 func (o *Online) Jobs() []JobStatus {
 	st := o.st
-	pos := make([]int, st.nrecs) // by arena index; read for queued jobs only
+	pos := make([]int, len(st.recs)) // by arena index; read for queued jobs only
 	n := 0
 	for li := range st.levels {
 		l := &st.levels[li]
 		for qi := l.head; qi < len(l.q); qi++ {
 			if e := &l.q[qi]; !e.started {
-				pos[e.rec.idx] = n
+				pos[e.rec] = n
 				n++
 			}
 		}
 	}
-	recs := make([]*jobRecord, 0, st.jobs.Len())
-	st.jobs.Each(func(i int32) { recs = append(recs, st.recs[i]) })
-	slices.SortFunc(recs, func(a, b *jobRecord) int { return strings.Compare(a.job.ID, b.job.ID) })
+	recs := make([]int32, 0, st.jobs.Len())
+	st.jobs.Each(func(i int32) { recs = append(recs, i) })
+	slices.SortFunc(recs, func(a, b int32) int { return strings.Compare(st.ids[a], st.ids[b]) })
 	out := make([]JobStatus, len(recs))
-	for i, rec := range recs {
-		out[i] = status(rec, pos[rec.idx])
+	for k, i := range recs {
+		out[k] = st.status(i, pos[i])
 	}
 	return out
 }
@@ -508,14 +509,14 @@ func (o *Online) Cancel(id string) (float64, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownJob, id)
 	}
-	rec := st.recs[idx]
+	rec := &st.recs[idx]
 	if rec.state.Terminal() {
 		return 0, fmt.Errorf("%w: job %q is %s", ErrJobTerminal, id, rec.state)
 	}
 	switch rec.state {
 	case JobRunning:
 		st.accountPower()
-		rec.reclaimedW = st.teardown(rec.run)
+		rec.reclaimedW = st.teardown(st.slots[rec.run])
 		st.retire(rec, JobCancelled)
 		st.dispatch()
 		if st.s.Config.Reallocate {
@@ -523,18 +524,18 @@ func (o *Online) Cancel(id string) (float64, error) {
 		}
 		st.assertBound("cancel")
 	case JobRetrying:
-		rec.backoff.Cancel()
-		rec.backoff = nil
+		st.backoff[idx].Cancel()
+		delete(st.backoff, idx)
 		st.retire(rec, JobCancelled)
 	default:
 		// Queued: tombstone the entry in place. Only the job's own
 		// priority level can hold it; the search runs from the tail,
 		// where recently submitted jobs sit.
-		l := st.level(rec.job.Priority, false)
+		l := st.level(rec.pri, false)
 		found := false
 		if l != nil {
 			for qi := len(l.q) - 1; qi >= l.head && !found; qi-- {
-				if e := &l.q[qi]; !e.started && e.rec == rec {
+				if e := &l.q[qi]; !e.started && e.rec == idx {
 					e.started = true
 					st.unqueue(l, e)
 					found = true
@@ -568,7 +569,7 @@ func (o *Online) EvacuateQueued(dst []Job) []Job {
 		return dst
 	}
 	for _, e := range st.takeQueued() {
-		dst = append(dst, e.rec.job)
+		dst = append(dst, st.job(e.rec))
 		st.forget(e.rec)
 		st.jobDone()
 	}
@@ -599,7 +600,7 @@ func (o *Online) Cluster() ClusterState {
 	for _, rj := range st.slots {
 		if rj.live {
 			for _, g := range rj.globalIDs {
-				resident[g] = rj.rec.job.ID
+				resident[g] = st.ids[rj.rec]
 			}
 		}
 	}

@@ -666,8 +666,8 @@ func TestEvacuateReadmitSameSession(t *testing.T) {
 		check(o.Advance(o.Now() + 40*r.Float64()))
 
 		before := map[string]int32{}
-		for _, rec := range liveRecords(o.st) {
-			before[rec.job.ID] = rec.idx
+		for id, idx := range liveRecords(o.st) {
+			before[id] = idx
 		}
 		buf = o.EvacuateQueued(buf[:0])
 		for _, j := range buf {

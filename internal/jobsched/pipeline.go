@@ -90,9 +90,9 @@ func (st *schedState) feasibleView(app *workload.Spec) (*hw.Cluster, []int, bool
 // victimCmp is the preemption cost order: lowest priority first, then
 // cheapest reclaimed watts, then job id — evicting in this order
 // yields the minimal-cost victim set for a greedy prefix scan.
-func victimCmp(a, b *runningJob) int {
-	return cmp.Or(cmp.Compare(a.rec.job.Priority, b.rec.job.Priority),
-		cmp.Compare(a.powerUsed, b.powerUsed), cmp.Compare(a.rec.job.ID, b.rec.job.ID))
+func (st *schedState) victimCmp(a, b *runningJob) int {
+	return cmp.Or(cmp.Compare(st.recs[a.rec].pri, st.recs[b.rec].pri),
+		cmp.Compare(a.powerUsed, b.powerUsed), cmp.Compare(st.ids[a.rec], st.ids[b.rec]))
 }
 
 // preemptPass runs once per dispatch fixpoint when preemption is
@@ -109,10 +109,11 @@ func (st *schedState) preemptPass() bool {
 	if st.qlive == 0 || st.nrunning == 0 {
 		return false
 	}
-	top := &st.topQueued().rec.job
+	top := st.topQueued().rec
+	pri := st.recs[top].pri
 	victims := st.preVictims[:0]
 	for _, rj := range st.slots {
-		if rj.live && rj.rec.job.Priority < top.Priority {
+		if rj.live && st.recs[rj.rec].pri < pri {
 			victims = append(victims, rj)
 		}
 	}
@@ -122,28 +123,28 @@ func (st *schedState) preemptPass() bool {
 	}
 	// The full (priority, watts, id) key is a total order, so the sorted
 	// order does not depend on slot order.
-	slices.SortFunc(victims, victimCmp)
-	k := st.planPreemption(top, victims)
+	slices.SortFunc(victims, st.victimCmp)
+	k := st.planPreemption(st.apps[st.recs[top].app].spec, victims)
 	if k == 0 {
 		return false
 	}
 	for i := 0; i < k; i++ {
-		st.preemptJob(victims[i], top.ID)
+		st.preemptJob(victims[i], st.ids[top])
 	}
 	st.assertBound("preempt")
 	return true
 }
 
 // planPreemption finds the smallest k such that evicting the first k
-// cost-ordered victims makes top placeable within the bound, probing
-// hypothetical pools with the planner's own scratch (never the shared
-// dispatch scratch or cache) and a quiet coordinator. Returns 0 when
-// no prefix suffices. The probe replicates tryStart's admission gates
-// — constraint filter, placement, and the CapOK duty-cycling rule
-// against the post-eviction running count — so a committed plan is
-// guaranteed to start the job on the rescan.
-func (st *schedState) planPreemption(top *Job, victims []*runningJob) int {
-	adv, err := st.s.CLIP.Advisor(top.App)
+// cost-ordered victims makes the dispatch head, a job of app, placeable
+// within the bound, probing hypothetical pools with the planner's own
+// scratch (never the shared dispatch scratch or cache) and a quiet
+// coordinator. Returns 0 when no prefix suffices. The probe replicates
+// tryStart's admission gates — constraint filter, placement, and the
+// CapOK duty-cycling rule against the post-eviction running count — so
+// a committed plan is guaranteed to start the job on the rescan.
+func (st *schedState) planPreemption(app *workload.Spec, victims []*runningJob) int {
+	adv, err := st.s.CLIP.Advisor(app)
 	if err != nil {
 		st.failure = err
 		return 0
@@ -165,14 +166,14 @@ func (st *schedState) planPreemption(top *Job, victims []*runningJob) int {
 		if candW <= 0 || len(pool) == 0 {
 			continue
 		}
-		ids, ranked := st.feasibleIDs(top.App, pool, st.feasIDs)
+		ids, ranked := st.feasibleIDs(app, pool, st.feasIDs)
 		st.feasIDs = ids[:0]
 		if len(ids) == 0 {
 			continue
 		}
 		st.preSub = fillSub(st.preSub, st.s.Cluster, ids)
 		st.preCoord = coordinator.Coordinator{Cluster: st.preSub, Ranked: ranked, Quiet: true, Metrics: st.m.coord}
-		if err := st.preCoord.Place(top.App, adv, candW, &st.preSc, &st.prePl); err != nil {
+		if err := st.preCoord.Place(app, adv, candW, &st.preSc, &st.prePl); err != nil {
 			continue
 		}
 		if !st.prePl.NodeCfg.CapOK && st.nrunning-k > 0 {
@@ -195,13 +196,13 @@ func (st *schedState) planPreemption(top *Job, victims []*runningJob) int {
 // below the preemptor's.
 func (st *schedState) preemptJob(rj *runningJob, forID string) {
 	st.accountPower()
-	rec := rj.rec
+	rec := &st.recs[rj.rec]
 	reclaimed := st.teardown(rj)
 	st.m.jobsPreempted.Inc()
 	st.m.preemptWatts.Add(reclaimed)
 	st.stats.Preemptions++
 	rec.preempts++
-	st.logFault("preempt", -1, rec.job.ID, reclaimed, "evicted for higher-priority "+forID)
+	st.logFault("preempt", -1, st.ids[rec.idx], reclaimed, "evicted for higher-priority "+forID)
 	st.enqueue(rec)
 }
 
@@ -250,9 +251,9 @@ func (st *schedState) uncovered() string {
 	if st.qlive == 0 || st.failure != nil {
 		return ""
 	}
-	j := &st.topQueued().rec.job
-	e := st.dcache[j.App]
-	if e == nil || !st.fresh(e) {
+	top := st.topQueued()
+	e := &st.apps[top.app].dc
+	if !st.fresh(e) {
 		return "" // no decision recorded for the current state
 	}
 	if e.state != entryEvaled {
@@ -261,5 +262,5 @@ func (st *schedState) uncovered() string {
 	if !e.pl.capOK && st.nrunning > 0 {
 		return "" // duty-cycling gate: waiting for more power
 	}
-	return j.ID
+	return st.ids[top.rec]
 }

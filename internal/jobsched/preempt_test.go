@@ -44,8 +44,8 @@ func prefixVictims(t *testing.T, o *Online, app *workload.Spec, pri int) (victim
 		for _, g := range rj.globalIDs {
 			busy[g] = true
 		}
-		if p := rj.rec.job.Priority; p < pri {
-			cands = append(cands, cand{rj.rec.job.ID, p, rj.powerUsed, rj.globalIDs})
+		if p := st.recs[rj.rec].pri; p < pri {
+			cands = append(cands, cand{st.ids[rj.rec], p, rj.powerUsed, rj.globalIDs})
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool {

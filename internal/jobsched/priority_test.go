@@ -451,7 +451,7 @@ func (m *queueModel) check(t *testing.T, tag string) {
 		l := &m.o.st.levels[li]
 		for qi := l.head; qi < len(l.q); qi++ {
 			if !l.q[qi].started {
-				got = append(got, l.q[qi].rec.job.ID)
+				got = append(got, m.o.st.ids[l.q[qi].rec])
 			}
 		}
 	}

@@ -22,11 +22,14 @@ go test -run '^$' -bench "$BENCHES" -benchmem -benchtime=50x . | tee "$TMP/bench
 go test -run '^$' -bench "$BENCHES_LARGE" -benchmem -benchtime=5x . | tee -a "$TMP/bench.txt" >&2
 
 echo "== federation construction, 64 shards x 4 nodes ==" >&2
-# fed.New at the fed-scale shape with no arrivals: what a federation
-# pays before it schedules anything (64 shard clusters and CLIP
-# instances sharing one trained NP regression).
-go test -run '^$' -bench 'BenchmarkFedNew$' -benchmem -benchtime=20x . | tee "$TMP/fednew_full.txt" >&2
-awk '/^BenchmarkFedNew/ { print "fed_new ns_per_op=" $3 " bytes_per_op=" $5 " allocs_per_op=" $7 }' \
+# fed_new: fed.New at the fed-scale shape with no arrivals, what a
+# federation pays before it schedules anything (64 shard clusters and
+# CLIP instances sharing one trained NP regression). fed_build: the
+# same plus the fed-scale trace's 65,536 scheduled arrivals, what a
+# fed-scale trial pays before it runs.
+go test -run '^$' -bench 'BenchmarkFed(New|Build)$' -benchmem -benchtime=20x . | tee "$TMP/fednew_full.txt" >&2
+awk '/^BenchmarkFedNew/   { print "fed_new ns_per_op=" $3 " bytes_per_op=" $5 " allocs_per_op=" $7 }
+     /^BenchmarkFedBuild/ { print "fed_build ns_per_op=" $3 " bytes_per_op=" $5 " allocs_per_op=" $7 }' \
     "$TMP/fednew_full.txt" > "$TMP/fednew.txt"
 
 echo "== suite wall time ==" >&2
@@ -181,8 +184,9 @@ function val(key,    i, eq) {
 /^clipfed /        { fbody = kv() }
 /^clipfed_chaos /  { cfbody = kv() }
 /^clipfed_evac /   { cebody = kv() }
-# Federation construction (BenchmarkFedNew).
+# Federation construction (BenchmarkFedNew, BenchmarkFedBuild).
 /^fed_new /        { fnbody = kv() }
+/^fed_build /      { fbbody = kv() }
 /^clipfed_parallel / {
     # Parallel-executor scaling rows, best-of-N per worker count.
     w = val("workers"); eps = val("events_per_s") + 0
@@ -208,6 +212,7 @@ END {
     printf "  \"clipfed_chaos\": {%s},\n", cfbody
     printf "  \"clipfed_evac\": {%s},\n", cebody
     printf "  \"fed_new\": {%s},\n", fnbody
+    printf "  \"fed_build\": {%s},\n", fbbody
     # speedup: the best workers-1 wall over the best workers-2 wall.
     speedup = pwall[2] > 0 ? pwall[1] / pwall[2] : 0
     printf "  \"clipfed_parallel\": {\"speedup\": %.2f, \"rows\": [\n", speedup

@@ -5,8 +5,10 @@
 #
 # The base tree comes from `git archive` (no worktree, no network). Each
 # side builds the root benchmark test binary and clipfed once, then 9
-# rounds alternate the sides (base first in even rounds) over the six
-# tracked micro-benchmarks, the clipfed_parallel rows at workers 1/2/4,
+# rounds alternate the sides (base first in even rounds) over the seven
+# tracked micro-benchmarks (BenchmarkFedBuild is fed-scale's federation
+# set-up: fed.New plus 65,536 scheduled arrivals), the clipfed_parallel
+# rows at workers 1/2/4,
 # the clipfed_chaos row and the clipfed_evac row (the chaos fault
 # stream under least-loaded routing, about 32k evacuations). A row
 # fails when the median of its per-round head/base ratios is past its
@@ -47,7 +49,7 @@ go test -c -o "$TMP/head.test" .
 go build -o "$TMP/head.clipfed" ./cmd/clipfed
 
 SMALL='BenchmarkCLIPSchedule$|BenchmarkSimRun$|BenchmarkOptimalSearch$'
-LARGE='BenchmarkOptimalSearchLarge$|BenchmarkJobschedThroughput$|BenchmarkJobschedPriorityThroughput$'
+LARGE='BenchmarkOptimalSearchLarge$|BenchmarkJobschedThroughput$|BenchmarkJobschedPriorityThroughput$|BenchmarkFedBuild$'
 PFLAGS="-shards 64 -nodes 4 -budget 400 -jobs 4096 -gap 0.25 -routing locality -seed 1 -lend=false"
 CHAOS_FLAGS="-shards 64 -nodes 4 -budget 400 -jobs 512 -gap 1 -routing locality -seed 1 \
     -shard-faults crash-mtbf=400,mttr=120,part-mtbf=600,part-dur=60,seed=9"
