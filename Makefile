@@ -2,8 +2,8 @@
 #
 #   make build   — compile everything
 #   make test    — tier-1: the full test suite
-#   make check   — tier-2: build + vet (the benchmark module too) + race
-#                  tests + dispatch, scenario, search and id-index fuzz + bench smoke + docs
+#   make check   — tier-2: build + vet + the benchmark module's vet and tests +
+#                  race tests + dispatch, scenario, search and id-index fuzz + bench smoke + docs
 #                  lint, then the paired perf gate against the parent commit
 #   make docs    — gofmt + vet + godoc-coverage lint (cmd/doclint)
 #   make bench   — hot-path benchmarks + suite wall time -> BENCH_results.json
@@ -27,6 +27,7 @@ check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	cd benchmark && GOPROXY=off $(GO) vet ./...
+	cd benchmark && GOPROXY=off $(GO) test ./...
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/core/... ./internal/jobsched/... ./internal/server/... ./internal/telemetry/...
 	$(GO) test -race -count=2 ./internal/fed/...

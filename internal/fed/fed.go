@@ -254,10 +254,9 @@ type Federation struct {
 	arrivalsLeft     int // scheduled arrivals not yet routed (or handed to a replay)
 	evacuated        int // queued jobs migrated off crashed shards
 	// evacuateShard's buffers, reused across crashes: the survivors'
-	// load heap, the evacuated jobs and the shards that received any.
+	// load heap and the evacuated jobs.
 	evacHeap loadHeap
 	evacJobs []jobsched.Job
-	evacDst  []bool
 	// audit state
 	audits       int
 	violations   int

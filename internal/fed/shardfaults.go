@@ -484,9 +484,7 @@ func (f *Federation) handleShardHeal(id int) {
 // heap exact: every pick is the one a full least-loaded scan would make.
 // Jobs move one at a time because each pick depends on whether the
 // previous job started or queued. The heap and the job buffer are the
-// federation's, reused across crashes, and Readmit sets no state
-// gauge, so each destination sets its gauges once when the handler
-// ends.
+// federation's, reused across crashes.
 func (f *Federation) evacuateShard(id int) {
 	h := f.evacHeap[:0]
 	for _, sh := range f.shards {
@@ -507,20 +505,15 @@ func (f *Federation) evacuateShard(id int) {
 	if len(jobs) == 0 {
 		return
 	}
-	if f.evacDst == nil {
-		f.evacDst = make([]bool, len(f.shards))
-	}
-	defer f.publishEvacuated()
 	f.touch(src)
 	for _, j := range jobs {
 		dst := f.shards[h[0].id]
 		f.touch(dst)
-		f.evacDst[dst.ID] = true
 		if err := dst.Online.Advance(f.now); err != nil {
 			f.fail(err)
 			return
 		}
-		if err := dst.Online.Readmit(j.ID, j.App, j.Priority); err != nil {
+		if _, err := dst.Online.SubmitPri(j.ID, j.App, j.Priority); err != nil {
 			f.fail(err)
 			return
 		}
@@ -529,17 +522,6 @@ func (f *Federation) evacuateShard(id int) {
 		dst.submitted++
 		f.evacuated++
 		mJobsEvacuated.Inc()
-	}
-}
-
-// publishEvacuated sets the state gauges of every shard that received
-// evacuees, in shard order, and clears the marks.
-func (f *Federation) publishEvacuated() {
-	for i, got := range f.evacDst {
-		if got {
-			f.shards[i].Online.PublishState()
-			f.evacDst[i] = false
-		}
 	}
 }
 

@@ -545,7 +545,7 @@ type schedState struct {
 	// == i), with its id beside it in ids; jobs indexes the live ones by
 	// id over the arena (recID is its key), and freeRecs is the stack of
 	// forgotten ones, which the arena hands out again. A *jobRecord is
-	// only ever a local: newRecord may move the arena.
+	// only ever a local: register may move the arena.
 	recs     []jobRecord
 	ids      []string
 	freeRecs []int32
@@ -762,10 +762,29 @@ func (st *schedState) appIndex(app *workload.Spec) int32 {
 	return i
 }
 
-// newRecord takes a queued record for j from the record arena and
-// returns its index; the caller indexes it in the slot its duplicate
-// check found. The arena may move, so no *jobRecord survives the call.
-func (st *schedState) newRecord(j Job) int32 {
+// register is the one way a job enters a run state, batch or online:
+// it runs the id, application, duplicate and sticky-failure checks,
+// applies the application's default priority to priority 0, takes a
+// queued record for j from the record arena and indexes it, and returns
+// the record's index. The arena may move, so no *jobRecord survives the
+// call.
+func (st *schedState) register(j Job) (int32, error) {
+	if j.ID == "" {
+		return 0, fmt.Errorf("jobsched: empty job id")
+	}
+	if j.App == nil {
+		return 0, fmt.Errorf("jobsched: job %q has no application", j.ID)
+	}
+	_, slot, dup := st.jobs.Find(j.ID, st.recID)
+	if dup {
+		return 0, fmt.Errorf("%w: %q", ErrDuplicateJob, j.ID)
+	}
+	if st.failure != nil {
+		return 0, st.failure
+	}
+	if j.Priority == 0 {
+		j.Priority = j.App.Priority
+	}
 	var idx int32
 	if n := len(st.freeRecs); n > 0 {
 		idx, st.freeRecs = st.freeRecs[n-1], st.freeRecs[:n-1]
@@ -776,7 +795,9 @@ func (st *schedState) newRecord(j Job) int32 {
 	}
 	st.recs[idx] = jobRecord{arrival: j.Arrival, pri: j.Priority, idx: idx, app: st.appIndex(j.App), run: noSlot}
 	st.ids[idx] = j.ID
-	return idx
+	st.jobs.Fill(slot, idx)
+	st.jobsLeft++
+	return idx, nil
 }
 
 // grow makes room for n more jobs: the id index reserves room for
@@ -848,17 +869,15 @@ func (st *schedState) teardown(rj *runningJob) float64 {
 }
 
 // Run schedules the job list to completion and returns statistics.
-// The caller's slice is read but never reordered or mutated. Job ids
-// must be unique: a repeated id fails the run, before anything is
-// simulated, with an error wrapping ErrDuplicateJob.
+// The caller's slice is read but never reordered or mutated. Every job
+// needs a non-empty id and an application, and ids must be unique: a
+// bad job or a repeated id (an error wrapping ErrDuplicateJob) fails
+// the run before anything is simulated.
 func (s *Scheduler) Run(jobs []Job) (*Stats, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("jobsched: empty job list")
 	}
-	for i, j := range jobs {
-		if j.App == nil {
-			return nil, fmt.Errorf("jobsched: job %d has no application", i)
-		}
+	for _, j := range jobs {
 		if j.Arrival < 0 {
 			return nil, fmt.Errorf("jobsched: job %q arrives before time zero", j.ID)
 		}
@@ -869,16 +888,13 @@ func (s *Scheduler) Run(jobs []Job) (*Stats, error) {
 	}
 	defer s.pool.Store(st)
 	st.grow(len(jobs))
-	st.jobsLeft = len(jobs)
 	// Arrival events fire in (time, schedule order), so scheduling them
 	// in list order starts equal arrivals in list order without a sort.
 	for _, j := range jobs {
-		_, slot, dup := st.jobs.Find(j.ID, st.recID)
-		if dup {
-			return nil, fmt.Errorf("%w: %q", ErrDuplicateJob, j.ID)
+		idx, err := st.register(j)
+		if err != nil {
+			return nil, err
 		}
-		idx := st.newRecord(j)
-		st.jobs.Fill(slot, idx)
 		if _, err := st.eng.At(j.Arrival, st, evkArrival, uint64(idx)); err != nil {
 			return nil, err
 		}
@@ -925,18 +941,15 @@ func (st *schedState) accountPower() {
 }
 
 // admit enqueues a job and tries to dispatch: the arrival core shared
-// by the arrival event and Online.Readmit. A job arriving after the
-// entire cluster has drained fails immediately — there is no node it
-// could ever run on.
+// by a batch Run's arrival event and Online.SubmitPri. A job arriving
+// after the entire cluster has drained fails immediately — there is no
+// node it could ever run on.
 func (st *schedState) admit(rec *jobRecord) {
 	if st.inj != nil && st.inj.AllDrained() {
 		st.failJob(rec, "no nodes left: entire cluster drained")
 		return
 	}
 	app := st.apps[rec.app].spec
-	if rec.pri == 0 {
-		rec.pri = app.Priority
-	}
 	if !app.Constraint.Zero() && !st.constraintSatisfiable(app) {
 		st.failJob(rec, "node constraint matches no cluster node")
 		return

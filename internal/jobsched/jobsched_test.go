@@ -91,6 +91,9 @@ func TestRunRejectsBadJobs(t *testing.T) {
 	if _, err := s.Run([]Job{{ID: "x", App: workload.CoMD(), Arrival: -1}}); err == nil {
 		t.Error("negative arrival accepted")
 	}
+	if _, err := s.Run([]Job{{ID: "x", App: workload.CoMD()}, {App: workload.CoMD()}}); err == nil {
+		t.Error("job without id accepted")
+	}
 }
 
 // TestRunRejectsDuplicateIDs: two jobs of one id would share one

@@ -3,12 +3,13 @@ package jobsched
 // Online driver: the incremental interface of the multi-job scheduler
 // that cmd/clipd serves over HTTP. Where Run executes a fixed job list
 // to completion, Online keeps the same deterministic DES core open and
-// lets a caller inject submissions and cancellations as simulation
-// events, advance virtual time in steps (the wall-clock bridge maps
-// real time onto these steps), query job and cluster state, and drain
-// the resident work on shutdown. The driver itself is single-threaded
-// — one virtual timeline, one event loop; concurrent callers must
-// serialise access (internal/server holds one lock around it).
+// lets a caller admit submissions and cancel jobs at the current
+// virtual time, advance virtual time in steps (the wall-clock bridge
+// maps real time onto these steps), query job and cluster state, and
+// drain the resident work on shutdown. The driver itself is
+// single-threaded — one virtual timeline, one event loop; concurrent
+// callers must serialise access (internal/server holds one lock around
+// it).
 
 import (
 	"errors"
@@ -266,30 +267,33 @@ func (o *Online) Advance(t float64) error {
 // SubmitPri admits one job at the current virtual time with a
 // scheduling priority; priority 0 inherits the application's default.
 // Higher priorities dispatch first and, when Config.Preempt is enabled,
-// may evict running lower-priority jobs. The arrival is injected as a
-// DES event and executed before SubmitPri returns, so the returned
-// status, built from the record the submission took, already reflects
-// the placement decision: running (with its node set and budget) or
-// queued. Job ids are unique among the jobs the session holds; an id
-// EvacuateQueued handed back may be submitted again.
+// may evict running lower-priority jobs. Events already due fire first,
+// so the job is admitted on a settled state; the admission itself is
+// not a DES event and is not timed. Events the admission leaves due
+// fire before SubmitPri returns, so the returned status, built from the
+// record the submission took, already reflects the placement decision:
+// running (with its node set and budget) or queued. Job ids are unique
+// among the jobs the session holds; an id EvacuateQueued handed back
+// may be submitted again.
 func (o *Online) SubmitPri(id string, app *workload.Spec, pri int) (JobStatus, error) {
-	idx, err := o.newJob(id, app, pri)
+	st := o.st
+	now := st.eng.Now()
+	if err := st.eng.RunUntil(now); err != nil {
+		return JobStatus{}, err
+	}
+	idx, err := st.register(Job{ID: id, App: app, Arrival: now, Priority: pri})
 	if err != nil {
 		return JobStatus{}, err
 	}
-	now := o.st.eng.Now()
-	if _, err := o.st.eng.At(now, o.st, evkArrival, uint64(idx)); err != nil {
+	st.admit(&st.recs[idx])
+	st.publishState()
+	if err := st.eng.RunUntil(now); err != nil {
 		return JobStatus{}, err
 	}
-	// Fire the arrival (and anything else already due at now) so the
-	// caller sees the placement decision synchronously.
-	if err := o.st.eng.RunUntil(now); err != nil {
-		return JobStatus{}, err
+	if st.failure != nil {
+		return JobStatus{}, st.failure
 	}
-	if o.st.failure != nil {
-		return JobStatus{}, o.st.failure
-	}
-	return o.st.status(idx, o.st.queuePos(idx)), nil
+	return st.status(idx, st.queuePos(idx)), nil
 }
 
 // Grow prepares the session for n more submissions: the id index
@@ -298,60 +302,6 @@ func (o *Online) SubmitPri(id string, app *workload.Spec, pri int) (JobStatus, e
 // neither grow the index nor move the arena. It changes no scheduling
 // state.
 func (o *Online) Grow(n int) { o.st.grow(n) }
-
-// Readmit admits a job at the current virtual time exactly as SubmitPri
-// would — same checks, same placement decision — but directly, not
-// through an arrival event: it times no event, sets no state gauge and
-// builds no status. It is the federation's re-admission
-// path for jobs evacuated off a crashed shard (EvacuateQueued). The
-// caller must first have fired every event due at now (Advance(Now())),
-// which is what puts SubmitPri's arrival event first in line; Readmit
-// refuses otherwise. Events the admission itself leaves due at now fire
-// before Readmit returns, as they would after SubmitPri's arrival.
-func (o *Online) Readmit(id string, app *workload.Spec, pri int) error {
-	st := o.st
-	now := st.eng.Now()
-	if t, ok := st.eng.Next(); ok && t <= now {
-		return fmt.Errorf("jobsched: readmit %q with events due at t=%g; advance first", id, now)
-	}
-	idx, err := o.newJob(id, app, pri)
-	if err != nil {
-		return err
-	}
-	st.admit(&st.recs[idx])
-	if t, ok := st.eng.Next(); ok && t <= now {
-		if err := st.eng.RunUntil(now); err != nil {
-			return err
-		}
-	}
-	return st.failure
-}
-
-// newJob runs a submission's id, application, duplicate and
-// sticky-failure checks and takes a record for the job, arriving now,
-// returning its index; priority 0 inherits the application's default.
-func (o *Online) newJob(id string, app *workload.Spec, pri int) (int32, error) {
-	if id == "" {
-		return 0, fmt.Errorf("jobsched: empty job id")
-	}
-	if app == nil {
-		return 0, fmt.Errorf("jobsched: job %q has no application", id)
-	}
-	_, slot, dup := o.st.jobs.Find(id, o.st.recID)
-	if dup {
-		return 0, fmt.Errorf("%w: %q", ErrDuplicateJob, id)
-	}
-	if o.st.failure != nil {
-		return 0, o.st.failure
-	}
-	if pri == 0 {
-		pri = app.Priority
-	}
-	idx := o.st.newRecord(Job{ID: id, App: app, Arrival: o.st.eng.Now(), Priority: pri})
-	o.st.jobs.Fill(slot, idx)
-	o.st.jobsLeft++
-	return idx, nil
-}
 
 // Submission is one entry of a SubmitBatch call.
 type Submission struct {
@@ -576,11 +526,6 @@ func (o *Online) EvacuateQueued(dst []Job) []Job {
 	st.publishState()
 	return dst
 }
-
-// PublishState sets the scheduler's state gauges (queue depth, free
-// watts, quarantined nodes) at the current virtual time: the update a
-// Readmit does not make.
-func (o *Online) PublishState() { o.st.publishState() }
 
 // Cluster snapshots the cluster's power decomposition, queue pressure
 // and per-node health at the current virtual time.

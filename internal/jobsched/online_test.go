@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/rng"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -536,174 +537,101 @@ func TestOnlineEvacuateQueued(t *testing.T) {
 	}
 }
 
-// TestReadmitMatchesSubmitPri drives seeded traces — mixed priorities
-// and pinned applications, preemption on, node faults off and on —
-// through two identical sessions. Jobs evacuated from a third session
-// enter one of them through Readmit and the other through Advance and
-// SubmitPri; every other operation (arrivals, cancels, advances) is the
-// same on both. After every step the two must be indistinguishable, and
-// every record of the Readmit session must match where its job is.
-func TestReadmitMatchesSubmitPri(t *testing.T) {
+// TestEvacuateResubmitSameSession evacuates a session's queue and
+// brings the same ids back into the same session through Advance and
+// SubmitPri, round after round, with new submissions (mixed priorities
+// and pinned applications), cancels and time passing between rounds and
+// while the ids are away, node faults off and on: the path of a
+// federated job that moves between shards and returns to one it left.
+// The record arena hands freed records out last-in first-out and the
+// ids come back in evacuation order, so a returning id lands on another
+// record than the one it left. Evacuated ids must be free until they
+// return, and every record must match where its job is after every
+// step. After every round every id must be known, Jobs() must list them
+// in id order with the statuses Status reports, and a known id must be
+// refused as a duplicate.
+func TestEvacuateResubmitSameSession(t *testing.T) {
 	apps := []*workload.Spec{workload.CoMD(), workload.LUMZ(), workload.SPMZ(),
 		pinnedApp(0, 3), pinnedApp(4, 7)}
 	pris := []int{0, 0, 0, 2, 5}
-	outcomes, preempted := map[JobState]int{}, 0
+	outcomes, moves, moved, preempted := map[JobState]int{}, 0, 0, 0
 	for _, withFaults := range []bool{false, true} {
 		for _, seed := range []uint64{1, 2, 3} {
-			cfg := Config{Bound: 2400, Policy: Backfill, Preempt: true}
+			cfg := Config{Bound: 1200, Policy: Backfill, Preempt: true}
 			if withFaults {
 				cfg.Faults = &faults.Scenario{Seed: seed, CrashMTBF: 600, MTTR: 40,
 					ExcursionMTBF: 300, StragglerMTBF: 100, StragglerFactor: 8}
 			}
-			src := online(t, Config{Bound: 1200, Preempt: true})
-			re, sub := online(t, cfg), online(t, cfg)
-			tag := fmt.Sprintf("faults=%v seed=%d", withFaults, seed)
+			o := online(t, cfg)
 			r := rng.New(seed)
+			var ids []string // every id submitted, ascending
 			var buf []Job
-			var known []string
-			for ev := 0; ev < 400; ev++ {
-				step := fmt.Sprintf("%s ev %d", tag, ev)
+			other := map[int32]bool{} // records a returning id took from another
+			for round := 0; round < 40; round++ {
+				tag := fmt.Sprintf("faults=%v seed=%d round %d", withFaults, seed, round)
 				check := func(err error) {
 					t.Helper()
 					if err != nil {
-						t.Fatalf("%s: %v", step, err)
+						t.Fatalf("%s: %v", tag, err)
 					}
+					checkRecords(t, tag, o.st)
 				}
-				id, app, pri := fmt.Sprintf("j%04d", ev), apps[r.Intn(len(apps))], pris[r.Intn(len(pris))]
-				switch op := r.Intn(20); {
-				case op < 8: // an arrival at the evacuated session
-					_, err := src.SubmitPri(id, app, pri)
+				for k := 0; k < 8; k++ {
+					id := fmt.Sprintf("j%04d", len(ids))
+					_, err := o.SubmitPri(id, apps[r.Intn(len(apps))], pris[r.Intn(len(pris))])
+					ids = append(ids, id)
 					check(err)
-				case op < 12: // the same arrival at both sessions
-					for _, o := range []*Online{re, sub} {
-						_, err := o.SubmitPri(id, app, pri)
+				}
+				for k := 0; k < 2; k++ {
+					if id := ids[r.Intn(len(ids))]; !statusOf(t, o, id).State.Terminal() {
+						_, err := o.Cancel(id)
 						check(err)
-					}
-					known = append(known, id)
-				case op < 14: // evacuate into both, one job at a time
-					buf = src.EvacuateQueued(buf[:0])
-					for _, j := range buf {
-						check(re.Advance(re.Now()))
-						check(re.Readmit(j.ID, j.App, j.Priority))
-						check(sub.Advance(sub.Now()))
-						_, err := sub.SubmitPri(j.ID, j.App, j.Priority)
-						check(err)
-						js, err := re.Status(j.ID)
-						check(err)
-						outcomes[js.State]++
-						known = append(known, j.ID)
-					}
-				case op < 15: // cancel the same live job in both
-					if len(known) == 0 {
-						break
-					}
-					cid := known[r.Intn(len(known))]
-					if js, err := re.Status(cid); err == nil && !js.State.Terminal() {
-						for _, o := range []*Online{re, sub} {
-							_, err := o.Cancel(cid)
-							check(err)
-						}
-					}
-				default:
-					until := re.Now() + 50*r.Float64()
-					for _, o := range []*Online{src, re, sub} {
-						check(o.Advance(until))
 					}
 				}
-				sameSessions(t, step, re, sub)
-				checkRecords(t, step, re.st)
-			}
-			preempted += re.st.stats.Preemptions
-		}
-	}
-	t.Logf("re-admitted jobs by state right after Readmit: %v; %d preemptions", outcomes, preempted)
-	if outcomes[JobQueued] == 0 || outcomes[JobRunning] == 0 || preempted == 0 {
-		t.Errorf("re-admissions never both queued and started, or nothing was preempted: the traces test too little")
-	}
-}
+				check(o.Advance(o.Now() + 40*r.Float64()))
 
-// TestEvacuateReadmitSameSession evacuates a session's queue and brings
-// the same ids back into the same session, round after round, with new
-// submissions, cancels and time passing between rounds: the path of a
-// federated job that moves between shards and returns to one it left.
-// Even rounds bring the ids back through Readmit, odd rounds through
-// SubmitPri. The record arena hands freed records out last-in
-// first-out and the ids come back in evacuation order, so a returning
-// id lands on another record than the one it left. Evacuated ids must be free
-// until they return; after every round every id must be known, Jobs()
-// must list them in id order with the statuses Status reports, and a
-// known id must be refused as a duplicate.
-func TestEvacuateReadmitSameSession(t *testing.T) {
-	apps := []*workload.Spec{workload.CoMD(), workload.LUMZ(), workload.SPMZ()}
-	o := online(t, Config{Bound: 1200, Policy: Backfill, Preempt: true})
-	r := rng.New(7)
-	var ids []string // every id submitted, ascending
-	var buf []Job
-	moved, moves := map[int32]bool{}, 0
-	for round := 0; round < 40; round++ {
-		tag := fmt.Sprintf("round %d", round)
-		check := func(err error) {
-			t.Helper()
-			if err != nil {
-				t.Fatalf("%s: %v", tag, err)
+				before := liveRecords(o.st)
+				buf = o.EvacuateQueued(buf[:0])
+				check(nil)
+				for _, j := range buf {
+					if _, err := o.Status(j.ID); !errors.Is(err, ErrUnknownJob) {
+						t.Fatalf("%s: evacuated %s: Status error %v, want ErrUnknownJob", tag, j.ID, err)
+					}
+				}
+				if n := len(o.Jobs()); n != len(ids)-len(buf) {
+					t.Fatalf("%s: %d jobs listed after evacuating %d of %d", tag, n, len(buf), len(ids))
+				}
+				if round%2 == 1 {
+					check(o.Advance(o.Now() + 20*r.Float64())) // time passes while the ids are away
+				}
+				for _, j := range buf {
+					check(o.Advance(o.Now()))
+					js, err := o.SubmitPri(j.ID, j.App, j.Priority)
+					check(err)
+					outcomes[js.State]++
+					if js.Arrival != o.Now() || js.Priority != j.Priority {
+						t.Fatalf("%s: %s came back arriving at %g with priority %d, want %g and %d",
+							tag, j.ID, js.Arrival, js.Priority, o.Now(), j.Priority)
+					}
+					if idx := record(o.st, j.ID).idx; idx != before[j.ID] {
+						other[idx] = true
+					}
+				}
+				moves += len(buf)
+				checkIndex(t, tag, o, ids)
 			}
-		}
-		for k := 0; k < 8; k++ {
-			id, pri := fmt.Sprintf("j%04d", len(ids)), 0
-			if r.Intn(5) == 0 {
-				pri = 5
+			if err := o.Drain(); err != nil {
+				t.Fatal(err)
 			}
-			_, err := o.SubmitPri(id, apps[r.Intn(len(apps))], pri)
-			check(err)
-			ids = append(ids, id)
+			checkIndex(t, "drained", o, ids)
+			moved += len(other)
+			preempted += o.st.stats.Preemptions
 		}
-		for k := 0; k < 2; k++ {
-			if id := ids[r.Intn(len(ids))]; !statusOf(t, o, id).State.Terminal() {
-				_, err := o.Cancel(id)
-				check(err)
-			}
-		}
-		check(o.Advance(o.Now() + 40*r.Float64()))
-
-		before := map[string]int32{}
-		for id, idx := range liveRecords(o.st) {
-			before[id] = idx
-		}
-		buf = o.EvacuateQueued(buf[:0])
-		for _, j := range buf {
-			if _, err := o.Status(j.ID); !errors.Is(err, ErrUnknownJob) {
-				t.Fatalf("%s: evacuated %s: Status error %v, want ErrUnknownJob", tag, j.ID, err)
-			}
-		}
-		if n := len(o.Jobs()); n != len(ids)-len(buf) {
-			t.Fatalf("%s: %d jobs listed after evacuating %d of %d", tag, n, len(buf), len(ids))
-		}
-		check(o.Advance(o.Now()))
-		for _, j := range buf {
-			if round%2 == 0 {
-				check(o.Readmit(j.ID, j.App, j.Priority))
-			} else {
-				_, err := o.SubmitPri(j.ID, j.App, j.Priority)
-				check(err)
-			}
-			if js := statusOf(t, o, j.ID); js.Arrival != o.Now() || js.Priority != j.Priority {
-				t.Fatalf("%s: %s came back arriving at %g with priority %d, want %g and %d",
-					tag, j.ID, js.Arrival, js.Priority, o.Now(), j.Priority)
-			}
-			if idx := record(o.st, j.ID).idx; idx != before[j.ID] {
-				moved[idx] = true
-			}
-		}
-		moves += len(buf)
-		checkIndex(t, tag, o, ids)
 	}
-	if err := o.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	checkIndex(t, "drained", o, ids)
-	t.Logf("%d evacuations came back, %d records taken by another id", moves, len(moved))
-	if moves < 200 || len(moved) < 20 {
-		t.Errorf("%d evacuations came back on %d other records: the rounds test too little", moves, len(moved))
+	t.Logf("%d evacuations came back (by state right after SubmitPri: %v), %d records taken by another id, %d preemptions",
+		moves, outcomes, moved, preempted)
+	if moves < 1000 || moved < 100 || outcomes[JobQueued] == 0 || outcomes[JobRunning] == 0 || preempted == 0 {
+		t.Errorf("returns never both queued and started, landed on too few other records or preempted nothing: the rounds test too little")
 	}
 }
 
@@ -719,8 +647,8 @@ func statusOf(t *testing.T, o *Online, id string) JobStatus {
 
 // checkIndex requires the session to know exactly ids (ascending):
 // Jobs() lists them in order, each with the status Status reports, and
-// each is refused as a duplicate by SubmitPri and Readmit. It also
-// checks every record against where its job is.
+// each is refused as a duplicate by SubmitPri. It also checks every
+// record against where its job is.
 func checkIndex(t *testing.T, tag string, o *Online, ids []string) {
 	t.Helper()
 	jobs := o.Jobs()
@@ -737,9 +665,117 @@ func checkIndex(t *testing.T, tag string, o *Online, ids []string) {
 		if _, err := o.SubmitPri(js.ID, workload.CoMD(), 0); !errors.Is(err, ErrDuplicateJob) {
 			t.Fatalf("%s: resubmitting %s (%s): %v, want ErrDuplicateJob", tag, js.ID, js.State, err)
 		}
-		if err := o.Readmit(js.ID, workload.CoMD(), 0); !errors.Is(err, ErrDuplicateJob) {
-			t.Fatalf("%s: readmitting %s (%s): %v, want ErrDuplicateJob", tag, js.ID, js.State, err)
-		}
 	}
 	checkRecords(t, tag, o.st)
+}
+
+// TestSubmitPriMatchesBatchRun runs seeded fault-free traces — mixed
+// priorities, pinned applications and equal-time arrivals, preemption
+// on, reallocation alternating — under every policy, once through a
+// batch Run, which admits each job by an arrival event, and once
+// through a session that advances to each arrival, submits the job with
+// SubmitPri and drains. Every job must start and finish at the same
+// times, on as many nodes at the same per-node watts, after as many
+// preemptions in both.
+func TestSubmitPriMatchesBatchRun(t *testing.T) {
+	apps := []*workload.Spec{workload.CoMD(), workload.LUMZ(), workload.SPMZ(),
+		pinnedApp(0, 3), pinnedApp(4, 7)}
+	pris := []int{0, 0, 0, 2, 5}
+	waited, preempted := 0, 0
+	for pi, policy := range []Policy{FCFS, Backfill, AggressiveBackfill} {
+		for _, seed := range []uint64{1, 2, 3} {
+			cfg := Config{Bound: 1600, Policy: policy, Preempt: true, Reallocate: (pi+int(seed))%2 == 0}
+			tag := fmt.Sprintf("%v seed=%d reallocate=%v", policy, seed, cfg.Reallocate)
+			r := rng.New(seed)
+			var list []Job
+			now := 0.0
+			for i := 0; i < 150; i++ {
+				if r.Intn(4) > 0 {
+					now += 15 * r.Float64()
+				}
+				list = append(list, Job{ID: fmt.Sprintf("j%03d", i), App: apps[r.Intn(len(apps))],
+					Arrival: now, Priority: pris[r.Intn(len(pris))]})
+			}
+			res, err := sched(t, cfg).Run(list)
+			if err != nil {
+				t.Fatalf("%s: Run: %v", tag, err)
+			}
+			want := map[string]JobResult{}
+			for _, jr := range res.Jobs {
+				want[jr.ID] = jr
+				if jr.Start > jr.Arrival {
+					waited++
+				}
+				preempted += jr.Preemptions
+			}
+
+			o := online(t, cfg)
+			for _, j := range list {
+				if err := o.Advance(j.Arrival); err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				if _, err := o.SubmitPri(j.ID, j.App, j.Priority); err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+			}
+			if err := o.Drain(); err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			got := map[string]JobResult{}
+			for id, i := range liveRecords(o.st) {
+				if rec := &o.st.recs[i]; rec.state == JobCompleted {
+					got[id] = o.st.result(rec)
+				}
+			}
+			if len(want) != len(list) || len(got) != len(list) {
+				t.Fatalf("%s: %d jobs completed in Run and %d in the session, want %d",
+					tag, len(want), len(got), len(list))
+			}
+			for id, w := range want {
+				if g := got[id]; !reflect.DeepEqual(g, w) {
+					t.Fatalf("%s: %s through SubmitPri\n got %+v\nwant %+v (batch Run)", tag, id, g, w)
+				}
+			}
+		}
+	}
+	t.Logf("%d jobs waited, %d preemptions", waited, preempted)
+	if waited == 0 || preempted == 0 {
+		t.Error("no job waited or none was preempted: the traces test too little")
+	}
+}
+
+// TestSubmissionIsNotAnEvent: a submission that fires nothing else adds
+// no DES event and no event-latency observation, and leaves the queue
+// depth and free watts gauges at the session's own figures, whether the
+// job starts or queues.
+func TestSubmissionIsNotAnEvent(t *testing.T) {
+	o := online(t, Config{Bound: 1200})
+	for i := 0; i < 6; i++ {
+		if next, ok := o.Next(); ok && next <= o.Now() {
+			t.Fatalf("submission %d: an event is due at t=%g", i, next)
+		}
+		before := telemetry.Default.Snapshot()
+		js, err := o.SubmitPri(fmt.Sprintf("j%d", i), workload.CoMD(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := telemetry.Default.Snapshot()
+		if d := after.Counters["clip_des_events_total"] - before.Counters["clip_des_events_total"]; d != 0 {
+			t.Errorf("submission %d (%s) fired %d DES events, want 0", i, js.State, d)
+		}
+		const h = "clip_jobsched_event_seconds"
+		if d := after.Histograms[h].Count - before.Histograms[h].Count; d != 0 {
+			t.Errorf("submission %d (%s) timed %d scheduler events, want 0", i, js.State, d)
+		}
+		if g := after.Gauges["clip_jobsched_queue_depth"]; g != float64(o.QueueLen()) {
+			t.Errorf("submission %d (%s): queue depth gauge %g, QueueLen %d", i, js.State, g, o.QueueLen())
+		}
+		if g := after.Gauges["clip_jobsched_free_watts"]; g != o.FreeWatts() {
+			t.Errorf("submission %d (%s): free watts gauge %g, FreeWatts %g", i, js.State, g, o.FreeWatts())
+		}
+	}
+	if o.RunningLen() == 0 || o.QueueLen() == 0 {
+		t.Fatalf("%d running and %d queued: the submissions must both start and queue",
+			o.RunningLen(), o.QueueLen())
+	}
 }
