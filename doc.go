@@ -18,7 +18,7 @@
 //
 // The stack is safe for concurrent use: a single core.CLIP may be
 // shared across goroutines, and several may share one knowledge table
-// per node spec — profile, predictor and node-configuration answers per
+// per node spec — profile, predictor and node-configuration grid per
 // application, beside each instance's own decision per application and
 // bound — each entry filled once under its own lock so concurrent
 // misses share one pass, and Schedule returns a deep clone of the cached

@@ -204,9 +204,11 @@ func TestOneFillPerKey(t *testing.T) {
 
 // TestOneSearchPerQuestion starts 16 goroutines on two CLIP instances
 // that share a fresh knowledge table; each asks its instance for one
-// application's advisor and then the same node-level questions. The
-// table must profile once and search each question once, and every
-// goroutine must read the same answers. Each round uses a fresh table.
+// application's advisor and then the same node-level questions, two of
+// them in one budget interval. The table must profile once and fill
+// each interval the questions fall in once (one search per fill), and
+// every goroutine must read the same answers. Each round uses a fresh
+// table.
 func TestOneSearchPerQuestion(t *testing.T) {
 	spec := hw.HaswellSpec()
 	model, err := TrainNPModel(spec)
@@ -217,7 +219,8 @@ func TestOneSearchPerQuestion(t *testing.T) {
 	searches := telemetry.Default.Counter("clip_recommend_calls_total", "")
 	const n = 16
 	app := workload.LUMZ()
-	budgets := []float64{60, 140, 220}
+	budgets := []float64{60, 60 + 1e-7, 140, 220}
+	const intervals = 3
 	for round := 0; round < 50 && !t.Failed(); round++ {
 		know := NewKnowledge(spec, model)
 		var clips [2]*CLIP
@@ -251,8 +254,8 @@ func TestOneSearchPerQuestion(t *testing.T) {
 		if d := passes.Value() - p0; d != 1 {
 			t.Errorf("round %d: %d profiling passes, want 1", round, d)
 		}
-		if d := searches.Value() - s0; d != uint64(len(budgets)) {
-			t.Errorf("round %d: %d searches for %d questions", round, d, len(budgets))
+		if d, n := searches.Value()-s0, know.Intervals(); d != uint64(n) || n != intervals {
+			t.Errorf("round %d: %d searches, %d intervals filled, want %d of each", round, d, n, intervals)
 		}
 		for g := range answers {
 			if !reflect.DeepEqual(answers[g], answers[0]) {

@@ -14,13 +14,13 @@
 // memo tables. The knowledge table (Knowledge) is the paper's knowledge
 // database and the only place a profile lives. It belongs to a node
 // spec and may be shared by every instance over clusters of that spec:
-// per application it holds the profile, the fitted predictor, the
-// candidate grid and the node-configuration answers. The decision table
-// is the instance's own, one entry per (application, bound). An entry
-// is filled once under its own lock, so concurrent first requests for
-// one key wait for a single profiling, search or scheduling pass, and
-// Schedule hands out a deep clone so callers may mutate the returned
-// plan without corrupting the table.
+// per application it holds the profile, the fitted predictor and the
+// candidate grid, whose budget intervals hold the node-configuration
+// answers. The decision table is the instance's own, one entry per
+// (application, bound). An entry is filled once under its own lock, so
+// concurrent first requests for one key wait for a single profiling,
+// search or scheduling pass, and Schedule hands out a deep clone so
+// callers may mutate the returned plan without corrupting the table.
 package core
 
 import (
@@ -114,13 +114,13 @@ type Options struct {
 	// Knowledge is the knowledge table the instance reads and fills
 	// (see NewKnowledge); it must have been built for the cluster's node
 	// spec. Instances that share one profile each application once and
-	// search each node-level question once. Nil builds a private table,
-	// training the NP regression on the cluster's spec.
+	// fill each budget interval of its grid once. Nil builds a private
+	// table, training the NP regression on the cluster's spec.
 	Knowledge *Knowledge
 	// EnergyTolerance switches the node-level objective to energy-aware
 	// selection: minimum predicted energy within this relative slowdown
 	// of the fastest configuration (0 = pure performance, the paper's
-	// objective).
+	// objective). New rejects a negative or NaN tolerance.
 	EnergyTolerance float64
 }
 
@@ -160,16 +160,17 @@ func (t *table[K, E]) entry(k K) *E {
 
 // Knowledge is the knowledge database (paper §IV-B3) of one node spec,
 // and the only place a profile lives: the NP regression and, per
-// application, an Advisor holding the profile, the fitted predictor,
-// the candidate grid and the node-configuration answers. CLIP reads it
-// before it profiles. Profiling runs uncapped on one nominal node of
-// the spec, so every answer is a function of the spec and the
-// application alone, and CLIP instances over clusters of one spec (a
-// federation's shards) can share one table: each application is
-// profiled once and each (application, per-node budget, tolerance) is
-// searched once. A table is filled on demand and never emptied; its
-// owner scopes it (one per federation), so independent runs do not see
-// each other's answers.
+// application, an Advisor holding the profile, the fitted predictor and
+// the candidate grid, whose budget intervals hold the node-configuration
+// answers. CLIP reads it before it profiles. Profiling runs uncapped on
+// one nominal node of the spec, so every answer is a function of the
+// spec and the application alone, and CLIP instances over clusters of
+// one spec (a federation's shards) can share one table: each
+// application is profiled once and each interval of its grid is filled
+// once. A table is filled on demand and never emptied, but it holds at
+// most one grid per application and one contender list per breakpoint
+// of that grid; its owner scopes it (one per federation), so independent
+// runs do not see each other's answers.
 type Knowledge struct {
 	spec  *hw.NodeSpec
 	model *perfmodel.NPModel
@@ -188,29 +189,15 @@ func NewKnowledge(spec *hw.NodeSpec, model *perfmodel.NPModel) *Knowledge {
 	}
 }
 
-// Advisor is one application's entry in a knowledge table: its profile,
-// its fitted predictor and candidate grid, and a memo of the grid's
-// node-configuration answers, one configEntry per (per-node budget,
-// tolerance). The profile, then the grid, is filled once under mu and
-// read with an atomic load; CLIP hands an advisor out only once both
-// are.
+// Advisor is one application's entry in a knowledge table: its profile
+// and its fitted predictor and candidate grid, whose budget intervals
+// hold the node-configuration answers. The profile, then the grid, is
+// filled once under mu and read with an atomic load; CLIP hands an
+// advisor out only once both are.
 type Advisor struct {
-	mu      sync.Mutex
-	p       atomic.Pointer[profile.Profile]
-	grid    atomic.Pointer[recommend.Grid]
-	configs table[configKey, configEntry]
-}
-
-// configKey keys an advisor's answers by the bits of the per-node
-// budget and of the energy tolerance.
-type configKey struct{ budget, tolerance uint64 }
-
-// configEntry memoizes one recommend answer, filled once under mu.
-type configEntry struct {
 	mu   sync.Mutex
-	done atomic.Bool
-	cfg  recommend.NodeConfig
-	ok   bool
+	p    atomic.Pointer[profile.Profile]
+	grid atomic.Pointer[recommend.Grid]
 }
 
 // Profile returns the application's profile.
@@ -220,27 +207,21 @@ func (a *Advisor) Profile() *profile.Profile { return a.p.Load() }
 func (a *Advisor) Predictor() *perfmodel.Predictor { return a.grid.Load().Predictor() }
 
 // Best returns the node configuration recommend's grid search picks for
-// a per-node budget and energy tolerance, searching once per table: every
-// CLIP instance sharing the table reads the same answer.
+// a per-node budget and energy tolerance. Every CLIP instance sharing
+// the table asks the same grid, which fills each budget interval's
+// contenders once.
 func (a *Advisor) Best(perNode, tolerance float64) (recommend.NodeConfig, bool) {
-	e := a.configs.entry(configKey{math.Float64bits(perNode), math.Float64bits(tolerance)})
-	if !e.done.Load() {
-		e.mu.Lock()
-		if !e.done.Load() {
-			e.cfg, e.ok = a.grid.Load().Best(perNode, tolerance)
-			e.done.Store(true)
-		}
-		e.mu.Unlock()
-	}
-	return e.cfg, e.ok
+	return a.grid.Load().Best(perNode, tolerance)
 }
 
-// Answers returns how many node-configuration answers the table holds:
-// one per (application, per-node budget, tolerance) asked so far.
-func (k *Knowledge) Answers() int {
+// Intervals returns how many budget intervals the table's grids have
+// filled: one per (application, interval) asked about so far.
+func (k *Knowledge) Intervals() int {
 	n := 0
 	k.apps.m.Range(func(_, a any) bool {
-		a.(*Advisor).configs.m.Range(func(_, _ any) bool { n++; return true })
+		if g := a.(*Advisor).grid.Load(); g != nil {
+			n += g.Filled()
+		}
 		return true
 	})
 	return n
@@ -301,6 +282,9 @@ func New(cl *hw.Cluster, opts ...Options) (*CLIP, error) {
 	var o Options
 	if len(opts) > 0 {
 		o = opts[0]
+	}
+	if o.EnergyTolerance < 0 || math.IsNaN(o.EnergyTolerance) {
+		return nil, fmt.Errorf("core: energy tolerance %v is not a non-negative slowdown", o.EnergyTolerance)
 	}
 	know := o.Knowledge
 	if know == nil {

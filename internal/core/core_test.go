@@ -27,6 +27,45 @@ func TestNewValidatesCluster(t *testing.T) {
 	}
 }
 
+// TestNewValidatesEnergyTolerance: New rejects a negative or NaN
+// energy tolerance, which would fail every Schedule or silently act as
+// the performance objective, and an accepted one schedules.
+func TestNewValidatesEnergyTolerance(t *testing.T) {
+	cl := hw.NewCluster(8, hw.HaswellSpec(), 0, 1)
+	model, err := TrainNPModel(cl.Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	know := NewKnowledge(cl.Spec(), model)
+	for _, tc := range []struct {
+		tolerance float64
+		ok        bool
+	}{
+		{0, true},
+		{0.1, true},
+		{math.Inf(1), true},
+		{math.Copysign(0, -1), true},
+		{-0.1, false},
+		{math.Inf(-1), false},
+		{math.NaN(), false},
+	} {
+		c, err := New(cl, Options{Knowledge: know, EnergyTolerance: tc.tolerance})
+		if !tc.ok {
+			if err == nil || !strings.Contains(err.Error(), "energy tolerance") {
+				t.Errorf("tolerance %v: error %v, want an energy tolerance error", tc.tolerance, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("tolerance %v: %v", tc.tolerance, err)
+			continue
+		}
+		if _, err := c.Schedule(workload.CoMD(), 800); err != nil {
+			t.Errorf("tolerance %v: %v", tc.tolerance, err)
+		}
+	}
+}
+
 func TestProfileCaching(t *testing.T) {
 	_, c := newCLIP(t)
 	app := workload.LUMZ()

@@ -427,10 +427,10 @@ func TestRunParallelTelemetryMatchesRun(t *testing.T) {
 
 // TestKnowledgeFilledOncePerFederation: every shard's CLIP reads one
 // knowledge table, which profiles each application once per federation
-// and searches each (application, per-node budget, tolerance) once,
-// whichever shard asks first. Only the shard whose call profiles counts
-// a profile miss, so misses equal profiling passes. The counts are the
-// same under Run and RunParallel at 1, 2 and 4 workers.
+// and fills each (application, budget interval) once, whichever shard
+// asks first: one search per filled interval. Only the shard whose call
+// profiles counts a profile miss, so misses equal profiling passes. The
+// counts are the same under Run and RunParallel at 1, 2 and 4 workers.
 func TestKnowledgeFilledOncePerFederation(t *testing.T) {
 	passes := telemetry.Default.Counter("clip_profiling_passes_total", "")
 	misses := telemetry.Default.Counter("clip_profile_cache_misses_total", "")
@@ -459,7 +459,7 @@ func TestKnowledgeFilledOncePerFederation(t *testing.T) {
 		}
 		return f
 	}
-	answers := -1
+	intervals := -1
 	for _, workers := range []int{0, 1, 2, 4} {
 		f := build()
 		know := f.Shards()[0].CLIP.Knowledge()
@@ -482,19 +482,19 @@ func TestKnowledgeFilledOncePerFederation(t *testing.T) {
 		if got := misses.Value() - m0; got != uint64(len(mix)) {
 			t.Errorf("workers=%d: %d profile misses for %d applications", workers, got, len(mix))
 		}
-		n := know.Answers()
+		n := know.Intervals()
 		if got := searches.Value() - s0; got != uint64(n) {
-			t.Errorf("workers=%d: %d searches for %d distinct questions", workers, got, n)
+			t.Errorf("workers=%d: %d searches for %d filled intervals", workers, got, n)
 		}
-		if answers >= 0 && n != answers {
-			t.Errorf("workers=%d: %d distinct questions, Run asked %d", workers, n, answers)
+		if intervals >= 0 && n != intervals {
+			t.Errorf("workers=%d: %d intervals filled, Run filled %d", workers, n, intervals)
 		}
 		if workers == 0 {
-			answers = n
+			intervals = n
 		}
 	}
-	if answers <= len(mix) {
-		t.Errorf("the trace asked only %d node-level questions", answers)
+	if intervals <= len(mix) {
+		t.Errorf("the trace filled only %d budget intervals", intervals)
 	}
-	t.Logf("%d applications, %d node-level questions", len(mix), answers)
+	t.Logf("%d applications, %d budget intervals filled", len(mix), intervals)
 }

@@ -300,10 +300,34 @@ func (pd *Predictor) BaseTime(n int) float64 {
 // memory-throttling penalty when the cap admits less bandwidth than the
 // configuration demands, and scales the compute portion with frequency
 // (S(freq) ∝ freq, §II).
-func (pd *Predictor) Time(n int, f, memCap float64) float64 {
+func (pd *Predictor) Time(n int, f, memCap float64) float64 { return pd.Terms(n, memCap).At(f) }
+
+// Terms holds the parts of a Time prediction that do not depend on the
+// frequency, for a caller that evaluates one (cores, DRAM cap) pair at
+// many frequencies: Terms(n, memCap).At(f) is Time(n, f, memCap).
+type Terms struct {
+	// compute and memory split the reference-frequency iteration time;
+	// penalty is the DRAM cap's serialisation cost (0 when the cap
+	// admits the demand).
+	compute, memory, penalty, fRef float64
+	// inf marks a configuration with no finite prediction.
+	inf bool
+}
+
+// At returns the predicted iteration time at effective frequency f.
+func (tt Terms) At(f float64) float64 {
+	if tt.inf {
+		return math.Inf(1)
+	}
+	// Adding a zero penalty leaves the positive time unchanged.
+	return tt.compute*(tt.fRef/f) + tt.memory + tt.penalty
+}
+
+// Terms returns the frequency-independent parts of Time(n, ·, memCap).
+func (pd *Predictor) Terms(n int, memCap float64) Terms {
 	t0 := pd.BaseTime(n)
 	if math.IsInf(t0, 1) || t0 <= 0 {
-		return math.Inf(1)
+		return Terms{inf: true}
 	}
 	sockets := sim.SocketsUsedFor(pd.Spec, n, pd.Prof.Affinity)
 
@@ -319,16 +343,14 @@ func (pd *Predictor) Time(n int, f, memCap float64) float64 {
 		memFrac = math.Min(1, demandBW/ceilBW)
 	}
 
-	compute := t0 * (1 - memFrac)
-	memory := t0 * memFrac
-	t := compute*(pd.fRef/f) + memory
+	tt := Terms{compute: t0 * (1 - memFrac), memory: t0 * memFrac, fRef: pd.fRef}
 
 	// DRAM cap penalty: excess traffic serialises at the admitted rate.
 	admit := power.MemBandwidthCap(pd.Spec, sockets, memCap)
 	if demandBW > admit && admit > 0 && pd.bytesPerIter > 0 {
-		t += pd.bytesPerIter * (1/admit - 1/demandBW)
+		tt.penalty = pd.bytesPerIter * (1/admit - 1/demandBW)
 	}
-	return t
+	return tt
 }
 
 // MemDemandWatts estimates the DRAM power needed to sustain the

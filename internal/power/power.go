@@ -138,11 +138,22 @@ func EffectiveFreq(spec *hw.NodeSpec, activeCores, socketsUsed int, cpuCap, eff 
 		return f, p, true
 	}
 	mDutyCycle.Inc()
-	duty := cpuCap / p
+	fEff, pDraw = DutyCycle(f, p, cpuCap)
+	return fEff, pDraw, false
+}
+
+// DutyCycle returns the throughput-equivalent frequency and the power
+// drawn when a cap of cpuCap watts sits below pMin, the draw at the
+// lowest DVFS frequency fMin: RAPL clock-modulates fMin to the cap's
+// share of pMin (at least 5%), with DutyCycleEfficiency's loss. It is
+// EffectiveFreq below the DVFS range, for a caller that already knows
+// the cap is there.
+func DutyCycle(fMin, pMin, cpuCap float64) (fEff, pDraw float64) {
+	duty := cpuCap / pMin
 	if duty < 0.05 {
 		duty = 0.05
 	}
-	return f * duty * DutyCycleEfficiency, math.Min(cpuCap, p), false
+	return fMin * duty * DutyCycleEfficiency, math.Min(cpuCap, pMin)
 }
 
 // SolveFreq returns the highest DVFS ladder frequency at which

@@ -115,26 +115,42 @@ var suiteGrids = sync.OnceValues(func() ([]*Grid, error) {
 // FuzzBestMatchesScan checks the grid search against the plain scan:
 // for every suite application, a budget from -10 to 600 W (the
 // duty-cycle region below the DVFS range up to budgets above the FMax
-// draw) and both objectives, Best returns the scan's configuration bit
-// for bit and the same ok.
+// draw; NaN and ±Inf are asked as they are) and both objectives, Best
+// returns the scan's configuration bit for bit and the same ok. The
+// seeds hold every suite grid's breakpoints and the floats next to
+// them, where an interval lookup that disagreed with the scan's own
+// comparisons would show. A cold input asks a fresh grid, so its
+// interval is filled by that question; a warm one asks the shared suite
+// grid, whose intervals fill in the order the inputs arrive.
 func FuzzBestMatchesScan(f *testing.F) {
-	for _, b := range []float64{-10, 0, 5, 30, 40, 61.7, 90, 120, 180, 250, 320, 450, 600} {
-		f.Add(uint8(0), b, false)
-		f.Add(uint8(2), b, true)
-		f.Add(uint8(7), b, false)
+	grids, err := suiteGrids()
+	if err != nil {
+		f.Fatal(err)
 	}
-	f.Fuzz(func(t *testing.T, app uint8, budget float64, energy bool) {
-		grids, err := suiteGrids()
-		if err != nil {
-			t.Fatal(err)
+	for _, b := range []float64{-10, 0, 5, 30, 40, 61.7, 90, 120, 180, 250, 320, 450, 600} {
+		f.Add(uint8(0), b, false, false)
+		f.Add(uint8(2), b, true, false)
+		f.Add(uint8(7), b, false, true)
+	}
+	for a, g := range grids {
+		for _, b := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)} {
+			f.Add(uint8(a), b, false, false)
+			f.Add(uint8(a), b, true, true)
 		}
-		if math.IsNaN(budget) || math.IsInf(budget, 0) {
-			t.Skip("non-finite budget")
+		for _, b := range g.bounds {
+			f.Add(uint8(a), math.Nextafter(b, math.Inf(-1)), false, false)
+			f.Add(uint8(a), b, false, false)
+			f.Add(uint8(a), math.Nextafter(b, math.Inf(1)), false, false)
 		}
-		if budget < -10 || budget > 600 {
+	}
+	f.Fuzz(func(t *testing.T, app uint8, budget float64, energy, cold bool) {
+		if !math.IsNaN(budget) && !math.IsInf(budget, 0) && (budget < -10 || budget > 600) {
 			budget = -10 + math.Mod(math.Abs(budget), 610)
 		}
 		g := grids[int(app)%len(grids)]
+		if cold {
+			g = NewGrid(g.spec, g.prof, g.pd)
+		}
 		tolerance := 0.0
 		if energy {
 			tolerance = 0.1
@@ -142,8 +158,34 @@ func FuzzBestMatchesScan(f *testing.F) {
 		got, gotOK := g.Best(budget, tolerance)
 		want, wantOK := scanBest(g.spec, g.prof, g.pd, budget, tolerance)
 		if gotOK != wantOK || !sameBits(got, want) {
-			t.Errorf("%s at %v W, tolerance %g: Best %+v (ok %v), scan %+v (ok %v)",
-				g.prof.App, budget, tolerance, got, gotOK, want, wantOK)
+			t.Errorf("%s at %v W, tolerance %g, cold %v: Best %+v (ok %v), scan %+v (ok %v)",
+				g.prof.App, budget, tolerance, cold, got, gotOK, want, wantOK)
 		}
 	})
+}
+
+// TestWarmBestAllocatesNothing asks every suite grid about budgets
+// across its range once, then again: a question about a filled interval
+// allocates nothing, and a grid stores at most one contender list per
+// breakpoint.
+func TestWarmBestAllocatesNothing(t *testing.T) {
+	grids, err := suiteGrids()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range grids {
+		g = NewGrid(g.spec, g.prof, g.pd)
+		ask := func() {
+			for b := 1.0; b < 400; b += 3.7 {
+				g.Best(b, 0)
+			}
+		}
+		ask()
+		if n := testing.AllocsPerRun(10, ask); n != 0 {
+			t.Errorf("%s: %v allocations per warm sweep", g.prof.App, n)
+		}
+		if f := g.Filled(); f == 0 || f > len(g.bounds) {
+			t.Errorf("%s: %d intervals filled, %d breakpoints", g.prof.App, f, len(g.bounds))
+		}
+	}
 }

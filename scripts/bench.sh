@@ -11,7 +11,7 @@ OUT="${1:-BENCH_results.json}"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
-BENCHES='BenchmarkCLIPSchedule$|BenchmarkSimRun$|BenchmarkOptimalSearch$|BenchmarkRecommendBest$'
+BENCHES='BenchmarkCLIPSchedule$|BenchmarkSimRun$|BenchmarkOptimalSearch$|BenchmarkRecommendBest$|BenchmarkRecommendBestCold$'
 # Scale-stress benchmarks (64-node search, 1k-job runtime trace plain
 # and with the priority/preemption pipeline live) are heavier per
 # iteration, so they run fewer times.

@@ -5,9 +5,11 @@
 #
 # The base tree comes from `git archive` (no worktree, no network). Each
 # side builds the root benchmark test binary and clipfed once, then 9
-# rounds alternate the sides (base first in even rounds) over the seven
+# rounds alternate the sides (base first in even rounds) over the nine
 # tracked micro-benchmarks (BenchmarkFedBuild is fed-scale's federation
-# set-up: fed.New plus 65,536 scheduled arrivals), the clipfed_parallel
+# set-up: fed.New plus 65,536 scheduled arrivals; BenchmarkRecommendBest
+# and BenchmarkRecommendBestCold are the node-level search on a warm and
+# a fresh grid), the clipfed_parallel
 # rows at workers 1/2/4,
 # the clipfed_chaos row and the clipfed_evac row (the chaos fault
 # stream under least-loaded routing, about 32k evacuations). A row
@@ -48,7 +50,7 @@ git archive "$BASE_REF" | tar -x -C "$TMP/base"
 go test -c -o "$TMP/head.test" .
 go build -o "$TMP/head.clipfed" ./cmd/clipfed
 
-SMALL='BenchmarkCLIPSchedule$|BenchmarkSimRun$|BenchmarkOptimalSearch$'
+SMALL='BenchmarkCLIPSchedule$|BenchmarkSimRun$|BenchmarkOptimalSearch$|BenchmarkRecommendBest$|BenchmarkRecommendBestCold$'
 LARGE='BenchmarkOptimalSearchLarge$|BenchmarkJobschedThroughput$|BenchmarkJobschedPriorityThroughput$|BenchmarkFedBuild$'
 PFLAGS="-shards 64 -nodes 4 -budget 400 -jobs 4096 -gap 0.25 -routing locality -seed 1 -lend=false"
 CHAOS_FLAGS="-shards 64 -nodes 4 -budget 400 -jobs 512 -gap 1 -routing locality -seed 1 \
