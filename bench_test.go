@@ -275,31 +275,66 @@ func BenchmarkFedNew(b *testing.B) {
 	}
 }
 
-// BenchmarkFedBuild measures what a fed-scale trial pays before it
-// runs: fed.New at the fed-scale shape plus 65,536 scheduled arrivals
-// (gaps uniform on [0, 0.5) s, applications uniform over the suite).
-// The trace is generated once, outside the timer.
-func BenchmarkFedBuild(b *testing.B) {
-	cfg := fedScaleConfig()
+// fedScaleTrace is the fed-scale shape and arrival trace: 65,536 jobs,
+// gaps uniform on [0, 0.5) s, applications uniform over the suite.
+type fedScaleTrace struct {
+	cfg  fed.Config
+	ids  []string
+	ts   []float64
+	apps []*workload.Spec
+}
+
+func newFedScaleTrace() fedScaleTrace {
 	const n = 65536
 	r := rng.New(1)
 	suite := workload.Suite()
-	ids, ts, apps := make([]string, n), make([]float64, n), make([]*workload.Spec, n)
+	tr := fedScaleTrace{fedScaleConfig(), make([]string, n), make([]float64, n), make([]*workload.Spec, n)}
 	now := 0.0
-	for i := range ids {
+	for i := range tr.ids {
 		now += r.Range(0, 0.5)
-		ids[i], ts[i], apps[i] = fmt.Sprintf("fed-build-%d", i), now, suite[r.Intn(len(suite))]
+		tr.ids[i], tr.ts[i], tr.apps[i] = fmt.Sprintf("fed-scale-%d", i), now, suite[r.Intn(len(suite))]
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, err := fed.New(cfg)
-		if err != nil {
+	return tr
+}
+
+// build makes a fed-scale federation and schedules every arrival.
+func (tr fedScaleTrace) build(b *testing.B) *fed.Federation {
+	f, err := fed.New(tr.cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for k := range tr.ids {
+		if err := f.ScheduleArrivalPri(tr.ts[k], tr.ids[k], tr.apps[k], tr.ids[k], 0); err != nil {
 			b.Fatal(err)
 		}
-		for k := range ids {
-			if err := f.ScheduleArrivalPri(ts[k], ids[k], apps[k], ids[k], 0); err != nil {
-				b.Fatal(err)
-			}
+	}
+	return f
+}
+
+// BenchmarkFedBuild measures what a fed-scale trial pays before it
+// runs: fed.New at the fed-scale shape plus 65,536 scheduled arrivals.
+// The trace is generated once, outside the timer.
+func BenchmarkFedBuild(b *testing.B) {
+	tr := newFedScaleTrace()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.build(b)
+	}
+}
+
+// BenchmarkFedReplay measures the other half of a fed-scale trial:
+// RunParallel(1) over the 65,536 arrivals, one shard replay after
+// another, so the shards' dispatch dominates. Each iteration runs a
+// fresh federation, built outside the timer.
+func BenchmarkFedReplay(b *testing.B) {
+	tr := newFedScaleTrace()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		f := tr.build(b)
+		b.StartTimer()
+		if err := f.RunParallel(1); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

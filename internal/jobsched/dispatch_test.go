@@ -23,7 +23,9 @@ const coldApps = math.MaxInt32
 // every dispatch-cache entry (decision, free-set copy and refusal stamp;
 // only the live count, which is queue bookkeeping, survives) and the
 // early end of a pass. The next event then decides everything from
-// scratch and walks the whole queue.
+// scratch and walks the whole queue, unless nothing is free: a pass
+// then ends before the queue in both sessions, since every entry would
+// be refused before anything else was read.
 func makeCold(st *schedState) {
 	st.settled.ok = false
 	for i := range st.apps {
@@ -190,7 +192,7 @@ func checkRecords(t *testing.T, tag string, st *schedState) {
 // opMix weights the differential driver's operations; each step draws
 // one in proportion to its weight. An all-zero mix only advances time.
 type opMix struct {
-	submit, cancel, bound, evacuate, reconcile, advance int
+	submit, cancel, bound, evacuate, reconcile, advance, cut int
 }
 
 // defaultMix is the mix of the seeded differential test.
@@ -200,17 +202,19 @@ var defaultMix = opMix{submit: 40, cancel: 15, bound: 7, evacuate: 2, reconcile:
 type diffCounts struct {
 	settled int    // steps that began with a settled-queue memo in force
 	adopted uint64 // dispatch-cache entries served by a free-set content match
+	full    uint64 // dispatch passes that found nothing free and read no entry
 }
 
 // diffDispatch drives one seeded trace — mixed priorities, pinned
 // applications, cancels (half of them of the dispatch head, whose
 // removal promotes the next entry), bound swings, evacuations,
-// reconciles and time advances, under node crashes, power excursions
-// and stragglers — through two sessions of cfg. The cached session
-// dispatches with every memo; the cold one is made cold before every
-// event. After every step the two must be indistinguishable, the
-// cached session's queue counts must match its queue, and every job
-// record of either session must match where its job is.
+// reconciles, time advances and bound cuts to the watts the running
+// jobs hold, under node crashes, power excursions and stragglers —
+// through two sessions of cfg. The cached session dispatches with
+// every memo; the cold one is made cold before every event. After
+// every step the two must be indistinguishable, the cached session's
+// queue counts must match its queue, and every job record of either
+// session must match where its job is.
 func diffDispatch(t *testing.T, cfg Config, seed uint64, mix opMix, steps int) diffCounts {
 	t.Helper()
 	apps := []*workload.Spec{workload.CoMD(), workload.LUMZ(), workload.SPMZ(),
@@ -220,7 +224,7 @@ func diffDispatch(t *testing.T, cfg Config, seed uint64, mix opMix, steps int) d
 		ExcursionMTBF: 300, StragglerMTBF: 100, StragglerFactor: 8}
 	cached, cold := online(t, cfg), online(t, cfg)
 	tag := fmt.Sprintf("%s preempt=%v realloc=%v seed=%d", cfg.Policy, cfg.Preempt, cfg.Reallocate, seed)
-	total := mix.submit + mix.cancel + mix.bound + mix.evacuate + mix.reconcile + mix.advance
+	total := mix.submit + mix.cancel + mix.bound + mix.evacuate + mix.reconcile + mix.advance + mix.cut
 	var n diffCounts
 	r := rng.New(seed)
 	var known []string
@@ -264,8 +268,15 @@ func diffDispatch(t *testing.T, cfg Config, seed uint64, mix opMix, steps int) d
 			both(func(o *Online) error { return o.SetBound(w) })
 		case op < mix.submit+mix.cancel+mix.bound+mix.evacuate:
 			both(func(o *Online) error { o.EvacuateQueued(nil); return nil })
-		case op < total-mix.advance:
+		case op < mix.submit+mix.cancel+mix.bound+mix.evacuate+mix.reconcile:
 			both(func(o *Online) error { return o.Reconcile() })
+		case op < total-mix.advance:
+			// Leave no free watt, or at most a rounding residue: the
+			// next passes find nothing free, and a settle memo is
+			// stamped after them.
+			if w := cached.Bound() - cached.FreeWatts(); w > 1 {
+				both(func(o *Online) error { return o.SetBound(w) })
+			}
 		default:
 			until := cached.Now() + 25*r.Float64()
 			coldUntil(t, cold, until)
@@ -288,7 +299,7 @@ func diffDispatch(t *testing.T, cfg Config, seed uint64, mix opMix, steps int) d
 	sameSessions(t, tag+" drained", cached, cold)
 	checkQueueCounts(t, tag+" drained", cached.st)
 	checkRecords(t, tag+" drained", cached.st)
-	n.adopted = cached.st.adopted
+	n.adopted, n.full = cached.st.adopted, cached.st.full
 	return n
 }
 
@@ -296,7 +307,8 @@ func diffDispatch(t *testing.T, cfg Config, seed uint64, mix opMix, steps int) d
 // policy with preemption on and off: every decision the settled-queue
 // memo, the content-keyed dispatch cache and the early end of a pass
 // make must equal the one a cold session makes. Both memos must have
-// applied, or the comparison tested nothing.
+// applied, and some passes must have found nothing free, or the
+// comparison tested nothing.
 func TestCachedDispatchMatchesCold(t *testing.T) {
 	var n diffCounts
 	for _, pol := range []Policy{FCFS, Backfill, AggressiveBackfill} {
@@ -306,36 +318,48 @@ func TestCachedDispatchMatchesCold(t *testing.T) {
 				c := diffDispatch(t, cfg, seed, defaultMix, 600)
 				n.settled += c.settled
 				n.adopted += c.adopted
+				n.full += c.full
 			}
 		}
 	}
-	t.Logf("%d steps began with a settled memo; %d cache entries adopted by content", n.settled, n.adopted)
+	t.Logf("%d steps began with a settled memo; %d cache entries adopted by content; %d passes found nothing free",
+		n.settled, n.adopted, n.full)
 	if n.settled == 0 {
 		t.Error("the settled-queue memo never applied")
 	}
 	if n.adopted == 0 {
 		t.Error("no dispatch-cache entry was ever served by a free-set content match")
 	}
+	if n.full == 0 {
+		t.Error("no dispatch pass ever found nothing free")
+	}
 }
 
 // FuzzDispatchMatchesCold runs the differential driver on fuzzed
 // seeds, policies, preemption and op mixes. Each byte of mix weights
-// one operation, in opMix field order; missing bytes weigh zero.
+// one operation, in opMix field order; missing bytes weigh zero. The
+// last seeds saturate the cluster: submit-heavy mixes, and bound cuts
+// that leave no free watt, so most passes find nothing free and the
+// next dispatch starts from a memo stamped after them.
 func FuzzDispatchMatchesCold(f *testing.F) {
 	f.Add(uint64(1), uint8(0), false, []byte{40, 15, 7, 2, 2, 34})
 	f.Add(uint64(2), uint8(1), true, []byte{40, 15, 7, 2, 2, 34})
 	f.Add(uint64(3), uint8(2), true, []byte{60, 30, 0, 0, 0, 10})
 	f.Add(uint64(4), uint8(2), false, []byte{30, 5, 20, 5, 10, 30})
 	f.Add(uint64(5), uint8(1), true, []byte{80, 0, 0, 1, 0, 19})
+	f.Add(uint64(6), uint8(1), false, []byte{120, 4, 0, 0, 0, 8})
+	f.Add(uint64(7), uint8(2), true, []byte{90, 5, 0, 0, 2, 10, 30})
+	f.Add(uint64(8), uint8(0), false, []byte{60, 10, 5, 0, 0, 15, 30})
+	f.Add(uint64(9), uint8(1), true, []byte{100, 0, 10, 0, 0, 0, 40})
 	f.Fuzz(func(t *testing.T, seed uint64, policy uint8, preempt bool, mix []byte) {
-		w := make([]int, 6)
+		w := make([]int, 7)
 		for i := range w {
 			if i < len(mix) {
 				w[i] = int(mix[i])
 			}
 		}
 		cfg := Config{Bound: 2400, Policy: Policy(policy % 3), Reallocate: seed%2 == 0, Preempt: preempt}
-		diffDispatch(t, cfg, seed, opMix{w[0], w[1], w[2], w[3], w[4], w[5]}, 300)
+		diffDispatch(t, cfg, seed, opMix{w[0], w[1], w[2], w[3], w[4], w[5], w[6]}, 300)
 	})
 }
 

@@ -166,8 +166,9 @@ func TestSubmitBatchMatchesSerialSubmits(t *testing.T) {
 // TestGrowKeepsSession: Grow changes no scheduling state. Two sessions
 // take the same submissions, one growing midway with jobs live (so its
 // id index is rebuilt around them); every status matches after every
-// submission. After Grow, a stream of submissions neither moves the
-// record arena nor allocates as much as without.
+// submission. After Grow, a stream of submissions into a saturated
+// session moves neither the record arena nor the queue, allocates less
+// than without, and leaves every status as it is without.
 func TestGrowKeepsSession(t *testing.T) {
 	plain := online(t, Config{Bound: 320})
 	grown := online(t, Config{Bound: 320})
@@ -221,15 +222,123 @@ func TestGrowKeepsSession(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.Mallocs - before.Mallocs
 	}
-	cold := submitAll(online(t, Config{Bound: 320}))
-	warm := online(t, Config{Bound: 320})
-	warm.Grow(len(ids))
+	// Both sessions start saturated: the filler takes the bound, so
+	// every submission after it queues at priority 0. The grown one
+	// announces the first queued job and the stream, and that job makes
+	// the level, which then holds the whole stream.
+	saturated := func(grow int) *Online {
+		o := online(t, Config{Bound: 320})
+		if _, err := o.SubmitPri("filler", apps[1], 0); err != nil {
+			t.Fatal(err)
+		}
+		if grow > 0 {
+			o.Grow(grow)
+		}
+		if _, err := o.SubmitPri("queued", apps[0], 0); err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	plainS := saturated(0)
+	cold := submitAll(plainS)
+	warm := saturated(len(ids) + 1)
 	arena, capRecs := &warm.st.recs[:1][0], cap(warm.st.recs)
+	lvl := warm.st.level(0, false)
+	if lvl == nil {
+		t.Fatal("the first submission after the filler did not queue")
+	}
+	queue, capQueue := &lvl.q[0], cap(lvl.q)
 	if w := submitAll(warm); w >= cold {
 		t.Errorf("%d submissions allocate %d objects after Grow, %d without; want fewer", runs, w, cold)
 	}
 	if &warm.st.recs[0] != arena || cap(warm.st.recs) != capRecs {
-		t.Errorf("the record arena moved during %d submissions after Grow(%d)", runs, runs)
+		t.Errorf("the record arena moved during %d submissions after Grow(%d)", runs, runs+1)
+	}
+	if lvl = warm.st.level(0, false); &lvl.q[0] != queue || cap(lvl.q) != capQueue {
+		t.Errorf("the queue moved during %d submissions after Grow(%d): cap %d, then %d",
+			runs, runs+1, capQueue, cap(lvl.q))
+	}
+	if warm.QueueLen() != runs+1 {
+		t.Errorf("%d jobs queued after Grow, want %d", warm.QueueLen(), runs+1)
+	}
+	pj, gj = plainS.Jobs(), warm.Jobs()
+	if len(pj) != len(gj) {
+		t.Fatalf("Jobs(): %d after Grow, %d without", len(gj), len(pj))
+	}
+	for i := range pj {
+		if statusKey(pj[i]) != statusKey(gj[i]) {
+			t.Errorf("job %s: grown session %s, want %s", pj[i].ID, statusKey(gj[i]), statusKey(pj[i]))
+		}
+	}
+}
+
+// TestFullClusterPassReadsNoEntry: with no free node, or no free watt,
+// nothing can start, so a dispatch pass ends before it reads a queue
+// entry. The queue is deep and mixed, and one application's only entry
+// sits at its tail, so a pass that walked until it had refused every
+// queued application would read all of it. More submissions, and a
+// bound cut that frees no watt, must leave the count of queue-reading
+// passes where it was. The exit changes no output, so no golden would
+// notice it gone.
+func TestFullClusterPassReadsNoEntry(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		bound     float64
+		nodesFree bool
+	}{
+		{"every node busy", 2400, false},
+		{"every watt taken", 400, true}, // one job takes the bound
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := online(t, Config{Bound: tc.bound, Policy: Backfill})
+			apps := []*workload.Spec{workload.CoMD(), workload.LUMZ(), workload.SPMZ()}
+			for i := 0; o.FreeNodes() > 0 && o.FreeWatts() > 0; i++ {
+				if i == len(testCl.Nodes) {
+					t.Fatalf("%d submissions left %d nodes and %g W free", i, o.FreeNodes(), o.FreeWatts())
+				}
+				if _, err := o.SubmitPri(fmt.Sprintf("fill-%d", i), apps[0], 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const depth = 192
+			for i := 0; i < depth; i++ {
+				if _, err := o.SubmitPri(fmt.Sprintf("q%03d", i), apps[i%len(apps)], 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := o.SubmitPri("tail", workload.AMG(), 0); err != nil {
+				t.Fatal(err)
+			}
+			st := o.st
+			if o.QueueLen() != depth+1 || st.qapps != len(apps)+1 {
+				t.Fatalf("%d jobs of %d applications queued, want %d of %d",
+					o.QueueLen(), st.qapps, depth+1, len(apps)+1)
+			}
+			nodes, watts := o.FreeNodes(), o.FreeWatts()
+			if (nodes > 0) != tc.nodesFree {
+				t.Fatalf("%d nodes and %g W free after the fill", nodes, watts)
+			}
+			pass, full := st.pass, st.full
+			for i := 0; i < 16; i++ {
+				if _, err := o.SubmitPri(fmt.Sprintf("more-%d", i), apps[i%len(apps)], 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := o.SetBound(o.Bound() - 50); err != nil {
+				t.Fatal(err)
+			}
+			if o.FreeNodes() != nodes || o.FreeWatts() > watts || o.QueueLen() != depth+17 {
+				t.Fatalf("%d nodes and %g W free, %d jobs queued after the cut; want %d, at most %g and %d",
+					o.FreeNodes(), o.FreeWatts(), o.QueueLen(), nodes, watts, depth+17)
+			}
+			if st.pass != pass {
+				t.Errorf("%d dispatch passes read the queue with %d nodes and %g W free",
+					st.pass-pass, nodes, watts)
+			}
+			if st.full-full < 17 {
+				t.Errorf("%d passes ended at the exit, want at least one per submission and the cut (17)", st.full-full)
+			}
+		})
 	}
 }
 

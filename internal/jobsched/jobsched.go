@@ -533,7 +533,8 @@ type schedState struct {
 	// enqueue order) and an all-equal-priority run is a single FIFO.
 	levels  []priLevel
 	qseq    uint64 // last enqueue sequence number handed out
-	pass    uint64 // dispatch pass counter, never reset (dispatchEntry.refused)
+	pass    uint64 // dispatch passes that read the queue, never reset (dispatchEntry.refused)
+	full    uint64 // dispatch passes that found nothing free and read no entry, never reset
 	qlive   int    // queued jobs not yet started, over all levels
 	qapps   int    // applications with queued jobs (dispatchEntry.live > 0)
 	adopted uint64 // dispatch-cache entries served by a content match, never reset
@@ -550,6 +551,9 @@ type schedState struct {
 	ids      []string
 	freeRecs []int32
 	jobs     idindex.Index
+	// announced counts the submissions grow announced that are not
+	// made yet (enqueue).
+	announced int
 	// side tables of the fault and failure paths, by record index: a
 	// retrying job's pending requeue event and a failed job's reason.
 	backoff map[int32]*des.Event
@@ -698,7 +702,7 @@ func (st *schedState) reset(online bool) {
 		l := &st.levels[i]
 		l.q, l.head, l.live = l.q[:0], 0, 0
 	}
-	st.qseq, st.qlive, st.qapps = 0, 0, 0
+	st.qseq, st.qlive, st.qapps, st.announced = 0, 0, 0, 0
 	for i := range st.apps {
 		dc := &st.apps[i].dc
 		dc.free, dc.live = dc.free[:0], 0
@@ -797,6 +801,7 @@ func (st *schedState) register(j Job) (int32, error) {
 	st.ids[idx] = j.ID
 	st.jobs.Fill(slot, idx)
 	st.jobsLeft++
+	st.announced = max(st.announced-1, 0)
 	return idx, nil
 }
 
@@ -804,8 +809,10 @@ func (st *schedState) register(j Job) (int32, error) {
 // them beside the live ones, and the arena and its id column grow once
 // to hold the records the free stack cannot hand out, so neither moves
 // while the n jobs arrive. A pooled state that has run as many jobs
-// before allocates nothing.
+// before allocates nothing. Priority levels are made on demand, so
+// grow only announces the n jobs to the queue (enqueue).
 func (st *schedState) grow(n int) {
+	st.announced += n
 	st.jobs.Reserve(n)
 	if short := n - len(st.freeRecs); short > 0 {
 		st.recs = slices.Grow(st.recs, short)
@@ -961,10 +968,16 @@ func (st *schedState) admit(rec *jobRecord) {
 
 // enqueue appends a job at the tail of its priority level: the one
 // enqueue path of arrivals, fault requeues and preemption re-enqueues.
+// A level that has to grow also makes room for the submissions grow
+// announced that are still to come, so a replayed shard's level grows
+// once.
 func (st *schedState) enqueue(rec *jobRecord) {
 	dc := &st.apps[rec.app].dc
 	rec.state = JobQueued
 	l := st.level(rec.pri, true)
+	if len(l.q) == cap(l.q) {
+		l.q = slices.Grow(l.q, 1+st.announced)
+	}
 	st.qseq++
 	l.q = append(l.q, queueEntry{rec: rec.idx, app: rec.app, seq: st.qseq})
 	l.live++
@@ -1132,7 +1145,17 @@ func (st *schedState) dispatch() {
 // application it has already refused. Once it has refused every queued
 // application (st.qapps of them), every entry left would be skipped, so
 // the pass ends without walking the rest of a deep queue.
+//
+// With no free node or no free watt nothing can start, so the pass
+// ends before it reads an entry: on a power-bound cluster that is most
+// passes, and the walk would be O(depth). Refusal stamps are read only
+// within their pass, so skipping them leaves every later decision as
+// it was; st.pass counts only the passes that read the queue.
 func (st *schedState) dispatchPass(from uint64) bool {
+	if len(st.free) == 0 || st.freeW <= 0 {
+		st.full++
+		return false
+	}
 	st.pass++
 	head := true // next live entry is the queue head
 	refused := 0 // distinct applications refused this pass
@@ -1270,7 +1293,8 @@ func (st *schedState) freeCluster() *hw.Cluster {
 
 // tryStart attempts to place one job on the free nodes with the free
 // power; returns true when the job started. The job is only started
-// when it would complete by deadline (backfill safety window).
+// when it would complete by deadline (backfill safety window). Its one
+// caller, dispatchPass, guarantees a free node and a free watt.
 //
 // The placement decision is served from e, the application's dispatch
 // cache entry, when the free set and free watts equal the ones it was
@@ -1279,9 +1303,6 @@ func (st *schedState) freeCluster() *hw.Cluster {
 // deadline gates depend on per-call state (running-set size, shadow
 // window) and are applied after the lookup.
 func (st *schedState) tryStart(rec *jobRecord, e *dispatchEntry, deadline float64) bool {
-	if len(st.free) == 0 || st.freeW <= 0 {
-		return false
-	}
 	// Feasibility stage: the cluster view offered to the coordinator is
 	// the free set shrunk to the job's hard constraints (identical to
 	// the plain free view for unconstrained apps — the common case and

@@ -297,10 +297,12 @@ func (o *Online) SubmitPri(id string, app *workload.Spec, pri int) (JobStatus, e
 }
 
 // Grow prepares the session for n more submissions: the id index
-// reserves room for them, and the record arena and its id column grow
-// once to hold the records its free stack lacks, so the submissions
-// neither grow the index nor move the arena. It changes no scheduling
-// state.
+// reserves room for them, the record arena and its id column grow
+// once to hold the records its free stack lacks, and the first time a
+// priority level's queue has to grow while some of the n are still to
+// come, it makes room for all of them. So the submissions neither grow
+// the index nor move the arena, and a queue at one priority grows at
+// most once. It changes no scheduling state.
 func (o *Online) Grow(n int) { o.st.grow(n) }
 
 // Submission is one entry of a SubmitBatch call.

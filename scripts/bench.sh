@@ -26,10 +26,12 @@ echo "== federation construction, 64 shards x 4 nodes ==" >&2
 # federation pays before it schedules anything (64 shard clusters and
 # CLIP instances sharing one trained NP regression). fed_build: the
 # same plus the fed-scale trace's 65,536 scheduled arrivals, what a
-# fed-scale trial pays before it runs.
-go test -run '^$' -bench 'BenchmarkFed(New|Build)$' -benchmem -benchtime=20x . | tee "$TMP/fednew_full.txt" >&2
-awk '/^BenchmarkFedNew/   { print "fed_new ns_per_op=" $3 " bytes_per_op=" $5 " allocs_per_op=" $7 }
-     /^BenchmarkFedBuild/ { print "fed_build ns_per_op=" $3 " bytes_per_op=" $5 " allocs_per_op=" $7 }' \
+# fed-scale trial pays before it runs. fed_replay: the run half of that
+# trial, RunParallel(1) on a federation built outside the timer.
+go test -run '^$' -bench 'BenchmarkFed(New|Build|Replay)$' -benchmem -benchtime=20x . | tee "$TMP/fednew_full.txt" >&2
+awk '/^BenchmarkFedNew/    { print "fed_new ns_per_op=" $3 " bytes_per_op=" $5 " allocs_per_op=" $7 }
+     /^BenchmarkFedBuild/  { print "fed_build ns_per_op=" $3 " bytes_per_op=" $5 " allocs_per_op=" $7 }
+     /^BenchmarkFedReplay/ { print "fed_replay ns_per_op=" $3 " bytes_per_op=" $5 " allocs_per_op=" $7 }' \
     "$TMP/fednew_full.txt" > "$TMP/fednew.txt"
 
 echo "== suite wall time ==" >&2
@@ -184,9 +186,11 @@ function val(key,    i, eq) {
 /^clipfed /        { fbody = kv() }
 /^clipfed_chaos /  { cfbody = kv() }
 /^clipfed_evac /   { cebody = kv() }
-# Federation construction (BenchmarkFedNew, BenchmarkFedBuild).
+# Federation construction and replay (BenchmarkFedNew, BenchmarkFedBuild,
+# BenchmarkFedReplay).
 /^fed_new /        { fnbody = kv() }
 /^fed_build /      { fbbody = kv() }
+/^fed_replay /     { frbody = kv() }
 /^clipfed_parallel / {
     # Parallel-executor scaling rows, best-of-N per worker count.
     w = val("workers"); eps = val("events_per_s") + 0
@@ -213,6 +217,7 @@ END {
     printf "  \"clipfed_evac\": {%s},\n", cebody
     printf "  \"fed_new\": {%s},\n", fnbody
     printf "  \"fed_build\": {%s},\n", fbbody
+    printf "  \"fed_replay\": {%s},\n", frbody
     # speedup: the best workers-1 wall over the best workers-2 wall.
     speedup = pwall[2] > 0 ? pwall[1] / pwall[2] : 0
     printf "  \"clipfed_parallel\": {\"speedup\": %.2f, \"rows\": [\n", speedup

@@ -5,9 +5,10 @@
 #
 # The base tree comes from `git archive` (no worktree, no network). Each
 # side builds the root benchmark test binary and clipfed once, then 9
-# rounds alternate the sides (base first in even rounds) over the nine
+# rounds alternate the sides (base first in even rounds) over the ten
 # tracked micro-benchmarks (BenchmarkFedBuild is fed-scale's federation
-# set-up: fed.New plus 65,536 scheduled arrivals; BenchmarkRecommendBest
+# set-up: fed.New plus 65,536 scheduled arrivals, and BenchmarkFedReplay
+# the run that follows it, RunParallel(1); BenchmarkRecommendBest
 # and BenchmarkRecommendBestCold are the node-level search on a warm and
 # a fresh grid), the clipfed_parallel
 # rows at workers 1/2/4,
@@ -51,7 +52,7 @@ go test -c -o "$TMP/head.test" .
 go build -o "$TMP/head.clipfed" ./cmd/clipfed
 
 SMALL='BenchmarkCLIPSchedule$|BenchmarkSimRun$|BenchmarkOptimalSearch$|BenchmarkRecommendBest$|BenchmarkRecommendBestCold$'
-LARGE='BenchmarkOptimalSearchLarge$|BenchmarkJobschedThroughput$|BenchmarkJobschedPriorityThroughput$|BenchmarkFedBuild$'
+LARGE='BenchmarkOptimalSearchLarge$|BenchmarkJobschedThroughput$|BenchmarkJobschedPriorityThroughput$|BenchmarkFedBuild$|BenchmarkFedReplay$'
 PFLAGS="-shards 64 -nodes 4 -budget 400 -jobs 4096 -gap 0.25 -routing locality -seed 1 -lend=false"
 CHAOS_FLAGS="-shards 64 -nodes 4 -budget 400 -jobs 512 -gap 1 -routing locality -seed 1 \
     -shard-faults crash-mtbf=400,mttr=120,part-mtbf=600,part-dur=60,seed=9"
