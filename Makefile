@@ -4,7 +4,8 @@
 #   make test    — tier-1: the full test suite
 #   make check   — tier-2: build + vet + the benchmark module's vet and tests +
 #                  race tests + dispatch, scenario, search and id-index fuzz + bench smoke + docs
-#                  lint, then the paired perf gate against the parent commit
+#                  lint + telemetry and stdout identity against the parent commit, then the
+#                  paired perf gate against it
 #   make docs    — gofmt + vet + godoc-coverage lint (cmd/doclint)
 #   make bench   — hot-path benchmarks + suite wall time -> BENCH_results.json
 #   make suite   — regenerate every paper artifact (parallel runner)
@@ -41,6 +42,7 @@ check:
 	./scripts/fed_smoke.sh
 	./scripts/fed_chaos_smoke.sh
 	$(MAKE) docs
+	./scripts/telemetry_identity.sh
 	./scripts/bench_compare.sh
 
 docs:

@@ -99,8 +99,8 @@ func outcomeDigest(t testing.TB, f *Federation) uint64 {
 
 // TestGoldenFederationOutcomes pins the per-job outcome of both golden
 // federations, under Run and RunParallel(2), to the digests recorded
-// before the evacuation heap and the settled-queue dispatch memo landed:
-// both optimisations must leave every placement decision unchanged.
+// before the evacuation heap and the dispatch memos landed: every
+// optimisation must leave every placement decision unchanged.
 func TestGoldenFederationOutcomes(t *testing.T) {
 	for _, g := range goldenFeds {
 		for _, workers := range []int{1, 2} {

@@ -19,7 +19,7 @@ import (
 // never ends early.
 const coldApps = math.MaxInt32
 
-// makeCold clears every dispatch memo of st: the settled-queue memo,
+// makeCold clears every dispatch memo of st: the failed-plan stamp,
 // every dispatch-cache entry (decision, free-set copy and refusal stamp;
 // only the live count, which is queue bookkeeping, survives) and the
 // early end of a pass. The next event then decides everything from
@@ -27,7 +27,7 @@ const coldApps = math.MaxInt32
 // then ends before the queue in both sessions, since every entry would
 // be refused before anything else was read.
 func makeCold(st *schedState) {
-	st.settled.ok = false
+	st.failedPlan = planStamp{}
 	for i := range st.apps {
 		dc := &st.apps[i].dc
 		*dc = dispatchEntry{free: dc.free[:0], live: dc.live, pl: dc.pl}
@@ -200,7 +200,7 @@ var defaultMix = opMix{submit: 40, cancel: 15, bound: 7, evacuate: 2, reconcile:
 
 // diffCounts reports how often the cached session's memos applied.
 type diffCounts struct {
-	settled int    // steps that began with a settled-queue memo in force
+	stamped uint64 // preemption passes that returned at the failed-plan stamp
 	adopted uint64 // dispatch-cache entries served by a free-set content match
 	full    uint64 // dispatch passes that found nothing free and read no entry
 }
@@ -229,9 +229,6 @@ func diffDispatch(t *testing.T, cfg Config, seed uint64, mix opMix, steps int) d
 	r := rng.New(seed)
 	var known []string
 	for ev := 0; ev < steps; ev++ {
-		if cached.st.settled.ok && cached.st.settled.res == cached.st.resStamp() {
-			n.settled++
-		}
 		coldUntil(t, cold, cold.Now())
 		makeCold(cold.st)
 		both := func(op func(o *Online) error) {
@@ -272,8 +269,8 @@ func diffDispatch(t *testing.T, cfg Config, seed uint64, mix opMix, steps int) d
 			both(func(o *Online) error { return o.Reconcile() })
 		case op < total-mix.advance:
 			// Leave no free watt, or at most a rounding residue: the
-			// next passes find nothing free, and a settle memo is
-			// stamped after them.
+			// next passes find nothing free, and a preemption plan
+			// that evicts nothing is stamped after them.
 			if w := cached.Bound() - cached.FreeWatts(); w > 1 {
 				both(func(o *Online) error { return o.SetBound(w) })
 			}
@@ -299,15 +296,16 @@ func diffDispatch(t *testing.T, cfg Config, seed uint64, mix opMix, steps int) d
 	sameSessions(t, tag+" drained", cached, cold)
 	checkQueueCounts(t, tag+" drained", cached.st)
 	checkRecords(t, tag+" drained", cached.st)
-	n.adopted, n.full = cached.st.adopted, cached.st.full
+	n.stamped, n.adopted, n.full = cached.st.stamped, cached.st.adopted, cached.st.full
 	return n
 }
 
 // TestCachedDispatchMatchesCold runs the differential driver for each
-// policy with preemption on and off: every decision the settled-queue
-// memo, the content-keyed dispatch cache and the early end of a pass
-// make must equal the one a cold session makes. Both memos must have
-// applied, and some passes must have found nothing free, or the
+// policy with preemption on and off: every decision the failed-plan
+// stamp, the content-keyed dispatch cache and the early end of a pass
+// make must equal the one a cold session makes. The stamp must have
+// answered some preemption pass, some cache entry must have been served
+// by content, and some passes must have found nothing free, or the
 // comparison tested nothing.
 func TestCachedDispatchMatchesCold(t *testing.T) {
 	var n diffCounts
@@ -316,16 +314,16 @@ func TestCachedDispatchMatchesCold(t *testing.T) {
 			for _, seed := range []uint64{1, 2} {
 				cfg := Config{Bound: 2400, Policy: pol, Reallocate: seed == 2, Preempt: preempt}
 				c := diffDispatch(t, cfg, seed, defaultMix, 600)
-				n.settled += c.settled
+				n.stamped += c.stamped
 				n.adopted += c.adopted
 				n.full += c.full
 			}
 		}
 	}
-	t.Logf("%d steps began with a settled memo; %d cache entries adopted by content; %d passes found nothing free",
-		n.settled, n.adopted, n.full)
-	if n.settled == 0 {
-		t.Error("the settled-queue memo never applied")
+	t.Logf("%d preemption passes answered by the failed-plan stamp; %d cache entries adopted by content; %d passes found nothing free",
+		n.stamped, n.adopted, n.full)
+	if n.stamped == 0 {
+		t.Error("the failed-plan stamp never answered a preemption pass")
 	}
 	if n.adopted == 0 {
 		t.Error("no dispatch-cache entry was ever served by a free-set content match")
@@ -337,10 +335,13 @@ func TestCachedDispatchMatchesCold(t *testing.T) {
 
 // FuzzDispatchMatchesCold runs the differential driver on fuzzed
 // seeds, policies, preemption and op mixes. Each byte of mix weights
-// one operation, in opMix field order; missing bytes weigh zero. The
-// last seeds saturate the cluster: submit-heavy mixes, and bound cuts
-// that leave no free watt, so most passes find nothing free and the
-// next dispatch starts from a memo stamped after them.
+// one operation, in opMix field order; missing bytes weigh zero. Seeds
+// 5-9 saturate the cluster: submit-heavy mixes, and bound cuts that
+// leave no free watt, so most passes find nothing free and most
+// preemption plans fail. Seeds 10-12 add heavy cancelling with
+// preemption on: a cancelled head promotes the next entry at unchanged
+// resources, and only the head's seq tells the failed-plan stamp that
+// the promoted head needs a plan of its own.
 func FuzzDispatchMatchesCold(f *testing.F) {
 	f.Add(uint64(1), uint8(0), false, []byte{40, 15, 7, 2, 2, 34})
 	f.Add(uint64(2), uint8(1), true, []byte{40, 15, 7, 2, 2, 34})
@@ -351,6 +352,9 @@ func FuzzDispatchMatchesCold(f *testing.F) {
 	f.Add(uint64(7), uint8(2), true, []byte{90, 5, 0, 0, 2, 10, 30})
 	f.Add(uint64(8), uint8(0), false, []byte{60, 10, 5, 0, 0, 15, 30})
 	f.Add(uint64(9), uint8(1), true, []byte{100, 0, 10, 0, 0, 0, 40})
+	f.Add(uint64(10), uint8(0), true, []byte{50, 40, 0, 0, 5, 5, 20})
+	f.Add(uint64(11), uint8(1), true, []byte{40, 50, 0, 0, 0, 10, 10})
+	f.Add(uint64(12), uint8(2), true, []byte{60, 45, 2, 0, 3, 5, 25})
 	f.Fuzz(func(t *testing.T, seed uint64, policy uint8, preempt bool, mix []byte) {
 		w := make([]int, 7)
 		for i := range w {

@@ -580,10 +580,11 @@ type schedState struct {
 	freeSubVer uint64
 	shadow     float64
 	shadowOK   bool
-	// shadowEpoch counts invalidateShadow calls, never reset; settled is
-	// the dispatch memo of the last no-progress fixpoint.
+	// shadowEpoch counts invalidateShadow calls and stamped the passes
+	// preemptPass answered at failedPlan, both never reset.
 	shadowEpoch uint64
-	settled     settleMemo
+	failedPlan  planStamp
+	stamped     uint64
 	// priority pipeline state. feasIDs/feasSub back the
 	// constraint-filtered cluster view; the pre* scratch set backs
 	// preemption planning so a plan never clobbers the freeVer-cached
@@ -694,7 +695,7 @@ func (s *Scheduler) newState(online bool) (*schedState, error) {
 // version deliberately keeps counting instead of restarting, and every
 // dispatch-cache entry drops its free-set copy: a decision or subcluster
 // stamp from an earlier run must never be served to this one, even for
-// a free set that matches.
+// a free set that matches. Queue seqs restart, so failedPlan is cleared.
 func (st *schedState) reset(online bool) {
 	s := st.s
 	st.eng.Reset()
@@ -728,7 +729,7 @@ func (st *schedState) reset(online bool) {
 	st.coord = coordinator.Coordinator{Metrics: st.m.coord}
 	st.freeVer++
 	st.shadow, st.shadowOK = 0, false
-	st.settled = settleMemo{}
+	st.failedPlan = planStamp{}
 	st.preVictims = st.preVictims[:0]
 	st.lastAccount, st.usedIntegral = 0, 0
 	st.failure = nil
@@ -1048,7 +1049,6 @@ func (st *schedState) topQueued() *queueEntry {
 // buffer, valid until the next call; the emptied level slots are
 // cleared, so no level buffer keeps an entry it handed over.
 func (st *schedState) takeQueued() []queueEntry {
-	st.settled.ok = false // every queue removal clears the dispatch memo
 	take := slices.Grow(st.take[:0], st.qlive)
 	for li := range st.levels {
 		l := &st.levels[li]
@@ -1067,66 +1067,21 @@ func (st *schedState) takeQueued() []queueEntry {
 	return take
 }
 
-// settleMemo records the last dispatch fixpoint: the resources its
-// refusals were decided against, the last enqueue sequence number, and
-// the dispatch head's seq (0 when the queue was empty).
-type settleMemo struct {
-	ok   bool
-	res  resStamp
-	qseq uint64
-	head uint64
-}
-
-// resStamp is a value stamp of everything tryStart and preemptPass
-// read besides the queue and the clock.
-type resStamp struct {
-	freeVer, wBits uint64
-	running        int
-	shadowEpoch    uint64
-}
-
-func (st *schedState) resStamp() resStamp {
-	return resStamp{st.freeVer, math.Float64bits(st.freeW), st.nrunning, st.shadowEpoch}
-}
-
-// headSeq returns the dispatch head's seq, or 0 when the queue is empty.
-func (st *schedState) headSeq() uint64 {
-	if e := st.topQueued(); e != nil {
-		return e.seq
-	}
-	return 0
-}
-
 // dispatch starts as many queued jobs as the policy and resources
 // allow, running the placement stage to a fixpoint. When a scan makes
 // no progress and preemption is enabled, one preemption pass may evict
 // lower-priority running jobs to admit the blocked head; the freed
-// resources are consumed by the rescan that follows.
-//
-// When the resources still match the last fixpoint's stamp, every entry
-// enqueued before it would be refused again: refusal is monotone, since
-// an older entry can only lose head status (its deadline tightens) and a
-// later clock only makes now + T > shadow truer. The first pass then
-// offers only the entries enqueued since, and if it starts nothing with
-// the head unchanged, the preemption replan is skipped because its
-// inputs are unchanged too. Any start falls back to full rescans; queue
-// removals, which can promote an entry to head, clear the memo.
+// resources are consumed by the rescan that follows. Nothing is carried
+// from one call to the next but the decision cache and preemptPass's
+// failed-plan stamp.
 func (st *schedState) dispatch() {
-	memo := st.settled.ok && st.settled.res == st.resStamp()
-	var from uint64
-	if memo {
-		from = st.settled.qseq
-	}
-	progress := true
-	for progress {
-		progress = st.dispatchPass(from)
+	for progress := true; progress; {
+		progress = st.dispatchPass()
 		st.compactQueue()
-		if !progress && st.s.Config.Preempt && !(memo && st.headSeq() == st.settled.head) {
+		if !progress && st.s.Config.Preempt {
 			progress = st.preemptPass()
 		}
-		memo, from = false, 0
 	}
-	st.settled = settleMemo{ok: true, res: st.resStamp(), qseq: st.qseq, head: st.headSeq()}
 	// The queue and free-watts gauges are set by the event handlers
 	// (publishState), once per event rather than per dispatch pass.
 }
@@ -1137,8 +1092,6 @@ func (st *schedState) dispatch() {
 // state, so the caller rescans). Started entries are tombstoned in
 // place and skipped. A job is offered the resources only after every
 // higher-priority job was, so dispatch cannot invert priorities.
-// Entries with seq <= from are skipped as already refused (see
-// dispatch); from == 0 walks the whole queue.
 //
 // Until a job starts nothing tryStart reads changes, and the deadline
 // only tightens after the head, so a pass skips the later entries of an
@@ -1151,7 +1104,7 @@ func (st *schedState) dispatch() {
 // passes, and the walk would be O(depth). Refusal stamps are read only
 // within their pass, so skipping them leaves every later decision as
 // it was; st.pass counts only the passes that read the queue.
-func (st *schedState) dispatchPass(from uint64) bool {
+func (st *schedState) dispatchPass() bool {
 	if len(st.free) == 0 || st.freeW <= 0 {
 		st.full++
 		return false
@@ -1161,18 +1114,7 @@ func (st *schedState) dispatchPass(from uint64) bool {
 	refused := 0 // distinct applications refused this pass
 	for li := range st.levels {
 		l := &st.levels[li]
-		qi := l.head
-		if from > 0 {
-			// Seqs ascend within a level, so the unrefused entries are
-			// its tail. l.head is the level's first live entry: skipping
-			// any entry means a live one precedes the tail.
-			for qi = len(l.q); qi > l.head && l.q[qi-1].seq > from; qi-- {
-			}
-			if qi > l.head {
-				head = false
-			}
-		}
-		for ; qi < len(l.q); qi++ {
+		for qi := l.head; qi < len(l.q); qi++ {
 			e := &l.q[qi]
 			dc := &st.apps[e.app].dc
 			if e.started || dc.refused == st.pass {
@@ -1238,10 +1180,8 @@ func (st *schedState) shadowTime() float64 {
 }
 
 // invalidateShadow drops the cached shadow time after a completion was
-// (re)scheduled or a running job left. The epoch bump also unsettles
-// the dispatch memo: a rescheduled completion moves the shadow window,
-// and a re-cap changes a running job's power, which the preemption plan
-// reads, without necessarily moving the free set or the free watts.
+// (re)scheduled or a running job left. The epoch bump also voids the
+// failed-plan stamp (planStamp): a re-cap moves a running job's watts.
 func (st *schedState) invalidateShadow() {
 	st.shadowOK = false
 	st.shadowEpoch++

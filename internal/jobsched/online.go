@@ -450,9 +450,9 @@ func (o *Online) Jobs() []JobStatus {
 	return out
 }
 
-// Cancel withdraws a job. A queued job leaves the queue; a running job
-// is stopped with its power returned to the pool (which may start
-// queued work immediately); a job waiting out a retry backoff has the
+// Cancel withdraws a job. A queued job leaves the queue and a running
+// job is stopped with its power returned to the pool; either may start
+// queued work immediately. A job waiting out a retry backoff has the
 // retry withdrawn. Cancelling a terminal job is an error. Returns the
 // watts reclaimed.
 func (o *Online) Cancel(id string) (float64, error) {
@@ -497,9 +497,9 @@ func (o *Online) Cancel(id string) (float64, error) {
 		if !found {
 			return 0, fmt.Errorf("jobsched: job %q not cancellable (inconsistent state)", id)
 		}
-		st.settled.ok = false // the removal can promote an entry to head
-		st.compactQueue()
 		st.retire(rec, JobCancelled)
+		st.dispatch() // the removal can promote a startable entry to head
+		st.assertBound("cancel")
 	}
 	st.publishState()
 	return rec.reclaimedW, st.failure

@@ -147,6 +147,57 @@ func TestOnlineCancelQueued(t *testing.T) {
 	}
 }
 
+// TestCancelQueuedHeadDispatches cancels the queued head b while a
+// holds b's nodes, and requires c, queued behind b on other nodes, to
+// start at once: the removal promotes c to head, and nothing else
+// happens until a finishes. Under FCFS c waits only on the head; under
+// Backfill c runs past the shadow window (a's finish), so only head
+// status lets it start; with preemption the promoted c evicts the
+// lower-priority l that holds its nodes.
+func TestCancelQueuedHeadDispatches(t *testing.T) {
+	type sub struct {
+		id    string
+		app   *workload.Spec
+		pri   int
+		state JobState
+	}
+	a, b := sub{"a", pinnedApp(0, 3), 0, JobRunning}, sub{"b", pinnedApp(0, 3), 0, JobQueued}
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		subs    []sub
+		evicted string
+	}{
+		{"fcfs", Config{Bound: 4000}, []sub{a, b, {"c", pinnedApp(4, 7), 0, JobQueued}}, ""},
+		{"backfill", Config{Bound: 4000, Policy: Backfill},
+			[]sub{a, b, {"c", pinned(workload.SPMZ(), 4, 7), 0, JobQueued}}, ""},
+		{"preempt", Config{Bound: 4000, Preempt: true}, []sub{
+			{"a", pinnedApp(0, 3), 5, JobRunning}, {"l", pinnedApp(4, 7), 0, JobRunning},
+			{"b", pinnedApp(0, 3), 5, JobQueued}, {"c", pinnedApp(4, 7), 2, JobQueued}}, "l"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := online(t, tc.cfg)
+			for _, s := range tc.subs {
+				submitAs(t, o, s.id, s.app, s.pri, s.state)
+			}
+			if _, err := o.Cancel("b"); err != nil {
+				t.Fatal(err)
+			}
+			if js, _ := o.Status("c"); js.State != JobRunning {
+				t.Errorf("c is %v after the head's cancel at t=%g, want running", js.State, o.Now())
+			}
+			if tc.evicted != "" {
+				if js, _ := o.Status(tc.evicted); js.State != JobQueued || js.Preemptions != 1 {
+					t.Errorf("%s is %v after %d preemptions, want queued after 1", tc.evicted, js.State, js.Preemptions)
+				}
+			}
+			if err := o.Drain(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestOnlineCancelRunningReclaimsPowerAndStartsQueued(t *testing.T) {
 	o := online(t, Config{Bound: 320})
 	a, err := o.SubmitPri("a", workload.CoMD(), 0)

@@ -14,6 +14,7 @@ package jobsched
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/coordinator"
@@ -103,13 +104,23 @@ func (st *schedState) victimCmp(a, b *runningJob) int {
 // consumed by the dispatch rescan that follows (identical pool and
 // watts, so the planned placement is reproduced deterministically).
 // With no strictly-lower-priority job running — always the case when
-// every job shares one priority — it returns false without side
-// effects. Returns whether anything was evicted.
+// every job shares one priority — it returns false without evicting.
+// Returns whether anything was evicted.
+//
+// A plan that evicts nothing leaves a stamp of its inputs (planStamp),
+// and while the stamp holds the pass returns false without replanning.
 func (st *schedState) preemptPass() bool {
 	if st.qlive == 0 || st.nrunning == 0 {
 		return false
 	}
-	top := st.topQueued().rec
+	head := st.topQueued()
+	stamp := planStamp{st.freeVer, math.Float64bits(st.freeW), st.shadowEpoch, head.seq}
+	if stamp == st.failedPlan {
+		st.stamped++
+		return false
+	}
+	st.failedPlan = stamp // an eviction bumps freeVer, voiding it
+	top := head.rec
 	pri := st.recs[top].pri
 	victims := st.preVictims[:0]
 	for _, rj := range st.slots {
@@ -133,6 +144,15 @@ func (st *schedState) preemptPass() bool {
 	}
 	st.assertBound("preempt")
 	return true
+}
+
+// planStamp keys a failed preemption plan on its inputs: the free set
+// (by version, which every start and teardown bumps, so it covers the
+// running set), the free watts (by bits), the running jobs' watts (by
+// shadow epoch: a one-node job's excursion re-cap moves neither) and the
+// head (by seq, never reused in a run: a promotion voids the stamp).
+type planStamp struct {
+	freeVer, wBits, shadowEpoch, head uint64
 }
 
 // planPreemption finds the smallest k such that evicting the first k

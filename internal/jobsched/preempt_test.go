@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/coordinator"
+	"repro/internal/faults"
 	"repro/internal/hw"
 	"repro/internal/recommend"
 	"repro/internal/rng"
@@ -178,5 +179,139 @@ func TestPreemptionMatchesPrefixSearch(t *testing.T) {
 	t.Logf("%d submissions checked, %d preempted, %d of them with 2-6 lower-priority jobs running", checked, evictions, busy)
 	if busy < 10 {
 		t.Errorf("only %d preemptions with 2-6 lower-priority jobs running; the traces are too thin", busy)
+	}
+}
+
+// submitAs submits id and requires it to end up in state want.
+func submitAs(t *testing.T, o *Online, id string, app *workload.Spec, pri int, want JobState) {
+	t.Helper()
+	if js, err := o.SubmitPri(id, app, pri); err != nil || js.State != want {
+		t.Fatalf("%s is %v (%v), want %v", id, js.State, err, want)
+	}
+}
+
+// failedPlanSession builds a preemptive session of cfg with build,
+// which must leave the high-priority h queued behind a preemption plan
+// that failed, and requires a reconcile with nothing changed to be
+// answered at the failed-plan stamp.
+func failedPlanSession(t *testing.T, cfg Config, build func(o *Online)) *Online {
+	t.Helper()
+	cfg.Bound, cfg.Preempt = 4000, true
+	o := online(t, cfg)
+	build(o)
+	stamped := o.st.stamped
+	if err := o.Reconcile(); err != nil {
+		t.Fatal(err)
+	}
+	if js, _ := o.Status("h"); js.State != JobQueued || o.st.stamped != stamped+1 {
+		t.Fatalf("h is %v and a reconcile with nothing changed made %d stamp answers, want queued and 1",
+			js.State, o.st.stamped-stamped)
+	}
+	return o
+}
+
+// TestFailedPlanStampSeesFreeSet returns node 7 to the free set while
+// the free watts stay put: an idle node's excursion ends (its reserve
+// is zero), or a quarantined node recovers. Until then h, pinned to
+// node 7, cannot gain a node by evicting l, and a bound cut leaves no
+// free watt. The plan that failed now succeeds: h evicts l for l's
+// watts and starts on node 7. A stamp without the free-set version
+// leaves h queued.
+func TestFailedPlanStampSeesFreeSet(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		sc    faults.Scenario
+		leave func(st *schedState)
+	}{
+		{"excursion-end", faults.Scenario{Seed: 1, ExcursionMTBF: 1e9}, func(st *schedState) {
+			st.excursion[7] = faults.Excursion{Frac: 0.3, Dur: 5}
+			st.excursionStart(7)
+		}},
+		{"recover", faults.Scenario{Seed: 1, CrashMTBF: 1e9, MTTR: 5}, func(st *schedState) {
+			st.nodeCrash(7)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := failedPlanSession(t, Config{Faults: &tc.sc}, func(o *Online) {
+				tc.leave(o.st)
+				submitAs(t, o, "l", pinnedApp(0, 3), 0, JobRunning)
+				if err := o.SetBound(o.Bound() - o.FreeWatts()); err != nil {
+					t.Fatal(err)
+				}
+				submitAs(t, o, "h", pinnedApp(7, 7), 5, JobQueued)
+			})
+			for !o.st.placeable(7) {
+				if err := o.ProcessNextEvent(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if js, _ := o.Status("h"); js.State != JobRunning {
+				t.Errorf("h is %v at t=%g after node 7 rejoined the free set, want running", js.State, o.Now())
+			}
+			if js, _ := o.Status("l"); js.Preemptions != 1 {
+				t.Errorf("l was evicted %d times, want once", js.Preemptions)
+			}
+		})
+	}
+}
+
+// TestFailedPlanStampSeesFreeWatts sheds l, the only victim, far below
+// what h needs on l's nodes while a, of h's priority, keeps running, so
+// h's plan fails. A bound raise then adds free watts and nothing else:
+// h evicts l and starts. A stamp without the free watts leaves h
+// queued.
+func TestFailedPlanStampSeesFreeWatts(t *testing.T) {
+	o := failedPlanSession(t, Config{}, func(o *Online) {
+		submitAs(t, o, "a", pinnedApp(4, 7), 5, JobRunning)
+		submitAs(t, o, "l", pinnedApp(0, 3), 0, JobRunning)
+		if err := o.SetBound(0.05 * (o.Bound() - o.FreeWatts())); err != nil {
+			t.Fatal(err)
+		}
+		submitAs(t, o, "h", pinned(workload.SPMZ(), 0, 3), 5, JobQueued)
+	})
+	freeVer, epoch := o.st.freeVer, o.st.shadowEpoch
+	if err := o.SetBound(o.Bound() + 600); err != nil {
+		t.Fatal(err)
+	}
+	if js, _ := o.Status("h"); js.State != JobRunning {
+		t.Errorf("h is %v after the bound rose, want running", js.State)
+	}
+	if js, _ := o.Status("l"); js.Preemptions != 1 {
+		t.Errorf("l was evicted %d times, want once", js.Preemptions)
+	}
+	if o.st.freeVer != freeVer+2 || o.st.shadowEpoch != epoch+2 {
+		t.Errorf("free-set version +%d, shadow epoch +%d: want +2 each, l's eviction and h's start alone",
+			o.st.freeVer-freeVer, o.st.shadowEpoch-epoch)
+	}
+}
+
+// TestFailedPlanStampSeesRecap holds node 7 with a, of h's priority,
+// and re-caps the one-node victim l with an excursion on its node: l's
+// watts go to the excursion's reserve, so neither the free set nor the
+// free watts move, but the plan's input did. The next preemption pass
+// must replan, not answer at the stamp.
+func TestFailedPlanStampSeesRecap(t *testing.T) {
+	o := failedPlanSession(t, Config{Faults: &faults.Scenario{Seed: 1, ExcursionMTBF: 1e9}}, func(o *Online) {
+		submitAs(t, o, "a", pinnedApp(7, 7), 5, JobRunning)
+		submitAs(t, o, "l", pinnedApp(0, 0), 0, JobRunning)
+		if err := o.SetBound(o.Bound() - o.FreeWatts()); err != nil {
+			t.Fatal(err)
+		}
+		submitAs(t, o, "h", pinnedApp(7, 7), 5, JobQueued)
+	})
+	st := o.st
+	freeVer, freeW, watts := st.freeVer, st.freeW, st.slots[record(st, "l").run].powerUsed
+	stamped := st.stamped
+	st.excursion[0] = faults.Excursion{Frac: 0.3, Dur: 5}
+	st.excursionStart(0)
+	if st.freeVer != freeVer || st.freeW != freeW {
+		t.Fatalf("the re-cap moved the free set (version %d→%d) or the free watts (%v→%v)",
+			freeVer, st.freeVer, freeW, st.freeW)
+	}
+	if rec := record(st, "l"); rec.run == noSlot || st.slots[rec.run].powerUsed >= watts {
+		t.Fatalf("l was not re-capped")
+	}
+	if st.stamped != stamped {
+		t.Errorf("the preemption pass after l's re-cap was answered at the stamp")
 	}
 }

@@ -12,11 +12,14 @@ import (
 	"repro/internal/workload"
 )
 
-// pinnedApp clones CoMD restricted to the node range [lo, hi]; distinct
+// pinnedApp clones CoMD restricted to the node range [lo, hi].
+func pinnedApp(lo, hi int) *workload.Spec { return pinned(workload.CoMD(), lo, hi) }
+
+// pinned clones app restricted to the node range [lo, hi]; distinct
 // names keep the dispatch cache honest about spec identity.
-func pinnedApp(lo, hi int) *workload.Spec {
-	a := *workload.CoMD()
-	a.Name = fmt.Sprintf("comd-pin%d-%d", lo, hi)
+func pinned(app *workload.Spec, lo, hi int) *workload.Spec {
+	a := *app
+	a.Name = fmt.Sprintf("%s-pin%d-%d", app.Name, lo, hi)
 	var ids []int
 	for i := lo; i <= hi; i++ {
 		ids = append(ids, i)
