@@ -174,9 +174,9 @@ func clusterPredict(t1 float64, nodes int) float64 {
 
 // Placement is the allocation-free result of a Place call: the same
 // decision a Schedule pass produces, but written into caller-owned
-// storage instead of a freshly built plan.Plan. NodeIDs and PerNode
-// alias the Scratch the caller passed in — they are valid until the
-// next Place with that scratch. PhaseCores aliases the scratch's memo
+// storage instead of a freshly built plan.Plan. Place refills NodeIDs
+// and PerNode in their own backing arrays: they stay valid until the
+// next Place into this Placement. PhaseCores aliases the scratch's memo
 // and must be treated as read-only.
 type Placement struct {
 	NodeIDs     []int
@@ -197,7 +197,8 @@ type phaseKey struct {
 	cores int
 }
 
-// Scratch holds the reusable buffers a Place call fills. A Scratch is
+// Scratch holds the reusable buffers a Place call works in (no
+// Placement points into them) and the phase memo. A Scratch is
 // owned by one caller (one scheduler state); the Coordinator itself
 // stays stateless so a shared Coordinator may serve concurrent
 // Schedule calls, each with its own scratch.
@@ -245,6 +246,7 @@ var (
 
 // Schedule produces the CLIP decision for app under a total budget of
 // bound watts, asking rec for the profile and the node-level answers.
+// The plan keeps its own Placement's slices; only PhaseCores is copied.
 func (c *Coordinator) Schedule(app *workload.Spec, rec Recommender, bound float64) (*Decision, error) {
 	var sc Scratch
 	var pl Placement
@@ -261,8 +263,7 @@ func (c *Coordinator) Schedule(app *workload.Spec, rec Recommender, bound float6
 		return nil, err
 	}
 	prof := rec.Profile()
-	// Materialize caller-owned storage: the scratch dies with this
-	// frame, while the Decision may be cached and annotated.
+	// The Decision may be cached and annotated: copy the memo's map.
 	var phases map[string]int
 	if len(pl.PhaseCores) > 0 {
 		phases = make(map[string]int, len(pl.PhaseCores))
@@ -271,10 +272,10 @@ func (c *Coordinator) Schedule(app *workload.Spec, rec Recommender, bound float6
 		}
 	}
 	p := &plan.Plan{
-		NodeIDs:    append([]int(nil), pl.NodeIDs...),
+		NodeIDs:    pl.NodeIDs,
 		Cores:      pl.Cores,
 		Affinity:   pl.Affinity,
-		PerNode:    append([]power.Budget(nil), pl.PerNode...),
+		PerNode:    pl.PerNode,
 		PhaseCores: phases,
 		Notes: fmt.Sprintf("class=%s np=%d nodes=%d cores=%d %s",
 			prof.Class, prof.PredictedNP, len(pl.NodeIDs), pl.Cores, pl.NodeCfg.Budget),
@@ -291,10 +292,11 @@ func (c *Coordinator) Schedule(app *workload.Spec, rec Recommender, bound float6
 // Place runs one cluster-level scheduling pass (Algorithm 1) into the
 // caller's scratch buffers without heap allocation: node-count search,
 // node picking, budget assignment, and telemetry publication — the
-// exact decision Schedule produces, minus the materialized Plan. It is
-// the hot-path entry for the job scheduler's dispatch loop. Each
-// candidate node count asks rec for the best configuration under its
-// per-node share of the bound.
+// exact decision Schedule produces, minus the materialized Plan, with
+// the node ids and budgets copied into out's own arrays. It is the
+// hot-path entry for the job scheduler's dispatch loop. Each candidate
+// node count asks rec for the best configuration under its per-node
+// share of the bound.
 func (c *Coordinator) Place(app *workload.Spec, rec Recommender, bound float64, sc *Scratch, out *Placement) error {
 	if bound <= 0 {
 		return ErrNonPositiveBound
@@ -345,8 +347,8 @@ func (c *Coordinator) Place(app *workload.Spec, rec Recommender, bound float64, 
 
 	ids := c.pickNodes(sc, best.nodes)
 	budgets, coordinated := c.nodeBudgets(sc, ids, best.cfg, bound)
-	out.NodeIDs = ids
-	out.PerNode = budgets
+	out.NodeIDs = append(out.NodeIDs[:0], ids...)
+	out.PerNode = append(out.PerNode[:0], budgets...)
 	out.Cores = best.cfg.Cores
 	out.Affinity = best.cfg.Affinity
 	out.NodeCfg = best.cfg

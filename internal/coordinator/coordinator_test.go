@@ -1,11 +1,13 @@
 package coordinator
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/hw"
 	"repro/internal/perfmodel"
 	"repro/internal/plan"
+	"repro/internal/power"
 	"repro/internal/profile"
 	"repro/internal/recommend"
 	"repro/internal/workload"
@@ -291,5 +293,33 @@ func TestExplicitZeroThreshold(t *testing.T) {
 	}
 	if !dLow.Coordinated {
 		t.Error("threshold below the spread did not coordinate")
+	}
+}
+
+// TestPlacementOwnsItsSlices places twice with one scratch: the second
+// Place must leave the first Placement's node ids and budgets as they
+// were, since a caller (the scheduler's dispatch cache) keeps one
+// Placement per application over a shared scratch.
+func TestPlacementOwnsItsSlices(t *testing.T) {
+	cl := hw.NewCluster(8, hw.HaswellSpec(), 0.06, 7)
+	app := workload.CoMD()
+	g := setup(t, cl, app)
+	co := &Coordinator{Cluster: cl, Quiet: true}
+	var sc Scratch
+	var a, b Placement
+	if err := co.Place(app, g, 2600, &sc, &a); err != nil {
+		t.Fatal(err)
+	}
+	ids := append([]int(nil), a.NodeIDs...)
+	budgets := append([]power.Budget(nil), a.PerNode...)
+	if err := co.Place(app, g, 700, &sc, &b); err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(b.NodeIDs, ids) && slices.Equal(b.PerNode, budgets) {
+		t.Fatal("both bounds gave one placement; the test shows nothing")
+	}
+	if !slices.Equal(a.NodeIDs, ids) || !slices.Equal(a.PerNode, budgets) {
+		t.Errorf("placing into another Placement moved this one:\n ids %v, was %v\n budgets %v, were %v",
+			a.NodeIDs, ids, a.PerNode, budgets)
 	}
 }

@@ -58,32 +58,13 @@ type replayResult struct {
 	err  error   // first scheduler error, if any
 }
 
-// lendingInert reports whether the broker can never act again for the
-// rest of the run: lending is off (or there is nobody to lend to), or
-// no lease is active and no shard's envelope — even with every one of
-// its watts free — could reach the lending quantum, so the grant pass
-// can never find a lender. The bound depends only on effective bounds
-// and entitlements, which only the broker itself moves, so while it
-// holds it keeps holding; it must not lean on queue state, since
-// queues form later.
+// lendingInert reports whether the broker can never act: lending is
+// off, or there is nobody to lend to. RunParallel partitions exactly
+// then (the -workers flag help states the same rule); a lending-on
+// federation of two or more shards always steps serially, even when no
+// shard could ever cover a quantum.
 func (f *Federation) lendingInert() bool {
-	l := f.cfg.Lending
-	if !l.Enabled || len(f.shards) < 2 {
-		return true
-	}
-	if len(f.active) > 0 {
-		return false
-	}
-	for _, sh := range f.shards {
-		head := sh.eff - reserveFrac*sh.entitlement
-		if floorRoom := sh.eff - minBoundFrac*sh.entitlement; floorRoom < head {
-			head = floorRoom
-		}
-		if head >= l.QuantumW {
-			return false
-		}
-	}
-	return true
+	return !f.cfg.Lending.Enabled || len(f.shards) < 2
 }
 
 // RunParallel processes events until the federation is quiescent, then

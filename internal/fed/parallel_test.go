@@ -245,8 +245,8 @@ func TestShardHeap(t *testing.T) {
 	}
 }
 
-// TestLendingInert: the broker-inertness predicate's clauses fire in
-// the documented order.
+// TestLendingInert: the broker is inert exactly when lending is off
+// or there is nobody to lend to.
 func TestLendingInert(t *testing.T) {
 	f, err := New(Config{
 		Shards:  shardCfg(2, 4, 600, jobsched.FCFS),
@@ -264,16 +264,16 @@ func TestLendingInert(t *testing.T) {
 	}
 	f.active = f.active[:0]
 
-	// No shard can cover a quantum larger than its whole envelope.
+	// One shard has nobody to lend to.
 	h, err := New(Config{
-		Shards:  shardCfg(2, 4, 600, jobsched.FCFS),
-		Lending: Lending{Enabled: true, QuantumW: 1000, TTL: 100},
+		Shards:  shardCfg(1, 4, 600, jobsched.FCFS),
+		Lending: Lending{Enabled: true, QuantumW: 40, TTL: 100},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !h.lendingInert() {
-		t.Error("no shard covers the quantum: the broker must be inert")
+		t.Error("a one-shard federation must be broker-inert")
 	}
 
 	// Lending disabled is always inert.

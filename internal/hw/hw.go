@@ -13,6 +13,8 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/rng"
 )
 
 // NodeSpec describes the hardware of a single compute node.
@@ -337,18 +339,17 @@ func CheckSigma(sigma float64) error {
 // manufacturing variability drawn deterministically from seed. A
 // variability of 0 yields identical nodes; the paper's testbed is "quite
 // homogeneous" so the default experiments use a small sigma (e.g. 0.02).
-// A sigma that fails CheckSigma is the caller's error.
+// Each node's PowerEff is 1 + sigma·z for one standard normal deviate z
+// of an rng.Source seeded with seed, clamped to ±3 sigma. A sigma that
+// fails CheckSigma is the caller's error.
 func NewCluster(n int, spec *NodeSpec, sigma float64, seed int64) *Cluster {
-	rng := newSplitMix(uint64(seed))
+	src := rng.New(uint64(seed))
 	nodes := make([]*Node, n)
 	for i := range nodes {
 		eff := 1.0
 		if sigma > 0 {
-			// Box-Muller from two splitmix draws; clamp to a
-			// plausible binning range for shipped parts.
-			u1, u2 := rng.float(), rng.float()
-			z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-			eff = 1 + sigma*z
+			// Clamp to a plausible binning range for shipped parts.
+			eff = 1 + sigma*src.Norm()
 			if eff < 1-3*sigma {
 				eff = 1 - 3*sigma
 			}
@@ -364,22 +365,3 @@ func NewCluster(n int, spec *NodeSpec, sigma float64, seed int64) *Cluster {
 // Haswell returns the paper's 8-node testbed with mild manufacturing
 // variability.
 func Haswell() *Cluster { return NewCluster(8, HaswellSpec(), 0.02, 42) }
-
-// splitMix is a tiny deterministic PRNG (SplitMix64); it avoids pulling
-// math/rand state into reproducibility-sensitive code paths.
-type splitMix struct{ state uint64 }
-
-func newSplitMix(seed uint64) *splitMix { return &splitMix{state: seed} }
-
-func (s *splitMix) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// float returns a uniform float64 in (0,1).
-func (s *splitMix) float() float64 {
-	return (float64(s.next()>>11) + 0.5) / (1 << 53)
-}

@@ -235,3 +235,30 @@ func TestGenerationPresets(t *testing.T) {
 		})
 	}
 }
+
+// TestHaswellVariabilityBits pins the eight PowerEff values of the
+// paper's testbed bit for bit, so a change to the variability draw (the
+// generator, the normal deviate or the clamp) fails here and not only
+// in the experiment goldens.
+func TestHaswellVariabilityBits(t *testing.T) {
+	want := []uint64{
+		0x3ff021f94db4d5b5, // 1.0082943950086307
+		0x3fef6ddf94b3a86e, // 0.9821622757274449
+		0x3ff08db0322f629e, // 1.0345918617587482
+		0x3ff02cb27d696b4a, // 1.0109124087236574
+		0x3fef4efc323afdff, // 0.9783917409003492
+		0x3feedc8db40f95b9, // 0.9644230381788282
+		0x3fef444d47c6c46d, // 0.9770876314052096
+		0x3ff015560b2f43ed, // 1.0052090107822054
+	}
+	nodes := Haswell().Nodes
+	if len(nodes) != len(want) {
+		t.Fatalf("Haswell has %d nodes, want %d", len(nodes), len(want))
+	}
+	for i, n := range nodes {
+		if got := math.Float64bits(n.PowerEff); got != want[i] {
+			t.Errorf("node %d PowerEff %v (%#016x), want %v (%#016x)",
+				i, n.PowerEff, got, math.Float64frombits(want[i]), want[i])
+		}
+	}
+}

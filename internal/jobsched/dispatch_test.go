@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -453,5 +454,35 @@ func TestDispatchReusesDecisionPerFreeState(t *testing.T) {
 	}
 	if len(states) >= jobs {
 		t.Fatalf("every start saw a new free state (%d); the test exercises no reuse", len(states))
+	}
+}
+
+// TestReconcileFailsOnCoverageGap plants a dispatch fault: a queued
+// head whose cached decision says it starts now, plus a refusal stamp
+// for the next dispatch pass, so that pass skips it. One reconcile must
+// fail the session with a coverage violation and count one pass; a
+// second dispatch would start the head and hide the fault.
+func TestReconcileFailsOnCoverageGap(t *testing.T) {
+	o := online(t, Config{Bound: 2000})
+	st := o.st
+	idx, err := st.register(Job{ID: "h", App: workload.CoMD()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &st.recs[idx]
+	st.enqueue(rec)
+	dc := &st.apps[rec.app].dc
+	// A deadline no run meets evaluates the decision without starting.
+	if st.tryStart(rec, dc, math.Inf(-1)) || dc.state != entryEvaled || !dc.pl.NodeCfg.CapOK {
+		t.Fatalf("the planted head has no startable cached decision (state %d)", dc.state)
+	}
+	dc.refused = st.pass + 1
+	passes := st.m.reconcilePasses.Value()
+	st.reconcile("plant", false)
+	if err := o.Err(); err == nil || !strings.Contains(err.Error(), "coverage violation") {
+		t.Errorf("reconcile over a planted gap returned %v, want a coverage violation", err)
+	}
+	if got := st.m.reconcilePasses.Value() - passes; got != 1 {
+		t.Errorf("reconcile counted %d passes, want 1", got)
 	}
 }

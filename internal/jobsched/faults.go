@@ -108,29 +108,30 @@ type FaultStats struct {
 	WattsReclaimed float64
 }
 
-// faultStreams is the number of fault streams per node.
-const faultStreams = 3
-
-// faultSlot returns the index in faultEv of node's stream for kind.
-func faultSlot(kind uint16, node int) int { return node*faultStreams + int(kind-evkCrash)/2 }
+// nodeFault is one node's fault-layer state. Its zero value is a
+// healthy, idle node at full speed and budget with no event pending,
+// so initFaults needs no per-node initialisation.
+type nodeFault struct {
+	resident *runningJob // the job running on the node, nil when idle
+	straggle float64     // active slowdown factor; at most 1 means none (jobFactor)
+	derated  bool        // an excursion is active
+	reserved float64     // watts held back by the active excursion
+	// pending holds the next event of each of the node's three streams:
+	// crash, excursion and straggler, index (kind-evkCrash)/2.
+	pending   [3]*des.Event
+	excursion faults.Excursion // the drawn excursion
+	straggler faults.Straggler // the drawn straggler episode
+}
 
 // boundSlack absorbs floating-point rounding in the bound invariant.
 const boundSlack = 1e-6
 
-// initFaults arms the injector and schedules the first event of every
-// per-node fault stream.
+// initFaults arms the injector, allocates one zero (healthy) fault
+// record per node and schedules the first event of every per-node
+// fault stream.
 func (st *schedState) initFaults(sc faults.Scenario, nodes int) {
 	st.inj = faults.NewInjector(sc, nodes)
-	st.runningOn = make([]*runningJob, nodes)
-	st.straggle = make([]float64, nodes)
-	for i := range st.straggle {
-		st.straggle[i] = 1
-	}
-	st.derated = make([]bool, nodes)
-	st.reserved = make([]float64, nodes)
-	st.faultEv = make([]*des.Event, nodes*faultStreams)
-	st.excursion = make([]faults.Excursion, nodes)
-	st.straggler = make([]faults.Straggler, nodes)
+	st.nodes = make([]nodeFault, nodes)
 	for i := 0; i < nodes; i++ {
 		st.scheduleNextCrash(i)
 		st.scheduleNextExcursion(i)
@@ -138,8 +139,8 @@ func (st *schedState) initFaults(sc faults.Scenario, nodes int) {
 	}
 }
 
-// scheduleFault arms node's next event of kind dt seconds from now in
-// the node's slot for that stream, which stopFaults cancels.
+// scheduleFault arms node's next event of kind dt seconds from now as
+// the pending event of its stream, which stopFaults cancels.
 func (st *schedState) scheduleFault(dt float64, kind uint16, node int) {
 	if st.faultsStopped {
 		// The run is over (last job retired mid-handler); arming another
@@ -151,13 +152,13 @@ func (st *schedState) scheduleFault(dt float64, kind uint16, node int) {
 		st.failure = err
 		return
 	}
-	st.faultEv[faultSlot(kind, node)] = ev
+	st.nodes[node].pending[(kind-evkCrash)/2] = ev
 }
 
 // handleFault dispatches a fault event of kind on node, first clearing
-// its stream's slot.
+// its stream's pending event.
 func (st *schedState) handleFault(kind uint16, node int) {
-	st.faultEv[faultSlot(kind, node)] = nil
+	st.nodes[node].pending[(kind-evkCrash)/2] = nil
 	switch kind {
 	case evkCrash:
 		st.nodeCrash(node)
@@ -179,11 +180,13 @@ func (st *schedState) handleFault(kind uint16, node int) {
 // forever.
 func (st *schedState) stopFaults() {
 	st.faultsStopped = true
-	for i, ev := range st.faultEv {
-		if ev != nil {
-			ev.Cancel()
-			st.faultEv[i] = nil
+	for i := range st.nodes {
+		for _, ev := range st.nodes[i].pending {
+			if ev != nil {
+				ev.Cancel()
+			}
 		}
+		st.nodes[i].pending = [3]*des.Event{}
 	}
 }
 
@@ -221,7 +224,7 @@ func (st *schedState) placeable(id int) bool {
 
 // nodeDerated reports whether an excursion currently holds part of the
 // node's budget in reserve.
-func (st *schedState) nodeDerated(id int) bool { return st.derated != nil && st.derated[id] }
+func (st *schedState) nodeDerated(id int) bool { return st.nodes != nil && st.nodes[id].derated }
 
 // freeHas reports whether id is in the (ascending) free list.
 func (st *schedState) freeHas(id int) bool {
@@ -240,7 +243,7 @@ func (st *schedState) freeHas(id int) bool {
 // syncNode reconciles one node's free-list membership with its health,
 // derate and occupancy state.
 func (st *schedState) syncNode(id int) {
-	want := st.placeable(id) && st.runningOn[id] == nil
+	want := st.placeable(id) && st.nodes[id].resident == nil
 	has := st.freeHas(id)
 	if want && !has {
 		st.returnFree([]int{id})
@@ -259,7 +262,7 @@ func (st *schedState) releaseNodes(ids []int) {
 	}
 	ret := make([]int, 0, len(ids))
 	for _, id := range ids {
-		st.runningOn[id] = nil
+		st.nodes[id].resident = nil
 		if st.placeable(id) {
 			ret = append(ret, id)
 		}
@@ -276,8 +279,8 @@ func (st *schedState) jobFactor(rj *runningJob) float64 {
 	}
 	f := 1.0
 	for _, g := range rj.globalIDs {
-		if st.straggle[g] > f {
-			f = st.straggle[g]
+		if s := st.nodes[g].straggle; s > f {
+			f = s
 		}
 	}
 	return f
@@ -308,7 +311,7 @@ func (st *schedState) nodeCrash(i int) {
 	if h == faults.Drained {
 		st.logFault("drain", i, "", 0, fmt.Sprintf("circuit breaker: %d crashes exceed limit", st.inj.Crashes(i)))
 	}
-	if rj := st.runningOn[i]; rj != nil {
+	if rj := st.nodes[i].resident; rj != nil {
 		st.killJob(rj, i, fmt.Sprintf("node %d crashed", i))
 	}
 	st.syncNode(i)
@@ -409,7 +412,7 @@ func (st *schedState) scheduleNextExcursion(i int) {
 	if !ok {
 		return
 	}
-	st.excursion[i] = ex
+	st.nodes[i].excursion = ex
 	st.scheduleFault(ex.After, evkExcursion, i)
 }
 
@@ -419,14 +422,14 @@ func (st *schedState) scheduleNextExcursion(i int) {
 // when the derated plan is infeasible); an idle node is withheld from
 // placement for the duration.
 func (st *schedState) excursionStart(i int) {
-	frac, dur := st.excursion[i].Frac, st.excursion[i].Dur
+	frac, dur := st.nodes[i].excursion.Frac, st.nodes[i].excursion.Dur
 	st.accountPower()
 	st.m.faultsInjected.Inc()
 	st.stats.Faults.Injected++
 	st.stats.Faults.Excursions++
-	st.derated[i] = true
+	st.nodes[i].derated = true
 	st.logFault("excursion", i, "", 0, fmt.Sprintf("budget derated %.0f%% for %.1fs", frac*100, dur))
-	if rj := st.runningOn[i]; rj != nil {
+	if rj := st.nodes[i].resident; rj != nil {
 		st.recapJob(rj, i, frac)
 	} else {
 		st.syncNode(i)
@@ -464,7 +467,7 @@ func (st *schedState) recapJob(rj *runningJob, node int, frac float64) {
 	n := float64(len(rj.globalIDs))
 	cut := old.Total() - b.Total()
 	released := cut * (n - 1)
-	st.reserved[node] += cut
+	st.nodes[node].reserved += cut
 	st.freeW += released
 	// Subtract the delta rather than assigning b.Total()*n: under
 	// variability-aware coordination the per-node budgets differ, so
@@ -488,9 +491,9 @@ func (st *schedState) recapJob(rj *runningJob, node int, frac float64) {
 // returns to the free pool and the node may receive placements again.
 func (st *schedState) excursionEnd(i int) {
 	st.accountPower()
-	st.derated[i] = false
-	st.freeW += st.reserved[i]
-	st.reserved[i] = 0
+	n := &st.nodes[i]
+	st.freeW += n.reserved
+	n.derated, n.reserved = false, 0
 	st.logFault("excursion-end", i, "", 0, "")
 	st.syncNode(i)
 	st.scheduleNextExcursion(i)
@@ -506,7 +509,7 @@ func (st *schedState) scheduleNextStraggler(i int) {
 	if !ok {
 		return
 	}
-	st.straggler[i] = sg
+	st.nodes[i].straggler = sg
 	st.scheduleFault(sg.After, evkStraggler, i)
 }
 
@@ -514,13 +517,13 @@ func (st *schedState) scheduleNextStraggler(i int) {
 // the episode's duration; a resident job's iteration time stretches to
 // the worst factor across its nodes.
 func (st *schedState) stragglerStart(i int) {
-	factor, dur := st.straggler[i].Factor, st.straggler[i].Dur
+	factor, dur := st.nodes[i].straggler.Factor, st.nodes[i].straggler.Dur
 	st.m.faultsInjected.Inc()
 	st.stats.Faults.Injected++
 	st.stats.Faults.Stragglers++
-	st.straggle[i] = factor
+	st.nodes[i].straggle = factor
 	st.logFault("straggler", i, "", 0, fmt.Sprintf("slowdown ×%.2f for %.1fs", factor, dur))
-	if rj := st.runningOn[i]; rj != nil {
+	if rj := st.nodes[i].resident; rj != nil {
 		st.applyStraggle(rj)
 	}
 	st.scheduleFault(dur, evkStragglerEnd, i)
@@ -530,9 +533,9 @@ func (st *schedState) stragglerStart(i int) {
 
 // stragglerEnd restores the node's speed.
 func (st *schedState) stragglerEnd(i int) {
-	st.straggle[i] = 1
+	st.nodes[i].straggle = 0
 	st.logFault("straggler-end", i, "", 0, "")
-	if rj := st.runningOn[i]; rj != nil {
+	if rj := st.nodes[i].resident; rj != nil {
 		st.applyStraggle(rj)
 	}
 	st.scheduleNextStraggler(i)
@@ -564,8 +567,8 @@ func (st *schedState) allocatedW() float64 {
 // reservedW sums the watts held back by active excursions.
 func (st *schedState) reservedW() float64 {
 	var resv float64
-	for _, r := range st.reserved {
-		resv += r
+	for i := range st.nodes {
+		resv += st.nodes[i].reserved
 	}
 	return resv
 }

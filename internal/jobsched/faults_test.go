@@ -188,7 +188,9 @@ func TestChaosDisabledMatchesBaseline(t *testing.T) {
 // TestChaosPropertyTermination: many random fault schedules against a
 // small cluster all terminate with conserved jobs and a respected
 // bound. MaxRetries bounds the retry chains and the injector stops
-// once every job has retired, so no schedule can run away.
+// once every job has retired, so no schedule can run away, and the run
+// ends when its last job does: a fault stream left armed would fire
+// past it.
 func TestChaosPropertyTermination(t *testing.T) {
 	n := 1000
 	if testing.Short() {
@@ -229,6 +231,16 @@ func TestChaosPropertyTermination(t *testing.T) {
 		}
 		if st.PeakAllocW > s.Config.Bound+1e-6 {
 			t.Fatalf("schedule %d (%s): peak %.3f W > bound %.3f W", i, sc, st.PeakAllocW, s.Config.Bound)
+		}
+		last := 0.0
+		for _, jr := range st.Jobs {
+			last = max(last, jr.Finish)
+		}
+		for _, fj := range st.Failed {
+			last = max(last, fj.FailedAt)
+		}
+		if st.Makespan != last {
+			t.Fatalf("schedule %d (%s): makespan %v, but the last job left at %v", i, sc, st.Makespan, last)
 		}
 	}
 }

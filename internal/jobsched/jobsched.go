@@ -435,34 +435,6 @@ type priLevel struct {
 	live int
 }
 
-// placementCopy is a dispatch-cache-owned snapshot of a coordinator
-// placement: the slices are owned by the entry (refilled in place on
-// recompute), the phase plan aliases the coordinator scratch's memo
-// (immutable once built).
-type placementCopy struct {
-	nodeIDs     []int // subcluster slots, ascending
-	perNode     []power.Budget
-	cores       int
-	affinity    workload.Affinity
-	capOK       bool
-	phaseCores  map[string]int
-	totalBudget float64
-}
-
-func (pc *placementCopy) copyFrom(pl *coordinator.Placement) {
-	pc.nodeIDs = append(pc.nodeIDs[:0], pl.NodeIDs...)
-	pc.perNode = append(pc.perNode[:0], pl.PerNode...)
-	pc.cores = pl.Cores
-	pc.affinity = pl.Affinity
-	pc.capOK = pl.NodeCfg.CapOK
-	pc.phaseCores = pl.PhaseCores
-	var tot float64
-	for _, b := range pc.perNode {
-		tot += b.Total()
-	}
-	pc.totalBudget = tot
-}
-
 // Dispatch-cache entry lifecycle for the free set and free watts the
 // entry was computed for: infeasible (placement failed), placed
 // (placement known, time not yet simulated) or evaluated (placement and
@@ -482,7 +454,10 @@ const (
 // freeVer is only the fast path of the freshness check (see fresh);
 // free is the content key behind it. live counts the application's
 // queued, unstarted entries, so a pass can tell when every queued
-// application has been refused.
+// application has been refused. pl is the coordinator's placement
+// itself: Place refills its node ids (subcluster slots, ascending) and
+// budgets in the entry's own arrays, and its phase plan aliases the
+// coordinator scratch's memo (immutable once built).
 type dispatchEntry struct {
 	freeVer uint64
 	wBits   uint64 // math.Float64bits of the free watts
@@ -490,7 +465,7 @@ type dispatchEntry struct {
 	state   uint8
 	refused uint64 // last dispatch pass that failed to start the application
 	live    int    // queued, unstarted entries of the application
-	pl      placementCopy
+	pl      coordinator.Placement
 	eval    sim.Eval
 }
 
@@ -566,7 +541,6 @@ type schedState struct {
 	// placement machinery, persistent across events and runs.
 	coord coordinator.Coordinator
 	csc   coordinator.Scratch
-	pl    coordinator.Placement
 	// apps is the application table, appIdx its index by application:
 	// one row per application the state has seen, kept across runs.
 	apps   []appEntry
@@ -609,13 +583,7 @@ type schedState struct {
 	online bool
 	// fault injection (nil / unused without Config.Faults)
 	inj           *faults.Injector
-	runningOn     []*runningJob      // node id -> resident job
-	straggle      []float64          // node id -> active slowdown factor (1 = none)
-	derated       []bool             // node id -> excursion active
-	reserved      []float64          // node id -> watts held back by an active excursion
-	faultEv       []*des.Event       // faultSlot -> pending event
-	excursion     []faults.Excursion // node id -> drawn excursion
-	straggler     []faults.Straggler // node id -> drawn straggler episode
+	nodes         []nodeFault // by node id
 	faultsStopped bool
 	jobsLeft      int // submitted jobs not yet finished or failed
 }
@@ -735,13 +703,7 @@ func (st *schedState) reset(online bool) {
 	st.failure = nil
 	st.online = online
 	st.inj = nil
-	st.runningOn = nil
-	st.straggle = nil
-	st.derated = nil
-	st.reserved = nil
-	st.faultEv = nil
-	st.excursion = nil
-	st.straggler = nil
+	st.nodes = nil
 	st.faultsStopped = false
 	st.jobsLeft = 0
 }
@@ -1265,27 +1227,26 @@ func (st *schedState) tryStart(rec *jobRecord, e *dispatchEntry, deadline float6
 		}
 		st.coord.Cluster = view
 		st.coord.Ranked = ranked
-		err = st.coord.Place(app, adv, st.freeW, &st.csc, &st.pl)
+		err = st.coord.Place(app, adv, st.freeW, &st.csc, &e.pl)
 		st.coord.Ranked = false
 		if err != nil {
 			return false // does not fit now; retry on the next completion
 		}
-		e.pl.copyFrom(&st.pl)
 		e.state = entryPlaced
 	}
 	if e.state == entryInfeasible {
 		return false
 	}
-	if !e.pl.capOK && st.nrunning > 0 {
+	if !e.pl.NodeCfg.CapOK && st.nrunning > 0 {
 		// Below the acceptable power range: wait for more power unless
 		// nothing is running (then duty-cycling beats starvation).
 		return false
 	}
 	if e.state == entryPlaced {
 		res, err := sim.EvalTime(view, app, sim.Config{
-			Nodes: len(e.pl.nodeIDs), NodeIDs: e.pl.nodeIDs,
-			CoresPerNode: e.pl.cores, Affinity: e.pl.affinity,
-			Capped: true, PerNode: e.pl.perNode, PhaseCores: e.pl.phaseCores,
+			Nodes: len(e.pl.NodeIDs), NodeIDs: e.pl.NodeIDs,
+			CoresPerNode: e.pl.Cores, Affinity: e.pl.Affinity,
+			Capped: true, PerNode: e.pl.PerNode, PhaseCores: e.pl.PhaseCores,
 		})
 		if err != nil {
 			st.failure = err
@@ -1304,7 +1265,7 @@ func (st *schedState) tryStart(rec *jobRecord, e *dispatchEntry, deadline float6
 	// ranked affinity view is ordered by preference instead, so its
 	// mapped globals need the explicit sort).
 	rj := st.acquireSlot()
-	for _, slot := range e.pl.nodeIDs {
+	for _, slot := range e.pl.NodeIDs {
 		rj.globalIDs = append(rj.globalIDs, pool[slot])
 	}
 	if ranked {
@@ -1312,17 +1273,20 @@ func (st *schedState) tryStart(rec *jobRecord, e *dispatchEntry, deadline float6
 	}
 
 	st.accountPower()
-	used := e.pl.totalBudget
+	var used float64
+	for _, b := range e.pl.PerNode {
+		used += b.Total()
+	}
 	st.freeW -= used
 	st.takeFree(rj.globalIDs)
 	now := st.eng.Now()
 	rj.rec, rec.run, rec.state = rec.idx, rj.slot, JobRunning
 	rec.start, rec.boosted = now, false
-	rec.nodes, rec.cores = int32(len(rj.globalIDs)), int32(e.pl.cores)
-	rec.perNodeW = e.pl.perNode[0].Total()
-	rj.cores = e.pl.cores
-	rj.affinity = e.pl.affinity
-	rj.perNode = e.pl.perNode[0]
+	rec.nodes, rec.cores = int32(len(rj.globalIDs)), int32(e.pl.Cores)
+	rec.perNodeW = e.pl.PerNode[0].Total()
+	rj.cores = e.pl.Cores
+	rj.affinity = e.pl.Affinity
+	rj.perNode = e.pl.PerNode[0]
 	rj.iterTime = e.eval.IterTime
 	rj.baseIterTime = e.eval.IterTime
 	rj.itersLeft = float64(e.eval.Iterations)
@@ -1333,7 +1297,7 @@ func (st *schedState) tryStart(rec *jobRecord, e *dispatchEntry, deadline float6
 	st.nrunning++
 	if st.inj != nil {
 		for _, g := range rj.globalIDs {
-			st.runningOn[g] = rj
+			st.nodes[g].resident = rj
 		}
 		if f := st.jobFactor(rj); f > 1 {
 			rj.iterTime = e.eval.IterTime * f

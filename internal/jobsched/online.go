@@ -221,7 +221,7 @@ func (o *Online) SetBound(watts float64) error {
 	return o.st.failure
 }
 
-// Reconcile runs one bounded reconciler pass at the current virtual
+// Reconcile runs one reconciler pass at the current virtual
 // time: desired placement (dispatch plus preemption under priorities)
 // is converged against actual placement, surplus power is offered to
 // running jobs when reallocation is enabled, and the coverage and

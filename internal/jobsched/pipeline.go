@@ -5,7 +5,7 @@ package jobsched
 // offered to the coordinator, power-aware preemption (evict the
 // cheapest set of strictly-lower-priority running jobs whose reclaimed
 // watts and nodes admit a blocked higher-priority job), and the
-// bounded reconciler that converges desired-versus-actual placement
+// reconciler that converges desired-versus-actual placement
 // after node-health or bound changes instead of patching event by
 // event. Priority needs no stage of its own: the queue keeps one FIFO
 // per priority level, so every stage reads the same dispatch order, and
@@ -226,32 +226,23 @@ func (st *schedState) preemptJob(rj *runningJob, forID string) {
 	st.enqueue(rec)
 }
 
-// maxReconcilePasses bounds the reconciler's re-dispatch loop; a
-// coverage gap that survives this many fixpoints is irreducible and
-// fails the run instead of spinning.
-const maxReconcilePasses = 8
-
 // reconcile converges placement after a disruptive state change (node
-// crash or recovery, excursion, bound change, shard rejoin): it
-// re-runs the placement pipeline to a fixpoint, offers surplus to
-// running jobs when reallocation is enabled, and audits desired-
-// versus-actual coverage — a queued job the decision cache proves
-// startable under the current free set must have been started (the
-// SystemScheduler-style eventual-coverage property). A detected gap is
-// retried with bounded re-dispatch; only an irreducible gap fails the
-// run. The Σ-bound invariant is asserted and the post-event state
-// published exactly as the legacy per-handler sequences did.
+// crash or recovery, excursion, bound change, shard rejoin): it runs
+// one dispatch to its fixpoint (preemption, when enabled, runs inside
+// it), offers surplus to running jobs when reallocation is enabled, and
+// audits desired-versus-actual coverage — a queued job the decision
+// cache proves startable under the current free set must have been
+// started (the SystemScheduler-style eventual-coverage property).
+// dispatch is deterministic and ends only when nothing more can start,
+// so a gap is a dispatch fault, and it fails the run at once. The
+// Σ-bound invariant is asserted and the post-event state published
+// exactly as the legacy per-handler sequences did.
 func (st *schedState) reconcile(where string, realloc bool) {
-	passes := 1
 	st.dispatch()
-	for st.uncovered() != "" && passes < maxReconcilePasses {
-		passes++
-		st.dispatch()
-	}
 	if realloc {
 		st.reallocate()
 	}
-	st.m.reconcilePasses.Add(uint64(passes))
+	st.m.reconcilePasses.Inc()
 	if id := st.uncovered(); id != "" && st.failure == nil {
 		st.failure = fmt.Errorf(
 			"jobsched: coverage violation after %s at t=%.3f: job %q is dispatchable but still queued",
@@ -279,7 +270,7 @@ func (st *schedState) uncovered() string {
 	if e.state != entryEvaled {
 		return "" // infeasible, or never reached evaluation
 	}
-	if !e.pl.capOK && st.nrunning > 0 {
+	if !e.pl.NodeCfg.CapOK && st.nrunning > 0 {
 		return "" // duty-cycling gate: waiting for more power
 	}
 	return st.ids[top.rec]
