@@ -3,7 +3,7 @@
 #   make build   — compile everything
 #   make test    — tier-1: the full test suite
 #   make check   — tier-2: build + vet + the benchmark module's vet and tests +
-#                  race tests + dispatch, scenario, search and id-index fuzz + bench smoke + docs
+#                  race tests + dispatch, scenario, search, id-index and placement fuzz + bench smoke + docs
 #                  lint + telemetry and stdout identity against the parent commit, then the
 #                  paired perf gate against it
 #   make docs    — gofmt + vet + godoc-coverage lint (cmd/doclint)
@@ -37,6 +37,7 @@ check:
 	$(GO) test -run=NONE -fuzz=FuzzScenarioRoundTrip -fuzztime=5s ./internal/fed
 	$(GO) test -run=NONE -fuzz=FuzzBestMatchesScan -fuzztime=5s ./internal/recommend
 	$(GO) test -run=NONE -fuzz=FuzzIndexMatchesMap -fuzztime=5s ./internal/idindex
+	$(GO) test -run=NONE -fuzz=FuzzPlaceOnPoolMatchesView -fuzztime=5s ./internal/coordinator
 	$(GO) test -run=NONE -bench=. -benchtime=1x .
 	./scripts/clipd_smoke.sh
 	./scripts/fed_smoke.sh

@@ -134,10 +134,10 @@ type Coordinator struct {
 	// the energy-aware objective: minimum predicted energy within this
 	// relative slowdown of the fastest configuration.
 	EnergyTolerance float64
-	// Ranked makes pickNodes honour the caller's node order instead of
-	// re-ranking by PowerEff: the scheduler's feasibility/scoring stage
-	// sets it when a workload's affinity preferences already fixed the
-	// order of the (restricted) cluster view.
+	// Ranked means a Place pool is already in the caller's preference
+	// order: pickNodes takes its first nodes as given instead of
+	// re-ranking by PowerEff. The scheduler's feasibility stage sets it
+	// when a workload's affinity preferences ordered the pool.
 	Ranked bool
 	// Quiet suppresses telemetry publication (gauges and rebalance
 	// events) for what-if placements, such as the scheduler's preemption
@@ -174,10 +174,12 @@ func clusterPredict(t1 float64, nodes int) float64 {
 
 // Placement is the allocation-free result of a Place call: the same
 // decision a Schedule pass produces, but written into caller-owned
-// storage instead of a freshly built plan.Plan. Place refills NodeIDs
-// and PerNode in their own backing arrays: they stay valid until the
-// next Place into this Placement. PhaseCores aliases the scratch's memo
-// and must be treated as read-only.
+// storage instead of a freshly built plan.Plan. NodeIDs are node ids of
+// the coordinator's cluster, drawn from the pool, and PerNode[i] is the
+// budget of node NodeIDs[i]. Place refills both in their own backing
+// arrays: they stay valid until the next Place into this Placement.
+// PhaseCores aliases the scratch's memo and must be treated as
+// read-only.
 type Placement struct {
 	NodeIDs     []int
 	PerNode     []power.Budget
@@ -245,12 +247,13 @@ var (
 )
 
 // Schedule produces the CLIP decision for app under a total budget of
-// bound watts, asking rec for the profile and the node-level answers.
+// bound watts on the whole cluster, asking rec for the profile and the
+// node-level answers.
 // The plan keeps its own Placement's slices; only PhaseCores is copied.
 func (c *Coordinator) Schedule(app *workload.Spec, rec Recommender, bound float64) (*Decision, error) {
 	var sc Scratch
 	var pl Placement
-	if err := c.Place(app, rec, bound, &sc, &pl); err != nil {
+	if err := c.Place(app, rec, plan.FirstN(c.Cluster.NumNodes()), bound, &sc, &pl); err != nil {
 		switch {
 		case errors.Is(err, ErrNonPositiveBound):
 			return nil, fmt.Errorf("coordinator: non-positive bound %.1f W", bound)
@@ -289,19 +292,21 @@ func (c *Coordinator) Schedule(app *workload.Spec, rec Recommender, bound float6
 	return d, nil
 }
 
-// Place runs one cluster-level scheduling pass (Algorithm 1) into the
-// caller's scratch buffers without heap allocation: node-count search,
-// node picking, budget assignment, and telemetry publication — the
-// exact decision Schedule produces, minus the materialized Plan, with
-// the node ids and budgets copied into out's own arrays. It is the
-// hot-path entry for the job scheduler's dispatch loop. Each candidate
-// node count asks rec for the best configuration under its per-node
-// share of the bound.
-func (c *Coordinator) Place(app *workload.Spec, rec Recommender, bound float64, sc *Scratch, out *Placement) error {
+// Place runs one cluster-level scheduling pass (Algorithm 1) over pool,
+// the candidate node ids of c.Cluster, into the caller's scratch
+// buffers without heap allocation: node-count search, node picking,
+// budget assignment, and telemetry publication — the decision Schedule
+// produces for the whole cluster, minus the materialized Plan, with the
+// node ids and budgets copied into out's own arrays. It is the hot-path
+// entry for the job scheduler's dispatch loop. Node counts are drawn
+// from len(pool), and each asks rec for the best configuration under its
+// per-node share of the bound. An unranked pool may come in any order;
+// a Ranked one is read in its given order.
+func (c *Coordinator) Place(app *workload.Spec, rec Recommender, pool []int, bound float64, sc *Scratch, out *Placement) error {
 	if bound <= 0 {
 		return ErrNonPositiveBound
 	}
-	sc.counts = app.AppendProcCounts(sc.counts[:0], c.Cluster.NumNodes())
+	sc.counts = app.AppendProcCounts(sc.counts[:0], len(pool))
 	if len(sc.counts) == 0 {
 		return ErrNoProcCount
 	}
@@ -345,7 +350,7 @@ func (c *Coordinator) Place(app *workload.Spec, rec Recommender, bound float64, 
 		c.metrics().dutyFallback.Inc()
 	}
 
-	ids := c.pickNodes(sc, best.nodes)
+	ids := c.pickNodes(sc, pool, best.nodes)
 	budgets, coordinated := c.nodeBudgets(sc, ids, best.cfg, bound)
 	out.NodeIDs = append(out.NodeIDs[:0], ids...)
 	out.PerNode = append(out.PerNode[:0], budgets...)
@@ -389,22 +394,16 @@ func (c *Coordinator) publish(sc *Scratch, app string, bound float64, ids []int,
 	m.events.Append(ev)
 }
 
-// pickNodes selects the n most power-efficient nodes (lowest PowerEff,
-// ties to the lower id): under a shared bound the efficient parts
-// sustain the highest frequencies. The result lives in sc.ids, in
-// ascending id order.
-func (c *Coordinator) pickNodes(sc *Scratch, n int) []int {
-	ids := sc.ids[:0]
-	for i := 0; i < c.Cluster.NumNodes(); i++ {
-		ids = append(ids, i)
-	}
+// pickNodes selects n node ids of pool. A Ranked pool gives its first n
+// in the caller's order. Otherwise the n most power-efficient nodes are
+// taken (lowest PowerEff, ties to the lower id), since under a shared
+// bound the efficient parts sustain the highest frequencies, and they
+// come back in ascending id order in sc.ids.
+func (c *Coordinator) pickNodes(sc *Scratch, pool []int, n int) []int {
 	if c.Ranked {
-		// The caller pre-ranked the cluster view (workload affinity):
-		// take the first n view positions in the given order.
-		ids = ids[:n]
-		sc.ids = ids
-		return ids
+		return pool[:n]
 	}
+	ids := append(sc.ids[:0], pool...)
 	nodes := c.Cluster.Nodes
 	slices.SortFunc(ids, func(a, b int) int {
 		return cmp.Or(cmp.Compare(nodes[a].PowerEff, nodes[b].PowerEff), cmp.Compare(a, b))

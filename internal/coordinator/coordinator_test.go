@@ -208,7 +208,7 @@ func TestPickNodesPrefersEfficient(t *testing.T) {
 	cl.Nodes[0].PowerEff = 1.10
 	cl.Nodes[2].PowerEff = 0.95
 	co := &Coordinator{Cluster: cl}
-	ids := co.pickNodes(&Scratch{}, 2)
+	ids := co.pickNodes(&Scratch{}, []int{0, 1, 2, 3}, 2)
 	for _, id := range ids {
 		if id == 0 {
 			t.Errorf("picked the leakiest node: %v", ids)
@@ -307,12 +307,12 @@ func TestPlacementOwnsItsSlices(t *testing.T) {
 	co := &Coordinator{Cluster: cl, Quiet: true}
 	var sc Scratch
 	var a, b Placement
-	if err := co.Place(app, g, 2600, &sc, &a); err != nil {
+	if err := co.Place(app, g, plan.FirstN(8), 2600, &sc, &a); err != nil {
 		t.Fatal(err)
 	}
 	ids := append([]int(nil), a.NodeIDs...)
 	budgets := append([]power.Budget(nil), a.PerNode...)
-	if err := co.Place(app, g, 700, &sc, &b); err != nil {
+	if err := co.Place(app, g, plan.FirstN(8), 700, &sc, &b); err != nil {
 		t.Fatal(err)
 	}
 	if slices.Equal(b.NodeIDs, ids) && slices.Equal(b.PerNode, budgets) {

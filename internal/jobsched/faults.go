@@ -278,7 +278,7 @@ func (st *schedState) jobFactor(rj *runningJob) float64 {
 		return 1
 	}
 	f := 1.0
-	for _, g := range rj.globalIDs {
+	for _, g := range rj.nodeIDs {
 		if s := st.nodes[g].straggle; s > f {
 			f = s
 		}
@@ -464,7 +464,7 @@ func (st *schedState) recapJob(rj *runningJob, node int, frac float64) {
 		return
 	}
 	rj.progressTo(st.eng.Now())
-	n := float64(len(rj.globalIDs))
+	n := float64(len(rj.nodeIDs))
 	cut := old.Total() - b.Total()
 	released := cut * (n - 1)
 	st.nodes[node].reserved += cut

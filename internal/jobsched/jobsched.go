@@ -387,20 +387,20 @@ type appEntry struct {
 // runningJob is the placement of an executing job. Slots live in the
 // run state's slot arena: a slot keeps its index for the lifetime of
 // the state and is recycled through a freelist, so completion events
-// can reference the job by slot and the globalIDs / subcluster buffers
-// are reused across occupants.
+// can reference the job by slot and the node id buffer is reused
+// across occupants.
 type runningJob struct {
 	rec  int32 // index in schedState.recs, noSlot while the slot is free
 	slot int32 // index in schedState.slots, stable across recycles
 	// live marks a slot in the running set: walks over running jobs
 	// range the slot arena and skip dead slots.
 	live bool
-	// globalIDs is the slot-owned node id buffer (ascending).
-	globalIDs []int
-	cores     int
-	affinity  workload.Affinity
-	perNode   power.Budget
-	iterTime  float64
+	// nodeIDs is the slot-owned node id buffer (ascending).
+	nodeIDs  []int
+	cores    int
+	affinity workload.Affinity
+	perNode  power.Budget
+	iterTime float64
 	// baseIterTime is the straggler-free iteration time of the current
 	// budget; iterTime = baseIterTime × the worst active straggler
 	// factor across the job's nodes (equal without fault injection).
@@ -410,10 +410,6 @@ type runningJob struct {
 	completion   *des.Event
 	finishAt     float64 // scheduled completion time
 	powerUsed    float64 // total managed watts held by this job
-	// sub is the job's fixed subcluster view, filled in place at start
-	// (the node objects are slot-owned and reused) and consulted by
-	// every mid-run retune preview.
-	sub *hw.Cluster
 }
 
 // queueEntry is one slot of a priority level's FIFO: started entries
@@ -455,9 +451,10 @@ const (
 // free is the content key behind it. live counts the application's
 // queued, unstarted entries, so a pass can tell when every queued
 // application has been refused. pl is the coordinator's placement
-// itself: Place refills its node ids (subcluster slots, ascending) and
-// budgets in the entry's own arrays, and its phase plan aliases the
-// coordinator scratch's memo (immutable once built).
+// itself: Place refills its node ids (the scheduler's cluster node ids,
+// ascending unless the pool was ranked) and budgets in the entry's own
+// arrays, and its phase plan aliases the coordinator scratch's memo
+// (immutable once built).
 type dispatchEntry struct {
 	freeVer uint64
 	wBits   uint64 // math.Float64bits of the free watts
@@ -471,9 +468,9 @@ type dispatchEntry struct {
 
 // fresh reports whether e holds the decision for the current free set
 // and free watts. An entry stamped with another freeVer is still fresh
-// when its watts and its free ids equal the current ones: feasibleView
-// and fillSub read only the free ids and the immutable base nodes, so
-// the decision is the one a recompute would make. Such an entry adopts
+// when its watts and its free ids equal the current ones: feasiblePool
+// and Place read only the free ids and the immutable base nodes, so the
+// decision is the one a recompute would make. Such an entry adopts
 // the current freeVer, and the next check takes the fast path.
 func (st *schedState) fresh(e *dispatchEntry) bool {
 	if e.wBits != math.Float64bits(st.freeW) {
@@ -493,10 +490,9 @@ func (st *schedState) fresh(e *dispatchEntry) bool {
 // schedState is the mutable state of one Run.
 //
 // The free-node set and free-watts accumulator are maintained
-// incrementally on job start/finish (sorted-slice merge and subtract),
-// the blocked head's shadow time is cached until a completion event
-// invalidates it, and the free-node subcluster view is cached by a
-// free-set version stamp — so a dispatch attempt costs no per-event
+// incrementally on job start/finish (sorted-slice merge and subtract)
+// and the blocked head's shadow time is cached until a completion
+// event invalidates it — so a dispatch attempt costs no per-event
 // cluster rescan.
 type schedState struct {
 	s   *Scheduler
@@ -549,27 +545,20 @@ type schedState struct {
 	// shedPower: running slot indices.
 	byID []int32
 	// cached derived state
-	freeVer    uint64 // bumped on every free-set change, never reset
-	freeSub    *hw.Cluster
-	freeSubVer uint64
-	shadow     float64
-	shadowOK   bool
+	freeVer  uint64 // bumped on every free-set change, never reset
+	shadow   float64
+	shadowOK bool
 	// shadowEpoch counts invalidateShadow calls and stamped the passes
 	// preemptPass answered at failedPlan, both never reset.
 	shadowEpoch uint64
 	failedPlan  planStamp
 	stamped     uint64
-	// priority pipeline state. feasIDs/feasSub back the
-	// constraint-filtered cluster view; the pre* scratch set backs
-	// preemption planning so a plan never clobbers the freeVer-cached
-	// free view or the shared coordinator scratch.
+	// priority pipeline state: feasIDs backs the constraint-filtered
+	// pool; preIDs, prePl and preVictims back preemption planning, so a
+	// plan never clobbers the free set or a dispatch-cache entry.
 	feasIDs    []int
-	feasSub    *hw.Cluster
 	preIDs     []int
-	preSub     *hw.Cluster
-	preSc      coordinator.Scratch
 	prePl      coordinator.Placement
-	preCoord   coordinator.Coordinator
 	preVictims []*runningJob
 	// take is takeQueued's result buffer.
 	take []queueEntry
@@ -661,9 +650,9 @@ func (s *Scheduler) newState(online bool) (*schedState, error) {
 
 // reset rewinds a (possibly recycled) state to time zero. The free-set
 // version deliberately keeps counting instead of restarting, and every
-// dispatch-cache entry drops its free-set copy: a decision or subcluster
-// stamp from an earlier run must never be served to this one, even for
-// a free set that matches. Queue seqs restart, so failedPlan is cleared.
+// dispatch-cache entry drops its free-set copy: a decision from an
+// earlier run must never be served to this one, even for a free set
+// that matches. Queue seqs restart, so failedPlan is cleared.
 func (st *schedState) reset(online bool) {
 	s := st.s
 	st.eng.Reset()
@@ -694,7 +683,7 @@ func (st *schedState) reset(online bool) {
 	st.freeW = s.Config.Bound
 	st.bound = s.Config.Bound
 	st.stats = &Stats{}
-	st.coord = coordinator.Coordinator{Metrics: st.m.coord}
+	st.coord = coordinator.Coordinator{Cluster: s.Cluster, Metrics: st.m.coord}
 	st.freeVer++
 	st.shadow, st.shadowOK = 0, false
 	st.failedPlan = planStamp{}
@@ -807,9 +796,8 @@ func (st *schedState) acquireSlot() *runningJob {
 		slot := st.freeSlots[n-1]
 		st.freeSlots = st.freeSlots[:n-1]
 		rj := st.slots[slot]
-		ids := rj.globalIDs[:0]
-		sub := rj.sub
-		*rj = runningJob{rec: noSlot, slot: slot, globalIDs: ids, sub: sub}
+		ids := rj.nodeIDs[:0]
+		*rj = runningJob{rec: noSlot, slot: slot, nodeIDs: ids}
 		return rj
 	}
 	rj := &runningJob{rec: noSlot, slot: int32(len(st.slots))}
@@ -831,7 +819,7 @@ func (st *schedState) teardown(rj *runningJob) float64 {
 	st.invalidateShadow()
 	reclaimed := rj.powerUsed
 	st.freeW += reclaimed
-	st.releaseNodes(rj.globalIDs)
+	st.releaseNodes(rj.nodeIDs)
 	st.recs[rj.rec].run = noSlot
 	rj.rec, rj.completion, rj.live = noSlot, nil, false
 	st.freeSlots = append(st.freeSlots, rj.slot)
@@ -1182,17 +1170,6 @@ func (st *schedState) returnFree(ids []int) {
 	}
 }
 
-// freeCluster returns the subcluster view over the free nodes, cached
-// until the free set changes (one version stamp per start/finish) and
-// filled in place into a state-owned buffer.
-func (st *schedState) freeCluster() *hw.Cluster {
-	if st.freeSub == nil || st.freeSubVer != st.freeVer {
-		st.freeSub = fillSub(st.freeSub, st.s.Cluster, st.free)
-		st.freeSubVer = st.freeVer
-	}
-	return st.freeSub
-}
-
 // tryStart attempts to place one job on the free nodes with the free
 // power; returns true when the job started. The job is only started
 // when it would complete by deadline (backfill safety window). Its one
@@ -1205,14 +1182,14 @@ func (st *schedState) freeCluster() *hw.Cluster {
 // deadline gates depend on per-call state (running-set size, shadow
 // window) and are applied after the lookup.
 func (st *schedState) tryStart(rec *jobRecord, e *dispatchEntry, deadline float64) bool {
-	// Feasibility stage: the cluster view offered to the coordinator is
-	// the free set shrunk to the job's hard constraints (identical to
-	// the plain free view for unconstrained apps — the common case and
-	// the allocation-free hot path). The view is a pure function of the
-	// free set per application, so the content-keyed cache check below
-	// stays sound.
+	// Feasibility stage: the node pool offered to the coordinator is
+	// the free set shrunk to the job's hard constraints (the free set
+	// itself for unconstrained apps — the common case and the
+	// allocation-free hot path). The pool is a pure function of the free
+	// set per application, so the content-keyed cache check below stays
+	// sound.
 	app := st.apps[rec.app].spec
-	view, pool, ranked := st.feasibleView(app)
+	pool, ranked := st.feasiblePool(app)
 	if len(pool) == 0 {
 		return false
 	}
@@ -1225,9 +1202,8 @@ func (st *schedState) tryStart(rec *jobRecord, e *dispatchEntry, deadline float6
 			st.failure = err
 			return false
 		}
-		st.coord.Cluster = view
 		st.coord.Ranked = ranked
-		err = st.coord.Place(app, adv, st.freeW, &st.csc, &e.pl)
+		err = st.coord.Place(app, adv, pool, st.freeW, &st.csc, &e.pl)
 		st.coord.Ranked = false
 		if err != nil {
 			return false // does not fit now; retry on the next completion
@@ -1243,7 +1219,7 @@ func (st *schedState) tryStart(rec *jobRecord, e *dispatchEntry, deadline float6
 		return false
 	}
 	if e.state == entryPlaced {
-		res, err := sim.EvalTime(view, app, sim.Config{
+		res, err := sim.EvalTime(st.s.Cluster, app, sim.Config{
 			Nodes: len(e.pl.NodeIDs), NodeIDs: e.pl.NodeIDs,
 			CoresPerNode: e.pl.Cores, Affinity: e.pl.Affinity,
 			Capped: true, PerNode: e.pl.PerNode, PhaseCores: e.pl.PhaseCores,
@@ -1259,17 +1235,13 @@ func (st *schedState) tryStart(rec *jobRecord, e *dispatchEntry, deadline float6
 		return false // would delay the queue head past the shadow time
 	}
 
-	// Map subcluster slots back to global node ids (the coordinator
-	// emits slots ascending, and the plain free view is ascending, so
-	// the globals arrive sorted for the free-list subtract/merge; a
-	// ranked affinity view is ordered by preference instead, so its
-	// mapped globals need the explicit sort).
+	// The free-list subtract/merge needs the node ids ascending, as the
+	// coordinator returns them from an unranked pool; a ranked pool
+	// gives them in preference order.
 	rj := st.acquireSlot()
-	for _, slot := range e.pl.NodeIDs {
-		rj.globalIDs = append(rj.globalIDs, pool[slot])
-	}
+	rj.nodeIDs = append(rj.nodeIDs, e.pl.NodeIDs...)
 	if ranked {
-		slices.Sort(rj.globalIDs)
+		slices.Sort(rj.nodeIDs)
 	}
 
 	st.accountPower()
@@ -1278,11 +1250,11 @@ func (st *schedState) tryStart(rec *jobRecord, e *dispatchEntry, deadline float6
 		used += b.Total()
 	}
 	st.freeW -= used
-	st.takeFree(rj.globalIDs)
+	st.takeFree(rj.nodeIDs)
 	now := st.eng.Now()
 	rj.rec, rec.run, rec.state = rec.idx, rj.slot, JobRunning
 	rec.start, rec.boosted = now, false
-	rec.nodes, rec.cores = int32(len(rj.globalIDs)), int32(e.pl.Cores)
+	rec.nodes, rec.cores = int32(len(rj.nodeIDs)), int32(e.pl.Cores)
 	rec.perNodeW = e.pl.PerNode[0].Total()
 	rj.cores = e.pl.Cores
 	rj.affinity = e.pl.Affinity
@@ -1292,11 +1264,10 @@ func (st *schedState) tryStart(rec *jobRecord, e *dispatchEntry, deadline float6
 	rj.itersLeft = float64(e.eval.Iterations)
 	rj.lastUpdate = now
 	rj.powerUsed = used
-	rj.sub = fillSub(rj.sub, st.s.Cluster, rj.globalIDs)
 	rj.live = true
 	st.nrunning++
 	if st.inj != nil {
-		for _, g := range rj.globalIDs {
+		for _, g := range rj.nodeIDs {
 			st.nodes[g].resident = rj
 		}
 		if f := st.jobFactor(rj); f > 1 {
@@ -1350,7 +1321,7 @@ func (st *schedState) finish(rj *runningJob) {
 		// Under fault injection a completed job keeps its node ids, for
 		// quarantine audits: interned in the stats arena, not the slot's
 		// reusable buffer (no per-job allocation).
-		rec.nodeOff, rec.nodeLen = st.stats.internNodeIDs(rj.globalIDs)
+		rec.nodeOff, rec.nodeLen = st.stats.internNodeIDs(rj.nodeIDs)
 	}
 	st.teardown(rj)
 	st.retire(rec, JobCompleted)
@@ -1394,7 +1365,7 @@ func (st *schedState) reallocate() {
 			st.failure = err
 			return
 		}
-		newPerNode := rj.perNode.Total() + share/float64(len(rj.globalIDs))
+		newPerNode := rj.perNode.Total() + share/float64(len(rj.nodeIDs))
 		cfg, ok := adv.Best(newPerNode, 0)
 		if !ok || cfg.Cores != rj.cores {
 			// Only power boosts that keep the execution configuration
@@ -1448,7 +1419,7 @@ func (st *schedState) applyBoost(rj *runningJob, cfg recommend.NodeConfig) {
 	if res.IterTime >= rj.baseIterTime-1e-12 {
 		return // not actually faster
 	}
-	extra := cfg.Budget.Total()*float64(len(rj.globalIDs)) - rj.powerUsed
+	extra := cfg.Budget.Total()*float64(len(rj.nodeIDs)) - rj.powerUsed
 	if extra > st.freeW {
 		return
 	}
@@ -1458,10 +1429,10 @@ func (st *schedState) applyBoost(rj *runningJob, cfg recommend.NodeConfig) {
 
 // previewRetune scores a running job's fixed configuration under a new
 // per-node budget without committing, on the allocation-free fast path
-// against the job's cached subcluster view.
+// over the job's own nodes.
 func (st *schedState) previewRetune(rj *runningJob, b power.Budget) (sim.Eval, error) {
-	return sim.EvalTime(rj.sub, st.apps[st.recs[rj.rec].app].spec, sim.Config{
-		Nodes: len(rj.globalIDs), CoresPerNode: rj.cores, Affinity: rj.affinity,
+	return sim.EvalTime(st.s.Cluster, st.apps[st.recs[rj.rec].app].spec, sim.Config{
+		Nodes: len(rj.nodeIDs), NodeIDs: rj.nodeIDs, CoresPerNode: rj.cores, Affinity: rj.affinity,
 		Capped: true, Budget: b,
 	})
 }
@@ -1471,7 +1442,7 @@ func (st *schedState) previewRetune(rj *runningJob, b power.Budget) (sim.Eval, e
 func (st *schedState) commitRetune(rj *runningJob, b power.Budget, iterTime float64) {
 	st.accountPower()
 	rj.progressTo(st.eng.Now())
-	extra := b.Total()*float64(len(rj.globalIDs)) - rj.powerUsed
+	extra := b.Total()*float64(len(rj.nodeIDs)) - rj.powerUsed
 	st.freeW -= extra
 	rj.powerUsed += extra
 	rj.perNode = b
@@ -1521,7 +1492,7 @@ func (st *schedState) shedPower() {
 	spec := st.s.Cluster.Spec()
 	for _, slot := range live {
 		rj := st.slots[slot]
-		perNode := rj.powerUsed * factor / float64(len(rj.globalIDs))
+		perNode := rj.powerUsed * factor / float64(len(rj.nodeIDs))
 		b := shrinkBudget(spec, rj, perNode)
 		res, err := st.previewRetune(rj, b)
 		if err != nil {
@@ -1564,34 +1535,4 @@ func shrinkBudget(spec *hw.NodeSpec, rj *runningJob, perNode float64) power.Budg
 		cpu = math.Max(perNode-mem, perNode*0.5)
 	}
 	return power.Budget{CPU: cpu, Mem: mem}
-}
-
-// fillSub (re)builds a cluster view over the given global node ids
-// (slots renumbered 0..n-1) into dst, reusing dst's node objects; a nil
-// dst allocates a fresh view. The result shares the source's specs.
-func fillSub(dst *hw.Cluster, cl *hw.Cluster, ids []int) *hw.Cluster {
-	if dst == nil {
-		dst = &hw.Cluster{}
-	}
-	dst.LinkBW = cl.LinkBW
-	dst.CommBaseLatency = cl.CommBaseLatency
-	if cap(dst.Nodes) < len(ids) {
-		nodes := make([]*hw.Node, len(ids))
-		copy(nodes, dst.Nodes[:cap(dst.Nodes)])
-		dst.Nodes = nodes
-	} else {
-		dst.Nodes = dst.Nodes[:len(ids)]
-	}
-	for i, id := range ids {
-		n := dst.Nodes[i]
-		if n == nil {
-			n = &hw.Node{}
-			dst.Nodes[i] = n
-		}
-		orig := cl.Nodes[id]
-		n.ID = i
-		n.Spec = orig.Spec
-		n.PowerEff = orig.PowerEff
-	}
-	return dst
 }

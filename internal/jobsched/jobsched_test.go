@@ -356,21 +356,6 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
-func TestSubCluster(t *testing.T) {
-	cl := hw.NewCluster(4, hw.HaswellSpec(), 0.05, 3)
-	sub := fillSub(nil, cl, []int{1, 3})
-	if sub.NumNodes() != 2 {
-		t.Fatalf("subcluster has %d nodes", sub.NumNodes())
-	}
-	if sub.Nodes[0].PowerEff != cl.Nodes[1].PowerEff ||
-		sub.Nodes[1].PowerEff != cl.Nodes[3].PowerEff {
-		t.Error("variability not carried into the subcluster")
-	}
-	if sub.Nodes[0].ID != 0 || sub.Nodes[1].ID != 1 {
-		t.Error("subcluster slots not renumbered")
-	}
-}
-
 // TestBoostPathExercised replays the stream from the clipjobs demo that
 // is known to leave a power-starved flexible job running when others
 // finish: reallocation must boost it and improve the makespan.

@@ -363,7 +363,7 @@ func (st *schedState) status(i int32, queuePos int) JobStatus {
 	case JobRunning:
 		rj := st.slots[rec.run]
 		js.Start = rec.start
-		js.Nodes = append([]int(nil), rj.globalIDs...)
+		js.Nodes = append([]int(nil), rj.nodeIDs...)
 		js.Cores = rj.cores
 		js.PerNodeW = rj.perNode.Total()
 		js.EstFinish = rj.finishAt
@@ -546,7 +546,7 @@ func (o *Online) Cluster() ClusterState {
 	resident := make([]string, len(cs.Nodes))
 	for _, rj := range st.slots {
 		if rj.live {
-			for _, g := range rj.globalIDs {
+			for _, g := range rj.nodeIDs {
 				resident[g] = st.ids[rj.rec]
 			}
 		}

@@ -1,7 +1,7 @@
 package jobsched
 
 // Scheduler pipeline stages beyond plain dispatch: the feasibility
-// filter and affinity ranking that shrink and order the cluster view
+// filter and affinity ranking that shrink and order the node pool
 // offered to the coordinator, power-aware preemption (evict the
 // cheapest set of strictly-lower-priority running jobs whose reclaimed
 // watts and nodes admit a blocked higher-priority job), and the
@@ -17,8 +17,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/coordinator"
-	"repro/internal/hw"
 	"repro/internal/workload"
 )
 
@@ -36,7 +34,7 @@ func (st *schedState) constraintSatisfiable(app *workload.Spec) bool {
 	return false
 }
 
-// rankCmp orders feasible node ids for an affinity-ranked view:
+// rankCmp orders feasible node ids for an affinity-ranked pool:
 // preferred nodes first, then power efficiency ascending, node id as
 // the total tiebreak.
 func (st *schedState) rankCmp(c *workload.NodeConstraint, a, b int) int {
@@ -68,24 +66,20 @@ func (st *schedState) feasibleIDs(app *workload.Spec, pool, dst []int) ([]int, b
 	return ids, ranked
 }
 
-// feasibleView is the pipeline's feasibility stage: the cluster view
-// and node pool offered to the coordinator for one job, which is the
-// plain free view for unconstrained apps (the allocation-free common
-// case) and the constraint-filtered, optionally affinity-ranked subset
-// otherwise. The view is a pure function of the free set per
-// application, so dispatch-cache entries keyed by the free set and free
-// watts remain sound across repeated calls.
-func (st *schedState) feasibleView(app *workload.Spec) (*hw.Cluster, []int, bool) {
+// feasiblePool is the pipeline's feasibility stage: the node ids
+// offered to the coordinator for one job, which are the free set itself
+// for unconstrained apps (the allocation-free common case) and the
+// constraint-filtered, optionally affinity-ranked subset otherwise.
+// Reports whether the pool is ranked. The pool is a pure function of
+// the free set per application, so dispatch-cache entries keyed by the
+// free set and free watts remain sound across repeated calls.
+func (st *schedState) feasiblePool(app *workload.Spec) ([]int, bool) {
 	if app.Constraint.Zero() {
-		return st.freeCluster(), st.free, false
+		return st.free, false
 	}
 	ids, ranked := st.feasibleIDs(app, st.free, st.feasIDs)
 	st.feasIDs = ids
-	if len(ids) == 0 {
-		return nil, ids, false
-	}
-	st.feasSub = fillSub(st.feasSub, st.s.Cluster, ids)
-	return st.feasSub, ids, ranked
+	return ids, ranked
 }
 
 // victimCmp is the preemption cost order: lowest priority first, then
@@ -157,12 +151,13 @@ type planStamp struct {
 
 // planPreemption finds the smallest k such that evicting the first k
 // cost-ordered victims makes the dispatch head, a job of app, placeable
-// within the bound, probing hypothetical pools with the planner's own
-// scratch (never the shared dispatch scratch or cache) and a quiet
-// coordinator. Returns 0 when no prefix suffices. The probe replicates
-// tryStart's admission gates — constraint filter, placement, and the
-// CapOK duty-cycling rule against the post-eviction running count — so
-// a committed plan is guaranteed to start the job on the rescan.
+// within the bound, probing hypothetical pools with the dispatch
+// coordinator and scratch made quiet, into the planner's own placement
+// (never a dispatch-cache entry's). Returns 0 when no prefix suffices.
+// The probe replicates tryStart's admission gates — constraint filter,
+// placement, and the CapOK duty-cycling rule against the post-eviction
+// running count — so a committed plan is guaranteed to start the job on
+// the rescan.
 func (st *schedState) planPreemption(app *workload.Spec, victims []*runningJob) int {
 	adv, err := st.s.CLIP.Advisor(app)
 	if err != nil {
@@ -174,7 +169,7 @@ func (st *schedState) planPreemption(app *workload.Spec, victims []*runningJob) 
 	for k := 1; k <= len(victims); k++ {
 		v := victims[k-1]
 		candW += v.powerUsed
-		for _, id := range v.globalIDs {
+		for _, id := range v.nodeIDs {
 			// Mirror releaseNodes: only placeable nodes rejoin the pool
 			// under fault injection.
 			if st.inj == nil || st.placeable(id) {
@@ -191,9 +186,10 @@ func (st *schedState) planPreemption(app *workload.Spec, victims []*runningJob) 
 		if len(ids) == 0 {
 			continue
 		}
-		st.preSub = fillSub(st.preSub, st.s.Cluster, ids)
-		st.preCoord = coordinator.Coordinator{Cluster: st.preSub, Ranked: ranked, Quiet: true, Metrics: st.m.coord}
-		if err := st.preCoord.Place(app, adv, candW, &st.preSc, &st.prePl); err != nil {
+		st.coord.Ranked, st.coord.Quiet = ranked, true
+		err := st.coord.Place(app, adv, ids, candW, &st.csc, &st.prePl)
+		st.coord.Ranked, st.coord.Quiet = false, false
+		if err != nil {
 			continue
 		}
 		if !st.prePl.NodeCfg.CapOK && st.nrunning-k > 0 {

@@ -42,11 +42,11 @@ func prefixVictims(t *testing.T, o *Online, app *workload.Spec, pri int) (victim
 			continue
 		}
 		running++
-		for _, g := range rj.globalIDs {
+		for _, g := range rj.nodeIDs {
 			busy[g] = true
 		}
 		if p := st.recs[rj.rec].pri; p < pri {
-			cands = append(cands, cand{st.ids[rj.rec], p, rj.powerUsed, rj.globalIDs})
+			cands = append(cands, cand{st.ids[rj.rec], p, rj.powerUsed, rj.nodeIDs})
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool {
