@@ -6,7 +6,8 @@
 #                  race tests + dispatch, scenario, search, id-index and placement fuzz + bench smoke + docs
 #                  lint + telemetry and stdout identity against the parent commit, then the
 #                  paired perf gate against it
-#   make docs    — gofmt + vet + godoc-coverage lint (cmd/doclint)
+#   make docs    — gofmt + vet + godoc-coverage lint and the check that
+#                  DOC_FILES name real code (cmd/doclint)
 #   make bench   — hot-path benchmarks + suite wall time -> BENCH_results.json
 #   make suite   — regenerate every paper artifact (parallel runner)
 
@@ -15,6 +16,9 @@ GO ?= go
 # Packages whose exported identifiers must all carry doc comments: every
 # package directory under internal/ and cmd/.
 DOC_PKGS = $(shell $(GO) list -f '{{.Dir}}' ./internal/... ./cmd/...)
+
+# Documents whose backticked Go names must resolve to a declaration.
+DOC_FILES = ARCHITECTURE.md,README.md,EXPERIMENTS.md,.claude/skills/verify/SKILL.md
 
 .PHONY: build test check docs bench suite
 
@@ -50,7 +54,7 @@ docs:
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) run ./cmd/doclint $(DOC_PKGS)
+	$(GO) run ./cmd/doclint -docs $(DOC_FILES) $(DOC_PKGS)
 
 bench:
 	./scripts/bench.sh

@@ -1,14 +1,18 @@
 // Command doclint enforces godoc coverage: every exported top-level
 // identifier (type, function, method, constant, variable) in the
-// audited packages must carry a doc comment. It is the documentation
-// tier of `make docs` / `make check`.
+// audited packages must carry a doc comment. With -docs it also checks
+// that the markdown documents name real code: every backticked dotted
+// or mixed-case Go name in them must resolve to a declaration of the
+// Go code under the working directory (see checkDoc for what is out of
+// scope). It is the documentation tier of `make docs` / `make check`.
 //
 // Usage:
 //
-//	doclint ./internal/telemetry ./internal/core ./internal/coordinator
+//	doclint [-docs README.md,ARCHITECTURE.md] ./internal/telemetry ./internal/core
 //
 // Exit status is non-zero when any exported identifier is missing a
-// comment; each offender is printed as file:line: name.
+// comment or any document names no declaration; each offender is
+// printed as file:line: name.
 package main
 
 import (
@@ -23,8 +27,9 @@ import (
 )
 
 func main() {
+	docs := flag.String("docs", "", "comma-separated markdown files whose backticked names must resolve")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: doclint <package-dir>...")
+		fmt.Fprintln(os.Stderr, "usage: doclint [-docs file,...] <package-dir>...")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -43,8 +48,40 @@ func main() {
 	}
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "doclint: %d exported identifier(s) missing doc comments\n", bad)
+	}
+	if *docs != "" {
+		n, err := lintDocs(strings.Split(*docs, ","))
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "doclint:", err)
+			os.Exit(2)
+		}
+		if n > 0 {
+			fmt.Fprintf(os.Stderr, "doclint: %d backticked name(s) resolve to no declaration\n", n)
+		}
+		bad += n
+	}
+	if bad > 0 {
 		os.Exit(1)
 	}
+}
+
+// lintDocs checks the named markdown files against the declarations of
+// the Go code under the working directory and reports the number of
+// unresolved names.
+func lintDocs(files []string) (int, error) {
+	d, err := loadDecls(".")
+	if err != nil {
+		return 0, err
+	}
+	var bad int
+	for _, name := range files {
+		n, err := lintDoc(d, name, os.Stdout)
+		if err != nil {
+			return bad, err
+		}
+		bad += n
+	}
+	return bad, nil
 }
 
 // lintDir checks every non-test Go file of one package directory and

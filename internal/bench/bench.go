@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/perfmodel"
@@ -350,10 +351,10 @@ func suiteApps() []*workload.Spec { return workload.Suite() }
 func appByName(name string) (*workload.Spec, error) { return workload.SuiteByName(name) }
 
 // planAllCores builds the naive all-core plan at a uniform split of the
-// bound over n nodes (30 W DRAM like the baselines).
+// bound over n nodes, with the baselines' static DRAM allocation.
 func planAllCores(ctx *Context, nodes int, bound float64) *plan.Plan {
 	perNode := bound / float64(nodes)
-	mem := 30.0
+	mem := baseline.DefaultMemWatts
 	return &plan.Plan{
 		NodeIDs:  plan.FirstN(nodes),
 		Cores:    ctx.Cluster.Spec().Cores(),

@@ -134,15 +134,6 @@ type Coordinator struct {
 	// the energy-aware objective: minimum predicted energy within this
 	// relative slowdown of the fastest configuration.
 	EnergyTolerance float64
-	// Ranked means a Place pool is already in the caller's preference
-	// order: pickNodes takes its first nodes as given instead of
-	// re-ranking by PowerEff. The scheduler's feasibility stage sets it
-	// when a workload's affinity preferences ordered the pool.
-	Ranked bool
-	// Quiet suppresses telemetry publication (gauges and rebalance
-	// events) for what-if placements, such as the scheduler's preemption
-	// planner probing hypothetical resource pools.
-	Quiet bool
 	// Metrics receives the coordinator's telemetry (nil means cell 0 of
 	// telemetry.Default). A coordinator that a CLIP instance or a
 	// scheduler run state builds writes its owner's cell.
@@ -248,7 +239,8 @@ var (
 
 // Schedule produces the CLIP decision for app under a total budget of
 // bound watts on the whole cluster, asking rec for the profile and the
-// node-level answers.
+// node-level answers, and publishes it. Like Place it picks app's
+// preferred nodes first; its hard constraints are not applied.
 // The plan keeps its own Placement's slices; only PhaseCores is copied.
 func (c *Coordinator) Schedule(app *workload.Spec, rec Recommender, bound float64) (*Decision, error) {
 	var sc Scratch
@@ -265,6 +257,7 @@ func (c *Coordinator) Schedule(app *workload.Spec, rec Recommender, bound float6
 		}
 		return nil, err
 	}
+	c.Publish(app, bound, &pl, &sc)
 	prof := rec.Profile()
 	// The Decision may be cached and annotated: copy the memo's map.
 	var phases map[string]int
@@ -293,15 +286,16 @@ func (c *Coordinator) Schedule(app *workload.Spec, rec Recommender, bound float6
 }
 
 // Place runs one cluster-level scheduling pass (Algorithm 1) over pool,
-// the candidate node ids of c.Cluster, into the caller's scratch
-// buffers without heap allocation: node-count search, node picking,
-// budget assignment, and telemetry publication — the decision Schedule
-// produces for the whole cluster, minus the materialized Plan, with the
-// node ids and budgets copied into out's own arrays. It is the hot-path
-// entry for the job scheduler's dispatch loop. Node counts are drawn
-// from len(pool), and each asks rec for the best configuration under its
-// per-node share of the bound. An unranked pool may come in any order;
-// a Ranked one is read in its given order.
+// a set of candidate node ids of c.Cluster in any order, into the
+// caller's scratch buffers without heap allocation: node-count search,
+// node picking and budget assignment — the decision Schedule produces
+// for the whole cluster, minus the materialized Plan, with the node ids
+// and budgets copied into out's own arrays. It is the hot-path entry
+// for the job scheduler's dispatch loop. Node counts are drawn from
+// len(pool), and each asks rec for the best configuration under its
+// per-node share of the bound. Place publishes no gauge and no event
+// (only the infeasible and duty-cycle counters), so a what-if caller
+// calls it alone; a decision that is acted on is reported by Publish.
 func (c *Coordinator) Place(app *workload.Spec, rec Recommender, pool []int, bound float64, sc *Scratch, out *Placement) error {
 	if bound <= 0 {
 		return ErrNonPositiveBound
@@ -350,7 +344,7 @@ func (c *Coordinator) Place(app *workload.Spec, rec Recommender, pool []int, bou
 		c.metrics().dutyFallback.Inc()
 	}
 
-	ids := c.pickNodes(sc, pool, best.nodes)
+	ids := c.pickNodes(sc, app, pool, best.nodes)
 	budgets, coordinated := c.nodeBudgets(sc, ids, best.cfg, bound)
 	out.NodeIDs = append(out.NodeIDs[:0], ids...)
 	out.PerNode = append(out.PerNode[:0], budgets...)
@@ -360,56 +354,61 @@ func (c *Coordinator) Place(app *workload.Spec, rec Recommender, pool []int, bou
 	out.PredTime = best.pred
 	out.Coordinated = coordinated
 	out.PhaseCores = sc.phasePlan(app, rec.Profile(), best.cfg.Cores)
-	if !c.Quiet {
-		c.publish(sc, app.Name, bound, ids, budgets, coordinated)
-	}
 	return nil
 }
 
-// publish reports the scheduling pass to the telemetry layer: the
-// per-node budget gauges every pass, plus a rebalance event carrying
-// the redistributed budgets when coordination ran.
-func (c *Coordinator) publish(sc *Scratch, app string, bound float64, ids []int, budgets []power.Budget, coordinated bool) {
+// Publish reports a placement of app under bound that the caller acts
+// on to the telemetry layer: a schedule count and the per-node budget
+// gauges, plus a rebalance event carrying the redistributed budgets
+// when coordination ran. The event is staged in sc.
+func (c *Coordinator) Publish(app *workload.Spec, bound float64, pl *Placement, sc *Scratch) {
 	m := c.metrics()
 	m.schedules.Inc()
-	for i, id := range ids {
+	for i, id := range pl.NodeIDs {
 		cpu, mem := m.nodeGauges(id)
-		cpu.Set(budgets[i].CPU)
-		mem.Set(budgets[i].Mem)
+		cpu.Set(pl.PerNode[i].CPU)
+		mem.Set(pl.PerNode[i].Mem)
 	}
-	if !coordinated {
+	if !pl.Coordinated {
 		return
 	}
 	m.rebalances.Inc()
-	ev := telemetry.Event{Kind: telemetry.KindRebalance, App: app, BoundWatts: bound, Coordinated: true}
+	ev := telemetry.Event{Kind: telemetry.KindRebalance, App: app.Name, BoundWatts: bound, Coordinated: true}
 	// The ring copies PerNode into ring-owned (recycled) storage on
 	// Append, so the event is staged in the caller's reusable scratch.
 	sc.perNode = sc.perNode[:0]
-	for i, id := range ids {
+	for i, id := range pl.NodeIDs {
 		sc.perNode = append(sc.perNode, telemetry.NodeBudget{
-			Node: id, CPUWatts: budgets[i].CPU, MemWatts: budgets[i].Mem,
+			Node: id, CPUWatts: pl.PerNode[i].CPU, MemWatts: pl.PerNode[i].Mem,
 		})
 	}
 	ev.PerNode = sc.perNode
 	m.events.Append(ev)
 }
 
-// pickNodes selects n node ids of pool. A Ranked pool gives its first n
-// in the caller's order. Otherwise the n most power-efficient nodes are
-// taken (lowest PowerEff, ties to the lower id), since under a shared
-// bound the efficient parts sustain the highest frequencies, and they
-// come back in ascending id order in sc.ids.
-func (c *Coordinator) pickNodes(sc *Scratch, pool []int, n int) []int {
-	if c.Ranked {
-		return pool[:n]
-	}
+// pickNodes selects n node ids of pool into sc.ids: app's preferred
+// nodes first, then the most power-efficient (lowest PowerEff, ties to
+// the lower id), since under a shared bound the efficient parts sustain
+// the highest frequencies. Without a preference the picks come back in
+// ascending id order, with one in that preference order. The pool's own
+// order never matters.
+func (c *Coordinator) pickNodes(sc *Scratch, app *workload.Spec, pool []int, n int) []int {
 	ids := append(sc.ids[:0], pool...)
 	nodes := c.Cluster.Nodes
+	pref := &app.Constraint
 	slices.SortFunc(ids, func(a, b int) int {
+		if pa, pb := pref.Prefers(a), pref.Prefers(b); pa != pb {
+			if pa {
+				return -1
+			}
+			return 1
+		}
 		return cmp.Or(cmp.Compare(nodes[a].PowerEff, nodes[b].PowerEff), cmp.Compare(a, b))
 	})
 	ids = ids[:n]
-	slices.Sort(ids)
+	if len(pref.PreferNodes) == 0 {
+		slices.Sort(ids)
+	}
 	sc.ids = ids
 	return ids
 }

@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"cmp"
 	"slices"
 	"testing"
 
@@ -208,7 +209,7 @@ func TestPickNodesPrefersEfficient(t *testing.T) {
 	cl.Nodes[0].PowerEff = 1.10
 	cl.Nodes[2].PowerEff = 0.95
 	co := &Coordinator{Cluster: cl}
-	ids := co.pickNodes(&Scratch{}, []int{0, 1, 2, 3}, 2)
+	ids := co.pickNodes(&Scratch{}, &workload.Spec{}, []int{0, 1, 2, 3}, 2)
 	for _, id := range ids {
 		if id == 0 {
 			t.Errorf("picked the leakiest node: %v", ids)
@@ -222,6 +223,39 @@ func TestPickNodesPrefersEfficient(t *testing.T) {
 	}
 	if !has2 {
 		t.Errorf("did not pick the most efficient node: %v", ids)
+	}
+}
+
+// TestSchedulePlacesPreferredNodes prefers the two least efficient
+// nodes of an 8-node σ 0.08 cluster for a job that takes fewer nodes
+// than the cluster has: Schedule must place it on both, first, where
+// the same job without a preference runs on neither.
+func TestSchedulePlacesPreferredNodes(t *testing.T) {
+	cl := hw.NewCluster(8, hw.HaswellSpec(), 0.08, 1)
+	byEff := plan.FirstN(8)
+	slices.SortFunc(byEff, func(a, b int) int { return cmp.Compare(cl.Nodes[a].PowerEff, cl.Nodes[b].PowerEff) })
+	worst := []int{byEff[7], byEff[6]}
+	app := *workload.CoMD()
+	g := setup(t, cl, &app)
+	co := &Coordinator{Cluster: cl}
+	plain, err := co.Schedule(&app, g, 700)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := plain.Plan.Nodes(); n < 2 || n >= 8 {
+		t.Fatalf("plain plan takes %d of 8 nodes; the test shows nothing", n)
+	}
+	if slices.Contains(plain.Plan.NodeIDs, worst[0]) || slices.Contains(plain.Plan.NodeIDs, worst[1]) {
+		t.Fatalf("plain plan %v already holds a least efficient node of %v", plain.Plan.NodeIDs, worst)
+	}
+	app.Constraint.PreferNodes = worst
+	d, err := co.Schedule(&app, g, 700)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := d.Plan.NodeIDs
+	if len(ids) < 2 || !slices.Contains(ids[:2], worst[0]) || !slices.Contains(ids[:2], worst[1]) {
+		t.Errorf("preferring plan runs on %v, want the preferred %v first", ids, worst)
 	}
 }
 
@@ -304,7 +338,7 @@ func TestPlacementOwnsItsSlices(t *testing.T) {
 	cl := hw.NewCluster(8, hw.HaswellSpec(), 0.06, 7)
 	app := workload.CoMD()
 	g := setup(t, cl, app)
-	co := &Coordinator{Cluster: cl, Quiet: true}
+	co := &Coordinator{Cluster: cl}
 	var sc Scratch
 	var a, b Placement
 	if err := co.Place(app, g, plan.FirstN(8), 2600, &sc, &a); err != nil {

@@ -452,9 +452,9 @@ const (
 // queued, unstarted entries, so a pass can tell when every queued
 // application has been refused. pl is the coordinator's placement
 // itself: Place refills its node ids (the scheduler's cluster node ids,
-// ascending unless the pool was ranked) and budgets in the entry's own
-// arrays, and its phase plan aliases the coordinator scratch's memo
-// (immutable once built).
+// ascending unless the application prefers nodes) and budgets in the
+// entry's own arrays, and its phase plan aliases the coordinator
+// scratch's memo (immutable once built).
 type dispatchEntry struct {
 	freeVer uint64
 	wBits   uint64 // math.Float64bits of the free watts
@@ -468,7 +468,7 @@ type dispatchEntry struct {
 
 // fresh reports whether e holds the decision for the current free set
 // and free watts. An entry stamped with another freeVer is still fresh
-// when its watts and its free ids equal the current ones: feasiblePool
+// when its watts and its free ids equal the current ones: feasible
 // and Place read only the free ids and the immutable base nodes, so the
 // decision is the one a recompute would make. Such an entry adopts
 // the current freeVer, and the next check takes the fast path.
@@ -1170,6 +1170,13 @@ func (st *schedState) returnFree(ids []int) {
 	}
 }
 
+// dutyBlocked is the acceptable-power-range gate: a placement below the
+// range (duty-cycled) waits for more power while running jobs may free
+// some; with nothing running, duty-cycling beats starvation.
+func dutyBlocked(pl *coordinator.Placement, running int) bool {
+	return !pl.NodeCfg.CapOK && running > 0
+}
+
 // tryStart attempts to place one job on the free nodes with the free
 // power; returns true when the job started. The job is only started
 // when it would complete by deadline (backfill safety window). Its one
@@ -1178,9 +1185,11 @@ func (st *schedState) returnFree(ids []int) {
 // The placement decision is served from e, the application's dispatch
 // cache entry, when the free set and free watts equal the ones it was
 // computed for (fresh), however often the free set changed in between;
-// the simulator evaluation is memoized alongside it. The CapOK and
-// deadline gates depend on per-call state (running-set size, shadow
-// window) and are applied after the lookup.
+// the simulator evaluation is memoized alongside it. Only a fresh fill
+// publishes its placement (coordinator.Publish), whether or not the job
+// starts. The duty-cycling (dutyBlocked) and deadline gates depend on
+// per-call state (running-set size, shadow window) and are applied
+// after the lookup.
 func (st *schedState) tryStart(rec *jobRecord, e *dispatchEntry, deadline float64) bool {
 	// Feasibility stage: the node pool offered to the coordinator is
 	// the free set shrunk to the job's hard constraints (the free set
@@ -1189,7 +1198,7 @@ func (st *schedState) tryStart(rec *jobRecord, e *dispatchEntry, deadline float6
 	// set per application, so the content-keyed cache check below stays
 	// sound.
 	app := st.apps[rec.app].spec
-	pool, ranked := st.feasiblePool(app)
+	pool := st.feasible(app, st.free)
 	if len(pool) == 0 {
 		return false
 	}
@@ -1202,20 +1211,13 @@ func (st *schedState) tryStart(rec *jobRecord, e *dispatchEntry, deadline float6
 			st.failure = err
 			return false
 		}
-		st.coord.Ranked = ranked
-		err = st.coord.Place(app, adv, pool, st.freeW, &st.csc, &e.pl)
-		st.coord.Ranked = false
-		if err != nil {
+		if st.coord.Place(app, adv, pool, st.freeW, &st.csc, &e.pl) != nil {
 			return false // does not fit now; retry on the next completion
 		}
+		st.coord.Publish(app, st.freeW, &e.pl, &st.csc)
 		e.state = entryPlaced
 	}
-	if e.state == entryInfeasible {
-		return false
-	}
-	if !e.pl.NodeCfg.CapOK && st.nrunning > 0 {
-		// Below the acceptable power range: wait for more power unless
-		// nothing is running (then duty-cycling beats starvation).
+	if e.state == entryInfeasible || dutyBlocked(&e.pl, st.nrunning) {
 		return false
 	}
 	if e.state == entryPlaced {
@@ -1236,11 +1238,11 @@ func (st *schedState) tryStart(rec *jobRecord, e *dispatchEntry, deadline float6
 	}
 
 	// The free-list subtract/merge needs the node ids ascending, as the
-	// coordinator returns them from an unranked pool; a ranked pool
-	// gives them in preference order.
+	// coordinator returns them unless the app prefers nodes (then they
+	// come in preference order).
 	rj := st.acquireSlot()
 	rj.nodeIDs = append(rj.nodeIDs, e.pl.NodeIDs...)
-	if ranked {
+	if len(app.Constraint.PreferNodes) > 0 {
 		slices.Sort(rj.nodeIDs)
 	}
 

@@ -1,15 +1,15 @@
 package jobsched
 
 // Scheduler pipeline stages beyond plain dispatch: the feasibility
-// filter and affinity ranking that shrink and order the node pool
-// offered to the coordinator, power-aware preemption (evict the
-// cheapest set of strictly-lower-priority running jobs whose reclaimed
-// watts and nodes admit a blocked higher-priority job), and the
-// reconciler that converges desired-versus-actual placement
-// after node-health or bound changes instead of patching event by
-// event. Priority needs no stage of its own: the queue keeps one FIFO
-// per priority level, so every stage reads the same dispatch order, and
-// unconstrained jobs skip the feasibility filter.
+// filter that shrinks the node pool offered to the coordinator,
+// power-aware preemption (evict the cheapest set of
+// strictly-lower-priority running jobs whose reclaimed watts and nodes
+// admit a blocked higher-priority job), and the reconciler that
+// converges desired-versus-actual placement after node-health or bound
+// changes instead of patching event by event. Priority needs no stage
+// of its own: the queue keeps one FIFO per priority level, so every
+// stage reads the same dispatch order, and unconstrained jobs skip the
+// feasibility filter.
 
 import (
 	"cmp"
@@ -34,52 +34,26 @@ func (st *schedState) constraintSatisfiable(app *workload.Spec) bool {
 	return false
 }
 
-// rankCmp orders feasible node ids for an affinity-ranked pool:
-// preferred nodes first, then power efficiency ascending, node id as
-// the total tiebreak.
-func (st *schedState) rankCmp(c *workload.NodeConstraint, a, b int) int {
-	if pa, pb := c.Prefers(a), c.Prefers(b); pa != pb {
-		if pa {
-			return -1
-		}
-		return 1
-	}
-	nodes := st.s.Cluster.Nodes
-	return cmp.Or(cmp.Compare(nodes[a].PowerEff, nodes[b].PowerEff), cmp.Compare(a, b))
-}
-
-// feasibleIDs filters pool (global node ids) through the app's hard
-// constraints into dst's storage and, when the app prefers nodes,
-// ranks the survivors. Reports whether the result is ranked.
-func (st *schedState) feasibleIDs(app *workload.Spec, pool, dst []int) ([]int, bool) {
+// feasible is the pipeline's feasibility stage: pool (node ids) shrunk
+// to the app's hard constraints in st.feasIDs's storage, or pool itself
+// when the app is unconstrained (the allocation-free common case). It
+// keeps pool's order and drops no preferred node; which nodes a job
+// prefers is the coordinator's to read (Place ranks them first). The
+// result is a pure function of pool per application, so dispatch-cache
+// entries keyed by the free set and free watts remain sound.
+func (st *schedState) feasible(app *workload.Spec, pool []int) []int {
 	c := &app.Constraint
-	ids := dst[:0]
+	if c.Zero() {
+		return pool
+	}
+	ids := st.feasIDs[:0]
 	for _, id := range pool {
 		if c.Allows(id, st.s.Cluster.Nodes[id].PowerEff) {
 			ids = append(ids, id)
 		}
 	}
-	ranked := len(c.PreferNodes) > 0
-	if ranked {
-		slices.SortFunc(ids, func(a, b int) int { return st.rankCmp(c, a, b) })
-	}
-	return ids, ranked
-}
-
-// feasiblePool is the pipeline's feasibility stage: the node ids
-// offered to the coordinator for one job, which are the free set itself
-// for unconstrained apps (the allocation-free common case) and the
-// constraint-filtered, optionally affinity-ranked subset otherwise.
-// Reports whether the pool is ranked. The pool is a pure function of
-// the free set per application, so dispatch-cache entries keyed by the
-// free set and free watts remain sound across repeated calls.
-func (st *schedState) feasiblePool(app *workload.Spec) ([]int, bool) {
-	if app.Constraint.Zero() {
-		return st.free, false
-	}
-	ids, ranked := st.feasibleIDs(app, st.free, st.feasIDs)
 	st.feasIDs = ids
-	return ids, ranked
+	return ids
 }
 
 // victimCmp is the preemption cost order: lowest priority first, then
@@ -152,12 +126,12 @@ type planStamp struct {
 // planPreemption finds the smallest k such that evicting the first k
 // cost-ordered victims makes the dispatch head, a job of app, placeable
 // within the bound, probing hypothetical pools with the dispatch
-// coordinator and scratch made quiet, into the planner's own placement
-// (never a dispatch-cache entry's). Returns 0 when no prefix suffices.
-// The probe replicates tryStart's admission gates — constraint filter,
-// placement, and the CapOK duty-cycling rule against the post-eviction
-// running count — so a committed plan is guaranteed to start the job on
-// the rescan.
+// coordinator and scratch into the planner's own placement (never a
+// dispatch-cache entry's) and publishing none of them. Returns 0 when
+// no prefix suffices. The probe replicates tryStart's admission gates —
+// constraint filter, placement, and the duty-cycling gate against the
+// post-eviction running count — so a committed plan is guaranteed to
+// start the job on the rescan.
 func (st *schedState) planPreemption(app *workload.Spec, victims []*runningJob) int {
 	adv, err := st.s.CLIP.Advisor(app)
 	if err != nil {
@@ -176,23 +150,15 @@ func (st *schedState) planPreemption(app *workload.Spec, victims []*runningJob) 
 				pool = append(pool, id)
 			}
 		}
-		slices.Sort(pool)
 		st.preIDs = pool
 		if candW <= 0 || len(pool) == 0 {
 			continue
 		}
-		ids, ranked := st.feasibleIDs(app, pool, st.feasIDs)
-		st.feasIDs = ids[:0]
-		if len(ids) == 0 {
+		ids := st.feasible(app, pool)
+		if len(ids) == 0 || st.coord.Place(app, adv, ids, candW, &st.csc, &st.prePl) != nil {
 			continue
 		}
-		st.coord.Ranked, st.coord.Quiet = ranked, true
-		err := st.coord.Place(app, adv, ids, candW, &st.csc, &st.prePl)
-		st.coord.Ranked, st.coord.Quiet = false, false
-		if err != nil {
-			continue
-		}
-		if !st.prePl.NodeCfg.CapOK && st.nrunning-k > 0 {
+		if dutyBlocked(&st.prePl, st.nrunning-k) {
 			continue
 		}
 		if st.nrunning-k < 0 {
@@ -266,8 +232,8 @@ func (st *schedState) uncovered() string {
 	if e.state != entryEvaled {
 		return "" // infeasible, or never reached evaluation
 	}
-	if !e.pl.NodeCfg.CapOK && st.nrunning > 0 {
-		return "" // duty-cycling gate: waiting for more power
+	if dutyBlocked(&e.pl, st.nrunning) {
+		return "" // waiting for more power
 	}
 	return st.ids[top.rec]
 }

@@ -14,17 +14,17 @@ import (
 	"repro/internal/workload"
 )
 
-// variableSession opens a session on an n-node cluster of the test
-// spec with a σ 0.08 efficiency spread, sharing the test CLIP's
+// variableSession opens a session of cfg on an n-node cluster of the
+// test spec with a σ 0.08 efficiency spread, sharing the test CLIP's
 // knowledge table.
-func variableSession(t *testing.T, n int, bound float64) *Online {
+func variableSession(t *testing.T, n int, cfg Config) *Online {
 	t.Helper()
 	cl := hw.NewCluster(n, testCl.Spec(), 0.08, 1)
 	c, err := core.New(cl, core.Options{Knowledge: clip(t).Knowledge()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(cl, c, Config{Bound: bound})
+	s, err := New(cl, c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func variableSession(t *testing.T, n int, bound float64) *Online {
 // must name the nodes it runs on (JobStatus.Nodes), not positions in
 // the free set.
 func TestBudgetsNameJobNodes(t *testing.T) {
-	o := variableSession(t, 16, 6000)
+	o := variableSession(t, 16, Config{Bound: 6000})
 	submitAs(t, o, "pinned", pinnedApp(0, 7), 0, JobRunning)
 	if nodes := statusOf(t, o, "pinned").Nodes; slices.Max(nodes) > 7 {
 		t.Fatalf("pinned job runs on %v", nodes)
@@ -83,7 +83,7 @@ func TestBudgetsNameJobNodes(t *testing.T) {
 // as the simulator does on a cluster of just those nodes, and under at
 // least one budget that score must differ from nodes 0-3's.
 func TestPreviewRetuneScoresJobNodes(t *testing.T) {
-	o := variableSession(t, 8, 3000)
+	o := variableSession(t, 8, Config{Bound: 3000})
 	submitAs(t, o, "pinned", pinnedApp(4, 7), 0, JobRunning)
 	st := o.st
 	rj := st.slots[record(st, "pinned").run]

@@ -10,8 +10,10 @@ import (
 	"repro/internal/coordinator"
 	"repro/internal/faults"
 	"repro/internal/hw"
+	"repro/internal/plan"
 	"repro/internal/recommend"
 	"repro/internal/rng"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -90,9 +92,11 @@ func prefixVictims(t *testing.T, o *Online, app *workload.Spec, pri int) (victim
 		if watts <= 0 || len(sub.Nodes) == 0 {
 			continue
 		}
-		co := coordinator.Coordinator{Cluster: sub, Quiet: true}
-		d, err := co.Schedule(app, grid, watts)
-		if err != nil || !d.NodeCfg.CapOK && running-k > 0 {
+		co := coordinator.Coordinator{Cluster: sub}
+		var sc coordinator.Scratch
+		var pl coordinator.Placement
+		err := co.Place(app, grid, plan.FirstN(len(sub.Nodes)), watts, &sc, &pl)
+		if err != nil || !pl.NodeCfg.CapOK && running-k > 0 {
 			continue
 		}
 		for _, c := range cands[:k] {
@@ -187,6 +191,35 @@ func submitAs(t *testing.T, o *Online, id string, app *workload.Spec, pri int, w
 	t.Helper()
 	if js, err := o.SubmitPri(id, app, pri); err != nil || js.State != want {
 		t.Fatalf("%s is %v (%v), want %v", id, js.State, err, want)
+	}
+}
+
+// TestPreemptionPlanPublishesNothing plans the eviction of the job
+// filling an 8-node σ 0.08 cluster for one that needs its nodes: the
+// plan's probes coordinate budgets, and none of them may count a
+// schedule or a rebalance or append an event.
+func TestPreemptionPlanPublishesNothing(t *testing.T) {
+	o := variableSession(t, 8, Config{Bound: 1500, Preempt: true})
+	submitAs(t, o, "lo", workload.CoMD(), 0, JobRunning)
+	st := o.st
+	var victims []*runningJob
+	for _, rj := range st.slots {
+		if rj.live {
+			victims = append(victims, rj)
+		}
+	}
+	published := func() [3]uint64 {
+		c := telemetry.Default.Snapshot().Counters
+		return [3]uint64{c["clip_coordinator_schedules_total"], c["clip_coordinator_rebalances_total"],
+			telemetry.Default.Events().Total()}
+	}
+	before := published()
+	k := st.planPreemption(workload.CoMD(), victims)
+	if k == 0 || !st.prePl.Coordinated {
+		t.Fatalf("plan evicts %d jobs, coordinated %v: the test shows nothing", k, st.prePl.Coordinated)
+	}
+	if after := published(); after != before {
+		t.Errorf("planning moved (schedules, rebalances, events) from %v to %v", before, after)
 	}
 }
 

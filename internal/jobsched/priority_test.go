@@ -1,12 +1,15 @@
 package jobsched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/plan"
 	"repro/internal/rng"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -209,6 +212,32 @@ func TestPreferNodesRanking(t *testing.T) {
 	}
 	if !got[6] || !got[7] {
 		t.Errorf("preferred nodes 6,7 not used: placed on %v", js.Nodes)
+	}
+}
+
+// TestPreferNodesBeatEfficiency prefers the two least efficient nodes
+// of an 8-node σ 0.08 cluster for a job that takes fewer nodes than its
+// pool allows: it must run on both, where the same job without a
+// preference runs on neither.
+func TestPreferNodesBeatEfficiency(t *testing.T) {
+	plain := variableSession(t, 8, Config{Bound: 700})
+	submitAs(t, plain, "plain", workload.CoMD(), 0, JobRunning)
+	cl := plain.st.s.Cluster
+	byEff := plan.FirstN(8)
+	slices.SortFunc(byEff, func(a, b int) int { return cmp.Compare(cl.Nodes[a].PowerEff, cl.Nodes[b].PowerEff) })
+	worst := []int{byEff[7], byEff[6]}
+	nodes := statusOf(t, plain, "plain").Nodes
+	if len(nodes) < 2 || len(nodes) >= 8 || slices.Contains(nodes, worst[0]) || slices.Contains(nodes, worst[1]) {
+		t.Fatalf("plain job runs on %v, least efficient %v: the test shows nothing", nodes, worst)
+	}
+	a := *workload.CoMD()
+	a.Name = "comd-prefer-worst"
+	a.Constraint.PreferNodes = worst
+	o := variableSession(t, 8, Config{Bound: 700})
+	submitAs(t, o, "pref", &a, 0, JobRunning)
+	if got := statusOf(t, o, "pref").Nodes; len(got) != len(nodes) ||
+		!slices.Contains(got, worst[0]) || !slices.Contains(got, worst[1]) {
+		t.Errorf("preferring job runs on %v, want %d nodes holding %v", got, len(nodes), worst)
 	}
 }
 
