@@ -19,17 +19,24 @@ package fed
 // from the broker's working set with its watts left exactly where they
 // are, so the sum of bounds is unchanged and Σ bounds ≤ cap holds
 // through the outage (the lender's watts stay conservatively reserved
-// on the borrower's side). After GraceTTL the broker probes the lease:
+// on the borrower's side). After graceTTL the broker probes the lease:
 // a probe succeeds when both endpoints are reachable again (the lease
 // settles, watts move borrower→lender as usual); a failed probe
-// reschedules with capped exponential backoff until RecallRetries
-// probes have failed, at which point the broker force-reclaims — the
+// reschedules with capped exponential backoff (recallDelay), and the
+// probe after recallRetries failed probes force-reclaims — the
 // facility's hardware capping cuts the unreachable borrower's envelope
 // out-of-band, so the watts move even though the negotiation link is
 // dead. A shard finishing its rejoin settles its remaining orphans
 // immediately, so it re-enters routing with a clean bound.
+//
+// A lease holds at most one pending event: its expiry while active,
+// its next recall probe while orphaned, none once settled.
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/des"
+)
 
 // LeaseState is a lease's lifecycle phase.
 type LeaseState int
@@ -99,8 +106,9 @@ type Lease struct {
 	// recovered shard.
 	Forced bool
 
-	expiry interface{ Cancel() } // pending fed-engine expiry event
-	recall interface{ Cancel() } // pending fed-engine recall probe
+	// next is the pending fed-engine event: the expiry while active,
+	// the next recall probe while orphaned, nil once settled.
+	next *des.Event
 }
 
 // Leases returns every lease ever granted, by grant order. The slice
@@ -161,7 +169,7 @@ func (f *Federation) grantPass() {
 	var lender *Shard
 	picked := false
 	for _, b := range f.shards {
-		if !f.routable(b.ID) {
+		if !b.routable() {
 			continue // broker link down or entitlement not re-earned
 		}
 		if b.Online.QueueLen() == 0 || b.Online.FreeNodes() == 0 {
@@ -199,7 +207,7 @@ func (f *Federation) pickLender() *Shard {
 	var best *Shard
 	var bestHead float64
 	for _, sh := range f.shards {
-		if sh.Online.QueueLen() > 0 || !f.routable(sh.ID) {
+		if sh.Online.QueueLen() > 0 || !sh.routable() {
 			continue
 		}
 		// Headroom: free watts beyond the reserve, capped so
@@ -239,22 +247,13 @@ func (f *Federation) grant(lender, borrower *Shard) {
 		f.fail(err)
 		return
 	}
-	l.expiry = ev
+	l.next = ev
 	lender.lentW += w
 	borrower.borrowedW += w
 	f.leases = append(f.leases, l)
 	f.active = append(f.active, l)
 	mLeases.Inc()
 	gWattsLent.Add(w)
-}
-
-// expireLease handles a lease's TTL event.
-func (f *Federation) expireLease(l *Lease) {
-	if l.State != LeaseActive {
-		return // already settled; the expiry event lost the race
-	}
-	l.expiry = nil
-	f.settleLease(l, LeaseExpired)
 }
 
 // settleLease ends an active lease with the given terminal state,
@@ -264,10 +263,6 @@ func (f *Federation) expireLease(l *Lease) {
 func (f *Federation) settleLease(l *Lease, state LeaseState) {
 	if l.State != LeaseActive {
 		return
-	}
-	if l.expiry != nil {
-		l.expiry.Cancel()
-		l.expiry = nil
 	}
 	f.returnWatts(l, state, &f.active)
 	switch state {
@@ -281,9 +276,14 @@ func (f *Federation) settleLease(l *Lease, state LeaseState) {
 }
 
 // returnWatts moves l's watts back to its lender, borrower first so
-// the sum of bounds never transiently exceeds the cap, ends l in state
-// at the current time and drops it from list.
+// the sum of bounds never transiently exceeds the cap, cancels l's
+// pending event, ends l in state at the current time and drops it from
+// list. Every settlement comes through here.
 func (f *Federation) returnWatts(l *Lease, state LeaseState, list *[]*Lease) {
+	if l.next != nil {
+		l.next.Cancel() // a no-op for the event now firing
+		l.next = nil
+	}
 	lender, borrower := f.shards[l.Lender], f.shards[l.Borrower]
 	if err := f.moveBound(borrower, -l.Watts); err != nil {
 		f.fail(err)
@@ -332,49 +332,40 @@ func (f *Federation) orphanShardLeases(shard int) {
 			i++
 			continue
 		}
-		if l.expiry != nil {
-			l.expiry.Cancel()
-			l.expiry = nil
-		}
+		l.next.Cancel() // the expiry
 		l.State = LeaseOrphaned
 		l.OrphanedAt = f.now
 		f.active = append(f.active[:i], f.active[i+1:]...)
 		f.orphans = append(f.orphans, l)
 		mLeasesOrphaned.Inc()
-		ev, err := f.eng.At(f.now+f.sfaults.sc.GraceTTL, f, fevLeaseRecall, uint64(l.ID))
+		ev, err := f.eng.At(f.now+graceTTL, f, fevLeaseRecall, uint64(l.ID))
+		l.next = ev
 		if err != nil {
 			f.fail(err)
 			return
 		}
-		l.recall = ev
 	}
 }
 
-// recallProbe handles one recall probe against an orphaned lease: the
-// probe succeeds when both endpoints are reachable again, fails onto
-// the backoff schedule otherwise, and force-reclaims once the probe
-// budget is spent.
+// recallProbe handles one recall probe against an orphaned lease (a
+// settled lease has cancelled its probe): the probe succeeds when both
+// endpoints are reachable again, fails onto the backoff schedule
+// otherwise, and force-reclaims once recallRetries probes have failed.
 func (f *Federation) recallProbe(l *Lease) {
-	if l.State != LeaseOrphaned {
-		return // settled by a rejoin or by Drain; the probe lost the race
-	}
-	l.recall = nil
 	l.Attempts++
-	if f.sfaults.reachable(l.Lender) && f.sfaults.reachable(l.Borrower) {
+	if f.shards[l.Lender].reachable() && f.shards[l.Borrower].reachable() {
 		f.settleOrphan(l, false)
 		return
 	}
-	if l.Attempts > f.sfaults.sc.RecallRetries || f.sfaults.sc.RecallRetries < 0 {
+	if l.Attempts > recallRetries {
 		f.settleOrphan(l, true)
 		return
 	}
-	dt := f.sfaults.recallBackoff(l.ID, l.Attempts)
-	ev, err := f.eng.At(f.now+dt, f, fevLeaseRecall, uint64(l.ID))
+	ev, err := f.eng.At(f.now+f.recallDelay(l.ID, l.Attempts), f, fevLeaseRecall, uint64(l.ID))
+	l.next = ev
 	if err != nil {
 		f.fail(err)
-		return
 	}
-	l.recall = ev
 }
 
 // settleOrphan ends an orphaned lease: the watts finally move back
@@ -384,10 +375,6 @@ func (f *Federation) recallProbe(l *Lease) {
 func (f *Federation) settleOrphan(l *Lease, forced bool) {
 	if l.State != LeaseOrphaned {
 		return
-	}
-	if l.recall != nil {
-		l.recall.Cancel()
-		l.recall = nil
 	}
 	l.Forced = forced
 	f.returnWatts(l, LeaseReclaimed, &f.orphans)
@@ -410,7 +397,7 @@ func (f *Federation) settleShardOrphans(shard int) {
 		if other == shard {
 			other = l.Borrower
 		}
-		if !f.sfaults.reachable(other) {
+		if !f.shards[other].reachable() {
 			i++
 			continue
 		}

@@ -34,6 +34,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/idindex"
 	"repro/internal/jobsched"
+	"repro/internal/rng"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -196,6 +197,21 @@ type Shard struct {
 	// queueGauge is the shard's clip_fed_shard_queue{shard=ID} handle
 	// on telemetry.Default.
 	queueGauge *telemetry.Gauge
+	// touched marks the shard as queued on Federation.touched for a
+	// re-key.
+	touched bool
+
+	// Shard-fault state (shardfaults.go), zero when no stream is armed.
+	health ShardHealth
+	// crashRNG draws the shard's crash delays, outages and rejoin
+	// delays; partRNG its partition delays and durations.
+	crashRNG, partRNG *rng.Source
+	// downs and partitions count the shard's crashes and partitions.
+	downs, partitions int
+	// crashEv is the pending crash; partEv the pending partition start,
+	// or the pending heal while the shard is partitioned. Each is nil
+	// when no such event is pending.
+	crashEv, partEv *des.Event
 }
 
 // fedArrival is one pre-scheduled submission.
@@ -242,17 +258,15 @@ type Federation struct {
 	leases  []*Lease // every lease ever granted, by ID
 	active  []*Lease // active leases, ascending ID
 	orphans []*Lease // leases in the orphan reclaim protocol, by orphan order
-	// shard-fault state
-	sfaults *shardInjector // nil when no shard-fault stream is armed
-	// pendingCrash / pendingPartition track each shard's next scheduled
-	// crash / partition-start so the stream generators can be cancelled
-	// when the last job turns terminal (in-flight recover/rejoin/heal
-	// events always fire, so a run ends on a finite event set).
-	pendingCrash     []*des.Event
-	pendingPartition []*des.Event
-	sfStopped        bool
-	arrivalsLeft     int // scheduled arrivals not yet routed (or handed to a replay)
-	evacuated        int // queued jobs migrated off crashed shards
+	// shard-fault state: the normalized scenario (nil when no stream is
+	// armed), whether its generators were stopped (in-flight
+	// recover/rejoin/heal events always fire, so a run ends on a finite
+	// event set) and how many shards are not healthy.
+	sf           *ShardScenario
+	sfStopped    bool
+	unhealthy    int
+	arrivalsLeft int // scheduled arrivals not yet routed (or handed to a replay)
+	evacuated    int // queued jobs migrated off crashed shards
 	// evacuateShard's buffers, reused across crashes: the survivors'
 	// load heap and the evacuated jobs.
 	evacHeap loadHeap
@@ -270,11 +284,10 @@ type Federation struct {
 	events uint64
 
 	// heap indexes shard next-event times (built lazily on the first
-	// step); touched/touchedMark collect the shards whose timelines
-	// moved since the last re-key, so only those are re-peeked.
-	heap        *shardHeap
-	touched     []int
-	touchedMark []bool
+	// step); touched collects the shards whose timelines moved since the
+	// last re-key, so only those are re-peeked.
+	heap    *shardHeap
+	touched []int
 }
 
 // New builds a federation of len(cfg.Shards) shards. Shard clusters and
@@ -352,8 +365,7 @@ func New(cfg Config) (*Federation, error) {
 		if err := sc.Validate(); err != nil {
 			return nil, err
 		}
-		f.sfaults = newShardInjector(sc, len(f.shards))
-		if err := f.armShardFaults(); err != nil {
+		if err := f.armShardFaults(sc); err != nil {
 			return nil, err
 		}
 	}
@@ -381,7 +393,7 @@ func (f *Federation) HandleEvent(kind uint16, arg uint64) {
 	// The engine clock is already at the firing event's time, but Step
 	// only assigns f.now after StepNext returns; sync it here so
 	// handlers that timestamp state or schedule follow-ups (recovery
-	// timers, recall probes at now+GraceTTL) never work from the
+	// timers, recall probes at now+graceTTL) never work from the
 	// previous event's clock — with sparse traces a stale clock could
 	// even put a follow-up in the engine's past.
 	f.now = f.eng.Now()
@@ -390,17 +402,17 @@ func (f *Federation) HandleEvent(kind uint16, arg uint64) {
 		f.arrivalsLeft--
 		f.routeArrival(f.arrival(int32(arg)))
 	case fevLeaseExpiry:
-		f.expireLease(f.leases[arg])
+		f.settleLease(f.leases[arg], LeaseExpired)
 	case fevShardCrash:
-		f.handleShardCrash(int(arg))
+		f.handleShardCrash(f.shards[arg])
 	case fevShardRecover:
-		f.handleShardRecover(int(arg))
+		f.handleShardRecover(f.shards[arg])
 	case fevShardRejoin:
-		f.handleShardRejoin(int(arg))
+		f.handleShardRejoin(f.shards[arg])
 	case fevShardPartition:
-		f.handleShardPartition(int(arg))
+		f.handleShardPartition(f.shards[arg])
 	case fevShardHeal:
-		f.handleShardHeal(int(arg))
+		f.handleShardHeal(f.shards[arg])
 	case fevLeaseRecall:
 		f.recallProbe(f.leases[arg])
 	}
@@ -471,7 +483,6 @@ func (f *Federation) ensureHeap() {
 		return
 	}
 	f.heap = newShardHeap(len(f.shards))
-	f.touchedMark = make([]bool, len(f.shards))
 	for _, sh := range f.shards {
 		f.rekeyShard(sh.ID)
 	}
@@ -480,10 +491,10 @@ func (f *Federation) ensureHeap() {
 // touch marks a shard whose timeline may have moved (an event fired,
 // a job was routed to it, its bound changed) for lazy re-key.
 func (f *Federation) touch(sh *Shard) {
-	if f.heap == nil || f.touchedMark[sh.ID] {
+	if f.heap == nil || sh.touched {
 		return
 	}
-	f.touchedMark[sh.ID] = true
+	sh.touched = true
 	f.touched = append(f.touched, sh.ID)
 }
 
@@ -496,7 +507,7 @@ func (f *Federation) rekeyShard(id int) {
 // rekeyTouched re-keys every shard touched since the last call.
 func (f *Federation) rekeyTouched() {
 	for _, id := range f.touched {
-		f.touchedMark[id] = false
+		f.shards[id].touched = false
 		f.rekeyShard(id)
 	}
 	f.touched = f.touched[:0]
@@ -665,11 +676,9 @@ func (f *Federation) auditCheck() {
 	if diff := borrowed - onLoan; diff > eps || diff < -eps {
 		f.violation("borrowed-imbalance", fmt.Sprintf("borrowed watts %.9f != outstanding lease watts %.9f", borrowed, onLoan))
 	}
-	if f.sfaults != nil {
-		for _, l := range f.orphans {
-			if f.sfaults.healthOf(l.Lender) == ShardHealthy && f.sfaults.healthOf(l.Borrower) == ShardHealthy {
-				f.violation("orphan-healthy", fmt.Sprintf("lease %d orphaned with both endpoints healthy (%d->%d)", l.ID, l.Lender, l.Borrower))
-			}
+	for _, l := range f.orphans {
+		if f.shards[l.Lender].health == ShardHealthy && f.shards[l.Borrower].health == ShardHealthy {
+			f.violation("orphan-healthy", fmt.Sprintf("lease %d orphaned with both endpoints healthy (%d->%d)", l.ID, l.Lender, l.Borrower))
 		}
 	}
 	gAggBound.Set(sum)

@@ -80,7 +80,7 @@ func (f *Federation) RunParallel(workers int) error {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	f.ensureHeap()
-	if f.failure == nil && !f.interrupted.Load() && f.sfaults == nil &&
+	if f.failure == nil && !f.interrupted.Load() && f.sf == nil &&
 		f.cfg.Routing == Locality && f.lendingInert() {
 		// Locality routing is a pure hash of the job key — arrivals
 		// read no cross-shard state — and the broker can never act, so
@@ -233,7 +233,7 @@ func (f *Federation) replayShard(sh *Shard, idx []int32) replayResult {
 // the first failure in shard order is the one reported. The heap must
 // exist (ensureHeap).
 func (f *Federation) drainParallel(workers int) error {
-	if f.sfaults != nil && !f.sfStopped {
+	if f.sf != nil && !f.sfStopped {
 		f.stopShardFaults()
 	}
 	for _, l := range append([]*Lease(nil), f.orphans...) {

@@ -60,14 +60,13 @@ func shardFor(key string, n int) int {
 }
 
 // pickShard applies the configured routing policy to one arrival.
-// With a shard-fault stream armed, unhealthy shards (down, partitioned
-// or rejoining) are steered around; if no shard is routable at all the
-// router falls back to health-blind placement — the job must land
-// somewhere, and the region will run it once it recovers. Health is
-// only read at federation-owned events, so routing stays a pure
-// function of deterministic state.
+// Unhealthy shards (down, partitioned or rejoining) are steered around;
+// if no shard is routable at all the router falls back to health-blind
+// placement — the job must land somewhere, and the region will run it
+// once it recovers. Health is only read at federation-owned events, so
+// routing stays a pure function of deterministic state.
 func (f *Federation) pickShard(a *fedArrival) int {
-	if f.sfaults != nil {
+	if f.unhealthy > 0 {
 		if id := f.pickAmong(a, true); id >= 0 {
 			return id
 		}
@@ -85,7 +84,7 @@ func (f *Federation) pickAmong(a *fedArrival, routableOnly bool) int {
 		// free-watts value: ties go to the lowest id.
 		best, bestW := -1, 0.0
 		for _, sh := range f.shards {
-			if routableOnly && !f.routable(sh.ID) {
+			if routableOnly && !sh.routable() {
 				continue
 			}
 			if w := sh.Online.FreeWatts(); best < 0 || w > bestW {
@@ -103,7 +102,7 @@ func (f *Federation) pickAmong(a *fedArrival, routableOnly bool) int {
 		}
 		home := shardFor(key, len(f.shards))
 		for k := 0; k < len(f.shards); k++ {
-			if id := (home + k) % len(f.shards); !routableOnly || f.routable(id) {
+			if id := (home + k) % len(f.shards); !routableOnly || f.shards[id].routable() {
 				return id
 			}
 		}
@@ -138,7 +137,7 @@ func (a shardLoad) less(b shardLoad) bool {
 func (f *Federation) leastLoaded(routableOnly bool) int {
 	best := shardLoad{id: -1}
 	for _, sh := range f.shards {
-		if routableOnly && !f.routable(sh.ID) {
+		if routableOnly && !sh.routable() {
 			continue
 		}
 		if l := loadOf(sh); best.id < 0 || l.less(best) {

@@ -18,10 +18,17 @@ package fed
 // steers arrivals away. A down shard additionally loses its control
 // plane — its queued (not-yet-running) jobs are evacuated to surviving
 // shards and every lease it touches is orphaned into the reclaim
-// protocol (grace TTL, then capped retry/backoff probes; see broker.go).
+// protocol (graceTTL, then capped retry/backoff probes; see broker.go).
 // A recovered shard re-enters through rejoining: its orphaned leases
 // settle so its bound is clean, but it re-earns entitlement — the
-// router and broker keep excluding it — until the rejoin delay elapses.
+// router and broker keep excluding it — until a rejoin delay of mean
+// rejoinDelay elapses. The scenario sets the crash and partition rates
+// and durations; the rejoin and reclaim schedule is fixed.
+//
+// A shard's fault state lives on its Shard: its health, its crash and
+// partition streams, its tallies and its one pending crash and one
+// pending partition-start or heal event. Every health change goes
+// through Federation.move.
 //
 // Every draw flows through internal/rng with a seed derived from
 // (scenario seed, stream salt, shard id), the same discipline as
@@ -33,7 +40,6 @@ package fed
 import (
 	"math"
 
-	"repro/internal/des"
 	"repro/internal/faults"
 	"repro/internal/rng"
 )
@@ -88,25 +94,6 @@ type ShardScenario struct {
 	PartitionMTBF float64
 	// PartitionDur is the mean partition duration.
 	PartitionDur float64
-	// RejoinDelay is the mean delay a recovered shard spends rejoining
-	// (excluded from routing and lending) before it is healthy again.
-	RejoinDelay float64
-	// GraceTTL is the delay from orphaning a lease to its first recall
-	// probe — the window in which a quick recovery settles the lease
-	// without any probe failing.
-	GraceTTL float64
-	// RecallRetries bounds the recall probes per orphaned lease; after
-	// the last failed probe the broker force-reclaims. 0 means the
-	// default, negative means force-reclaim at the first probe.
-	RecallRetries int
-	// RecallBackoff is the first inter-probe delay; doubles per probe.
-	RecallBackoff float64
-	// RecallCap caps the exponential inter-probe delay.
-	RecallCap float64
-	// RecallJitter adds a deterministic per-(lease, attempt) jitter of
-	// up to this fraction on top of each probe delay; 0 means the
-	// default, negative means no jitter.
-	RecallJitter float64
 }
 
 // Enabled reports whether any shard fault class is active.
@@ -119,14 +106,8 @@ func (sc *ShardScenario) Enabled() bool {
 var ShardGrammar = faults.Grammar[ShardScenario]{Prefix: "fed: shard-faults", Params: []faults.Param[ShardScenario]{
 	{Key: "crash-mtbf", Float: func(s *ShardScenario) *float64 { return &s.CrashMTBF }, Hi: inf},
 	{Key: "mttr", Float: func(s *ShardScenario) *float64 { return &s.MTTR }, Rule: faults.DefaultAtLo, Def: 120, Hi: inf},
-	{Key: "rejoin-delay", Float: func(s *ShardScenario) *float64 { return &s.RejoinDelay }, Rule: faults.DefaultAtLo, Def: 30, Hi: inf},
 	{Key: "part-mtbf", Float: func(s *ShardScenario) *float64 { return &s.PartitionMTBF }, Hi: inf},
 	{Key: "part-dur", Float: func(s *ShardScenario) *float64 { return &s.PartitionDur }, Rule: faults.DefaultAtLo, Def: 60, Hi: inf},
-	{Key: "grace-ttl", Float: func(s *ShardScenario) *float64 { return &s.GraceTTL }, Rule: faults.DefaultAtLo, Def: 45, Hi: inf},
-	{Key: "recall-retries", Int: func(s *ShardScenario) *int { return &s.RecallRetries }, Rule: faults.NegativeIsNone, Def: 3, Lo: -1, Hi: 64},
-	{Key: "recall-backoff", Float: func(s *ShardScenario) *float64 { return &s.RecallBackoff }, Rule: faults.DefaultAtLo, Def: 20, Hi: inf},
-	{Key: "recall-cap", Float: func(s *ShardScenario) *float64 { return &s.RecallCap }, Rule: faults.DefaultAtLo, Def: 120, Hi: inf},
-	{Key: "recall-jitter", Float: func(s *ShardScenario) *float64 { return &s.RecallJitter }, Rule: faults.NegativeIsNone, Def: 0.25, Lo: -1, Hi: 10},
 	{Key: "seed", Uint: func(s *ShardScenario) *uint64 { return &s.Seed }, Hi: inf},
 }}
 
@@ -149,6 +130,27 @@ func (sc *ShardScenario) String() string { return ShardGrammar.String(sc) }
 // validated.
 func ParseShardScenario(spec string) (*ShardScenario, error) { return ShardGrammar.Parse(spec) }
 
+// The fixed rejoin and orphan-reclaim schedule, in simulated seconds.
+const (
+	// rejoinDelay is the mean time a recovered shard spends rejoining
+	// (excluded from routing and lending) before it is healthy again.
+	rejoinDelay = 30
+	// graceTTL is the delay from orphaning a lease to its first recall
+	// probe: the window in which a quick recovery settles the lease
+	// without any probe failing.
+	graceTTL = 45
+	// recallRetries is how many recall probes may fail; the probe after
+	// the last of them force-reclaims.
+	recallRetries = 3
+	// recallBackoff is the delay after the first failed probe; it
+	// doubles per failed probe up to recallCap.
+	recallBackoff = 20
+	recallCap     = 120
+	// recallJitter is the largest fraction a probe delay's
+	// deterministic per-(lease, attempt) jitter adds.
+	recallJitter = 0.25
+)
+
 // Stream salts: one independent SplitMix64 stream per (class, shard),
 // disjoint from the internal/faults node-level salts.
 const (
@@ -157,123 +159,50 @@ const (
 	saltShardRecall = 0x534844524343_0013
 )
 
-// shardInjector draws shard-fault events and tracks shard health for
-// one run. Not safe for concurrent use; the federation drives it from
-// the serial event loop (shard-fault events are federation events, so
-// the parallel executor never touches it from a worker).
-type shardInjector struct {
-	sc         ShardScenario
-	crash      []*rng.Source // per-shard crash stream: delay, outage, rejoin draws
-	part       []*rng.Source // per-shard partition stream: delay, duration draws
-	health     []ShardHealth
-	downs      []int // crashes per shard
-	partitions []int // partitions per shard
-	unhealthy  int   // shards currently not Healthy
+// recallDelay returns the delay before probe attempt+1 of orphaned
+// lease leaseID, after attempt (1-based) failed probes: capped
+// exponential growth from recallBackoff with a deterministic jitter
+// derived from (seed, lease, attempt) — stateless, so the reclaim
+// schedule replays byte-identically regardless of how probes
+// interleave with other events.
+func (f *Federation) recallDelay(leaseID, attempt int) float64 {
+	return rng.Backoff(f.sf.Seed^(uint64(leaseID)+1)*0x94d049bb133111eb, saltShardRecall, attempt,
+		recallBackoff, recallCap, recallJitter)
 }
 
-// newShardInjector builds an injector for shards shards under the
-// normalized scenario sc.
-func newShardInjector(sc ShardScenario, shards int) *shardInjector {
-	return &shardInjector{
-		sc:         sc,
-		crash:      faults.Streams(sc.Seed, saltShardCrash, shards),
-		part:       faults.Streams(sc.Seed, saltShardPart, shards),
-		health:     make([]ShardHealth, shards),
-		downs:      make([]int, shards),
-		partitions: make([]int, shards),
-	}
+// routable reports whether the router and broker may use the shard: it
+// is healthy (always, when no fault stream is armed).
+func (sh *Shard) routable() bool { return sh.health == ShardHealthy }
+
+// reachable reports whether the broker can talk to the shard: healthy
+// and rejoining shards answer recall probes; partitioned and down
+// shards do not.
+func (sh *Shard) reachable() bool {
+	return sh.health == ShardHealthy || sh.health == ShardRejoining
 }
 
-// nextCrash draws the delay to shard's next crash; ok is false when
-// crashes are disabled.
-func (in *shardInjector) nextCrash(shard int) (dt float64, ok bool) {
-	if in.sc.CrashMTBF <= 0 {
-		return 0, false
-	}
-	return in.crash[shard].Exp(in.sc.CrashMTBF), true
-}
-
-// outageDuration draws shard's outage length for its current crash (the
-// crash stream alternates delay / outage / rejoin draws, so a shard's
-// schedule is independent of every other shard's).
-func (in *shardInjector) outageDuration(shard int) float64 {
-	return in.crash[shard].Exp(in.sc.MTTR)
-}
-
-// rejoinDelay draws how long shard spends rejoining after its current
-// outage ends.
-func (in *shardInjector) rejoinDelay(shard int) float64 {
-	return in.crash[shard].Exp(in.sc.RejoinDelay)
-}
-
-// nextPartition draws the delay to shard's next broker-link partition;
-// ok is false when partitions are disabled.
-func (in *shardInjector) nextPartition(shard int) (dt float64, ok bool) {
-	if in.sc.PartitionMTBF <= 0 {
-		return 0, false
-	}
-	return in.part[shard].Exp(in.sc.PartitionMTBF), true
-}
-
-// partitionDuration draws shard's current partition length.
-func (in *shardInjector) partitionDuration(shard int) float64 {
-	return in.part[shard].Exp(in.sc.PartitionDur)
-}
-
-// healthOf returns shard's current health.
-func (in *shardInjector) healthOf(shard int) ShardHealth { return in.health[shard] }
-
-// routable reports whether the router may place new arrivals on shard.
-func (in *shardInjector) routable(shard int) bool { return in.health[shard] == ShardHealthy }
-
-// reachable reports whether the broker can talk to shard: healthy and
-// rejoining shards answer recall probes; partitioned and down shards do
-// not.
-func (in *shardInjector) reachable(shard int) bool {
-	h := in.health[shard]
-	return h == ShardHealthy || h == ShardRejoining
-}
-
-// move transitions shard from health from to health to, keeping the
-// unhealthy count and the crash and partition tallies. It reports false,
-// and does nothing, when shard is not in from: a stale timer (a heal
-// after a crash absorbed the partition, a crash of a shard already down
-// or rejoining) is ignored.
-func (in *shardInjector) move(shard int, from, to ShardHealth) bool {
-	if in.health[shard] != from {
+// move transitions sh from health from to health to, keeping the
+// unhealthy count, its gauge and the crash and partition tallies. It
+// reports false, and does nothing, when sh is not in from: a stale
+// timer is ignored.
+func (f *Federation) move(sh *Shard, from, to ShardHealth) bool {
+	if sh.health != from {
 		return false
 	}
-	in.health[shard] = to
+	sh.health = to
 	if from == ShardHealthy {
-		in.unhealthy++
+		f.unhealthy++
 	} else if to == ShardHealthy {
-		in.unhealthy--
+		f.unhealthy--
 	}
+	gShardsUnhealthy.Set(float64(f.unhealthy))
 	switch to {
 	case ShardDown:
-		in.downs[shard]++
+		sh.downs++
 	case ShardPartitioned:
-		in.partitions[shard]++
+		sh.partitions++
 	}
 	return true
-}
-
-// crashShard takes shard down from healthy or partitioned (a crash
-// absorbs an ongoing partition); it reports false for shards already
-// down or rejoining.
-func (in *shardInjector) crashShard(shard int) bool {
-	return in.move(shard, ShardHealthy, ShardDown) || in.move(shard, ShardPartitioned, ShardDown)
-}
-
-// recallBackoff returns the delay before probe attempt (1-based) of an
-// orphaned lease: capped exponential growth from RecallBackoff with a
-// deterministic jitter derived from (seed, lease, attempt) — stateless,
-// so the reclaim schedule replays byte-identically regardless of how
-// probes interleave with other events. A negative RecallJitter adds
-// none.
-func (in *shardInjector) recallBackoff(leaseID, attempt int) float64 {
-	return rng.Backoff(in.sc.Seed^(uint64(leaseID)+1)*0x94d049bb133111eb, saltShardRecall, attempt,
-		in.sc.RecallBackoff, in.sc.RecallCap, math.Max(0, in.sc.RecallJitter))
 }
 
 // --- federation-side wiring -----------------------------------------
@@ -283,26 +212,18 @@ func (in *shardInjector) recallBackoff(leaseID, attempt int) float64 {
 // replay, so shard-fault events never execute on a worker.
 
 // ShardFaultsArmed reports whether a shard-fault stream is armed.
-func (f *Federation) ShardFaultsArmed() bool { return f.sfaults != nil }
+func (f *Federation) ShardFaultsArmed() bool { return f.sf != nil }
 
 // ShardHealthOf returns a shard's current health (always healthy when
 // no shard-fault stream is armed).
-func (f *Federation) ShardHealthOf(id int) ShardHealth {
-	if f.sfaults == nil {
-		return ShardHealthy
-	}
-	return f.sfaults.healthOf(id)
-}
+func (f *Federation) ShardHealthOf(id int) ShardHealth { return f.shards[id].health }
 
 // ShardFaultStats reports the totals of injected shard crashes and
 // broker-link partitions.
 func (f *Federation) ShardFaultStats() (downs, partitions int) {
-	if f.sfaults == nil {
-		return 0, 0
-	}
-	for i := range f.shards {
-		downs += f.sfaults.downs[i]
-		partitions += f.sfaults.partitions[i]
+	for _, sh := range f.shards {
+		downs += sh.downs
+		partitions += sh.partitions
 	}
 	return downs, partitions
 }
@@ -311,109 +232,97 @@ func (f *Federation) ShardFaultStats() (downs, partitions int) {
 // shards onto survivors.
 func (f *Federation) Evacuated() int { return f.evacuated }
 
-// routable reports whether the router and broker may use shard id (it
-// is healthy, or no fault stream is armed).
-func (f *Federation) routable(id int) bool {
-	return f.sfaults == nil || f.sfaults.routable(id)
-}
-
-// armShardFaults schedules every shard's first crash and partition
-// draw; called once from New when a scenario is configured.
-func (f *Federation) armShardFaults() error {
-	f.pendingCrash = make([]*des.Event, len(f.shards))
-	f.pendingPartition = make([]*des.Event, len(f.shards))
-	for i := range f.shards {
-		if err := f.scheduleNextCrash(i); err != nil {
+// armShardFaults gives every shard its crash and partition streams and
+// schedules its first crash and partition draw; called once from New
+// when a scenario is configured.
+func (f *Federation) armShardFaults(sc ShardScenario) error {
+	f.sf = &sc
+	crash := faults.Streams(sc.Seed, saltShardCrash, len(f.shards))
+	part := faults.Streams(sc.Seed, saltShardPart, len(f.shards))
+	for i, sh := range f.shards {
+		sh.crashRNG, sh.partRNG = crash[i], part[i]
+		if err := f.scheduleNextCrash(sh); err != nil {
 			return err
 		}
-		if err := f.scheduleNextPartition(i); err != nil {
+		if err := f.scheduleNextPartition(sh); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// scheduleNextCrash arms shard id's next whole-shard crash.
-func (f *Federation) scheduleNextCrash(id int) error {
-	dt, ok := f.sfaults.nextCrash(id)
-	if !ok {
+// scheduleNextCrash arms sh's next whole-shard crash.
+func (f *Federation) scheduleNextCrash(sh *Shard) error {
+	if f.sf.CrashMTBF <= 0 {
 		return nil
 	}
-	ev, err := f.eng.At(f.now+dt, f, fevShardCrash, uint64(id))
-	if err != nil {
-		return err
-	}
-	f.pendingCrash[id] = ev
-	return nil
+	ev, err := f.eng.At(f.now+sh.crashRNG.Exp(f.sf.CrashMTBF), f, fevShardCrash, uint64(sh.ID))
+	sh.crashEv = ev
+	return err
 }
 
-// scheduleNextPartition arms shard id's next broker-link partition.
-func (f *Federation) scheduleNextPartition(id int) error {
-	dt, ok := f.sfaults.nextPartition(id)
-	if !ok {
+// scheduleNextPartition arms sh's next broker-link partition.
+func (f *Federation) scheduleNextPartition(sh *Shard) error {
+	if f.sf.PartitionMTBF <= 0 {
 		return nil
 	}
-	ev, err := f.eng.At(f.now+dt, f, fevShardPartition, uint64(id))
-	if err != nil {
-		return err
-	}
-	f.pendingPartition[id] = ev
-	return nil
+	ev, err := f.eng.At(f.now+sh.partRNG.Exp(f.sf.PartitionMTBF), f, fevShardPartition, uint64(sh.ID))
+	sh.partEv = ev
+	return err
 }
 
-// handleShardCrash takes shard id down: an ongoing partition is
-// absorbed (its pending heal is cancelled), every lease the shard
-// touches is orphaned into the reclaim protocol, its queued jobs are
-// evacuated to survivors, and the recovery timer starts. Jobs already
-// running on the shard ride out the outage — the region's compute
-// keeps executing resident work; it is the control plane that is gone.
-func (f *Federation) handleShardCrash(id int) {
-	f.pendingCrash[id] = nil
-	if !f.sfaults.crashShard(id) {
+// handleShardCrash takes sh down: an ongoing partition is absorbed
+// (its pending heal is cancelled), every lease the shard touches is
+// orphaned into the reclaim protocol, its queued jobs are evacuated to
+// survivors, and the recovery timer starts. Jobs already running on
+// the shard ride out the outage — the region's compute keeps executing
+// resident work; it is the control plane that is gone.
+func (f *Federation) handleShardCrash(sh *Shard) {
+	sh.crashEv = nil
+	if !f.move(sh, ShardHealthy, ShardDown) && !f.move(sh, ShardPartitioned, ShardDown) {
 		return // stale: already down or rejoining
 	}
-	if f.pendingPartition[id] != nil {
-		f.pendingPartition[id].Cancel()
-		f.pendingPartition[id] = nil
+	if sh.partEv != nil {
+		sh.partEv.Cancel()
+		sh.partEv = nil
 	}
 	mShardDowns.Inc()
-	gShardsUnhealthy.Set(float64(f.sfaults.unhealthy))
-	f.orphanShardLeases(id)
-	f.evacuateShard(id)
-	if _, err := f.eng.At(f.now+f.sfaults.outageDuration(id), f, fevShardRecover, uint64(id)); err != nil {
+	f.orphanShardLeases(sh.ID)
+	f.evacuateShard(sh.ID)
+	// The crash stream alternates delay / outage / rejoin draws, so a
+	// shard's schedule is independent of every other shard's.
+	if _, err := f.eng.At(f.now+sh.crashRNG.Exp(f.sf.MTTR), f, fevShardRecover, uint64(sh.ID)); err != nil {
 		f.fail(err)
 	}
 }
 
-// handleShardRecover ends shard id's outage: the shard becomes
-// reachable (rejoining) — recall probes against it now succeed — but
-// stays out of routing and lending until its rejoin delay elapses.
-func (f *Federation) handleShardRecover(id int) {
-	if !f.sfaults.move(id, ShardDown, ShardRejoining) {
+// handleShardRecover ends sh's outage: the shard becomes reachable
+// (rejoining) — recall probes against it now succeed — but stays out
+// of routing and lending until its rejoin delay elapses.
+func (f *Federation) handleShardRecover(sh *Shard) {
+	if !f.move(sh, ShardDown, ShardRejoining) {
 		return
 	}
-	if _, err := f.eng.At(f.now+f.sfaults.rejoinDelay(id), f, fevShardRejoin, uint64(id)); err != nil {
+	if _, err := f.eng.At(f.now+sh.crashRNG.Exp(rejoinDelay), f, fevShardRejoin, uint64(sh.ID)); err != nil {
 		f.fail(err)
 	}
 }
 
-// handleShardRejoin returns shard id to full health: its remaining
-// orphaned leases settle (clean bound — eff is back to entitlement ±
-// leases touching still-unreachable partners), and the shard re-earns
+// handleShardRejoin returns sh to full health: its remaining orphaned
+// leases settle (clean bound — eff is back to entitlement ± leases
+// touching still-unreachable partners), and the shard re-earns
 // entitlement: it is routable and lendable again, with its next crash
 // and partition draws re-armed.
-func (f *Federation) handleShardRejoin(id int) {
-	if !f.sfaults.move(id, ShardRejoining, ShardHealthy) {
+func (f *Federation) handleShardRejoin(sh *Shard) {
+	if !f.move(sh, ShardRejoining, ShardHealthy) {
 		return
 	}
-	gShardsUnhealthy.Set(float64(f.sfaults.unhealthy))
-	f.settleShardOrphans(id)
+	f.settleShardOrphans(sh.ID)
 	// Reconcile the rejoined shard at the shared clock: recovered
 	// capacity is re-covered by one bounded dispatch/preemption pass
 	// instead of waiting for the shard's next organic scheduler event.
 	// The handler fires identically in the serial and parallel
 	// executors, so replay output stays byte-identical.
-	sh := f.shards[id]
 	f.touch(sh)
 	if err := sh.Online.Advance(f.now); err != nil {
 		f.fail(err)
@@ -421,47 +330,45 @@ func (f *Federation) handleShardRejoin(id int) {
 		f.fail(err)
 	}
 	if !f.sfStopped {
-		if err := f.scheduleNextCrash(id); err != nil {
+		if err := f.scheduleNextCrash(sh); err != nil {
 			f.fail(err)
 		}
-		if err := f.scheduleNextPartition(id); err != nil {
+		if err := f.scheduleNextPartition(sh); err != nil {
 			f.fail(err)
 		}
 	}
 }
 
-// handleShardPartition cuts shard id's broker link: the router and
-// broker exclude it and its leases are orphaned (the broker must
-// assume the worst — the grace TTL means a quick heal settles them
-// without a single failed probe), but its queue stays put and its
-// resident jobs keep running.
-func (f *Federation) handleShardPartition(id int) {
-	f.pendingPartition[id] = nil
-	if !f.sfaults.move(id, ShardHealthy, ShardPartitioned) {
+// handleShardPartition cuts sh's broker link: the router and broker
+// exclude it and its leases are orphaned (the broker must assume the
+// worst — the grace TTL means a quick heal settles them without a
+// single failed probe), but its queue stays put and its resident jobs
+// keep running.
+func (f *Federation) handleShardPartition(sh *Shard) {
+	sh.partEv = nil
+	if !f.move(sh, ShardHealthy, ShardPartitioned) {
 		return // stale: crash won the race
 	}
 	mShardPartitions.Inc()
-	gShardsUnhealthy.Set(float64(f.sfaults.unhealthy))
-	f.orphanShardLeases(id)
-	ev, err := f.eng.At(f.now+f.sfaults.partitionDuration(id), f, fevShardHeal, uint64(id))
+	f.orphanShardLeases(sh.ID)
+	ev, err := f.eng.At(f.now+sh.partRNG.Exp(f.sf.PartitionDur), f, fevShardHeal, uint64(sh.ID))
 	if err != nil {
 		f.fail(err)
 		return
 	}
-	f.pendingPartition[id] = ev
+	sh.partEv = ev
 }
 
-// handleShardHeal restores shard id's broker link after a partition:
-// its remaining orphans settle and the partition stream re-arms.
-func (f *Federation) handleShardHeal(id int) {
-	f.pendingPartition[id] = nil
-	if !f.sfaults.move(id, ShardPartitioned, ShardHealthy) {
+// handleShardHeal restores sh's broker link after a partition: its
+// remaining orphans settle and the partition stream re-arms.
+func (f *Federation) handleShardHeal(sh *Shard) {
+	sh.partEv = nil
+	if !f.move(sh, ShardPartitioned, ShardHealthy) {
 		return // stale: a crash absorbed the partition
 	}
-	gShardsUnhealthy.Set(float64(f.sfaults.unhealthy))
-	f.settleShardOrphans(id)
+	f.settleShardOrphans(sh.ID)
 	if !f.sfStopped {
-		if err := f.scheduleNextPartition(id); err != nil {
+		if err := f.scheduleNextPartition(sh); err != nil {
 			f.fail(err)
 		}
 	}
@@ -488,7 +395,7 @@ func (f *Federation) handleShardHeal(id int) {
 func (f *Federation) evacuateShard(id int) {
 	h := f.evacHeap[:0]
 	for _, sh := range f.shards {
-		if sh.ID != id && f.routable(sh.ID) {
+		if sh.ID != id && sh.routable() {
 			h = append(h, loadOf(sh))
 		}
 	}
@@ -552,7 +459,7 @@ func (h loadHeap) down(i int) {
 // heals, recall probes) still fire — they are finite — so health and
 // lease state finish settling on the virtual timeline.
 func (f *Federation) maybeStopShardFaults() {
-	if f.sfaults == nil || f.sfStopped || f.arrivalsLeft > 0 {
+	if f.sf == nil || f.sfStopped || f.arrivalsLeft > 0 {
 		return
 	}
 	for _, sh := range f.shards {
@@ -568,17 +475,14 @@ func (f *Federation) maybeStopShardFaults() {
 // partitioned) is not a generator and still fires.
 func (f *Federation) stopShardFaults() {
 	f.sfStopped = true
-	if f.pendingCrash == nil {
-		return
-	}
-	for i := range f.shards {
-		if f.pendingCrash[i] != nil {
-			f.pendingCrash[i].Cancel()
-			f.pendingCrash[i] = nil
+	for _, sh := range f.shards {
+		if sh.crashEv != nil {
+			sh.crashEv.Cancel()
+			sh.crashEv = nil
 		}
-		if f.pendingPartition[i] != nil && f.sfaults.healthOf(i) != ShardPartitioned {
-			f.pendingPartition[i].Cancel()
-			f.pendingPartition[i] = nil
+		if sh.partEv != nil && sh.health != ShardPartitioned {
+			sh.partEv.Cancel()
+			sh.partEv = nil
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/des"
 	"repro/internal/faults"
 	"repro/internal/jobsched"
 	"repro/internal/rng"
@@ -26,13 +27,7 @@ func TestShardScenarioParse(t *testing.T) {
 		if p.Rule == faults.Literal || p.Key == "mttr" {
 			continue
 		}
-		got := float64(0)
-		if p.Float != nil {
-			got = *p.Float(sc)
-		} else {
-			got = float64(*p.Int(sc))
-		}
-		if got != p.Def {
+		if got := *p.Float(sc); got != p.Def {
 			t.Errorf("%s = %g, want its default %g", p.Key, got, p.Def)
 		}
 	}
@@ -40,12 +35,17 @@ func TestShardScenarioParse(t *testing.T) {
 		t.Fatal("parsed scenario reports disabled")
 	}
 	for _, bad := range []string{
-		"crash-mtbf",          // not key=value
-		"mtbf=100",            // unknown key
-		"crash-mtbf=banana",   // bad float
-		"crash-mtbf=-5",       // negative duration
-		"recall-jitter=99",    // jitter out of range
-		"recall-retries=1000", // probe budget out of range
+		"crash-mtbf",        // not key=value
+		"mtbf=100",          // unknown key
+		"crash-mtbf=banana", // bad float
+		"crash-mtbf=-5",     // negative duration
+		// The rejoin and reclaim schedule is fixed, not a key.
+		"crash-mtbf=400,rejoin-delay=30",
+		"crash-mtbf=400,grace-ttl=45",
+		"crash-mtbf=400,recall-retries=3",
+		"crash-mtbf=400,recall-backoff=20",
+		"crash-mtbf=400,recall-cap=120",
+		"crash-mtbf=400,recall-jitter=0.25",
 	} {
 		if _, err := ParseShardScenario(bad); err == nil {
 			t.Errorf("ParseShardScenario(%q) accepted", bad)
@@ -63,11 +63,11 @@ func TestShardScenarioParse(t *testing.T) {
 func FuzzScenarioRoundTrip(f *testing.F) {
 	for _, spec := range []string{
 		"crash-mtbf=400,mttr=90,part-mtbf=600,seed=7",
-		"crash-mtbf=400,recall-backoff=9,recall-cap=99,recall-jitter=0.5",
-		"crash-mtbf=400,recall-jitter=NaN",
-		"crash-mtbf=400,recall-jitter=-1",
-		"part-mtbf=600,part-dur=-Inf,grace-ttl=+Inf",
-		"recall-retries=-7,seed=18446744073709551615",
+		"crash-mtbf=400,mttr=-3,part-dur=0",
+		"crash-mtbf=400,mttr=NaN",
+		"part-mtbf=600,part-dur=-Inf",
+		"crash-mtbf=400,recall-jitter=0.5",
+		"part-dur=1e300,seed=18446744073709551615",
 	} {
 		f.Add(spec)
 	}
@@ -121,82 +121,84 @@ func floatKeys[S any](params []faults.Param[S]) (keys []string) {
 	return keys
 }
 
-// TestRecallJitterOff: recall-jitter=-1 survives fed.New's second
-// Normalized, so every probe delay is the unjittered
-// min(recall-backoff·2^(k−1), recall-cap).
-func TestRecallJitterOff(t *testing.T) {
-	sc, err := ParseShardScenario("crash-mtbf=400,recall-backoff=5,recall-cap=90,recall-jitter=-1")
+// TestShardHealthMachine: every legal transition moves the machine,
+// every stale one is rejected, and the unhealthy count and its gauge
+// track.
+func TestShardHealthMachine(t *testing.T) {
+	f, err := New(Config{Shards: shardCfg(3, 4, 800, jobsched.FCFS)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := newShardInjector(sc.Normalized(), 1)
-	for k := 1; k <= 8; k++ {
-		want := math.Min(5*math.Pow(2, float64(k-1)), 90)
-		if got := in.recallBackoff(3, k); got != want {
-			t.Errorf("probe %d: delay %g, want %g", k, got, want)
+	s0, s1 := f.shards[0], f.shards[1]
+	for _, sh := range f.shards {
+		if h := f.ShardHealthOf(sh.ID); h != ShardHealthy {
+			t.Fatalf("shard %d starts %s, want healthy", sh.ID, h)
 		}
 	}
-}
-
-// TestShardHealthMachine: every legal transition moves the machine,
-// every stale one is rejected, and the unhealthy count tracks.
-func TestShardHealthMachine(t *testing.T) {
-	base := ShardScenario{Seed: 1, CrashMTBF: 100}
-	in := newShardInjector(base.Normalized(), 3)
-	for i := 0; i < 3; i++ {
-		if h := in.healthOf(i); h != ShardHealthy {
-			t.Fatalf("shard %d starts %s, want healthy", i, h)
+	unhealthy := func(tag string, want int) {
+		t.Helper()
+		if f.unhealthy != want || gShardsUnhealthy.Value() != float64(want) {
+			t.Fatalf("%s: unhealthy=%d, gauge %g, want %d", tag, f.unhealthy, gShardsUnhealthy.Value(), want)
 		}
 	}
-	if !in.move(0, ShardHealthy, ShardPartitioned) {
+	if !f.move(s0, ShardHealthy, ShardPartitioned) {
 		t.Fatal("partition from healthy rejected")
 	}
-	if in.move(0, ShardHealthy, ShardPartitioned) {
+	if f.move(s0, ShardHealthy, ShardPartitioned) {
 		t.Fatal("partition from partitioned accepted")
 	}
-	if in.healthOf(0) != ShardPartitioned || in.unhealthy != 1 {
-		t.Fatalf("after partition: %s, unhealthy=%d", in.healthOf(0), in.unhealthy)
+	if s0.health != ShardPartitioned {
+		t.Fatalf("after partition: %s", s0.health)
 	}
-	if in.routable(0) || in.reachable(0) {
+	unhealthy("after partition", 1)
+	if s0.routable() || s0.reachable() {
 		t.Error("partitioned shard is routable or reachable")
 	}
 	// A crash absorbs the ongoing partition.
-	if !in.crashShard(0) {
+	if !f.move(s0, ShardPartitioned, ShardDown) {
 		t.Fatal("crash from partitioned rejected")
 	}
-	if in.crashShard(0) || in.move(0, ShardHealthy, ShardPartitioned) || in.move(0, ShardPartitioned, ShardHealthy) || in.move(0, ShardRejoining, ShardHealthy) {
+	if f.move(s0, ShardHealthy, ShardDown) || f.move(s0, ShardPartitioned, ShardDown) ||
+		f.move(s0, ShardHealthy, ShardPartitioned) || f.move(s0, ShardPartitioned, ShardHealthy) ||
+		f.move(s0, ShardRejoining, ShardHealthy) {
 		t.Error("transition out of down other than recover accepted")
 	}
-	if in.healthOf(0) != ShardDown || in.unhealthy != 1 {
-		t.Fatalf("after crash: %s, unhealthy=%d", in.healthOf(0), in.unhealthy)
+	if s0.health != ShardDown {
+		t.Fatalf("after crash: %s", s0.health)
 	}
-	if !in.move(0, ShardDown, ShardRejoining) {
+	unhealthy("after crash", 1)
+	if !f.move(s0, ShardDown, ShardRejoining) {
 		t.Fatal("recover from down rejected")
 	}
-	if in.move(0, ShardDown, ShardRejoining) || in.crashShard(0) || in.move(0, ShardHealthy, ShardPartitioned) || in.move(0, ShardPartitioned, ShardHealthy) {
+	if f.move(s0, ShardDown, ShardRejoining) || f.move(s0, ShardHealthy, ShardDown) ||
+		f.move(s0, ShardHealthy, ShardPartitioned) || f.move(s0, ShardPartitioned, ShardHealthy) {
 		t.Error("transition out of rejoining other than rejoin accepted")
 	}
-	if !in.reachable(0) {
+	if !s0.reachable() {
 		t.Error("rejoining shard is not reachable")
 	}
-	if in.routable(0) {
+	if s0.routable() {
 		t.Error("rejoining shard is routable")
 	}
-	if !in.move(0, ShardRejoining, ShardHealthy) {
+	unhealthy("after recover", 1)
+	if !f.move(s0, ShardRejoining, ShardHealthy) {
 		t.Fatal("rejoin from rejoining rejected")
 	}
-	if in.healthOf(0) != ShardHealthy || in.unhealthy != 0 {
-		t.Fatalf("after rejoin: %s, unhealthy=%d", in.healthOf(0), in.unhealthy)
+	if s0.health != ShardHealthy {
+		t.Fatalf("after rejoin: %s", s0.health)
 	}
+	unhealthy("after rejoin", 0)
 	// Heal only applies to partitioned shards.
-	if in.move(1, ShardPartitioned, ShardHealthy) || in.move(1, ShardRejoining, ShardHealthy) || in.move(1, ShardDown, ShardRejoining) {
+	if f.move(s1, ShardPartitioned, ShardHealthy) || f.move(s1, ShardRejoining, ShardHealthy) || f.move(s1, ShardDown, ShardRejoining) {
 		t.Error("stale transition on a healthy shard accepted")
 	}
-	if !in.move(1, ShardHealthy, ShardPartitioned) || !in.move(1, ShardPartitioned, ShardHealthy) {
+	if !f.move(s1, ShardHealthy, ShardPartitioned) || !f.move(s1, ShardPartitioned, ShardHealthy) {
 		t.Error("partition/heal round trip rejected")
 	}
-	if in.downs[0] != 1 || in.partitions[0] != 1 || in.partitions[1] != 1 {
-		t.Errorf("counters downs=%v partitions=%v", in.downs, in.partitions)
+	unhealthy("after heal", 0)
+	if downs, parts := f.ShardFaultStats(); s0.downs != 1 || s0.partitions != 1 || s1.partitions != 1 || downs != 1 || parts != 2 {
+		t.Errorf("tallies downs=%d/%d partitions=%d/%d, totals %d and %d",
+			s0.downs, s1.downs, s0.partitions, s1.partitions, downs, parts)
 	}
 }
 
@@ -204,27 +206,25 @@ func TestShardHealthMachine(t *testing.T) {
 // the cap, carries bounded jitter, and is a pure function of
 // (seed, lease, attempt).
 func TestRecallBackoffSchedule(t *testing.T) {
-	base := ShardScenario{Seed: 9, CrashMTBF: 100}
-	sc := base.Normalized()
-	in := newShardInjector(sc, 1)
+	f, err := New(Config{Shards: shardCfg(1, 4, 800, jobsched.FCFS), ShardFaults: &ShardScenario{Seed: 9, CrashMTBF: 100}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for attempt := 1; attempt <= 8; attempt++ {
-		d := in.recallBackoff(5, attempt)
-		want := sc.RecallBackoff * math.Pow(2, float64(attempt-1))
-		if want > sc.RecallCap {
-			want = sc.RecallCap
-		}
-		if d < want || d > want*(1+sc.RecallJitter) {
+		d := f.recallDelay(5, attempt)
+		want := math.Min(recallBackoff*math.Pow(2, float64(attempt-1)), recallCap)
+		if d < want || d > want*(1+recallJitter) {
 			t.Errorf("attempt %d: delay %.3f outside [%.3f, %.3f]",
-				attempt, d, want, want*(1+sc.RecallJitter))
+				attempt, d, want, want*(1+recallJitter))
 		}
-		if again := in.recallBackoff(5, attempt); again != d {
+		if again := f.recallDelay(5, attempt); again != d {
 			t.Errorf("attempt %d: backoff not deterministic (%.9f vs %.9f)", attempt, d, again)
 		}
 	}
-	if d := in.recallBackoff(5, 40); d > sc.RecallCap*(1+sc.RecallJitter) {
+	if d := f.recallDelay(5, 40); d > recallCap*(1+recallJitter) {
 		t.Errorf("attempt 40: delay %.3f escaped the cap", d)
 	}
-	if in.recallBackoff(1, 1) == in.recallBackoff(2, 1) {
+	if f.recallDelay(1, 1) == f.recallDelay(2, 1) {
 		t.Error("distinct leases drew identical jitter")
 	}
 }
@@ -342,38 +342,45 @@ func TestChaosByteIdentity(t *testing.T) {
 	}
 }
 
-// TestChaosOrphanReclaim: with lending hot and crashes frequent, leases
-// orphan and every one of them ends reclaimed with its watts returned —
-// shards sit back at entitlement after the drain.
-func TestChaosOrphanReclaim(t *testing.T) {
-	cfg := Config{
+// lendingTrio builds a three-shard lending federation under the shard
+// fault spec: a small shard 0 takes a burst of 12 jobs, so it borrows
+// from the two idle shards.
+func lendingTrio(t *testing.T, spec string) *Federation {
+	t.Helper()
+	sf, err := ParseShardScenario(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(Config{
 		Shards: []ShardConfig{
 			{Nodes: 4, BudgetW: 320, Sigma: 0.02, Seed: 100, Policy: jobsched.Backfill, Reallocate: true},
 			{Nodes: 4, BudgetW: 1200, Sigma: 0.02, Seed: 101, Policy: jobsched.Backfill, Reallocate: true},
 			{Nodes: 4, BudgetW: 1200, Sigma: 0.02, Seed: 102, Policy: jobsched.Backfill, Reallocate: true},
 		},
-		Routing: Locality,
-		Lending: Lending{Enabled: true, TTL: 500, QuantumW: 60},
+		Routing:     Locality,
+		Lending:     Lending{Enabled: true, TTL: 500, QuantumW: 60},
+		ShardFaults: sf,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	key0, _ := localityKeys(t, 3)
+	mix := apps()
+	for i := 0; i < 12; i++ {
+		if err := f.ScheduleArrivalPri(float64(i)*15, fmt.Sprintf("j%02d", i), mix[i%len(mix)], key0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return f
+}
+
+// TestChaosOrphanReclaim: with lending hot and crashes frequent, leases
+// orphan and every one of them ends reclaimed with its watts returned —
+// shards sit back at entitlement after the drain.
+func TestChaosOrphanReclaim(t *testing.T) {
 	var orphaned int
 	for seed := uint64(1); seed <= 6 && orphaned == 0; seed++ {
-		sf, err := ParseShardScenario(fmt.Sprintf("crash-mtbf=220,mttr=80,seed=%d", seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.ShardFaults = sf
-		f, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Pin a burst onto shard 0 so it borrows from the idle shards.
-		key0, _ := localityKeys(t, 3)
-		mix := apps()
-		for i := 0; i < 12; i++ {
-			if err := f.ScheduleArrivalPri(float64(i)*15, fmt.Sprintf("j%02d", i), mix[i%len(mix)], key0, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
+		f := lendingTrio(t, fmt.Sprintf("crash-mtbf=220,mttr=80,seed=%d", seed))
 		if err := f.Run(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -395,6 +402,162 @@ func TestChaosOrphanReclaim(t *testing.T) {
 	}
 	if orphaned == 0 {
 		t.Error("no lease was ever orphaned across the seeds; reclaim path untested")
+	}
+}
+
+// TestForcedReclaimSchedule pins the forced-reclaim path: with outages
+// far longer than the probe schedule, every orphaned lease fails
+// recallRetries probes and the next one force-reclaims it, at exactly
+// graceTTL plus the recallDelay of each failed probe after it was
+// orphaned.
+func TestForcedReclaimSchedule(t *testing.T) {
+	orphaned := 0
+	for seed := uint64(1); seed <= 6; seed++ {
+		f := lendingTrio(t, fmt.Sprintf("crash-mtbf=220,mttr=5000,seed=%d", seed))
+		if err := f.Run(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		chaosInvariants(t, fmt.Sprintf("seed=%d", seed), f, 12)
+		for _, l := range f.Leases() {
+			if l.State != LeaseReclaimed {
+				continue
+			}
+			orphaned++
+			if !l.Forced || l.Attempts != recallRetries+1 {
+				t.Errorf("seed %d: lease %d reclaimed after %d probes, forced %v; want forced after %d",
+					seed, l.ID, l.Attempts, l.Forced, recallRetries+1)
+			}
+			want := l.OrphanedAt + graceTTL
+			for k := 1; k <= recallRetries; k++ {
+				want += f.recallDelay(l.ID, k)
+			}
+			if l.SettledAt != want {
+				t.Errorf("seed %d: lease %d orphaned at %.9f settled at %.9f, want %.9f",
+					seed, l.ID, l.OrphanedAt, l.SettledAt, want)
+			}
+		}
+	}
+	if orphaned == 0 {
+		t.Error("no lease was ever orphaned across the seeds; forced reclaim untested")
+	}
+}
+
+// TestOnePendingEventRule: a lease holds one pending event — its
+// expiry while active, its next recall probe while orphaned, none once
+// settled — and a shard holds only its own pending crash and partition
+// start, or its heal while partitioned. The engine recycles fired and
+// cancelled events, so a handle kept past its event would cancel some
+// other component's event. Conversely no federation event outlives its
+// owner: while no shard is down or rejoining (their recover and rejoin
+// events have no handle), the engine's next event is the earliest of
+// the next arrival and the held events. The rule is checked after every
+// step and after the drain.
+func TestOnePendingEventRule(t *testing.T) {
+	for _, spec := range []string{
+		"crash-mtbf=300,mttr=120,part-mtbf=400,part-dur=80,seed=9",
+		"crash-mtbf=200,mttr=300,seed=4",
+		"part-mtbf=150,part-dur=100,seed=6",
+	} {
+		f, err := New(chaosConfig(t, true, spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace := scheduleTrace(t, f, 13, 64, 5)
+		check := func(when string) {
+			t.Helper()
+			owned := func(what string, ev *des.Event, kind uint16) {
+				t.Helper()
+				if ev == nil || !ev.Pending() || ev.Kind != kind {
+					t.Fatalf("%s %s: %s does not hold its pending event of kind %d", spec, when, what, kind)
+				}
+			}
+			for _, l := range f.Leases() {
+				switch l.State {
+				case LeaseActive:
+					owned(fmt.Sprintf("active lease %d", l.ID), l.next, fevLeaseExpiry)
+					if l.next.Time != l.ExpiresAt {
+						t.Fatalf("%s %s: lease %d expires at %g, its event is at %g", spec, when, l.ID, l.ExpiresAt, l.next.Time)
+					}
+				case LeaseOrphaned:
+					owned(fmt.Sprintf("orphaned lease %d", l.ID), l.next, fevLeaseRecall)
+				default:
+					if l.next != nil {
+						t.Fatalf("%s %s: %s lease %d still holds an event", spec, when, l.State, l.ID)
+					}
+				}
+			}
+			unhealthy, recovering := 0, false
+			held := math.Inf(1)
+			if n := f.ArrivalsPending(); n > 0 {
+				held = trace[len(trace)-n].arrival
+			}
+			for _, l := range f.Leases() {
+				if l.next != nil {
+					held = math.Min(held, l.next.Time)
+				}
+			}
+			for _, sh := range f.Shards() {
+				for _, ev := range []*des.Event{sh.crashEv, sh.partEv} {
+					if ev != nil {
+						held = math.Min(held, ev.Time)
+					}
+				}
+				recovering = recovering || sh.health == ShardDown || sh.health == ShardRejoining
+				what := fmt.Sprintf("%s shard %d", sh.health, sh.ID)
+				if sh.crashEv != nil {
+					owned(what+"'s crash", sh.crashEv, fevShardCrash)
+				}
+				switch sh.health {
+				case ShardDown, ShardRejoining:
+					if sh.crashEv != nil || sh.partEv != nil {
+						t.Fatalf("%s %s: %s holds a crash or partition event", spec, when, what)
+					}
+				case ShardPartitioned:
+					owned(what+"'s heal", sh.partEv, fevShardHeal)
+				default:
+					if sh.partEv != nil {
+						owned(what+"'s partition", sh.partEv, fevShardPartition)
+					}
+				}
+				if sh.health != ShardHealthy {
+					unhealthy++
+				}
+			}
+			if f.unhealthy != unhealthy {
+				t.Fatalf("%s %s: unhealthy count %d, %d shards are not healthy", spec, when, f.unhealthy, unhealthy)
+			}
+			next, ok := f.eng.Next()
+			if !ok {
+				next = math.Inf(1)
+			}
+			if !recovering && next != held {
+				t.Fatalf("%s %s: the next federation event is at %g, the earliest held one at %g", spec, when, next, held)
+			}
+		}
+		for steps := 0; ; steps++ {
+			ok, err := f.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			check(fmt.Sprintf("step %d", steps))
+		}
+		if err := f.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		check("after Drain")
+		chaosInvariants(t, spec, f, 64)
+		orphaned := 0
+		for _, l := range f.Leases() {
+			if l.State == LeaseReclaimed {
+				orphaned++
+			}
+		}
+		if downs, parts := f.ShardFaultStats(); downs+parts == 0 || orphaned == 0 {
+			t.Errorf("%s: %d crashes, %d partitions, %d orphaned leases; the shape tests nothing", spec, downs, parts, orphaned)
+		}
 	}
 }
 
@@ -469,10 +632,20 @@ func TestRoutingAvoidsUnhealthyShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// setHealth puts the shards in the given states, keeping the
+	// unhealthy count pickShard reads.
+	setHealth := func(hs ...ShardHealth) {
+		f.unhealthy = 0
+		for i, h := range hs {
+			f.shards[i].health = h
+			if h != ShardHealthy {
+				f.unhealthy++
+			}
+		}
+	}
 	for _, pol := range []Policy{LeastLoaded, PowerHeadroom} {
 		f.cfg.Routing = pol
-		f.sfaults.health = []ShardHealth{ShardHealthy, ShardHealthy, ShardHealthy}
-		f.sfaults.health[0] = ShardDown
+		setHealth(ShardDown, ShardHealthy, ShardHealthy)
 		if got := f.pickShard(&fedArrival{id: "x"}); got == 0 {
 			t.Errorf("%s routed to the down shard", pol)
 		}
@@ -486,16 +659,16 @@ func TestRoutingAvoidsUnhealthyShards(t *testing.T) {
 			key = k
 		}
 	}
-	f.sfaults.health = []ShardHealth{ShardHealthy, ShardDown, ShardHealthy}
+	setHealth(ShardHealthy, ShardDown, ShardHealthy)
 	if got := f.pickShard(&fedArrival{id: "x", key: key}); got != 2 {
 		t.Errorf("locality probe picked %d, want 2", got)
 	}
-	f.sfaults.health[2] = ShardPartitioned
+	setHealth(ShardHealthy, ShardDown, ShardPartitioned)
 	if got := f.pickShard(&fedArrival{id: "x", key: key}); got != 0 {
 		t.Errorf("locality probe picked %d, want 0", got)
 	}
 	// Nothing routable: fall back to the health-blind home shard.
-	f.sfaults.health[0] = ShardRejoining
+	setHealth(ShardRejoining, ShardDown, ShardPartitioned)
 	if got := f.pickShard(&fedArrival{id: "x", key: key}); got != 1 {
 		t.Errorf("all-unhealthy fallback picked %d, want home shard 1", got)
 	}

@@ -1,8 +1,9 @@
 #!/bin/sh
 # fed_chaos_smoke.sh — drive a 16-shard federation with the shard-fault
 # stream armed (crashes + broker-link partitions) through cmd/clipfed on
-# a fixed seed: require a clean degraded-mode audit, zero lost jobs and
-# actual fault/evacuation activity, and a decision-only event ring
+# a fixed seed: require a clean degraded-mode audit, zero lost jobs,
+# actual fault/evacuation activity, orphaned leases with at least one
+# forced reclaim and none outstanding, and a decision-only event ring
 # (rebalances retained, no per-handler state snapshots); then
 # byte-compare a repeat run and a `-workers 4` parallel run against the
 # serial one to pin the chaos determinism guarantee. Wired into
@@ -43,8 +44,10 @@ grep -q "evacuated" "$TMP/run1.out" || {
     cat "$TMP/run1.out" >&2
     exit 1
 }
-grep -q ", 0 outstanding" "$TMP/run1.out" || {
-    echo "fed chaos smoke: orphaned leases left outstanding" >&2
+# Both settlement paths of the orphan reclaim must run: at least one
+# lease orphaned, at least one of them force-reclaimed, none left over.
+grep -Eq "^orphan reclaim: [1-9][0-9]* leases orphaned, [0-9]+ reclaimed \([1-9][0-9]* forced\), 0 outstanding$" "$TMP/run1.out" || {
+    echo "fed chaos smoke: no orphaned lease, no forced reclaim, or leases left outstanding" >&2
     cat "$TMP/run1.out" >&2
     exit 1
 }
