@@ -4,8 +4,8 @@
 #   make test    — tier-1: the full test suite
 #   make check   — tier-2: build + vet + the benchmark module's vet and tests +
 #                  race tests + dispatch, scenario, search, id-index and placement fuzz + bench smoke + docs
-#                  lint + telemetry and stdout identity against the parent commit, then the
-#                  paired perf gate against it
+#                  lint + the arm64 fused multiply-add site count + telemetry and stdout
+#                  identity against the parent commit, then the paired perf gate against it
 #   make docs    — gofmt + vet + godoc-coverage lint and the check that
 #                  DOC_FILES name real code (cmd/doclint)
 #   make bench   — hot-path benchmarks + suite wall time -> BENCH_results.json
@@ -47,6 +47,7 @@ check:
 	./scripts/fed_smoke.sh
 	./scripts/fed_chaos_smoke.sh
 	$(MAKE) docs
+	./scripts/fma_sites.sh
 	./scripts/telemetry_identity.sh
 	./scripts/bench_compare.sh
 

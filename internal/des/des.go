@@ -225,7 +225,7 @@ func (e *Engine) At(t float64, h Handler, kind uint16, arg uint64) (*Event, erro
 
 // After schedules h.HandleEvent(kind, arg) dt seconds from now.
 func (e *Engine) After(dt float64, h Handler, kind uint16, arg uint64) (*Event, error) {
-	return e.At(e.now+dt, h, kind, arg)
+	return e.At(e.now+float64(dt), h, kind, arg) // float64(): no FMA with an inlined dt = a*b
 }
 
 // Reset rewinds the engine to time zero for reuse by a fresh run:

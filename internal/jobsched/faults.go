@@ -1,25 +1,29 @@
 package jobsched
 
-// Degraded-mode scheduling: this file wires internal/faults into the
-// multi-job runtime. Crash, excursion and straggler events are drawn
-// from the scenario's deterministic per-node streams and scheduled on
+// Degraded-mode scheduling: this file is the node fault layer of the
+// multi-job runtime. Each node's nodeFault record holds its health, its
+// crash count and its three seeded fault streams (crash, excursion,
+// straggler), cut by faults.Streams from the scenario seed so a node's
+// draws never depend on another node's. Drawn events are scheduled on
 // the des timeline; their handlers kill and re-enqueue affected jobs
-// (capped exponential backoff, MaxRetries), reclaim and redistribute
-// the freed power, quarantine crashed nodes out of the free list until
-// recovery, emergency-re-cap jobs hit by a power excursion (reserving
-// the derated node's cut so it cannot be double-granted), and stretch
-// iteration times on straggling nodes. A per-node circuit breaker
-// drains nodes that crash repeatedly. Pending fault events are
-// cancelled once the last job completes so the engine drains at the
-// true makespan.
+// (capped exponential backoff with stateless jitter, MaxRetries),
+// reclaim and redistribute the freed power, quarantine crashed nodes
+// out of the free list until recovery, emergency-re-cap jobs hit by a
+// power excursion (reserving the derated node's cut so it cannot be
+// double-granted), and stretch iteration times on straggling nodes. A
+// per-node circuit breaker drains nodes that crash more than
+// CrashLimit times. Pending fault events are cancelled once the last
+// job completes so the engine drains at the true makespan.
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/des"
 	"repro/internal/faults"
 	"repro/internal/power"
+	"repro/internal/rng"
 	"repro/internal/telemetry"
 )
 
@@ -108,31 +112,77 @@ type FaultStats struct {
 	WattsReclaimed float64
 }
 
-// nodeFault is one node's fault-layer state. Its zero value is a
-// healthy, idle node at full speed and budget with no event pending,
-// so initFaults needs no per-node initialisation.
+// nodeHealth is a node's position in the failure state machine.
+type nodeHealth uint8
+
+const (
+	// nodeHealthy nodes accept placements.
+	nodeHealthy nodeHealth = iota
+	// nodeQuarantined nodes crashed and stay out of placement until
+	// their recovery event fires.
+	nodeQuarantined
+	// nodeDrained nodes tripped the circuit breaker (more than
+	// CrashLimit crashes) and never return to service.
+	nodeDrained
+)
+
+// String gives the health as NodeState.Health reports it.
+func (h nodeHealth) String() string {
+	switch h {
+	case nodeQuarantined:
+		return "quarantined"
+	case nodeDrained:
+		return "drained"
+	default:
+		return "healthy"
+	}
+}
+
+// Stream salts: one independent stream per (fault class, node), and the
+// backoff jitter's per-(job, attempt) draws.
+const (
+	saltCrash     = 0x435241534855_0001 // "CRASHU"
+	saltExcursion = 0x455843555253_0002
+	saltStraggler = 0x535452414747_0003
+	saltBackoff   = 0x4241434b4f46_0004
+)
+
+// nodeFault is one node's fault-layer state. initFaults gives it its
+// three streams; the rest of its zero value is a healthy, idle node at
+// full speed and budget with no event pending.
 type nodeFault struct {
 	resident *runningJob // the job running on the node, nil when idle
-	straggle float64     // active slowdown factor; at most 1 means none (jobFactor)
-	derated  bool        // an excursion is active
-	reserved float64     // watts held back by the active excursion
+	health   nodeHealth
+	crashes  int     // crashes so far, for the circuit breaker
+	straggle float64 // active slowdown factor; at most 1 means none (jobFactor)
+	derated  bool    // an excursion is active
+	reserved float64 // watts held back by the active excursion
 	// pending holds the next event of each of the node's three streams:
 	// crash, excursion and straggler, index (kind-evkCrash)/2.
-	pending   [3]*des.Event
-	excursion faults.Excursion // the drawn excursion
-	straggler faults.Straggler // the drawn straggler episode
+	pending [3]*des.Event
+	// The crash stream alternates crash delays and repair times; the
+	// excursion and straggler streams draw an episode's delay, then its
+	// fraction or factor, then its duration.
+	crash, exc, strag     *rng.Source
+	excFrac, excDur       float64 // the drawn excursion
+	stragFactor, stragDur float64 // the drawn straggler episode
 }
 
 // boundSlack absorbs floating-point rounding in the bound invariant.
 const boundSlack = 1e-6
 
-// initFaults arms the injector, allocates one zero (healthy) fault
-// record per node and schedules the first event of every per-node
-// fault stream.
+// initFaults keeps the normalized scenario sc, gives every node a
+// healthy fault record with its three streams and schedules the first
+// event of each stream.
 func (st *schedState) initFaults(sc faults.Scenario, nodes int) {
-	st.inj = faults.NewInjector(sc, nodes)
+	st.fsc = &sc
 	st.nodes = make([]nodeFault, nodes)
-	for i := 0; i < nodes; i++ {
+	crash := faults.Streams(sc.Seed, saltCrash, nodes)
+	exc := faults.Streams(sc.Seed, saltExcursion, nodes)
+	strag := faults.Streams(sc.Seed, saltStraggler, nodes)
+	for i := range st.nodes {
+		n := &st.nodes[i]
+		n.crash, n.exc, n.strag = crash[i], exc[i], strag[i]
 		st.scheduleNextCrash(i)
 		st.scheduleNextExcursion(i)
 		st.scheduleNextStraggler(i)
@@ -196,7 +246,7 @@ func (st *schedState) stopFaults() {
 // submissions, so its streams keep running until an explicit Drain.
 func (st *schedState) jobDone() {
 	st.jobsLeft--
-	if st.jobsLeft == 0 && st.inj != nil && !st.faultsStopped && !st.online {
+	if st.jobsLeft == 0 && st.nodes != nil && !st.faultsStopped && !st.online {
 		st.stopFaults()
 	}
 }
@@ -216,15 +266,8 @@ func (st *schedState) logFault(kind string, node int, job string, watts float64,
 // not under an active power excursion. Without fault injection every
 // node is placeable.
 func (st *schedState) placeable(id int) bool {
-	if st.inj == nil {
-		return true
-	}
-	return st.inj.Health(id) == faults.Healthy && !st.nodeDerated(id)
+	return st.nodes == nil || st.nodes[id].health == nodeHealthy && !st.nodes[id].derated
 }
-
-// nodeDerated reports whether an excursion currently holds part of the
-// node's budget in reserve.
-func (st *schedState) nodeDerated(id int) bool { return st.nodes != nil && st.nodes[id].derated }
 
 // freeHas reports whether id is in the (ascending) free list.
 func (st *schedState) freeHas(id int) bool {
@@ -256,7 +299,7 @@ func (st *schedState) syncNode(id int) {
 // returns the placeable subset to the free list (quarantined, drained
 // and derated nodes stay out until their own recovery events).
 func (st *schedState) releaseNodes(ids []int) {
-	if st.inj == nil {
+	if st.nodes == nil {
 		st.returnFree(ids)
 		return
 	}
@@ -274,7 +317,7 @@ func (st *schedState) releaseNodes(ids []int) {
 // the worst straggler factor across its nodes (barrier-synchronised
 // iterations run at the slowest node's pace).
 func (st *schedState) jobFactor(rj *runningJob) float64 {
-	if st.inj == nil {
+	if st.nodes == nil {
 		return 1
 	}
 	f := 1.0
@@ -288,48 +331,61 @@ func (st *schedState) jobFactor(rj *runningJob) float64 {
 
 // --- crash / recovery ---------------------------------------------------
 
-// scheduleNextCrash draws and schedules the node's next crash.
+// scheduleNextCrash draws and schedules the node's next crash, unless
+// crashes are off or the node is drained.
 func (st *schedState) scheduleNextCrash(i int) {
-	dt, ok := st.inj.NextCrash(i)
-	if !ok {
+	n := &st.nodes[i]
+	if st.fsc.CrashMTBF <= 0 || n.health == nodeDrained {
 		return
 	}
-	st.scheduleFault(dt, evkCrash, i)
+	st.scheduleFault(n.crash.Exp(st.fsc.CrashMTBF), evkCrash, i)
 }
 
 // nodeCrash handles a node-crash event: the resident job (if any) is
 // killed for retry with its power reclaimed, the node is quarantined —
-// or drained when the circuit breaker trips — and recovery is
-// scheduled.
+// or drained when its crash count exceeds CrashLimit — and recovery is
+// scheduled, its repair time the crash stream's next draw.
 func (st *schedState) nodeCrash(i int) {
 	st.accountPower()
 	st.m.faultsInjected.Inc()
 	st.stats.Faults.Injected++
 	st.stats.Faults.Crashes++
-	h := st.inj.RecordCrash(i)
-	st.logFault("crash", i, "", 0, fmt.Sprintf("crash #%d", st.inj.Crashes(i)))
-	if h == faults.Drained {
-		st.logFault("drain", i, "", 0, fmt.Sprintf("circuit breaker: %d crashes exceed limit", st.inj.Crashes(i)))
+	n := &st.nodes[i]
+	n.crashes++
+	n.health = nodeQuarantined
+	st.unhealthy++
+	st.logFault("crash", i, "", 0, fmt.Sprintf("crash #%d", n.crashes))
+	if n.crashes > st.fsc.CrashLimit {
+		n.health = nodeDrained
+		st.drained++
+		st.logFault("drain", i, "", 0, fmt.Sprintf("circuit breaker: %d crashes exceed limit", n.crashes))
 	}
-	if rj := st.nodes[i].resident; rj != nil {
+	if rj := n.resident; rj != nil {
 		st.killJob(rj, i, fmt.Sprintf("node %d crashed", i))
 	}
 	st.syncNode(i)
-	if h == faults.Drained {
-		if st.inj.AllDrained() {
+	if n.health == nodeDrained {
+		if st.allDrained() {
 			st.failQueued("no nodes left: entire cluster drained")
 		}
 	} else {
-		st.scheduleFault(st.inj.RecoveryDelay(i), evkRecover, i)
+		st.scheduleFault(n.crash.Exp(st.fsc.MTTR), evkRecover, i)
 	}
 	st.reconcile("crash", st.s.Config.Reallocate)
 }
 
+// allDrained reports whether every node has been drained: no job can
+// ever run again.
+func (st *schedState) allDrained() bool { return st.nodes != nil && st.drained == len(st.nodes) }
+
 // nodeRecover returns a quarantined node to service.
 func (st *schedState) nodeRecover(i int) {
-	if !st.inj.Recover(i) {
+	n := &st.nodes[i]
+	if n.health != nodeQuarantined {
 		return
 	}
+	n.health = nodeHealthy
+	st.unhealthy--
 	st.logFault("recover", i, "", 0, "")
 	st.syncNode(i)
 	st.scheduleNextCrash(i)
@@ -348,7 +404,7 @@ func (st *schedState) killJob(rj *runningJob, node int, cause string) {
 	st.m.wattsReclaimed.Add(reclaimed)
 	st.logFault("kill", node, id, reclaimed, cause)
 
-	if int(rec.retries) >= st.inj.MaxRetries() {
+	if int(rec.retries) >= max(0, st.fsc.MaxRetries) {
 		// The final kill is not re-tried; report only completed retries.
 		st.failJob(rec, fmt.Sprintf("%s; %d retries exhausted", cause, rec.retries))
 		return
@@ -356,7 +412,7 @@ func (st *schedState) killJob(rj *runningJob, node int, cause string) {
 	rec.retries++
 	st.m.jobsRetried.Inc()
 	st.stats.Faults.Retries++
-	backoff := st.inj.Backoff(id, int(rec.retries))
+	backoff := st.retryDelay(id, int(rec.retries))
 	ev, err := st.eng.After(backoff, st, evkRequeue, uint64(rec.idx))
 	if err != nil {
 		st.failure = err
@@ -367,10 +423,30 @@ func (st *schedState) killJob(rj *runningJob, node int, cause string) {
 	st.logFault("retry", -1, id, 0, fmt.Sprintf("attempt %d in %.2fs", rec.retries, backoff))
 }
 
+// retryDelay returns the backoff before a killed job's re-run attempt
+// (1-based): capped exponential growth from BackoffBase with a jitter
+// drawn from (seed, job, attempt) alone, so retries replay
+// byte-identically however events interleave. A negative JitterFrac
+// adds none.
+func (st *schedState) retryDelay(jobID string, attempt int) float64 {
+	return rng.Backoff(st.fsc.Seed^hashString(jobID), saltBackoff, attempt,
+		st.fsc.BackoffBase, st.fsc.BackoffCap, math.Max(0, st.fsc.JitterFrac))
+}
+
+// hashString is FNV-1a over s: the job id's share of its backoff seed.
+func hashString(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
 // requeue re-enqueues a killed job after its backoff delay.
 func (st *schedState) requeue(rec *jobRecord) {
 	delete(st.backoff, rec.idx)
-	if st.inj.AllDrained() {
+	if st.allDrained() {
 		st.failJob(rec, "no nodes left: entire cluster drained")
 		st.publishState()
 		return
@@ -406,14 +482,18 @@ func (st *schedState) failQueued(reason string) {
 // --- power excursions ---------------------------------------------------
 
 // scheduleNextExcursion draws and schedules the node's next power-cap
-// excursion.
+// excursion: its delay, then the fraction of the node's budget it
+// removes ([0.75, 1.25]× ExcursionFrac, at most 0.95), then its
+// duration.
 func (st *schedState) scheduleNextExcursion(i int) {
-	ex, ok := st.inj.NextExcursion(i)
-	if !ok {
+	if st.fsc.ExcursionMTBF <= 0 {
 		return
 	}
-	st.nodes[i].excursion = ex
-	st.scheduleFault(ex.After, evkExcursion, i)
+	n := &st.nodes[i]
+	after := n.exc.Exp(st.fsc.ExcursionMTBF)
+	n.excFrac = math.Min(0.95, st.fsc.ExcursionFrac*n.exc.Range(0.75, 1.25))
+	n.excDur = st.fsc.ExcursionDur * n.exc.Range(0.5, 1.5)
+	st.scheduleFault(after, evkExcursion, i)
 }
 
 // excursionStart handles the transient power-cap excursion drawn for
@@ -422,7 +502,7 @@ func (st *schedState) scheduleNextExcursion(i int) {
 // when the derated plan is infeasible); an idle node is withheld from
 // placement for the duration.
 func (st *schedState) excursionStart(i int) {
-	frac, dur := st.nodes[i].excursion.Frac, st.nodes[i].excursion.Dur
+	frac, dur := st.nodes[i].excFrac, st.nodes[i].excDur
 	st.accountPower()
 	st.m.faultsInjected.Inc()
 	st.stats.Faults.Injected++
@@ -466,14 +546,16 @@ func (st *schedState) recapJob(rj *runningJob, node int, frac float64) {
 	rj.progressTo(st.eng.Now())
 	n := float64(len(rj.nodeIDs))
 	cut := old.Total() - b.Total()
-	released := cut * (n - 1)
+	// float64() rounds each product, so no platform fuses it into the
+	// sum below (scripts/fma_sites.sh).
+	released := float64(cut * (n - 1))
 	st.nodes[node].reserved += cut
 	st.freeW += released
 	// Subtract the delta rather than assigning b.Total()*n: under
 	// variability-aware coordination the per-node budgets differ, so
 	// powerUsed (the plan's true total) is not PerNode[0].Total()*n and
 	// an absolute rewrite would mint or destroy watts.
-	rj.powerUsed -= cut * n
+	rj.powerUsed -= float64(cut * n)
 	rj.perNode = b
 	rj.baseIterTime = newIter
 	rj.iterTime = newIter
@@ -503,21 +585,24 @@ func (st *schedState) excursionEnd(i int) {
 // --- stragglers ---------------------------------------------------------
 
 // scheduleNextStraggler draws and schedules the node's next slowdown
-// episode.
+// episode: its delay, then its factor (1 + [0.5, 1.5]× the mean
+// excess of StragglerFactor), then its duration.
 func (st *schedState) scheduleNextStraggler(i int) {
-	sg, ok := st.inj.NextStraggler(i)
-	if !ok {
+	if st.fsc.StragglerMTBF <= 0 {
 		return
 	}
-	st.nodes[i].straggler = sg
-	st.scheduleFault(sg.After, evkStraggler, i)
+	n := &st.nodes[i]
+	after := n.strag.Exp(st.fsc.StragglerMTBF)
+	n.stragFactor = 1 + float64((st.fsc.StragglerFactor-1)*n.strag.Range(0.5, 1.5)) // float64(): no fused multiply-add
+	n.stragDur = st.fsc.StragglerDur * n.strag.Range(0.5, 1.5)
+	st.scheduleFault(after, evkStraggler, i)
 }
 
 // stragglerStart slows node i down by its drawn episode's factor for
 // the episode's duration; a resident job's iteration time stretches to
 // the worst factor across its nodes.
 func (st *schedState) stragglerStart(i int) {
-	factor, dur := st.nodes[i].straggler.Factor, st.nodes[i].straggler.Dur
+	factor, dur := st.nodes[i].stragFactor, st.nodes[i].stragDur
 	st.m.faultsInjected.Inc()
 	st.stats.Faults.Injected++
 	st.stats.Faults.Stragglers++
@@ -596,11 +681,7 @@ func (st *schedState) assertBound(where string) {
 // carry this state: Online.Cluster returns the bound's decomposition
 // atomically, and assertBound checks it at every state change.
 func (st *schedState) publishState() {
-	quar := 0
-	if st.inj != nil {
-		quar = st.inj.Unhealthy()
-	}
 	st.m.queueDepth.Set(float64(st.qlive))
 	st.m.freeWatts.Set(st.freeW)
-	st.m.quarantined.Set(float64(quar))
+	st.m.quarantined.Set(float64(st.unhealthy))
 }

@@ -415,20 +415,155 @@ func TestRingHoldsDecisionsOnly(t *testing.T) {
 
 // TestBackoffJitterOff: jitter=-1 survives the Normalized that New's run
 // state applies to an already-parsed scenario, so every retry delay is
-// the unjittered min(backoff·2^(k−1), backoff-cap).
+// the unjittered min(backoff·2^(k−1), backoff-cap). With the default
+// jitter each delay lies in [base, base·(1+jitter)], repeats for the
+// same (job, attempt) and differs between jobs.
 func TestBackoffJitterOff(t *testing.T) {
-	sc, err := faults.Parse("crash-mtbf=100,backoff=3,backoff-cap=50,jitter=-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := sched(t, Config{Bound: 1400, Policy: AggressiveBackfill, Faults: sc}).newState(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 1; k <= 8; k++ {
-		want := math.Min(3*math.Pow(2, float64(k-1)), 50)
-		if got := st.inj.Backoff("j00", k); got != want {
-			t.Errorf("attempt %d: delay %g, want %g", k, got, want)
+	for _, spec := range []string{
+		"crash-mtbf=100,backoff=3,backoff-cap=50,jitter=-1",
+		"crash-mtbf=100,backoff=3,backoff-cap=50",
+	} {
+		sc, err := faults.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
 		}
+		st, err := sched(t, Config{Bound: 1400, Policy: AggressiveBackfill, Faults: sc}).newState(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 1; k <= 8; k++ {
+			base := math.Min(3*math.Pow(2, float64(k-1)), 50)
+			got := st.retryDelay("j00", k)
+			if sc.JitterFrac < 0 {
+				if got != base {
+					t.Errorf("%s: attempt %d: delay %g, want %g", spec, k, got, base)
+				}
+				continue
+			}
+			if hi := base * (1 + sc.JitterFrac); got < base || got > hi {
+				t.Errorf("%s: attempt %d: delay %g outside [%g, %g]", spec, k, got, base, hi)
+			}
+			if again := st.retryDelay("j00", k); again != got {
+				t.Errorf("%s: attempt %d: delay %g, then %g for the same job", spec, k, got, again)
+			}
+			if other := st.retryDelay("j01", k); other == got {
+				t.Errorf("%s: attempt %d: jobs j00 and j01 drew the same delay %g", spec, k, got)
+			}
+		}
+	}
+}
+
+// TestNodeCrashStreamMatchesOracle: each node's crash, recover and
+// drain times in an online session's fault log equal an oracle that
+// walks the node's crash stream alone — faults.Streams(seed, saltCrash,
+// n)[k], alternating Exp(CrashMTBF) and Exp(MTTR) and draining at the
+// crash past CrashLimit — whatever jobs, excursions and stragglers do
+// meanwhile. The node's excursion and straggler times match a walk of
+// their own streams the same way. At the end every node's health and
+// the quarantined gauge agree with the oracle.
+func TestNodeCrashStreamMatchesOracle(t *testing.T) {
+	const horizon = 3000.0
+	apps := []*workload.Spec{workload.CoMD(), workload.SPMZ(), workload.TeaLeaf(), workload.MiniMD()}
+	// episodes walks an excursion or straggler stream: the delay from
+	// the previous episode's end, the fraction or factor, the duration.
+	episodes := func(src *rng.Source, mtbf, dur float64, kind string) (log []string) {
+		for at := 0.0; mtbf > 0; {
+			if at += src.Exp(mtbf); at > horizon {
+				break
+			}
+			src.Float64() // the fraction or factor
+			log = append(log, fmt.Sprintf("%s@%v", kind, at))
+			if at += dur * src.Range(0.5, 1.5); at > horizon {
+				break
+			}
+			log = append(log, fmt.Sprintf("%s-end@%v", kind, at))
+		}
+		return log
+	}
+	streamOf := map[string]string{"crash": "crash", "recover": "crash", "drain": "crash",
+		"excursion": "excursion", "excursion-end": "excursion",
+		"straggler": "straggler", "straggler-end": "straggler"}
+	for _, tc := range []struct {
+		name string
+		sc   faults.Scenario
+		jobs int
+	}{
+		{"crashes", faults.Scenario{Seed: 3, CrashMTBF: 300, MTTR: 40}, 0},
+		{"all-classes", faults.Scenario{Seed: 5, CrashMTBF: 300, MTTR: 30,
+			ExcursionMTBF: 200, StragglerMTBF: 150}, 12},
+		{"limit-2", faults.Scenario{Seed: 7, CrashMTBF: 400, MTTR: 30, CrashLimit: 2}, 0},
+		{"limit-none", faults.Scenario{Seed: 9, CrashMTBF: 1500, CrashLimit: -1, ExcursionMTBF: 200}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := tc.sc.Normalized()
+			n := len(testCl.Nodes)
+			want := map[string][]string{}
+			health := make([]string, n)
+			unhealthy, drains := 0, 0
+			exc := faults.Streams(sc.Seed, saltExcursion, n)
+			strag := faults.Streams(sc.Seed, saltStraggler, n)
+			for k, src := range faults.Streams(sc.Seed, saltCrash, n) {
+				crash := fmt.Sprintf("node %d crash", k)
+				health[k] = "healthy"
+				for at, crashes := 0.0, 0; ; {
+					if at += src.Exp(sc.CrashMTBF); at > horizon {
+						break
+					}
+					crashes++
+					want[crash] = append(want[crash], fmt.Sprintf("crash@%v", at))
+					health[k] = "quarantined"
+					if crashes > sc.CrashLimit {
+						want[crash] = append(want[crash], fmt.Sprintf("drain@%v", at))
+						health[k] = "drained"
+						drains++
+						break
+					}
+					if at += src.Exp(sc.MTTR); at > horizon {
+						break
+					}
+					want[crash] = append(want[crash], fmt.Sprintf("recover@%v", at))
+					health[k] = "healthy"
+				}
+				if health[k] != "healthy" {
+					unhealthy++
+				}
+				want[fmt.Sprintf("node %d excursion", k)] = episodes(exc[k], sc.ExcursionMTBF, sc.ExcursionDur, "excursion")
+				want[fmt.Sprintf("node %d straggler", k)] = episodes(strag[k], sc.StragglerMTBF, sc.StragglerDur, "straggler")
+			}
+			if drains == 0 {
+				t.Fatalf("no node drains by t=%g; the circuit breaker goes untested", horizon)
+			}
+
+			o := online(t, Config{Bound: 1400, Policy: AggressiveBackfill, Reallocate: true, Faults: &tc.sc})
+			for j := 0; j < tc.jobs; j++ {
+				if _, err := o.SubmitPri(fmt.Sprintf("j%02d", j), apps[j%len(apps)], 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := o.Advance(horizon); err != nil {
+				t.Fatal(err)
+			}
+			got := map[string][]string{}
+			for _, e := range o.st.stats.FaultLog {
+				if stream := streamOf[e.Kind]; stream != "" {
+					key := fmt.Sprintf("node %d %s", e.Node, stream)
+					got[key] = append(got[key], fmt.Sprintf("%s@%v", e.Kind, e.T))
+				}
+			}
+			for key, w := range want {
+				if g, w := strings.Join(got[key], " "), strings.Join(w, " "); g != w {
+					t.Errorf("%s stream in the fault log:\n got %s\nwant %s", key, g, w)
+				}
+			}
+			nodes := o.Cluster().Nodes
+			for k := 0; k < n; k++ {
+				if nodes[k].Health != health[k] {
+					t.Errorf("node %d is %s at t=%g, want %s", k, nodes[k].Health, horizon, health[k])
+				}
+			}
+			if g := o.st.m.quarantined.Value(); g != float64(unhealthy) {
+				t.Errorf("quarantined gauge %g, want %d nodes out of service", g, unhealthy)
+			}
+		})
 	}
 }

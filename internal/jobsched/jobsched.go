@@ -570,11 +570,14 @@ type schedState struct {
 	// fault streams outlive idle periods instead of stopping when the
 	// in-flight job count touches zero, and drain is explicit.
 	online bool
-	// fault injection (nil / unused without Config.Faults)
-	inj           *faults.Injector
-	nodes         []nodeFault // by node id
-	faultsStopped bool
-	jobsLeft      int // submitted jobs not yet finished or failed
+	// fault injection (nil / unused without Config.Faults): the
+	// normalized scenario, one fault record per node, and how many
+	// nodes are out of service (quarantined or drained) and drained.
+	fsc                *faults.Scenario
+	nodes              []nodeFault // by node id; nil means no faults
+	unhealthy, drained int
+	faultsStopped      bool
+	jobsLeft           int // submitted jobs not yet finished or failed
 }
 
 // jobsByStart orders final results by start time.
@@ -611,7 +614,7 @@ func (st *schedState) HandleEvent(kind uint16, arg uint64) {
 
 // newState builds the mutable run state shared by the batch Run and
 // the incremental Online driver: free-node and free-watts accumulators,
-// the armed fault injector, and the bound-schedule events. States are
+// the node fault records, and the bound-schedule events. States are
 // pooled on the Scheduler: a recycled state keeps its arenas, engine
 // freelist and placement cache warm.
 func (s *Scheduler) newState(online bool) (*schedState, error) {
@@ -691,8 +694,8 @@ func (st *schedState) reset(online bool) {
 	st.lastAccount, st.usedIntegral = 0, 0
 	st.failure = nil
 	st.online = online
-	st.inj = nil
-	st.nodes = nil
+	st.fsc, st.nodes = nil, nil
+	st.unhealthy, st.drained = 0, 0
 	st.faultsStopped = false
 	st.jobsLeft = 0
 }
@@ -903,7 +906,7 @@ func (st *schedState) accountPower() {
 // after the entire cluster has drained fails immediately — there is no
 // node it could ever run on.
 func (st *schedState) admit(rec *jobRecord) {
-	if st.inj != nil && st.inj.AllDrained() {
+	if st.allDrained() {
 		st.failJob(rec, "no nodes left: entire cluster drained")
 		return
 	}
@@ -1268,7 +1271,7 @@ func (st *schedState) tryStart(rec *jobRecord, e *dispatchEntry, deadline float6
 	rj.powerUsed = used
 	rj.live = true
 	st.nrunning++
-	if st.inj != nil {
+	if st.nodes != nil {
 		for _, g := range rj.nodeIDs {
 			st.nodes[g].resident = rj
 		}
@@ -1319,7 +1322,7 @@ func (st *schedState) finish(rj *runningJob) {
 	st.m.jobsFinished.Inc()
 	st.accountPower()
 	rec := &st.recs[rj.rec]
-	if st.inj != nil {
+	if st.nodes != nil {
 		// Under fault injection a completed job keeps its node ids, for
 		// quarantine audits: interned in the stats arena, not the slot's
 		// reusable buffer (no per-job allocation).

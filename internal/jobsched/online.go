@@ -553,9 +553,9 @@ func (o *Online) Cluster() ClusterState {
 	}
 	for i := range cs.Nodes {
 		ns := NodeState{ID: i, Health: "healthy", Job: resident[i]}
-		if st.inj != nil {
-			ns.Health = st.inj.Health(i).String()
-			ns.Derated = st.nodeDerated(i)
+		if st.nodes != nil {
+			ns.Health = st.nodes[i].health.String()
+			ns.Derated = st.nodes[i].derated
 		}
 		cs.Nodes[i] = ns
 	}
@@ -569,7 +569,7 @@ func (o *Online) Cluster() ClusterState {
 // queue is empty and every submitted job is terminal.
 func (o *Online) Drain() error {
 	st := o.st
-	if st.inj != nil && !st.faultsStopped {
+	if st.nodes != nil && !st.faultsStopped {
 		st.stopFaults()
 	}
 	// Fast-forward: each completion releases power and may start queued

@@ -146,7 +146,7 @@ func (st *schedState) planPreemption(app *workload.Spec, victims []*runningJob) 
 		for _, id := range v.nodeIDs {
 			// Mirror releaseNodes: only placeable nodes rejoin the pool
 			// under fault injection.
-			if st.inj == nil || st.placeable(id) {
+			if st.placeable(id) {
 				pool = append(pool, id)
 			}
 		}

@@ -257,7 +257,7 @@ func TestFailedPlanStampSeesFreeSet(t *testing.T) {
 		leave func(st *schedState)
 	}{
 		{"excursion-end", faults.Scenario{Seed: 1, ExcursionMTBF: 1e9}, func(st *schedState) {
-			st.nodes[7].excursion = faults.Excursion{Frac: 0.3, Dur: 5}
+			st.nodes[7].excFrac, st.nodes[7].excDur = 0.3, 5
 			st.excursionStart(7)
 		}},
 		{"recover", faults.Scenario{Seed: 1, CrashMTBF: 1e9, MTTR: 5}, func(st *schedState) {
@@ -335,7 +335,7 @@ func TestFailedPlanStampSeesRecap(t *testing.T) {
 	st := o.st
 	freeVer, freeW, watts := st.freeVer, st.freeW, st.slots[record(st, "l").run].powerUsed
 	stamped := st.stamped
-	st.nodes[0].excursion = faults.Excursion{Frac: 0.3, Dur: 5}
+	st.nodes[0].excFrac, st.nodes[0].excDur = 0.3, 5
 	st.excursionStart(0)
 	if st.freeVer != freeVer || st.freeW != freeW {
 		t.Fatalf("the re-cap moved the free set (version %d→%d) or the free watts (%v→%v)",

@@ -28,7 +28,7 @@ func (s *Source) Float64() float64 {
 
 // Range returns a uniform float64 in [lo, hi).
 func (s *Source) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.Float64()
+	return lo + float64((hi-lo)*s.Float64()) // float64(): no fused multiply-add
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
@@ -72,5 +72,5 @@ func Backoff(seed, salt uint64, attempt int, base, limit, jitter float64) float6
 		d = limit
 	}
 	u := New(Derive(seed, salt, attempt)).Float64()
-	return d * (1 + jitter*u)
+	return d * (1 + float64(jitter*u)) // float64(): no fused multiply-add
 }
