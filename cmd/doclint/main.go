@@ -4,15 +4,16 @@
 // that the markdown documents name real code: every backticked dotted
 // or mixed-case Go name in them must resolve to a declaration of the
 // Go code under the working directory (see checkDoc for what is out of
-// scope). It is the documentation tier of `make docs` / `make check`.
+// scope), and none may cite a ROADMAP item by number. It is the
+// documentation tier of `make docs` / `make check`.
 //
 // Usage:
 //
 //	doclint [-docs README.md,ARCHITECTURE.md] ./internal/telemetry ./internal/core
 //
 // Exit status is non-zero when any exported identifier is missing a
-// comment or any document names no declaration; each offender is
-// printed as file:line: name.
+// comment, any document names no declaration or cites a ROADMAP item
+// by number; each offender is printed as file:line: name.
 package main
 
 import (
@@ -56,7 +57,7 @@ func main() {
 			os.Exit(2)
 		}
 		if n > 0 {
-			fmt.Fprintf(os.Stderr, "doclint: %d backticked name(s) resolve to no declaration\n", n)
+			fmt.Fprintf(os.Stderr, "doclint: %d doc finding(s): backticked names that resolve to no declaration, or ROADMAP items cited by number\n", n)
 		}
 		bad += n
 	}
@@ -67,7 +68,7 @@ func main() {
 
 // lintDocs checks the named markdown files against the declarations of
 // the Go code under the working directory and reports the number of
-// unresolved names.
+// unresolved names and ROADMAP item citations.
 func lintDocs(files []string) (int, error) {
 	d, err := loadDecls(".")
 	if err != nil {

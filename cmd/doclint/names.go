@@ -156,6 +156,10 @@ var (
 	// dotted span such as `events[kind="rebalance"].per_node` a path into
 	// the report.
 	jsonKey = regexp.MustCompile(`^[a-z0-9]+(_[a-z0-9]+)+$`)
+	// roadmapItem is a citation of a ROADMAP item by number, which goes
+	// stale when the ROADMAP renumbers its items; a doc names the work
+	// in words instead. It may wrap across lines.
+	roadmapItem = regexp.MustCompile(`ROADMAP(?:'s)?\s+items?\s+[0-9]+`)
 )
 
 // lintDoc checks the markdown file at path, printing to w.
@@ -169,7 +173,8 @@ func lintDoc(d *decls, path string, w io.Writer) (int, error) {
 }
 
 // checkDoc reports, as path:line: `token`, every code span of a
-// markdown document that names no declaration, and returns their
+// markdown document that names no declaration and, as path:line:
+// citation, every ROADMAP item cited by number, and returns their
 // number. The code spans are the backticked ones outside fenced blocks
 // and the parenthesized names inside diagrams. A span is checked when
 // it is one dotted or mixed-case name; out of scope are all-lowercase
@@ -179,10 +184,12 @@ func lintDoc(d *decls, path string, w io.Writer) (int, error) {
 // the floating-point values NaN and Inf.
 func (d *decls) checkDoc(path string, r io.Reader, w io.Writer) (int, error) {
 	var bad int
+	var doc strings.Builder
 	fenced, diagram := false, false
 	sc := bufio.NewScanner(r)
 	for line := 1; sc.Scan(); line++ {
 		text := sc.Text()
+		doc.WriteString(text + "\n")
 		if fence, ok := strings.CutPrefix(strings.TrimSpace(text), "```"); ok {
 			fenced, diagram = !fenced, !fenced && fence == ""
 			continue
@@ -200,6 +207,12 @@ func (d *decls) checkDoc(path string, r io.Reader, w io.Writer) (int, error) {
 				bad++
 			}
 		}
+	}
+	text := doc.String()
+	for _, m := range roadmapItem.FindAllStringIndex(text, -1) {
+		cite := strings.Join(strings.Fields(text[m[0]:m[1]]), " ")
+		fmt.Fprintf(w, "%s:%d: %s (name the work in words)\n", path, 1+strings.Count(text[:m[0]], "\n"), cite)
+		bad++
 	}
 	return bad, sc.Err()
 }

@@ -73,6 +73,32 @@ func TestCheckDocReadsSpansAndDiagrams(t *testing.T) {
 	}
 }
 
+// TestCheckDocRejectsRoadmapItems: a ROADMAP item cited by number is
+// reported at the line it starts on, also when it wraps, in prose and
+// in a fenced block; ROADMAP named without a number is not.
+func TestCheckDocRejectsRoadmapItems(t *testing.T) {
+	d, err := repoDecls()
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := "Registries are (ROADMAP item 10).\n" +
+		"Duty cycling (see ROADMAP\nitem 9) and ROADMAP's items 3.\n" +
+		"The ROADMAP's open items and item 4 of a list.\n" +
+		"```sh\n# ROADMAP item 12\n```\n"
+	var out strings.Builder
+	n, err := d.checkDoc("doc.md", strings.NewReader(doc), &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "doc.md:1: ROADMAP item 10 (name the work in words)\n" +
+		"doc.md:2: ROADMAP item 9 (name the work in words)\n" +
+		"doc.md:3: ROADMAP's items 3 (name the work in words)\n" +
+		"doc.md:6: ROADMAP item 12 (name the work in words)\n"
+	if n != 4 || out.String() != want {
+		t.Errorf("checkDoc found %d:\n%s\nwant 4:\n%s", n, out.String(), want)
+	}
+}
+
 // TestDocsNameRealCode is the check make docs runs, on the documents
 // it names.
 func TestDocsNameRealCode(t *testing.T) {

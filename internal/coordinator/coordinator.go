@@ -96,7 +96,9 @@ const VariabilityThreshold = 0.03
 // see.
 const CommOverheadPerLog2 = 0.015
 
-// Decision is the cluster-level scheduling outcome.
+// Decision is the cluster-level scheduling outcome. core.CLIP caches
+// one per (application, bound) and hands it to every caller, so a
+// returned Decision and its Plan are read-only.
 type Decision struct {
 	Plan *plan.Plan
 	// NodeCfg is the node-level configuration underlying the plan.
@@ -113,14 +115,6 @@ type Decision struct {
 	// Sockets is the number of sockets the chosen configuration
 	// occupies per node.
 	Sockets int
-}
-
-// Clone returns a deep copy of the decision, so cached decisions can
-// be handed to callers that may annotate the plan.
-func (d *Decision) Clone() *Decision {
-	cp := *d
-	cp.Plan = d.Plan.Clone()
-	return &cp
 }
 
 // Coordinator computes cluster-level power allocation decisions.

@@ -70,9 +70,9 @@ func TestConcurrentSchedule(t *testing.T) {
 	}
 }
 
-// TestScheduleClonesCachedDecision verifies callers can mutate a
-// returned plan without corrupting the cache.
-func TestScheduleClonesCachedDecision(t *testing.T) {
+// TestScheduleSharesCachedDecision: a repeated request is served the
+// cached decision itself, read-only, and CLIP.Plan returns its plan.
+func TestScheduleSharesCachedDecision(t *testing.T) {
 	clip, err := New(hw.Haswell())
 	if err != nil {
 		t.Fatal(err)
@@ -82,26 +82,17 @@ func TestScheduleClonesCachedDecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := d1.Clone()
-	// Vandalise everything reachable from the first decision.
-	d1.Plan.NodeIDs[0] = 99
-	d1.Plan.PerNode[0].CPU = -1
-	d1.Plan.Cores = 0
-	d1.Plan.Notes = "scribbled"
-	if d1.Plan.PhaseCores != nil {
-		for k := range d1.Plan.PhaseCores {
-			d1.Plan.PhaseCores[k] = -7
-		}
-	}
 	d2, err := clip.Schedule(app, 1200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(d2.Plan, orig.Plan) {
-		t.Errorf("cached decision corrupted by caller mutation:\ngot  %+v\nwant %+v", d2.Plan, orig.Plan)
+	p, err := clip.Plan(clip.Cluster, app, 1200)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d2.Plan == d1.Plan {
-		t.Error("Schedule returned the same *Plan twice; cache must hand out clones")
+	if d1 != d2 || p != d1.Plan {
+		t.Errorf("repeated requests got decisions %p, %p and plan %p; want one cached decision %p and its plan",
+			d1, d2, p, d1)
 	}
 }
 

@@ -366,8 +366,8 @@ func (c *CLIP) fill(app *workload.Spec, fit bool) (*Advisor, error) {
 // total power bound (watts over the CPU+DRAM domains of all
 // participating nodes). Decisions are memoized per (application,
 // bound): repeated and concurrent requests share one
-// profile/predictor/coordination pass and then serve clones of the
-// cached decision, so callers may freely annotate the returned plan.
+// profile/predictor/coordination pass and then all receive the cached
+// decision itself, which callers must treat as read-only.
 func (c *CLIP) Schedule(app *workload.Spec, bound float64) (*coordinator.Decision, error) {
 	if !(bound > 0) {
 		// Rejected before the lookup: a NaN key never matches, so it
@@ -378,14 +378,14 @@ func (c *CLIP) Schedule(app *workload.Spec, bound float64) (*coordinator.Decisio
 	if d := e.d.Load(); d != nil {
 		c.m.decisionHits.Inc()
 		c.m.recordDecision(app.Name, bound, d, true)
-		return d.Clone(), nil
+		return d, nil
 	}
 	d, err := c.fillDecision(e, app, bound)
 	if err != nil {
 		return nil, err
 	}
 	c.m.recordDecision(app.Name, bound, d, false)
-	return d.Clone(), nil
+	return d, nil
 }
 
 // fillDecision returns e's decision, coordinating it unless another

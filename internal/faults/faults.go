@@ -1,8 +1,10 @@
 // Package faults holds the fault-scenario grammars and the seeded
 // streams fault injection draws from. Scenario is the node scenario —
-// crashes, power-cap excursions, stragglers, the retry schedule of
-// killed jobs and the per-node circuit breaker — that jobsched's node
-// fault layer runs, and its comma-separated key=value grammar
+// the mean times between crashes, power-cap excursions and stragglers,
+// and the mean repair time — that jobsched's node fault layer runs
+// (episode sizes, the retry schedule of killed jobs and the per-node
+// circuit breaker are jobsched's constants), and its comma-separated
+// key=value grammar
 // (ScenarioGrammar, on the generic Grammar of spec.go) is the one
 // `clipsim -faults` and `clipd -faults` parse. fed reuses Grammar for
 // its shard scenario.
@@ -13,11 +15,7 @@
 // 3's second crash time does not depend on whether node 5 ever crashed.
 package faults
 
-import (
-	"math"
-
-	"repro/internal/rng"
-)
+import "repro/internal/rng"
 
 // Scenario describes one fault-injection campaign. A zero MTBF disables
 // the corresponding fault class; all times are simulated seconds.
@@ -32,36 +30,9 @@ type Scenario struct {
 	// ExcursionMTBF is the per-node mean time between power-cap
 	// excursions; 0 disables excursions.
 	ExcursionMTBF float64
-	// ExcursionFrac is the mean fraction of the node's effective budget
-	// an excursion removes (drawn in [0.75, 1.25]× of this mean,
-	// clamped to 0.95).
-	ExcursionFrac float64
-	// ExcursionDur is the mean excursion duration.
-	ExcursionDur float64
 	// StragglerMTBF is the per-node mean time between straggler
 	// episodes; 0 disables stragglers.
 	StragglerMTBF float64
-	// StragglerFactor is the mean slowdown multiplier (>1) applied to
-	// iteration time while the episode lasts.
-	StragglerFactor float64
-	// StragglerDur is the mean straggler duration.
-	StragglerDur float64
-	// MaxRetries bounds how often a killed job is re-enqueued before it
-	// is reported failed; 0 means the default, negative means no retries
-	// at all.
-	MaxRetries int
-	// BackoffBase is the first retry delay; doubles per attempt.
-	BackoffBase float64
-	// BackoffCap caps the exponential retry delay.
-	BackoffCap float64
-	// JitterFrac adds a deterministic per-(job, attempt) jitter of up to
-	// this fraction on top of each backoff delay; 0 means the default,
-	// negative means no jitter.
-	JitterFrac float64
-	// CrashLimit is the per-node circuit breaker: a node whose crash
-	// count exceeds this limit is drained permanently; 0 means the
-	// default, negative drains on the first crash.
-	CrashLimit int
 }
 
 // Enabled reports whether any fault class is active.
@@ -72,29 +43,19 @@ func (sc *Scenario) Enabled() bool {
 // ScenarioGrammar is the node fault grammar: one row per key, in String
 // order. Parse, Normalized, Validate and String all read it.
 var ScenarioGrammar = Grammar[Scenario]{Prefix: "faults", Params: []Param[Scenario]{
-	{Key: "crash-mtbf", Float: func(s *Scenario) *float64 { return &s.CrashMTBF }, Hi: inf},
-	{Key: "mttr", Float: func(s *Scenario) *float64 { return &s.MTTR }, Rule: DefaultAtLo, Def: 30, Hi: inf},
-	{Key: "exc-mtbf", Float: func(s *Scenario) *float64 { return &s.ExcursionMTBF }, Hi: inf},
-	{Key: "exc-frac", Float: func(s *Scenario) *float64 { return &s.ExcursionFrac }, Rule: DefaultAtLo, Def: 0.3, Hi: 0.95},
-	{Key: "exc-dur", Float: func(s *Scenario) *float64 { return &s.ExcursionDur }, Rule: DefaultAtLo, Def: 20, Hi: inf},
-	{Key: "strag-mtbf", Float: func(s *Scenario) *float64 { return &s.StragglerMTBF }, Hi: inf},
-	{Key: "strag-factor", Float: func(s *Scenario) *float64 { return &s.StragglerFactor }, Rule: DefaultAtLo, Def: 1.5, Lo: 1, Hi: 100},
-	{Key: "strag-dur", Float: func(s *Scenario) *float64 { return &s.StragglerDur }, Rule: DefaultAtLo, Def: 15, Hi: inf},
-	{Key: "max-retries", Int: func(s *Scenario) *int { return &s.MaxRetries }, Rule: NegativeIsNone, Def: 3, Lo: -1, Hi: inf},
-	{Key: "backoff", Float: func(s *Scenario) *float64 { return &s.BackoffBase }, Rule: DefaultAtLo, Def: 2, Hi: inf},
-	{Key: "backoff-cap", Float: func(s *Scenario) *float64 { return &s.BackoffCap }, Rule: DefaultAtLo, Def: 60, Hi: inf},
-	{Key: "jitter", Float: func(s *Scenario) *float64 { return &s.JitterFrac }, Rule: NegativeIsNone, Def: 0.25, Lo: -1, Hi: 10},
-	{Key: "crash-limit", Int: func(s *Scenario) *int { return &s.CrashLimit }, Rule: NegativeIsNone, Def: 5, Lo: -1, Hi: inf},
-	{Key: "seed", Uint: func(s *Scenario) *uint64 { return &s.Seed }, Hi: inf},
+	{Key: "crash-mtbf", Float: func(s *Scenario) *float64 { return &s.CrashMTBF }},
+	{Key: "mttr", Float: func(s *Scenario) *float64 { return &s.MTTR }, Def: 30},
+	{Key: "exc-mtbf", Float: func(s *Scenario) *float64 { return &s.ExcursionMTBF }},
+	{Key: "strag-mtbf", Float: func(s *Scenario) *float64 { return &s.StragglerMTBF }},
+	{Key: "seed", Uint: func(s *Scenario) *uint64 { return &s.Seed }},
 }}
 
-var inf = math.Inf(1)
-
-// Normalized returns a copy with each key's zero/negative rule applied.
+// Normalized returns a copy with an MTTR at or below 0 replaced by the
+// default 30.
 func (sc *Scenario) Normalized() Scenario { return ScenarioGrammar.Normalized(*sc) }
 
-// Validate rejects a scenario with a value that is not finite or out of
-// range.
+// Validate rejects a scenario with a value that is not finite or is
+// negative.
 func (sc *Scenario) Validate() error { return ScenarioGrammar.Validate(sc) }
 
 // String renders every key at its value, a spec Parse reads back to sc.

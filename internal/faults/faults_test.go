@@ -16,8 +16,8 @@ func TestParseDefaultsAndRoundTrip(t *testing.T) {
 		t.Fatalf("parsed %+v", sc)
 	}
 	for _, p := range ScenarioGrammar.Params {
-		if p.Rule != Literal && p.value(sc) != p.Def {
-			t.Errorf("%s = %g, want its default %g", p.Key, p.value(sc), p.Def)
+		if p.Def != 0 && *p.Float(sc) != p.Def {
+			t.Errorf("%s = %g, want its default %g", p.Key, *p.Float(sc), p.Def)
 		}
 	}
 	if !sc.Enabled() {
@@ -31,13 +31,14 @@ func TestParseDefaultsAndRoundTrip(t *testing.T) {
 func FuzzScenarioRoundTrip(f *testing.F) {
 	for _, spec := range []string{
 		"crash-mtbf=120,seed=7",
-		"crash-mtbf=120,backoff=5,backoff-cap=90,jitter=0.3,crash-limit=2",
-		"exc-mtbf=60,exc-frac=NaN,seed=7",
-		"strag-mtbf=60,strag-factor=NaN",
-		"crash-mtbf=60,jitter=NaN",
-		"crash-mtbf=60,jitter=-1",
-		"crash-mtbf=60,mttr=-Inf,exc-mtbf=30,exc-dur=+Inf",
-		"max-retries=-4,crash-limit=-9,seed=18446744073709551615",
+		"crash-mtbf=120,mttr=45,exc-mtbf=300,strag-mtbf=90,seed=3",
+		"exc-mtbf=60,mttr=NaN,seed=7",
+		"strag-mtbf=NaN",
+		"crash-mtbf=60,mttr=-1",
+		"crash-mtbf=60,mttr=-Inf,exc-mtbf=30",
+		"crash-mtbf=+Inf,strag-mtbf=60",
+		"exc-mtbf=-4,seed=18446744073709551615",
+		"mttr=0,seed=18446744073709551615",
 	} {
 		f.Add(spec)
 	}
@@ -65,11 +66,20 @@ func TestParseErrors(t *testing.T) {
 		"crash-mtbf",
 		"crash-mtbf=abc",
 		"crash-mtbf=-5",
-		"exc-frac=0.99,exc-mtbf=10",
-		"jitter=99",
+		"crash-mtbf=60,mttr=-Inf",
+		"seed=-1",
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) should fail", spec)
+		}
+	}
+	// The episode sizes, retry schedule and circuit breaker are fixed,
+	// not keys.
+	for _, k := range []string{"exc-frac", "exc-dur", "strag-factor", "strag-dur",
+		"max-retries", "backoff", "backoff-cap", "jitter", "crash-limit"} {
+		_, err := Parse("crash-mtbf=120," + k + "=1")
+		if err == nil || !strings.Contains(err.Error(), "faults: unknown key \""+k+"\"") {
+			t.Errorf("Parse with %s: %v, want an unknown-key error", k, err)
 		}
 	}
 	_, err := Parse("bogus-key=1")
@@ -82,8 +92,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestScenarioStringListsEveryKey(t *testing.T) {
 	sc := (&Scenario{Seed: 3, CrashMTBF: 60}).Normalized()
-	const want = "crash-mtbf=60,mttr=30,exc-mtbf=0,exc-frac=0.3,exc-dur=20,strag-mtbf=0,strag-factor=1.5," +
-		"strag-dur=15,max-retries=3,backoff=2,backoff-cap=60,jitter=0.25,crash-limit=5,seed=3"
+	const want = "crash-mtbf=60,mttr=30,exc-mtbf=0,strag-mtbf=0,seed=3"
 	if got := sc.String(); got != want {
 		t.Fatalf("String() = %q\nwant       %q", got, want)
 	}
@@ -95,11 +104,11 @@ func TestNormalizedValidate(t *testing.T) {
 	if err := n.Validate(); err == nil {
 		t.Fatal("infinite MTBF must not validate")
 	}
-	ok := (&Scenario{Seed: 1, ExcursionMTBF: 50}).Normalized()
+	ok := (&Scenario{Seed: 1, MTTR: -3, ExcursionMTBF: 50}).Normalized()
 	if err := ok.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if ok.ExcursionFrac != ScenarioGrammar.param("exc-frac").Def || ok.ExcursionDur != ScenarioGrammar.param("exc-dur").Def {
-		t.Fatalf("excursion defaults not applied: %+v", ok)
+	if ok.MTTR != ScenarioGrammar.param("mttr").Def {
+		t.Fatalf("negative mttr did not take its default: %+v", ok)
 	}
 }

@@ -8,31 +8,16 @@ import (
 	"strings"
 )
 
-// Rule says what Normalized does with a key's zero or negative value.
-type Rule uint8
-
-const (
-	// Literal keeps the value as given: an MTBF of 0 disables its fault
-	// class, and the range check rejects a negative one.
-	Literal Rule = iota
-	// DefaultAtLo replaces a value at or below Lo with the default.
-	DefaultAtLo
-	// NegativeIsNone replaces 0 with the default and any negative value
-	// with -1, which means none: no retries, no jitter, no crash
-	// tolerance.
-	NegativeIsNone
-)
-
 // Param is one key of a fault-scenario grammar over the struct S.
-// Exactly one of Float, Int and Uint returns the key's field.
+// Exactly one of Float and Uint returns the key's field.
 type Param[S any] struct {
-	Key    string
-	Float  func(*S) *float64
-	Int    func(*S) *int
-	Uint   func(*S) *uint64
-	Rule   Rule
-	Def    float64 // the value of an unset key
-	Lo, Hi float64 // the valid range of the normalized value
+	Key   string
+	Float func(*S) *float64
+	Uint  func(*S) *uint64
+	// Def is the value of an unset key. A key with a nonzero Def also
+	// takes it in place of a value at or below 0; a key whose Def is 0
+	// keeps its value, so an MTBF of 0 disables its fault class.
+	Def float64
 }
 
 // Grammar is a comma-separated key=value grammar over the scenario
@@ -72,29 +57,32 @@ func (g *Grammar[S]) Parse(spec string) (*S, error) {
 	return &s, nil
 }
 
-// Normalized applies every key's Rule to s. It is idempotent.
+// Normalized replaces every value at or below 0 of a key with a
+// nonzero Def by that default. It is idempotent.
 func (g *Grammar[S]) Normalized(s S) S {
 	for i := range g.Params {
 		p := &g.Params[i]
-		v := p.value(&s)
-		switch {
-		case math.IsInf(v, 0): // left for Validate to reject
-		case p.Rule == DefaultAtLo && v <= p.Lo, p.Rule == NegativeIsNone && v == 0:
-			p.set(&s, p.Def)
-		case p.Rule == NegativeIsNone && v < 0:
-			p.set(&s, -1)
+		if p.Def == 0 {
+			continue
+		}
+		// -Inf is left for Validate to reject.
+		if v := p.Float(&s); *v <= 0 && !math.IsInf(*v, -1) {
+			*v = p.Def
 		}
 	}
 	return s
 }
 
-// Validate requires every value of s to be finite and in its range. It
+// Validate requires every value of s to be finite and at least 0. It
 // checks the values as given; callers normally Normalized first.
 func (g *Grammar[S]) Validate(s *S) error {
 	for i := range g.Params {
 		p := &g.Params[i]
-		if v := p.value(s); !(v >= p.Lo && v <= p.Hi) || math.IsInf(v, 0) {
-			return fmt.Errorf("%s: %s must be finite and in [%g, %g], got %s", g.Prefix, p.Key, p.Lo, p.Hi, p.format(s))
+		if p.Float == nil {
+			continue // a uint64 is always finite and at least 0
+		}
+		if v := *p.Float(s); !(v >= 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("%s: %s must be finite and in [0, +Inf], got %s", g.Prefix, p.Key, p.format(s))
 		}
 	}
 	return nil
@@ -129,44 +117,18 @@ func (g *Grammar[S]) param(key string) *Param[S] {
 	return nil
 }
 
-func (p *Param[S]) value(s *S) float64 {
-	switch {
-	case p.Float != nil:
-		return *p.Float(s)
-	case p.Int != nil:
-		return float64(*p.Int(s))
-	}
-	return float64(*p.Uint(s))
-}
-
-// set stores v, which Normalized only takes from Def or -1, so an Int
-// field receives a whole number.
-func (p *Param[S]) set(s *S, v float64) {
-	if p.Float != nil {
-		*p.Float(s) = v
-	} else {
-		*p.Int(s) = int(v)
-	}
-}
-
 func (p *Param[S]) parse(s *S, v string) (err error) {
-	switch {
-	case p.Float != nil:
+	if p.Float != nil {
 		*p.Float(s), err = strconv.ParseFloat(v, 64)
-	case p.Int != nil:
-		*p.Int(s), err = strconv.Atoi(v)
-	default:
+	} else {
 		*p.Uint(s), err = strconv.ParseUint(v, 10, 64)
 	}
 	return err
 }
 
 func (p *Param[S]) format(s *S) string {
-	switch {
-	case p.Float != nil:
+	if p.Float != nil {
 		return strconv.FormatFloat(*p.Float(s), 'g', -1, 64)
-	case p.Int != nil:
-		return strconv.Itoa(*p.Int(s))
 	}
 	return strconv.FormatUint(*p.Uint(s), 10)
 }

@@ -38,8 +38,6 @@ package fed
 // parallel executor's byte-identity guarantee rests on.
 
 import (
-	"math"
-
 	"repro/internal/faults"
 	"repro/internal/rng"
 )
@@ -104,20 +102,19 @@ func (sc *ShardScenario) Enabled() bool {
 // ShardGrammar is the shard fault grammar: one row per key, in String
 // order. ParseShardScenario, Normalized, Validate and String all read it.
 var ShardGrammar = faults.Grammar[ShardScenario]{Prefix: "fed: shard-faults", Params: []faults.Param[ShardScenario]{
-	{Key: "crash-mtbf", Float: func(s *ShardScenario) *float64 { return &s.CrashMTBF }, Hi: inf},
-	{Key: "mttr", Float: func(s *ShardScenario) *float64 { return &s.MTTR }, Rule: faults.DefaultAtLo, Def: 120, Hi: inf},
-	{Key: "part-mtbf", Float: func(s *ShardScenario) *float64 { return &s.PartitionMTBF }, Hi: inf},
-	{Key: "part-dur", Float: func(s *ShardScenario) *float64 { return &s.PartitionDur }, Rule: faults.DefaultAtLo, Def: 60, Hi: inf},
-	{Key: "seed", Uint: func(s *ShardScenario) *uint64 { return &s.Seed }, Hi: inf},
+	{Key: "crash-mtbf", Float: func(s *ShardScenario) *float64 { return &s.CrashMTBF }},
+	{Key: "mttr", Float: func(s *ShardScenario) *float64 { return &s.MTTR }, Def: 120},
+	{Key: "part-mtbf", Float: func(s *ShardScenario) *float64 { return &s.PartitionMTBF }},
+	{Key: "part-dur", Float: func(s *ShardScenario) *float64 { return &s.PartitionDur }, Def: 60},
+	{Key: "seed", Uint: func(s *ShardScenario) *uint64 { return &s.Seed }},
 }}
 
-var inf = math.Inf(1)
-
-// Normalized returns a copy with each key's zero/negative rule applied.
+// Normalized returns a copy with an MTTR or partition duration at or
+// below 0 replaced by its default.
 func (sc *ShardScenario) Normalized() ShardScenario { return ShardGrammar.Normalized(*sc) }
 
-// Validate rejects a scenario with a value that is not finite or out of
-// range.
+// Validate rejects a scenario with a value that is not finite or is
+// negative.
 func (sc *ShardScenario) Validate() error { return ShardGrammar.Validate(sc) }
 
 // String renders every key at its value, a spec ParseShardScenario reads

@@ -24,7 +24,7 @@ func TestShardScenarioParse(t *testing.T) {
 		t.Fatalf("parsed %+v, want crash-mtbf=400 mttr=90 part-mtbf=600 seed=7", sc)
 	}
 	for _, p := range ShardGrammar.Params {
-		if p.Rule == faults.Literal || p.Key == "mttr" {
+		if p.Def == 0 || p.Key == "mttr" {
 			continue
 		}
 		if got := *p.Float(sc); got != p.Def {

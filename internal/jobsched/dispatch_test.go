@@ -222,7 +222,7 @@ func diffDispatch(t *testing.T, cfg Config, seed uint64, mix opMix, steps int) d
 		pinnedApp(0, 3), pinnedApp(4, 7)}
 	pris := []int{0, 0, 0, 2, 5}
 	cfg.Faults = &faults.Scenario{Seed: seed, CrashMTBF: 600, MTTR: 40,
-		ExcursionMTBF: 300, StragglerMTBF: 100, StragglerFactor: 8}
+		ExcursionMTBF: 300, StragglerMTBF: 100}
 	cached, cold := online(t, cfg), online(t, cfg)
 	tag := fmt.Sprintf("%s preempt=%v realloc=%v seed=%d", cfg.Policy, cfg.Preempt, cfg.Reallocate, seed)
 	total := mix.submit + mix.cancel + mix.bound + mix.evacuate + mix.reconcile + mix.advance + mix.cut

@@ -6,18 +6,18 @@ package jobsched
 // straggler), cut by faults.Streams from the scenario seed so a node's
 // draws never depend on another node's. Drawn events are scheduled on
 // the des timeline; their handlers kill and re-enqueue affected jobs
-// (capped exponential backoff with stateless jitter, MaxRetries),
+// (capped exponential backoff with stateless jitter, maxRetries),
 // reclaim and redistribute the freed power, quarantine crashed nodes
 // out of the free list until recovery, emergency-re-cap jobs hit by a
 // power excursion (reserving the derated node's cut so it cannot be
 // double-granted), and stretch iteration times on straggling nodes. A
 // per-node circuit breaker drains nodes that crash more than
-// CrashLimit times. Pending fault events are cancelled once the last
+// crashLimit times. Pending fault events are cancelled once the last
 // job completes so the engine drains at the true makespan.
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/des"
@@ -122,7 +122,7 @@ const (
 	// their recovery event fires.
 	nodeQuarantined
 	// nodeDrained nodes tripped the circuit breaker (more than
-	// CrashLimit crashes) and never return to service.
+	// crashLimit crashes) and never return to service.
 	nodeDrained
 )
 
@@ -137,6 +137,21 @@ func (h nodeHealth) String() string {
 		return "healthy"
 	}
 }
+
+// The node fault layer's fixed episode sizes, retry schedule and
+// circuit breaker; times are in simulated seconds. An episode draws its
+// size and duration around these means.
+const (
+	excursionFrac   = 0.3  // mean share of a node's budget an excursion removes
+	excursionDur    = 20   // mean excursion duration
+	stragglerFactor = 1.5  // mean slowdown multiplier of a straggler episode
+	stragglerDur    = 15   // mean straggler duration
+	maxRetries      = 3    // re-enqueues of a killed job before it fails
+	backoffBase     = 2    // first retry delay; it doubles per attempt
+	backoffCap      = 60   // largest retry delay before jitter
+	backoffJitter   = 0.25 // largest share of a retry delay its jitter adds
+	crashLimit      = 5    // crashes a node survives; the next drains it
+)
 
 // Stream salts: one independent stream per (fault class, node), and the
 // backoff jitter's per-(job, attempt) draws.
@@ -269,25 +284,11 @@ func (st *schedState) placeable(id int) bool {
 	return st.nodes == nil || st.nodes[id].health == nodeHealthy && !st.nodes[id].derated
 }
 
-// freeHas reports whether id is in the (ascending) free list.
-func (st *schedState) freeHas(id int) bool {
-	lo, hi := 0, len(st.free)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if st.free[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(st.free) && st.free[lo] == id
-}
-
 // syncNode reconciles one node's free-list membership with its health,
 // derate and occupancy state.
 func (st *schedState) syncNode(id int) {
 	want := st.placeable(id) && st.nodes[id].resident == nil
-	has := st.freeHas(id)
+	_, has := slices.BinarySearch(st.free, id) // st.free is ascending
 	if want && !has {
 		st.returnFree([]int{id})
 	} else if !want && has {
@@ -343,7 +344,7 @@ func (st *schedState) scheduleNextCrash(i int) {
 
 // nodeCrash handles a node-crash event: the resident job (if any) is
 // killed for retry with its power reclaimed, the node is quarantined —
-// or drained when its crash count exceeds CrashLimit — and recovery is
+// or drained when its crash count exceeds crashLimit — and recovery is
 // scheduled, its repair time the crash stream's next draw.
 func (st *schedState) nodeCrash(i int) {
 	st.accountPower()
@@ -355,7 +356,7 @@ func (st *schedState) nodeCrash(i int) {
 	n.health = nodeQuarantined
 	st.unhealthy++
 	st.logFault("crash", i, "", 0, fmt.Sprintf("crash #%d", n.crashes))
-	if n.crashes > st.fsc.CrashLimit {
+	if n.crashes > crashLimit {
 		n.health = nodeDrained
 		st.drained++
 		st.logFault("drain", i, "", 0, fmt.Sprintf("circuit breaker: %d crashes exceed limit", n.crashes))
@@ -404,7 +405,7 @@ func (st *schedState) killJob(rj *runningJob, node int, cause string) {
 	st.m.wattsReclaimed.Add(reclaimed)
 	st.logFault("kill", node, id, reclaimed, cause)
 
-	if int(rec.retries) >= max(0, st.fsc.MaxRetries) {
+	if int(rec.retries) >= maxRetries {
 		// The final kill is not re-tried; report only completed retries.
 		st.failJob(rec, fmt.Sprintf("%s; %d retries exhausted", cause, rec.retries))
 		return
@@ -424,13 +425,12 @@ func (st *schedState) killJob(rj *runningJob, node int, cause string) {
 }
 
 // retryDelay returns the backoff before a killed job's re-run attempt
-// (1-based): capped exponential growth from BackoffBase with a jitter
+// (1-based): capped exponential growth from backoffBase with a jitter
 // drawn from (seed, job, attempt) alone, so retries replay
-// byte-identically however events interleave. A negative JitterFrac
-// adds none.
+// byte-identically however events interleave.
 func (st *schedState) retryDelay(jobID string, attempt int) float64 {
 	return rng.Backoff(st.fsc.Seed^hashString(jobID), saltBackoff, attempt,
-		st.fsc.BackoffBase, st.fsc.BackoffCap, math.Max(0, st.fsc.JitterFrac))
+		backoffBase, backoffCap, backoffJitter)
 }
 
 // hashString is FNV-1a over s: the job id's share of its backoff seed.
@@ -483,16 +483,15 @@ func (st *schedState) failQueued(reason string) {
 
 // scheduleNextExcursion draws and schedules the node's next power-cap
 // excursion: its delay, then the fraction of the node's budget it
-// removes ([0.75, 1.25]× ExcursionFrac, at most 0.95), then its
-// duration.
+// removes ([0.75, 1.25]× excursionFrac), then its duration.
 func (st *schedState) scheduleNextExcursion(i int) {
 	if st.fsc.ExcursionMTBF <= 0 {
 		return
 	}
 	n := &st.nodes[i]
 	after := n.exc.Exp(st.fsc.ExcursionMTBF)
-	n.excFrac = math.Min(0.95, st.fsc.ExcursionFrac*n.exc.Range(0.75, 1.25))
-	n.excDur = st.fsc.ExcursionDur * n.exc.Range(0.5, 1.5)
+	n.excFrac = excursionFrac * n.exc.Range(0.75, 1.25)
+	n.excDur = excursionDur * n.exc.Range(0.5, 1.5)
 	st.scheduleFault(after, evkExcursion, i)
 }
 
@@ -586,15 +585,15 @@ func (st *schedState) excursionEnd(i int) {
 
 // scheduleNextStraggler draws and schedules the node's next slowdown
 // episode: its delay, then its factor (1 + [0.5, 1.5]× the mean
-// excess of StragglerFactor), then its duration.
+// excess of stragglerFactor), then its duration.
 func (st *schedState) scheduleNextStraggler(i int) {
 	if st.fsc.StragglerMTBF <= 0 {
 		return
 	}
 	n := &st.nodes[i]
 	after := n.strag.Exp(st.fsc.StragglerMTBF)
-	n.stragFactor = 1 + float64((st.fsc.StragglerFactor-1)*n.strag.Range(0.5, 1.5)) // float64(): no fused multiply-add
-	n.stragDur = st.fsc.StragglerDur * n.strag.Range(0.5, 1.5)
+	n.stragFactor = 1 + float64((stragglerFactor-1)*n.strag.Range(0.5, 1.5)) // float64(): no fused multiply-add
+	n.stragDur = stragglerDur * n.strag.Range(0.5, 1.5)
 	st.scheduleFault(after, evkStraggler, i)
 }
 

@@ -187,7 +187,7 @@ func TestChaosDisabledMatchesBaseline(t *testing.T) {
 
 // TestChaosPropertyTermination: many random fault schedules against a
 // small cluster all terminate with conserved jobs and a respected
-// bound. MaxRetries bounds the retry chains and the injector stops
+// bound. maxRetries bounds the retry chains and the injector stops
 // once every job has retired, so no schedule can run away, and the run
 // ends when its last job does: a fault stream left armed would fire
 // past it.
@@ -206,10 +206,7 @@ func TestChaosPropertyTermination(t *testing.T) {
 			CrashMTBF:     40 + src.Float64()*400,
 			MTTR:          5 + src.Float64()*40,
 			ExcursionMTBF: 40 + src.Float64()*400,
-			ExcursionFrac: 0.1 + src.Float64()*0.6,
 			StragglerMTBF: 40 + src.Float64()*400,
-			MaxRetries:    1 + src.Intn(4),
-			CrashLimit:    1 + src.Intn(4),
 		}
 		s, err := New(cl, c, Config{Bound: 500 + src.Float64()*400,
 			Policy: AggressiveBackfill, Reallocate: src.Uint64()%2 == 0, Faults: sc})
@@ -413,43 +410,39 @@ func TestRingHoldsDecisionsOnly(t *testing.T) {
 	}
 }
 
-// TestBackoffJitterOff: jitter=-1 survives the Normalized that New's run
-// state applies to an already-parsed scenario, so every retry delay is
-// the unjittered min(backoff·2^(k−1), backoff-cap). With the default
-// jitter each delay lies in [base, base·(1+jitter)], repeats for the
-// same (job, attempt) and differs between jobs.
-func TestBackoffJitterOff(t *testing.T) {
-	for _, spec := range []string{
-		"crash-mtbf=100,backoff=3,backoff-cap=50,jitter=-1",
-		"crash-mtbf=100,backoff=3,backoff-cap=50",
-	} {
-		sc, err := faults.Parse(spec)
-		if err != nil {
-			t.Fatal(err)
+// TestBackoffJitter: the k-th retry delay lies in [base, 1.25·base]
+// with base = min(2·2^(k−1), 60), repeats for the same (job, attempt)
+// and differs between jobs. Over 50 jobs the jitter reaches past
+// 0.2·base, so it is on.
+func TestBackoffJitter(t *testing.T) {
+	sc, err := faults.Parse("crash-mtbf=100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sched(t, Config{Bound: 1400, Policy: AggressiveBackfill, Faults: sc}).newState(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	widest := 0.0
+	for k := 1; k <= 8; k++ {
+		base := math.Min(2*math.Pow(2, float64(k-1)), 60)
+		for j := 0; j < 50; j++ {
+			id := fmt.Sprintf("j%02d", j)
+			got := st.retryDelay(id, k)
+			if hi := base * 1.25; got < base || got > hi {
+				t.Errorf("%s attempt %d: delay %g outside [%g, %g]", id, k, got, base, hi)
+			}
+			if again := st.retryDelay(id, k); again != got {
+				t.Errorf("%s attempt %d: delay %g, then %g for the same job", id, k, got, again)
+			}
+			if other := st.retryDelay(id+"x", k); other == got {
+				t.Errorf("%s attempt %d: jobs %s and %sx drew the same delay %g", id, k, id, id, got)
+			}
+			widest = max(widest, got/base-1)
 		}
-		st, err := sched(t, Config{Bound: 1400, Policy: AggressiveBackfill, Faults: sc}).newState(false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := 1; k <= 8; k++ {
-			base := math.Min(3*math.Pow(2, float64(k-1)), 50)
-			got := st.retryDelay("j00", k)
-			if sc.JitterFrac < 0 {
-				if got != base {
-					t.Errorf("%s: attempt %d: delay %g, want %g", spec, k, got, base)
-				}
-				continue
-			}
-			if hi := base * (1 + sc.JitterFrac); got < base || got > hi {
-				t.Errorf("%s: attempt %d: delay %g outside [%g, %g]", spec, k, got, base, hi)
-			}
-			if again := st.retryDelay("j00", k); again != got {
-				t.Errorf("%s: attempt %d: delay %g, then %g for the same job", spec, k, got, again)
-			}
-			if other := st.retryDelay("j01", k); other == got {
-				t.Errorf("%s: attempt %d: jobs j00 and j01 drew the same delay %g", spec, k, got)
-			}
-		}
+	}
+	if widest <= 0.2 {
+		t.Errorf("largest jitter %.3f·base over 400 delays, want above 0.2", widest)
 	}
 }
 
@@ -457,7 +450,7 @@ func TestBackoffJitterOff(t *testing.T) {
 // drain times in an online session's fault log equal an oracle that
 // walks the node's crash stream alone — faults.Streams(seed, saltCrash,
 // n)[k], alternating Exp(CrashMTBF) and Exp(MTTR) and draining at the
-// crash past CrashLimit — whatever jobs, excursions and stragglers do
+// crash past crashLimit — whatever jobs, excursions and stragglers do
 // meanwhile. The node's excursion and straggler times match a walk of
 // their own streams the same way. At the end every node's health and
 // the quarantined gauge agree with the oracle.
@@ -491,8 +484,8 @@ func TestNodeCrashStreamMatchesOracle(t *testing.T) {
 		{"crashes", faults.Scenario{Seed: 3, CrashMTBF: 300, MTTR: 40}, 0},
 		{"all-classes", faults.Scenario{Seed: 5, CrashMTBF: 300, MTTR: 30,
 			ExcursionMTBF: 200, StragglerMTBF: 150}, 12},
-		{"limit-2", faults.Scenario{Seed: 7, CrashMTBF: 400, MTTR: 30, CrashLimit: 2}, 0},
-		{"limit-none", faults.Scenario{Seed: 9, CrashMTBF: 1500, CrashLimit: -1, ExcursionMTBF: 200}, 0},
+		{"crashes-mtbf-400", faults.Scenario{Seed: 7, CrashMTBF: 400, MTTR: 30}, 0},
+		{"default-mttr", faults.Scenario{Seed: 9, CrashMTBF: 1500, ExcursionMTBF: 200}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := tc.sc.Normalized()
@@ -512,7 +505,7 @@ func TestNodeCrashStreamMatchesOracle(t *testing.T) {
 					crashes++
 					want[crash] = append(want[crash], fmt.Sprintf("crash@%v", at))
 					health[k] = "quarantined"
-					if crashes > sc.CrashLimit {
+					if crashes > crashLimit {
 						want[crash] = append(want[crash], fmt.Sprintf("drain@%v", at))
 						health[k] = "drained"
 						drains++
@@ -527,8 +520,8 @@ func TestNodeCrashStreamMatchesOracle(t *testing.T) {
 				if health[k] != "healthy" {
 					unhealthy++
 				}
-				want[fmt.Sprintf("node %d excursion", k)] = episodes(exc[k], sc.ExcursionMTBF, sc.ExcursionDur, "excursion")
-				want[fmt.Sprintf("node %d straggler", k)] = episodes(strag[k], sc.StragglerMTBF, sc.StragglerDur, "straggler")
+				want[fmt.Sprintf("node %d excursion", k)] = episodes(exc[k], sc.ExcursionMTBF, excursionDur, "excursion")
+				want[fmt.Sprintf("node %d straggler", k)] = episodes(strag[k], sc.StragglerMTBF, stragglerDur, "straggler")
 			}
 			if drains == 0 {
 				t.Fatalf("no node drains by t=%g; the circuit breaker goes untested", horizon)

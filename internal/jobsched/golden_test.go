@@ -30,7 +30,7 @@ func churnDigest(t *testing.T, cfg Config) string {
 	t.Helper()
 	cfg.Reallocate = true
 	cfg.Faults = &faults.Scenario{Seed: 5, CrashMTBF: 400, MTTR: 30,
-		ExcursionMTBF: 250, StragglerMTBF: 150, StragglerFactor: 4}
+		ExcursionMTBF: 250, StragglerMTBF: 150}
 	o := online(t, cfg)
 	apps := []*workload.Spec{workload.CoMD(), workload.LUMZ(), workload.SPMZ(), workload.BTMZ(),
 		pinnedApp(0, 3), pinnedApp(4, 7)}
@@ -111,12 +111,12 @@ func TestGoldenChurnOutcomes(t *testing.T) {
 // the other two.
 func TestGoldenFaultLog(t *testing.T) {
 	want := map[Policy]string{
-		FCFS:               "0xd99b3086e8c2c170 events=536 makespan=409f6969da797b3b",
-		Backfill:           "0xd99b3086e8c2c170 events=536 makespan=409f6969da797b3b",
-		AggressiveBackfill: "0x828b7fe42a507ced events=733 makespan=40a7b9025f183155",
+		FCFS:               "0x883496f8a4d15f50 events=463 makespan=4099dcf40ba76560",
+		Backfill:           "0x883496f8a4d15f50 events=463 makespan=4099dcf40ba76560",
+		AggressiveBackfill: "0x7ed5fd2b710b75d7 events=555 makespan=40a14bdc7c1580e6",
 	}
 	sc := &faults.Scenario{Seed: 21, CrashMTBF: 500, MTTR: 30,
-		ExcursionMTBF: 300, StragglerMTBF: 150, StragglerFactor: 3}
+		ExcursionMTBF: 300, StragglerMTBF: 150}
 	var jobs []Job
 	for round := 0; round < 3; round++ {
 		for i, j := range chaosJobs() {

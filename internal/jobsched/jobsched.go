@@ -201,8 +201,8 @@ type Config struct {
 	// and activates degraded-mode scheduling: affected jobs are killed
 	// and retried with capped exponential backoff, crashed nodes are
 	// quarantined out of placement until recovery, and excursions
-	// emergency-re-cap resident jobs. Zero-valued scenario parameters
-	// take their defaults (faults.Scenario.Normalized).
+	// emergency-re-cap resident jobs. An MTTR at or below 0 takes its
+	// default (faults.Scenario.Normalized).
 	Faults *faults.Scenario
 }
 

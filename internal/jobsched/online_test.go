@@ -611,7 +611,7 @@ func TestEvacuateResubmitSameSession(t *testing.T) {
 			cfg := Config{Bound: 1200, Policy: Backfill, Preempt: true}
 			if withFaults {
 				cfg.Faults = &faults.Scenario{Seed: seed, CrashMTBF: 600, MTTR: 40,
-					ExcursionMTBF: 300, StragglerMTBF: 100, StragglerFactor: 8}
+					ExcursionMTBF: 300, StragglerMTBF: 100}
 			}
 			o := online(t, cfg)
 			r := rng.New(seed)

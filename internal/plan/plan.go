@@ -34,22 +34,6 @@ type Plan struct {
 // Nodes returns the participating node count.
 func (p *Plan) Nodes() int { return len(p.NodeIDs) }
 
-// Clone returns a deep copy of the plan. Schedulers that cache
-// decisions hand out clones so callers can annotate or modify a plan
-// without corrupting the cached original.
-func (p *Plan) Clone() *Plan {
-	cp := *p
-	cp.NodeIDs = append([]int(nil), p.NodeIDs...)
-	cp.PerNode = append([]power.Budget(nil), p.PerNode...)
-	if p.PhaseCores != nil {
-		cp.PhaseCores = make(map[string]int, len(p.PhaseCores))
-		for k, v := range p.PhaseCores {
-			cp.PhaseCores[k] = v
-		}
-	}
-	return &cp
-}
-
 // TotalBudget sums the per-node budgets.
 func (p *Plan) TotalBudget() float64 {
 	var t float64
@@ -147,7 +131,9 @@ type Method interface {
 	// Name identifies the method in reports ("CLIP", "All-In", ...).
 	Name() string
 	// Plan schedules app on cl under a total budget of bound watts
-	// across the CPU and DRAM domains of all participating nodes.
+	// across the CPU and DRAM domains of all participating nodes. A
+	// method may hand the same cached plan to every caller, so callers
+	// must not modify it.
 	Plan(cl *hw.Cluster, app *workload.Spec, bound float64) (*Plan, error)
 }
 
