@@ -275,36 +275,63 @@ func BenchmarkFedNew(b *testing.B) {
 	}
 }
 
-// fedScaleTrace is the fed-scale shape and arrival trace: 65,536 jobs,
-// gaps uniform on [0, 0.5) s, applications uniform over the suite.
-type fedScaleTrace struct {
+// fedTrace is a federation shape and its arrival trace: n jobs, gaps
+// uniform on [0, 2*gap) s, applications uniform over the suite, a
+// hipriFrac share of them at priority 10.
+type fedTrace struct {
 	cfg  fed.Config
 	ids  []string
 	ts   []float64
 	apps []*workload.Spec
+	pris []int
 }
 
-func newFedScaleTrace() fedScaleTrace {
-	const n = 65536
+func newFedTrace(cfg fed.Config, name string, n int, gap, hipriFrac float64) fedTrace {
 	r := rng.New(1)
 	suite := workload.Suite()
-	tr := fedScaleTrace{fedScaleConfig(), make([]string, n), make([]float64, n), make([]*workload.Spec, n)}
+	tr := fedTrace{cfg, make([]string, n), make([]float64, n), make([]*workload.Spec, n), make([]int, n)}
 	now := 0.0
 	for i := range tr.ids {
-		now += r.Range(0, 0.5)
-		tr.ids[i], tr.ts[i], tr.apps[i] = fmt.Sprintf("fed-scale-%d", i), now, suite[r.Intn(len(suite))]
+		now += r.Range(0, 2*gap)
+		tr.ids[i], tr.ts[i], tr.apps[i] = fmt.Sprintf("%s-%d", name, i), now, suite[r.Intn(len(suite))]
+		if hipriFrac > 0 && r.Float64() < hipriFrac {
+			tr.pris[i] = 10
+		}
 	}
 	return tr
 }
 
-// build makes a fed-scale federation and schedules every arrival.
-func (tr fedScaleTrace) build(b *testing.B) *fed.Federation {
+// newFedScaleTrace is the fed-scale shape and trace: 65,536 jobs, gaps
+// uniform on [0, 0.5) s.
+func newFedScaleTrace() fedTrace { return newFedTrace(fedScaleConfig(), "fed-scale", 65536, 0.25, 0) }
+
+// newFedChaosTrace is the fed-chaos shape and trace: 8,192 jobs over 64
+// shards of 4 nodes with least-loaded routing, lending, shard crashes
+// and partitions armed and preemption on; gaps uniform on [0, 2) s, 20%
+// of the jobs at high priority.
+func newFedChaosTrace(b *testing.B) fedTrace {
+	sc, err := fed.ParseShardScenario("crash-mtbf=400,mttr=120,part-mtbf=600,part-dur=60,seed=9")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := fedScaleConfig()
+	cfg.Routing = fed.LeastLoaded
+	cfg.Lending = fed.Lending{Enabled: true, TTL: 240, QuantumW: 60}
+	cfg.ShardFaults = sc
+	for i := range cfg.Shards {
+		cfg.Shards[i].Preempt = true
+	}
+	return newFedTrace(cfg, "fed-chaos", 8192, 1, 0.2)
+}
+
+// build makes the trace's federation and schedules every arrival.
+func (tr fedTrace) build(b *testing.B) *fed.Federation {
 	f, err := fed.New(tr.cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for k := range tr.ids {
-		if err := f.ScheduleArrivalPri(tr.ts[k], tr.ids[k], tr.apps[k], tr.ids[k], 0); err != nil {
+		if err := f.ScheduleArrivalPri(tr.ts[k], tr.ids[k], tr.apps[k], tr.ids[k], tr.pris[k]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -316,6 +343,17 @@ func (tr fedScaleTrace) build(b *testing.B) *fed.Federation {
 // The trace is generated once, outside the timer.
 func BenchmarkFedBuild(b *testing.B) {
 	tr := newFedScaleTrace()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.build(b)
+	}
+}
+
+// BenchmarkFedBuildChaos is BenchmarkFedBuild at the fed-chaos shape:
+// fed.New with lending and shard faults armed plus 8,192 scheduled
+// arrivals, what a fed-chaos trial pays before it runs.
+func BenchmarkFedBuildChaos(b *testing.B) {
+	tr := newFedChaosTrace(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.build(b)

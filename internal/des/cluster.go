@@ -188,7 +188,7 @@ func Run(cl *hw.Cluster, app *workload.Spec, cfg RunConfig) (*RunResult, error) 
 		st.res.FinalFreqs = append(st.res.FinalFreqs, st.freqOf(ns))
 	}
 	// Unmanaged node power draws for the whole run.
-	energy += float64(cfg.Nodes) * st.spec.OtherPower * st.res.Time
+	energy += float64(float64(cfg.Nodes) * st.spec.OtherPower * st.res.Time) // float64(): no FMA
 	st.res.Energy = energy
 	if st.res.Time > 0 {
 		st.res.AvgPower = energy / st.res.Time
@@ -255,7 +255,7 @@ func (st *runState) accountEnergy(ns *nodeState) {
 	dt := st.eng.Now() - ns.lastUpdate
 	if dt > 0 {
 		memP := st.memPowerOf(ns)
-		ns.energy += (st.cpuPowerOf(ns) + memP) * dt
+		ns.energy += float64((st.cpuPowerOf(ns) + memP) * dt) // float64(): no FMA
 		ns.lastUpdate = st.eng.Now()
 	}
 }
@@ -273,7 +273,7 @@ func (st *runState) memPowerOf(ns *nodeState) float64 {
 		return float64(sockets) * st.spec.MemBasePower
 	}
 	rf := sim.RemoteFractionFor(st.app, sockets, st.cfg.Affinity)
-	bytes := ph.MemoryBytes * st.shard * (1 + rf*st.spec.RemotePenalty)
+	bytes := ph.MemoryBytes * st.shard * (1 + float64(rf*st.spec.RemotePenalty)) // float64(): no FMA
 	return power.MemPowerAt(st.spec, sockets, bytes/t)
 }
 
@@ -369,7 +369,8 @@ func (st *runState) controlTick(ns *nodeState) {
 	capW := ns.budget.CPU
 	spec := st.spec
 	sockets := st.sockets()
-	cur := power.CPUPower(spec, st.cfg.CoresPerNode, sockets, spec.FreqLevels[ns.fIdx], ns.eff)
+	// float64(): no FMA of the inlined product with cur - capW below
+	cur := float64(power.CPUPower(spec, st.cfg.CoresPerNode, sockets, spec.FreqLevels[ns.fIdx], ns.eff))
 
 	changed := false
 	switch {

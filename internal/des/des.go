@@ -15,27 +15,26 @@
 // Every event is a (handler, kind, argument) triple: the engine calls
 // Handler.HandleEvent(kind, arg) when the event's time comes, and the
 // layer above indexes its own state with the argument. A layer that
-// processes a whole pending trace elsewhere takes it off the queue with
-// Engine.Skip instead: one pass in firing order that hands each event's
-// kind and argument to a function, counts the events as processed and
-// calls no handler.
+// keeps pending work of its own beside the engine (the federation's
+// arrival heap) stamps each item with Engine.Reserve, the sequence
+// number At would have used, and compares its earliest item with
+// Engine.Peek, so its items and the engine's events fire in one
+// (time, sequence) order as if they shared the queue.
 //
 // The event queue is a typed binary heap (no container/heap, no
 // interface{} boxing) with a free list for Event structs, so steady
 // simulation runs allocate next to nothing per event; cancelled events
 // are compacted out of the queue once they outnumber the live ones.
 // When the free list is empty, events are cut from slabs that double
-// with the events an engine has cut, up to slabEvents: scheduling a
-// long trace up front (the federation's arrivals) costs one allocation
-// per slabEvents events, and an engine that never holds many events at
-// once (a small shard's) never pays for a large slab.
+// with the events an engine has cut, up to slabEvents: an engine that
+// holds many events at once costs one allocation per slabEvents
+// events, and one that never does (a small shard's) never pays for a
+// large slab.
 package des
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/telemetry"
 )
@@ -340,16 +339,31 @@ func (e *Engine) maybeCompact() {
 // on the way (they were about to be discarded at pop time anyway), so
 // the reported time is always that of an event that will actually fire.
 func (e *Engine) Next() (float64, bool) {
+	t, _, ok := e.Peek()
+	return t, ok
+}
+
+// Peek is Next that also reports the event's sequence number, for a
+// layer ordering items stamped by Reserve against the engine's events.
+func (e *Engine) Peek() (t float64, seq uint64, ok bool) {
 	for len(e.queue) > 0 {
 		top := e.queue[0]
 		if !top.cancelled {
-			return top.Time, true
+			return top.Time, top.seq, true
 		}
 		e.pop()
 		e.cancelled--
 		e.reclaim(top)
 	}
-	return 0, false
+	return 0, 0, false
+}
+
+// Reserve hands out the sequence number the next At would have used and
+// schedules nothing. An item stamped with it orders after every event
+// already scheduled at its time and before every event scheduled later.
+func (e *Engine) Reserve() uint64 {
+	e.seq++
+	return e.seq
 }
 
 // StepNext fires exactly the earliest pending live event and advances
@@ -420,46 +434,6 @@ func (e *Engine) RunBefore(t float64) (int, error) {
 		return 0, fmt.Errorf("des: invalid RunBefore time %g", t)
 	}
 	return e.fire(t, maxRunEvents)
-}
-
-// Skip takes every pending live event off the queue in firing order,
-// (time, seq), and calls fn(kind, arg) for each instead of its handler.
-// It hands a whole pending trace to a layer that processes it elsewhere
-// (the federation's partitioned replay routes its arrivals to the
-// shards this way). The skipped events count as processed, as if each
-// had fired: Steps and the events counter rise by the returned count,
-// and the clock ends at the last one's time. Cancelled events are
-// dropped uncounted. No event is recycled onto the free list, so a
-// trace handed off once leaves no free list as long as itself: the
-// skipped events' slabs go to the collector once nothing else on them
-// is referenced. fn must not schedule on the engine: Skip empties the
-// queue it is reading.
-//
-// The queue array is sorted in place; a trace scheduled in time order
-// is already sorted as a heap array, so that sort is one linear pass.
-func (e *Engine) Skip(fn func(kind uint16, arg uint64)) int {
-	q := e.queue
-	slices.SortFunc(q, func(a, b *Event) int {
-		if c := cmp.Compare(a.Time, b.Time); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.seq, b.seq)
-	})
-	steps := e.Steps
-	for i, ev := range q {
-		q[i] = nil
-		ev.eng = nil // pending no more: Cancel becomes a no-op
-		if ev.cancelled {
-			continue
-		}
-		e.now = ev.Time
-		e.Steps++
-		fn(ev.Kind, ev.arg)
-	}
-	e.queue = q[:0]
-	e.cancelled = 0
-	e.publish(steps, e.compactions)
-	return e.Steps - steps
 }
 
 // fire is the one event loop of Run, RunUntil and RunBefore: it fires,

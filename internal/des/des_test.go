@@ -677,78 +677,82 @@ func TestEngineRunBefore(t *testing.T) {
 	}
 }
 
-// TestSkip: Skip hands every pending live event to fn in (time, seq)
-// order without calling its handler, drops cancelled events uncounted,
-// counts the rest as processed, lands the clock on the last one and
-// leaves an empty queue that later events use as usual.
-func TestSkip(t *testing.T) {
+// TestReserveOrdersWithAt: Reserve hands out the sequence number At
+// would have taken, so an item kept beside the engine and stamped with
+// it fires between the events at its time that were scheduled before
+// and after it, and no event ever takes that number.
+func TestReserveOrdersWithAt(t *testing.T) {
 	e := NewEngine()
 	var h fns
-	handled := 0
+	var order []string
+	mark := func(s string) func() { return func() { order = append(order, s) } }
+	if _, err := h.at(e, 1, mark("before")); err != nil {
+		t.Fatal(err)
+	}
+	r := e.Reserve() // an item due at 1, kept outside the queue
+	if _, err := h.at(e, 1, mark("after")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.at(e, 0.5, mark("earlier")); err != nil {
+		t.Fatal(err)
+	}
+	held := true
+	for {
+		tm, seq, ok := e.Peek()
+		if seq == r {
+			t.Fatalf("an event took the reserved sequence number %d", r)
+		}
+		if held && (!ok || tm > 1 || tm == 1 && seq > r) {
+			order = append(order, "reserved")
+			held = false
+			continue
+		}
+		if !ok {
+			break
+		}
+		if _, err := e.StepNext(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fmt.Sprint(order); got != "[earlier before reserved after]" {
+		t.Errorf("firing order %s, want [earlier before reserved after]", got)
+	}
+	if e.Steps != 3 {
+		t.Errorf("%d steps, want 3: a reservation is not an event", e.Steps)
+	}
+}
+
+// TestPeekSkipsCancelled: Peek reports the time and sequence number of
+// the earliest live event, pruning cancelled tops as Next does, and
+// reports nothing on an all-cancelled queue.
+func TestPeekSkipsCancelled(t *testing.T) {
+	e := NewEngine()
+	var h fns
 	var evs []*Event
-	// Out of time order, with equal-time ties scheduled apart.
-	for _, tm := range []float64{3, 1, 2, 1, 3, 2, 0.5, 4, 2} {
-		ev, err := h.at(e, tm, func() { handled++ })
+	for _, tm := range []float64{2, 1, 1} {
+		ev, err := h.at(e, tm, func() {})
 		if err != nil {
 			t.Fatal(err)
 		}
 		evs = append(evs, ev)
 	}
-	// One ordinary step first, so the heap array is not in time order.
-	if ok, err := e.StepNext(); !ok || err != nil || handled != 1 {
-		t.Fatalf("StepNext = (%v, %v), handled %d", ok, err, handled)
-	}
-	evs[5].Cancel()
-	evs[7].Cancel() // the latest event: the clock must not reach 4
-	events := e.m.events
-	steps, counted, free := e.Steps, events.Value(), len(e.free)
-
-	var got []uint64
-	n := e.Skip(func(kind uint16, arg uint64) {
-		if kind != 0 {
-			t.Errorf("event %d passed kind %d", arg, kind)
+	want := func(wt float64, wseq uint64) {
+		t.Helper()
+		if tm, seq, ok := e.Peek(); !ok || tm != wt || seq != wseq {
+			t.Fatalf("Peek = (%v, %d, %v), want (%v, %d, true)", tm, seq, ok, wt, wseq)
 		}
-		got = append(got, arg)
-	})
-	// (time, seq): 1 (#1, #3), 2 (#2, #8; #5 cancelled), 3 (#0, #4).
-	want := []uint64{1, 3, 2, 8, 0, 4}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("Skip passed %v, want %v", got, want)
 	}
-	if handled != 1 {
-		t.Errorf("Skip called %d handlers", handled-1)
+	want(1, 2)
+	evs[1].Cancel()
+	want(1, 3)
+	evs[2].Cancel()
+	want(2, 1)
+	if len(e.queue) != 1 || e.cancelled != 0 {
+		t.Errorf("queue holds %d events (%d cancelled) after Peek pruned two", len(e.queue), e.cancelled)
 	}
-	if n != len(want) || e.Steps != steps+n || events.Value() != counted+uint64(n) {
-		t.Errorf("Skip returned %d; Steps +%d, events counter +%d; want %d each",
-			n, e.Steps-steps, events.Value()-counted, len(want))
-	}
-	if e.Now() != 3 {
-		t.Errorf("clock %v after Skip, want 3", e.Now())
-	}
-	if _, ok := e.Next(); ok || len(e.queue) != 0 || e.cancelled != 0 {
-		t.Errorf("queue holds %d events (%d cancelled) after Skip", len(e.queue), e.cancelled)
-	}
-	if len(e.free) != free {
-		t.Errorf("Skip recycled %d events", len(e.free)-free)
-	}
-	if evs[0].Pending() {
-		t.Error("a skipped event still reports pending")
-	}
-	evs[0].Cancel() // a stale handle must not count against the queue
-	if e.cancelled != 0 {
-		t.Errorf("cancelling a skipped event left %d cancelled in the queue", e.cancelled)
-	}
-	if n := e.Skip(func(uint16, uint64) { t.Error("Skip of an empty queue called fn") }); n != 0 {
-		t.Errorf("Skip of an empty queue returned %d", n)
-	}
-	if _, err := h.at(e, 3.5, func() { handled++ }); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if handled != 2 || e.Now() != 3.5 || e.Steps != steps+n+1 {
-		t.Errorf("event after Skip: handled %d, clock %v, Steps +%d", handled-1, e.Now(), e.Steps-steps)
+	evs[0].Cancel()
+	if _, _, ok := e.Peek(); ok {
+		t.Fatal("Peek reported a live event on an all-cancelled queue")
 	}
 }
 

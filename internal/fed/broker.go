@@ -212,8 +212,8 @@ func (f *Federation) pickLender() *Shard {
 		}
 		// Headroom: free watts beyond the reserve, capped so
 		// the effective bound never drops below the floor.
-		head := sh.Online.FreeWatts() - reserveFrac*sh.entitlement
-		if floorRoom := sh.eff - minBoundFrac*sh.entitlement; head > floorRoom {
+		head := sh.Online.FreeWatts() - float64(reserveFrac*sh.entitlement) // float64(): no FMA
+		if floorRoom := sh.eff - float64(minBoundFrac*sh.entitlement); head > floorRoom {
 			head = floorRoom
 		}
 		if head < cfg.QuantumW {

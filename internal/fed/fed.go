@@ -76,8 +76,7 @@ var (
 // fed-level des handler event kinds (the shards' own engines use the
 // jobsched kinds; this engine only carries federation events).
 const (
-	fevArrival uint16 = 1 + iota
-	fevLeaseExpiry
+	fevLeaseExpiry uint16 = 1 + iota
 	// Shard-fault stream events (arg = shard id). They are
 	// federation-owned interaction points, so an armed stream keeps
 	// RunParallel off the partitioned replay: health transitions,
@@ -219,7 +218,8 @@ type fedArrival struct {
 	id  string
 	app *workload.Spec
 	key string  // locality key (Locality routing)
-	t   float64 // scheduled arrival time (partitioned replay)
+	t   float64 // scheduled arrival time
+	seq uint64  // scheduling order among federation events (des.Engine.Reserve)
 	pri int     // scheduling priority (0 inherits the app default)
 }
 
@@ -236,19 +236,26 @@ const (
 type Federation struct {
 	cfg    Config
 	shards []*Shard
-	// eng holds the federation's own events (arrivals, lease expiries);
-	// shard events live in the shards' engines.
+	// eng holds the federation's own events other than arrivals (lease
+	// expiries and recall probes, shard-fault events); arrivals wait in
+	// pending, shard events in the shards' engines.
 	eng *des.Engine
 	// now is the shared clock: the timestamp of the last processed
 	// event anywhere in the federation.
 	now float64
-	// arrivals is the arrival arena: a fevArrival event's argument and
-	// a partitioned replay's per-shard lists are indices into it, read
-	// through arrival. It lives in fixed blocks of arrivalBlock, so it
-	// grows a block at a time and never copies an arrival or moves one;
+	// arrivals is the arrival arena: the arrival heap and a partitioned
+	// replay's per-shard lists hold indices into it, read through
+	// arrival. It lives in fixed blocks of arrivalBlock, so it grows a
+	// block at a time and never copies an arrival or moves one;
 	// narrivals counts the arrivals ScheduleArrivalPri has written.
 	arrivals  []*[arrivalBlock]fedArrival
 	narrivals int32
+	// pending is the arrival heap: the arena indices of the arrivals
+	// not yet routed (or handed to a replay), a binary min-heap by
+	// (t, seq) (heap.go). Each seq comes from eng's own counter, so an
+	// arrival and an engine event at the same time fire in the order
+	// they were scheduled.
+	pending []int32
 	// scheduled indexes every id ScheduleArrivalPri accepted by its
 	// place in arrivals, so a duplicate is rejected federation-wide. It
 	// is the only per-job index the federation keeps: a routed job's
@@ -262,11 +269,10 @@ type Federation struct {
 	// armed), whether its generators were stopped (in-flight
 	// recover/rejoin/heal events always fire, so a run ends on a finite
 	// event set) and how many shards are not healthy.
-	sf           *ShardScenario
-	sfStopped    bool
-	unhealthy    int
-	arrivalsLeft int // scheduled arrivals not yet routed (or handed to a replay)
-	evacuated    int // queued jobs migrated off crashed shards
+	sf        *ShardScenario
+	sfStopped bool
+	unhealthy int
+	evacuated int // queued jobs migrated off crashed shards
 	// evacuateShard's buffers, reused across crashes: the survivors'
 	// load heap and the evacuated jobs.
 	evacHeap loadHeap
@@ -388,7 +394,9 @@ func (f *Federation) Events() uint64 { return f.events }
 // aggregate-cap audit violation), if any.
 func (f *Federation) Err() error { return f.failure }
 
-// HandleEvent implements des.Handler for the federation's own events.
+// HandleEvent implements des.Handler for the federation's engine
+// events: lease expiries and recall probes and the shard-fault stream.
+// Arrivals are not engine events; Step routes them off the arrival heap.
 func (f *Federation) HandleEvent(kind uint16, arg uint64) {
 	// The engine clock is already at the firing event's time, but Step
 	// only assigns f.now after StepNext returns; sync it here so
@@ -398,9 +406,6 @@ func (f *Federation) HandleEvent(kind uint16, arg uint64) {
 	// even put a follow-up in the engine's past.
 	f.now = f.eng.Now()
 	switch kind {
-	case fevArrival:
-		f.arrivalsLeft--
-		f.routeArrival(f.arrival(int32(arg)))
 	case fevLeaseExpiry:
 		f.settleLease(f.leases[arg], LeaseExpired)
 	case fevShardCrash:
@@ -420,9 +425,10 @@ func (f *Federation) HandleEvent(kind uint16, arg uint64) {
 
 // ScheduleArrivalPri pre-schedules a job submission at virtual time t:
 // the job is routed to a shard by the federation's policy when the
-// clock reaches t. Job ids must be unique federation-wide; key is the
-// locality key used by the Locality policy (the job id when empty);
-// pri is the scheduling priority (0 inherits the application default).
+// clock reaches t, which must be finite and not before Now(). Job ids
+// must be unique federation-wide; key is the locality key used by the
+// Locality policy (the job id when empty); pri is the scheduling
+// priority (0 inherits the application default).
 func (f *Federation) ScheduleArrivalPri(t float64, id string, app *workload.Spec, key string, pri int) error {
 	if id == "" {
 		return fmt.Errorf("fed: empty job id")
@@ -434,19 +440,20 @@ func (f *Federation) ScheduleArrivalPri(t float64, id string, app *workload.Spec
 	if dup {
 		return fmt.Errorf("fed: duplicate job id %q", id)
 	}
-	// Schedule first: a time the engine rejects (NaN, ±Inf, the past)
-	// must leave the id free and the arrival arena untouched.
-	i := f.narrivals
-	if _, err := f.eng.At(t, f, fevArrival, uint64(i)); err != nil {
-		return err
+	// The floor is the shared clock, not the engine's: shard events
+	// move it past the federation's last own event. A rejected time
+	// leaves the id free and the arena untouched.
+	if !finite(t) || t < f.now-1e-12 {
+		return fmt.Errorf("fed: job %q: arrival time %g is not finite or before now %g", id, t, f.now)
 	}
+	i := f.narrivals
 	if int(i>>arrivalShift) == len(f.arrivals) {
 		f.arrivals = append(f.arrivals, new([arrivalBlock]fedArrival))
 	}
-	*f.arrival(i) = fedArrival{id: id, app: app, key: key, t: t, pri: pri}
+	*f.arrival(i) = fedArrival{id: id, app: app, key: key, t: t, seq: f.eng.Reserve(), pri: pri}
 	f.narrivals++
 	f.scheduled.Fill(slot, i)
-	f.arrivalsLeft++
+	f.pushArrival(i)
 	return nil
 }
 
@@ -462,7 +469,7 @@ func (f *Federation) arrivalID(i int32) string { return f.arrival(i).id }
 func (f *Federation) routeArrival(a *fedArrival) {
 	sh := f.shards[f.pickShard(a)]
 	f.touch(sh)
-	if err := sh.Online.Advance(f.eng.Now()); err != nil {
+	if err := sh.Online.Advance(f.now); err != nil {
 		f.fail(err)
 		return
 	}
@@ -532,13 +539,16 @@ func (f *Federation) Step() (bool, error) {
 	f.ensureHeap()
 	// The federation's own events win ties, then lower shard ids (the
 	// heap's ordering); any fixed rule keeps repeat runs byte-identical.
-	t, ok := f.eng.Next()
+	t, arrival, ok := f.nextOwn()
 	sid, st, sok := f.heap.min()
 	if !ok && !sok {
 		return false, nil
 	}
 	if ok && (!sok || t <= st) {
-		if _, err := f.eng.StepNext(); err != nil {
+		if arrival {
+			f.now = t
+			f.routeArrival(f.arrival(f.popArrival()))
+		} else if _, err := f.eng.StepNext(); err != nil {
 			f.rekeyTouched()
 			return false, f.latch(err)
 		}
@@ -562,6 +572,20 @@ func (f *Federation) Step() (bool, error) {
 	f.maybeStopShardFaults()
 	f.rekeyTouched()
 	return true, f.failure
+}
+
+// nextOwn reports the time of the federation's earliest own event, the
+// earlier by (time, sequence) of the engine's next event and the
+// arrival heap's top, whether it is an arrival, and whether one exists.
+func (f *Federation) nextOwn() (t float64, arrival, ok bool) {
+	t, seq, ok := f.eng.Peek()
+	if len(f.pending) > 0 {
+		a := f.arrival(f.pending[0])
+		if !ok || a.t < t || a.t == t && a.seq < seq {
+			return a.t, true, true
+		}
+	}
+	return t, false, ok
 }
 
 // latch records err (or any failure a handler latched) and returns it.
@@ -609,7 +633,7 @@ func (f *Federation) Interrupted() bool { return f.interrupted.Load() }
 
 // ArrivalsPending reports how many scheduled arrivals have not been
 // routed yet (non-zero after an interrupted run).
-func (f *Federation) ArrivalsPending() int { return f.arrivalsLeft }
+func (f *Federation) ArrivalsPending() int { return len(f.pending) }
 
 // Drain ends the run: the shard-fault stream is stopped, every orphaned
 // lease is force-settled and every active lease recalled (shards return

@@ -2,6 +2,7 @@ package fed
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"runtime"
@@ -719,17 +720,21 @@ func TestOnlineSetBound(t *testing.T) {
 	}
 }
 
-// TestScheduleArrivalRejectedTimeFreesID: an arrival time the engine
-// rejects must leave no trace — the id stays unknown, and a retry of
-// the same id at a valid time is accepted and routed exactly once.
+// TestScheduleArrivalRejectedTimeFreesID: a rejected arrival time must
+// leave no trace — the id stays unknown, and a retry of the same id at
+// a valid time is accepted and routed exactly once. The floor is the
+// shared clock: shard events move it past the federation's last own
+// event, and an arrival between the two is in the past too.
 func TestScheduleArrivalRejectedTimeFreesID(t *testing.T) {
 	cases := []struct {
-		name string
-		t    func(now float64) float64
+		name  string
+		until float64 // step until the shared clock reaches it
+		t     func(now float64) float64
 	}{
-		{"nan", func(float64) float64 { return math.NaN() }},
-		{"+inf", func(float64) float64 { return math.Inf(1) }},
-		{"past", func(now float64) float64 { return now - 1 }},
+		{"nan", 5, func(float64) float64 { return math.NaN() }},
+		{"+inf", 5, func(float64) float64 { return math.Inf(1) }},
+		{"past", 5, func(now float64) float64 { return now - 1 }},
+		{"behind the shared clock", 60, func(float64) float64 { return 5.5 }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -740,8 +745,10 @@ func TestScheduleArrivalRejectedTimeFreesID(t *testing.T) {
 			if err := f.ScheduleArrivalPri(5, "warm", workload.CoMD(), "", 0); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := f.Step(); err != nil { // clock to 5: "past" is now in reach
-				t.Fatal(err)
+			for f.Now() < c.until { // the arrival at 5, then shard events
+				if ok, err := f.Step(); err != nil || !ok {
+					t.Fatalf("step at %g: ok=%v err=%v", f.Now(), ok, err)
+				}
 			}
 			if err := f.ScheduleArrivalPri(c.t(f.Now()), "x", workload.CoMD(), "", 0); err == nil {
 				t.Fatalf("time %v accepted", c.t(f.Now()))
@@ -775,6 +782,198 @@ func TestScheduleArrivalRejectedTimeFreesID(t *testing.T) {
 				t.Errorf("retried arrival listed by %d shards, want 1", listed)
 			}
 		})
+	}
+}
+
+// TestArrivalTiesFireInScheduleOrder: an arrival and a federation
+// engine event due at the same time fire in the order they were
+// scheduled, whichever kind came first. Each case steps onto the tie,
+// requires the one scheduled first to fire alone, and the other to fire
+// at the same time on the next step.
+func TestArrivalTiesFireInScheduleOrder(t *testing.T) {
+	step := func(t *testing.T, f *Federation) {
+		t.Helper()
+		if ok, err := f.Step(); err != nil || !ok {
+			t.Fatalf("step at %g: ok=%v err=%v", f.Now(), ok, err)
+		}
+	}
+	// tie steps onto time at, where an engine event and the arrival
+	// "tie" are both due; fired reports whether the engine event has.
+	tie := func(t *testing.T, f *Federation, at float64, fired func() bool, arrivalFirst bool) {
+		t.Helper()
+		pending := func() bool {
+			return slices.ContainsFunc(f.pending, func(i int32) bool { return f.arrival(i).id == "tie" })
+		}
+		for pending() && !fired() {
+			step(t, f)
+		}
+		if f.Now() != at || pending() == arrivalFirst || fired() == arrivalFirst {
+			t.Fatalf("clock %g, arrival pending %v, engine event fired %v: want clock %g, %v, %v",
+				f.Now(), pending(), fired(), at, !arrivalFirst, !arrivalFirst)
+		}
+		step(t, f)
+		if f.Now() != at || pending() || !fired() {
+			t.Fatalf("clock %g, arrival pending %v, engine event fired %v after the next step: want %g, false, true",
+				f.Now(), pending(), fired(), at)
+		}
+	}
+
+	t.Run("armed crash", func(t *testing.T) {
+		f, err := New(chaosConfig(t, false, "crash-mtbf=300,mttr=120,seed=9"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := f.shards[0]
+		for _, sh := range f.shards {
+			if sh.crashEv.Time < first.crashEv.Time {
+				first = sh
+			}
+		}
+		at := first.crashEv.Time
+		if err := f.ScheduleArrivalPri(at, "tie", workload.CoMD(), "", 0); err != nil {
+			t.Fatal(err)
+		}
+		tie(t, f, at, func() bool { return first.health == ShardDown }, false)
+	})
+
+	// A small shard starved by a burst borrows from an idle one; the
+	// first lease is still active once the burst has routed.
+	lending := func(t *testing.T) (f *Federation, key string) {
+		f, err := New(Config{
+			Shards: []ShardConfig{
+				{Nodes: 4, BudgetW: 320, Sigma: 0.02, Seed: 100, Policy: jobsched.Backfill, Reallocate: true},
+				{Nodes: 4, BudgetW: 1200, Sigma: 0.02, Seed: 101, Policy: jobsched.Backfill, Reallocate: true},
+			},
+			Routing: Locality,
+			Lending: Lending{Enabled: true, TTL: 120, QuantumW: 60},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, _ = localityKeys(t, 2)
+		for i := 0; i < 8; i++ {
+			if err := f.ScheduleArrivalPri(float64(i)*15, fmt.Sprintf("j%02d", i), apps()[i%4], key, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f, key
+	}
+	firstLease := func(t *testing.T, f *Federation) *Lease {
+		for f.ArrivalsPending() > 0 || len(f.ActiveLeases()) == 0 {
+			step(t, f)
+		}
+		return f.ActiveLeases()[0]
+	}
+
+	t.Run("lease granted first", func(t *testing.T) {
+		f, key := lending(t)
+		l := firstLease(t, f)
+		if err := f.ScheduleArrivalPri(l.ExpiresAt, "tie", workload.CoMD(), key, 0); err != nil {
+			t.Fatal(err)
+		}
+		tie(t, f, l.ExpiresAt, func() bool { return l.State == LeaseExpired }, false)
+	})
+
+	t.Run("arrival scheduled first", func(t *testing.T) {
+		// A dry run finds the lease; the same run with the arrival
+		// scheduled up front at its expiry grants it identically.
+		dry, key := lending(t)
+		want := *firstLease(t, dry)
+		f, _ := lending(t)
+		if err := f.ScheduleArrivalPri(want.ExpiresAt, "tie", workload.CoMD(), key, 0); err != nil {
+			t.Fatal(err)
+		}
+		tie(t, f, want.ExpiresAt, func() bool {
+			if len(f.leases) <= want.ID {
+				return false
+			}
+			l := f.leases[want.ID]
+			if l.GrantedAt != want.GrantedAt {
+				t.Fatalf("lease %d granted at %g, the dry run's at %g", l.ID, l.GrantedAt, want.GrantedAt)
+			}
+			return l.State == LeaseExpired
+		}, true)
+	})
+}
+
+// TestMidRunArrivalsSameUnderEveryDriver: a trace scheduled half up
+// front and half mid-run, at the shared clock or later and out of time
+// order, ends with the same per-shard digests under Run, RunParallel(2)
+// (a partitioned replay, which reads the arrival heap sorted) and a
+// Step loop.
+func TestMidRunArrivalsSameUnderEveryDriver(t *testing.T) {
+	build := func() *Federation {
+		f, err := New(Config{Shards: shardCfg(4, 4, 500, jobsched.AggressiveBackfill), Routing: Locality})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scheduleTrace(t, f, 21, 48, 4)
+		for i := 0; i < 30; i++ {
+			if ok, err := f.Step(); err != nil || !ok {
+				t.Fatalf("step %d: ok=%v err=%v", i, ok, err)
+			}
+		}
+		r := rng.New(22)
+		mix := apps()
+		for i := 0; i < 24; i++ {
+			x := 0.0 // every fourth arrives at the shared clock itself
+			if i%4 != 0 {
+				x = r.Range(0, 100)
+			}
+			if err := f.ScheduleArrivalPri(f.Now()+x, fmt.Sprintf("m%02d", i), mix[i%len(mix)], "", 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f
+	}
+	digests := func(f *Federation) []uint64 {
+		var out []uint64
+		for _, sh := range f.shards {
+			h := fnv.New64a()
+			for _, js := range sh.Online.Jobs() {
+				fmt.Fprintf(h, "%s %d %x %x %v\n", js.ID, js.State, math.Float64bits(js.Start), math.Float64bits(js.Finish), js.Nodes)
+			}
+			out = append(out, h.Sum64())
+		}
+		return out
+	}
+
+	f := build()
+	if err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := digests(f)
+	if n := len(routedJobs(t, f)); n != 72 {
+		t.Fatalf("Run routed %d jobs, want 72", n)
+	}
+
+	f = build()
+	windows := mWindows.Value()
+	if err := f.RunParallel(2); err != nil {
+		t.Fatal(err)
+	}
+	if mWindows.Value() != windows+1 {
+		t.Error("RunParallel(2) did not take the partitioned replay")
+	}
+	if got := digests(f); !slices.Equal(got, want) {
+		t.Errorf("RunParallel(2) shard digests %x, Run's %x", got, want)
+	}
+
+	f = build()
+	for {
+		ok, err := f.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+	}
+	if err := f.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got := digests(f); !slices.Equal(got, want) {
+		t.Errorf("Step loop shard digests %x, Run's %x", got, want)
 	}
 }
 
@@ -844,11 +1043,11 @@ func TestScheduleArrivalRejectsDuplicateID(t *testing.T) {
 
 // TestScheduleArrivalsCopyNothing schedules 65,536 arrivals on a fresh
 // federation of the fed-scale shape (64 shards of 4 nodes): the arrival
-// arena grows a block at a time, so no arrival moves, and the federation
-// engine cuts its events from slabs. The loop may make at most one heap
-// allocation per 100 arrivals, and it may allocate at most twice the
-// bytes its structures (arena, id index, engine queue, event slabs)
-// still hold once it is done.
+// arena grows a block at a time, so no arrival moves, and an arrival is
+// no engine event, only an index on the arrival heap. The loop may make
+// at most one heap allocation per 512 arrivals, its structures (arena,
+// id index, arrival heap) may hold at most 96 bytes per arrival once it
+// is done, and it may allocate at most 1.5 times what they hold.
 func TestScheduleArrivalsCopyNothing(t *testing.T) {
 	cfg := Config{Routing: Locality}
 	for i := 0; i < 64; i++ {
@@ -891,17 +1090,20 @@ func TestScheduleArrivalsCopyNothing(t *testing.T) {
 	if f.arrival(0) != first {
 		t.Error("arrival 0 moved while later arrivals were scheduled")
 	}
-	if *first != (fedArrival{id: ids[0], app: apps[0], key: ids[0], t: ts[0]}) {
+	if *first != (fedArrival{id: ids[0], app: apps[0], key: ids[0], t: ts[0], seq: 1}) {
 		t.Errorf("arrival 0 reads %+v", *first)
 	}
 	allocs := after.Mallocs - before.Mallocs
 	bytes := int64(after.TotalAlloc - before.TotalAlloc)
 	kept := int64(held.HeapAlloc) - int64(before.HeapAlloc)
 	t.Logf("%d arrivals: %d allocations, %.1f MB allocated, %.1f MB held", n, allocs, float64(bytes)/1e6, float64(kept)/1e6)
-	if allocs > n/100 {
-		t.Errorf("scheduling %d arrivals made %d allocations, want at most %d", n, allocs, n/100)
+	if allocs > n/512 {
+		t.Errorf("scheduling %d arrivals made %d allocations, want at most %d", n, allocs, n/512)
 	}
-	if bytes > 2*kept {
-		t.Errorf("scheduling %d arrivals allocated %d bytes, over twice the %d its structures hold", n, bytes, kept)
+	if kept > 96*n {
+		t.Errorf("%d scheduled arrivals hold %d bytes, want at most %d", n, kept, 96*n)
+	}
+	if 2*bytes > 3*kept {
+		t.Errorf("scheduling %d arrivals allocated %d bytes, over 1.5 times the %d its structures hold", n, bytes, kept)
 	}
 }

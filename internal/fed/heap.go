@@ -1,5 +1,7 @@
 package fed
 
+import "cmp"
+
 // shardHeap indexes the shards' next-event times so the federation's
 // run loop finds the earliest shard in O(log n) instead of scanning all
 // of them per step (the O(shards) scan PR 7 shipped with). Entries are
@@ -118,3 +120,55 @@ func (h *shardHeap) min() (id int, t float64, ok bool) {
 
 // size reports how many shards currently have pending events.
 func (h *shardHeap) size() int { return len(h.ids) }
+
+// The arrival heap (Federation.pending) is a binary min-heap of arena
+// indices by (time, sequence), read through the arena.
+
+// arrivalOrder compares arrivals i and j by (time, sequence): their
+// firing order.
+func (f *Federation) arrivalOrder(i, j int32) int {
+	a, b := f.arrival(i), f.arrival(j)
+	if a.t != b.t {
+		return cmp.Compare(a.t, b.t)
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// pushArrival adds arrival i to the arrival heap.
+func (f *Federation) pushArrival(i int32) {
+	h := append(f.pending, i)
+	for k := len(h) - 1; k > 0; {
+		parent := (k - 1) / 2
+		if f.arrivalOrder(h[k], h[parent]) >= 0 {
+			break
+		}
+		h[k], h[parent] = h[parent], h[k]
+		k = parent
+	}
+	f.pending = h
+}
+
+// popArrival removes the earliest arrival from the arrival heap and
+// returns its arena index.
+func (f *Federation) popArrival() int32 {
+	h := f.pending
+	top, n := h[0], len(h)-1
+	h[0] = h[n]
+	h = h[:n]
+	for k := 0; ; {
+		least := 2*k + 1
+		if least >= n {
+			break
+		}
+		if right := least + 1; right < n && f.arrivalOrder(h[right], h[least]) < 0 {
+			least = right
+		}
+		if f.arrivalOrder(h[least], h[k]) >= 0 {
+			break
+		}
+		h[k], h[least] = h[least], h[k]
+		k = least
+	}
+	f.pending = h
+	return top
+}

@@ -5,11 +5,10 @@ package fed
 //   - Partitioned replay: with locality routing, an inert broker and no
 //     fault stream the federation owns no interaction points, so every
 //     shard's whole timeline is causally independent of every other
-//     shard's. The pending arrivals leave the federation engine in one
-//     ordered pass (des.Engine.Skip) and each shard receives the arena
-//     indices of its own; each shard then replays start to finish on a
-//     bounded worker pool, and one serial barrier merges the results
-//     (runPartitioned).
+//     shard's. The arrival heap, sorted in place, is read once in
+//     firing order and each shard receives the arena indices of its
+//     own; each shard then replays start to finish on a bounded worker
+//     pool, and one serial barrier merges the results (runPartitioned).
 //   - Serial stepping: otherwise RunParallel steps exactly as Run does,
 //     one event at a time with the per-event broker pass and audit.
 //
@@ -31,6 +30,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,11 +102,11 @@ func (f *Federation) RunParallel(workers int) error {
 // shard's full timeline — its own events interleaved with the arrivals
 // hashed to it — is causally independent of every other shard's.
 //
-// One des.Engine.Skip pass takes the pending arrivals off the
-// federation engine in (time, seq) order, exactly the order the serial
-// run would route them, places each by the same pure pickShard and
-// records its arena index in its shard's list; no arrival is stepped
-// and no arrival is copied. Each worker then replays one shard start to
+// The arrival heap's array, sorted in place by (time, seq), is exactly
+// the order the serial run would route the pending arrivals; one pass
+// places each by the same pure pickShard and records its arena index in
+// its shard's list. No arrival is stepped and no arrival is copied.
+// Each worker then replays one shard start to
 // finish: Advance + SubmitPri at each of its arrival times replicates
 // routeArrival on the shard's own timeline, with the shard events
 // between arrivals processed as ordinary steps. The serial run's
@@ -116,28 +116,24 @@ func (f *Federation) RunParallel(workers int) error {
 // Run's output byte for byte.
 func (f *Federation) runPartitioned(workers int) error {
 	// Only arrivals can be pending: no fault stream is armed, and a
-	// settled lease cancels its expiry. Placement is a pure hash, so it
-	// happens serially here; routing telemetry never sees the workers.
-	order := make([]int32, 0, f.arrivalsLeft) // arena indices, firing order
-	sids := make([]int32, 0, f.arrivalsLeft)  // their shards
-	counts := make([]int, len(f.shards))
-	var stray error
-	f.eng.Skip(func(kind uint16, arg uint64) {
-		if kind != fevArrival {
-			if stray == nil {
-				stray = fmt.Errorf("fed: partitioned replay found a pending federation event of kind %d", kind)
-			}
-			return
-		}
-		sid := f.pickShard(f.arrival(int32(arg)))
-		order = append(order, int32(arg))
-		sids = append(sids, int32(sid))
-		counts[sid]++
-	})
+	// settled lease cancels its expiry.
+	if t, ok := f.eng.Next(); ok {
+		return f.latch(fmt.Errorf("fed: partitioned replay found a pending federation event at %g", t))
+	}
+	// A trace scheduled in time order is already sorted as a heap
+	// array, so the sort is one linear pass. Placement is a pure hash,
+	// so it happens serially here; routing telemetry never sees the
+	// workers.
+	order := f.pending // arena indices, firing order
+	f.pending = nil
+	slices.SortFunc(order, f.arrivalOrder)
 	nArr := len(order)
-	f.arrivalsLeft -= nArr
-	if stray != nil {
-		return f.latch(stray)
+	sids := make([]int32, nArr) // their shards
+	counts := make([]int, len(f.shards))
+	for k, i := range order {
+		sid := f.pickShard(f.arrival(i))
+		sids[k] = int32(sid)
+		counts[sid]++
 	}
 
 	// Each shard's arrivals are a slice of one backing array, in firing
@@ -164,8 +160,8 @@ func (f *Federation) runPartitioned(workers int) error {
 	// event/audit counts, one physical audit over the final state.
 	barrierStart := time.Now()
 	total := 0
-	if t := f.eng.Now(); t > f.now {
-		f.now = t
+	if nArr > 0 {
+		f.now = max(f.now, f.arrival(order[nArr-1]).t)
 	}
 	for _, sh := range f.shards {
 		res := &results[sh.ID]

@@ -456,7 +456,7 @@ func (h loadHeap) down(i int) {
 // heals, recall probes) still fire — they are finite — so health and
 // lease state finish settling on the virtual timeline.
 func (f *Federation) maybeStopShardFaults() {
-	if f.sf == nil || f.sfStopped || f.arrivalsLeft > 0 {
+	if f.sf == nil || f.sfStopped || len(f.pending) > 0 {
 		return
 	}
 	for _, sh := range f.shards {

@@ -526,7 +526,7 @@ func TestOnePendingEventRule(t *testing.T) {
 			if f.unhealthy != unhealthy {
 				t.Fatalf("%s %s: unhealthy count %d, %d shards are not healthy", spec, when, f.unhealthy, unhealthy)
 			}
-			next, ok := f.eng.Next()
+			next, _, ok := f.nextOwn()
 			if !ok {
 				next = math.Inf(1)
 			}

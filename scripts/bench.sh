@@ -26,12 +26,15 @@ echo "== federation construction, 64 shards x 4 nodes ==" >&2
 # federation pays before it schedules anything (64 shard clusters and
 # CLIP instances sharing one trained NP regression). fed_build: the
 # same plus the fed-scale trace's 65,536 scheduled arrivals, what a
-# fed-scale trial pays before it runs. fed_replay: the run half of that
-# trial, RunParallel(1) on a federation built outside the timer.
-go test -run '^$' -bench 'BenchmarkFed(New|Build|Replay)$' -benchmem -benchtime=20x . | tee "$TMP/fednew_full.txt" >&2
-awk '/^BenchmarkFedNew/    { print "fed_new ns_per_op=" $3 " bytes_per_op=" $5 " allocs_per_op=" $7 }
-     /^BenchmarkFedBuild/  { print "fed_build ns_per_op=" $3 " bytes_per_op=" $5 " allocs_per_op=" $7 }
-     /^BenchmarkFedReplay/ { print "fed_replay ns_per_op=" $3 " bytes_per_op=" $5 " allocs_per_op=" $7 }' \
+# fed-scale trial pays before it runs. fed_build_chaos: the same at the
+# fed-chaos shape (lending and shard faults armed, 8,192 arrivals).
+# fed_replay: the run half of a fed-scale trial, RunParallel(1) on a
+# federation built outside the timer.
+go test -run '^$' -bench 'BenchmarkFed(New|Build|BuildChaos|Replay)$' -benchmem -benchtime=20x . | tee "$TMP/fednew_full.txt" >&2
+awk '/^BenchmarkFedNew-/        { print "fed_new ns_per_op=" $3 " bytes_per_op=" $5 " allocs_per_op=" $7 }
+     /^BenchmarkFedBuild-/      { print "fed_build ns_per_op=" $3 " bytes_per_op=" $5 " allocs_per_op=" $7 }
+     /^BenchmarkFedBuildChaos-/ { print "fed_build_chaos ns_per_op=" $3 " bytes_per_op=" $5 " allocs_per_op=" $7 }
+     /^BenchmarkFedReplay-/     { print "fed_replay ns_per_op=" $3 " bytes_per_op=" $5 " allocs_per_op=" $7 }' \
     "$TMP/fednew_full.txt" > "$TMP/fednew.txt"
 
 echo "== suite wall time ==" >&2
@@ -187,9 +190,10 @@ function val(key,    i, eq) {
 /^clipfed_chaos /  { cfbody = kv() }
 /^clipfed_evac /   { cebody = kv() }
 # Federation construction and replay (BenchmarkFedNew, BenchmarkFedBuild,
-# BenchmarkFedReplay).
+# BenchmarkFedBuildChaos, BenchmarkFedReplay).
 /^fed_new /        { fnbody = kv() }
 /^fed_build /      { fbbody = kv() }
+/^fed_build_chaos / { fbcbody = kv() }
 /^fed_replay /     { frbody = kv() }
 /^clipfed_parallel / {
     # Parallel-executor scaling rows, best-of-N per worker count.
@@ -217,6 +221,7 @@ END {
     printf "  \"clipfed_evac\": {%s},\n", cebody
     printf "  \"fed_new\": {%s},\n", fnbody
     printf "  \"fed_build\": {%s},\n", fbbody
+    printf "  \"fed_build_chaos\": {%s},\n", fbcbody
     printf "  \"fed_replay\": {%s},\n", frbody
     # speedup: the best workers-1 wall over the best workers-2 wall.
     speedup = pwall[2] > 0 ? pwall[1] / pwall[2] : 0
